@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 import xml.etree.ElementTree as ET
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .ir import (
     Assign,

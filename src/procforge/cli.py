@@ -19,12 +19,7 @@ from typing import Dict, List, Optional, Tuple
 from . import bpmn, codegen, harness, interp
 from .ir import ProcessModel, ValidationReport, validate_model
 from .marking import MarkingAutomaton, compile_marking, dump_automaton
-from .registry import (
-    FungibleRegistrySpec,
-    NonFungibleRegistrySpec,
-    RegistrySpecError,
-    parse_registry,
-)
+from .registry import FungibleRegistrySpec, RegistrySpecError, parse_registry
 
 EX_OK = 0
 EX_FAIL = 1
@@ -171,27 +166,15 @@ def cmd_simulate(args) -> int:
     except harness.TraceSyntaxError as e:
         raise CliError(f"{args.trace}: {e}", EX_FAIL) from e
     automaton = compile_marking(model)
-    strict = not args.prefix
 
     data_mode = bool(trace) and all(ev.args is not None for ev in trace)
     instance = _build_instance(model, automaton, specs) if data_mode else None
-
-    events_out = []
-    verdict: harness.Classification
+    verdict = harness.classify(model, automaton, trace, strict=not args.prefix,
+                               instance=instance)
     if data_mode:
-        verdict = harness.Conforming()
-        for i, ev in enumerate(trace):
-            outcome = instance.invoke(ev.task, ev.args_dict, ev.caller)
-            events_out.append((ev.task, outcome))
-            if not outcome.ok:
-                verdict = harness.NonConforming(i)
-                break
-        if verdict.ok and strict and instance.marking != 0:
-            verdict = harness.NonConforming(None)
+        events_out = [(e.task, e.outcome) for e in instance.event_log]
     else:
-        for ev in trace:
-            events_out.append((ev.task, None))
-        verdict = harness.classify(model, automaton, trace, strict=strict)
+        events_out = [(ev.task, None) for ev in trace]
 
     if args.json:
         obj = {
@@ -318,11 +301,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("simulate", help="replay a trace against the model")
     common(sp)
     sp.add_argument("--trace", required=True, metavar="t.jsonl")
-    mode = sp.add_mutually_exclusive_group()
-    mode.add_argument("--strict", action="store_true", default=True,
-                      help="require the trace to complete the process (default)")
-    mode.add_argument("--prefix", action="store_true",
-                      help="accept conforming prefixes")
+    sp.add_argument("--prefix", action="store_true",
+                    help="accept conforming prefixes (default: the trace must "
+                         "complete the process)")
     sp.set_defaults(fn=cmd_simulate)
 
     sp = sub.add_parser("conformance", help="randomized trace experiment")

@@ -16,6 +16,7 @@ from .ir import (
     BinOp,
     Expr,
     Lit,
+    Node,
     NodeKind,
     PROCESS_ADDRESS,
     ProcessModel,
@@ -24,7 +25,7 @@ from .ir import (
     Var,
     sanitize_identifier,
 )
-from .marking import AutoTransition, MarkingAutomaton
+from .marking import MarkingAutomaton
 from .registry import FungibleRegistrySpec, NonFungibleRegistrySpec
 
 PRAGMA = "^0.5.8"
@@ -435,6 +436,13 @@ def _hex(mask: int) -> str:
     return f"{mask:#x}"
 
 
+def _auto_fn_name(node: Node) -> str:
+    """Function name of an auto-transition: a script task is named after
+    its display name, a gateway or end event after its id."""
+    return sanitize_identifier(
+        node.display_name if node.kind == NodeKind.SCRIPT_TASK else node.id)
+
+
 def render_expr(e: Expr, var_prefix: str = "_") -> str:
     if isinstance(e, Lit):
         return _sol_literal(e.value, e.type)
@@ -597,10 +605,8 @@ def gen_process(model: ProcessModel, automaton: MarkingAutomaton) -> SourceUnit:
     # auto transitions: internal functions, Listing-style
     for t in automaton.autos:
         node = model.node(t.node_id)
-        fn_name = sanitize_identifier(node.display_name) if node.kind in \
-            (NodeKind.SCRIPT_TASK,) else sanitize_identifier(node.id)
         b.append("")
-        b.append(f"    function {fn_name}(uint preconditionsp) internal returns (uint) {{")
+        b.append(f"    function {_auto_fn_name(node)}(uint preconditionsp) internal returns (uint) {{")
         first = True
         for pre in t.pre_alternatives:
             lead = "        if" if first else "        } else if"
@@ -637,9 +643,7 @@ def gen_process(model: ProcessModel, automaton: MarkingAutomaton) -> SourceUnit:
     b.append("        while (previous != preconditionsp) {")
     b.append("            previous = preconditionsp;")
     for t in automaton.autos:
-        node = model.node(t.node_id)
-        fn_name = sanitize_identifier(node.display_name) if node.kind in \
-            (NodeKind.SCRIPT_TASK,) else sanitize_identifier(node.id)
+        fn_name = _auto_fn_name(model.node(t.node_id))
         b.append(f"            preconditionsp = {fn_name}(preconditionsp);")
     b.append("        }")
     b.append("        return preconditionsp;")

@@ -13,8 +13,8 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from .ir import NodeKind, ProcessModel, TASK_KINDS
 from .marking import MarkingAutomaton, eager_closure_nondet
@@ -98,8 +98,16 @@ def write_trace(trace: Trace) -> str:
 # Enumeration of conforming traces
 
 
-def _closure_markings(a: MarkingAutomaton, marking: int) -> FrozenSet[int]:
-    return frozenset(m for m, _ in eager_closure_nondet(a, marking))
+def step(a: MarkingAutomaton, states: FrozenSet[int], task_id: str) -> FrozenSet[int]:
+    """Fire external task task_id from every marking in states, through
+    every enabled alternative, and close each result over all branch
+    choices. Empty when the task is enabled in none of the states."""
+    out: Set[int] = set()
+    for m in states:
+        for alt in a.external[task_id]:
+            if m & alt.pre == alt.pre:
+                out |= eager_closure_nondet(a, (m & ~alt.pre) | alt.post)
+    return frozenset(out)
 
 
 def enumerate_conforming(a: MarkingAutomaton, max_len: int,
@@ -112,18 +120,14 @@ def enumerate_conforming(a: MarkingAutomaton, max_len: int,
     budget = [state_budget]
 
     def successors(states: FrozenSet[int], task_id: str) -> FrozenSet[int]:
-        out: Set[int] = set()
-        for m in states:
-            for alt in a.external[task_id]:
-                if m & alt.pre == alt.pre:
-                    out |= _closure_markings(a, (m & ~alt.pre) | alt.post)
+        out = step(a, states, task_id)
         budget[0] -= len(out)
         if budget[0] < 0:
             raise BudgetExceeded(f"marking graph larger than {state_budget} states")
-        return frozenset(out)
+        return out
 
     names = a.external_names
-    initial = _closure_markings(a, a.initial_marking)
+    initial = eager_closure_nondet(a, a.initial_marking)
 
     def walk(states: FrozenSet[int], prefix: Tuple[str, ...]):
         if (not strict) or 0 in states:
@@ -176,38 +180,30 @@ Classification = Union[Conforming, NonConforming]
 
 
 def classify(model: ProcessModel, a: MarkingAutomaton, trace: Trace,
-             strict: bool = True,
-             instance_factory: Optional[Callable[[], object]] = None
-             ) -> Classification:
+             strict: bool = True, instance=None) -> Classification:
     """Replay a trace against the automaton.
 
-    Events carrying args need data semantics and an instance_factory (the
-    interpreter); data-free traces are searched over all branch choices.
+    Given an interpreter instance (data mode), each event is invoked on it,
+    so scripts, guards and registry calls take effect and every outcome is
+    appended to instance.event_log; replay stops at the first rejected
+    event. Without one, the trace is searched over all branch choices,
+    ignoring scripts and guards. An unknown task name is non-conforming at
+    its index in both modes.
     """
-    if instance_factory is not None and trace and all(ev.args is not None for ev in trace):
-        instance = instance_factory()
-        for i, ev in enumerate(trace):
-            outcome = instance.invoke(ev.task, ev.args_dict, ev.caller)
-            if not outcome.ok:
-                return NonConforming(i)
-        if strict and instance.marking != 0:
-            return NonConforming(None)
-        return Conforming()
-
-    states = _closure_markings(a, a.initial_marking)
+    states = eager_closure_nondet(a, a.initial_marking) if instance is None else None
     for i, ev in enumerate(trace):
         task_id = a.task_id_for(ev.task)
         if task_id is None:
             return NonConforming(i)
-        nxt: Set[int] = set()
-        for m in states:
-            for alt in a.external[task_id]:
-                if m & alt.pre == alt.pre:
-                    nxt |= _closure_markings(a, (m & ~alt.pre) | alt.post)
-        if not nxt:
+        if instance is not None:
+            accepted = instance.invoke(ev.task, ev.args_dict, ev.caller).ok
+        else:
+            states = step(a, states, task_id)
+            accepted = bool(states)
+        if not accepted:
             return NonConforming(i)
-        states = frozenset(nxt)
-    if strict and 0 not in states:
+    final = states if instance is None else {instance.marking}
+    if strict and 0 not in final:
         return NonConforming(None)
     return Conforming()
 
@@ -340,7 +336,6 @@ class ExperimentConfig:
     seed: int = 0
     operator_weights: Tuple[float, float, float] = (1.0, 1.0, 1.0)
     strict: bool = True
-    max_trace_len: Optional[int] = None  # default: number of external tasks
 
     def __post_init__(self):
         if any(w < 0 for w in self.operator_weights) or not any(self.operator_weights):
@@ -391,8 +386,7 @@ def run_experiment(model: ProcessModel, a: MarkingAutomaton,
     """Base traces + mutants, each classified by the replayer and by the
     independent oracle; correctness is the agreement percentage."""
     t0 = time.perf_counter()
-    max_len = cfg.max_trace_len if cfg.max_trace_len is not None else len(a.external)
-    conforming_set = enumerate_conforming(a, max_len, strict=cfg.strict)
+    conforming_set = enumerate_conforming(a, len(a.external), strict=cfg.strict)
     bases = conforming_set[:cfg.base_traces]
 
     alphabet = sorted(a.external_names.values())

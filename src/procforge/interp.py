@@ -18,14 +18,12 @@ from .ir import (
     EvalError,
     Lit,
     Node,
-    NodeKind,
     PROCESS_ADDRESS,
     ProcessModel,
     Var,
     addr_key,
     default_value,
     eval_expr,
-    is_address,
 )
 from .marking import (
     MarkingAutomaton,
@@ -34,7 +32,7 @@ from .marking import (
     eager_closure_data,
     fire_external,
 )
-from .registry import AttributeDecl, FungibleRegistrySpec, NonFungibleRegistrySpec
+from .registry import FungibleRegistrySpec, NonFungibleRegistrySpec
 
 
 class RegistryError(Exception):

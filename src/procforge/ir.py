@@ -8,7 +8,7 @@ function producing a diagnostic report; it never raises for model defects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Optional, Union
 
@@ -240,17 +240,6 @@ def eval_expr(e: Expr, env: Mapping[str, object], types: Mapping[str, str]) -> o
     raise EvalError(f"cannot evaluate {e!r}")
 
 
-def expr_vars(e: Expr) -> set:
-    """All variable names referenced by an expression."""
-    if isinstance(e, Var):
-        return {e.name}
-    if isinstance(e, UnaryOp):
-        return expr_vars(e.operand)
-    if isinstance(e, BinOp):
-        return expr_vars(e.left) | expr_vars(e.right)
-    return set()
-
-
 # ---------------------------------------------------------------------------
 # Process model
 
@@ -365,7 +354,6 @@ class ProcessModel:
     variables: tuple = ()  # tuple[ProcessVariableDecl, ...]
     interfaces: tuple = ()  # tuple[SmartContractInterfaceDecl, ...]
     invocations: tuple = ()  # tuple[InvocationBinding, ...]
-    participants: tuple = ()
 
     def node(self, node_id: str) -> Optional[Node]:
         for n in self.nodes:

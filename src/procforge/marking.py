@@ -17,14 +17,12 @@ one (preMask, update) alternative per incoming flow.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
 
 from .ir import (
     Assign,
     EXTERNAL_TASK_KINDS,
-    EvalError,
     Expr,
-    Node,
     NodeKind,
     ProcessModel,
     TASK_KINDS,
@@ -308,48 +306,35 @@ def _pick_branch(t: AutoTransition, env, types) -> Branch:
     raise NoBranchTaken(f"all branch conditions false at '{t.node_id}' and no default flow")
 
 
-def eager_closure_nondet(a: MarkingAutomaton, marking: int,
-                         env: Optional[Mapping[str, object]] = None,
-                         types: Optional[Mapping[str, str]] = None
-                         ) -> List[Tuple[int, dict]]:
-    """Explore every branch assignment of the auto-transitions and return
-    all quiescent (marking, env) outcomes, deduplicated by marking.
+def eager_closure_nondet(a: MarkingAutomaton, marking: int) -> FrozenSet[int]:
+    """Explore every branch choice of the auto-transitions from a marking
+    and return the quiescent markings reached.
 
-    Guards are not evaluated: with unconstrained data every XOR branch is
-    satisfiable. Script statements are applied best-effort; a statement
-    whose inputs are unbound leaves its target unknown.
+    Guards and scripts are ignored: with unconstrained data every XOR
+    branch is satisfiable. Raises NonTerminatingClosure when no quiescent
+    marking is reachable.
     """
-    env = dict(env or {})
-    types = types or {}
-    results: Dict[int, dict] = {}
+    quiescent: Set[int] = set()
     seen = {marking}
-    stack: List[Tuple[int, dict]] = [(marking, env)]
+    stack = [marking]
     while stack:
-        m, e = stack.pop()
-        moves = []
+        m = stack.pop()
+        moved = False
         for t in a.autos:
             for pre in t.pre_alternatives:
-                if m & pre == pre:
-                    for b in t.branches:
-                        moves.append((t, pre, b))
-        if not moves:
-            results.setdefault(m, e)
-            continue
-        for t, pre, b in moves:
-            m2 = (m & ~pre) | b.post
-            if m2 in seen:
-                continue
-            seen.add(m2)
-            e2 = dict(e)
-            for st in t.statements:
-                try:
-                    e2[st.target] = eval_expr(st.value, e2, types)
-                except EvalError:
-                    e2.pop(st.target, None)
-            stack.append((m2, e2))
-    if not results:
+                if m & pre != pre:
+                    continue
+                moved = True
+                for b in t.branches:
+                    m2 = (m & ~pre) | b.post
+                    if m2 not in seen:
+                        seen.add(m2)
+                        stack.append(m2)
+        if not moved:
+            quiescent.add(m)
+    if not quiescent:
         raise NonTerminatingClosure("auto-transition cycle with no quiescent marking")
-    return sorted(results.items(), key=lambda kv: kv[0])
+    return frozenset(quiescent)
 
 
 def dump_automaton(a: MarkingAutomaton) -> str:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 from .ir import UINT256_MAX, is_address
 

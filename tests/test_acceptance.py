@@ -16,10 +16,10 @@ import pytest
 
 from procforge import codegen, harness
 from procforge.cli import main
-from procforge.harness import _closure_markings, _saturate
+from procforge.harness import _saturate, step
 from procforge.interp import FungibleLedger, RegistryError, Unauthorized
 from procforge.ir import NodeKind
-from procforge.marking import compile_marking, enabled_external
+from procforge.marking import compile_marking, eager_closure_nondet, enabled_external
 from procforge.registry import FungibleRegistrySpec
 
 from conftest import FIXTURES, GOLDEN, load_model
@@ -181,7 +181,7 @@ def _assert_fold_unfold_equivalent(model, depth):
 
     start = next(n for n in model.nodes if n.kind == NodeKind.START_EVENT)
     init = frozenset(f.id for f in model.outgoing(start.id))
-    root = (_closure_markings(a, a.initial_marking),
+    root = (eager_closure_nondet(a, a.initial_marking),
             _saturate(model, {init}, budget))
 
     explored = {}
@@ -202,16 +202,10 @@ def _assert_fold_unfold_equivalent(model, depth):
             continue
 
         for name in enabled_folded:
-            tid = a.task_id_for(name)
-            nxt = set()
-            for m in folded:
-                for alt in a.external[tid]:
-                    if m & alt.pre == alt.pre:
-                        nxt |= _closure_markings(a, (m & ~alt.pre) | alt.post)
+            nxt = step(a, folded, a.task_id_for(name))
             inc, produced = tasks[name]
             fired = {(m - {inc}) | produced for m in oracle if inc in m}
-            stack.append(((frozenset(nxt), _saturate(model, fired, budget)),
-                          left - 1))
+            stack.append(((nxt, _saturate(model, fired, budget)), left - 1))
 
 
 def test_criterion_08_fold_unfold_equivalence_on_200_random_models():

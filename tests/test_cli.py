@@ -1,7 +1,5 @@
 import json
 
-import pytest
-
 from procforge.cli import main
 
 from conftest import FIXTURES
@@ -113,6 +111,35 @@ def test_simulate_prefix_mode(tmp_path, capsys):
                TITLE, "--trace", str(head))[0] == 2
     assert run(capsys, "simulate", GRAIN, "--registry", LRK, "--registry",
                TITLE, "--trace", str(head), "--prefix")[0] == 0
+
+
+def test_simulate_unknown_task_in_data_mode_exits_2(tmp_path, capsys):
+    trace = tmp_path / "bogus.jsonl"
+    trace.write_text('{"task": "Bogus", "args": {}}\n'
+                     + (FIXTURES / "grain_swap.jsonl").read_text())
+    code, out, _ = run(capsys, "simulate", GRAIN, "--registry", LRK,
+                       "--registry", TITLE, "--trace", str(trace))
+    assert code == 2
+    assert "classification: NonConforming(0)" in out
+
+
+def test_script_reading_a_variable_set_earlier_in_the_closure(tmp_path, capsys):
+    # the data-free closure must not evaluate scripts: `tokens` is bound
+    # only by the statement before it
+    model = tmp_path / "ico.bpmn"
+    model.write_text((FIXTURES / "ico.bpmn").read_text().replace(
+        "tokens = amount * rate; amountRaised = amountRaised + amount",
+        "tokens = 5; amountRaised = tokens + 1"))
+    code, out, _ = run(capsys, "validate", str(model))
+    assert code == 0 and out.rstrip().endswith("ok")
+    code, out, _ = run(capsys, "conformance", str(model), "--seed", "1",
+                       "--mutants", "20")
+    assert code == 0 and "correctness: 100%" in out
+    trace = tmp_path / "invest.jsonl"
+    trace.write_text('{"task": "Investment received"}\n')
+    code, out, _ = run(capsys, "simulate", str(model), "--trace", str(trace),
+                       "--prefix")
+    assert code == 0 and "classification: Conforming" in out
 
 
 def test_simulate_angelic_when_args_missing(tmp_path, capsys):

@@ -1,6 +1,3 @@
-import re
-
-from procforge import codegen
 from procforge.codegen import (
     contract_name,
     gen_fungible,
@@ -10,7 +7,7 @@ from procforge.codegen import (
 )
 from procforge.ir import BinOp, Lit, Var
 from procforge.marking import compile_marking
-from procforge.registry import parse_registry, write_nonfungible
+from procforge.registry import parse_registry
 
 from conftest import FIXTURES, load_model
 

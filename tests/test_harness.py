@@ -5,7 +5,6 @@ import pytest
 
 from procforge.harness import (
     BudgetExceeded,
-    Conforming,
     ExperimentConfig,
     MutationExhausted,
     NonConforming,
@@ -147,19 +146,22 @@ def test_classify_data_mode_uses_interpreter(grain_model, grain_automaton):
     from test_interpreter import SWAP_EVENTS, grain_registries
     trace = tuple(TraceEvent.make(t, a, c) for t, a, c in SWAP_EVENTS)
 
-    def factory():
+    def fresh():
         return new_instance(grain_model, grain_automaton,
                             registries=grain_registries())
 
-    assert classify(grain_model, grain_automaton, trace,
-                    instance_factory=factory).ok
+    instance = fresh()
+    assert classify(grain_model, grain_automaton, trace, instance=instance).ok
+    assert [e.outcome.ok for e in instance.event_log] == [True] * len(trace)
     # wrong deposit: the refund path is forced, so Asset Swap is rejected
     events = list(SWAP_EVENTS)
     events[6] = ("Interest to buy title expressed",
                  {"deposit": 1, "buyer": "0x" + "2" * 40}, "0x" + "2" * 40)
     bad = tuple(TraceEvent.make(t, a, c) for t, a, c in events)
+    instance = fresh()
     assert classify(grain_model, grain_automaton, bad,
-                    instance_factory=factory) == NonConforming(7)
+                    instance=instance) == NonConforming(7)
+    assert len(instance.event_log) == 8  # replay stops at the rejected event
 
 
 # --- mutation ----------------------------------------------------------------

@@ -183,8 +183,7 @@ def test_nondet_closure_explores_all_branches():
              SequenceFlow("f4", "t1", "e1"), SequenceFlow("f5", "t2", "e2")]
     m = ProcessModel(id="m", nodes=tuple(nodes), flows=tuple(flows))
     a = compile_marking(m)
-    outcomes = eager_closure_nondet(a, a.initial_marking)
-    markings = {mk for mk, _ in outcomes}
+    markings = eager_closure_nondet(a, a.initial_marking)
     # both tasks reachable: guard ignored, every branch explored
     enabled = {tid for mk in markings for tid, _ in enabled_external(a, mk)}
     assert enabled == {"t1", "t2"}
