@@ -112,40 +112,40 @@ def step(a: MarkingAutomaton, states: FrozenSet[int], task_id: str) -> FrozenSet
 
 def enumerate_conforming(a: MarkingAutomaton, max_len: int,
                          strict: bool = True,
-                         state_budget: int = DEFAULT_STATE_BUDGET) -> List[Trace]:
-    """All task-name sequences of length <= max_len the automaton accepts,
-    exploring every branch choice (guards unconstrained). Strict keeps only
-    sequences that can end with the zero marking. Sorted for determinism."""
-    found: Set[Tuple[str, ...]] = set()
+                         state_budget: int = DEFAULT_STATE_BUDGET,
+                         limit: Optional[int] = None) -> List[Trace]:
+    """The first `limit` (default: all) task-name sequences of length
+    <= max_len that the automaton accepts, in lexicographic order of the
+    display names, exploring every branch choice (guards unconstrained).
+    Strict keeps only sequences that can end with the zero marking.
+
+    A pre-order DFS that tries tasks in sorted display-name order yields
+    the sequences already sorted, so it stops once it has `limit` of them.
+    The state budget counts only the markings produced on the way there;
+    BudgetExceeded is raised when they exceed it."""
+    found: List[Trace] = []
     budget = [state_budget]
+    by_name = sorted((name, tid) for tid, name in a.external_names.items())
 
-    def successors(states: FrozenSet[int], task_id: str) -> FrozenSet[int]:
-        out = step(a, states, task_id)
-        budget[0] -= len(out)
-        if budget[0] < 0:
-            raise BudgetExceeded(f"marking graph larger than {state_budget} states")
-        return out
-
-    names = a.external_names
-    initial = eager_closure_nondet(a, a.initial_marking)
-
-    def walk(states: FrozenSet[int], prefix: Tuple[str, ...]):
+    def walk(states: FrozenSet[int], prefix: Tuple[str, ...]) -> bool:
+        """Extend found from this prefix on; True once it is full."""
         if (not strict) or 0 in states:
-            found.add(prefix)
+            found.append(tuple(TraceEvent(name) for name in prefix))
+            if len(found) == limit:
+                return True
         if len(prefix) >= max_len:
-            return
-        for task_id in a.external:
-            nxt = successors(states, task_id)
-            if nxt:
-                walk(nxt, prefix + (names[task_id],))
+            return False
+        for name, task_id in by_name:
+            nxt = step(a, states, task_id)
+            budget[0] -= len(nxt)
+            if budget[0] < 0:
+                raise BudgetExceeded(f"marking graph larger than {state_budget} states")
+            if nxt and walk(nxt, prefix + (name,)):
+                return True
+        return False
 
-    walk(initial, ())
-    traces = [tuple(TraceEvent(name) for name in seq) for seq in sorted(found)]
-    if strict:
-        traces = [t for t in traces if t]  # empty prefix only counts in prefix mode
-        if 0 in initial:
-            traces.insert(0, ())
-    return traces
+    walk(eager_closure_nondet(a, a.initial_marking), ())
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -386,8 +386,8 @@ def run_experiment(model: ProcessModel, a: MarkingAutomaton,
     """Base traces + mutants, each classified by the replayer and by the
     independent oracle; correctness is the agreement percentage."""
     t0 = time.perf_counter()
-    conforming_set = enumerate_conforming(a, len(a.external), strict=cfg.strict)
-    bases = conforming_set[:cfg.base_traces]
+    bases = enumerate_conforming(a, len(a.external), strict=cfg.strict,
+                                 limit=cfg.base_traces)
 
     alphabet = sorted(a.external_names.values())
     rng = random.Random(cfg.seed)

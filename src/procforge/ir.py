@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Optional, Union
+from functools import cached_property
+from typing import Dict, Mapping, NamedTuple, Optional, Tuple, Union
 
 UINT256_MAX = 2**256 - 1
 INT256_MIN = -(2**255)
@@ -346,6 +347,15 @@ class InvocationBinding:
     output_bindings: tuple = ()
 
 
+class _ModelIndex(NamedTuple):
+    """ProcessModel's lookups by id."""
+
+    node: Dict[str, Node]
+    incoming: Dict[str, Tuple[SequenceFlow, ...]]
+    outgoing: Dict[str, Tuple[SequenceFlow, ...]]
+    interface: Dict[str, SmartContractInterfaceDecl]
+
+
 @dataclass(frozen=True)
 class ProcessModel:
     id: str
@@ -355,23 +365,39 @@ class ProcessModel:
     interfaces: tuple = ()  # tuple[SmartContractInterfaceDecl, ...]
     invocations: tuple = ()  # tuple[InvocationBinding, ...]
 
-    def node(self, node_id: str) -> Optional[Node]:
+    @cached_property
+    def _index(self) -> "_ModelIndex":
+        """Built on first lookup. It answers exactly as a scan in document
+        order would: a duplicate id maps to its first element
+        (validate_model reports the rest), and a flow whose source or
+        target names no node is still listed under that id."""
+        nodes: Dict[str, Node] = {}
         for n in self.nodes:
-            if n.id == node_id:
-                return n
-        return None
+            nodes.setdefault(n.id, n)
+        incoming: Dict[str, list] = {}
+        outgoing: Dict[str, list] = {}
+        for f in self.flows:
+            incoming.setdefault(f.target, []).append(f)
+            outgoing.setdefault(f.source, []).append(f)
+        interfaces: Dict[str, SmartContractInterfaceDecl] = {}
+        for i in self.interfaces:
+            interfaces.setdefault(i.id, i)
+        return _ModelIndex(nodes,
+                           {k: tuple(v) for k, v in incoming.items()},
+                           {k: tuple(v) for k, v in outgoing.items()},
+                           interfaces)
+
+    def node(self, node_id: str) -> Optional[Node]:
+        return self._index.node.get(node_id)
 
     def incoming(self, node_id: str):
-        return tuple(f for f in self.flows if f.target == node_id)
+        return self._index.incoming.get(node_id, ())
 
     def outgoing(self, node_id: str):
-        return tuple(f for f in self.flows if f.source == node_id)
+        return self._index.outgoing.get(node_id, ())
 
     def interface(self, interface_id: str) -> Optional[SmartContractInterfaceDecl]:
-        for i in self.interfaces:
-            if i.id == interface_id:
-                return i
-        return None
+        return self._index.interface.get(interface_id)
 
     def external_tasks(self):
         return tuple(n for n in self.nodes if n.kind in EXTERNAL_TASK_KINDS)

@@ -17,6 +17,7 @@ one (preMask, update) alternative per incoming flow.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
 
 from .ir import (
@@ -89,11 +90,18 @@ class MarkingAutomaton:
     external_names: Mapping[str, str]  # task id -> display name
     folded: frozenset = frozenset()  # gateway ids folded into task masks
 
-    def task_id_for(self, name: str) -> Optional[str]:
+    @cached_property
+    def _task_ids(self) -> Dict[str, str]:
+        # in external_names order, so the first task matching by display
+        # name or by id wins, as in a scan
+        ids: Dict[str, str] = {}
         for tid, tname in self.external_names.items():
-            if tname == name or tid == name:
-                return tid
-        return None
+            ids.setdefault(tname, tid)
+            ids.setdefault(tid, tid)
+        return ids
+
+    def task_id_for(self, name: str) -> Optional[str]:
+        return self._task_ids.get(name)
 
 
 def _mask(flows, bit_of) -> int:

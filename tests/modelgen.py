@@ -94,3 +94,19 @@ def random_model(rng: random.Random, max_flows: int = 10) -> ProcessModel:
         model = ProcessModel(id="rand", nodes=tuple(b.nodes), flows=tuple(b.flows))
         if len(model.flows) <= max_flows and validate_model(model).ok:
             return model
+
+
+def parallel_chain(n: int) -> ProcessModel:
+    """start -> AND split -> n branches of user tasks A{i} then B{i} ->
+    AND join -> end: 3n + 2 flows and (2n)! / 2^n conforming traces."""
+    nodes = [Node("start", NodeKind.START_EVENT), Node("split", NodeKind.AND_GATEWAY)]
+    flows = [SequenceFlow("f_start", "start", "split")]
+    for i in range(n):
+        nodes += [Node(f"a{i}", NodeKind.USER_TASK, name=f"A{i}"),
+                  Node(f"b{i}", NodeKind.USER_TASK, name=f"B{i}")]
+        flows += [SequenceFlow(f"f_a{i}", "split", f"a{i}"),
+                  SequenceFlow(f"f_b{i}", f"a{i}", f"b{i}"),
+                  SequenceFlow(f"f_j{i}", f"b{i}", "join")]
+    nodes += [Node("join", NodeKind.AND_GATEWAY), Node("end", NodeKind.END_EVENT)]
+    flows.append(SequenceFlow("f_end", "join", "end"))
+    return ProcessModel(id=f"chain{n}", nodes=tuple(nodes), flows=tuple(flows))

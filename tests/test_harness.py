@@ -22,7 +22,7 @@ from procforge.harness import (
 from procforge.ir import Node, NodeKind, ProcessModel, SequenceFlow
 from procforge.marking import compile_marking
 
-from modelgen import random_model
+from modelgen import parallel_chain, random_model
 
 
 def build(nodes, flows):
@@ -107,6 +107,38 @@ def test_enumerate_budget():
     _, a = and_split_bc()
     with pytest.raises(BudgetExceeded):
         enumerate_conforming(a, 3, state_budget=1)
+    # the full walk produces 5 markings: A; then B, C; then C after B, B after C
+    assert len(enumerate_conforming(a, 3, state_budget=5)) == 2
+    with pytest.raises(BudgetExceeded):
+        enumerate_conforming(a, 3, state_budget=4)
+    # the first trace alone needs only the 3 markings on its own path
+    assert names(enumerate_conforming(a, 3, state_budget=3, limit=1)[0]) == ["A", "B", "C"]
+
+
+@pytest.mark.parametrize("strict", [True, False])
+def test_enumerate_limit_is_prefix_of_full_list(strict):
+    for seed in range(50):
+        a = compile_marking(random_model(random.Random(seed)))
+        full = enumerate_conforming(a, len(a.external), strict=strict)
+        for k in (1, 2, 5):
+            assert enumerate_conforming(a, len(a.external), strict=strict,
+                                        limit=k) == full[:k], (seed, k)
+
+
+def test_enumerate_parallel_chain6_first_two_within_small_budget():
+    a = compile_marking(parallel_chain(6))
+    first, second = enumerate_conforming(a, 12, state_budget=100, limit=2)
+    a_s = [f"A{i}" for i in range(6)]
+    assert names(first) == a_s + ["B0", "B1", "B2", "B3", "B4", "B5"]
+    assert names(second) == a_s + ["B0", "B1", "B2", "B3", "B5", "B4"]
+
+
+def test_run_experiment_parallel_chain6():
+    model = parallel_chain(6)
+    cfg = ExperimentConfig(base_traces=2, mutants_per_base=5, seed=1)
+    report = run_experiment(model, compile_marking(model), cfg)
+    assert report.conforming + report.non_conforming == 12
+    assert report.correctness_pct == 100.0
 
 
 def test_classify_base_traces_conforming(grain_model, grain_automaton):

@@ -1,6 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import load_model
+
 from procforge.ir import (
     Assign,
     ArithmeticOverflow,
@@ -292,3 +294,47 @@ def test_degenerate_gateway_is_warning_only():
 def test_diagnostic_str():
     d = Diagnostic("error", "f1", "broken")
     assert str(d) == "error: [f1] broken"
+
+
+# --- model index --------------------------------------------------------------
+
+
+def scan_lookups(model, ref):
+    """node/incoming/outgoing/interface for ref, by scanning in document order."""
+    return (next((n for n in model.nodes if n.id == ref), None),
+            tuple(f for f in model.flows if f.target == ref),
+            tuple(f for f in model.flows if f.source == ref),
+            next((i for i in model.interfaces if i.id == ref), None))
+
+
+def index_lookups(model, ref):
+    return (model.node(ref), model.incoming(ref), model.outgoing(ref),
+            model.interface(ref))
+
+
+@pytest.mark.parametrize("name", ["grain_title", "ico", "quality_tracing", "task_outsourcing"])
+def test_model_index_matches_scan_on_fixtures(name):
+    model = load_model(name)
+    refs = [n.id for n in model.nodes] + [i.id for i in model.interfaces]
+    for ref in refs:
+        assert index_lookups(model, ref) == scan_lookups(model, ref), ref
+
+
+def test_model_index_duplicate_id_returns_first():
+    dup = Node("t1", NodeKind.SCRIPT_TASK, name="second")
+    m = linear_model(nodes=linear_model().nodes + (dup,))
+    assert m.node("t1") is m.nodes[1]
+    assert index_lookups(m, "t1") == scan_lookups(m, "t1")
+    assert any("duplicate node id" in e for e in errors_of(m))
+
+
+def test_model_index_lists_dangling_flow_under_missing_id():
+    m = linear_model(flows=linear_model().flows + (SequenceFlow("f3", "t1", "ghost"),))
+    assert m.node("ghost") is None
+    assert m.incoming("ghost") == (m.flows[2],)
+    assert m.outgoing("t1") == (m.flows[1], m.flows[2])
+    assert index_lookups(m, "ghost") == scan_lookups(m, "ghost")
+
+
+def test_model_index_unknown_id():
+    assert index_lookups(linear_model(), "nope") == (None, (), (), None)

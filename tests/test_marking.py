@@ -15,6 +15,7 @@ from procforge.ir import (
     validate_model,
 )
 from procforge.marking import (
+    MarkingAutomaton,
     NoBranchTaken,
     NonTerminatingClosure,
     NotEnabled,
@@ -210,3 +211,16 @@ def test_dump_automaton_lists_masks(grain_automaton):
     assert "bit   0  f01" in text
     assert "folded gateways: g_join, g_split" in text
     assert "end mask:" in text
+
+
+def test_task_id_for_first_match_by_name_or_id_wins(grain_automaton):
+    for tid, name in grain_automaton.external_names.items():
+        assert grain_automaton.task_id_for(name) == tid
+        assert grain_automaton.task_id_for(tid) == tid
+    assert grain_automaton.task_id_for("Bogus") is None
+    # t2's display name is t1's id, and t1's display name is t2's id: the
+    # earlier task matches either way
+    a = MarkingAutomaton(flow_count=0, bit_of={}, initial_marking=0, external={},
+                         autos=(), end_mask=0, external_names={"t1": "t2", "t2": "t1"})
+    assert a.task_id_for("t1") == "t1"
+    assert a.task_id_for("t2") == "t1"
