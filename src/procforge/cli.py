@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import bpmn, codegen, harness, interp
 from .ir import ProcessModel, ValidationReport, validate_model
-from .marking import MarkingAutomaton, compile_marking, dump_automaton
+from .marking import MarkingAutomaton, MarkingError, compile_marking, dump_automaton
 from .registry import FungibleRegistrySpec, RegistrySpecError, parse_registry
 
 EX_OK = 0
@@ -125,12 +125,9 @@ def _build_instance(model: ProcessModel, automaton: MarkingAutomaton,
     Interfaces with a hard-coded contractAddress keep it; the rest are bound
     to deterministic pseudo-addresses (one per spec, in order)."""
     registries: Dict[str, interp.Registry] = {}
-    spec_objs = [s for _, s in specs]
-    by_index = []
-    for i, spec in enumerate(spec_objs):
-        reg = (interp.FungibleLedger(spec) if isinstance(spec, FungibleRegistrySpec)
-               else interp.NonFungibleStore(spec))
-        by_index.append((spec, reg))
+    by_index = [(spec, interp.FungibleLedger(spec) if isinstance(spec, FungibleRegistrySpec)
+                 else interp.NonFungibleStore(spec))
+                for _, spec in specs]
 
     # match specs to interfaces by declared function names
     bindings: Dict[str, str] = {}
@@ -168,9 +165,11 @@ def cmd_simulate(args) -> int:
     automaton = compile_marking(model)
 
     data_mode = bool(trace) and all(ev.args is not None for ev in trace)
-    instance = _build_instance(model, automaton, specs) if data_mode else None
-    verdict = harness.classify(model, automaton, trace, strict=not args.prefix,
-                               instance=instance)
+    try:
+        instance = _build_instance(model, automaton, specs) if data_mode else None
+    except MarkingError as e:
+        raise CliError(f"{args.model}: initial closure failed: {e}", EX_FAIL) from e
+    verdict = harness.classify(automaton, trace, strict=not args.prefix, instance=instance)
     if data_mode:
         events_out = [(e.task, e.outcome) for e in instance.event_log]
     else:

@@ -179,8 +179,8 @@ class NonConforming:
 Classification = Union[Conforming, NonConforming]
 
 
-def classify(model: ProcessModel, a: MarkingAutomaton, trace: Trace,
-             strict: bool = True, instance=None) -> Classification:
+def classify(a: MarkingAutomaton, trace: Trace, strict: bool = True,
+             instance=None) -> Classification:
     """Replay a trace against the automaton.
 
     Given an interpreter instance (data mode), each event is invoked on it,
@@ -399,7 +399,7 @@ def run_experiment(model: ProcessModel, a: MarkingAutomaton,
     conforming = non_conforming = agree = 0
     disagreements: List[Disagreement] = []
     for idx, trace in enumerate(traces):
-        mine = classify(model, a, trace, strict=cfg.strict)
+        mine = classify(a, trace, strict=cfg.strict)
         theirs = oracle_classify(model, trace, strict=cfg.strict)
         if mine.ok:
             conforming += 1

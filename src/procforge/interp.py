@@ -23,11 +23,11 @@ from .ir import (
     Var,
     addr_key,
     default_value,
-    eval_expr,
+    literal_matches,
 )
 from .marking import (
     MarkingAutomaton,
-    NoBranchTaken,
+    MarkingError,
     NotEnabled,
     eager_closure_data,
     fire_external,
@@ -84,6 +84,14 @@ class UnknownRegistryAddress(InstanceError):
 
 
 class UnknownTask(InstanceError):
+    pass
+
+
+class MissingInput(InstanceError):
+    pass
+
+
+class BadArgument(InstanceError):
     pass
 
 
@@ -341,14 +349,13 @@ class InstanceState:
         self.registries = registries
         self.iface_addresses = iface_addresses
         self.process_address = process_address
-        self.types = model.declared_types()
         self.env: Dict[str, object] = {
             v.name: (v.initial if v.initial is not None else default_value(v.type))
             for v in model.variables}
         self.event_log: List[LogEntry] = []
         self.marking = automaton.initial_marking
         # close over any auto-transitions enabled straight from the start
-        result = eager_closure_data(automaton, self.marking, self.env, self.types,
+        result = eager_closure_data(automaton, self.marking, self.env,
                                     on_fire=self._run_task_invocations)
         self.marking, self.env = result.marking, result.env
 
@@ -370,10 +377,9 @@ class InstanceState:
         if isinstance(binding_source, Var):
             if binding_source.name == PROCESS_ADDRESS:
                 return self.process_address
-            try:
-                return eval_expr(binding_source, env, self.types)
-            except EvalError as e:
-                raise RegistryError(f"unbound binding source: {e}") from e
+            if binding_source.name not in env:
+                raise RegistryError(f"unbound binding source: {binding_source.name}")
+            return env[binding_source.name]
         if isinstance(binding_source, Lit):
             return binding_source.value
         raise RegistryError(f"unsupported binding source {binding_source!r}")
@@ -395,11 +401,16 @@ class InstanceState:
                 env[b.target] = outputs[out_index[b.param]]
 
     def _coerce_args(self, task: Node, args: Mapping[str, object]) -> dict:
+        """The task's inputs taken from args, each checked against its
+        declared type and range. Other keys are ignored."""
         coerced = {}
         for ti in task.task_inputs:
             if ti.name not in args:
-                raise RegistryError(f"missing task input '{ti.name}'")
-            coerced[ti.name] = args[ti.name]
+                raise MissingInput(f"missing task input '{ti.name}'")
+            value = args[ti.name]
+            if not literal_matches(ti.type, value):
+                raise BadArgument(f"task input '{ti.name}' expects {ti.type}, got {value!r}")
+            coerced[ti.name] = value
         return coerced
 
     def invoke(self, task_name: str, args: Optional[Mapping[str, object]] = None,
@@ -418,26 +429,25 @@ class InstanceState:
 
         snapshot = (self.marking, dict(self.env), copy.deepcopy(self.registries))
         try:
-            merged = self._coerce_args(task, args) if args else {}
+            merged = self._coerce_args(task, args or {})
             marking, env, alt = fire_external(
                 self.automaton, self.marking, self.env, task_id, merged)
             self._run_task_invocations(task_id, env, caller)
             result = eager_closure_data(
-                self.automaton, marking, env, self.types,
-                on_fire=self._run_task_invocations)
+                self.automaton, marking, env, on_fire=self._run_task_invocations)
             self.marking, self.env = result.marking, result.env
             outcome: Union[Accepted, Rejected] = Accepted(alt, tuple(result.fired))
-        except NotEnabled as e:
-            outcome = Rejected("NotEnabled", str(e))
+        except (MissingInput, BadArgument, NotEnabled) as e:
+            outcome = Rejected(type(e).__name__, str(e))
         except RegistryError as e:
             self.marking, self.env, self.registries = snapshot
             outcome = Rejected("RegistryError", str(e))
         except EvalError as e:
             self.marking, self.env, self.registries = snapshot
             outcome = Rejected("ScriptError", str(e))
-        except NoBranchTaken as e:
+        except MarkingError as e:  # NoBranchTaken, NonTerminatingClosure
             self.marking, self.env, self.registries = snapshot
-            outcome = Rejected("NoBranchTaken", str(e))
+            outcome = Rejected(type(e).__name__, str(e))
         self.event_log.append(LogEntry(task_name, dict(args) if args else None,
                                        caller, outcome))
         return outcome

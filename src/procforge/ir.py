@@ -8,10 +8,11 @@ function producing a diagnostic report; it never raises for model defects.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Dict, Mapping, NamedTuple, Optional, Tuple, Union
+from typing import Callable, Dict, Mapping, NamedTuple, Optional, Tuple, Union
 
 UINT256_MAX = 2**256 - 1
 INT256_MIN = -(2**255)
@@ -104,7 +105,7 @@ class UnboundVariable(EvalError):
 
 
 class ExprTypeError(Exception):
-    """Raised by the static checker; surfaces as a validation diagnostic."""
+    """Raised by compile_expr; surfaces as a validation diagnostic."""
 
 
 def _unify_numeric(lt: str, rt: str) -> str:
@@ -122,56 +123,6 @@ def _require_numeric(t: str, where: str) -> None:
         raise ExprTypeError(f"{where} requires a numeric operand, got {t}")
 
 
-def check_expr(e: Expr, types: Mapping[str, str]) -> str:
-    """Infer the type of e under the given declarations.
-
-    Integer literals type as 'int_const' and adapt to either integer width.
-    Strings support equality only.
-    """
-    if isinstance(e, Lit):
-        return e.type
-    if isinstance(e, Var):
-        if e.name not in types:
-            raise ExprTypeError(f"undeclared variable '{e.name}'")
-        return types[e.name]
-    if isinstance(e, UnaryOp):
-        t = check_expr(e.operand, types)
-        if e.op == "!":
-            if t != "bool":
-                raise ExprTypeError(f"'!' requires bool, got {t}")
-            return "bool"
-        if e.op == "-":
-            _require_numeric(t, "unary '-'")
-            if t == "uint256":
-                raise ExprTypeError("unary '-' not allowed on uint256")
-            return "int256" if t == "int_const" else t
-        raise ExprTypeError(f"unknown unary operator {e.op}")
-    if isinstance(e, BinOp):
-        lt = check_expr(e.left, types)
-        rt = check_expr(e.right, types)
-        if e.op in ARITH_OPS:
-            _require_numeric(lt, f"'{e.op}'")
-            _require_numeric(rt, f"'{e.op}'")
-            return _unify_numeric(lt, rt)
-        if e.op in ORDER_OPS:
-            _require_numeric(lt, f"'{e.op}'")
-            _require_numeric(rt, f"'{e.op}'")
-            _unify_numeric(lt, rt)
-            return "bool"
-        if e.op in EQ_OPS:
-            if lt in ("uint256", "int256", "int_const") and rt in ("uint256", "int256", "int_const"):
-                _unify_numeric(lt, rt)
-            elif lt != rt:
-                raise ExprTypeError(f"cannot compare {lt} with {rt}")
-            return "bool"
-        if e.op in BOOL_OPS:
-            if lt != "bool" or rt != "bool":
-                raise ExprTypeError(f"'{e.op}' requires bool operands, got {lt} and {rt}")
-            return "bool"
-        raise ExprTypeError(f"unknown operator {e.op}")
-    raise ExprTypeError(f"unknown expression node {e!r}")
-
-
 def _range_check(value: int, result_type: str) -> int:
     if result_type == "uint256":
         if value < 0:
@@ -186,59 +137,97 @@ def _range_check(value: int, result_type: str) -> int:
     return value
 
 
-def eval_expr(e: Expr, env: Mapping[str, object], types: Mapping[str, str]) -> object:
-    """Evaluate a type-checked expression. Arithmetic is checked, not wrapping.
+Evaluator = Callable[[Mapping[str, object]], object]
 
-    env maps variable names to python values; types carries their declared
-    types (needed to pick the checked range).
+_COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+            "==": operator.eq, "!=": operator.ne}
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
+def _arith(op: str, t: str, left: Evaluator, right: Evaluator) -> Evaluator:
+    def run(env):
+        lv, rv = left(env), right(env)
+        width = t
+        if width == "int_const":
+            width = "uint256" if lv >= 0 and rv >= 0 else "int256"
+        if op != "/":
+            return _range_check(_ARITH[op](lv, rv), width)
+        if rv == 0:
+            raise DivisionByZero(f"{lv} / 0")
+        if width == "uint256":
+            return lv // rv
+        q = abs(lv) // abs(rv)  # solidity int division truncates toward zero
+        return q if (lv >= 0) == (rv >= 0) else _range_check(-q, width)
+    return run
+
+
+def compile_expr(e: Expr, types: Mapping[str, str]) -> Tuple[str, Evaluator]:
+    """Type e under the given declarations and return (type, evaluator).
+
+    The evaluator maps an environment (variable name -> python value) to
+    the value of e. Types are resolved here, once: the evaluator knows the
+    checked range of each arithmetic node and which equalities compare
+    addresses. Integer literals type as 'int_const' and adapt to either
+    integer width; strings support equality only. Arithmetic is checked,
+    not wrapping. Raises ExprTypeError for an ill-typed e.
     """
     if isinstance(e, Lit):
-        return e.value
+        value = e.value
+        return e.type, lambda env: value
     if isinstance(e, Var):
-        if e.name not in env:
-            raise UnboundVariable(e.name)
-        return env[e.name]
+        name = e.name
+        if name not in types:
+            raise ExprTypeError(f"undeclared variable '{name}'")
+
+        def var(env):
+            if name not in env:
+                raise UnboundVariable(name)
+            return env[name]
+        return types[name], var
     if isinstance(e, UnaryOp):
-        v = eval_expr(e.operand, env, types)
+        t, operand = compile_expr(e.operand, types)
         if e.op == "!":
-            return not v
+            if t != "bool":
+                raise ExprTypeError(f"'!' requires bool, got {t}")
+            return "bool", lambda env: not operand(env)
         if e.op == "-":
-            t = check_expr(e, types)
-            return _range_check(-v, "int256" if t == "int_const" else t)
-    if isinstance(e, BinOp):
-        if e.op in BOOL_OPS:
-            lv = eval_expr(e.left, env, types)
-            if e.op == "&&":
-                return bool(lv) and bool(eval_expr(e.right, env, types))
-            return bool(lv) or bool(eval_expr(e.right, env, types))
-        lv = eval_expr(e.left, env, types)
-        rv = eval_expr(e.right, env, types)
-        if e.op in EQ_OPS:
-            lt = check_expr(e.left, types)
-            if lt == "address" or check_expr(e.right, types) == "address":
-                lv, rv = addr_key(lv), addr_key(rv)
-            eq = lv == rv
-            return eq if e.op == "==" else not eq
-        if e.op in ORDER_OPS:
-            return {"<": lv < rv, "<=": lv <= rv, ">": lv > rv, ">=": lv >= rv}[e.op]
-        # arithmetic
-        t = _unify_numeric(check_expr(e.left, types), check_expr(e.right, types))
-        if t == "int_const":
-            t = "uint256" if lv >= 0 and rv >= 0 else "int256"
-        if e.op == "+":
-            return _range_check(lv + rv, t)
-        if e.op == "-":
-            return _range_check(lv - rv, t)
-        if e.op == "*":
-            return _range_check(lv * rv, t)
-        if e.op == "/":
-            if rv == 0:
-                raise DivisionByZero(f"{lv} / 0")
+            _require_numeric(t, "unary '-'")
             if t == "uint256":
-                return lv // rv
-            q = abs(lv) // abs(rv)  # solidity int division truncates toward zero
-            return q if (lv >= 0) == (rv >= 0) else _range_check(-q, t)
-    raise EvalError(f"cannot evaluate {e!r}")
+                raise ExprTypeError("unary '-' not allowed on uint256")
+            return "int256", lambda env: _range_check(-operand(env), "int256")
+        raise ExprTypeError(f"unknown unary operator {e.op}")
+    if isinstance(e, BinOp):
+        op = e.op
+        lt, left = compile_expr(e.left, types)
+        rt, right = compile_expr(e.right, types)
+        if op in ARITH_OPS:
+            _require_numeric(lt, f"'{op}'")
+            _require_numeric(rt, f"'{op}'")
+            t = _unify_numeric(lt, rt)
+            return t, _arith(op, t, left, right)
+        if op in ORDER_OPS:
+            _require_numeric(lt, f"'{op}'")
+            _require_numeric(rt, f"'{op}'")
+            _unify_numeric(lt, rt)
+            compare = _COMPARE[op]
+            return "bool", lambda env: compare(left(env), right(env))
+        if op in EQ_OPS:
+            if lt in ("uint256", "int256", "int_const") and rt in ("uint256", "int256", "int_const"):
+                _unify_numeric(lt, rt)
+            elif lt != rt:
+                raise ExprTypeError(f"cannot compare {lt} with {rt}")
+            compare = _COMPARE[op]
+            if lt == "address":
+                return "bool", lambda env: compare(addr_key(left(env)), addr_key(right(env)))
+            return "bool", lambda env: compare(left(env), right(env))
+        if op in BOOL_OPS:
+            if lt != "bool" or rt != "bool":
+                raise ExprTypeError(f"'{op}' requires bool operands, got {lt} and {rt}")
+            if op == "&&":
+                return "bool", lambda env: bool(left(env)) and bool(right(env))
+            return "bool", lambda env: bool(left(env)) or bool(right(env))
+        raise ExprTypeError(f"unknown operator {e.op}")
+    raise ExprTypeError(f"unknown expression node {e!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -607,13 +596,14 @@ def validate_model(model: ProcessModel) -> ValidationReport:  # noqa: C901
                         err(f.id, "XOR-split branch without condition and not default")
                     else:
                         try:
-                            t = check_expr(f.condition, types)
+                            t, _ = compile_expr(f.condition, types)
                             if t != "bool":
                                 err(f.id, f"condition must be bool, got {t}")
                         except ExprTypeError as e:
                             err(f.id, f"condition type error: {e}")
 
     # task inputs
+    declared = {v.name: v.type for v in model.variables}
     for n in model.nodes:
         seen = set()
         for ti in n.task_inputs:
@@ -622,7 +612,6 @@ def validate_model(model: ProcessModel) -> ValidationReport:  # noqa: C901
             seen.add(ti.name)
             if ti.type not in VALUE_TYPES:
                 err(n.id, f"unknown task input type '{ti.type}'")
-            declared = {v.name: v.type for v in model.variables}
             if ti.name in declared and declared[ti.name] != ti.type:
                 err(n.id, f"task input '{ti.name}' shadows variable of different type")
         if n.task_inputs and n.kind != NodeKind.USER_TASK:
@@ -631,14 +620,13 @@ def validate_model(model: ProcessModel) -> ValidationReport:  # noqa: C901
             err(n.id, "only script tasks may carry a script")
 
     # scripts type-check; assignment targets must be declared variables
-    declared_var_names = {v.name for v in model.variables}
     for n in model.nodes:
         for st in n.script:
-            if st.target not in declared_var_names:
+            if st.target not in declared:
                 err(n.id, f"script assigns undeclared variable '{st.target}'")
                 continue
             try:
-                t = check_expr(st.value, types)
+                t, _ = compile_expr(st.value, types)
                 target_t = types[st.target]
                 if t == "int_const":
                     t = target_t if target_t in ("uint256", "int256") else t
@@ -683,7 +671,7 @@ def validate_model(model: ProcessModel) -> ValidationReport:  # noqa: C901
             if pb.param in seen_out:
                 err(b.source_task, f"return '{pb.param}' bound more than once")
             seen_out.add(pb.param)
-            if pb.target not in declared_var_names:
+            if pb.target not in declared:
                 err(b.source_task, f"output bound to undeclared variable '{pb.target}'")
         task_input_names = {ti.name for ti in task.task_inputs}
         for pb in b.input_bindings:

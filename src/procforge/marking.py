@@ -21,13 +21,13 @@ from functools import cached_property
 from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
 
 from .ir import (
-    Assign,
     EXTERNAL_TASK_KINDS,
+    Evaluator,
     Expr,
     NodeKind,
     ProcessModel,
     TASK_KINDS,
-    eval_expr,
+    compile_expr,
 )
 
 
@@ -56,12 +56,14 @@ class Branch:
     """One outgoing alternative of an auto-transition.
 
     guard is None for unconditional branches and for the default flow of
-    an XOR split (is_default marks the latter). post is the produced bits.
+    an XOR split (is_default marks the latter); test is guard compiled
+    against the model's declared types. post is the produced bits.
     """
 
     post: int
     guard: Optional[Expr] = None
     is_default: bool = False
+    test: Optional[Evaluator] = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -76,7 +78,8 @@ class AutoTransition:
     kind: NodeKind  # SCRIPT_TASK, XOR_GATEWAY, AND_GATEWAY or END_EVENT
     pre_alternatives: Tuple[int, ...]
     branches: Tuple[Branch, ...]
-    statements: Tuple[Assign, ...] = ()
+    # the script's (target, compiled value) pairs, in order
+    statements: Tuple[Tuple[str, Evaluator], ...] = field(default=(), compare=False)
 
 
 @dataclass(frozen=True)
@@ -113,8 +116,10 @@ def _mask(flows, bit_of) -> int:
 
 def compile_marking(model: ProcessModel) -> MarkingAutomaton:
     """Compile a model that validate_model accepted. Deterministic: bit
-    assignment and transition order follow document order."""
+    assignment and transition order follow document order. Guards and
+    scripts are compiled here, so their types are resolved once."""
     bit_of = {f.id: i for i, f in enumerate(model.flows)}
+    types = model.declared_types()
 
     start = next(n for n in model.nodes if n.kind == NodeKind.START_EVENT)
     initial_marking = _mask(model.outgoing(start.id), bit_of)
@@ -132,7 +137,8 @@ def compile_marking(model: ProcessModel) -> MarkingAutomaton:
                 n.id, n.kind,
                 pre_alternatives=(_mask(inc, bit_of),),
                 branches=(Branch(post=_mask(out, bit_of)),),
-                statements=n.script)
+                statements=tuple((st.target, compile_expr(st.value, types)[1])
+                                 for st in n.script))
         elif n.kind == NodeKind.AND_GATEWAY:
             autos[n.id] = AutoTransition(
                 n.id, n.kind,
@@ -141,7 +147,8 @@ def compile_marking(model: ProcessModel) -> MarkingAutomaton:
         elif n.kind == NodeKind.XOR_GATEWAY:
             pre_alts = tuple(1 << bit_of[f.id] for f in inc)
             if len(out) > 1:
-                branches = [Branch(post=1 << bit_of[f.id], guard=f.condition)
+                branches = [Branch(post=1 << bit_of[f.id], guard=f.condition,
+                                   test=compile_expr(f.condition, types)[1])
                             for f in out if not f.is_default]
                 branches += [Branch(post=1 << bit_of[f.id], is_default=True)
                              for f in out if f.is_default]
@@ -264,7 +271,6 @@ class ClosureResult:
 
 
 def eager_closure_data(a: MarkingAutomaton, marking: int, env: Mapping[str, object],
-                       types: Mapping[str, str],
                        on_fire: Optional[Callable[[str, dict], None]] = None
                        ) -> ClosureResult:
     """Fire all enabled auto-transitions to fixpoint, evaluating XOR guards
@@ -283,10 +289,10 @@ def eager_closure_data(a: MarkingAutomaton, marking: int, env: Mapping[str, obje
             pre = next((p for p in t.pre_alternatives if marking & p == p), None)
             if pre is None:
                 continue
-            branch = _pick_branch(t, env, types)
+            branch = _pick_branch(t, env)
             marking = (marking & ~pre) | branch.post
-            for st in t.statements:
-                env[st.target] = eval_expr(st.value, env, types)
+            for target, value in t.statements:
+                env[target] = value(env)
             if on_fire is not None:
                 on_fire(t.node_id, env)
             fired.append(t.node_id)
@@ -300,14 +306,14 @@ def eager_closure_data(a: MarkingAutomaton, marking: int, env: Mapping[str, obje
             return ClosureResult(marking, env, fired)
 
 
-def _pick_branch(t: AutoTransition, env, types) -> Branch:
+def _pick_branch(t: AutoTransition, env) -> Branch:
     default = None
     for b in t.branches:
         if b.is_default:
             default = b
-        elif b.guard is None:
+        elif b.test is None:
             return b
-        elif eval_expr(b.guard, env, types):
+        elif b.test(env):
             return b
     if default is not None:
         return default

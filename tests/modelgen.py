@@ -110,3 +110,52 @@ def parallel_chain(n: int) -> ProcessModel:
     nodes += [Node("join", NodeKind.AND_GATEWAY), Node("end", NodeKind.END_EVENT)]
     flows.append(SequenceFlow("f_end", "join", "end"))
     return ProcessModel(id=f"chain{n}", nodes=tuple(nodes), flows=tuple(flows))
+
+
+def counting_loop_bpmn(after_task: bool) -> str:
+    """A valid model whose closure never settles: an XOR join, the script
+    x = x + 1 and an XOR split that loops back while x < 1000, far more
+    firings than the closure allows. With after_task the loop follows the
+    task "Go", which pays 5 LRK to 0x1111...; otherwise it follows the
+    start event. Either way the default exit leads to "Done"."""
+    go = ('<userTask id="t_go" name="Go"/>'
+          '<sequenceFlow id="f0" sourceRef="t_go" targetRef="g_join"/>') if after_task else ""
+    pay = """
+      <bcext:smartContractInterface id="itf_lrk" name="LorikeetCoin">
+        <bcext:function name="transfer">
+          <bcext:input name="to" type="address"/>
+          <bcext:input name="amount" type="uint256"/>
+          <bcext:output name="success" type="bool"/>
+        </bcext:function>
+      </bcext:smartContractInterface>
+      <bcext:invocation sourceTask="t_go" targetInterface="itf_lrk" fnName="transfer">
+        <bcext:bindIn param="to" source="0x1111111111111111111111111111111111111111"/>
+        <bcext:bindIn param="amount" source="5"/>
+      </bcext:invocation>""" if after_task else ""
+    return f"""<?xml version="1.0" encoding="UTF-8"?>
+<definitions xmlns="http://www.omg.org/spec/BPMN/20100524/MODEL"
+             xmlns:bcext="urn:procforge:bcext:1" id="defs_loop">
+  <process id="loop">
+    <extensionElements>
+      <bcext:variables>
+        <bcext:variable name="x" type="uint256"/>
+      </bcext:variables>{pay}
+    </extensionElements>
+    <startEvent id="start"/>
+    {go}
+    <sequenceFlow id="f1" sourceRef="start" targetRef="{"t_go" if after_task else "g_join"}"/>
+    <exclusiveGateway id="g_join"/>
+    <scriptTask id="s_inc" name="Count"><script>x = x + 1</script></scriptTask>
+    <exclusiveGateway id="g_split"/>
+    <userTask id="t_done" name="Done"/>
+    <endEvent id="end"/>
+    <sequenceFlow id="f2" sourceRef="g_join" targetRef="s_inc"/>
+    <sequenceFlow id="f3" sourceRef="s_inc" targetRef="g_split"/>
+    <sequenceFlow id="f4" sourceRef="g_split" targetRef="g_join">
+      <conditionExpression>x &lt; 1000</conditionExpression>
+    </sequenceFlow>
+    <sequenceFlow id="f5" sourceRef="g_split" targetRef="t_done" default="true"/>
+    <sequenceFlow id="f6" sourceRef="t_done" targetRef="end"/>
+  </process>
+</definitions>
+"""

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from procforge.cli import main
 
 from conftest import FIXTURES
@@ -187,3 +189,49 @@ def test_conformance_json_deterministic(capsys):
 
 def test_conformance_bad_config_exits_64(capsys):
     assert run(capsys, "conformance", GRAIN, "--bases", "0")[0] == 64
+
+
+ICO = str(FIXTURES / "ico.bpmn")
+INVESTOR = "0x" + "2" * 40
+
+
+@pytest.mark.parametrize("args, reason", [
+    ({"amount": "abc", "investor": INVESTOR}, "BadArgument"),
+    ({"amount": -5, "investor": INVESTOR}, "BadArgument"),
+    ({"amount": 5, "investor": "nobody"}, "BadArgument"),
+    ({}, "MissingInput"),
+])
+def test_simulate_checks_trace_arguments(tmp_path, capsys, args, reason):
+    trace = tmp_path / "invest.jsonl"
+    trace.write_text(json.dumps({"task": "Investment received", "args": args}) + "\n")
+    code, out, _ = run(capsys, "simulate", ICO, "--registry", LRK, "--trace", str(trace),
+                       "--prefix")
+    assert code == 2
+    assert f"Investment received: Rejected ({reason})" in out
+
+
+def _loop_model(tmp_path, after_task):
+    from modelgen import counting_loop_bpmn
+    model = tmp_path / "loop.bpmn"
+    model.write_text(counting_loop_bpmn(after_task))
+    return str(model)
+
+
+def test_simulate_nonterminating_closure_after_task_exits_2(tmp_path, capsys):
+    model = _loop_model(tmp_path, after_task=True)
+    trace = tmp_path / "go.jsonl"
+    trace.write_text(json.dumps({"task": "Go", "args": {}, "caller": "0x" + "6" * 40}) + "\n")
+    code, out, _ = run(capsys, "simulate", model, "--registry", LRK, "--trace", str(trace))
+    assert code == 2
+    assert "Go: Rejected (NonTerminatingClosure)" in out
+    assert "0x6666666666666666666666666666666666666666: 600000" in out
+
+
+def test_simulate_nonterminating_initial_closure_exits_1(tmp_path, capsys):
+    model = _loop_model(tmp_path, after_task=False)
+    trace = tmp_path / "done.jsonl"
+    trace.write_text(json.dumps({"task": "Done", "args": {}}) + "\n")
+    code, out, err = run(capsys, "simulate", model, "--trace", str(trace))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "closure exceeded" in err

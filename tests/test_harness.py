@@ -143,7 +143,7 @@ def test_run_experiment_parallel_chain6():
 
 def test_classify_base_traces_conforming(grain_model, grain_automaton):
     for base in enumerate_conforming(grain_automaton, 8)[:2]:
-        assert classify(grain_model, grain_automaton, base).ok
+        assert classify(grain_automaton, base).ok
         assert oracle_classify(grain_model, base).ok
 
 
@@ -155,21 +155,21 @@ def test_classify_title_before_quality_rejected(grain_model, grain_automaton):
         "Truck carrying grain is weighed", "Grain dropped at silo",
         "Truck is weighed again", "Interest to buy title expressed",
         "Grain quality evaluated", "Asset Swap"])
-    verdict = classify(grain_model, grain_automaton, bad)
+    verdict = classify(grain_automaton, bad)
     assert verdict == NonConforming(5)
     assert not oracle_classify(grain_model, bad).ok
 
 
 def test_classify_empty_strict_is_end_not_reached(grain_model, grain_automaton):
-    verdict = classify(grain_model, grain_automaton, ())
+    verdict = classify(grain_automaton, ())
     assert verdict == NonConforming(None) and verdict.end_not_reached
     assert verdict.label() == "NonConforming(EndNotReached)"
-    assert classify(grain_model, grain_automaton, (), strict=False).ok
+    assert classify(grain_automaton, (), strict=False).ok
 
 
 def test_classify_unknown_task_name(grain_model, grain_automaton):
     t = (TraceEvent("Registration request submitted"), TraceEvent("Bogus"))
-    assert classify(grain_model, grain_automaton, t) == NonConforming(1)
+    assert classify(grain_automaton, t) == NonConforming(1)
     assert oracle_classify(grain_model, t) == NonConforming(1)
 
 
@@ -183,7 +183,7 @@ def test_classify_data_mode_uses_interpreter(grain_model, grain_automaton):
                             registries=grain_registries())
 
     instance = fresh()
-    assert classify(grain_model, grain_automaton, trace, instance=instance).ok
+    assert classify(grain_automaton, trace, instance=instance).ok
     assert [e.outcome.ok for e in instance.event_log] == [True] * len(trace)
     # wrong deposit: the refund path is forced, so Asset Swap is rejected
     events = list(SWAP_EVENTS)
@@ -191,7 +191,7 @@ def test_classify_data_mode_uses_interpreter(grain_model, grain_automaton):
                  {"deposit": 1, "buyer": "0x" + "2" * 40}, "0x" + "2" * 40)
     bad = tuple(TraceEvent.make(t, a, c) for t, a, c in events)
     instance = fresh()
-    assert classify(grain_model, grain_automaton, bad,
+    assert classify(grain_automaton, bad,
                     instance=instance) == NonConforming(7)
     assert len(instance.event_log) == 8  # replay stops at the rejected event
 
@@ -296,4 +296,4 @@ def test_replayer_and_oracle_agree_on_random_models():
             base = bases[rng.randrange(len(bases))] if bases else ()
             t = mutate(base, rng, (1, 1, 1), alphabet, bases=[]) \
                 if base or alphabet else ()
-            assert classify(model, a, t).ok == oracle_classify(model, t).ok
+            assert classify(a, t).ok == oracle_classify(model, t).ok

@@ -275,3 +275,46 @@ def test_instance_addresses_unique_per_sequence(grain_model, grain_automaton):
     i1 = new_instance(grain_model, grain_automaton, registries=grain_registries(),
                       instance_seq=1)
     assert i0.process_address != i1.process_address
+
+
+def _ledger_state(inst, address):
+    lg = inst.registry_at(address)
+    return inst.marking, dict(inst.env), dict(lg.balances), dict(lg.allowances), lg.total_supply
+
+
+def test_nonterminating_closure_rolls_back_invoke():
+    from modelgen import counting_loop_bpmn
+    from procforge.bpmn import parse_bpmn
+    model = parse_bpmn(counting_loop_bpmn(after_task=True))
+    inst = new_instance(model, compile_marking(model), {"itf_lrk": A3},
+                        {A3: ledger(initially_distributed_accounts=((A2, 100),))})
+    before = _ledger_state(inst, A3)
+    # "Go" pays 5 to A1 before the loop behind it exhausts the closure
+    outcome = inst.invoke("Go", {}, A2)
+    assert not outcome.ok and outcome.reason == "NonTerminatingClosure"
+    assert _ledger_state(inst, A3) == before
+
+
+def test_types_resolved_once_at_compile(monkeypatch, ico_model):
+    from procforge import marking
+    calls = []
+    real = marking.compile_expr
+
+    def counting(e, types):
+        calls.append(e)
+        return real(e, types)
+
+    monkeypatch.setattr(marking, "compile_expr", counting)
+    automaton = compile_marking(ico_model)
+    compiled = len(calls)
+    assert compiled > 0
+    process = pseudo_address("process:ico:0")
+    inst = new_instance(ico_model, automaton, {"itf_lrk": A3},
+                        {A3: ledger(total_supply=10**6,
+                                    initially_distributed_accounts=((process, 10**6),))})
+    for _ in range(3):
+        assert inst.invoke("Investment received", {"amount": 100, "investor": A2}).ok
+        assert inst.invoke("Tokens claimed", {}).ok
+    assert inst.env["amountRaised"] == 300
+    assert inst.registry_at(A3).balance_of(A2) == 3 * 100 * 100
+    assert len(calls) == compiled

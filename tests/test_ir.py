@@ -24,8 +24,7 @@ from procforge.ir import (
     UnaryOp,
     UnboundVariable,
     Var,
-    check_expr,
-    eval_expr,
+    compile_expr,
     is_address,
     literal_matches,
     sanitize_identifier,
@@ -38,95 +37,96 @@ U = {"x": "uint256", "y": "uint256", "b": "bool", "a": "address", "s": "string",
 
 def test_check_basic_arithmetic():
     e = BinOp("+", Var("x"), Lit(1, "int_const"))
-    assert check_expr(e, U) == "uint256"
+    assert compile_expr(e, U)[0] == "uint256"
 
 
 def test_int_const_adapts_to_either_width():
-    assert check_expr(BinOp("*", Var("i"), Lit(2, "int_const")), U) == "int256"
-    assert check_expr(BinOp("<", Lit(1, "int_const"), Lit(2, "int_const")), U) == "bool"
+    assert compile_expr(BinOp("*", Var("i"), Lit(2, "int_const")), U)[0] == "int256"
+    assert compile_expr(BinOp("<", Lit(1, "int_const"), Lit(2, "int_const")), U)[0] == "bool"
 
 
 def test_mixing_widths_rejected():
     with pytest.raises(ExprTypeError):
-        check_expr(BinOp("+", Var("x"), Var("i")), U)
+        compile_expr(BinOp("+", Var("x"), Var("i")), U)[0]
 
 
 def test_string_supports_equality_only():
-    assert check_expr(BinOp("==", Var("s"), Lit("hi", "string")), U) == "bool"
+    assert compile_expr(BinOp("==", Var("s"), Lit("hi", "string")), U)[0] == "bool"
     with pytest.raises(ExprTypeError):
-        check_expr(BinOp("<", Var("s"), Var("s")), U)
+        compile_expr(BinOp("<", Var("s"), Var("s")), U)[0]
     with pytest.raises(ExprTypeError):
-        check_expr(BinOp("+", Var("s"), Var("s")), U)
+        compile_expr(BinOp("+", Var("s"), Var("s")), U)[0]
 
 
 def test_unary_minus_on_uint_rejected():
     with pytest.raises(ExprTypeError):
-        check_expr(UnaryOp("-", Var("x")), U)
-    assert check_expr(UnaryOp("-", Var("i")), U) == "int256"
+        compile_expr(UnaryOp("-", Var("x")), U)[0]
+    assert compile_expr(UnaryOp("-", Var("i")), U)[0] == "int256"
 
 
 def test_not_requires_bool():
-    assert check_expr(UnaryOp("!", Var("b")), U) == "bool"
+    assert compile_expr(UnaryOp("!", Var("b")), U)[0] == "bool"
     with pytest.raises(ExprTypeError):
-        check_expr(UnaryOp("!", Var("x")), U)
+        compile_expr(UnaryOp("!", Var("x")), U)[0]
 
 
 def test_eval_checked_underflow():
     e = BinOp("-", Var("x"), Var("y"))
     with pytest.raises(ArithmeticUnderflow):
-        eval_expr(e, {"x": 3, "y": 5}, U)
+        compile_expr(e, U)[1]({"x": 3, "y": 5})
 
 
 def test_eval_checked_overflow():
     e = BinOp("+", Var("x"), Lit(1, "int_const"))
     with pytest.raises(ArithmeticOverflow):
-        eval_expr(e, {"x": UINT256_MAX}, U)
+        compile_expr(e, U)[1]({"x": UINT256_MAX})
     e2 = BinOp("-", Var("i"), Lit(1, "int_const"))
     with pytest.raises(ArithmeticUnderflow):
-        eval_expr(e2, {"i": INT256_MIN}, U)
+        compile_expr(e2, U)[1]({"i": INT256_MIN})
 
 
 def test_eval_division():
-    assert eval_expr(BinOp("/", Lit(7, "int_const"), Lit(2, "int_const")), {}, U) == 3
+    assert compile_expr(BinOp("/", Lit(7, "int_const"), Lit(2, "int_const")), U)[1]({}) == 3
     with pytest.raises(DivisionByZero):
-        eval_expr(BinOp("/", Var("x"), Lit(0, "int_const")), {"x": 1}, U)
+        compile_expr(BinOp("/", Var("x"), Lit(0, "int_const")), U)[1]({"x": 1})
 
 
 def test_signed_division_truncates_toward_zero():
     e = BinOp("/", Var("i"), Var("j"))
-    assert eval_expr(e, {"i": -7, "j": 2}, U) == -3  # python's // would give -4
-    assert eval_expr(e, {"i": 7, "j": -2}, U) == -3
+    assert compile_expr(e, U)[1]({"i": -7, "j": 2}) == -3  # python's // would give -4
+    assert compile_expr(e, U)[1]({"i": 7, "j": -2}) == -3
 
 
 def test_unbound_variable():
     with pytest.raises(UnboundVariable):
-        eval_expr(Var("x"), {}, U)
+        compile_expr(Var("x"), U)[1]({})
 
 
 def test_address_comparison_case_insensitive():
     lo = "0x" + "ab" * 20
     hi = "0x" + "AB" * 20
     e = BinOp("==", Var("a"), Lit(hi, "address"))
-    assert eval_expr(e, {"a": lo}, U) is True
+    assert compile_expr(e, U)[1]({"a": lo}) is True
 
 
 def test_boolean_short_circuit():
     # right operand would raise if evaluated
-    e = BinOp("||", Lit(True, "bool"), BinOp("/", Var("x"), Lit(0, "int_const")))
-    assert eval_expr(e, {"x": 1}, U) is True
+    e = BinOp("||", Lit(True, "bool"),
+              BinOp("==", BinOp("/", Var("x"), Lit(0, "int_const")), Lit(1, "int_const")))
+    assert compile_expr(e, U)[1]({"x": 1}) is True
 
 
 @given(st.integers(min_value=0, max_value=UINT256_MAX),
        st.integers(min_value=1, max_value=UINT256_MAX))
 def test_unsigned_division_matches_floor(a, b):
     e = BinOp("/", Var("x"), Var("y"))
-    assert eval_expr(e, {"x": a, "y": b}, U) == a // b
+    assert compile_expr(e, U)[1]({"x": a, "y": b}) == a // b
 
 
 @given(st.integers(min_value=INT256_MIN, max_value=INT256_MAX),
        st.integers(min_value=INT256_MIN, max_value=INT256_MAX).filter(lambda v: v != 0))
 def test_signed_division_identity(a, b):
-    q = eval_expr(BinOp("/", Var("i"), Var("j")), {"i": a, "j": b}, U)
+    q = compile_expr(BinOp("/", Var("i"), Var("j")), U)[1]({"i": a, "j": b})
     assert abs(q) == abs(a) // abs(b)
     assert q == 0 or (q > 0) == ((a > 0) == (b > 0))
 

@@ -124,7 +124,7 @@ def test_closure_runs_scripts_and_guards():
              SequenceFlow("f5", "g", "e2", is_default=True)]
     _, a = _compiled(nodes, flows, [ProcessVariableDecl("x", "uint256", 0)])
     m, env, _ = fire_external(a, a.initial_marking, {"x": 0}, "t")
-    result = eager_closure_data(a, m, env, {"x": "uint256"})
+    result = eager_closure_data(a, m, env)
     assert result.marking == 0
     assert result.env["x"] == 5
     assert result.fired == ["s", "g", "e1"]
@@ -142,7 +142,7 @@ def test_closure_no_branch_taken():
     a = compile_marking(m)
     marking, env, _ = fire_external(a, a.initial_marking, {}, "t")
     with pytest.raises(NoBranchTaken):
-        eager_closure_data(a, marking, env, {})
+        eager_closure_data(a, marking, env)
 
 
 def _gateway_cycle():
@@ -167,7 +167,7 @@ def test_nonterminating_closure_detected():
     m2 = ProcessModel(id="cycle", nodes=tuple(nodes), flows=tuple(flows))
     a = compile_marking(m2)
     with pytest.raises(NonTerminatingClosure):
-        eager_closure_data(a, a.initial_marking, {}, {})
+        eager_closure_data(a, a.initial_marking, {})
     with pytest.raises(NonTerminatingClosure):
         eager_closure_nondet(a, a.initial_marking)
 
@@ -193,8 +193,8 @@ def test_nondet_closure_explores_all_branches():
 def test_closure_is_deterministic(grain_automaton):
     a = grain_automaton
     m, env, _ = fire_external(a, a.initial_marking, {}, "t_register")
-    r1 = eager_closure_data(a, m, dict(env), {})
-    r2 = eager_closure_data(a, m, dict(env), {})
+    r1 = eager_closure_data(a, m, dict(env))
+    r2 = eager_closure_data(a, m, dict(env))
     assert (r1.marking, r1.fired) == (r2.marking, r2.fired)
 
 
