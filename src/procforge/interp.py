@@ -4,12 +4,13 @@ One instance mirrors one deployed process contract: a marking word, a
 variable environment, an event log, and an own account identity used for
 escrow ("deposit to the process") and as Listing-style address(this).
 Registry calls bound to a task run atomically with the task: any failure
-rolls the whole invocation back.
+rolls the whole invocation back. Each registry journals the old value of
+every key it writes, so a rollback undoes just the keys an invocation
+touched and the registry objects keep their identity.
 """
 
 from __future__ import annotations
 
-import copy
 import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple, Union
@@ -28,7 +29,6 @@ from .ir import (
 from .marking import (
     MarkingAutomaton,
     MarkingError,
-    NotEnabled,
     eager_closure_data,
     fire_external,
 )
@@ -99,10 +99,43 @@ class BadArgument(InstanceError):
 # Simulated registries
 
 
-class FungibleLedger:
+_MISSING = object()  # journaled as the old value of a key that was absent
+
+
+class _Journaled:
+    """Registry state that is written only through _write, which journals
+    the old value first. rollback(mark) undoes the writes made since mark
+    in reverse order, so dict contents and insertion order end up exactly
+    as they were; commit() forgets the journal."""
+
+    def __init__(self):
+        self._journal: List[Tuple[dict, object, object]] = []
+
+    def _write(self, table: dict, key, value):
+        self._journal.append((table, key, table.get(key, _MISSING)))
+        table[key] = value
+
+    def mark(self) -> int:
+        return len(self._journal)
+
+    def rollback(self, mark: int):
+        journal = self._journal
+        while len(journal) > mark:
+            table, key, old = journal.pop()
+            if old is _MISSING:
+                del table[key]
+            else:
+                table[key] = old
+
+    def commit(self):
+        self._journal.clear()
+
+
+class FungibleLedger(_Journaled):
     """ERC-20 style token ledger. sum(balances) == totalSupply always."""
 
     def __init__(self, spec: FungibleRegistrySpec):
+        super().__init__()
         self.spec = spec
         self.balances: Dict[str, int] = {}
         self.allowances: Dict[Tuple[str, str], int] = {}
@@ -122,8 +155,8 @@ class FungibleLedger:
         if self.balance_of(frm) < amount:
             raise InsufficientBalance(
                 f"{frm} holds {self.balance_of(frm)}, needs {amount}")
-        self.balances[addr_key(frm)] = self.balance_of(frm) - amount
-        self.balances[addr_key(to)] = self.balance_of(to) + amount
+        self._write(self.balances, addr_key(frm), self.balance_of(frm) - amount)
+        self._write(self.balances, addr_key(to), self.balance_of(to) + amount)
 
     def transfer(self, caller: str, to: str, amount: int):
         self._move(caller, to, amount)
@@ -131,7 +164,7 @@ class FungibleLedger:
     def approve(self, caller: str, spender: str, amount: int):
         if amount < 0:
             raise RegistryError("negative amount")
-        self.allowances[(addr_key(caller), addr_key(spender))] = amount
+        self._write(self.allowances, (addr_key(caller), addr_key(spender)), amount)
 
     def transfer_from(self, caller: str, frm: str, to: str, amount: int):
         if self.allowance(frm, caller) < amount:
@@ -139,7 +172,7 @@ class FungibleLedger:
                 f"allowance {self.allowance(frm, caller)} < {amount}")
         self._move(frm, to, amount)
         key = (addr_key(frm), addr_key(caller))
-        self.allowances[key] = self.allowances.get(key, 0) - amount
+        self._write(self.allowances, key, self.allowances.get(key, 0) - amount)
 
     def mint(self, caller: str, to: str, amount: int):
         if not self.spec.is_mintable:
@@ -148,8 +181,8 @@ class FungibleLedger:
             raise Unauthorized(f"{caller} is not a minter")
         if amount < 0:
             raise RegistryError("negative amount")
-        self.balances[addr_key(to)] = self.balance_of(to) + amount
-        self.total_supply += amount
+        self._write(self.balances, addr_key(to), self.balance_of(to) + amount)
+        self._add_supply(amount)
 
     def burn(self, caller: str, frm: str, amount: int):
         if not self.spec.is_burnable:
@@ -158,8 +191,13 @@ class FungibleLedger:
             raise Unauthorized(f"{caller} is not a burner")
         if self.balance_of(frm) < amount or amount < 0:
             raise InsufficientBalance(f"cannot burn {amount} from {frm}")
-        self.balances[addr_key(frm)] = self.balance_of(frm) - amount
-        self.total_supply -= amount
+        self._write(self.balances, addr_key(frm), self.balance_of(frm) - amount)
+        self._add_supply(-amount)
+
+    def _add_supply(self, delta: int):
+        # attributes are the entries of vars(self), so the journal restores
+        # total_supply like any balance
+        self._write(vars(self), "total_supply", self.total_supply + delta)
 
 
 @dataclass
@@ -169,10 +207,13 @@ class RecordState:
     history: List[Tuple[str, object]] = field(default_factory=list)
 
 
-class NonFungibleStore:
-    """ERC-721 style record registry keyed by address-typed record ids."""
+class NonFungibleStore(_Journaled):
+    """ERC-721 style record registry keyed by address-typed record ids.
+    A record is copied before it changes, so the journal holds the old
+    record object."""
 
     def __init__(self, spec: NonFungibleRegistrySpec):
+        super().__init__()
         self.spec = spec
         self.records: Dict[str, RecordState] = {}
         self.process_address: Optional[str] = None  # set when bound to an instance
@@ -190,6 +231,13 @@ class NonFungibleStore:
             raise UnknownRecord(f"no record {record_id}")
         return rec
 
+    def _writable(self, record_id: str) -> RecordState:
+        """A fresh copy of the record, put in its place through the journal."""
+        rec = self._get(record_id)
+        fresh = RecordState(rec.owner, dict(rec.attrs), list(rec.history))
+        self._write(self.records, addr_key(record_id), fresh)
+        return fresh
+
     def record_create(self, caller: str, record_id: str, owner: str,
                       attrs: Mapping[str, object]):
         if self.spec.is_record_creation_restricted_to_bpmn and not self._is_process(caller):
@@ -203,7 +251,7 @@ class NonFungibleStore:
         for a in self.spec.attributes:
             if a.history_tracked:
                 rec.history.append((a.name, attrs[a.name]))
-        self.records[addr_key(record_id)] = rec
+        self._write(self.records, addr_key(record_id), rec)
 
     def record_get_owner(self, record_id: str) -> str:
         return self._get(record_id).owner
@@ -224,6 +272,7 @@ class NonFungibleStore:
         if self.spec.is_registry_record_access_control_enabled \
                 and not self._is_process(caller) and addr_key(caller) != addr_key(rec.owner):
             raise Unauthorized(f"{caller} may not update record {record_id}")
+        rec = self._writable(record_id)
         rec.attrs[attr] = value
         if decl.history_tracked:
             rec.history.append((attr, value))
@@ -237,7 +286,7 @@ class NonFungibleStore:
             authorized = True
         if not authorized:
             raise Unauthorized(f"{caller} may not transfer record {record_id}")
-        rec.owner = new_owner
+        self._writable(record_id).owner = new_owner
 
 
 Registry = Union[FungibleLedger, NonFungibleStore]
@@ -336,6 +385,15 @@ class LogEntry:
     outcome: Union[Accepted, Rejected]
 
 
+def _reason(e: Exception) -> str:
+    """The Rejected reason of an exception that rejects an invocation."""
+    if isinstance(e, RegistryError):
+        return "RegistryError"
+    if isinstance(e, EvalError):
+        return "ScriptError"
+    return type(e).__name__  # MissingInput, BadArgument or a MarkingError
+
+
 class InstanceState:
     """One running process instance (single-threaded, one invocation at a
     time, mirroring transaction serialization)."""
@@ -358,6 +416,7 @@ class InstanceState:
         result = eager_closure_data(automaton, self.marking, self.env,
                                     on_fire=self._run_task_invocations)
         self.marking, self.env = result.marking, result.env
+        self._commit()
 
     @property
     def status(self) -> str:
@@ -366,6 +425,10 @@ class InstanceState:
         if any(not e.outcome.ok for e in self.event_log):
             return "Running-with-rejections"
         return "Running"
+
+    def _commit(self):
+        for reg in self.registries.values():
+            reg.commit()
 
     def registry_at(self, address: str) -> Registry:
         reg = self.registries.get(addr_key(address))
@@ -427,7 +490,9 @@ class InstanceState:
             raise UnknownTask(f"'{task_name}' is not an external task of the model")
         task = self.model.node(task_id)
 
-        snapshot = (self.marking, dict(self.env), copy.deepcopy(self.registries))
+        # fire_external and the closure work on copies of the marking and
+        # env, so only the registries' writes need undoing on rejection
+        marks = [(reg, reg.mark()) for reg in self.registries.values()]
         try:
             merged = self._coerce_args(task, args or {})
             marking, env, alt = fire_external(
@@ -435,19 +500,14 @@ class InstanceState:
             self._run_task_invocations(task_id, env, caller)
             result = eager_closure_data(
                 self.automaton, marking, env, on_fire=self._run_task_invocations)
+        except (MissingInput, BadArgument, RegistryError, EvalError, MarkingError) as e:
+            for reg, mark in marks:
+                reg.rollback(mark)
+            outcome: Union[Accepted, Rejected] = Rejected(_reason(e), str(e))
+        else:
+            self._commit()
             self.marking, self.env = result.marking, result.env
-            outcome: Union[Accepted, Rejected] = Accepted(alt, tuple(result.fired))
-        except (MissingInput, BadArgument, NotEnabled) as e:
-            outcome = Rejected(type(e).__name__, str(e))
-        except RegistryError as e:
-            self.marking, self.env, self.registries = snapshot
-            outcome = Rejected("RegistryError", str(e))
-        except EvalError as e:
-            self.marking, self.env, self.registries = snapshot
-            outcome = Rejected("ScriptError", str(e))
-        except MarkingError as e:  # NoBranchTaken, NonTerminatingClosure
-            self.marking, self.env, self.registries = snapshot
-            outcome = Rejected(type(e).__name__, str(e))
+            outcome = Accepted(alt, tuple(result.fired))
         self.event_log.append(LogEntry(task_name, dict(args) if args else None,
                                        caller, outcome))
         return outcome

@@ -157,7 +157,7 @@ def _arith(op: str, t: str, left: Evaluator, right: Evaluator) -> Evaluator:
         if width == "uint256":
             return lv // rv
         q = abs(lv) // abs(rv)  # solidity int division truncates toward zero
-        return q if (lv >= 0) == (rv >= 0) else _range_check(-q, width)
+        return _range_check(q if (lv >= 0) == (rv >= 0) else -q, width)
     return run
 
 

@@ -133,8 +133,10 @@ def _address_list(obj: dict, name: str) -> Tuple[str, ...]:
 
 
 def parse_fungible(doc: str) -> FungibleRegistrySpec:
-    obj = _load(doc)
+    return _fungible(_load(doc))
 
+
+def _fungible(obj: dict) -> FungibleRegistrySpec:
     name = _field(obj, "name")
     if not isinstance(name, str) or not name:
         raise InvariantViolation("name", "must be a nonempty string")
@@ -187,8 +189,10 @@ def parse_fungible(doc: str) -> FungibleRegistrySpec:
 
 
 def parse_nonfungible(doc: str) -> NonFungibleRegistrySpec:
-    obj = _load(doc)
+    return _nonfungible(_load(doc))
 
+
+def _nonfungible(obj: dict) -> NonFungibleRegistrySpec:
     name = _field(obj, "name")
     if not isinstance(name, str) or not name:
         raise InvariantViolation("name", "must be a nonempty string")
@@ -249,8 +253,8 @@ def parse_registry(doc: str):
     registryType field, fungible specs a symbol."""
     obj = _load(doc)
     if "registryType" in obj:
-        return parse_nonfungible(doc)
-    return parse_fungible(doc)
+        return _nonfungible(obj)
+    return _fungible(obj)
 
 
 def write_fungible(spec: FungibleRegistrySpec) -> str:

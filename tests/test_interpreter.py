@@ -182,6 +182,36 @@ def test_pseudo_address_shape_and_determinism():
     assert a == pseudo_address("x") and a != pseudo_address("y")
 
 
+def test_ledger_rollback_restores_writes_in_order():
+    lg = ledger(is_mintable=True, minter_addresses=(MINTER,),
+                is_burnable=True, burner_addresses=(MINTER,))
+    before = (list(lg.balances.items()), list(lg.allowances.items()), lg.total_supply)
+    mark = lg.mark()
+    lg.approve(A1, A2, 30)
+    lg.transfer_from(A2, A1, A3, 25)
+    lg.mint(MINTER, A2, 50)
+    lg.burn(MINTER, A1, 10)
+    lg.transfer(A3, A1, 5)
+    lg.rollback(mark)
+    assert (list(lg.balances.items()), list(lg.allowances.items()), lg.total_supply) == before
+    assert lg.mark() == mark
+
+
+def test_store_rollback_restores_records():
+    s = store(attributes=(AttributeDecl("note", "string", updatable=True,
+                                        history_tracked=True),))
+    s.record_create(A1, A3, owner=A1, attrs={"note": "a"})
+    kept = s.records[A3]
+    mark = s.mark()
+    s.record_update(A1, A3, "note", "b")
+    s.record_ownership_transfer(A1, A3, A2)
+    s.record_create(A1, A2, owner=A1, attrs={"note": "c"})
+    s.record_update(A1, A2, "note", "d")
+    assert (kept.owner, kept.attrs, kept.history) == (A1, {"note": "a"}, [("note", "a")])
+    s.rollback(mark)
+    assert list(s.records) == [A3] and s.records[A3] is kept
+
+
 # --- instances ---------------------------------------------------------------
 
 
@@ -318,3 +348,40 @@ def test_types_resolved_once_at_compile(monkeypatch, ico_model):
     assert inst.env["amountRaised"] == 300
     assert inst.registry_at(A3).balance_of(A2) == 3 * 100 * 100
     assert len(calls) == compiled
+
+
+def test_rollback_keeps_registry_objects():
+    from modelgen import counting_loop_bpmn
+    from procforge.bpmn import parse_bpmn
+    model = parse_bpmn(counting_loop_bpmn(after_task=True))
+    lg = ledger(initially_distributed_accounts=((A2, 100),))
+    inst = new_instance(model, compile_marking(model), {"itf_lrk": A3}, {A3: lg})
+    # "Go" pays 5 before the closure fails; the rollback undoes it in place
+    assert inst.invoke("Go", {}, A2).reason == "NonTerminatingClosure"
+    assert inst.registry_at(A3) is lg
+    assert lg.balance_of(A2) == 100
+
+
+def test_invoke_copies_no_registry(monkeypatch, outsourcing_model):
+    import copy
+    requester, worker = "0x" + "5" * 40, "0x" + "4" * 40
+    accounts = tuple((f"0x{i:040x}", 1) for i in range(1, 10**5)) + ((requester, 300),)
+    lg = ledger(total_supply=10**5 - 1 + 300, initially_distributed_accounts=accounts)
+    address = "0xD3E4EBe81b55EA73b559da31ADf2CAc3b254ea11"
+    inst = new_instance(outsourcing_model, compile_marking(outsourcing_model),
+                        registries={address: lg})
+
+    def no_copy(*args, **kwargs):
+        raise AssertionError("invoke copied an object")
+
+    monkeypatch.setattr(copy, "deepcopy", no_copy)
+    monkeypatch.setattr(copy, "copy", no_copy)
+    deposit = {"amount": 10**9, "requester": requester}
+    outcome = inst.invoke("Deposit payment", deposit, requester)
+    assert not outcome.ok and outcome.reason == "RegistryError"
+    assert lg.balance_of(requester) == 300
+    assert inst.invoke("Deposit payment", dict(deposit, amount=300), requester).ok
+    assert inst.invoke("Task completed", {}, worker).ok
+    assert inst.status == "Completed"
+    assert (lg.balance_of(requester), lg.balance_of(worker)) == (0, 300)
+    assert lg.balance_of(inst.process_address) == 0 and conserved(lg)

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from conftest import load_model
 
@@ -125,10 +125,16 @@ def test_unsigned_division_matches_floor(a, b):
 
 @given(st.integers(min_value=INT256_MIN, max_value=INT256_MAX),
        st.integers(min_value=INT256_MIN, max_value=INT256_MAX).filter(lambda v: v != 0))
+@example(INT256_MIN, -1)
 def test_signed_division_identity(a, b):
-    q = compile_expr(BinOp("/", Var("i"), Var("j")), U)[1]({"i": a, "j": b})
-    assert abs(q) == abs(a) // abs(b)
-    assert q == 0 or (q > 0) == ((a > 0) == (b > 0))
+    divide = compile_expr(BinOp("/", Var("i"), Var("j")), U)[1]
+    # truncation toward zero; the only quotient outside int256 is 2**255
+    expected = abs(a) // abs(b) if (a >= 0) == (b >= 0) else -(abs(a) // abs(b))
+    if expected <= INT256_MAX:
+        assert divide({"i": a, "j": b}) == expected
+    else:
+        with pytest.raises(ArithmeticOverflow):
+            divide({"i": a, "j": b})
 
 
 def test_is_address():

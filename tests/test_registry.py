@@ -218,3 +218,19 @@ def test_nonfungible_writer_roundtrips():
                     AttributeDecl("origin", "string")),
         is_ownership_transfer_enabled=True)
     assert parse_nonfungible(write_nonfungible(spec)) == spec
+
+
+def test_parse_registry_loads_json_once(monkeypatch):
+    from procforge import registry
+    calls = []
+    real = registry.json.loads
+
+    def counting(doc, *args, **kwargs):
+        calls.append(doc)
+        return real(doc, *args, **kwargs)
+
+    docs = [fungible(), nonfungible()]
+    monkeypatch.setattr(registry.json, "loads", counting)
+    assert isinstance(parse_registry(docs[0]), FungibleRegistrySpec)
+    assert isinstance(parse_registry(docs[1]), NonFungibleRegistrySpec)
+    assert calls == docs
