@@ -20,6 +20,7 @@ import xml.etree.ElementTree as ET
 from typing import List, Tuple
 
 from .ir import (
+    ADDRESS_RE,
     Assign,
     BinOp,
     Expr,
@@ -79,9 +80,9 @@ class ConditionParseError(BpmnParseError):
 # ---------------------------------------------------------------------------
 # Condition / script expression grammar
 
-_TOKEN_RE = re.compile(r"""
+_TOKEN_RE = re.compile(rf"""
     (?P<ws>\s+)
-  | (?P<address>0x[0-9a-fA-F]{40})
+  | (?P<address>{ADDRESS_RE.pattern})
   | (?P<hexint>0x[0-9a-fA-F]+)
   | (?P<int>\d+)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
@@ -279,12 +280,19 @@ def _require(elem, attr: str, what: str) -> str:
     return value
 
 
-def _parse_function(elem) -> SmartContractFunctionDecl:
-    inputs, outputs = [], []
+def _bcext_children(elem, allowed: Tuple[str, ...], where: str):
+    """(local name, child) for each child of elem; a child that is not a
+    bcext element named in allowed is an UnknownElement."""
     for child in elem:
         ns, local = _split_tag(child.tag)
-        if ns != BCEXT_NS or local not in ("input", "output"):
-            raise UnknownElement(f"unexpected element '{local}' inside bcext:function")
+        if ns != BCEXT_NS or local not in allowed:
+            raise UnknownElement(f"unexpected element '{local}' inside {where}")
+        yield local, child
+
+
+def _parse_function(elem) -> SmartContractFunctionDecl:
+    inputs, outputs = [], []
+    for local, child in _bcext_children(elem, ("input", "output"), "bcext:function"):
         param = FunctionParameter(_require(child, "name", "bcext:" + local),
                                   _require(child, "type", "bcext:" + local))
         (inputs if local == "input" else outputs).append(param)
@@ -296,13 +304,8 @@ def _parse_interface(elem) -> SmartContractInterfaceDecl:
     address = elem.get("contractAddress")
     if address is not None and not is_address(address):
         raise MalformedAddress(f"contractAddress '{address}' is not 0x + 40 hex digits")
-    functions = []
-    for child in elem:
-        ns, local = _split_tag(child.tag)
-        if ns != BCEXT_NS or local != "function":
-            raise UnknownElement(f"unexpected element '{local}' inside "
-                                 "bcext:smartContractInterface")
-        functions.append(_parse_function(child))
+    functions = [_parse_function(child) for _, child in
+                 _bcext_children(elem, ("function",), "bcext:smartContractInterface")]
     return SmartContractInterfaceDecl(
         id=_require(elem, "id", "bcext:smartContractInterface"),
         name=_require(elem, "name", "bcext:smartContractInterface"),
@@ -322,10 +325,7 @@ def _parse_binding_source(text: str) -> Expr:
 
 def _parse_invocation(elem) -> InvocationBinding:
     input_bindings, output_bindings = [], []
-    for child in elem:
-        ns, local = _split_tag(child.tag)
-        if ns != BCEXT_NS or local not in ("bindIn", "bindOut"):
-            raise UnknownElement(f"unexpected element '{local}' inside bcext:invocation")
+    for local, child in _bcext_children(elem, ("bindIn", "bindOut"), "bcext:invocation"):
         if local == "bindIn":
             input_bindings.append(ParameterBinding(
                 param=_require(child, "param", "bcext:bindIn"),
@@ -345,10 +345,7 @@ def _parse_invocation(elem) -> InvocationBinding:
 
 def _parse_variables(elem) -> List[ProcessVariableDecl]:
     out = []
-    for child in elem:
-        ns, local = _split_tag(child.tag)
-        if ns != BCEXT_NS or local != "variable":
-            raise UnknownElement(f"unexpected element '{local}' inside bcext:variables")
+    for _, child in _bcext_children(elem, ("variable",), "bcext:variables"):
         initial = child.get("initial")
         out.append(ProcessVariableDecl(
             name=_require(child, "name", "bcext:variable"),

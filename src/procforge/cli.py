@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from . import bpmn, codegen, harness, interp
-from .ir import ProcessModel, ValidationReport, validate_model
+from .ir import EvalError, ProcessModel, ValidationReport, validate_model
 from .marking import MarkingAutomaton, MarkingError, compile_marking, dump_automaton
 from .registry import FungibleRegistrySpec, RegistrySpecError, parse_registry
 
@@ -129,17 +129,15 @@ def _build_instance(model: ProcessModel, automaton: MarkingAutomaton,
                  else interp.NonFungibleStore(spec))
                 for _, spec in specs]
 
-    # match specs to interfaces by declared function names
+    # an interface declaring a record_ function is a record registry's
     bindings: Dict[str, str] = {}
     taken = set()
     for itf in model.interfaces:
-        fn_names = {f.name for f in itf.functions}
-        fungible_like = bool(fn_names & {"transfer", "transferFrom", "approve",
-                                         "balanceOf", "mint", "burn"})
+        record_like = any(f.name.startswith("record_") for f in itf.functions)
         for i, (spec, reg) in enumerate(by_index):
             if i in taken:
                 continue
-            if fungible_like != isinstance(spec, FungibleRegistrySpec):
+            if record_like == isinstance(spec, FungibleRegistrySpec):
                 continue
             address = itf.contract_address or interp.pseudo_address(f"registry:{i}")
             registries[address] = reg
@@ -167,7 +165,7 @@ def cmd_simulate(args) -> int:
     data_mode = bool(trace) and all(ev.args is not None for ev in trace)
     try:
         instance = _build_instance(model, automaton, specs) if data_mode else None
-    except MarkingError as e:
+    except (MarkingError, EvalError, interp.RegistryError) as e:
         raise CliError(f"{args.model}: initial closure failed: {e}", EX_FAIL) from e
     verdict = harness.classify(automaton, trace, strict=not args.prefix, instance=instance)
     if data_mode:

@@ -57,8 +57,8 @@ def _unit(file_name: str, contracts: List[Tuple[str, str]]) -> SourceUnit:
                       rendered_text=body)
 
 
-def _sol_type(type_name: str, location: str = "") -> str:
-    if type_name == "string" and location:
+def _sol_type(type_name: str, location: str) -> str:
+    if type_name == "string":
         return f"string {location}"
     return type_name
 
@@ -68,8 +68,6 @@ def _sol_literal(value, type_name: str) -> str:
         return "true" if value else "false"
     if type_name == "string":
         return '"' + str(value).replace('"', '\\"') + '"'
-    if type_name == "address":
-        return str(value)
     return str(value)
 
 
@@ -296,13 +294,12 @@ def _gen_nft_registry(spec: NonFungibleRegistrySpec, name: str,
     b.append("    }")
     b.append("")
 
-    create_mods = ""
-    if spec.is_record_creation_restricted_to_bpmn:
-        create_mods += " onlyProcess"
-    elif spec.is_registry_function_access_control_enabled:
-        create_mods += " onlyAuthorized"
+    # the modifier of record_create and of every record_update_*
+    write_mods = (" onlyProcess" if spec.is_record_creation_restricted_to_bpmn
+                  else " onlyAuthorized" if spec.is_registry_function_access_control_enabled
+                  else "")
     b.append(f"    function record_create(address record_id, "
-             f"{_nft_attr_params(spec, 'memory')}) public{create_mods} {{")
+             f"{_nft_attr_params(spec, 'memory')}) public{write_mods} {{")
     b.append(f'        require(!{exists}, "record already exists");')
     if distributed:
         attr_args = ", ".join(a.name for a in spec.attributes)
@@ -343,14 +340,9 @@ def _gen_nft_registry(spec: NonFungibleRegistrySpec, name: str,
     for a in spec.attributes:
         if not a.updatable:
             continue
-        update_mods = ""
-        if spec.is_record_creation_restricted_to_bpmn:
-            update_mods += " onlyProcess"
-        elif spec.is_registry_function_access_control_enabled:
-            update_mods += " onlyAuthorized"
         b.append("")
         b.append(f"    function record_update_{a.name}(address record_id, "
-                 f"{_sol_type(a.type, 'memory')} value) public{update_mods} {{")
+                 f"{_sol_type(a.type, 'memory')} value) public{write_mods} {{")
         b.append(f'        require({exists}, "unknown record");')
         if spec.is_registry_record_access_control_enabled:
             b.append(f'        require(msg.sender == {owner_of} || msg.sender == deployer, '
@@ -443,17 +435,17 @@ def _auto_fn_name(node: Node) -> str:
         node.display_name if node.kind == NodeKind.SCRIPT_TASK else node.id)
 
 
-def render_expr(e: Expr, var_prefix: str = "_") -> str:
+def render_expr(e: Expr) -> str:
     if isinstance(e, Lit):
         return _sol_literal(e.value, e.type)
     if isinstance(e, Var):
         if e.name == PROCESS_ADDRESS:
             return "address(this)"
-        return var_prefix + e.name
+        return "_" + e.name
     if isinstance(e, UnaryOp):
-        return f"{e.op}{render_expr(e.operand, var_prefix)}"
+        return f"{e.op}{render_expr(e.operand)}"
     if isinstance(e, BinOp):
-        return f"({render_expr(e.left, var_prefix)} {e.op} {render_expr(e.right, var_prefix)})"
+        return f"({render_expr(e.left)} {e.op} {render_expr(e.right)})"
     raise ValueError(f"cannot render {e!r}")
 
 
@@ -474,41 +466,25 @@ def _interface_contract(itf: SmartContractInterfaceDecl) -> str:
 
 def _invocation_lines(model: ProcessModel, task_id: str) -> List[str]:
     lines: List[str] = []
-    for inv in model.invocations_of(task_id):
-        itf = model.interface(inv.target_interface)
-        fn = itf.function(inv.fn_name)
+    for itf, fn_name, sources, targets in model.calls_of(task_id):
         instance = "instanceOf" + itf.name
         lines.append(f"{itf.name} {instance} = {itf.name}(addressOf{itf.name});")
-        by_param = {pb.param: pb for pb in inv.input_bindings}
-        args = ", ".join(render_expr(by_param[p.name].source) for p in fn.inputs)
-        call = f"{instance}.{inv.fn_name}({args})"
-        if inv.output_bindings:
-            by_ret = {pb.param: pb for pb in inv.output_bindings}
-            slots = []
-            for p in fn.outputs:
-                slots.append("_" + by_ret[p.name].target if p.name in by_ret else "")
-            if len(slots) == 1 and slots[0]:
-                lines.append(f"{slots[0]} = {call};")
-            else:
-                lines.append(f"({', '.join(slots)}) = {call};")
-        else:
+        call = f"{instance}.{fn_name}({', '.join(render_expr(s) for s in sources)})"
+        slots = ["" if t is None else "_" + t for t in targets]
+        if not any(slots):
             lines.append(f"{call};")
+        elif len(slots) == 1:
+            lines.append(f"{slots[0]} = {call};")
+        else:
+            lines.append(f"({', '.join(slots)}) = {call};")
     return lines
 
 
 def _storage_vars(model: ProcessModel):
-    """Declared process variables plus task inputs not shadowing them."""
-    out = []
-    seen = set()
-    for v in model.variables:
-        out.append((v.name, v.type, v.initial))
-        seen.add(v.name)
-    for n in model.nodes:
-        for ti in n.task_inputs:
-            if ti.name not in seen:
-                out.append((ti.name, ti.type, None))
-                seen.add(ti.name)
-    return out
+    """(name, type, initial value or None) of the declared process
+    variables and of the task inputs not shadowing them."""
+    initial = {v.name: v.initial for v in model.variables}
+    return [(name, t, initial.get(name)) for name, t in model.declared_types().items()]
 
 
 def gen_process(model: ProcessModel, automaton: MarkingAutomaton) -> SourceUnit:
@@ -616,22 +592,19 @@ def gen_process(model: ProcessModel, automaton: MarkingAutomaton) -> SourceUnit:
                 b.append(f"            _{st.target} = {render_expr(st.value)};")
             for line in _invocation_lines(model, t.node_id):
                 b.append("            " + line)
-            guarded = [br for br in t.branches if br.guard is not None]
-            default = next((br for br in t.branches if br.is_default), None)
-            plain = [br for br in t.branches if br.guard is None and not br.is_default]
-            for br in guarded:
-                b.append(f"            if ({render_expr(br.guard)}) {{")
-                b.append(f"                return preconditionsp & uint(~{_hex(pre)})"
-                         f"  | {_hex(br.post)};")
-                b.append("            }")
-            tail = default or (plain[0] if plain else None)
-            if tail is not None:
-                if tail.post:
+            # guarded branches, then the unguarded tail compile_marking puts last
+            for br in t.branches:
+                if br.guard is not None:
+                    b.append(f"            if ({render_expr(br.guard)}) {{")
+                    b.append(f"                return preconditionsp & uint(~{_hex(pre)})"
+                             f"  | {_hex(br.post)};")
+                    b.append("            }")
+                elif br.post:
                     b.append(f"            return preconditionsp & uint(~{_hex(pre)})"
-                             f"  | {_hex(tail.post)};")
+                             f"  | {_hex(br.post)};")
                 else:
                     b.append(f"            return preconditionsp & uint(~{_hex(pre)});")
-            else:
+            if t.branches[-1].guard is not None:
                 b.append("            return preconditionsp;  // no branch satisfiable")
         b.append("        } else")
         b.append("            return preconditionsp;")

@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
-from .ir import NodeKind, ProcessModel, TASK_KINDS
+from .ir import NodeKind, ProcessModel, TASK_KINDS, is_address
 from .marking import MarkingAutomaton, eager_closure_nondet
 
 DEFAULT_STATE_BUDGET = 10**6
@@ -75,10 +75,15 @@ def parse_trace(text: str) -> Trace:
             raise TraceSyntaxError(f"line {lineno}: {e}") from e
         if not isinstance(obj, dict) or "task" not in obj:
             raise TraceSyntaxError(f"line {lineno}: expected an object with a 'task' field")
+        if not isinstance(obj["task"], str):
+            raise TraceSyntaxError(f"line {lineno}: 'task' must be a string")
         args = obj.get("args")
         if args is not None and not isinstance(args, dict):
             raise TraceSyntaxError(f"line {lineno}: 'args' must be an object")
-        events.append(TraceEvent.make(obj["task"], args, obj.get("caller")))
+        caller = obj.get("caller")
+        if caller is not None and not is_address(caller):
+            raise TraceSyntaxError(f"line {lineno}: 'caller' must be 0x + 40 hex digits")
+        events.append(TraceEvent.make(obj["task"], args, caller))
     return tuple(events)
 
 
@@ -262,9 +267,9 @@ def _saturate(model: ProcessModel, seeds: Set[Marking],
     return frozenset(seen)
 
 
-def oracle_classify(model: ProcessModel, trace: Trace, strict: bool = True,
-                    state_budget: int = DEFAULT_STATE_BUDGET) -> Classification:
-    budget = [state_budget]
+def oracle_classify(model: ProcessModel, trace: Trace,
+                    strict: bool = True) -> Classification:
+    budget = [DEFAULT_STATE_BUDGET]
     by_name: Dict[str, object] = {}
     for n in model.nodes:
         if n.kind in TASK_KINDS and n.kind != NodeKind.SCRIPT_TASK:
@@ -298,12 +303,11 @@ OPERATORS = ("add", "remove", "swap")
 
 
 def mutate(trace: Trace, rng: random.Random, weights: Tuple[float, float, float],
-           alphabet: Sequence[str], bases: Sequence[Trace],
-           max_attempts: int = 100) -> Trace:
+           alphabet: Sequence[str], bases: Sequence[Trace]) -> Trace:
     """Apply exactly one operator; resample until the result differs from
-    every base trace. Raises MutationExhausted after max_attempts tries."""
+    every base trace. Raises MutationExhausted after 100 tries."""
     base_set = {tuple(b) for b in bases}
-    for _ in range(max_attempts):
+    for _ in range(100):
         op = rng.choices(OPERATORS, weights=weights)[0]
         events = list(trace)
         if op == "add":
@@ -322,7 +326,7 @@ def mutate(trace: Trace, rng: random.Random, weights: Tuple[float, float, float]
         if mutant not in base_set:
             return mutant
     raise MutationExhausted(
-        f"no mutant distinct from the base traces after {max_attempts} attempts")
+        "no mutant distinct from the base traces after 100 attempts")
 
 
 # ---------------------------------------------------------------------------
@@ -334,12 +338,9 @@ class ExperimentConfig:
     base_traces: int = 2
     mutants_per_base: int = 250
     seed: int = 0
-    operator_weights: Tuple[float, float, float] = (1.0, 1.0, 1.0)
     strict: bool = True
 
     def __post_init__(self):
-        if any(w < 0 for w in self.operator_weights) or not any(self.operator_weights):
-            raise ValueError("operator weights must be nonnegative and not all zero")
         if self.seed < 0:
             raise ValueError("seed must be an unsigned integer")
         if self.base_traces < 1:
@@ -394,7 +395,7 @@ def run_experiment(model: ProcessModel, a: MarkingAutomaton,
     traces: List[Trace] = list(bases)
     for base in bases:
         for _ in range(cfg.mutants_per_base):
-            traces.append(mutate(base, rng, cfg.operator_weights, alphabet, bases))
+            traces.append(mutate(base, rng, (1.0, 1.0, 1.0), alphabet, bases))
 
     conforming = non_conforming = agree = 0
     disagreements: List[Disagreement] = []

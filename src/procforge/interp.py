@@ -296,9 +296,42 @@ Registry = Union[FungibleLedger, NonFungibleStore]
 # Registry call dispatch (simulated contract ABI)
 
 
+_TOKEN_INPUTS = {
+    "transfer": ("address", "uint256"), "approve": ("address", "uint256"),
+    "mint": ("address", "uint256"), "burn": ("address", "uint256"),
+    "transferFrom": ("address", "address", "uint256"),
+    "balanceOf": ("address",), "allowance": ("address", "address"),
+    "totalSupply": (), "name": (), "symbol": (), "decimals": (),
+}
+
+
+def _inputs_of(registry: Registry, fn_name: str) -> Optional[Tuple[str, ...]]:
+    """The parameter types of a function of the simulated registry, or
+    None when it has no function of that name."""
+    if isinstance(registry, FungibleLedger):
+        return _TOKEN_INPUTS.get(fn_name)
+    attrs = registry.spec.attributes
+    if fn_name == "record_create":
+        return ("address",) + tuple(a.type for a in attrs)
+    if fn_name in ("record_get_owner", "record_get_attrs"):
+        return ("address",)
+    if fn_name == "record_ownership_transfer":
+        return ("address", "address")
+    attr = next((a for a in attrs if fn_name == "record_update_" + a.name), None)
+    return None if attr is None else ("address", attr.type)
+
+
 def _dispatch(registry: Registry, fn_name: str, args: List[object],
               caller: str) -> Tuple[object, ...]:
-    """Execute one bound contract call and return its outputs as a tuple."""
+    """Execute one bound contract call and return its outputs as a tuple.
+    A call the registry has no function for, or whose arguments do not
+    fit that function's parameters, is a RegistryError."""
+    expected = _inputs_of(registry, fn_name)
+    if expected is None:
+        kind = "token" if isinstance(registry, FungibleLedger) else "record"
+        raise RegistryError(f"{kind} registry has no function '{fn_name}'")
+    if len(args) != len(expected) or not all(map(literal_matches, expected, args)):
+        raise RegistryError(f"{fn_name} takes ({', '.join(expected)}), got {tuple(args)!r}")
     if isinstance(registry, FungibleLedger):
         if fn_name == "transfer":
             registry.transfer(caller, *args)
@@ -325,18 +358,12 @@ def _dispatch(registry: Registry, fn_name: str, args: List[object],
             return (registry.spec.name,)
         if fn_name == "symbol":
             return (registry.spec.symbol,)
-        if fn_name == "decimals":
-            return (registry.spec.decimals,)
-        raise RegistryError(f"token registry has no function '{fn_name}'")
+        return (registry.spec.decimals,)  # decimals
 
     if fn_name == "record_create":
-        record_id, attr_values = args[0], args[1:]
-        declared = registry.spec.attributes
-        if len(attr_values) != len(declared):
-            raise RegistryError(
-                f"record_create expects {len(declared)} attribute values")
-        registry.record_create(caller, record_id, owner=caller,
-                               attrs={a.name: v for a, v in zip(declared, attr_values)})
+        registry.record_create(caller, args[0], owner=caller,
+                               attrs={a.name: v for a, v in zip(registry.spec.attributes,
+                                                                args[1:])})
         return ()
     if fn_name == "record_get_owner":
         return (registry.record_get_owner(*args),)
@@ -345,11 +372,8 @@ def _dispatch(registry: Registry, fn_name: str, args: List[object],
     if fn_name == "record_ownership_transfer":
         registry.record_ownership_transfer(caller, *args)
         return ()
-    if fn_name.startswith("record_update_"):
-        attr = fn_name[len("record_update_"):]
-        registry.record_update(caller, args[0], attr, args[1])
-        return ()
-    raise RegistryError(f"record registry has no function '{fn_name}'")
+    registry.record_update(caller, args[0], fn_name[len("record_update_"):], args[1])
+    return ()
 
 
 # ---------------------------------------------------------------------------
@@ -450,18 +474,19 @@ class InstanceState:
     def _run_task_invocations(self, task_id: str, env: Dict[str, object],
                               caller: Optional[str] = None):
         """Execute all contract calls bound to a task, in binding order."""
-        for inv in self.model.invocations_of(task_id):
-            itf = self.model.interface(inv.target_interface)
-            address = self.iface_addresses[itf.id]
-            registry = self.registry_at(address)
-            fn = itf.function(inv.fn_name)
-            by_param = {b.param: b for b in inv.input_bindings}
-            args = [self._bind_value(by_param[p.name].source, env) for p in fn.inputs]
-            outputs = _dispatch(registry, inv.fn_name, args,
-                                caller or self.process_address)
-            out_index = {p.name: i for i, p in enumerate(fn.outputs)}
-            for b in inv.output_bindings:
-                env[b.target] = outputs[out_index[b.param]]
+        for itf, fn_name, sources, targets in self.model.calls_of(task_id):
+            registry = self.registry_at(self.iface_addresses[itf.id])
+            args = [self._bind_value(source, env) for source in sources]
+            outputs = _dispatch(registry, fn_name, args, caller or self.process_address)
+            if len(outputs) < len(targets):
+                raise RegistryError(f"{fn_name} returns {len(outputs)} value(s), "
+                                    f"the interface declares {len(targets)}")
+            for p, target, value in zip(itf.function(fn_name).outputs, targets, outputs):
+                if target is None:
+                    continue
+                if not literal_matches(p.type, value):
+                    raise RegistryError(f"{fn_name} returns {value!r} as {p.type} '{p.name}'")
+                env[target] = value
 
     def _coerce_args(self, task: Node, args: Mapping[str, object]) -> dict:
         """The task's inputs taken from args, each checked against its

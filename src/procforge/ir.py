@@ -9,6 +9,7 @@ function producing a diagnostic report; it never raises for model defects.
 from __future__ import annotations
 
 import operator
+import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -22,16 +23,12 @@ VALUE_TYPES = ("uint256", "int256", "bool", "address", "string")
 
 ZERO_ADDRESS = "0x" + "0" * 40
 
+ADDRESS_RE = re.compile(r"0x[0-9a-fA-F]{40}")
+
 
 def is_address(text: str) -> bool:
     """True iff text is 0x followed by exactly 40 hex digits."""
-    if not isinstance(text, str) or len(text) != 42 or not text.startswith("0x"):
-        return False
-    try:
-        int(text[2:], 16)
-    except ValueError:
-        return False
-    return True
+    return isinstance(text, str) and ADDRESS_RE.fullmatch(text) is not None
 
 
 def addr_key(address: str) -> str:
@@ -400,6 +397,19 @@ class ProcessModel:
     def invocations_of(self, task_id: str):
         return tuple(b for b in self.invocations if b.source_task == task_id)
 
+    def calls_of(self, task_id: str):
+        """Each contract call bound to a task of a validated model, in
+        binding order, as (interface, fn name, input sources in parameter
+        order, output targets in return order with None where a return is
+        unbound)."""
+        for inv in self.invocations_of(task_id):
+            itf = self.interface(inv.target_interface)
+            fn = itf.function(inv.fn_name)
+            sources = {b.param: b.source for b in inv.input_bindings}
+            targets = {b.param: b.target for b in inv.output_bindings}
+            yield (itf, inv.fn_name, tuple(sources[p.name] for p in fn.inputs),
+                   tuple(targets.get(p.name) for p in fn.outputs))
+
     def declared_types(self) -> dict:
         """Variable declarations plus every task input, by name.
 
@@ -476,6 +486,18 @@ def sanitize_identifier(name: str) -> str:
     if ident[0].isdigit():
         ident = "_" + ident
     return ident
+
+
+def _reachable(seeds, successors) -> set:
+    """The seeds and every id reachable from them through successors."""
+    seen = set(seeds)
+    frontier = list(seen)
+    while frontier:
+        for nxt in successors(frontier.pop()):
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return seen
 
 
 def validate_model(model: ProcessModel) -> ValidationReport:  # noqa: C901
@@ -663,52 +685,48 @@ def validate_model(model: ProcessModel) -> ValidationReport:  # noqa: C901
         if sorted(bound) != sorted(expected):
             err(b.source_task,
                 f"input bindings for {b.fn_name} must cover {expected} exactly, got {bound}")
-        out_names = {p.name for p in fn.outputs}
+        out_types = {p.name: p.type for p in fn.outputs}
         seen_out = set()
         for pb in b.output_bindings:
-            if pb.param not in out_names:
+            if pb.param not in out_types:
                 err(b.source_task, f"output binding for unknown return '{pb.param}'")
             if pb.param in seen_out:
                 err(b.source_task, f"return '{pb.param}' bound more than once")
             seen_out.add(pb.param)
             if pb.target not in declared:
                 err(b.source_task, f"output bound to undeclared variable '{pb.target}'")
-        task_input_names = {ti.name for ti in task.task_inputs}
+            elif pb.param in out_types and out_types[pb.param] != declared[pb.target]:
+                err(b.source_task, f"return '{pb.param}' of {b.fn_name} is "
+                                   f"{out_types[pb.param]}, bound to {declared[pb.target]} "
+                                   f"variable '{pb.target}'")
+        in_types = {p.name: p.type for p in fn.inputs}
         for pb in b.input_bindings:
-            src = pb.source
+            src, want = pb.source, in_types.get(pb.param)
             if isinstance(src, Var):
-                if src.name == PROCESS_ADDRESS:
-                    continue
-                if src.name not in types and src.name not in task_input_names:
+                t = "address" if src.name == PROCESS_ADDRESS else types.get(src.name)
+                if t is None:
                     err(b.source_task,
                         f"binding source '{src.name}' is not a variable or task input")
-            elif not isinstance(src, Lit):
+                elif want is not None and t != want:
+                    err(b.source_task, f"'{pb.param}' of {b.fn_name} expects {want}, "
+                                       f"bound to {t} '{src.name}'")
+            elif isinstance(src, Lit):
+                if want is not None and not literal_matches(want, src.value):
+                    err(b.source_task, f"'{pb.param}' of {b.fn_name} expects {want}, "
+                                       f"bound to literal {src.value!r}")
+            else:
                 err(b.source_task, f"binding for '{pb.param}' must be a variable, "
                                    "task input, processAddress, or literal")
 
     # reachability (over structurally sane graphs only)
     if not any(d.severity == "error" for d in diags):
-        start = starts[0].id
-        reach = {start}
-        frontier = [start]
-        while frontier:
-            cur = frontier.pop()
-            for f in model.outgoing(cur):
-                if f.target not in reach:
-                    reach.add(f.target)
-                    frontier.append(f.target)
+        reach = _reachable([starts[0].id], lambda n: (f.target for f in model.outgoing(n)))
         for n in model.nodes:
             if n.id not in reach:
                 err(n.id, "node not reachable from the start event")
         # backward reachability to some end event
-        co_reach = {e.id for e in ends}
-        frontier = list(co_reach)
-        while frontier:
-            cur = frontier.pop()
-            for f in model.incoming(cur):
-                if f.source not in co_reach:
-                    co_reach.add(f.source)
-                    frontier.append(f.source)
+        co_reach = _reachable([e.id for e in ends],
+                              lambda n: (f.source for f in model.incoming(n)))
         for n in model.nodes:
             if n.id in reach and n.id not in co_reach:
                 err(n.id, "node cannot reach any end event")

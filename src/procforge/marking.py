@@ -56,8 +56,9 @@ class Branch:
     """One outgoing alternative of an auto-transition.
 
     guard is None for unconditional branches and for the default flow of
-    an XOR split (is_default marks the latter); test is guard compiled
-    against the model's declared types. post is the produced bits.
+    an XOR split (is_default marks the latter), which is the last branch;
+    test is guard compiled against the model's declared types. post is
+    the produced bits.
     """
 
     post: int
@@ -147,6 +148,7 @@ def compile_marking(model: ProcessModel) -> MarkingAutomaton:
         elif n.kind == NodeKind.XOR_GATEWAY:
             pre_alts = tuple(1 << bit_of[f.id] for f in inc)
             if len(out) > 1:
+                # the default last: _pick_branch and codegen take it as the tail
                 branches = [Branch(post=1 << bit_of[f.id], guard=f.condition,
                                    test=compile_expr(f.condition, types)[1])
                             for f in out if not f.is_default]
@@ -307,16 +309,11 @@ def eager_closure_data(a: MarkingAutomaton, marking: int, env: Mapping[str, obje
 
 
 def _pick_branch(t: AutoTransition, env) -> Branch:
-    default = None
+    """The first branch that is unguarded or whose guard holds:
+    compile_marking puts an XOR split's default flow last."""
     for b in t.branches:
-        if b.is_default:
-            default = b
-        elif b.test is None:
+        if b.test is None or b.test(env):
             return b
-        elif b.test(env):
-            return b
-    if default is not None:
-        return default
     raise NoBranchTaken(f"all branch conditions false at '{t.node_id}' and no default flow")
 
 

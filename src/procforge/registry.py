@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass
 from typing import Tuple
 
-from .ir import UINT256_MAX, is_address
+from .ir import UINT256_MAX, addr_key, is_address
 
 ATTRIBUTE_TYPES = ("uint256", "int256", "bool", "address", "string")
 
@@ -127,7 +127,7 @@ def _address_list(obj: dict, name: str) -> Tuple[str, ...]:
     if not isinstance(raw, list):
         raise InvariantViolation(name, "must be a list of addresses")
     out = tuple(_address(a, f"{name}[{i}]") for i, a in enumerate(raw))
-    if len({a.lower() for a in out}) != len(out):
+    if len({addr_key(a) for a in out}) != len(out):
         raise InvariantViolation(name, "duplicate address")
     return out
 
@@ -172,9 +172,9 @@ def _fungible(obj: dict) -> FungibleRegistrySpec:
         if not isinstance(entry, dict):
             raise InvariantViolation(path, "entries must be {address, amount} objects")
         addr = _address(_field(entry, "address"), path + ".address")
-        if addr.lower() in seen:
+        if addr_key(addr) in seen:
             raise InvariantViolation(path, f"duplicate address {addr}")
-        seen.add(addr.lower())
+        seen.add(addr_key(addr))
         dist.append((addr, _amount(_field(entry, "amount"), path + ".amount")))
     if sum(a for _, a in dist) != total_supply:
         raise InvariantViolation("initiallyDistributedAccounts",

@@ -159,3 +159,61 @@ def counting_loop_bpmn(after_task: bool) -> str:
   </process>
 </definitions>
 """
+
+
+def record_calls_bpmn() -> str:
+    """A valid model whose user task "Register" creates a record in the
+    registry at 0x7777... with its bindIns listed out of parameter order,
+    after which the script "Read" binds only the second return of
+    record_get_attrs (the record's quality) to the variable q."""
+    return """<?xml version="1.0" encoding="UTF-8"?>
+<definitions xmlns="http://www.omg.org/spec/BPMN/20100524/MODEL"
+             xmlns:bcext="urn:procforge:bcext:1" id="defs_records">
+  <process id="records">
+    <extensionElements>
+      <bcext:variables>
+        <bcext:variable name="q" type="uint256"/>
+      </bcext:variables>
+      <bcext:smartContractInterface id="itf_titles" name="Titles"
+          contractAddress="0x7777777777777777777777777777777777777777">
+        <bcext:function name="record_create">
+          <bcext:input name="record_id" type="address"/>
+          <bcext:input name="weight" type="uint256"/>
+          <bcext:input name="quality" type="uint256"/>
+        </bcext:function>
+        <bcext:function name="record_get_attrs">
+          <bcext:input name="record_id" type="address"/>
+          <bcext:output name="weight" type="uint256"/>
+          <bcext:output name="quality" type="uint256"/>
+        </bcext:function>
+      </bcext:smartContractInterface>
+      <bcext:invocation sourceTask="t_register" targetInterface="itf_titles"
+                        fnName="record_create">
+        <bcext:bindIn param="quality" source="grade"/>
+        <bcext:bindIn param="record_id" source="id"/>
+        <bcext:bindIn param="weight" source="kg"/>
+      </bcext:invocation>
+      <bcext:invocation sourceTask="s_read" targetInterface="itf_titles"
+                        fnName="record_get_attrs">
+        <bcext:bindIn param="record_id" source="id"/>
+        <bcext:bindOut return="quality" target="q"/>
+      </bcext:invocation>
+    </extensionElements>
+    <startEvent id="start"/>
+    <userTask id="t_register" name="Register">
+      <extensionElements>
+        <bcext:input name="id" type="address"/>
+        <bcext:input name="kg" type="uint256"/>
+        <bcext:input name="grade" type="uint256"/>
+      </extensionElements>
+    </userTask>
+    <scriptTask id="s_read" name="Read"/>
+    <userTask id="t_done" name="Done"/>
+    <endEvent id="end"/>
+    <sequenceFlow id="f1" sourceRef="start" targetRef="t_register"/>
+    <sequenceFlow id="f2" sourceRef="t_register" targetRef="s_read"/>
+    <sequenceFlow id="f3" sourceRef="s_read" targetRef="t_done"/>
+    <sequenceFlow id="f4" sourceRef="t_done" targetRef="end"/>
+  </process>
+</definitions>
+"""

@@ -235,3 +235,99 @@ def test_simulate_nonterminating_initial_closure_exits_1(tmp_path, capsys):
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "closure exceeded" in err
+
+
+OUTSOURCING = str(FIXTURES / "task_outsourcing.bpmn")
+CORRECT = str(FIXTURES / "outsourcing_correct.jsonl")
+REQUESTER = "0x" + "5" * 40
+
+
+@pytest.mark.parametrize("line", ['{"task": ["Deposit payment"]}',
+                                  '{"task": "Deposit payment", "caller": 5}',
+                                  '{"task": "Deposit payment", "caller": "0x+' + "f" * 39 + '"}'],
+                         ids=["task-not-a-string", "caller-not-a-string", "caller-malformed"])
+def test_simulate_rejects_malformed_trace_fields(tmp_path, capsys, line):
+    trace = tmp_path / "t.jsonl"
+    trace.write_text(line + "\n")
+    code, out, err = run(capsys, "simulate", OUTSOURCING, "--registry", LRK,
+                         "--trace", str(trace))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "line 1" in err
+
+
+@pytest.mark.parametrize("edits", [
+    # transfer declared with an extra input
+    [('<bcext:input name="amount" type="uint256"/>\n          <bcext:output',
+      '<bcext:input name="amount" type="uint256"/>\n          '
+      '<bcext:input name="memo" type="uint256"/>\n          <bcext:output'),
+     ('<bcext:bindIn param="amount"', '<bcext:bindIn param="memo" source="1"/>'
+                                      '<bcext:bindIn param="amount"')],
+    # balanceOf declared with two returns, the second bound: the deposit is undone
+    [('<bcext:output name="balance" type="uint256"/>',
+      '<bcext:output name="balance" type="uint256"/><bcext:output name="more" type="uint256"/>'),
+     ('return="balance"', 'return="more"')],
+    # an address where the ledger takes an amount
+    [('<bcext:input name="amount" type="uint256"/>\n          <bcext:output',
+      '<bcext:input name="amount" type="address"/>\n          <bcext:output'),
+     ('<bcext:bindIn param="amount" source="amount"/>',
+      '<bcext:bindIn param="amount" source="requester"/>'),
+     ('source="price"', 'source="worker"'), ('source="escrowBalance"', 'source="worker"')],
+    # a uint256 balance declared as an address: the deposit is undone
+    [('<bcext:output name="balance" type="uint256"/>',
+      '<bcext:output name="balance" type="address"/>'),
+     ('<bcext:variable name="escrowBalance" type="uint256"/>',
+      '<bcext:variable name="escrowBalance" type="uint256"/>'
+      '<bcext:variable name="held" type="address"/>'),
+     ('target="escrowBalance"', 'target="held"')],
+], ids=["extra-input", "missing-return", "address-as-amount", "int-as-address"])
+def test_simulate_rejects_calls_the_registry_cannot_take(tmp_path, capsys, edits):
+    text = (FIXTURES / "task_outsourcing.bpmn").read_text()
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    model = tmp_path / "m.bpmn"
+    model.write_text(text)
+    assert run(capsys, "validate", str(model))[0] == 0
+    code, out, err = run(capsys, "simulate", str(model), "--registry", LRK,
+                         "--trace", CORRECT)
+    assert code == 2 and err == ""
+    assert "Deposit payment: Rejected (RegistryError)" in out
+    assert f"{REQUESTER}: 200000" in out
+    assert "final marking: 0x1" in out
+
+
+def test_simulate_failed_call_in_initial_closure_exits_1(tmp_path, capsys):
+    # "Pay worker" runs straight after the start event, before the process
+    # holds any LRK
+    text = (FIXTURES / "task_outsourcing.bpmn").read_text()
+    model = tmp_path / "m.bpmn"
+    model.write_text(text.replace('sourceRef="start" targetRef="t_deposit"',
+                                  'sourceRef="start" targetRef="s_pay"', 1)
+                         .replace('sourceRef="s_pay" targetRef="end_done"',
+                                  'sourceRef="s_pay" targetRef="t_deposit"', 1)
+                         .replace('sourceRef="t_work" targetRef="s_pay"',
+                                  'sourceRef="t_work" targetRef="end_done"', 1))
+    assert run(capsys, "validate", str(model))[0] == 0
+    trace = tmp_path / "t.jsonl"
+    trace.write_text(json.dumps({"task": "Deposit payment", "args": {}}) + "\n")
+    code, out, err = run(capsys, "simulate", str(model), "--registry", LRK,
+                         "--trace", str(trace))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "initial closure failed" in err
+
+
+def test_record_interface_declaring_balance_of_matches_record_spec(tmp_path, capsys):
+    # the emitted record registry has a balanceOf too
+    old = '<bcext:function name="record_get_owner">'
+    text = (FIXTURES / "grain_title.bpmn").read_text()
+    assert old in text
+    model = tmp_path / "m.bpmn"
+    model.write_text(text.replace(old, '<bcext:function name="balanceOf">'
+                                       '<bcext:input name="owner" type="address"/>'
+                                       '<bcext:output name="count" type="uint256"/>'
+                                       '</bcext:function>' + old))
+    code, out, _ = run(capsys, "simulate", str(model), "--registry", LRK,
+                       "--registry", TITLE, "--trace", SWAP)
+    assert code == 0
+    assert "classification: Conforming" in out

@@ -153,3 +153,12 @@ def test_generation_is_deterministic(grain_model, grain_automaton):
     a = gen_process(grain_model, grain_automaton).rendered_text
     b = gen_process(load_model("grain_title"), compile_marking(load_model("grain_title"))).rendered_text
     assert a == b
+
+
+def test_bound_calls_render_in_parameter_and_return_order():
+    from modelgen import record_calls_bpmn
+    from procforge.bpmn import parse_bpmn
+    model = parse_bpmn(record_calls_bpmn())
+    text = gen_process(model, compile_marking(model)).rendered_text
+    assert "instanceOfTitles.record_create(_id, _kg, _grade);" in text
+    assert "(, _q) = instanceOfTitles.record_get_attrs(_id);" in text

@@ -385,3 +385,20 @@ def test_invoke_copies_no_registry(monkeypatch, outsourcing_model):
     assert inst.status == "Completed"
     assert (lg.balance_of(requester), lg.balance_of(worker)) == (0, 300)
     assert lg.balance_of(inst.process_address) == 0 and conserved(lg)
+
+
+def test_bound_calls_follow_parameter_and_return_order():
+    from modelgen import record_calls_bpmn
+    from procforge.bpmn import parse_bpmn
+    from procforge.ir import validate_model
+    model = parse_bpmn(record_calls_bpmn())
+    assert validate_model(model).ok
+    store = NonFungibleStore(NonFungibleRegistrySpec(
+        name="Titles", registry_type="single",
+        attributes=(AttributeDecl("weight", "uint256"), AttributeDecl("quality", "uint256"))))
+    titles = "0x" + "7" * 40
+    inst = new_instance(model, compile_marking(model), registries={titles: store})
+    assert inst.invoke("Register", {"id": A1, "kg": 12000, "grade": 8}, A2).ok
+    assert store.records[A1].attrs == {"weight": 12000, "quality": 8}
+    assert store.records[A1].owner == A2
+    assert inst.env["q"] == 8

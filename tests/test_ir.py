@@ -1,7 +1,11 @@
+import re
+
 import pytest
 from hypothesis import example, given, strategies as st
 
-from conftest import load_model
+from conftest import FIXTURES, load_model
+
+from procforge.bpmn import parse_bpmn
 
 from procforge.ir import (
     Assign,
@@ -142,6 +146,17 @@ def test_is_address():
     assert not is_address("0x" + "0" * 39)
     assert not is_address("1x" + "0" * 40)
     assert not is_address("0x" + "g" * 40)
+
+
+@given(st.one_of(st.text(), st.text("0123456789abcdefABCDEFxg_+- \n\u0663",
+                                     min_size=38, max_size=42).map(lambda s: "0x" + s)))
+@example("0x+" + "f" * 39)
+@example("0x-" + "f" * 39)
+@example("0x" + "1_" * 19 + "11")
+@example("0x  " + "f" * 38)
+@example("0x" + "\u0663" * 40)  # a digit to int(), not a hex digit
+def test_is_address_is_exactly_0x_and_40_hex_digits(text):
+    assert is_address(text) == (re.fullmatch(r"0x[0-9a-fA-F]{40}", text) is not None)
 
 
 def test_literal_matches():
@@ -344,3 +359,20 @@ def test_model_index_lists_dangling_flow_under_missing_id():
 
 def test_model_index_unknown_id():
     assert index_lookups(linear_model(), "nope") == (None, (), (), None)
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ('<bcext:bindIn param="amount" source="price"/>',
+     '<bcext:bindIn param="amount" source="worker"/>',
+     "'amount' of transfer expects uint256, bound to address 'worker'"),
+    ('<bcext:bindIn param="to" source="worker"/>',
+     '<bcext:bindIn param="to" source="7"/>',
+     "'to' of transfer expects address, bound to literal 7"),
+    ('<bcext:bindOut return="balance" target="escrowBalance"/>',
+     '<bcext:bindOut return="balance" target="worker"/>',
+     "return 'balance' of balanceOf is uint256, bound to address variable 'worker'"),
+], ids=["input-variable", "input-literal", "output"])
+def test_invocation_bindings_type_check(old, new, message):
+    text = (FIXTURES / "task_outsourcing.bpmn").read_text()
+    assert old in text
+    assert errors_of(parse_bpmn(text.replace(old, new))) == [message]

@@ -27,6 +27,7 @@ from procforge.marking import (
     fire_external,
 )
 
+from conftest import load_model
 from modelgen import random_model
 
 
@@ -224,3 +225,18 @@ def test_task_id_for_first_match_by_name_or_id_wins(grain_automaton):
                          autos=(), end_mask=0, external_names={"t1": "t2", "t2": "t1"})
     assert a.task_id_for("t1") == "t1"
     assert a.task_id_for("t2") == "t1"
+
+
+def test_xor_default_branch_is_last():
+    # _pick_branch and codegen take the last branch as the unguarded tail
+    rng = random.Random(11)
+    models = [load_model(n) for n in ("grain_title", "grain_title_unbound", "ico",
+                                      "quality_tracing", "task_outsourcing")]
+    models += [random_model(rng, max_flows=14) for _ in range(60)]
+    defaults = 0
+    for model in models:
+        for t in compile_marking(model).autos:
+            *head, last = t.branches
+            assert all(b.test is not None and not b.is_default for b in head)
+            defaults += last.is_default
+    assert defaults > 10
