@@ -80,6 +80,8 @@ class ConditionParseError(BpmnParseError):
 # ---------------------------------------------------------------------------
 # Condition / script expression grammar
 
+MAX_EXPR_DEPTH = 32
+
 _TOKEN_RE = re.compile(rf"""
     (?P<ws>\s+)
   | (?P<address>{ADDRESS_RE.pattern})
@@ -106,10 +108,17 @@ def _tokenize(text: str):
 
 
 class _ExprParser:
+    """Recursive descent over the tokens of one expression. Each parse
+    method returns (expression, depth), where every operator and every
+    pair of parentheses adds one level; an expression deeper than
+    MAX_EXPR_DEPTH is a ConditionParseError, so the tree walkers
+    downstream stay far inside the recursion limit."""
+
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.open = 0  # parentheses and unary operators being parsed
 
     def peek(self):
         return self.tokens[self.i]
@@ -126,18 +135,33 @@ class _ExprParser:
         raise ConditionParseError(f"unexpected token {value or 'end of input'!r}",
                                   offset, (op,))
 
-    def parse_expr(self) -> Expr:
+    @staticmethod
+    def _bounded(depth: int, offset: int) -> int:
+        if depth > MAX_EXPR_DEPTH:
+            raise ConditionParseError(
+                f"expression nested deeper than {MAX_EXPR_DEPTH} levels", offset)
+        return depth
+
+    def _nested(self, parse, offset: int) -> Tuple[Expr, int]:
+        """parse() one level further in. The open levels are checked on the
+        way down, so the recursion stops at the bound."""
+        self.open = self._bounded(self.open + 1, offset)
+        e, depth = parse()
+        self.open -= 1
+        return e, self._bounded(depth + 1, offset)
+
+    def parse_expr(self) -> Tuple[Expr, int]:
         return self._or()
 
     def _binary(self, sub, ops):
-        left = sub()
+        left, depth = sub()
         while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in ops:
-                self.next()
-                left = BinOp(value, left, sub())
-            else:
-                return left
+            kind, value, offset = self.peek()
+            if kind != "op" or value not in ops:
+                return left, depth
+            self.next()
+            right, rdepth = sub()
+            left, depth = BinOp(value, left, right), self._bounded(1 + max(depth, rdepth), offset)
 
     def _or(self):
         return self._binary(self._and, ("||",))
@@ -146,12 +170,13 @@ class _ExprParser:
         return self._binary(self._cmp, ("&&",))
 
     def _cmp(self):
-        left = self._add()
-        kind, value, _ = self.peek()
+        left, depth = self._add()
+        kind, value, offset = self.peek()
         if kind == "op" and value in ("==", "!=", "<", "<=", ">", ">="):
             self.next()
-            return BinOp(value, left, self._add())
-        return left
+            right, rdepth = self._add()
+            return BinOp(value, left, right), self._bounded(1 + max(depth, rdepth), offset)
+        return left, depth
 
     def _add(self):
         return self._binary(self._mul, ("+", "-"))
@@ -160,18 +185,28 @@ class _ExprParser:
         return self._binary(self._unary, ("*", "/"))
 
     def _unary(self):
-        kind, value, _ = self.peek()
+        kind, value, offset = self.peek()
         if kind == "op" and value in ("!", "-"):
             self.next()
-            return UnaryOp(value, self._unary())
+            operand, depth = self._nested(self._unary, offset)
+            return UnaryOp(value, operand), depth
         return self._primary()
 
     def _primary(self):
         kind, value, offset = self.next()
-        if kind == "int":
-            return Lit(int(value), "int_const")
-        if kind == "hexint":
-            return Lit(int(value, 16), "int_const")
+        if kind == "op" and value == "(":
+            e, depth = self._nested(self.parse_expr, offset)
+            self.expect_op(")")
+            return e, depth
+        return self._leaf(kind, value, offset), 0
+
+    def _leaf(self, kind: str, value: str, offset: int) -> Expr:
+        if kind in ("int", "hexint"):
+            try:
+                return Lit(int(value, 16 if kind == "hexint" else 10), "int_const")
+            except ValueError:  # more digits than int() converts
+                raise ConditionParseError("integer literal has too many digits",
+                                          offset) from None
         if kind == "address":
             return Lit(value, "address")
         if kind == "string":
@@ -182,10 +217,6 @@ class _ExprParser:
             if value == "false":
                 return Lit(False, "bool")
             return Var(value)
-        if kind == "op" and value == "(":
-            e = self.parse_expr()
-            self.expect_op(")")
-            return e
         raise ConditionParseError(
             f"unexpected token {value or 'end of input'!r}", offset,
             ("literal", "identifier", "("))
@@ -194,7 +225,7 @@ class _ExprParser:
 def parse_condition(text: str) -> Expr:
     """Parse one expression; the whole input must be consumed."""
     p = _ExprParser(text)
-    e = p.parse_expr()
+    e, _ = p.parse_expr()
     kind, value, offset = p.peek()
     if kind != "eof":
         raise ConditionParseError(f"trailing input {value!r}", offset, ("end of input",))
@@ -218,7 +249,7 @@ def parse_script(text: str) -> Tuple[Assign, ...]:
         if kind != "op" or op not in ("=", ":="):
             raise ConditionParseError(f"expected assignment operator, got {op!r}",
                                       offset, ("=", ":="))
-        e = p.parse_expr()
+        e, _ = p.parse_expr()
         kind, value, offset = p.peek()
         if kind != "eof":
             raise ConditionParseError(f"trailing input {value!r}", offset, ("end of input",))
@@ -259,7 +290,11 @@ def _parse_literal(text: str):
     if is_address(text):
         return text
     if re.fullmatch(r"-?\d+", text):
-        return int(text)
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts
+            raise BpmnParseError(f"integer literal of {len(text)} characters "
+                                 "has too many digits") from None
     return text
 
 

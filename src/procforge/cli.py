@@ -39,6 +39,8 @@ def _read(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as e:
         raise CliError(f"cannot read {path}: {e.strerror}", EX_NOINPUT) from e
+    except UnicodeDecodeError as e:
+        raise CliError(f"{path}: not UTF-8 (byte {e.start})", EX_FAIL) from e
 
 
 def _load_model(path: str) -> Tuple[ProcessModel, ValidationReport]:

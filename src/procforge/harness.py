@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
-from .ir import NodeKind, ProcessModel, TASK_KINDS, is_address
+from .ir import NodeKind, ProcessModel, TASK_KINDS, is_address, load_json
 from .marking import MarkingAutomaton, eager_closure_nondet
 
 DEFAULT_STATE_BUDGET = 10**6
@@ -70,8 +70,8 @@ def parse_trace(text: str) -> Trace:
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as e:
+            obj = load_json(line)
+        except ValueError as e:
             raise TraceSyntaxError(f"line {lineno}: {e}") from e
         if not isinstance(obj, dict) or "task" not in obj:
             raise TraceSyntaxError(f"line {lineno}: expected an object with a 'task' field")

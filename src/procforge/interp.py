@@ -102,6 +102,23 @@ class BadArgument(InstanceError):
 _MISSING = object()  # journaled as the old value of a key that was absent
 
 
+def _writer(method, outputs=()):
+    """A function-table call that runs a registry write as the caller and
+    returns the emitted function's fixed outputs."""
+    def call(registry, caller, *args):
+        method(registry, caller, *args)
+        return outputs
+    return call
+
+
+def _update_call(attr: str):
+    """The function-table call of record_update_<attr>."""
+    def call(store: NonFungibleStore, caller: str, record_id: str, value: object):
+        store.record_update(caller, record_id, attr, value)
+        return ()
+    return call
+
+
 class _Journaled:
     """Registry state that is written only through _write, which journals
     the old value first. rollback(mark) undoes the writes made since mark
@@ -133,6 +150,8 @@ class _Journaled:
 
 class FungibleLedger(_Journaled):
     """ERC-20 style token ledger. sum(balances) == totalSupply always."""
+
+    kind = "token"
 
     def __init__(self, spec: FungibleRegistrySpec):
         super().__init__()
@@ -199,6 +218,24 @@ class FungibleLedger(_Journaled):
         # total_supply like any balance
         self._write(vars(self), "total_supply", self.total_supply + delta)
 
+    # The simulated ABI: function name -> (parameter types,
+    # call(ledger, caller, *args) returning the emitted function's outputs).
+    # mint and burn exist on every ledger and reject when disabled.
+    functions = {
+        "transfer": (("address", "uint256"), _writer(transfer, (True,))),
+        "approve": (("address", "uint256"), _writer(approve, (True,))),
+        "transferFrom": (("address", "address", "uint256"), _writer(transfer_from, (True,))),
+        "mint": (("address", "uint256"), _writer(mint, (True,))),
+        "burn": (("address", "uint256"), _writer(burn, (True,))),
+        "balanceOf": (("address",), lambda lg, caller, account: (lg.balance_of(account),)),
+        "allowance": (("address", "address"),
+                      lambda lg, caller, owner, spender: (lg.allowance(owner, spender),)),
+        "totalSupply": ((), lambda lg, caller: (lg.total_supply,)),
+        "name": ((), lambda lg, caller: (lg.spec.name,)),
+        "symbol": ((), lambda lg, caller: (lg.spec.symbol,)),
+        "decimals": ((), lambda lg, caller: (lg.spec.decimals,)),
+    }
+
 
 @dataclass
 class RecordState:
@@ -212,11 +249,29 @@ class NonFungibleStore(_Journaled):
     A record is copied before it changes, so the journal holds the old
     record object."""
 
+    kind = "record"
+
     def __init__(self, spec: NonFungibleRegistrySpec):
         super().__init__()
         self.spec = spec
         self.records: Dict[str, RecordState] = {}
         self.process_address: Optional[str] = None  # set when bound to an instance
+        # The simulated ABI, built from the spec: function name ->
+        # (parameter types, call(store, caller, *args) returning the emitted
+        # function's outputs). Every attribute has a record_update_<attr>,
+        # which rejects when the attribute is not updatable.
+        self.functions = {
+            "record_create": (("address",) + tuple(a.type for a in spec.attributes),
+                              NonFungibleStore._create_as_caller),
+            "record_get_owner": (("address",),
+                                 lambda st, caller, rid: (st.record_get_owner(rid),)),
+            "record_get_attrs": (("address",), lambda st, caller, rid: st.record_get_attrs(rid)),
+            "record_ownership_transfer": (("address", "address"),
+                                          _writer(NonFungibleStore.record_ownership_transfer)),
+        }
+        for a in spec.attributes:
+            self.functions["record_update_" + a.name] = (("address", a.type),
+                                                         _update_call(a.name))
 
     def bind_process(self, address: str):
         self.process_address = address
@@ -252,6 +307,13 @@ class NonFungibleStore(_Journaled):
             if a.history_tracked:
                 rec.history.append((a.name, attrs[a.name]))
         self._write(self.records, addr_key(record_id), rec)
+
+    def _create_as_caller(self, caller: str, record_id: str, *values) -> Tuple[()]:
+        """record_create as the emitted registry runs it: the caller owns
+        the record, and the values come in attribute declaration order."""
+        self.record_create(caller, record_id, owner=caller,
+                           attrs={a.name: v for a, v in zip(self.spec.attributes, values)})
+        return ()
 
     def record_get_owner(self, record_id: str) -> str:
         return self._get(record_id).owner
@@ -296,84 +358,18 @@ Registry = Union[FungibleLedger, NonFungibleStore]
 # Registry call dispatch (simulated contract ABI)
 
 
-_TOKEN_INPUTS = {
-    "transfer": ("address", "uint256"), "approve": ("address", "uint256"),
-    "mint": ("address", "uint256"), "burn": ("address", "uint256"),
-    "transferFrom": ("address", "address", "uint256"),
-    "balanceOf": ("address",), "allowance": ("address", "address"),
-    "totalSupply": (), "name": (), "symbol": (), "decimals": (),
-}
-
-
-def _inputs_of(registry: Registry, fn_name: str) -> Optional[Tuple[str, ...]]:
-    """The parameter types of a function of the simulated registry, or
-    None when it has no function of that name."""
-    if isinstance(registry, FungibleLedger):
-        return _TOKEN_INPUTS.get(fn_name)
-    attrs = registry.spec.attributes
-    if fn_name == "record_create":
-        return ("address",) + tuple(a.type for a in attrs)
-    if fn_name in ("record_get_owner", "record_get_attrs"):
-        return ("address",)
-    if fn_name == "record_ownership_transfer":
-        return ("address", "address")
-    attr = next((a for a in attrs if fn_name == "record_update_" + a.name), None)
-    return None if attr is None else ("address", attr.type)
-
-
 def _dispatch(registry: Registry, fn_name: str, args: List[object],
               caller: str) -> Tuple[object, ...]:
     """Execute one bound contract call and return its outputs as a tuple.
     A call the registry has no function for, or whose arguments do not
     fit that function's parameters, is a RegistryError."""
-    expected = _inputs_of(registry, fn_name)
-    if expected is None:
-        kind = "token" if isinstance(registry, FungibleLedger) else "record"
-        raise RegistryError(f"{kind} registry has no function '{fn_name}'")
-    if len(args) != len(expected) or not all(map(literal_matches, expected, args)):
-        raise RegistryError(f"{fn_name} takes ({', '.join(expected)}), got {tuple(args)!r}")
-    if isinstance(registry, FungibleLedger):
-        if fn_name == "transfer":
-            registry.transfer(caller, *args)
-            return (True,)
-        if fn_name == "transferFrom":
-            registry.transfer_from(caller, *args)
-            return (True,)
-        if fn_name == "approve":
-            registry.approve(caller, *args)
-            return (True,)
-        if fn_name == "mint":
-            registry.mint(caller, *args)
-            return (True,)
-        if fn_name == "burn":
-            registry.burn(caller, *args)
-            return (True,)
-        if fn_name == "balanceOf":
-            return (registry.balance_of(*args),)
-        if fn_name == "allowance":
-            return (registry.allowance(*args),)
-        if fn_name == "totalSupply":
-            return (registry.total_supply,)
-        if fn_name == "name":
-            return (registry.spec.name,)
-        if fn_name == "symbol":
-            return (registry.spec.symbol,)
-        return (registry.spec.decimals,)  # decimals
-
-    if fn_name == "record_create":
-        registry.record_create(caller, args[0], owner=caller,
-                               attrs={a.name: v for a, v in zip(registry.spec.attributes,
-                                                                args[1:])})
-        return ()
-    if fn_name == "record_get_owner":
-        return (registry.record_get_owner(*args),)
-    if fn_name == "record_get_attrs":
-        return registry.record_get_attrs(*args)
-    if fn_name == "record_ownership_transfer":
-        registry.record_ownership_transfer(caller, *args)
-        return ()
-    registry.record_update(caller, args[0], fn_name[len("record_update_"):], args[1])
-    return ()
+    entry = registry.functions.get(fn_name)
+    if entry is None:
+        raise RegistryError(f"{registry.kind} registry has no function '{fn_name}'")
+    params, call = entry
+    if len(args) != len(params) or not all(map(literal_matches, params, args)):
+        raise RegistryError(f"{fn_name} takes ({', '.join(params)}), got {tuple(args)!r}")
+    return call(registry, caller, *args)
 
 
 # ---------------------------------------------------------------------------
@@ -424,12 +420,12 @@ class InstanceState:
 
     def __init__(self, model: ProcessModel, automaton: MarkingAutomaton,
                  registries: Dict[str, Registry],  # by address key
-                 iface_addresses: Dict[str, str],  # interface id -> address
+                 iface_registries: Dict[str, Registry],  # by interface id
                  process_address: str):
         self.model = model
         self.automaton = automaton
         self.registries = registries
-        self.iface_addresses = iface_addresses
+        self.iface_registries = iface_registries
         self.process_address = process_address
         self.env: Dict[str, object] = {
             v.name: (v.initial if v.initial is not None else default_value(v.type))
@@ -475,9 +471,9 @@ class InstanceState:
                               caller: Optional[str] = None):
         """Execute all contract calls bound to a task, in binding order."""
         for itf, fn_name, sources, targets in self.model.calls_of(task_id):
-            registry = self.registry_at(self.iface_addresses[itf.id])
             args = [self._bind_value(source, env) for source in sources]
-            outputs = _dispatch(registry, fn_name, args, caller or self.process_address)
+            outputs = _dispatch(self.iface_registries[itf.id], fn_name, args,
+                                caller or self.process_address)
             if len(outputs) < len(targets):
                 raise RegistryError(f"{fn_name} returns {len(outputs)} value(s), "
                                     f"the interface declares {len(targets)}")
@@ -551,23 +547,21 @@ def new_instance(model: ProcessModel, automaton: MarkingAutomaton,
     address_bindings = dict(address_bindings or {})
     registries = {addr_key(a): r for a, r in (registries or {}).items()}
 
-    iface_addresses: Dict[str, str] = {}
+    iface_registries: Dict[str, Registry] = {}
     for itf in model.interfaces:
-        if itf.contract_address is not None:
-            iface_addresses[itf.id] = itf.contract_address
-        elif itf.id in address_bindings:
-            iface_addresses[itf.id] = address_bindings[itf.id]
-        else:
+        address = (itf.contract_address if itf.contract_address is not None
+                   else address_bindings.get(itf.id))
+        if address is None:
             raise MissingAddressBinding(
                 f"interface '{itf.id}' has no contractAddress and no binding")
-        if addr_key(iface_addresses[itf.id]) not in registries:
+        if addr_key(address) not in registries:
             raise UnknownRegistryAddress(
-                f"no simulated registry at {iface_addresses[itf.id]} "
-                f"for interface '{itf.id}'")
+                f"no simulated registry at {address} for interface '{itf.id}'")
+        iface_registries[itf.id] = registries[addr_key(address)]
 
     process_address = pseudo_address(f"process:{model.id}:{instance_seq}")
     for reg in registries.values():
         if isinstance(reg, NonFungibleStore):
             reg.bind_process(process_address)
-    return InstanceState(model, automaton, registries, iface_addresses,
+    return InstanceState(model, automaton, registries, iface_registries,
                          process_address)

@@ -8,6 +8,7 @@ function producing a diagnostic report; it never raises for model defects.
 
 from __future__ import annotations
 
+import json
 import operator
 import re
 from dataclasses import dataclass
@@ -34,6 +35,22 @@ def is_address(text: str) -> bool:
 def addr_key(address: str) -> str:
     """Canonical (case-insensitive) key for address comparisons."""
     return address.lower()
+
+
+def load_json(text: str):
+    """json.loads for text decoded from UTF-8. Every way the text can fail
+    is a ValueError: malformed JSON, an integer of more digits than int()
+    converts, nesting deeper than the decoder recurses, and a string
+    holding a lone surrogate, which no UTF-8 output can carry."""
+    try:
+        value = json.loads(text)
+        if "\\u" in text:  # only a \u escape decodes to a surrogate
+            json.dumps(value, ensure_ascii=False).encode("utf-8")
+    except RecursionError:
+        raise ValueError("nested too deeply") from None
+    except UnicodeEncodeError:
+        raise ValueError("a string holds a lone surrogate") from None
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +432,9 @@ class ProcessModel:
 
         A task input may share the name of a declared variable of the same
         type; merging its value into the environment then acts as an
-        assignment to that variable.
+        assignment to that variable. validate_model rejects two types for
+        one name, so on a valid model the order of the tasks does not
+        matter.
         """
         types = {v.name: v.type for v in self.variables}
         for n in self.nodes:
@@ -624,8 +643,10 @@ def validate_model(model: ProcessModel) -> ValidationReport:  # noqa: C901
                         except ExprTypeError as e:
                             err(f.id, f"condition type error: {e}")
 
-    # task inputs
+    # task inputs; one name has one type across all tasks, as it is one
+    # storage variable of the emitted contract
     declared = {v.name: v.type for v in model.variables}
+    first_input: Dict[str, Tuple[str, str]] = {}  # name -> (type, task id)
     for n in model.nodes:
         seen = set()
         for ti in n.task_inputs:
@@ -634,8 +655,14 @@ def validate_model(model: ProcessModel) -> ValidationReport:  # noqa: C901
             seen.add(ti.name)
             if ti.type not in VALUE_TYPES:
                 err(n.id, f"unknown task input type '{ti.type}'")
-            if ti.name in declared and declared[ti.name] != ti.type:
-                err(n.id, f"task input '{ti.name}' shadows variable of different type")
+            if ti.name in declared:
+                if declared[ti.name] != ti.type:
+                    err(n.id, f"task input '{ti.name}' shadows variable of different type")
+                continue
+            t0, task0 = first_input.setdefault(ti.name, (ti.type, n.id))
+            if t0 != ti.type and task0 != n.id:
+                err(n.id, f"task input '{ti.name}' is {ti.type} here "
+                          f"but {t0} in task '{task0}'")
         if n.task_inputs and n.kind != NodeKind.USER_TASK:
             err(n.id, "only user tasks may declare task inputs")
         if n.script and n.kind != NodeKind.SCRIPT_TASK:

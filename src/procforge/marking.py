@@ -96,11 +96,10 @@ class MarkingAutomaton:
 
     @cached_property
     def _task_ids(self) -> Dict[str, str]:
-        # in external_names order, so the first task matching by display
-        # name or by id wins, as in a scan
-        ids: Dict[str, str] = {}
-        for tid, tname in self.external_names.items():
-            ids.setdefault(tname, tid)
+        # a display name beats a task id, as in the trace generator and
+        # the oracle; validate_model keeps display names unique
+        ids = {tname: tid for tid, tname in self.external_names.items()}
+        for tid in self.external_names:
             ids.setdefault(tid, tid)
         return ids
 

@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass
 from typing import Tuple
 
-from .ir import UINT256_MAX, addr_key, is_address
+from .ir import UINT256_MAX, addr_key, is_address, load_json
 
 ATTRIBUTE_TYPES = ("uint256", "int256", "bool", "address", "string")
 
@@ -81,8 +81,8 @@ class NonFungibleRegistrySpec:
 
 def _load(doc: str) -> dict:
     try:
-        obj = json.loads(doc)
-    except json.JSONDecodeError as e:
+        obj = load_json(doc)
+    except ValueError as e:
         raise SpecSyntaxError(f"invalid JSON: {e}") from e
     if not isinstance(obj, dict):
         raise SpecSyntaxError("registry spec must be a JSON object")

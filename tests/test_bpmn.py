@@ -1,7 +1,10 @@
+import sys
+
 import pytest
 
 from procforge import bpmn
 from procforge.bpmn import (
+    MAX_EXPR_DEPTH,
     ConditionParseError,
     DanglingReference,
     DuplicateId,
@@ -12,7 +15,8 @@ from procforge.bpmn import (
     parse_condition,
     parse_script,
 )
-from procforge.ir import BinOp, Lit, NodeKind, UnaryOp, Var
+from procforge.codegen import render_expr
+from procforge.ir import BinOp, Lit, NodeKind, UnaryOp, Var, compile_expr
 
 from conftest import load_model
 
@@ -68,6 +72,42 @@ def test_condition_rejects_trailing_input():
     with pytest.raises(ConditionParseError) as exc:
         parse_condition("a == b c")
     assert "trailing" in str(exc.value)
+
+
+def _nested_conditions(depth):
+    """Conditions `depth` levels deep, one per way of nesting: parentheses,
+    a flat sum, unary operators."""
+    return ["(" * (depth - 1) + "x > 0" + ")" * (depth - 1),
+            "x" + " + 1" * (depth - 1) + " > 0",
+            "!" * depth + "b"]
+
+
+def test_expression_depth_is_bounded():
+    for text in _nested_conditions(MAX_EXPR_DEPTH + 1):
+        with pytest.raises(ConditionParseError, match="nested deeper than"):
+            parse_condition(text)
+        with pytest.raises(ConditionParseError, match="nested deeper than"):
+            parse_script("b = " + text)
+    with pytest.raises(ConditionParseError, match="nested deeper than"):
+        parse_condition("(" * 400 + "x" + ")" * 400)
+
+
+def test_deepest_expression_runs_well_inside_the_recursion_limit():
+    # every tree walker, the parser included, stays within 500 frames of
+    # the caller at the depth bound
+    limit = sys.getrecursionlimit()
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    sys.setrecursionlimit(depth + 500)
+    try:
+        for text in _nested_conditions(MAX_EXPR_DEPTH):
+            e = parse_condition(text)
+            t, run = compile_expr(e, {"x": "uint256", "b": "bool"})
+            assert t == "bool" and run({"x": 1, "b": True}) in (True, False)
+            assert render_expr(e).count("_") >= 1
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_parse_script_statements():

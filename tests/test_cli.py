@@ -1,6 +1,10 @@
 import json
+import pathlib
+import re
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from procforge.cli import main
 
@@ -331,3 +335,207 @@ def test_record_interface_declaring_balance_of_matches_record_spec(tmp_path, cap
                        "--registry", TITLE, "--trace", SWAP)
     assert code == 0
     assert "classification: Conforming" in out
+
+
+# task t2 is named "Foo" and the later task t1 is named "t2"
+NAME_IS_ANOTHER_ID = """<?xml version="1.0" encoding="UTF-8"?>
+<definitions xmlns="http://www.omg.org/spec/BPMN/20100524/MODEL" id="defs_names">
+  <process id="names">
+    <startEvent id="start"/>
+    <userTask id="t2" name="Foo"/>
+    <userTask id="t1" name="t2"/>
+    <endEvent id="end"/>
+    <sequenceFlow id="f1" sourceRef="start" targetRef="t2"/>
+    <sequenceFlow id="f2" sourceRef="t2" targetRef="t1"/>
+    <sequenceFlow id="f3" sourceRef="t1" targetRef="end"/>
+  </process>
+</definitions>
+"""
+
+
+def test_display_name_beats_task_id(tmp_path, capsys):
+    model = tmp_path / "names.bpmn"
+    model.write_text(NAME_IS_ANOTHER_ID)
+    code, out, _ = run(capsys, "conformance", str(model), "--seed", "1", "--json")
+    report = json.loads(out)
+    assert code == 0 and report["correctnessPct"] == 100 and report["disagreements"] == []
+    trace = tmp_path / "t.jsonl"
+    trace.write_text('{"task": "Foo", "args": {}}\n{"task": "t2", "args": {}}\n')
+    code, out, _ = run(capsys, "simulate", str(model), "--trace", str(trace))
+    assert code == 0 and "classification: Conforming" in out
+
+
+# ---------------------------------------------------------------------------
+# Input that is not UTF-8, nested too deeply or otherwise malformed: one
+# error line and exit 1, never a traceback
+
+
+ICO_TEXT = (FIXTURES / "ico.bpmn").read_text()
+DEEP_CONDITION = ICO_TEXT.replace("amountRaised >= cap",
+                                  "(" * 400 + "amountRaised >= cap" + ")" * 400, 1)
+FLAT_CONDITION = ICO_TEXT.replace("amountRaised >= cap",
+                                  "amountRaised" + " + 1" * 3000 + " >= cap", 1)
+DEEP_JSON = "[" * 100000 + "]" * 100000
+LONE_SURROGATE_SPEC = (FIXTURES / "lrk.json").read_text().replace(
+    '"name": "Lorikeet Coin"', '"name": "\\ud800"', 1)
+
+
+@pytest.mark.parametrize("model, spec, trace, reason", [
+    (b"\xff" + ICO_TEXT.encode(), None, None, "m.bpmn: not UTF-8 (byte 0)"),
+    (ICO_TEXT.encode(), b'{"name": "\xff"}', None, "s.json: not UTF-8 (byte 10)"),
+    (ICO_TEXT.encode(), None, b'{"task": "\xff"}\n', "t.jsonl: not UTF-8 (byte 10)"),
+    (DEEP_CONDITION.encode(), None, None, "expression nested deeper than 32 levels"),
+    (FLAT_CONDITION.encode(), None, None, "expression nested deeper than 32 levels"),
+    (ICO_TEXT.replace("amountRaised >= cap", "amountRaised >= " + "1" * 5000, 1).encode(),
+     None, None, "integer literal has too many digits"),
+    (ICO_TEXT.replace('initial="0"', 'initial="' + "1" * 5000 + '"', 1).encode(), None, None,
+     "integer literal of 5000 characters has too many digits"),
+    (ICO_TEXT.encode(), DEEP_JSON.encode(), None, "s.json: invalid JSON: nested too deeply"),
+    (ICO_TEXT.encode(), None, ('{"task": "x", "args": ' + DEEP_JSON + "}\n").encode(),
+     "t.jsonl: line 1: nested too deeply"),
+    (ICO_TEXT.encode(), LONE_SURROGATE_SPEC.encode(), None, "a string holds a lone surrogate"),
+    (ICO_TEXT.encode(), pathlib.Path(LRK).read_bytes(), b'{"task": "\\udc00", "args": {}}\n',
+     "t.jsonl: line 1: a string holds a lone surrogate"),
+], ids=["model-not-utf8", "spec-not-utf8", "trace-not-utf8", "400-parentheses",
+        "3000-term-sum", "5000-digit-literal", "5000-digit-initial", "deep-json-spec",
+        "deep-json-trace", "lone-surrogate-spec", "lone-surrogate-trace"])
+def test_malformed_input_is_one_error_line(tmp_path, capsys, model, spec, trace, reason):
+    (tmp_path / "m.bpmn").write_bytes(model)
+    (tmp_path / "t.jsonl").write_bytes(trace or b'{"task": "Investment received"}\n')
+    argv = ["simulate", str(tmp_path / "m.bpmn"), "--trace", str(tmp_path / "t.jsonl")]
+    if spec is not None:
+        (tmp_path / "s.json").write_bytes(spec)
+        argv += ["--registry", str(tmp_path / "s.json")]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and reason in err
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing the CLI boundary: whatever the input files hold, main returns
+# one of the documented exit codes and no exception escapes
+
+
+INVESTOR = "0x" + "1" * 40
+# each fixture model with the registry specs it needs and events of traces
+# that run it (two made up here, as no trace of ico or quality_tracing is kept)
+FIXTURE_CASES = [
+    (name, [(FIXTURES / spec).read_text() for spec in specs],
+     [json.loads(line) for t in trace_files for line in (FIXTURES / t).read_text().splitlines()]
+     + events)
+    for name, specs, trace_files, events in [
+        ("grain_title", ["lrk.json", "grain_title.json"],
+         ["grain_swap.jsonl", "grain_refund.jsonl"], []),
+        ("grain_title_unbound", ["lrk.json", "grain_title.json"], ["grain_swap.jsonl"], []),
+        ("ico", ["lrk.json"], [],
+         [{"task": "Investment received", "args": {"amount": 5, "investor": INVESTOR}},
+          {"task": "Tokens claimed", "args": {}, "caller": INVESTOR}]),
+        ("quality_tracing", ["certificate.json"], [],
+         [{"task": "Goods produced", "args": {"batchReport": "ok"}},
+          {"task": "Inspection performed", "args": {"verdict": "pass"}}]),
+        ("task_outsourcing", ["lrk.json"],
+         ["outsourcing_correct.jsonl", "outsourcing_wrong.jsonl"], []),
+    ]]
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=3),
+    max_leaves=6)
+# values that mean something somewhere in a model, a spec or a trace
+tokens = st.sampled_from([
+    "", "0", "-1", "7", "1" * 80, "0x" + "1" * 40, "0x" + "5" * 40, "true", "false",
+    "uint256", "int256", "bool", "address", "string", "single", "distributed",
+    "amount", "price", "x", "processAddress", "record_create", "record_update_weight",
+    "transfer", "balanceOf", "start", "end", "t_deposit", "g_split", "Deposit payment",
+    "x + 1", "a &amp;&amp; !b", "(x", "1 / 0", "-x", '"s"', "x := 1"]) | st.text(max_size=8)
+VALUE_RE = re.compile(r'"([^"]*)"|>([^<]+)<')
+
+
+def _mutated_model(draw, text: str) -> bytes:
+    """text with a few attribute values, texts or lines replaced, dropped
+    or repeated."""
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        op = draw(st.sampled_from(["value", "value", "drop-line", "repeat-line"]))
+        if op == "value":
+            m = draw(st.sampled_from(list(VALUE_RE.finditer(text))))
+            g = 1 if m.group(1) is not None else 2
+            text = text[:m.start(g)] + draw(tokens) + text[m.end(g):]
+        else:
+            lines = text.splitlines()
+            k = draw(st.integers(0, len(lines) - 1))
+            lines[k:k + 1] = [] if op == "drop-line" else [lines[k]] * 2
+            text = "\n".join(lines)
+    return text.encode("utf-8", "surrogatepass")
+
+
+def _mutated_spec(draw, text: str) -> bytes:
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.binary(max_size=40))
+    spec = json.loads(text)
+    for key in draw(st.lists(st.sampled_from(sorted(spec)), max_size=2)
+                    if draw(st.integers(0, 2)) == 0 else st.just([])):
+        if draw(st.booleans()):
+            spec.pop(key, None)
+        else:
+            spec[key] = draw(json_values | tokens)
+    return json.dumps(spec).encode()
+
+
+def _mutated_trace(draw, events) -> bytes:
+    lines = []
+    for event in draw(st.lists(st.sampled_from(events), max_size=6)):
+        event = dict(event)
+        for key in draw(st.lists(st.sampled_from(["task", "args", "caller"]), max_size=2)
+                        if draw(st.integers(0, 3)) == 0 else st.just([])):
+            event[key] = draw(json_values | tokens
+                              | st.dictionaries(tokens, json_values | tokens, max_size=3))
+        lines.append(json.dumps(event) if draw(st.integers(0, 9)) else draw(st.text(max_size=20)))
+    return "\n".join(lines).encode("utf-8", "surrogatepass")
+
+
+@st.composite
+def cli_inputs(draw):
+    """(model, registry specs, trace) drawn from one fixture case."""
+    name, specs, events = draw(st.sampled_from(FIXTURE_CASES))
+    model = _mutated_model(draw, (FIXTURES / f"{name}.bpmn").read_text())
+    specs = [_mutated_spec(draw, spec) for spec in specs if draw(st.integers(0, 9))]
+    return model, specs, _mutated_trace(draw, events)
+
+
+ico = ICO_TEXT.encode()
+lrk = (FIXTURES / "lrk.json").read_bytes()
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(command=st.sampled_from(["validate", "compile", "simulate", "conformance"]),
+       inputs=cli_inputs(),
+       flags=st.lists(st.sampled_from(["--json", "--prefix"]), unique=True))
+@example(command="validate", inputs=(b"\xff" + ico, [], b""), flags=[])
+@example(command="validate", inputs=(DEEP_CONDITION.encode(), [], b""), flags=[])
+@example(command="validate", inputs=(FLAT_CONDITION.encode(), [], b""), flags=[])
+@example(command="validate", inputs=(ico, [DEEP_JSON.encode()], b""), flags=[])
+@example(command="compile", inputs=(ico, [LONE_SURROGATE_SPEC.encode()], b""), flags=[])
+@example(command="simulate", flags=[], inputs=(
+    ico, [lrk], b'{"task": "Investment received", "args": {"amount": "\\ud800"}}'))
+def test_cli_exits_with_a_documented_code_on_any_input(capsys, command, inputs, flags):
+    model, specs, trace = inputs
+    with tempfile.TemporaryDirectory() as tmp:
+        work = pathlib.Path(tmp)
+        (work / "m.bpmn").write_bytes(model)
+        (work / "t.jsonl").write_bytes(trace)
+        argv = [command, str(work / "m.bpmn")] + [
+            f for f in flags if command in ("simulate", "conformance") or f == "--json"]
+        for i, spec in enumerate(specs):
+            (work / f"s{i}.json").write_bytes(spec)
+            argv += ["--registry", str(work / f"s{i}.json")]
+        if command == "compile":
+            argv += ["-o", str(work / "out")]
+        elif command == "simulate":
+            argv += ["--trace", str(work / "t.jsonl")]
+        elif command == "conformance":
+            argv += ["--mutants", "5"]
+        code = main(argv)
+        capsys.readouterr()
+    assert code in (0, 1, 2, 64, 66)

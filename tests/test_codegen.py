@@ -1,3 +1,8 @@
+import dataclasses
+import re
+
+import pytest
+
 from procforge.codegen import (
     contract_name,
     gen_fungible,
@@ -5,9 +10,15 @@ from procforge.codegen import (
     gen_process,
     render_expr,
 )
-from procforge.ir import BinOp, Lit, Var
+from procforge.interp import FungibleLedger, NonFungibleStore
+from procforge.ir import VALUE_TYPES, BinOp, Lit, Var
 from procforge.marking import compile_marking
-from procforge.registry import parse_registry
+from procforge.registry import (
+    AttributeDecl,
+    FungibleRegistrySpec,
+    NonFungibleRegistrySpec,
+    parse_registry,
+)
 
 from conftest import FIXTURES, load_model
 
@@ -162,3 +173,44 @@ def test_bound_calls_render_in_parameter_and_return_order():
     text = gen_process(model, compile_marking(model)).rendered_text
     assert "instanceOfTitles.record_create(_id, _kg, _grade);" in text
     assert "(, _q) = instanceOfTitles.record_get_attrs(_id);" in text
+
+
+# ---------------------------------------------------------------------------
+# The simulated registries' function tables against the emitted contracts
+
+
+def _public_abi(contract: str) -> dict:
+    """name -> parameter types of each public function and each public
+    state variable's getter in one emitted contract."""
+    abi = {name: tuple(p.split()[0] for p in params.split(",") if p.strip())
+           for name, params in re.findall(r"function (\w+)\(([^)]*)\) public", contract)}
+    for decl, name in re.findall(r"^    (\w+|mapping\(.*\)) public (\w+)\b[^(\n]*;$", contract,
+                                 re.MULTILINE):
+        abi[name] = tuple(re.findall(r"mapping\((\w+) =>", decl))
+    return abi
+
+
+MINTER = "0x" + "1" * 40
+TOKEN = FungibleRegistrySpec(name="Token", symbol="TK", decimals=2, total_supply=0,
+                             is_mintable=True, minter_addresses=(MINTER,),
+                             is_burnable=True, burner_addresses=(MINTER,))
+RECORDS = NonFungibleRegistrySpec(
+    name="Deeds", registry_type="single",
+    attributes=tuple(AttributeDecl(f"a_{t}", t, updatable=True) for t in VALUE_TYPES),
+    is_ownership_transfer_enabled=True)
+
+
+@pytest.mark.parametrize("kind", ["token", "single", "distributed"])
+def test_simulated_functions_are_emitted_with_the_same_parameters(kind):
+    if kind == "token":
+        registry, unit = FungibleLedger(TOKEN), gen_fungible(TOKEN)
+    else:
+        spec = dataclasses.replace(RECORDS, registry_type=kind)
+        registry, unit = NonFungibleStore(spec), gen_nonfungible(spec)
+    text = unit.rendered_text
+    # the registry is the unit's last contract; a distributed one's records
+    # come before it
+    emitted = _public_abi(text[text.index(f"contract {unit.contracts[-1]} "):])
+    assert len(registry.functions) == (11 if kind == "token" else 4 + len(VALUE_TYPES))
+    for name, (params, _call) in registry.functions.items():
+        assert emitted.get(name) == params, name

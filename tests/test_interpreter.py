@@ -153,6 +153,46 @@ def test_transfer_disabled():
         s.record_ownership_transfer(A1, A3, A2)
 
 
+def test_dispatch_calls_through_the_function_tables():
+    lg, s = ledger(), store()
+    assert interp._dispatch(lg, "transfer", [A2, 40], A1) == (True,)
+    assert interp._dispatch(lg, "approve", [A3, 5], A2) == (True,)
+    assert interp._dispatch(lg, "transferFrom", [A2, A3, 5], A3) == (True,)
+    assert interp._dispatch(lg, "balanceOf", [A3], A1) == (5,)
+    assert interp._dispatch(lg, "allowance", [A2, A3], A1) == (0,)
+    assert [interp._dispatch(lg, fn, [], A1)[0]
+            for fn in ("totalSupply", "name", "symbol", "decimals")] == [100, "Coin", "C", 0]
+    with pytest.raises(FeatureDisabled):
+        interp._dispatch(lg, "mint", [A1, 1], MINTER)
+    with pytest.raises(FeatureDisabled):
+        interp._dispatch(lg, "burn", [A1, 1], MINTER)
+    assert interp._dispatch(s, "record_create", [A3, 7, "n"], A1) == ()
+    assert interp._dispatch(s, "record_get_owner", [A3], A2) == (A1,)
+    assert interp._dispatch(s, "record_update_note", [A3, "m"], A1) == ()
+    assert interp._dispatch(s, "record_get_attrs", [A3], A2) == (7, "m")
+    with pytest.raises(AttributeNotUpdatable):
+        interp._dispatch(s, "record_update_weight", [A3, 8], A1)
+    assert interp._dispatch(s, "record_ownership_transfer", [A3, A2], A1) == ()
+    assert s.record_get_owner(A3) == A2
+
+
+@pytest.mark.parametrize("registry, fn, args, message", [
+    ("token", "ownerOf", [A1], "token registry has no function 'ownerOf'"),
+    ("record", "ownerOf", [A1], "record registry has no function 'ownerOf'"),
+    ("record", "record_update_colour", [A1, 1], "record registry has no function "
+                                                 "'record_update_colour'"),
+    ("token", "transfer", [A1], f"transfer takes (address, uint256), got ('{A1}',)"),
+    ("token", "balanceOf", [5], "balanceOf takes (address), got (5,)"),
+    ("record", "record_create", [A3, "n", 7],
+     f"record_create takes (address, uint256, string), got ('{A3}', 'n', 7)"),
+])
+def test_dispatch_rejects_calls_the_registry_cannot_take(registry, fn, args, message):
+    reg = ledger() if registry == "token" else store()
+    with pytest.raises(interp.RegistryError) as exc:
+        interp._dispatch(reg, fn, args, A1)
+    assert type(exc.value) is interp.RegistryError and str(exc.value) == message
+
+
 def test_bpmn_restriction_and_process_transfer():
     s = store(is_record_creation_restricted_to_bpmn=True,
               is_ownership_transfer_enabled_to_bpmn=True)

@@ -281,6 +281,23 @@ def test_task_input_shadow_rules():
     assert any("different type" in e for e in errors_of(m2))
 
 
+def test_task_inputs_of_one_name_have_one_type():
+    nodes = (Node("start", NodeKind.START_EVENT),
+             Node("t1", NodeKind.USER_TASK, name="One", task_inputs=(TaskInput("x", "uint256"),)),
+             Node("t2", NodeKind.USER_TASK, name="Two", task_inputs=(TaskInput("x", "address"),)),
+             Node("end", NodeKind.END_EVENT))
+    flows = (SequenceFlow("f1", "start", "t1"), SequenceFlow("f2", "t1", "t2"),
+             SequenceFlow("f3", "t2", "end"))
+    report = validate_model(ProcessModel(id="m", nodes=nodes, flows=flows))
+    assert [str(d) for d in report.errors] == [
+        "error: [t2] task input 'x' is address here but uint256 in task 't1'"]
+    # the same type in both tasks is one variable, as before
+    same = Node("t2", NodeKind.USER_TASK, name="Two",
+                task_inputs=(TaskInput("x", "uint256"),))
+    assert validate_model(ProcessModel(id="m", nodes=nodes[:2] + (same,) + nodes[3:],
+                                       flows=flows)).ok
+
+
 def test_unreachable_node():
     # a detached two-task cycle is structurally sane but unreachable
     m = linear_model(nodes=linear_model().nodes + (

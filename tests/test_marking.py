@@ -214,16 +214,16 @@ def test_dump_automaton_lists_masks(grain_automaton):
     assert "end mask:" in text
 
 
-def test_task_id_for_first_match_by_name_or_id_wins(grain_automaton):
+def test_task_id_for_display_name_beats_task_id(grain_automaton):
     for tid, name in grain_automaton.external_names.items():
         assert grain_automaton.task_id_for(name) == tid
         assert grain_automaton.task_id_for(tid) == tid
     assert grain_automaton.task_id_for("Bogus") is None
-    # t2's display name is t1's id, and t1's display name is t2's id: the
-    # earlier task matches either way
+    # t2's display name is t1's id, and t1's display name is t2's id: each
+    # name means the task that displays it, as in the oracle
     a = MarkingAutomaton(flow_count=0, bit_of={}, initial_marking=0, external={},
                          autos=(), end_mask=0, external_names={"t1": "t2", "t2": "t1"})
-    assert a.task_id_for("t1") == "t1"
+    assert a.task_id_for("t1") == "t2"
     assert a.task_id_for("t2") == "t1"
 
 
