@@ -415,14 +415,12 @@ def _iter_process_children(process):
             yield child
 
 
-def parse_bpmn(xml_text) -> ProcessModel:
-    """Parse a BPMN 2.0 document (text or bytes) into a ProcessModel.
+def parse_bpmn(xml_text: str) -> ProcessModel:
+    """Parse a BPMN 2.0 document into a ProcessModel.
 
     Sequence-flow document order is preserved; it fixes the marking bit
     assignment downstream.
     """
-    if isinstance(xml_text, bytes):
-        xml_text = xml_text.decode("utf-8")
     try:
         root = ET.fromstring(xml_text)
     except ET.ParseError as e:

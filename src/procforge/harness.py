@@ -87,18 +87,6 @@ def parse_trace(text: str) -> Trace:
     return tuple(events)
 
 
-def write_trace(trace: Trace) -> str:
-    lines = []
-    for ev in trace:
-        obj: Dict[str, object] = {"task": ev.task}
-        if ev.args is not None:
-            obj["args"] = ev.args_dict
-        if ev.caller is not None:
-            obj["caller"] = ev.caller
-        lines.append(json.dumps(obj, sort_keys=True))
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
 # ---------------------------------------------------------------------------
 # Enumeration of conforming traces
 

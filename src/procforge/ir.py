@@ -182,11 +182,14 @@ def compile_expr(e: Expr, types: Mapping[str, str]) -> Tuple[str, Evaluator]:
     the value of e. Types are resolved here, once: the evaluator knows the
     checked range of each arithmetic node and which equalities compare
     addresses. Integer literals type as 'int_const' and adapt to either
-    integer width; strings support equality only. Arithmetic is checked,
-    not wrapping. Raises ExprTypeError for an ill-typed e.
+    integer width; one above 2**256 - 1 is a type error. Strings support
+    equality only. Arithmetic is checked, not wrapping. Raises
+    ExprTypeError for an ill-typed e.
     """
     if isinstance(e, Lit):
         value = e.value
+        if e.type == "int_const" and value > UINT256_MAX:
+            raise ExprTypeError(f"integer literal above 2**256 - 1 ({value.bit_length()} bits)")
         return e.type, lambda env: value
     if isinstance(e, Var):
         name = e.name
@@ -681,6 +684,9 @@ def validate_model(model: ProcessModel) -> ValidationReport:  # noqa: C901
                     t = target_t if target_t in ("uint256", "int256") else t
                 if t != target_t:
                     err(n.id, f"script assigns {t} to {target_t} variable '{st.target}'")
+                elif isinstance(st.value, Lit) and not literal_matches(t, st.value.value):
+                    err(n.id, f"literal {st.value.value!r} does not fit "
+                              f"{t} variable '{st.target}'")
             except ExprTypeError as e:
                 err(n.id, f"script type error: {e}")
 

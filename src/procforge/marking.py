@@ -107,45 +107,73 @@ class MarkingAutomaton:
         return self._task_ids.get(name)
 
 
-def _mask(flows, bit_of) -> int:
-    m = 0
-    for f in flows:
-        m |= 1 << bit_of[f.id]
-    return m
-
-
 def compile_marking(model: ProcessModel) -> MarkingAutomaton:
     """Compile a model that validate_model accepted. Deterministic: bit
     assignment and transition order follow document order. Guards and
     scripts are compiled here, so their types are resolved once."""
     bit_of = {f.id: i for i, f in enumerate(model.flows)}
     types = model.declared_types()
-
     start = next(n for n in model.nodes if n.kind == NodeKind.START_EVENT)
-    initial_marking = _mask(model.outgoing(start.id), bit_of)
 
-    # raw per-node transitions
-    external: Dict[str, List[ExternalAlternative]] = {}
-    autos: Dict[str, AutoTransition] = {}
+    def mask(flows) -> int:
+        m = 0
+        for f in flows:
+            m |= 1 << bit_of[f.id]
+        return m
+
+    def bits(flows) -> Tuple[int, ...]:
+        return tuple(1 << bit_of[f.id] for f in flows)
+
+    # Decide the folds first. The first task in document order claims a
+    # gateway, and the gateway in front of it is tried before the one behind.
+    folded: Set[str] = set()
+    pre_of: Dict[str, Tuple[int, ...]] = {}  # task id -> pres of the join in front
+    post_of: Dict[str, int] = {}  # task id -> post of the AND split behind
     for n in model.nodes:
+        if n.kind not in TASK_KINDS:
+            continue
         inc, out = model.incoming(n.id), model.outgoing(n.id)
-        if n.kind in EXTERNAL_TASK_KINDS:
-            external[n.id] = [ExternalAlternative(pre=_mask(inc, bit_of),
-                                                  post=_mask(out, bit_of))]
-        elif n.kind == NodeKind.SCRIPT_TASK:
-            autos[n.id] = AutoTransition(
-                n.id, n.kind,
-                pre_alternatives=(_mask(inc, bit_of),),
-                branches=(Branch(post=_mask(out, bit_of)),),
-                statements=tuple((st.target, compile_expr(st.value, types)[1])
-                                 for st in n.script))
+        if len(inc) != 1 or len(out) != 1:
+            raise InternalInvariantError(f"task {n.id} without single in/out flow")
+
+        pred = model.node(inc[0].source)
+        if pred is not None and pred.kind in (NodeKind.AND_GATEWAY, NodeKind.XOR_GATEWAY) \
+                and pred.id not in folded:
+            g_in, g_out = model.incoming(pred.id), model.outgoing(pred.id)
+            if len(g_out) == 1 and g_out[0].condition is None and g_in:
+                pre_of[n.id] = (mask(g_in),) if pred.kind == NodeKind.AND_GATEWAY \
+                    else bits(g_in)
+                folded.add(pred.id)
+
+        succ = model.node(out[0].target)
+        if succ is not None and succ.kind == NodeKind.AND_GATEWAY \
+                and succ.id not in folded:
+            g_in, g_out = model.incoming(succ.id), model.outgoing(succ.id)
+            if len(g_in) == 1 and g_out:
+                post_of[n.id] = mask(g_out)
+                folded.add(succ.id)
+
+    # Then build each transition once, skipping the folded gateways.
+    external: Dict[str, Tuple[ExternalAlternative, ...]] = {}
+    autos: List[AutoTransition] = []
+    end_mask = 0
+    for n in model.nodes:
+        if n.id in folded:
+            continue
+        inc, out = model.incoming(n.id), model.outgoing(n.id)
+        if n.kind in TASK_KINDS:
+            pres = pre_of.get(n.id, (mask(inc),))
+            post = post_of.get(n.id, mask(out))
+            if n.kind in EXTERNAL_TASK_KINDS:
+                external[n.id] = tuple(ExternalAlternative(p, post) for p in pres)
+            else:
+                autos.append(AutoTransition(
+                    n.id, n.kind, pres, (Branch(post=post),),
+                    statements=tuple((st.target, compile_expr(st.value, types)[1])
+                                     for st in n.script)))
         elif n.kind == NodeKind.AND_GATEWAY:
-            autos[n.id] = AutoTransition(
-                n.id, n.kind,
-                pre_alternatives=(_mask(inc, bit_of),),
-                branches=(Branch(post=_mask(out, bit_of)),))
+            autos.append(AutoTransition(n.id, n.kind, (mask(inc),), (Branch(post=mask(out)),)))
         elif n.kind == NodeKind.XOR_GATEWAY:
-            pre_alts = tuple(1 << bit_of[f.id] for f in inc)
             if len(out) > 1:
                 # the default last: _pick_branch and codegen take it as the tail
                 branches = [Branch(post=1 << bit_of[f.id], guard=f.condition,
@@ -154,75 +182,18 @@ def compile_marking(model: ProcessModel) -> MarkingAutomaton:
                 branches += [Branch(post=1 << bit_of[f.id], is_default=True)
                              for f in out if f.is_default]
             else:
-                branches = [Branch(post=_mask(out, bit_of))]
-            autos[n.id] = AutoTransition(n.id, n.kind, pre_alts, tuple(branches))
+                branches = [Branch(post=mask(out))]
+            autos.append(AutoTransition(n.id, n.kind, bits(inc), tuple(branches)))
         elif n.kind == NodeKind.END_EVENT:
-            autos[n.id] = AutoTransition(
-                n.id, n.kind,
-                pre_alternatives=tuple(1 << bit_of[f.id] for f in inc),
-                branches=(Branch(post=0),))
+            autos.append(AutoTransition(n.id, n.kind, bits(inc), (Branch(post=0),)))
+            end_mask |= mask(inc)
 
-    # fold condition-free gateways adjacent to tasks
-    folded = set()
-    for n in model.nodes:
-        if n.kind not in TASK_KINDS:
-            continue
-        inc, out = model.incoming(n.id), model.outgoing(n.id)
-        if len(inc) != 1 or len(out) != 1:
-            raise InternalInvariantError(f"task {n.id} without single in/out flow")
-
-        new_pre: Optional[Tuple[int, ...]] = None
-        pred = model.node(inc[0].source)
-        if pred is not None and pred.kind in (NodeKind.AND_GATEWAY, NodeKind.XOR_GATEWAY) \
-                and pred.id not in folded:
-            g_in, g_out = model.incoming(pred.id), model.outgoing(pred.id)
-            joinable = len(g_out) == 1 and all(f.condition is None for f in g_out)
-            if joinable and len(g_in) >= 1:
-                if pred.kind == NodeKind.AND_GATEWAY:
-                    new_pre = (_mask(g_in, bit_of),)
-                else:
-                    new_pre = tuple(1 << bit_of[f.id] for f in g_in)
-                folded.add(pred.id)
-                autos.pop(pred.id, None)
-
-        new_post: Optional[int] = None
-        succ = model.node(out[0].target)
-        if succ is not None and succ.kind == NodeKind.AND_GATEWAY \
-                and succ.id not in folded:
-            g_in, g_out = model.incoming(succ.id), model.outgoing(succ.id)
-            if len(g_in) == 1 and len(g_out) >= 1:
-                new_post = _mask(g_out, bit_of)
-                folded.add(succ.id)
-                autos.pop(succ.id, None)
-
-        if new_pre is None and new_post is None:
-            continue
-        if n.kind in EXTERNAL_TASK_KINDS:
-            alts = external[n.id]
-            pre_list = new_pre if new_pre is not None else tuple(a.pre for a in alts)
-            post = new_post if new_post is not None else alts[0].post
-            external[n.id] = [ExternalAlternative(p, post) for p in pre_list]
-        else:
-            t = autos[n.id]
-            autos[n.id] = AutoTransition(
-                t.node_id, t.kind,
-                pre_alternatives=new_pre if new_pre is not None else t.pre_alternatives,
-                branches=(Branch(post=new_post),) if new_post is not None else t.branches,
-                statements=t.statements)
-
-    end_mask = 0
-    for t in autos.values():
-        if t.kind == NodeKind.END_EVENT:
-            for pre in t.pre_alternatives:
-                end_mask |= pre
-
-    ordered_autos = tuple(autos[n.id] for n in model.nodes if n.id in autos)
     return MarkingAutomaton(
         flow_count=len(model.flows),
         bit_of=bit_of,
-        initial_marking=initial_marking,
-        external={tid: tuple(alts) for tid, alts in external.items()},
-        autos=ordered_autos,
+        initial_marking=mask(model.outgoing(start.id)),
+        external=external,
+        autos=tuple(autos),
         end_mask=end_mask,
         external_names={n.id: n.display_name for n in model.nodes
                         if n.kind in EXTERNAL_TASK_KINDS},

@@ -7,7 +7,6 @@ addresses are 0x + 40 hex digits.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -132,10 +131,6 @@ def _address_list(obj: dict, name: str) -> Tuple[str, ...]:
     return out
 
 
-def parse_fungible(doc: str) -> FungibleRegistrySpec:
-    return _fungible(_load(doc))
-
-
 def _fungible(obj: dict) -> FungibleRegistrySpec:
     name = _field(obj, "name")
     if not isinstance(name, str) or not name:
@@ -186,10 +181,6 @@ def _fungible(obj: dict) -> FungibleRegistrySpec:
         is_burnable=is_burnable, burner_addresses=burners,
         initially_distributed_accounts=tuple(dist),
     )
-
-
-def parse_nonfungible(doc: str) -> NonFungibleRegistrySpec:
-    return _nonfungible(_load(doc))
 
 
 def _nonfungible(obj: dict) -> NonFungibleRegistrySpec:
@@ -255,44 +246,3 @@ def parse_registry(doc: str):
     if "registryType" in obj:
         return _nonfungible(obj)
     return _fungible(obj)
-
-
-def write_fungible(spec: FungibleRegistrySpec) -> str:
-    """Canonical serialization; parse_fungible round-trips on its output."""
-    obj = {
-        "name": spec.name,
-        "symbol": spec.symbol,
-        "decimals": spec.decimals,
-        "totalSupply": str(spec.total_supply),
-        "isMintable": spec.is_mintable,
-        "minterAddresses": list(spec.minter_addresses),
-        "isBurnable": spec.is_burnable,
-        "burnerAddresses": list(spec.burner_addresses),
-        "initiallyDistributedAccounts": [
-            {"address": a, "amount": str(n)}
-            for a, n in spec.initially_distributed_accounts
-        ],
-    }
-    return json.dumps(obj, indent=2) + "\n"
-
-
-def write_nonfungible(spec: NonFungibleRegistrySpec) -> str:
-    obj = {
-        "name": spec.name,
-        "registryType": spec.registry_type,
-        "attributes": [
-            {"name": a.name, "type": a.type, "updatable": a.updatable,
-             "historyTracked": a.history_tracked}
-            for a in spec.attributes
-        ],
-        "isOwnershipTransferEnabled": spec.is_ownership_transfer_enabled,
-        "isRecordCreationRestrictedToBPMN": spec.is_record_creation_restricted_to_bpmn,
-        "isOwnershipTransferEnabledToBPMN": spec.is_ownership_transfer_enabled_to_bpmn,
-        "isRegistryFunctionAccessControlEnabled":
-            spec.is_registry_function_access_control_enabled,
-        "isRegistryRecordAccessControlEnabled":
-            spec.is_registry_record_access_control_enabled,
-        "isAccessControlBySmartContractEnabled":
-            spec.is_access_control_by_smart_contract_enabled,
-    }
-    return json.dumps(obj, indent=2) + "\n"

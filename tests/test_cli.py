@@ -204,6 +204,7 @@ INVESTOR = "0x" + "2" * 40
     ({"amount": -5, "investor": INVESTOR}, "BadArgument"),
     ({"amount": 5, "investor": "nobody"}, "BadArgument"),
     ({}, "MissingInput"),
+    ({"amount": 2**255, "investor": INVESTOR}, "ScriptError"),  # amount * rate overflows
 ])
 def test_simulate_checks_trace_arguments(tmp_path, capsys, args, reason):
     trace = tmp_path / "invest.jsonl"
@@ -212,6 +213,10 @@ def test_simulate_checks_trace_arguments(tmp_path, capsys, args, reason):
                        "--prefix")
     assert code == 2
     assert f"Investment received: Rejected ({reason})" in out
+    # nothing changed: neither the marking, the variables nor the ledger
+    assert "final marking: 0x1" in out
+    assert "amountRaised = 0" in out and "tokens = 0" in out
+    assert "0x" + "2" * 40 + ": 200000" in out
 
 
 def _loop_model(tmp_path, after_task):

@@ -11,7 +11,18 @@ from procforge.codegen import (
     render_expr,
 )
 from procforge.interp import FungibleLedger, NonFungibleStore
-from procforge.ir import VALUE_TYPES, BinOp, Lit, Var
+from procforge.ir import (
+    VALUE_TYPES,
+    BinOp,
+    Lit,
+    Node,
+    NodeKind,
+    ProcessModel,
+    ProcessVariableDecl,
+    SequenceFlow,
+    Var,
+    validate_model,
+)
 from procforge.marking import compile_marking
 from procforge.registry import (
     AttributeDecl,
@@ -112,6 +123,52 @@ def test_transfer_disabled_registry_reverts():
     assert "function record_ownership_transfer" not in text
 
 
+@pytest.mark.parametrize("registry_type, owner", [
+    ("single", "records[record_id].owner"),
+    ("distributed", "records[record_id].owner()"),
+], ids=["single", "distributed"])
+def test_access_control_flags_guard_record_writes(registry_type, owner):
+    # function, record and contract access control on, with the process
+    # bound (transfer to the process); the simulator does not model these
+    # guards (ROADMAP item 2(e)), so this pins the contract side
+    spec = parse_registry((FIXTURES / "certificate.json").read_text())
+    spec = dataclasses.replace(
+        spec, registry_type=registry_type,
+        attributes=tuple(dataclasses.replace(a, updatable=True) for a in spec.attributes),
+        is_record_creation_restricted_to_bpmn=False,
+        is_registry_function_access_control_enabled=True,
+        is_registry_record_access_control_enabled=True,
+        is_access_control_by_smart_contract_enabled=True)
+    text = gen_nonfungible(spec).rendered_text
+    registry = text[text.index("contract CertificateOfOriginRegistry"):]
+    guards = [line.strip() for line in registry.splitlines()
+              if re.search(r"modifier|constructor|function record_|require\(msg\.sender", line)]
+    assert guards == [
+        "constructor(address _processAddress, address _accessController) public {",
+        "modifier onlyProcess() {",
+        'require(msg.sender == processAddress, "restricted to the bound process");',
+        "modifier onlyAuthorized() {",
+        "require(msg.sender == deployer || msg.sender == accessController"
+        ' || msg.sender == processAddress, "caller not authorized");',
+        "function record_create(address record_id, string memory report,"
+        " string memory origin) public onlyAuthorized {",
+        "function record_get_owner(address record_id) public view returns (address record_owner) {",
+        "function record_get_attrs(address record_id) public view"
+        " returns (string memory report, string memory origin) {",
+        "function record_update_report(address record_id, string memory value)"
+        " public onlyAuthorized {",
+        f'require(msg.sender == {owner} || msg.sender == deployer, "not the record owner");',
+        "function record_update_origin(address record_id, string memory value)"
+        " public onlyAuthorized {",
+        f'require(msg.sender == {owner} || msg.sender == deployer, "not the record owner");',
+        "function record_ownership_transfer(address record_id, address new_owner) public {",
+        f"require(msg.sender == {owner} || msg.sender == processAddress,"
+        ' "not authorized to transfer");',
+        "require(msg.sender == from || recordApproval[record_id] == msg.sender",
+        f'require(msg.sender == {owner}, "not the owner");',
+    ]
+
+
 def test_process_unit_structure(grain_model, grain_automaton):
     unit = gen_process(grain_model, grain_automaton)
     assert unit.file_name == "ProcessFactory.sol"
@@ -147,6 +204,38 @@ def test_xor_alternatives_render_as_else_if(ico_model):
 def test_guarded_gateway_renders_condition(grain_model, grain_automaton):
     text = gen_process(grain_model, grain_automaton).rendered_text
     assert "if ((_escrowBalance == _price))" in text
+
+
+def test_xor_split_without_default_returns_the_marking_unchanged():
+    # the contract side of ROADMAP item 2(c): where the interpreter raises
+    # NoBranchTaken and rolls back, the emitted gateway returns the marking
+    x = Var("x")
+    nodes = [Node("start", NodeKind.START_EVENT), Node("t", NodeKind.USER_TASK, name="T"),
+             Node("g", NodeKind.XOR_GATEWAY),
+             Node("e1", NodeKind.END_EVENT), Node("e2", NodeKind.END_EVENT)]
+    flows = [SequenceFlow("f1", "start", "t"), SequenceFlow("f2", "t", "g"),
+             SequenceFlow("f3", "g", "e1", condition=BinOp(">", x, Lit(1, "int_const"))),
+             SequenceFlow("f4", "g", "e2", condition=BinOp("<", x, Lit(1, "int_const")))]
+    model = ProcessModel(id="m", nodes=tuple(nodes), flows=tuple(flows),
+                         variables=(ProcessVariableDecl("x", "uint256"),))
+    assert validate_model(model).ok
+    text = gen_process(model, compile_marking(model)).rendered_text
+    body = text[text.index("    function G("):text.index("    function E1(")]
+    assert body.splitlines() == [
+        "    function G(uint preconditionsp) internal returns (uint) {",
+        "        if ( (preconditionsp & 0x2 == 0x2) ) {",
+        "            if ((_x > 1)) {",
+        "                return preconditionsp & uint(~0x2)  | 0x4;",
+        "            }",
+        "            if ((_x < 1)) {",
+        "                return preconditionsp & uint(~0x2)  | 0x8;",
+        "            }",
+        "            return preconditionsp;  // no branch satisfiable",
+        "        } else",
+        "            return preconditionsp;",
+        "    }",
+        "",
+    ]
 
 
 def test_output_bindings_assign_storage(grain_model, grain_automaton):

@@ -393,3 +393,27 @@ def test_invocation_bindings_type_check(old, new, message):
     text = (FIXTURES / "task_outsourcing.bpmn").read_text()
     assert old in text
     assert errors_of(parse_bpmn(text.replace(old, new))) == [message]
+
+
+NINES_80 = "9" * 80  # 266 bits
+
+
+@pytest.mark.parametrize("old, new, messages", [
+    ("tokens = amount * rate", f"tokens = {NINES_80}",
+     ["script type error: integer literal above 2**256 - 1 (266 bits)"]),
+    ("amountRaised >= cap", f"amountRaised >= {NINES_80}",
+     ["condition type error: integer literal above 2**256 - 1 (266 bits)"]),
+    ("tokens = amount * rate", f"tokens = {2**256 - 1}", []),
+    ("tokens = amount * rate", f"tokens = {2**256 - 1} + amount", []),
+    ("tokens = amount * rate", f"tokens = amount * rate; delta = {2**255}",
+     [f"literal {2**255} does not fit int256 variable 'delta'"]),
+    ("tokens = amount * rate", f"tokens = amount * rate; delta = {2**255 - 1}", []),
+], ids=["script", "condition", "uint256-max", "uint256-max-in-sum",
+        "int256-overflow", "int256-max"])
+def test_integer_literals_must_fit(old, new, messages):
+    text = (FIXTURES / "ico.bpmn").read_text().replace(
+        '<bcext:variable name="tokens" type="uint256"/>',
+        '<bcext:variable name="tokens" type="uint256"/>'
+        '<bcext:variable name="delta" type="int256"/>')
+    assert old in text
+    assert errors_of(parse_bpmn(text.replace(old, new))) == messages

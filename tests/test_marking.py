@@ -240,3 +240,123 @@ def test_xor_default_branch_is_last():
             assert all(b.test is not None and not b.is_default for b in head)
             defaults += last.is_default
     assert defaults > 10
+
+
+def _chain_model(nodes, edges, variables=(), conditions=None, default=()):
+    """Flows f1, f2, ... in the order of edges (their document order)."""
+    conditions = conditions or {}
+    flows = [SequenceFlow(f"f{i}", s, t, condition=conditions.get(i), is_default=i in default)
+             for i, (s, t) in enumerate(edges, start=1)]
+    return ProcessModel(id="m", nodes=tuple(nodes), flows=tuple(flows),
+                        variables=tuple(variables))
+
+
+_START, _END = Node("start", NodeKind.START_EVENT), Node("end", NodeKind.END_EVENT)
+_COUNT = Node("s", NodeKind.SCRIPT_TASK, name="Count",
+              script=(Assign("n", BinOp("+", Var("n"), Lit(1, "int_const"))),))
+
+
+def _user(i):
+    return Node(i, NodeKind.USER_TASK, name=i.upper())
+
+
+def _and(i):
+    return Node(i, NodeKind.AND_GATEWAY)
+
+
+def _xor(i):
+    return Node(i, NodeKind.XOR_GATEWAY)
+
+
+_PAIR = [("start", "a"), ("a", "g"), ("g", "b"), ("b", "end")]
+_CHAIN = [("start", "a"), ("a", "g1"), ("g1", "b"), ("b", "g2"), ("g2", "c"), ("c", "end")]
+
+FOLD_CASES = {
+    # a degenerate AND gateway between two tasks: the first task in
+    # document order claims it, as its split or as its join
+    "and-between-a-first": (
+        _chain_model([_START, _user("a"), _and("g"), _user("b"), _END], _PAIR), {"g"},
+        "  A [0]  pre=0x1  post=0x4\n"
+        "  B [0]  pre=0x4  post=0x8\n"
+        "auto transitions:\n"
+        "  end (endEvent)  pre=[0x8]  post=[0x0]\n"
+        "folded gateways: g\n"
+        "end mask: 0x8\n"),
+    "and-between-b-first": (
+        _chain_model([_START, _user("b"), _and("g"), _user("a"), _END], _PAIR), {"g"},
+        "  B [0]  pre=0x2  post=0x8\n"
+        "  A [0]  pre=0x1  post=0x2\n"
+        "auto transitions:\n"
+        "  end (endEvent)  pre=[0x8]  post=[0x0]\n"
+        "folded gateways: g\n"
+        "end mask: 0x8\n"),
+    # an XOR gateway is only ever a join: the task behind it claims it
+    "xor-between-a-first": (
+        _chain_model([_START, _user("a"), _xor("g"), _user("b"), _END], _PAIR), {"g"},
+        "  A [0]  pre=0x1  post=0x2\n"
+        "  B [0]  pre=0x2  post=0x8\n"
+        "auto transitions:\n"
+        "  end (endEvent)  pre=[0x8]  post=[0x0]\n"
+        "folded gateways: g\n"
+        "end mask: 0x8\n"),
+    # each gateway is one task's split and the next task's join
+    "split-or-join-in-order": (
+        _chain_model([_START, _user("a"), _and("g1"), _user("b"), _and("g2"), _user("c"),
+                      _END], _CHAIN), {"g1", "g2"},
+        "  A [0]  pre=0x1  post=0x4\n"
+        "  B [0]  pre=0x4  post=0x10\n"
+        "  C [0]  pre=0x10  post=0x20\n"
+        "auto transitions:\n"
+        "  end (endEvent)  pre=[0x20]  post=[0x0]\n"
+        "folded gateways: g1, g2\n"
+        "end mask: 0x20\n"),
+    "split-or-join-reversed": (
+        _chain_model([_START, _user("c"), _and("g2"), _user("b"), _and("g1"), _user("a"),
+                      _END], _CHAIN), {"g1", "g2"},
+        "  C [0]  pre=0x8  post=0x20\n"
+        "  B [0]  pre=0x2  post=0x8\n"
+        "  A [0]  pre=0x1  post=0x2\n"
+        "auto transitions:\n"
+        "  end (endEvent)  pre=[0x20]  post=[0x0]\n"
+        "folded gateways: g1, g2\n"
+        "end mask: 0x20\n"),
+    "xor-join-before-script": (
+        _chain_model([_START, _xor("x"), _user("b"), _user("c"), _xor("j"), _COUNT, _END],
+                     [("start", "x"), ("x", "b"), ("x", "c"), ("b", "j"), ("c", "j"),
+                      ("j", "s"), ("s", "end")],
+                     [ProcessVariableDecl("n", "uint256")],
+                     conditions={3: BinOp(">", Var("n"), Lit(0, "int_const"))}, default={2}),
+        {"j"},
+        "  B [0]  pre=0x2  post=0x8\n"
+        "  C [0]  pre=0x4  post=0x10\n"
+        "auto transitions:\n"
+        "  x (exclusiveGateway)  pre=[0x1]  post=[0x4 (guarded), 0x2 (default)]\n"
+        "  s (scriptTask)  pre=[0x8, 0x10]  post=[0x40]\n"
+        "  end (endEvent)  pre=[0x40]  post=[0x0]\n"
+        "folded gateways: j\n"
+        "end mask: 0x40\n"),
+    "and-split-after-script": (
+        _chain_model([_START, _COUNT, _and("g"), _user("b"), _user("c"), _and("h"), _END],
+                     [("start", "s"), ("s", "g"), ("g", "b"), ("g", "c"), ("b", "h"),
+                      ("c", "h"), ("h", "end")],
+                     [ProcessVariableDecl("n", "uint256")]),
+        {"g"},
+        "  B [0]  pre=0x4  post=0x10\n"
+        "  C [0]  pre=0x8  post=0x20\n"
+        "auto transitions:\n"
+        "  s (scriptTask)  pre=[0x1]  post=[0xc]\n"
+        "  h (parallelGateway)  pre=[0x30]  post=[0x40]\n"
+        "  end (endEvent)  pre=[0x40]  post=[0x0]\n"
+        "folded gateways: g\n"
+        "end mask: 0x40\n"),
+}
+
+
+@pytest.mark.parametrize("case", list(FOLD_CASES))
+def test_which_task_claims_a_fold(case):
+    model, folded, table = FOLD_CASES[case]
+    assert validate_model(model).ok
+    a = compile_marking(model)
+    assert a.folded == folded
+    # the masks, one line per external alternative and auto-transition
+    assert dump_automaton(a).split("external tasks:\n")[1] == table
