@@ -84,7 +84,7 @@ MAX_EXPR_DEPTH = 32
 
 _TOKEN_RE = re.compile(rf"""
     (?P<ws>\s+)
-  | (?P<address>{ADDRESS_RE.pattern})
+  | (?P<address>{ADDRESS_RE.pattern}(?![0-9a-fA-F]))
   | (?P<hexint>0x[0-9a-fA-F]+)
   | (?P<int>\d+)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)

@@ -184,7 +184,7 @@ def cmd_simulate(args) -> int:
             "variables": instance.env if instance else None,
             "registries": _registry_dump(instance) if instance else None,
         }
-        print(json.dumps(obj, indent=2, default=str))
+        print(_json_indented(obj))
     else:
         for t, o in events_out:
             status = "?" if o is None else ("Accepted" if o.ok else f"Rejected ({o.reason})")
@@ -206,12 +206,47 @@ def cmd_simulate(args) -> int:
     return EX_OK if verdict.ok else EX_NONCONFORMING
 
 
+def _json_indented(obj, pad: str = "") -> str:
+    """json.dumps(obj, indent=2, default=str), byte for byte. With an indent
+    json runs its pure-Python encoder; here each container whose values are
+    all scalars goes to the C encoder, whose item separator carries the
+    newline and the indentation."""
+    if isinstance(obj, dict):
+        values, empty = obj.values(), "{}"
+    elif isinstance(obj, (list, tuple)):
+        values, empty = obj, "[]"
+    else:
+        return json.dumps(obj, default=str)
+    if not obj:
+        return empty
+    inner = pad + "  "
+    if not any(issubclass(t, (dict, list, tuple)) for t in set(map(type, values))):
+        body = json.dumps(obj, default=str, separators=(",\n" + inner, ": "))[1:-1]
+    elif isinstance(obj, dict):
+        body = (",\n" + inner).join(f"{_json_key(k)}: {_json_indented(v, inner)}"
+                                     for k, v in obj.items())
+    else:
+        body = (",\n" + inner).join(_json_indented(v, inner) for v in obj)
+    return f"{empty[0]}\n{inner}{body}\n{pad}{empty[1]}"
+
+
+def _json_key(key) -> str:
+    """A dict key as json writes it: a string, or the JSON text of a float,
+    int, bool or None key, quoted."""
+    if not isinstance(key, str):
+        if not (isinstance(key, (int, float)) or key is None):
+            raise TypeError("keys must be str, int, float, bool or None, "
+                            f"not {key.__class__.__name__}")
+        key = json.dumps(key)
+    return json.dumps(key)
+
+
 def _registry_dump(instance: interp.InstanceState):
     out = {}
     for address, reg in sorted(instance.registries.items()):
         if isinstance(reg, interp.FungibleLedger):
             out[address] = {"totalSupply": reg.total_supply,
-                            "balances": dict(sorted(reg.balances.items()))}
+                            "balances": {a: reg.balances[a] for a in sorted(reg.balances)}}
         else:
             out[address] = {rid: {"owner": rec.owner, "attrs": rec.attrs}
                             for rid, rec in sorted(reg.records.items())}

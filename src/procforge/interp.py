@@ -160,7 +160,8 @@ class FungibleLedger(_Journaled):
         self.allowances: Dict[Tuple[str, str], int] = {}
         self.total_supply = spec.total_supply
         for addr, amount in spec.initially_distributed_accounts:
-            self.balances[addr_key(addr)] = self.balances.get(addr_key(addr), 0) + amount
+            key = addr_key(addr)
+            self.balances[key] = self.balances.get(key, 0) + amount
 
     def balance_of(self, account: str) -> int:
         return self.balances.get(addr_key(account), 0)

@@ -122,7 +122,12 @@ class ExprTypeError(Exception):
     """Raised by compile_expr; surfaces as a validation diagnostic."""
 
 
-def _unify_numeric(lt: str, rt: str) -> str:
+def _unify_numeric(e: BinOp, lt: str, rt: str) -> str:
+    # an integer literal meeting an int256 operand converts to int256
+    for side, other in ((e.left, rt), (e.right, lt)):
+        if other == "int256" and isinstance(side, Lit) and side.type == "int_const" \
+                and not INT256_MIN <= side.value <= INT256_MAX:
+            raise ExprTypeError(f"integer literal {side.value} does not fit int256")
     if lt == "int_const":
         return rt if rt != "int_const" else "int_const"
     if rt == "int_const":
@@ -182,7 +187,8 @@ def compile_expr(e: Expr, types: Mapping[str, str]) -> Tuple[str, Evaluator]:
     the value of e. Types are resolved here, once: the evaluator knows the
     checked range of each arithmetic node and which equalities compare
     addresses. Integer literals type as 'int_const' and adapt to either
-    integer width; one above 2**256 - 1 is a type error. Strings support
+    integer width; one above 2**256 - 1 is a type error, and so is one
+    that meets an int256 operand, or is negated, outside int256. Strings support
     equality only. Arithmetic is checked, not wrapping. Raises
     ExprTypeError for an ill-typed e.
     """
@@ -211,6 +217,10 @@ def compile_expr(e: Expr, types: Mapping[str, str]) -> Tuple[str, Evaluator]:
             _require_numeric(t, "unary '-'")
             if t == "uint256":
                 raise ExprTypeError("unary '-' not allowed on uint256")
+            literal = e.operand
+            if isinstance(literal, Lit) and literal.type == "int_const" \
+                    and -literal.value < INT256_MIN:
+                raise ExprTypeError(f"integer literal -{literal.value} is below int256 minimum")
             return "int256", lambda env: _range_check(-operand(env), "int256")
         raise ExprTypeError(f"unknown unary operator {e.op}")
     if isinstance(e, BinOp):
@@ -220,17 +230,17 @@ def compile_expr(e: Expr, types: Mapping[str, str]) -> Tuple[str, Evaluator]:
         if op in ARITH_OPS:
             _require_numeric(lt, f"'{op}'")
             _require_numeric(rt, f"'{op}'")
-            t = _unify_numeric(lt, rt)
+            t = _unify_numeric(e, lt, rt)
             return t, _arith(op, t, left, right)
         if op in ORDER_OPS:
             _require_numeric(lt, f"'{op}'")
             _require_numeric(rt, f"'{op}'")
-            _unify_numeric(lt, rt)
+            _unify_numeric(e, lt, rt)
             compare = _COMPARE[op]
             return "bool", lambda env: compare(left(env), right(env))
         if op in EQ_OPS:
             if lt in ("uint256", "int256", "int_const") and rt in ("uint256", "int256", "int_const"):
-                _unify_numeric(lt, rt)
+                _unify_numeric(e, lt, rt)
             elif lt != rt:
                 raise ExprTypeError(f"cannot compare {lt} with {rt}")
             compare = _COMPARE[op]

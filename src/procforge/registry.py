@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-from .ir import UINT256_MAX, addr_key, is_address, load_json
+from .ir import ADDRESS_RE, UINT256_MAX, addr_key, is_address, load_json
 
 ATTRIBUTE_TYPES = ("uint256", "int256", "bool", "address", "string")
 
@@ -114,10 +114,10 @@ def _address(value, path: str) -> str:
     return value
 
 
-def _bool(obj: dict, name: str) -> bool:
+def _bool(obj: dict, name: str, prefix: str = "") -> bool:
     value = _field(obj, name, required=False, default=False)
     if not isinstance(value, bool):
-        raise InvariantViolation(name, "must be a boolean")
+        raise InvariantViolation(prefix + name, "must be a boolean")
     return value
 
 
@@ -129,6 +129,44 @@ def _address_list(obj: dict, name: str) -> Tuple[str, ...]:
     if len({addr_key(a) for a in out}) != len(out):
         raise InvariantViolation(name, "duplicate address")
     return out
+
+
+def _distribution_entry(entry, path: str, seen: set) -> Tuple[str, int]:
+    """Check one distribution entry, in the order that decides which error
+    is reported, and add its address key to seen."""
+    if not isinstance(entry, dict):
+        raise InvariantViolation(path, "entries must be {address, amount} objects")
+    addr = _address(_field(entry, "address"), path + ".address")
+    if addr_key(addr) in seen:
+        raise InvariantViolation(path, f"duplicate address {addr}")
+    seen.add(addr_key(addr))
+    return addr, _amount(_field(entry, "amount"), path + ".amount")
+
+
+def _distribution(raw: list) -> Tuple[Tuple[str, int], ...]:
+    """Check the initial distribution in one pass. An entry that passes the
+    inline tests (the checks of _distribution_entry, with addr_key written
+    out) is taken as it is; any other goes to _distribution_entry, which
+    raises the error for it."""
+    dist = []
+    seen = set()
+    fullmatch = ADDRESS_RE.fullmatch
+    for i, entry in enumerate(raw):
+        if type(entry) is dict:
+            addr = entry.get("address")
+            amount = entry.get("amount")
+            if type(addr) is str and type(amount) is str and fullmatch(addr):
+                key = addr.lower()
+                try:
+                    n = int(amount, 10)
+                except ValueError:
+                    n = -1
+                if 0 <= n <= UINT256_MAX and key not in seen:
+                    seen.add(key)
+                    dist.append((addr, n))
+                    continue
+        dist.append(_distribution_entry(entry, f"initiallyDistributedAccounts[{i}]", seen))
+    return tuple(dist)
 
 
 def _fungible(obj: dict) -> FungibleRegistrySpec:
@@ -160,17 +198,7 @@ def _fungible(obj: dict) -> FungibleRegistrySpec:
     raw_dist = _field(obj, "initiallyDistributedAccounts", required=False, default=[])
     if not isinstance(raw_dist, list):
         raise InvariantViolation("initiallyDistributedAccounts", "must be a list")
-    dist = []
-    seen = set()
-    for i, entry in enumerate(raw_dist):
-        path = f"initiallyDistributedAccounts[{i}]"
-        if not isinstance(entry, dict):
-            raise InvariantViolation(path, "entries must be {address, amount} objects")
-        addr = _address(_field(entry, "address"), path + ".address")
-        if addr_key(addr) in seen:
-            raise InvariantViolation(path, f"duplicate address {addr}")
-        seen.add(addr_key(addr))
-        dist.append((addr, _amount(_field(entry, "amount"), path + ".amount")))
+    dist = _distribution(raw_dist)
     if sum(a for _, a in dist) != total_supply:
         raise InvariantViolation("initiallyDistributedAccounts",
                                  "distribution ≠ totalSupply")
@@ -179,7 +207,7 @@ def _fungible(obj: dict) -> FungibleRegistrySpec:
         name=name, symbol=symbol, decimals=decimals, total_supply=total_supply,
         is_mintable=is_mintable, minter_addresses=minters,
         is_burnable=is_burnable, burner_addresses=burners,
-        initially_distributed_accounts=tuple(dist),
+        initially_distributed_accounts=dist,
     )
 
 
@@ -211,8 +239,8 @@ def _nonfungible(obj: dict) -> NonFungibleRegistrySpec:
             raise UnknownAttributeType(f"{path}.type: '{atype}'")
         attrs.append(AttributeDecl(
             name=aname, type=atype,
-            updatable=bool(entry.get("updatable", False)),
-            history_tracked=bool(entry.get("historyTracked", False))))
+            updatable=_bool(entry, "updatable", path + "."),
+            history_tracked=_bool(entry, "historyTracked", path + ".")))
 
     spec = NonFungibleRegistrySpec(
         name=name,

@@ -51,6 +51,10 @@ def test_forty_hex_digits_lex_as_address_not_number():
     # one digit short of an address is a hex number
     e = parse_condition("0x" + "a" * 39)
     assert e.type == "int_const"
+    assert parse_condition("0x" + "a" * 40) == Lit("0x" + "a" * 40, "address")
+    # so is one digit or more past it
+    for digits in (41, 64, 65):
+        assert parse_condition("0x1" + "0" * (digits - 1)) == Lit(16 ** (digits - 1), "int_const")
 
 
 def test_condition_error_offset_and_expected():

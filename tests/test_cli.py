@@ -1,11 +1,13 @@
 import json
 import pathlib
+import random
 import re
 import tempfile
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from procforge import cli
 from procforge.cli import main
 
 from conftest import FIXTURES
@@ -96,6 +98,60 @@ def test_simulate_refund_restores_buyer(capsys):
     assert obj["classification"] == "Conforming"
     ledger = next(v for v in obj["registries"].values() if "balances" in v)
     assert ledger["balances"]["0x" + "2" * 40] == 200000
+
+
+json_keys = st.one_of(st.text(), st.text(alphabet='"\\\n\t\x00\x7f\u00e9\u4e2d\U0001f600'),
+                     st.integers(), st.booleans(), st.none(), st.floats())
+json_scalars = st.one_of(st.integers(min_value=-2**300, max_value=2**300), st.booleans(),
+                         st.none(), st.text(), st.floats(), st.fractions())
+
+
+@settings(max_examples=300)
+@given(st.recursive(
+    json_scalars,
+    lambda inner: st.one_of(st.lists(inner, max_size=5),
+                            st.lists(inner, max_size=5).map(tuple),
+                            st.dictionaries(json_keys, inner, max_size=5)),
+    max_leaves=40))
+def test_indented_json_is_json_dumps_byte_for_byte(obj):
+    assert cli._json_indented(obj) == json.dumps(obj, indent=2, default=str)
+
+
+def test_indented_json_rejects_the_keys_json_rejects():
+    for obj in ({(1, 2): 0}, {"flat": {(1, 2): 0}}, {(1, 2): {"nested": 0}}):
+        with pytest.raises(TypeError) as exc:
+            json.dumps(obj, indent=2, default=str)
+        with pytest.raises(TypeError) as ours:
+            cli._json_indented(obj)
+        assert str(ours.value) == str(exc.value)
+
+
+def test_simulate_json_on_a_large_ledger_is_json_dumps(tmp_path, capsys, monkeypatch):
+    rng = random.Random(3)
+    spec = json.loads((FIXTURES / "lrk.json").read_text())
+    accounts = spec["initiallyDistributedAccounts"]
+    while len(accounts) < 1000:
+        accounts.append({"address": "0x%040x" % rng.getrandbits(160),
+                         "amount": str(rng.randint(1, 10**6))})
+    spec["totalSupply"] = str(sum(int(a["amount"]) for a in accounts))
+    ledger = tmp_path / "ledger.json"
+    ledger.write_text(json.dumps(spec))
+    printed = []
+    real = cli._json_indented
+
+    def recording(obj, pad=""):
+        if not pad:
+            printed.append(obj)
+        return real(obj, pad)
+
+    monkeypatch.setattr(cli, "_json_indented", recording)
+    code, out, _ = run(capsys, "simulate", GRAIN, "--registry", str(ledger),
+                       "--registry", TITLE, "--trace", SWAP, "--json")
+    assert code == 0
+    (obj,) = printed
+    assert len(next(r for r in obj["registries"].values() if "balances" in r)["balances"]) >= 1000
+    # line by line, so that a failure reports the first differing line
+    assert out.split("\n") == (json.dumps(obj, indent=2, default=str) + "\n").split("\n")
 
 
 def test_simulate_shuffled_trace_exits_2(tmp_path, capsys):

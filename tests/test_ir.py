@@ -408,8 +408,22 @@ NINES_80 = "9" * 80  # 266 bits
     ("tokens = amount * rate", f"tokens = amount * rate; delta = {2**255}",
      [f"literal {2**255} does not fit int256 variable 'delta'"]),
     ("tokens = amount * rate", f"tokens = amount * rate; delta = {2**255 - 1}", []),
+    ("tokens = amount * rate", f"tokens = amount * rate; delta = delta + {2**255}",
+     [f"script type error: integer literal {2**255} does not fit int256"]),
+    ("tokens = amount * rate", f"tokens = amount * rate; delta = -{2**256 - 1}",
+     [f"script type error: integer literal -{2**256 - 1} is below int256 minimum"]),
+    ("amountRaised >= cap", f"delta >= {2**255}",
+     [f"condition type error: integer literal {2**255} does not fit int256"]),
+    ("tokens = amount * rate", f"tokens = amount * rate; delta = delta + {2**255 - 1}", []),
+    ("tokens = amount * rate", f"tokens = amount * rate; delta = -{2**255 - 1} - 1", []),
+    ("tokens = amount * rate", f"tokens = amount * rate; delta = -{2**255}", []),
+    ("amountRaised >= cap", "amountRaised >= 0x1" + "0" * 64,
+     ["condition type error: integer literal above 2**256 - 1 (257 bits)"]),
+    ("amountRaised >= cap", "amountRaised >= 0x1" + "0" * 63, []),
 ], ids=["script", "condition", "uint256-max", "uint256-max-in-sum",
-        "int256-overflow", "int256-max"])
+        "int256-overflow", "int256-max", "int256-operand-overflow", "negated-below-int256-min",
+        "int256-comparison-overflow", "int256-max-in-sum", "int256-min-as-difference",
+        "int256-min-negated", "hex-above-uint256-max", "hex-of-64-digits"])
 def test_integer_literals_must_fit(old, new, messages):
     text = (FIXTURES / "ico.bpmn").read_text().replace(
         '<bcext:variable name="tokens" type="uint256"/>',

@@ -1,8 +1,10 @@
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from procforge import registry
+from procforge.ir import UINT256_MAX, addr_key
 from procforge.registry import (
     FungibleRegistrySpec,
     InvariantViolation,
@@ -109,6 +111,144 @@ def test_minters_iff_mintable():
 def test_malformed_minter_address():
     with pytest.raises(MalformedAddress):
         parse_registry(fungible(minterAddresses=["bogus"]))
+
+
+GOOD_ENTRY = {"address": ADDR1, "amount": "600000"}
+DIST = "initiallyDistributedAccounts"
+
+
+@pytest.mark.parametrize("second, error, message", [
+    ([ADDR2, "400000"], InvariantViolation,
+     f"{DIST}[1]: entries must be {{address, amount}} objects"),
+    ({"amount": "400000"}, MissingField, "missing field 'address'"),
+    ({"address": "0x" + "g" * 40, "amount": "400000"}, MalformedAddress,
+     f"{DIST}[1].address: '0x{'g' * 40}' is not 0x + 40 hex digits"),
+    ({"address": 7, "amount": "400000"}, MalformedAddress,
+     f"{DIST}[1].address: '7' is not 0x + 40 hex digits"),
+    ({"address": ADDR2[:-1], "amount": "400000"}, MalformedAddress,
+     f"{DIST}[1].address: '{ADDR2[:-1]}' is not 0x + 40 hex digits"),
+    ({"address": ADDR1.upper().replace("0X", "0x"), "amount": "400000"}, InvariantViolation,
+     f"{DIST}[1]: duplicate address {ADDR1}"),
+    ({"address": ADDR2}, MissingField, "missing field 'amount'"),
+    ({"address": ADDR2, "amount": 400000}, InvariantViolation,
+     f"{DIST}[1].amount: amounts must be decimal strings"),
+    ({"address": ADDR2, "amount": "0x10"}, InvariantViolation,
+     f"{DIST}[1].amount: not a decimal integer: '0x10'"),
+    ({"address": ADDR2, "amount": "-5"}, InvariantViolation,
+     f"{DIST}[1].amount: amount out of uint256 range"),
+    ({"address": ADDR2, "amount": str(UINT256_MAX + 1)}, InvariantViolation,
+     f"{DIST}[1].amount: amount out of uint256 range"),
+    ({"address": ADDR2, "amount": "400001"}, InvariantViolation,
+     f"{DIST}: distribution ≠ totalSupply"),
+], ids=["not-a-dict", "no-address", "malformed-address", "address-not-a-string",
+        "address-too-short", "duplicate-in-other-case", "no-amount", "amount-not-a-string",
+        "amount-not-decimal", "amount-negative", "amount-above-uint256", "sum-not-total"])
+def test_distribution_errors(second, error, message):
+    with pytest.raises(error) as exc:
+        parse_registry(fungible(initiallyDistributedAccounts=[GOOD_ENTRY, second]))
+    assert type(exc.value) is error
+    assert str(exc.value) == message
+
+
+def reference_distribution(raw_dist, total_supply):
+    """The distribution check as one entry at a time, through the helpers;
+    the order of its tests decides which error is reported."""
+    dist = []
+    seen = set()
+    for i, entry in enumerate(raw_dist):
+        path = f"initiallyDistributedAccounts[{i}]"
+        if not isinstance(entry, dict):
+            raise InvariantViolation(path, "entries must be {address, amount} objects")
+        addr = registry._address(registry._field(entry, "address"), path + ".address")
+        if addr_key(addr) in seen:
+            raise InvariantViolation(path, f"duplicate address {addr}")
+        seen.add(addr_key(addr))
+        dist.append((addr, registry._amount(registry._field(entry, "amount"),
+                                            path + ".amount")))
+    if sum(a for _, a in dist) != total_supply:
+        raise InvariantViolation("initiallyDistributedAccounts", "distribution ≠ totalSupply")
+    return tuple(dist)
+
+
+def _duplicate_of_an_earlier_address(e, before):
+    earlier = [b["address"] for b in before
+               if isinstance(b, dict) and isinstance(b.get("address"), str)]
+    return {**e, "address": earlier[0].swapcase().replace("0X", "0x")} if earlier else e
+
+
+# each maps (a valid entry, the entries before it) to a replacement entry,
+# which may still be valid: int() takes signs, spaces, underscores and
+# other digits
+CORRUPTIONS = [
+    _duplicate_of_an_earlier_address,
+    lambda e, before: _duplicate_of_an_earlier_address({"address": e["address"]}, before),
+    lambda e, before: [e["address"], e["amount"]],
+    lambda e, before: e["address"],
+    lambda e, before: None,
+    lambda e, before: {"amount": e["amount"]},
+    lambda e, before: {"address": e["address"]},
+    lambda e, before: {},
+    lambda e, before: {**e, "address": e["address"][:-1]},
+    lambda e, before: {**e, "address": e["address"] + "0"},
+    lambda e, before: {**e, "address": "0X" + e["address"][2:]},
+    lambda e, before: {**e, "address": e["address"][:-1] + "g"},
+    lambda e, before: {**e, "address": "0x" + "\u0661" * 40},
+    lambda e, before: {**e, "address": int(e["address"], 16)},
+    lambda e, before: {**e, "address": None},
+    lambda e, before: {**e, "amount": int(e["amount"])},
+    lambda e, before: {**e, "amount": None},
+    lambda e, before: {**e, "amount": "0x" + e["amount"]},
+    lambda e, before: {**e, "amount": "-" + e["amount"]},
+    lambda e, before: {**e, "amount": str(UINT256_MAX + int(e["amount"]))},
+    lambda e, before: {**e, "amount": str(UINT256_MAX)},
+    lambda e, before: {**e, "amount": " +" + e["amount"] + " "},
+    lambda e, before: {**e, "amount": "_".join(e["amount"])},
+    lambda e, before: {**e, "amount": "\u0663" + e["amount"]},
+    lambda e, before: {**e, "amount": ""},
+    lambda e, before: {**e, "extra": True},
+]
+
+
+@settings(max_examples=300)
+@given(amounts=st.lists(st.integers(min_value=0, max_value=10**12), min_size=1, max_size=12),
+       data=st.data())
+def test_distribution_check_matches_the_entry_by_entry_reference(amounts, data):
+    keys = data.draw(st.lists(st.integers(min_value=0, max_value=2**160 - 1),
+                              min_size=len(amounts), max_size=len(amounts), unique=True))
+    raw = [{"address": "0x" + format(k, "040x" if k % 2 else "040X"), "amount": str(n)}
+           for k, n in zip(keys, amounts)]
+    indices = data.draw(st.lists(st.integers(min_value=0, max_value=len(raw) - 1),
+                                 min_size=1, max_size=2, unique=True))
+    for i in sorted(indices):
+        raw[i] = data.draw(st.sampled_from(CORRUPTIONS))(raw[i], raw[:i])
+    total = sum(amounts)
+    doc = fungible(totalSupply=str(total), initiallyDistributedAccounts=raw)
+    try:
+        expected = reference_distribution(json.loads(doc)[DIST], total)
+    except registry.RegistrySpecError as e:
+        with pytest.raises(registry.RegistrySpecError) as exc:
+            parse_registry(doc)
+        assert (type(exc.value), str(exc.value)) == (type(e), str(e))
+    else:
+        assert parse_registry(doc).initially_distributed_accounts == expected
+
+
+@pytest.mark.parametrize("flag", ["updatable", "historyTracked"])
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+def test_attribute_flags_must_be_booleans(flag, value):
+    attrs = [{"name": "weight", "type": "uint256"},
+             {"name": "quality", "type": "uint256", flag: value}]
+    with pytest.raises(InvariantViolation) as exc:
+        parse_registry(nonfungible(attributes=attrs))
+    assert str(exc.value) == f"attributes[1].{flag}: must be a boolean"
+
+
+def test_absent_attribute_flags_are_false():
+    attrs = [{"name": "weight", "type": "uint256"},
+             {"name": "quality", "type": "uint256", "updatable": True}]
+    spec = parse_registry(nonfungible(attributes=attrs))
+    assert spec.attributes == (AttributeDecl("weight", "uint256"),
+                               AttributeDecl("quality", "uint256", updatable=True))
 
 
 NONFUNGIBLE = {
