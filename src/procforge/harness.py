@@ -4,8 +4,10 @@ Conforming traces are enumerated from the compiled marking automaton,
 mutants are derived with three operators (add a line, remove a line, swap
 two lines), and every trace is classified twice: by the automaton replayer
 and by an independent brute-force token-game oracle working on the raw
-model graph. The experiment report records the seed, class totals, and the
-agreement percentage between the two classifiers.
+model graph. Within an experiment each distinct trace is classified once,
+and each classifier walks a prefix trie, so the state set after a distinct
+prefix is computed once. The experiment report records the seed, class
+totals, and the agreement percentage between the two classifiers.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from .ir import NodeKind, ProcessModel, TASK_KINDS, is_address, load_json
@@ -172,6 +175,17 @@ class NonConforming:
 Classification = Union[Conforming, NonConforming]
 
 
+@dataclass(slots=True)
+class _Prefix:
+    """A node of a classifier's prefix trie: the state set after one
+    distinct trace prefix (empty once the prefix is rejected) and the
+    nodes of its extensions by the next task name."""
+
+    states: FrozenSet
+    left: int = 0  # the oracle's state budget left for the rest of the trace
+    children: Dict[str, "_Prefix"] = field(default_factory=dict)
+
+
 def classify(a: MarkingAutomaton, trace: Trace, strict: bool = True,
              instance=None) -> Classification:
     """Replay a trace against the automaton.
@@ -183,19 +197,30 @@ def classify(a: MarkingAutomaton, trace: Trace, strict: bool = True,
     ignoring scripts and guards. An unknown task name is non-conforming at
     its index in both modes.
     """
-    states = eager_closure_nondet(a, a.initial_marking) if instance is None else None
+    root = _Prefix(eager_closure_nondet(a, a.initial_marking)) if instance is None else None
+    return _replay(a, trace, strict, root, instance)
+
+
+def _replay(a: MarkingAutomaton, trace: Trace, strict: bool,
+            node: Optional[_Prefix], instance=None) -> Classification:
+    """classify's loop. Without an instance, node is the root of a prefix
+    trie that keeps each step's state set for the next trace sharing the
+    prefix."""
     for i, ev in enumerate(trace):
-        task_id = a.task_id_for(ev.task)
-        if task_id is None:
-            return NonConforming(i)
         if instance is not None:
-            accepted = instance.invoke(ev.task, ev.args_dict, ev.caller).ok
+            accepted = a.task_id_for(ev.task) is not None \
+                and instance.invoke(ev.task, ev.args_dict, ev.caller).ok
         else:
-            states = step(a, states, task_id)
-            accepted = bool(states)
+            nxt = node.children.get(ev.task)
+            if nxt is None:
+                task_id = a.task_id_for(ev.task)
+                nxt = node.children[ev.task] = _Prefix(
+                    frozenset() if task_id is None else step(a, node.states, task_id))
+            node = nxt
+            accepted = bool(node.states)
         if not accepted:
             return NonConforming(i)
-    final = states if instance is None else {instance.marking}
+    final = node.states if instance is None else {instance.marking}
     if strict and 0 not in final:
         return NonConforming(None)
     return Conforming()
@@ -215,72 +240,102 @@ _AUTO_KINDS = (NodeKind.SCRIPT_TASK, NodeKind.XOR_GATEWAY,
 Marking = FrozenSet[str]
 
 
-def _auto_successors(model: ProcessModel, m: Marking) -> List[Marking]:
-    out: List[Marking] = []
-    for n in model.nodes:
-        if n.kind not in _AUTO_KINDS:
-            continue
-        inc = model.incoming(n.id)
-        produced = frozenset(f.id for f in model.outgoing(n.id))
-        if n.kind in (NodeKind.SCRIPT_TASK, NodeKind.AND_GATEWAY):
-            needed = frozenset(f.id for f in inc)
-            if needed and needed <= m:
-                out.append((m - needed) | produced)
-        elif n.kind == NodeKind.END_EVENT:
-            for f in inc:
-                if f.id in m:
-                    out.append(m - {f.id})
-        else:  # XOR: consume any one incoming, produce any one outgoing
-            for f in inc:
-                if f.id not in m:
-                    continue
-                for g in model.outgoing(n.id):
-                    out.append((m - {f.id}) | {g.id})
-    return out
+class _TokenGame:
+    """The token game of one model, tabled once: each automatic node's
+    (kind, needed, produced, incoming ids, outgoing ids), each external
+    task's (incoming id, produced) by display name or id, and the
+    saturated initial state set as the root of a prefix trie. The root is
+    built on first use, so an experiment without traces spends no budget."""
+
+    def __init__(self, model: ProcessModel):
+        self.autos = []
+        for n in model.nodes:
+            if n.kind in _AUTO_KINDS:
+                inc = tuple(f.id for f in model.incoming(n.id))
+                out = tuple(f.id for f in model.outgoing(n.id))
+                self.autos.append((n.kind, frozenset(inc), frozenset(out), inc, out))
+        # a display name beats a task id
+        self.by_name: Dict[str, Tuple[str, Marking]] = {}
+        for n in model.nodes:
+            if n.kind in TASK_KINDS and n.kind != NodeKind.SCRIPT_TASK:
+                task = (model.incoming(n.id)[0].id,
+                        frozenset(f.id for f in model.outgoing(n.id)))
+                self.by_name[n.display_name] = task
+                self.by_name.setdefault(n.id, task)
+        start = next(n for n in model.nodes if n.kind == NodeKind.START_EVENT)
+        self.initial: Marking = frozenset(f.id for f in model.outgoing(start.id))
+
+    def successors(self, m: Marking) -> List[Marking]:
+        out: List[Marking] = []
+        for kind, needed, produced, inc, outgoing in self.autos:
+            if kind in (NodeKind.SCRIPT_TASK, NodeKind.AND_GATEWAY):
+                if needed and needed <= m:
+                    out.append((m - needed) | produced)
+            elif kind == NodeKind.END_EVENT:
+                for f in inc:
+                    if f in m:
+                        out.append(m - {f})
+            else:  # XOR: consume any one incoming, produce any one outgoing
+                for f in inc:
+                    if f in m:
+                        rest = m - {f}
+                        out.extend(rest | {g} for g in outgoing)
+        return out
+
+    def saturate(self, seeds: Set[Marking], budget: List[int]) -> FrozenSet[Marking]:
+        seen: Set[Marking] = set(seeds)
+        frontier = list(seeds)
+        while frontier:
+            m = frontier.pop()
+            for m2 in self.successors(m):
+                if m2 not in seen:
+                    seen.add(m2)
+                    frontier.append(m2)
+                    budget[0] -= 1
+                    if budget[0] < 0:
+                        raise BudgetExceeded("oracle state budget exhausted")
+        return frozenset(seen)
+
+    @cached_property
+    def root(self) -> _Prefix:
+        budget = [DEFAULT_STATE_BUDGET]
+        return _Prefix(self.saturate({self.initial}, budget), budget[0])
+
+    def fire(self, node: _Prefix, name: str) -> _Prefix:
+        """The trie node after firing task `name` from node's states. The
+        budget carries along the path, so it is spent per trace."""
+        task = self.by_name.get(name)
+        if task is None:
+            return _Prefix(frozenset())
+        inc, produced = task
+        budget = [node.left]
+        fired = {(m - {inc}) | produced for m in node.states if inc in m}
+        return _Prefix(self.saturate(fired, budget), budget[0])
+
+    def verdict(self, trace: Trace, strict: bool) -> Classification:
+        node = self.root
+        for i, ev in enumerate(trace):
+            nxt = node.children.get(ev.task)
+            if nxt is None:
+                nxt = node.children[ev.task] = self.fire(node, ev.task)
+            if not nxt.states:
+                return NonConforming(i)
+            node = nxt
+        if strict and frozenset() not in node.states:
+            return NonConforming(None)
+        return Conforming()
 
 
 def _saturate(model: ProcessModel, seeds: Set[Marking],
               budget: List[int]) -> FrozenSet[Marking]:
-    seen: Set[Marking] = set(seeds)
-    frontier = list(seeds)
-    while frontier:
-        m = frontier.pop()
-        for m2 in _auto_successors(model, m):
-            if m2 not in seen:
-                seen.add(m2)
-                frontier.append(m2)
-                budget[0] -= 1
-                if budget[0] < 0:
-                    raise BudgetExceeded("oracle state budget exhausted")
-    return frozenset(seen)
+    """Every marking the automatic nodes of model reach from seeds; each
+    new one spends one unit of budget."""
+    return _TokenGame(model).saturate(seeds, budget)
 
 
 def oracle_classify(model: ProcessModel, trace: Trace,
                     strict: bool = True) -> Classification:
-    budget = [DEFAULT_STATE_BUDGET]
-    by_name: Dict[str, object] = {}
-    for n in model.nodes:
-        if n.kind in TASK_KINDS and n.kind != NodeKind.SCRIPT_TASK:
-            by_name[n.display_name] = n
-            by_name.setdefault(n.id, n)
-
-    start = next(n for n in model.nodes if n.kind == NodeKind.START_EVENT)
-    init: Marking = frozenset(f.id for f in model.outgoing(start.id))
-    states = _saturate(model, {init}, budget)
-
-    for i, ev in enumerate(trace):
-        task = by_name.get(ev.task)
-        if task is None:
-            return NonConforming(i)
-        inc = model.incoming(task.id)[0].id
-        produced = frozenset(f.id for f in model.outgoing(task.id))
-        fired = {(m - {inc}) | produced for m in states if inc in m}
-        if not fired:
-            return NonConforming(i)
-        states = _saturate(model, fired, budget)
-    if strict and frozenset() not in states:
-        return NonConforming(None)
-    return Conforming()
+    return _TokenGame(model).verdict(trace, strict)
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +428,9 @@ def report_to_json(report: Report) -> str:
 def run_experiment(model: ProcessModel, a: MarkingAutomaton,
                    cfg: ExperimentConfig) -> Report:
     """Base traces + mutants, each classified by the replayer and by the
-    independent oracle; correctness is the agreement percentage."""
+    independent oracle; correctness is the agreement percentage. A trace
+    that repeats an earlier one takes its verdicts, and each classifier
+    shares one prefix trie across the experiment."""
     t0 = time.perf_counter()
     bases = enumerate_conforming(a, len(a.external), strict=cfg.strict,
                                  limit=cfg.base_traces)
@@ -385,11 +442,19 @@ def run_experiment(model: ProcessModel, a: MarkingAutomaton,
         for _ in range(cfg.mutants_per_base):
             traces.append(mutate(base, rng, (1.0, 1.0, 1.0), alphabet, bases))
 
+    replay_root = _Prefix(eager_closure_nondet(a, a.initial_marking))
+    oracle = _TokenGame(model)
+    verdicts: Dict[Tuple[str, ...], Tuple[Classification, Classification]] = {}
     conforming = non_conforming = agree = 0
     disagreements: List[Disagreement] = []
     for idx, trace in enumerate(traces):
-        mine = classify(a, trace, strict=cfg.strict)
-        theirs = oracle_classify(model, trace, strict=cfg.strict)
+        # both classifiers read only the task names
+        names = tuple(ev.task for ev in trace)
+        pair = verdicts.get(names)
+        if pair is None:
+            pair = verdicts[names] = (_replay(a, trace, cfg.strict, replay_root),
+                                      oracle.verdict(trace, cfg.strict))
+        mine, theirs = pair
         if mine.ok:
             conforming += 1
         else:
@@ -397,9 +462,7 @@ def run_experiment(model: ProcessModel, a: MarkingAutomaton,
         if mine.ok == theirs.ok:
             agree += 1
         else:
-            disagreements.append(Disagreement(
-                idx, mine.label(), theirs.label(),
-                tuple(ev.task for ev in trace)))
+            disagreements.append(Disagreement(idx, mine.label(), theirs.label(), names))
     total = len(traces)
     pct = 100.0 * agree / total if total else 100.0
     elapsed_ms = int((time.perf_counter() - t0) * 1000)

@@ -122,12 +122,12 @@ class ExprTypeError(Exception):
     """Raised by compile_expr; surfaces as a validation diagnostic."""
 
 
-def _unify_numeric(e: BinOp, lt: str, rt: str) -> str:
-    # an integer literal meeting an int256 operand converts to int256
-    for side, other in ((e.left, rt), (e.right, lt)):
-        if other == "int256" and isinstance(side, Lit) and side.type == "int_const" \
-                and not INT256_MIN <= side.value <= INT256_MAX:
-            raise ExprTypeError(f"integer literal {side.value} does not fit int256")
+def _unify_numeric(lt: str, left: "Evaluator", rt: str, right: "Evaluator") -> str:
+    # an integer constant meeting an int256 operand converts to int256;
+    # compile_expr folds every int_const, so its evaluator needs no environment
+    for t, value, other in ((lt, left, rt), (rt, right, lt)):
+        if t == "int_const" and other == "int256" and not INT256_MIN <= value({}) <= INT256_MAX:
+            raise ExprTypeError(f"integer literal {value({})} does not fit int256")
     if lt == "int_const":
         return rt if rt != "int_const" else "int_const"
     if rt == "int_const":
@@ -180,6 +180,16 @@ def _arith(op: str, t: str, left: Evaluator, right: Evaluator) -> Evaluator:
     return run
 
 
+def _fold(value: Evaluator) -> Evaluator:
+    """The evaluator of an int_const expression, which holds no variable,
+    evaluated once. One that fails on every run is a type error."""
+    try:
+        constant = value({})
+    except EvalError as e:
+        raise ExprTypeError(f"constant expression fails: {e}") from None
+    return lambda env: constant
+
+
 def compile_expr(e: Expr, types: Mapping[str, str]) -> Tuple[str, Evaluator]:
     """Type e under the given declarations and return (type, evaluator).
 
@@ -187,9 +197,10 @@ def compile_expr(e: Expr, types: Mapping[str, str]) -> Tuple[str, Evaluator]:
     the value of e. Types are resolved here, once: the evaluator knows the
     checked range of each arithmetic node and which equalities compare
     addresses. Integer literals type as 'int_const' and adapt to either
-    integer width; one above 2**256 - 1 is a type error, and so is one
-    that meets an int256 operand, or is negated, outside int256. Strings support
-    equality only. Arithmetic is checked, not wrapping. Raises
+    integer width; arithmetic on them alone is folded here. A literal
+    above 2**256 - 1 is a type error, and so is a folded constant that
+    fails, or that meets an int256 operand, or is negated, outside int256.
+    Strings support equality only. Arithmetic is checked, not wrapping. Raises
     ExprTypeError for an ill-typed e.
     """
     if isinstance(e, Lit):
@@ -201,6 +212,8 @@ def compile_expr(e: Expr, types: Mapping[str, str]) -> Tuple[str, Evaluator]:
         name = e.name
         if name not in types:
             raise ExprTypeError(f"undeclared variable '{name}'")
+        if types[name] not in VALUE_TYPES:  # an 'int_const' variable would be folded
+            raise ExprTypeError(f"variable '{name}' has unknown type '{types[name]}'")
 
         def var(env):
             if name not in env:
@@ -217,10 +230,8 @@ def compile_expr(e: Expr, types: Mapping[str, str]) -> Tuple[str, Evaluator]:
             _require_numeric(t, "unary '-'")
             if t == "uint256":
                 raise ExprTypeError("unary '-' not allowed on uint256")
-            literal = e.operand
-            if isinstance(literal, Lit) and literal.type == "int_const" \
-                    and -literal.value < INT256_MIN:
-                raise ExprTypeError(f"integer literal -{literal.value} is below int256 minimum")
+            if t == "int_const" and -operand({}) < INT256_MIN:
+                raise ExprTypeError(f"integer literal -{operand({})} is below int256 minimum")
             return "int256", lambda env: _range_check(-operand(env), "int256")
         raise ExprTypeError(f"unknown unary operator {e.op}")
     if isinstance(e, BinOp):
@@ -230,17 +241,18 @@ def compile_expr(e: Expr, types: Mapping[str, str]) -> Tuple[str, Evaluator]:
         if op in ARITH_OPS:
             _require_numeric(lt, f"'{op}'")
             _require_numeric(rt, f"'{op}'")
-            t = _unify_numeric(e, lt, rt)
-            return t, _arith(op, t, left, right)
+            t = _unify_numeric(lt, left, rt, right)
+            value = _arith(op, t, left, right)
+            return t, _fold(value) if t == "int_const" else value
         if op in ORDER_OPS:
             _require_numeric(lt, f"'{op}'")
             _require_numeric(rt, f"'{op}'")
-            _unify_numeric(e, lt, rt)
+            _unify_numeric(lt, left, rt, right)
             compare = _COMPARE[op]
             return "bool", lambda env: compare(left(env), right(env))
         if op in EQ_OPS:
             if lt in ("uint256", "int256", "int_const") and rt in ("uint256", "int256", "int_const"):
-                _unify_numeric(e, lt, rt)
+                _unify_numeric(lt, left, rt, right)
             elif lt != rt:
                 raise ExprTypeError(f"cannot compare {lt} with {rt}")
             compare = _COMPARE[op]
@@ -688,14 +700,16 @@ def validate_model(model: ProcessModel) -> ValidationReport:  # noqa: C901
                 err(n.id, f"script assigns undeclared variable '{st.target}'")
                 continue
             try:
-                t, _ = compile_expr(st.value, types)
+                t, value = compile_expr(st.value, types)
+                # a literal, or an int_const that compile_expr folded
+                constant = isinstance(st.value, Lit) or t == "int_const"
                 target_t = types[st.target]
                 if t == "int_const":
                     t = target_t if target_t in ("uint256", "int256") else t
                 if t != target_t:
                     err(n.id, f"script assigns {t} to {target_t} variable '{st.target}'")
-                elif isinstance(st.value, Lit) and not literal_matches(t, st.value.value):
-                    err(n.id, f"literal {st.value.value!r} does not fit "
+                elif constant and not literal_matches(t, value({})):
+                    err(n.id, f"literal {value({})!r} does not fit "
                               f"{t} variable '{st.target}'")
             except ExprTypeError as e:
                 err(n.id, f"script type error: {e}")

@@ -1,15 +1,24 @@
+import ast
+import dataclasses
+import inspect
 import json
 import random
+import types
 
 import pytest
 
+from procforge import harness
+from procforge.cli import main
 from procforge.harness import (
     BudgetExceeded,
+    Disagreement,
     ExperimentConfig,
     MutationExhausted,
     NonConforming,
+    Report,
     TraceEvent,
     TraceSyntaxError,
+    _saturate,
     classify,
     enumerate_conforming,
     mutate,
@@ -21,6 +30,7 @@ from procforge.harness import (
 from procforge.ir import Node, NodeKind, ProcessModel, SequenceFlow
 from procforge.marking import compile_marking
 
+from conftest import FIXTURES, load_model
 from modelgen import parallel_chain, random_model
 
 
@@ -292,3 +302,166 @@ def test_replayer_and_oracle_agree_on_random_models():
             t = mutate(base, rng, (1, 1, 1), alphabet, bases=[]) \
                 if base or alphabet else ()
             assert classify(a, t).ok == oracle_classify(model, t).ok
+
+
+# --- one classification per distinct prefix ---------------------------------
+
+
+def experiment_traces(a, cfg):
+    """The traces run_experiment classifies, drawn as it draws them."""
+    bases = enumerate_conforming(a, len(a.external), strict=cfg.strict,
+                                 limit=cfg.base_traces)
+    alphabet = sorted(a.external_names.values())
+    rng = random.Random(cfg.seed)
+    traces = list(bases)
+    for base in bases:
+        for _ in range(cfg.mutants_per_base):
+            traces.append(mutate(base, rng, (1.0, 1.0, 1.0), alphabet, bases))
+    return traces
+
+
+def reference_report(model, a, cfg):
+    """run_experiment's report from classifying every trace on its own."""
+    conforming = non_conforming = agree = 0
+    disagreements = []
+    traces = experiment_traces(a, cfg)
+    for idx, trace in enumerate(traces):
+        mine = classify(a, trace, strict=cfg.strict)
+        theirs = oracle_classify(model, trace, strict=cfg.strict)
+        conforming += mine.ok
+        non_conforming += not mine.ok
+        if mine.ok == theirs.ok:
+            agree += 1
+        else:
+            disagreements.append(Disagreement(idx, mine.label(), theirs.label(),
+                                              tuple(ev.task for ev in trace)))
+    pct = 100.0 * agree / len(traces) if traces else 100.0
+    return Report(cfg.seed, conforming, non_conforming, pct, tuple(disagreements), 0)
+
+
+def outcome(experiment, model, a, cfg):
+    """The report with elapsed_ms zeroed, or the error the experiment raised."""
+    try:
+        return dataclasses.replace(experiment(model, a, cfg), elapsed_ms=0)
+    except harness.HarnessError as e:
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("strict", [True, False])
+@pytest.mark.parametrize("name", ["grain_title", "ico", "quality_tracing", "task_outsourcing"])
+def test_run_experiment_matches_per_trace_classification_on_fixtures(name, strict):
+    model = load_model(name)
+    a = compile_marking(model)
+    for seed in (0, 7, 42):
+        cfg = ExperimentConfig(seed=seed, strict=strict)
+        assert outcome(run_experiment, model, a, cfg) \
+            == outcome(reference_report, model, a, cfg), seed
+
+
+def test_run_experiment_matches_per_trace_classification_on_random_models():
+    rng = random.Random(23)
+    reports = 0
+    for i in range(30):
+        model = random_model(rng)
+        a = compile_marking(model)
+        for strict in (True, False):
+            cfg = ExperimentConfig(base_traces=2, mutants_per_base=30, seed=i, strict=strict)
+            mine = outcome(run_experiment, model, a, cfg)
+            assert mine == outcome(reference_report, model, a, cfg), (i, strict)
+            reports += isinstance(mine, Report)
+    assert reports >= 40  # the rest raise MutationExhausted on both sides
+
+
+def test_repeated_trace_gets_a_disagreement_at_every_index(grain_model, grain_automaton,
+                                                             monkeypatch):
+    cfg = ExperimentConfig(base_traces=2, mutants_per_base=250, seed=42)
+    names = [tuple(ev.task for ev in t) for t in experiment_traces(grain_automaton, cfg)]
+    repeated = next(n for n in names if names.count(n) > 1)
+    verdict = harness._TokenGame.verdict
+
+    def flipped(game, trace, strict):
+        theirs = verdict(game, trace, strict)
+        if tuple(ev.task for ev in trace) != repeated:
+            return theirs
+        return NonConforming(0) if theirs.ok else harness.Conforming()
+
+    monkeypatch.setattr(harness._TokenGame, "verdict", flipped)
+    report = run_experiment(grain_model, grain_automaton, cfg)
+    expected = [i for i, n in enumerate(names) if n == repeated]
+    assert [d.trace_index for d in report.disagreements] == expected
+    assert {d.trace for d in report.disagreements} == {repeated}
+    assert report.correctness_pct == 100.0 * (len(names) - len(expected)) / len(names)
+
+
+def oracle_states_needed(model, trace):
+    """The states the oracle counts against its budget on this trace."""
+    budget = [10**9]
+    start = next(n for n in model.nodes if n.kind == NodeKind.START_EVENT)
+    states = _saturate(model, {frozenset(f.id for f in model.outgoing(start.id))}, budget)
+    for ev in trace:
+        task = next(n for n in model.nodes if n.display_name == ev.task)
+        inc = model.incoming(task.id)[0].id
+        produced = frozenset(f.id for f in model.outgoing(task.id))
+        states = _saturate(model, {(m - {inc}) | produced for m in states if inc in m},
+                           budget)
+    return 10**9 - budget[0]
+
+
+def test_oracle_budget_is_per_trace(grain_model, grain_automaton, monkeypatch, capsys):
+    first, second = enumerate_conforming(grain_automaton, 8, limit=2)
+    need = oracle_states_needed(grain_model, first)
+    one = ExperimentConfig(base_traces=1, mutants_per_base=0)
+    monkeypatch.setattr(harness, "DEFAULT_STATE_BUDGET", need)
+    assert oracle_classify(grain_model, first).ok
+    assert run_experiment(grain_model, grain_automaton, one).conforming == 1
+    monkeypatch.setattr(harness, "DEFAULT_STATE_BUDGET", need - 1)
+    with pytest.raises(BudgetExceeded, match="oracle state budget exhausted"):
+        oracle_classify(grain_model, first)
+    with pytest.raises(BudgetExceeded, match="oracle state budget exhausted"):
+        run_experiment(grain_model, grain_automaton, one)
+    assert main(["conformance", str(FIXTURES / "grain_title.bpmn"),
+                 "--bases", "1", "--mutants", "0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    # the two bases share a prefix; each still has the whole budget
+    most = max(need, oracle_states_needed(grain_model, second))
+    assert most < need + oracle_states_needed(grain_model, second)
+    two = ExperimentConfig(base_traces=2, mutants_per_base=0)
+    monkeypatch.setattr(harness, "DEFAULT_STATE_BUDGET", most)
+    assert run_experiment(grain_model, grain_automaton, two).conforming == 2
+    monkeypatch.setattr(harness, "DEFAULT_STATE_BUDGET", most - 1)
+    with pytest.raises(BudgetExceeded):
+        run_experiment(grain_model, grain_automaton, two)
+
+
+def _code_objects(obj):
+    code = obj.__code__
+    stack = [code]
+    while stack:
+        c = stack.pop()
+        yield c
+        stack.extend(k for k in c.co_consts if isinstance(k, types.CodeType))
+
+
+def test_oracle_uses_nothing_from_marking():
+    tree = ast.parse(inspect.getsource(harness))
+    from_marking = {alias.asname or alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.module == "marking"
+                    for alias in node.names}
+    assert {"eager_closure_nondet", "MarkingAutomaton"} <= from_marking
+    forbidden = from_marking | {"step", "classify", "_replay", "marking"}
+    oracle = [harness.oracle_classify, harness._saturate]
+    for attr in vars(harness._TokenGame).values():
+        fn = getattr(attr, "func", attr)  # a cached_property wraps its function
+        if inspect.isfunction(fn):
+            oracle.append(fn)
+    assert {f.__name__ for f in oracle} >= {"oracle_classify", "_saturate", "__init__",
+                                            "successors", "saturate", "root", "fire",
+                                            "verdict"}
+    for fn in oracle:
+        for code in _code_objects(fn):
+            assert not forbidden & set(code.co_names), (fn.__qualname__, code.co_names)
+            for name in code.co_names:
+                assert getattr(getattr(harness, name, None), "__module__", None) \
+                    != "procforge.marking", (fn.__qualname__, name)

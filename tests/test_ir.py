@@ -420,10 +420,34 @@ NINES_80 = "9" * 80  # 266 bits
     ("amountRaised >= cap", "amountRaised >= 0x1" + "0" * 64,
      ["condition type error: integer literal above 2**256 - 1 (257 bits)"]),
     ("amountRaised >= cap", "amountRaised >= 0x1" + "0" * 63, []),
+    # constant subexpressions are folded before the checks
+    ("tokens = amount * rate", f"tokens = amount * rate; delta = delta + ({2**255} + 0)",
+     [f"script type error: integer literal {2**255} does not fit int256"]),
+    ("tokens = amount * rate", f"tokens = amount * rate; delta = -({2**256 - 2} + 1)",
+     [f"script type error: integer literal -{2**256 - 1} is below int256 minimum"]),
+    ("amountRaised >= cap", f"delta &lt; ({2**255} * 1)",
+     [f"condition type error: integer literal {2**255} does not fit int256"]),
+    ("tokens = amount * rate", f"tokens = amount * rate; delta = {2**255} + 0",
+     [f"literal {2**255} does not fit int256 variable 'delta'"]),
+    ("tokens = amount * rate", f"tokens = ({2**256 - 1} + 1) - 1",
+     ["script type error: constant expression fails: "
+      f"uint256 overflow: {2**256}"]),
+    ("tokens = amount * rate", "tokens = amount + 1 / 0",
+     ["script type error: constant expression fails: 1 / 0"]),
+    ("tokens = amount * rate", f"tokens = amount * rate; delta = delta + (({2**255 - 1}) + 0)", []),
+    ("tokens = amount * rate", f"tokens = amount * rate; delta = -({2**255 - 1} + 1)", []),
+    ("amountRaised >= cap", f"delta &lt; ({2**255 - 1} * 1)", []),
+    ("tokens = amount * rate", f"tokens = amount * rate; delta = {2**255 - 1} + 0", []),
+    ("tokens = amount * rate", f"tokens = ({2**256 - 1} - 1) + 1", []),
 ], ids=["script", "condition", "uint256-max", "uint256-max-in-sum",
         "int256-overflow", "int256-max", "int256-operand-overflow", "negated-below-int256-min",
         "int256-comparison-overflow", "int256-max-in-sum", "int256-min-as-difference",
-        "int256-min-negated", "hex-above-uint256-max", "hex-of-64-digits"])
+        "int256-min-negated", "hex-above-uint256-max", "hex-of-64-digits",
+        "folded-int256-operand-overflow", "folded-negated-below-int256-min",
+        "folded-int256-comparison-overflow", "folded-int256-assignment-overflow",
+        "folded-uint256-overflow", "folded-zero-divisor",
+        "folded-int256-max-in-sum", "folded-int256-min-negated",
+        "folded-int256-max-compared", "folded-int256-max-assigned", "folded-uint256-max"])
 def test_integer_literals_must_fit(old, new, messages):
     text = (FIXTURES / "ico.bpmn").read_text().replace(
         '<bcext:variable name="tokens" type="uint256"/>',
@@ -431,3 +455,32 @@ def test_integer_literals_must_fit(old, new, messages):
         '<bcext:variable name="delta" type="int256"/>')
     assert old in text
     assert errors_of(parse_bpmn(text.replace(old, new))) == messages
+
+
+@pytest.mark.parametrize("old, new", [
+    ("tokens = amount * rate", f"tokens = amount * rate; delta = delta + ({2**255} + 0)"),
+    ("tokens = amount * rate", f"tokens = amount * rate; delta = -({2**256 - 2} + 1)"),
+    ("amountRaised >= cap", f"delta &lt; ({2**255} * 1)"),
+])
+def test_constant_outside_int256_fails_validate(tmp_path, capsys, old, new):
+    from procforge.cli import main
+    text = (FIXTURES / "ico.bpmn").read_text().replace(
+        '<bcext:variable name="tokens" type="uint256"/>',
+        '<bcext:variable name="tokens" type="uint256"/>'
+        '<bcext:variable name="delta" type="int256"/>')
+    model = tmp_path / "ico.bpmn"
+    model.write_text(text.replace(old, new))
+    assert main(["validate", str(model)]) == 1
+    assert "1 error(s)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", ["grain_title", "grain_title_unbound", "ico",
+                                  "quality_tracing", "task_outsourcing"])
+def test_fixtures_validate_ok(name):
+    assert validate_model(load_model(name)).ok
+
+
+def test_variable_of_unknown_type_is_a_type_error():
+    # an 'int_const' variable would otherwise be taken for a folded constant
+    with pytest.raises(ExprTypeError, match="variable 'k' has unknown type 'int_const'"):
+        compile_expr(BinOp("+", Var("k"), Lit(1, "int_const")), {"k": "int_const"})
