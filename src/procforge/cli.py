@@ -43,6 +43,15 @@ def _read(path: str) -> str:
         raise CliError(f"{path}: not UTF-8 (byte {e.start})", EX_FAIL) from e
 
 
+def _write(path: Path, text: str) -> None:
+    """Write text to path, creating its missing parent directories."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8", newline="\n")
+    except OSError as e:
+        raise CliError(f"cannot write {e.filename or path}: {e.strerror}", EX_FAIL) from e
+
+
 def _load_model(path: str) -> Tuple[ProcessModel, ValidationReport]:
     text = _read(path)
     try:
@@ -102,15 +111,14 @@ def cmd_compile(args) -> int:
     units.append(codegen.gen_process(model, automaton))
 
     out_dir = Path(args.output)
-    out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     for unit in units:
         target = out_dir / unit.file_name
-        target.write_text(unit.rendered_text, encoding="utf-8", newline="\n")
+        _write(target, unit.rendered_text)
         written.append(str(target))
     if args.dump_automaton:
         target = out_dir / "automaton.txt"
-        target.write_text(dump_automaton(automaton), encoding="utf-8", newline="\n")
+        _write(target, dump_automaton(automaton))
         written.append(str(target))
     if args.json:
         print(json.dumps({"files": written}, indent=2))
@@ -165,14 +173,17 @@ def cmd_simulate(args) -> int:
     automaton = compile_marking(model)
 
     data_mode = bool(trace) and all(ev.args is not None for ev in trace)
-    try:
-        instance = _build_instance(model, automaton, specs) if data_mode else None
-    except (MarkingError, EvalError, interp.RegistryError) as e:
-        raise CliError(f"{args.model}: initial closure failed: {e}", EX_FAIL) from e
-    verdict = harness.classify(automaton, trace, strict=not args.prefix, instance=instance)
+    instance = None
     if data_mode:
+        try:
+            instance = _build_instance(model, automaton, specs)
+        except (MarkingError, EvalError, interp.RegistryError) as e:
+            raise CliError(f"{args.model}: initial closure failed: {e}", EX_FAIL) from e
+        verdict = harness.replay_data(instance, trace, strict=not args.prefix)
         events_out = [(e.task, e.outcome) for e in instance.event_log]
     else:
+        verdict = harness.classify(automaton, tuple(ev.task for ev in trace),
+                                   strict=not args.prefix)
         events_out = [(ev.task, None) for ev in trace]
 
     if args.json:
@@ -285,8 +296,7 @@ def cmd_conformance(args) -> int:
 
     report_json = harness.report_to_json(result)
     if args.report:
-        Path(args.report).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.report).write_text(report_json, encoding="utf-8", newline="\n")
+        _write(Path(args.report), report_json)
 
     tasks = len(model.tasks())
     gateways = len(model.gateways())

@@ -1,13 +1,15 @@
 """Trace generation, noise injection, and conformance checking.
 
-Conforming traces are enumerated from the compiled marking automaton,
-mutants are derived with three operators (add a line, remove a line, swap
-two lines), and every trace is classified twice: by the automaton replayer
+A conformance trace is a tuple of task names. Conforming ones are
+enumerated from the compiled marking automaton, mutants are derived with
+three operators (add a name, remove a name, swap two names), and every
+trace is classified twice, from its names alone: by the automaton replayer
 and by an independent brute-force token-game oracle working on the raw
 model graph. Within an experiment each distinct trace is classified once,
 and each classifier walks a prefix trie, so the state set after a distinct
 prefix is computed once. The experiment report records the seed, class
 totals, and the agreement percentage between the two classifiers.
+replay_data instead invokes the events of a data trace on an interpreter.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Collection, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
 from .ir import NodeKind, ProcessModel, TASK_KINDS, is_address, load_json
 from .marking import MarkingAutomaton, eager_closure_nondet
@@ -47,23 +49,15 @@ class TraceSyntaxError(HarnessError):
 
 @dataclass(frozen=True)
 class TraceEvent:
+    """One event of a data trace."""
+
     task: str
-    # stored as a sorted item tuple so events (and traces) are hashable
-    args: Optional[Tuple[Tuple[str, object], ...]] = None
+    args: Optional[Dict[str, object]] = None
     caller: Optional[str] = None
-
-    @staticmethod
-    def make(task: str, args: Optional[Mapping[str, object]] = None,
-             caller: Optional[str] = None) -> "TraceEvent":
-        items = tuple(sorted(args.items())) if args is not None else None
-        return TraceEvent(task, items, caller)
-
-    @property
-    def args_dict(self) -> Optional[Dict[str, object]]:
-        return dict(self.args) if self.args is not None else None
 
 
 Trace = Tuple[TraceEvent, ...]
+Names = Tuple[str, ...]  # a conformance trace: task names only
 
 
 def parse_trace(text: str) -> Trace:
@@ -86,7 +80,7 @@ def parse_trace(text: str) -> Trace:
         caller = obj.get("caller")
         if caller is not None and not is_address(caller):
             raise TraceSyntaxError(f"line {lineno}: 'caller' must be 0x + 40 hex digits")
-        events.append(TraceEvent.make(obj["task"], args, caller))
+        events.append(TraceEvent(obj["task"], args, caller))
     return tuple(events)
 
 
@@ -109,7 +103,7 @@ def step(a: MarkingAutomaton, states: FrozenSet[int], task_id: str) -> FrozenSet
 def enumerate_conforming(a: MarkingAutomaton, max_len: int,
                          strict: bool = True,
                          state_budget: int = DEFAULT_STATE_BUDGET,
-                         limit: Optional[int] = None) -> List[Trace]:
+                         limit: Optional[int] = None) -> List[Names]:
     """The first `limit` (default: all) task-name sequences of length
     <= max_len that the automaton accepts, in lexicographic order of the
     display names, exploring every branch choice (guards unconstrained).
@@ -119,14 +113,14 @@ def enumerate_conforming(a: MarkingAutomaton, max_len: int,
     the sequences already sorted, so it stops once it has `limit` of them.
     The state budget counts only the markings produced on the way there;
     BudgetExceeded is raised when they exceed it."""
-    found: List[Trace] = []
+    found: List[Names] = []
     budget = [state_budget]
     by_name = sorted((name, tid) for tid, name in a.external_names.items())
 
-    def walk(states: FrozenSet[int], prefix: Tuple[str, ...]) -> bool:
+    def walk(states: FrozenSet[int], prefix: Names) -> bool:
         """Extend found from this prefix on; True once it is full."""
         if (not strict) or 0 in states:
-            found.append(tuple(TraceEvent(name) for name in prefix))
+            found.append(prefix)
             if len(found) == limit:
                 return True
         if len(prefix) >= max_len:
@@ -186,42 +180,41 @@ class _Prefix:
     children: Dict[str, "_Prefix"] = field(default_factory=dict)
 
 
-def classify(a: MarkingAutomaton, trace: Trace, strict: bool = True,
-             instance=None) -> Classification:
-    """Replay a trace against the automaton.
-
-    Given an interpreter instance (data mode), each event is invoked on it,
-    so scripts, guards and registry calls take effect and every outcome is
-    appended to instance.event_log; replay stops at the first rejected
-    event. Without one, the trace is searched over all branch choices,
-    ignoring scripts and guards. An unknown task name is non-conforming at
-    its index in both modes.
-    """
-    root = _Prefix(eager_closure_nondet(a, a.initial_marking)) if instance is None else None
-    return _replay(a, trace, strict, root, instance)
+def classify(a: MarkingAutomaton, names: Names, strict: bool = True) -> Classification:
+    """Replay task names against the automaton, searching all branch
+    choices and ignoring scripts and guards. An unknown task name is
+    non-conforming at its index."""
+    return _replay(a, names, strict, _Prefix(eager_closure_nondet(a, a.initial_marking)))
 
 
-def _replay(a: MarkingAutomaton, trace: Trace, strict: bool,
-            node: Optional[_Prefix], instance=None) -> Classification:
-    """classify's loop. Without an instance, node is the root of a prefix
-    trie that keeps each step's state set for the next trace sharing the
-    prefix."""
-    for i, ev in enumerate(trace):
-        if instance is not None:
-            accepted = a.task_id_for(ev.task) is not None \
-                and instance.invoke(ev.task, ev.args_dict, ev.caller).ok
-        else:
-            nxt = node.children.get(ev.task)
-            if nxt is None:
-                task_id = a.task_id_for(ev.task)
-                nxt = node.children[ev.task] = _Prefix(
-                    frozenset() if task_id is None else step(a, node.states, task_id))
-            node = nxt
-            accepted = bool(node.states)
-        if not accepted:
+def _replay(a: MarkingAutomaton, names: Names, strict: bool,
+            node: _Prefix) -> Classification:
+    """classify's loop. node is the root of a prefix trie that keeps each
+    step's state set for the next trace sharing the prefix."""
+    for i, name in enumerate(names):
+        nxt = node.children.get(name)
+        if nxt is None:
+            task_id = a.task_id_for(name)
+            nxt = node.children[name] = _Prefix(
+                frozenset() if task_id is None else step(a, node.states, task_id))
+        node = nxt
+        if not node.states:
             return NonConforming(i)
-    final = node.states if instance is None else {instance.marking}
-    if strict and 0 not in final:
+    if strict and 0 not in node.states:
+        return NonConforming(None)
+    return Conforming()
+
+
+def replay_data(instance, trace: Trace, strict: bool = True) -> Classification:
+    """Invoke each event of a data trace on an interpreter instance, so
+    scripts, guards and registry calls take effect and every outcome is
+    appended to instance.event_log. Replay stops at the first rejected
+    event; an unknown task name is non-conforming at its index."""
+    for i, ev in enumerate(trace):
+        if instance.automaton.task_id_for(ev.task) is None \
+                or not instance.invoke(ev.task, ev.args, ev.caller).ok:
+            return NonConforming(i)
+    if strict and instance.marking != 0:
         return NonConforming(None)
     return Conforming()
 
@@ -312,12 +305,12 @@ class _TokenGame:
         fired = {(m - {inc}) | produced for m in node.states if inc in m}
         return _Prefix(self.saturate(fired, budget), budget[0])
 
-    def verdict(self, trace: Trace, strict: bool) -> Classification:
+    def verdict(self, names: Names, strict: bool) -> Classification:
         node = self.root
-        for i, ev in enumerate(trace):
-            nxt = node.children.get(ev.task)
+        for i, name in enumerate(names):
+            nxt = node.children.get(name)
             if nxt is None:
-                nxt = node.children[ev.task] = self.fire(node, ev.task)
+                nxt = node.children[name] = self.fire(node, name)
             if not nxt.states:
                 return NonConforming(i)
             node = nxt
@@ -333,9 +326,9 @@ def _saturate(model: ProcessModel, seeds: Set[Marking],
     return _TokenGame(model).saturate(seeds, budget)
 
 
-def oracle_classify(model: ProcessModel, trace: Trace,
+def oracle_classify(model: ProcessModel, names: Names,
                     strict: bool = True) -> Classification:
-    return _TokenGame(model).verdict(trace, strict)
+    return _TokenGame(model).verdict(names, strict)
 
 
 # ---------------------------------------------------------------------------
@@ -345,28 +338,29 @@ def oracle_classify(model: ProcessModel, trace: Trace,
 OPERATORS = ("add", "remove", "swap")
 
 
-def mutate(trace: Trace, rng: random.Random, weights: Tuple[float, float, float],
-           alphabet: Sequence[str], bases: Sequence[Trace]) -> Trace:
-    """Apply exactly one operator; resample until the result differs from
-    every base trace. Raises MutationExhausted after 100 tries."""
-    base_set = {tuple(b) for b in bases}
+def mutate(trace: Names, rng: random.Random, weights: Tuple[float, float, float],
+           alphabet: Sequence[str], bases: Collection[Names]) -> Names:
+    """Apply exactly one operator; resample until the result is not in
+    bases. Raises MutationExhausted after 100 tries."""
     for _ in range(100):
         op = rng.choices(OPERATORS, weights=weights)[0]
-        events = list(trace)
+        names = list(trace)
         if op == "add":
-            pos = rng.randrange(len(events) + 1)
-            events.insert(pos, TraceEvent(rng.choice(list(alphabet))))
-        elif op == "remove":
-            if not events:
+            if not alphabet:
                 continue  # resample the operator
-            del events[rng.randrange(len(events))]
-        else:
-            if len(events) < 2:
+            pos = rng.randrange(len(names) + 1)
+            names.insert(pos, rng.choice(alphabet))
+        elif op == "remove":
+            if not names:
                 continue
-            i, j = rng.sample(range(len(events)), 2)
-            events[i], events[j] = events[j], events[i]
-        mutant = tuple(events)
-        if mutant not in base_set:
+            del names[rng.randrange(len(names))]
+        else:
+            if len(names) < 2:
+                continue
+            i, j = rng.sample(range(len(names)), 2)
+            names[i], names[j] = names[j], names[i]
+        mutant = tuple(names)
+        if mutant not in bases:
             return mutant
     raise MutationExhausted(
         "no mutant distinct from the base traces after 100 attempts")
@@ -397,7 +391,7 @@ class Disagreement:
     trace_index: int
     replayer: str
     oracle: str
-    trace: Tuple[str, ...]
+    trace: Names
 
 
 @dataclass(frozen=True)
@@ -434,26 +428,24 @@ def run_experiment(model: ProcessModel, a: MarkingAutomaton,
     t0 = time.perf_counter()
     bases = enumerate_conforming(a, len(a.external), strict=cfg.strict,
                                  limit=cfg.base_traces)
-
+    base_set = frozenset(bases)
     alphabet = sorted(a.external_names.values())
     rng = random.Random(cfg.seed)
-    traces: List[Trace] = list(bases)
+    traces: List[Names] = list(bases)
     for base in bases:
         for _ in range(cfg.mutants_per_base):
-            traces.append(mutate(base, rng, (1.0, 1.0, 1.0), alphabet, bases))
+            traces.append(mutate(base, rng, (1.0, 1.0, 1.0), alphabet, base_set))
 
     replay_root = _Prefix(eager_closure_nondet(a, a.initial_marking))
     oracle = _TokenGame(model)
-    verdicts: Dict[Tuple[str, ...], Tuple[Classification, Classification]] = {}
+    verdicts: Dict[Names, Tuple[Classification, Classification]] = {}
     conforming = non_conforming = agree = 0
     disagreements: List[Disagreement] = []
-    for idx, trace in enumerate(traces):
-        # both classifiers read only the task names
-        names = tuple(ev.task for ev in trace)
+    for idx, names in enumerate(traces):
         pair = verdicts.get(names)
         if pair is None:
-            pair = verdicts[names] = (_replay(a, trace, cfg.strict, replay_root),
-                                      oracle.verdict(trace, cfg.strict))
+            pair = verdicts[names] = (_replay(a, names, cfg.strict, replay_root),
+                                      oracle.verdict(names, cfg.strict))
         mine, theirs = pair
         if mine.ok:
             conforming += 1

@@ -426,6 +426,50 @@ def test_display_name_beats_task_id(tmp_path, capsys):
     assert code == 0 and "classification: Conforming" in out
 
 
+# no user or default task: the only conforming trace is the empty one
+SCRIPT_ONLY = """<?xml version="1.0" encoding="UTF-8"?>
+<definitions xmlns="http://www.omg.org/spec/BPMN/20100524/MODEL"
+             xmlns:bcext="urn:procforge:bcext:1" id="defs_script">
+  <process id="script_only">
+    <extensionElements>
+      <bcext:variables>
+        <bcext:variable name="x" type="uint256"/>
+      </bcext:variables>
+    </extensionElements>
+    <startEvent id="start"/>
+    <scriptTask id="s"><script>x = 1</script></scriptTask>
+    <endEvent id="end"/>
+    <sequenceFlow id="f1" sourceRef="start" targetRef="s"/>
+    <sequenceFlow id="f2" sourceRef="s" targetRef="end"/>
+  </process>
+</definitions>
+"""
+
+
+def test_conformance_without_external_tasks_exits_1(tmp_path, capsys):
+    model = tmp_path / "script.bpmn"
+    model.write_text(SCRIPT_ONLY)
+    assert run(capsys, "validate", str(model))[0] == 0
+    assert run(capsys, "conformance", str(model), "--mutants", "0")[0] == 0
+    # no task name to add, nothing to remove or swap: no mutant exists
+    code, out, err = run(capsys, "conformance", str(model))
+    assert code == 1 and out == ""
+    assert err == "error: no mutant distinct from the base traces after 100 attempts\n"
+
+
+@pytest.mark.parametrize("command, target", [
+    (["conformance", GRAIN, "--mutants", "5", "--report"], "{dir}"),
+    (["compile", GRAIN, "-o"], "{file}"),
+    (["compile", GRAIN, "-o"], "{file}/sub"),
+], ids=["report-is-a-directory", "output-is-a-file", "output-under-a-file"])
+def test_unwritable_output_is_one_error_line(tmp_path, capsys, command, target):
+    (tmp_path / "f").write_text("")
+    path = target.format(dir=tmp_path, file=tmp_path / "f")
+    code, out, err = run(capsys, *command, path)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # Input that is not UTF-8, nested too deeply or otherwise malformed: one
 # error line and exit 1, never a traceback

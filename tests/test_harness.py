@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import hashlib
 import inspect
 import json
 import random
@@ -24,6 +25,7 @@ from procforge.harness import (
     mutate,
     oracle_classify,
     parse_trace,
+    replay_data,
     report_to_json,
     run_experiment,
 )
@@ -65,17 +67,12 @@ def and_split_bc():
     return build(nodes, flows)
 
 
-def names(trace):
-    return [ev.task for ev in trace]
-
-
 def test_trace_reader_reads_every_field():
     text = ('{"task": "A", "args": {"y": 2, "x": 1}, "caller": "0x' + "a" * 40 + '"}\n'
             '\n{"task": "B"}\n')
     assert parse_trace(text) == (
-        TraceEvent.make("A", {"x": 1, "y": 2}, "0x" + "a" * 40),
+        TraceEvent("A", {"x": 1, "y": 2}, "0x" + "a" * 40),
         TraceEvent("B"))
-    assert parse_trace(text)[0].args_dict == {"x": 1, "y": 2}
 
 
 def test_trace_syntax_errors():
@@ -90,25 +87,25 @@ def test_trace_syntax_errors():
 def test_enumerate_linear_single_strict_trace():
     _, a = linear_abc()
     traces = enumerate_conforming(a, 3)
-    assert [names(t) for t in traces] == [["A", "B", "C"]]
+    assert traces == [("A", "B", "C")]
 
 
 def test_enumerate_and_split_two_interleavings():
     _, a = and_split_bc()
     traces = enumerate_conforming(a, 3)
-    assert sorted(names(t) for t in traces) == [["A", "B", "C"], ["A", "C", "B"]]
+    assert sorted(traces) == [("A", "B", "C"), ("A", "C", "B")]
 
 
 def test_enumerate_prefix_mode_includes_prefixes():
     _, a = linear_abc()
     traces = enumerate_conforming(a, 2, strict=False)
-    assert sorted(names(t) for t in traces) == [[], ["A"], ["A", "B"]]
+    assert sorted(traces) == [(), ("A",), ("A", "B")]
 
 
 def test_enumerate_grain_has_swap_and_refund_paths(grain_automaton):
     traces = enumerate_conforming(grain_automaton, len(grain_automaton.external))
     assert len(traces) == 20  # 10 interleavings x 2 XOR outcomes
-    finals = {names(t)[-1] for t in traces}
+    finals = {t[-1] for t in traces}
     assert finals == {"Asset Swap", "Refund"}
 
 
@@ -121,7 +118,7 @@ def test_enumerate_budget():
     with pytest.raises(BudgetExceeded):
         enumerate_conforming(a, 3, state_budget=4)
     # the first trace alone needs only the 3 markings on its own path
-    assert names(enumerate_conforming(a, 3, state_budget=3, limit=1)[0]) == ["A", "B", "C"]
+    assert enumerate_conforming(a, 3, state_budget=3, limit=1)[0] == ("A", "B", "C")
 
 
 @pytest.mark.parametrize("strict", [True, False])
@@ -137,9 +134,9 @@ def test_enumerate_limit_is_prefix_of_full_list(strict):
 def test_enumerate_parallel_chain6_first_two_within_small_budget():
     a = compile_marking(parallel_chain(6))
     first, second = enumerate_conforming(a, 12, state_budget=100, limit=2)
-    a_s = [f"A{i}" for i in range(6)]
-    assert names(first) == a_s + ["B0", "B1", "B2", "B3", "B4", "B5"]
-    assert names(second) == a_s + ["B0", "B1", "B2", "B3", "B5", "B4"]
+    a_s = tuple(f"A{i}" for i in range(6))
+    assert first == a_s + ("B0", "B1", "B2", "B3", "B4", "B5")
+    assert second == a_s + ("B0", "B1", "B2", "B3", "B5", "B4")
 
 
 def test_run_experiment_parallel_chain6():
@@ -159,11 +156,10 @@ def test_classify_base_traces_conforming(grain_model, grain_automaton):
 def test_classify_title_before_quality_rejected(grain_model, grain_automaton):
     # move the buy-interest step (which needs the created title) before the
     # quality evaluation that the title creation waits for
-    bad = tuple(TraceEvent(n) for n in [
-        "Registration request submitted", "Grain sample taken",
-        "Truck carrying grain is weighed", "Grain dropped at silo",
-        "Truck is weighed again", "Interest to buy title expressed",
-        "Grain quality evaluated", "Asset Swap"])
+    bad = ("Registration request submitted", "Grain sample taken",
+           "Truck carrying grain is weighed", "Grain dropped at silo",
+           "Truck is weighed again", "Interest to buy title expressed",
+           "Grain quality evaluated", "Asset Swap")
     verdict = classify(grain_automaton, bad)
     assert verdict == NonConforming(5)
     assert not oracle_classify(grain_model, bad).ok
@@ -177,7 +173,7 @@ def test_classify_empty_strict_is_end_not_reached(grain_model, grain_automaton):
 
 
 def test_classify_unknown_task_name(grain_model, grain_automaton):
-    t = (TraceEvent("Registration request submitted"), TraceEvent("Bogus"))
+    t = ("Registration request submitted", "Bogus")
     assert classify(grain_automaton, t) == NonConforming(1)
     assert oracle_classify(grain_model, t) == NonConforming(1)
 
@@ -185,47 +181,46 @@ def test_classify_unknown_task_name(grain_model, grain_automaton):
 def test_classify_data_mode_uses_interpreter(grain_model, grain_automaton):
     from procforge.interp import new_instance
     from test_interpreter import SWAP_EVENTS, grain_registries
-    trace = tuple(TraceEvent.make(t, a, c) for t, a, c in SWAP_EVENTS)
+    trace = tuple(TraceEvent(t, a, c) for t, a, c in SWAP_EVENTS)
 
     def fresh():
         return new_instance(grain_model, grain_automaton,
                             registries=grain_registries())
 
     instance = fresh()
-    assert classify(grain_automaton, trace, instance=instance).ok
+    assert replay_data(instance, trace).ok
     assert [e.outcome.ok for e in instance.event_log] == [True] * len(trace)
     # wrong deposit: the refund path is forced, so Asset Swap is rejected
     events = list(SWAP_EVENTS)
     events[6] = ("Interest to buy title expressed",
                  {"deposit": 1, "buyer": "0x" + "2" * 40}, "0x" + "2" * 40)
-    bad = tuple(TraceEvent.make(t, a, c) for t, a, c in events)
+    bad = tuple(TraceEvent(t, a, c) for t, a, c in events)
     instance = fresh()
-    assert classify(grain_automaton, bad,
-                    instance=instance) == NonConforming(7)
+    assert replay_data(instance, bad) == NonConforming(7)
     assert len(instance.event_log) == 8  # replay stops at the rejected event
 
 
 # --- mutation ----------------------------------------------------------------
 
 
-AB = (TraceEvent("a"), TraceEvent("b"))
+AB = ("a", "b")
 
 
 def test_swap_on_two_events():
     rng = random.Random(0)
     out = mutate(AB, rng, (0, 0, 1), ["a", "b"], bases=[AB])
-    assert names(out) == ["b", "a"]
+    assert out == ("b", "a")
 
 
 def test_remove_resamples_on_empty():
     rng = random.Random(0)
-    single = (TraceEvent("a"),)
+    single = ("a",)
     out = mutate(single, rng, (0, 1, 0), ["a"], bases=[single])
     assert out == ()
 
 
 def test_mutation_exhausted():
-    single = (TraceEvent("a"),)
+    single = ("a",)
     # only possible removal result is (), which equals a base
     with pytest.raises(MutationExhausted):
         mutate(single, random.Random(0), (0, 1, 0), ["a"], bases=[single, ()])
@@ -320,6 +315,20 @@ def experiment_traces(a, cfg):
     return traces
 
 
+def test_mutant_stream_is_pinned():
+    # the operator, position and name draws of the default experiment on
+    # every fixture; a change to mutate's rng calls changes the digest
+    digest = hashlib.sha256()
+    for name in ["grain_title", "ico", "quality_tracing", "task_outsourcing"]:
+        a = compile_marking(load_model(name))
+        for seed in (0, 7, 42):
+            for strict in (True, False):
+                for names in experiment_traces(a, ExperimentConfig(seed=seed, strict=strict)):
+                    digest.update(("|".join(names) + "\n").encode())
+    assert digest.hexdigest() \
+        == "f59a486fc827db1fb3a7410213c331decd60a7e42c21f13d010e283ec76b4c01"
+
+
 def reference_report(model, a, cfg):
     """run_experiment's report from classifying every trace on its own."""
     conforming = non_conforming = agree = 0
@@ -334,7 +343,7 @@ def reference_report(model, a, cfg):
             agree += 1
         else:
             disagreements.append(Disagreement(idx, mine.label(), theirs.label(),
-                                              tuple(ev.task for ev in trace)))
+                                              trace))
     pct = 100.0 * agree / len(traces) if traces else 100.0
     return Report(cfg.seed, conforming, non_conforming, pct, tuple(disagreements), 0)
 
@@ -375,13 +384,13 @@ def test_run_experiment_matches_per_trace_classification_on_random_models():
 def test_repeated_trace_gets_a_disagreement_at_every_index(grain_model, grain_automaton,
                                                              monkeypatch):
     cfg = ExperimentConfig(base_traces=2, mutants_per_base=250, seed=42)
-    names = [tuple(ev.task for ev in t) for t in experiment_traces(grain_automaton, cfg)]
+    names = experiment_traces(grain_automaton, cfg)
     repeated = next(n for n in names if names.count(n) > 1)
     verdict = harness._TokenGame.verdict
 
     def flipped(game, trace, strict):
         theirs = verdict(game, trace, strict)
-        if tuple(ev.task for ev in trace) != repeated:
+        if trace != repeated:
             return theirs
         return NonConforming(0) if theirs.ok else harness.Conforming()
 
@@ -398,8 +407,8 @@ def oracle_states_needed(model, trace):
     budget = [10**9]
     start = next(n for n in model.nodes if n.kind == NodeKind.START_EVENT)
     states = _saturate(model, {frozenset(f.id for f in model.outgoing(start.id))}, budget)
-    for ev in trace:
-        task = next(n for n in model.nodes if n.display_name == ev.task)
+    for name in trace:
+        task = next(n for n in model.nodes if n.display_name == name)
         inc = model.incoming(task.id)[0].id
         produced = frozenset(f.id for f in model.outgoing(task.id))
         states = _saturate(model, {(m - {inc}) | produced for m in states if inc in m},
