@@ -21,6 +21,7 @@ from typing import List, Tuple
 
 from .ir import (
     ADDRESS_RE,
+    IDENTIFIER_RE,
     Assign,
     BinOp,
     Expr,
@@ -87,14 +88,18 @@ _TOKEN_RE = re.compile(rf"""
   | (?P<address>{ADDRESS_RE.pattern}(?![0-9a-fA-F]))
   | (?P<hexint>0x[0-9a-fA-F]+)
   | (?P<int>\d+)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<ident>{IDENTIFIER_RE.pattern})
   | (?P<string>"[^"\n]*")
   | (?P<op>:=|==|!=|<=|>=|&&|\|\||[-+*/<>!()=;])
 """, re.VERBOSE)
 
 
-def _tokenize(text: str):
-    tokens = []  # (kind, value, offset)
+def _tokenize(text: str, newline_ends_statement: bool = False):
+    """(kind, value, offset) of each token, then eof. With
+    newline_ends_statement, whitespace holding a newline is a ';' token:
+    a string token never holds a newline, so a newline always lies
+    between two statements of a script."""
+    tokens = []
     pos = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
@@ -102,6 +107,8 @@ def _tokenize(text: str):
             raise ConditionParseError(f"unexpected character {text[pos]!r}", pos)
         if m.lastgroup != "ws":
             tokens.append((m.lastgroup, m.group(), pos))
+        elif newline_ends_statement and "\n" in m.group():
+            tokens.append(("op", ";", text.index("\n", pos)))
         pos = m.end()
     tokens.append(("eof", "", len(text)))
     return tokens
@@ -114,9 +121,8 @@ class _ExprParser:
     MAX_EXPR_DEPTH is a ConditionParseError, so the tree walkers
     downstream stay far inside the recursion limit."""
 
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
+    def __init__(self, tokens):
+        self.tokens = tokens
         self.i = 0
         self.open = 0  # parentheses and unary operators being parsed
 
@@ -224,7 +230,7 @@ class _ExprParser:
 
 def parse_condition(text: str) -> Expr:
     """Parse one expression; the whole input must be consumed."""
-    p = _ExprParser(text)
+    p = _ExprParser(_tokenize(text))
     e, _ = p.parse_expr()
     kind, value, offset = p.peek()
     if kind != "eof":
@@ -234,14 +240,14 @@ def parse_condition(text: str) -> Expr:
 
 def parse_script(text: str) -> Tuple[Assign, ...]:
     """Parse a script body: assignments 'target = expr' (or ':='),
-    separated by semicolons or newlines."""
+    separated by semicolons or newlines. Error offsets are offsets into
+    the whole body."""
+    p = _ExprParser(_tokenize(text, newline_ends_statement=True))
     statements = []
-    for raw in re.split(r"[;\n]", text):
-        line = raw.strip()
-        if not line:
-            continue
-        p = _ExprParser(line)
+    while p.peek()[0] != "eof":
         kind, value, offset = p.next()
+        if (kind, value) == ("op", ";"):
+            continue
         if kind != "ident":
             raise ConditionParseError("expected assignment target", offset, ("identifier",))
         target = value
@@ -251,8 +257,8 @@ def parse_script(text: str) -> Tuple[Assign, ...]:
                                       offset, ("=", ":="))
         e, _ = p.parse_expr()
         kind, value, offset = p.peek()
-        if kind != "eof":
-            raise ConditionParseError(f"trailing input {value!r}", offset, ("end of input",))
+        if kind != "eof" and (kind, value) != ("op", ";"):
+            raise ConditionParseError(f"trailing input {value!r}", offset, (";", "end of input"))
         statements.append(Assign(target, e))
     return tuple(statements)
 

@@ -109,6 +109,11 @@ def cmd_compile(args) -> int:
         else:
             units.append(codegen.gen_nonfungible(spec))
     units.append(codegen.gen_process(model, automaton))
+    names = set()
+    for unit in units:
+        if unit.file_name in names:
+            raise CliError(f"two generated units are both named {unit.file_name}", EX_FAIL)
+        names.add(unit.file_name)
 
     out_dir = Path(args.output)
     written = []

@@ -9,6 +9,7 @@ no timestamps.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -26,7 +27,7 @@ from .ir import (
     sanitize_identifier,
 )
 from .marking import MarkingAutomaton
-from .registry import FungibleRegistrySpec, NonFungibleRegistrySpec
+from .registry import AttributeDecl, FungibleRegistrySpec, NonFungibleRegistrySpec
 
 PRAGMA = "^0.5.8"
 
@@ -50,10 +51,12 @@ def contract_name(display_name: str) -> str:
     return name
 
 
-def _unit(file_name: str, contracts: List[Tuple[str, str]]) -> SourceUnit:
-    body = f"pragma solidity {PRAGMA};\n\n" + "\n".join(text for _, text in contracts)
+def _unit(file_name: str, texts: List[str]) -> SourceUnit:
+    body = f"pragma solidity {PRAGMA};\n\n" + "\n".join(texts)
+    # each declaration starts a line below the pragma; an emitted string
+    # literal holds no newline, so no other text does
     return SourceUnit(file_name=file_name, pragma_version=PRAGMA,
-                      contracts=tuple(name for name, _ in contracts),
+                      contracts=tuple(re.findall(r"\ncontract (\w+)", body)),
                       rendered_text=body)
 
 
@@ -63,11 +66,17 @@ def _sol_type(type_name: str, location: str) -> str:
     return type_name
 
 
+# backslash, quote and the ASCII control characters, so that no text from a
+# model or a spec can end a string literal or the line it is on
+_STRING_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', **{
+    chr(c): f"\\x{c:02x}" for c in (*range(0x20), 0x7f)}})
+
+
 def _sol_literal(value, type_name: str) -> str:
     if type_name == "bool" or isinstance(value, bool):
         return "true" if value else "false"
     if type_name == "string":
-        return '"' + str(value).replace('"', '\\"') + '"'
+        return '"' + str(value).translate(_STRING_ESCAPES) + '"'
     return str(value)
 
 
@@ -79,8 +88,8 @@ def gen_fungible(spec: FungibleRegistrySpec) -> SourceUnit:
     name = contract_name(spec.name)
     b: List[str] = []
     b.append(f"contract {name} {{")
-    b.append(f'    string public name = "{spec.name}";')
-    b.append(f'    string public symbol = "{spec.symbol}";')
+    b.append(f"    string public name = {_sol_literal(spec.name, 'string')};")
+    b.append(f"    string public symbol = {_sol_literal(spec.symbol, 'string')};")
     b.append(f"    uint8 public decimals = {spec.decimals};")
     b.append("    uint256 public totalSupply;")
     b.append("")
@@ -156,32 +165,26 @@ def gen_fungible(spec: FungibleRegistrySpec) -> SourceUnit:
         b.append("        return true;")
         b.append("    }")
     b.append("}")
-    return _unit(name + ".sol", [(name, "\n".join(b) + "\n")])
+    return _unit(name + ".sol", ["\n".join(b) + "\n"])
 
 
 # ---------------------------------------------------------------------------
 # Non-fungible registry (ERC-721 style, address-typed record ids)
 
 
-def _nft_attr_params(spec: NonFungibleRegistrySpec, location: str) -> str:
-    return ", ".join(f"{_sol_type(a.type, location)} {a.name}" for a in spec.attributes)
-
-
-def _nft_needs_process(spec: NonFungibleRegistrySpec) -> bool:
-    return (spec.is_record_creation_restricted_to_bpmn
-            or spec.is_ownership_transfer_enabled_to_bpmn)
+def _changed_event(attr: AttributeDecl) -> str:
+    return attr.name[0].upper() + attr.name[1:] + "Changed"
 
 
 def gen_nonfungible(spec: NonFungibleRegistrySpec) -> SourceUnit:
     name = contract_name(spec.name) + "Registry"
-    contracts: List[Tuple[str, str]] = []
+    texts: List[str] = []
+    record_contract = None
     if spec.registry_type == "distributed":
         record_contract = contract_name(spec.name) + "Record"
-        contracts.append((record_contract, _gen_record_contract(spec, record_contract)))
-        contracts.append((name, _gen_nft_registry(spec, name, record_contract)))
-    else:
-        contracts.append((name, _gen_nft_registry(spec, name, None)))
-    return _unit(name + ".sol", contracts)
+        texts.append(_gen_record_contract(spec, record_contract))
+    texts.append(_gen_nft_registry(spec, name, record_contract))
+    return _unit(name + ".sol", texts)
 
 
 def _gen_record_contract(spec: NonFungibleRegistrySpec, name: str) -> str:
@@ -221,26 +224,46 @@ def _gen_record_contract(spec: NonFungibleRegistrySpec, name: str) -> str:
 
 def _gen_nft_registry(spec: NonFungibleRegistrySpec, name: str,
                       record_contract: Optional[str]) -> str:
-    distributed = record_contract is not None
+    attr_args = ", ".join(a.name for a in spec.attributes)
+    # The storage layout: a Record struct per record, or, distributed, one
+    # record_contract per record. read and write format an attribute name.
+    if record_contract is None:
+        storage = ["    struct Record {", "        bool exists;", "        address owner;",
+                   *(f"        {a.type} {a.name};" for a in spec.attributes), "    }",
+                   "    mapping(address => Record) private records;"]
+        create = [f"        records[record_id] = Record(true, msg.sender, {attr_args});"]
+        lookup: List[str] = []
+        exists, owner_of = "records[record_id].exists", "records[record_id].owner"
+        read, write = "records[record_id].{}", "records[record_id].{} = value;"
+        set_owner = "records[record_id].owner = to;"
+    else:
+        storage = [f"    mapping(address => {record_contract}) private records;",
+                   "    mapping(address => bool) private recordExists;",
+                   "    address[] public recordContracts;"]
+        create = [f"        records[record_id] = new {record_contract}(msg.sender, {attr_args});",
+                  "        recordExists[record_id] = true;",
+                  "        recordContracts.push(address(records[record_id]));"]
+        exists, owner_of = "recordExists[record_id]", "records[record_id].owner()"
+        lookup = ["    function recordContractOf(address record_id) public view returns (address) {",
+                  f'        require({exists}, "unknown record");',
+                  "        return address(records[record_id]);",
+                  "    }",
+                  ""]
+        read, write = "records[record_id].{}()", "records[record_id].set_{}(value);"
+        set_owner = "records[record_id].setOwner(to);"
+    # the addresses the registry is built with, in constructor order
+    bound_to_process = (spec.is_record_creation_restricted_to_bpmn
+                        or spec.is_ownership_transfer_enabled_to_bpmn)
+    addresses = [a for a, on in (("processAddress", bound_to_process),
+                                 ("accessController",
+                                  spec.is_access_control_by_smart_contract_enabled)) if on]
+
     b = [f"contract {name} {{"]
     b.append("    address public deployer;")
-    if _nft_needs_process(spec):
-        b.append("    address public processAddress;")
-    if spec.is_access_control_by_smart_contract_enabled:
-        b.append("    address public accessController;")
+    for a in addresses:
+        b.append(f"    address public {a};")
     b.append("")
-    if distributed:
-        b.append(f"    mapping(address => {record_contract}) private records;")
-        b.append("    mapping(address => bool) private recordExists;")
-        b.append(f"    address[] public recordContracts;")
-    else:
-        b.append("    struct Record {")
-        b.append("        bool exists;")
-        b.append("        address owner;")
-        for a in spec.attributes:
-            b.append(f"        {a.type} {a.name};")
-        b.append("    }")
-        b.append("    mapping(address => Record) private records;")
+    b.extend(storage)
     b.append("    mapping(address => uint256) private ownedCount;")
     b.append("    mapping(address => address) private recordApproval;")
     b.append("    mapping(address => mapping(address => bool)) private operatorApproval;")
@@ -251,23 +274,15 @@ def _gen_nft_registry(spec: NonFungibleRegistrySpec, name: str,
     b.append("    event ApprovalForAll(address indexed owner, address indexed operator, bool approved);")
     for a in spec.attributes:
         if a.history_tracked:
-            b.append(f"    event {a.name[0].upper() + a.name[1:]}Changed("
-                     f"address indexed recordId, {a.type} value);")
+            b.append(f"    event {_changed_event(a)}(address indexed recordId, {a.type} value);")
     b.append("")
-    ctor_params = []
-    if _nft_needs_process(spec):
-        ctor_params.append("address _processAddress")
-    if spec.is_access_control_by_smart_contract_enabled:
-        ctor_params.append("address _accessController")
-    b.append(f"    constructor({', '.join(ctor_params)}) public {{")
+    b.append(f"    constructor({', '.join('address _' + a for a in addresses)}) public {{")
     b.append("        deployer = msg.sender;")
-    if _nft_needs_process(spec):
-        b.append("        processAddress = _processAddress;")
-    if spec.is_access_control_by_smart_contract_enabled:
-        b.append("        accessController = _accessController;")
+    for a in addresses:
+        b.append(f"        {a} = _{a};")
     b.append("    }")
     b.append("")
-    if _nft_needs_process(spec):
+    if bound_to_process:
         b.append("    modifier onlyProcess() {")
         b.append('        require(msg.sender == processAddress, "restricted to the bound process");')
         b.append("        _;")
@@ -275,19 +290,11 @@ def _gen_nft_registry(spec: NonFungibleRegistrySpec, name: str,
         b.append("")
     if spec.is_registry_function_access_control_enabled:
         b.append("    modifier onlyAuthorized() {")
-        guard = "msg.sender == deployer"
-        if spec.is_access_control_by_smart_contract_enabled:
-            guard += " || msg.sender == accessController"
-        if _nft_needs_process(spec):
-            guard += " || msg.sender == processAddress"
+        guard = " || ".join(f"msg.sender == {a}" for a in ["deployer", *reversed(addresses)])
         b.append(f'        require({guard}, "caller not authorized");')
         b.append("        _;")
         b.append("    }")
         b.append("")
-
-    exists = "recordExists[record_id]" if distributed else "records[record_id].exists"
-    owner_of = ("records[record_id].owner()" if distributed
-                else "records[record_id].owner")
 
     b.append("    function next_record_id() public view returns (address) {")
     b.append("        return address(uint160(recordCount + 1));")
@@ -299,43 +306,27 @@ def _gen_nft_registry(spec: NonFungibleRegistrySpec, name: str,
                   else " onlyAuthorized" if spec.is_registry_function_access_control_enabled
                   else "")
     b.append(f"    function record_create(address record_id, "
-             f"{_nft_attr_params(spec, 'memory')}) public{write_mods} {{")
+             f"{_params_text(spec.attributes, 'memory')}) public{write_mods} {{")
     b.append(f'        require(!{exists}, "record already exists");')
-    if distributed:
-        attr_args = ", ".join(a.name for a in spec.attributes)
-        b.append(f"        records[record_id] = new {record_contract}(msg.sender, {attr_args});")
-        b.append("        recordExists[record_id] = true;")
-        b.append("        recordContracts.push(address(records[record_id]));")
-    else:
-        attr_args = ", ".join(a.name for a in spec.attributes)
-        b.append(f"        records[record_id] = Record(true, msg.sender, {attr_args});")
+    b.extend(create)
     b.append("        ownedCount[msg.sender] += 1;")
     b.append("        recordCount += 1;")
     b.append("        emit Transfer(address(0), msg.sender, record_id);")
     for a in spec.attributes:
         if a.history_tracked:
-            b.append(f"        emit {a.name[0].upper() + a.name[1:]}Changed(record_id, {a.name});")
+            b.append(f"        emit {_changed_event(a)}(record_id, {a.name});")
     b.append("    }")
     b.append("")
-    if distributed:
-        b.append("    function recordContractOf(address record_id) public view returns (address) {")
-        b.append(f'        require({exists}, "unknown record");')
-        b.append("        return address(records[record_id]);")
-        b.append("    }")
-        b.append("")
+    b.extend(lookup)
     b.append("    function record_get_owner(address record_id) public view returns (address record_owner) {")
     b.append(f'        require({exists}, "unknown record");')
     b.append(f"        return {owner_of};")
     b.append("    }")
     b.append("")
-    attr_returns = ", ".join(f"{_sol_type(a.type, 'memory')} {a.name}" for a in spec.attributes)
-    b.append(f"    function record_get_attrs(address record_id) public view returns ({attr_returns}) {{")
+    b.append(f"    function record_get_attrs(address record_id) public view "
+             f"returns ({_params_text(spec.attributes, 'memory')}) {{")
     b.append(f'        require({exists}, "unknown record");')
-    if distributed:
-        reads = ", ".join(f"records[record_id].{a.name}()" for a in spec.attributes)
-    else:
-        reads = ", ".join(f"records[record_id].{a.name}" for a in spec.attributes)
-    b.append(f"        return ({reads});")
+    b.append(f"        return ({', '.join(read.format(a.name) for a in spec.attributes)});")
     b.append("    }")
     for a in spec.attributes:
         if not a.updatable:
@@ -347,20 +338,14 @@ def _gen_nft_registry(spec: NonFungibleRegistrySpec, name: str,
         if spec.is_registry_record_access_control_enabled:
             b.append(f'        require(msg.sender == {owner_of} || msg.sender == deployer, '
                      '"not the record owner");')
-        if distributed:
-            b.append(f"        records[record_id].set_{a.name}(value);")
-        else:
-            b.append(f"        records[record_id].{a.name} = value;")
+        b.append("        " + write.format(a.name))
         if a.history_tracked:
-            b.append(f"        emit {a.name[0].upper() + a.name[1:]}Changed(record_id, value);")
+            b.append(f"        emit {_changed_event(a)}(record_id, value);")
         b.append("    }")
 
     b.append("")
     b.append("    function _transfer(address from, address to, address record_id) internal {")
-    if distributed:
-        b.append("        records[record_id].setOwner(to);")
-    else:
-        b.append("        records[record_id].owner = to;")
+    b.append("        " + set_owner)
     b.append("        ownedCount[from] -= 1;")
     b.append("        ownedCount[to] += 1;")
     b.append("        recordApproval[record_id] = address(0);")
@@ -494,12 +479,12 @@ def gen_process(model: ProcessModel, automaton: MarkingAutomaton) -> SourceUnit:
     ctor_params = [f"address _addressOf{itf.name}" for itf in unbound]
     ctor_args = [f"_addressOf{itf.name}" for itf in unbound]
 
-    chunks: List[Tuple[str, str]] = []
+    texts: List[str] = []
     if model.interfaces:
         iface_text = "// -------- EXTERNAL SMART CONTRACT INTERFACES\n"
         iface_text += "\n".join(_interface_contract(itf) for itf in model.interfaces)
         iface_text += "// ----------------------------\n"
-        chunks.append((model.interfaces[0].name, iface_text))
+        texts.append(iface_text)
 
     factory: List[str] = []
     factory.append("contract ProcessFactory {")
@@ -516,12 +501,13 @@ def gen_process(model: ProcessModel, automaton: MarkingAutomaton) -> SourceUnit:
     factory.append("        return address(instance);")
     factory.append("    }")
     factory.append("}")
-    chunks.append(("ProcessFactory", "\n".join(factory) + "\n"))
+    texts.append("\n".join(factory) + "\n")
 
+    storage = _storage_vars(model)
     b: List[str] = []
     b.append("contract ProcessMonitor {")
     b.append("    // ---------- PROCESS VARIABLES")
-    for name, type_name, _ in _storage_vars(model):
+    for name, type_name, _ in storage:
         b.append(f"    {type_name} _{name};")
     b.append("    // ----------------------------")
     b.append("")
@@ -538,9 +524,8 @@ def gen_process(model: ProcessModel, automaton: MarkingAutomaton) -> SourceUnit:
     b.append("    event taskExecuted(string taskName, bool success);")
     b.append("")
     b.append(f"    constructor({', '.join(ctor_params)}) public {{")
-    for name, type_name, initial in _storage_vars(model):
-        if type_name == "string" and initial is None:
-            continue  # zero-initialized by default; no string literal needed
+    for name, type_name, initial in storage:
+        # a string without an initial value stays zero-initialized
         value = _sol_literal(initial, type_name) if initial is not None else \
             {"uint256": "0", "int256": "0", "bool": "false",
              "address": "address(0)"}.get(type_name)
@@ -552,29 +537,24 @@ def gen_process(model: ProcessModel, automaton: MarkingAutomaton) -> SourceUnit:
     b.append("    }")
 
     # externally invoked tasks: public functions
-    for node in model.nodes:
-        if node.id not in automaton.external:
-            continue
-        alts = automaton.external[node.id]
-        fn_name = sanitize_identifier(node.display_name)
-        params = _params_text(node.task_inputs, "memory")
+    for task_id, alts in automaton.external.items():
+        node = model.node(task_id)
+        task_name = _sol_literal(node.display_name, "string")
+        body = [f"            _{ti.name} = {ti.name};" for ti in node.task_inputs]
+        body += ["            " + line for line in _invocation_lines(model, task_id)]
         b.append("")
-        b.append(f"    function {fn_name}({params}) public {{")
+        b.append(f"    function {sanitize_identifier(node.display_name)}"
+                 f"({_params_text(node.task_inputs, 'memory')}) public {{")
         b.append("        uint preconditionsp = marking;")
-        first = True
         for i, alt in enumerate(alts):
-            kw = "if" if first else "} else if"
-            first = False
+            kw = "} else if" if i else "if"
             b.append(f"        {kw} ( (preconditionsp & {_hex(alt.pre)} == {_hex(alt.pre)}) ) {{")
-            for ti in node.task_inputs:
-                b.append(f"            _{ti.name} = {ti.name};")
-            for line in _invocation_lines(model, node.id):
-                b.append("            " + line)
+            b.extend(body)
             b.append(f"            marking = runAutoTransitions("
                      f"preconditionsp & uint(~{_hex(alt.pre)})  | {_hex(alt.post)});")
-            b.append(f'            emit taskExecuted("{node.display_name}", true);')
+            b.append(f"            emit taskExecuted({task_name}, true);")
         b.append("        } else {")
-        b.append(f'            emit taskExecuted("{node.display_name}", false);')
+        b.append(f"            emit taskExecuted({task_name}, false);")
         b.append("        }")
         b.append("    }")
 
@@ -583,15 +563,12 @@ def gen_process(model: ProcessModel, automaton: MarkingAutomaton) -> SourceUnit:
         node = model.node(t.node_id)
         b.append("")
         b.append(f"    function {_auto_fn_name(node)}(uint preconditionsp) internal returns (uint) {{")
-        first = True
-        for pre in t.pre_alternatives:
-            lead = "        if" if first else "        } else if"
-            first = False
-            b.append(f"{lead} ( (preconditionsp & {_hex(pre)} == {_hex(pre)}) ) {{")
-            for st in node.script:
-                b.append(f"            _{st.target} = {render_expr(st.value)};")
-            for line in _invocation_lines(model, t.node_id):
-                b.append("            " + line)
+        body = [f"            _{st.target} = {render_expr(st.value)};" for st in node.script]
+        body += ["            " + line for line in _invocation_lines(model, t.node_id)]
+        for i, pre in enumerate(t.pre_alternatives):
+            kw = "} else if" if i else "if"
+            b.append(f"        {kw} ( (preconditionsp & {_hex(pre)} == {_hex(pre)}) ) {{")
+            b.extend(body)
             # guarded branches, then the unguarded tail compile_marking puts last
             for br in t.branches:
                 if br.guard is not None:
@@ -622,6 +599,5 @@ def gen_process(model: ProcessModel, automaton: MarkingAutomaton) -> SourceUnit:
     b.append("        return preconditionsp;")
     b.append("    }")
     b.append("}")
-    chunks.append(("ProcessMonitor", "\n".join(b) + "\n"))
-
-    return _unit("ProcessFactory.sol", chunks)
+    texts.append("\n".join(b) + "\n")
+    return _unit("ProcessFactory.sol", texts)

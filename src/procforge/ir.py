@@ -32,6 +32,14 @@ def is_address(text: str) -> bool:
     return isinstance(text, str) and ADDRESS_RE.fullmatch(text) is not None
 
 
+# a name emitted into the Solidity source as it is
+IDENTIFIER_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def is_identifier(text: str) -> bool:
+    return isinstance(text, str) and IDENTIFIER_RE.fullmatch(text) is not None
+
+
 def addr_key(address: str) -> str:
     """Canonical (case-insensitive) key for address comparisons."""
     return address.lower()
@@ -554,6 +562,10 @@ def validate_model(model: ProcessModel) -> ValidationReport:  # noqa: C901
     def warn(ref, msg):
         diags.append(Diagnostic("warning", ref, msg))
 
+    def identifier(ref, what, name):
+        if not is_identifier(name):
+            err(ref, f"{what} '{name}' is not an identifier")
+
     node_ids = {}
     for n in model.nodes:
         if n.id in node_ids:
@@ -571,6 +583,7 @@ def validate_model(model: ProcessModel) -> ValidationReport:  # noqa: C901
         if v.name in seen_vars:
             err(v.name, "duplicate variable declaration")
         seen_vars.add(v.name)
+        identifier(v.name, "variable name", v.name)
         if v.type not in VALUE_TYPES:
             err(v.name, f"unknown variable type '{v.type}'")
         elif v.initial is not None and not literal_matches(v.type, v.initial):
@@ -581,6 +594,7 @@ def validate_model(model: ProcessModel) -> ValidationReport:  # noqa: C901
         if itf.id in iface_ids:
             err(itf.id, "duplicate interface id")
         iface_ids.add(itf.id)
+        identifier(itf.id, "interface name", itf.name)
         if itf.contract_address is not None and not is_address(itf.contract_address):
             err(itf.id, f"malformed contract address '{itf.contract_address}'")
         fn_names = set()
@@ -588,12 +602,16 @@ def validate_model(model: ProcessModel) -> ValidationReport:  # noqa: C901
             if fn.name in fn_names:
                 err(itf.id, f"duplicate function '{fn.name}'")
             fn_names.add(fn.name)
+            identifier(itf.id, "function name", fn.name)
             for direction, params in (("input", fn.inputs), ("output", fn.outputs)):
                 pnames = set()
                 for p in params:
                     if p.name in pnames:
                         err(itf.id, f"duplicate {direction} parameter '{p.name}' on {fn.name}")
                     pnames.add(p.name)
+                    if not is_identifier(p.name):
+                        err(itf.id, f"{direction} parameter '{p.name}' on {fn.name} "
+                                    "is not an identifier")
 
     if len(model.flows) > 256:
         err(model.id, f"marking exceeds 256 bits ({len(model.flows)} sequence flows)")
@@ -678,6 +696,7 @@ def validate_model(model: ProcessModel) -> ValidationReport:  # noqa: C901
             if ti.name in seen:
                 err(n.id, f"duplicate task input '{ti.name}'")
             seen.add(ti.name)
+            identifier(n.id, "task input", ti.name)
             if ti.type not in VALUE_TYPES:
                 err(n.id, f"unknown task input type '{ti.type}'")
             if ti.name in declared:

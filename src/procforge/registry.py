@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-from .ir import ADDRESS_RE, UINT256_MAX, addr_key, is_address, load_json
+from .ir import ADDRESS_RE, UINT256_MAX, addr_key, is_address, is_identifier, load_json
 
 ATTRIBUTE_TYPES = ("uint256", "int256", "bool", "address", "string")
 
@@ -229,8 +229,8 @@ def _nonfungible(obj: dict) -> NonFungibleRegistrySpec:
         if not isinstance(entry, dict):
             raise InvariantViolation(path, "entries must be attribute objects")
         aname = _field(entry, "name")
-        if not isinstance(aname, str) or not aname:
-            raise InvariantViolation(path + ".name", "must be a nonempty string")
+        if not is_identifier(aname):
+            raise InvariantViolation(path + ".name", "must be an identifier")
         if aname in seen:
             raise InvariantViolation(path, f"duplicate attribute '{aname}'")
         seen.add(aname)

@@ -16,7 +16,7 @@ from procforge.bpmn import (
     parse_script,
 )
 from procforge.codegen import render_expr
-from procforge.ir import BinOp, Lit, NodeKind, UnaryOp, Var, compile_expr
+from procforge.ir import Assign, BinOp, Lit, NodeKind, UnaryOp, Var, compile_expr
 
 from conftest import load_model
 
@@ -118,6 +118,23 @@ def test_parse_script_statements():
     stmts = parse_script("x = 1; y := x + 2\nz = y * y")
     assert [s.target for s in stmts] == ["x", "y", "z"]
     assert stmts[1].value == BinOp("+", Var("x"), Lit(2, "int_const"))
+
+
+def test_parse_script_keeps_semicolons_inside_strings():
+    stmts = parse_script('origin = "Farm; Block 7"; x = 1')
+    assert stmts == (Assign("origin", Lit("Farm; Block 7", "string")),
+                     Assign("x", Lit(1, "int_const")))
+
+
+@pytest.mark.parametrize("text, offset", [
+    ('x = 1\ny = "a\nb"', 10),  # a string does not run over a newline
+    ("x = 1\n+ 2", 6),  # nor does an expression
+    ("x = 1;\ny = 1 2", 13),
+])
+def test_parse_script_errors_carry_offsets_into_the_whole_body(text, offset):
+    with pytest.raises(ConditionParseError) as exc:
+        parse_script(text)
+    assert exc.value.offset == offset
 
 
 def test_parse_script_requires_assignment():

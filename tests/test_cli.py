@@ -71,6 +71,22 @@ def test_compile_writes_units(tmp_path, capsys):
     assert all(str(out_dir / n) in out for n in names)
 
 
+@pytest.mark.parametrize("registries, clash", [
+    (["token"], "ProcessFactory.sol"),  # a token named "Process Factory"
+    ([LRK, LRK], "LorikeetCoin.sol"),
+], ids=["token-and-process", "one-spec-twice"])
+def test_compile_refuses_two_units_of_one_file_name(tmp_path, capsys, registries, clash):
+    token = tmp_path / "token.json"
+    token.write_text(json.dumps({**json.loads(pathlib.Path(LRK).read_text()),
+                                 "name": "Process Factory"}))
+    argv = [a for r in registries for a in ("--registry", str(token) if r == "token" else r)]
+    out_dir = tmp_path / "gen"
+    code, out, err = run(capsys, "compile", GRAIN, *argv, "-o", str(out_dir))
+    assert (code, out) == (1, "")
+    assert err == f"error: two generated units are both named {clash}\n"
+    assert not out_dir.exists()
+
+
 def test_compile_dump_automaton(tmp_path, capsys):
     out_dir = tmp_path / "gen"
     code, out, _ = run(capsys, "compile", GRAIN, "-o", str(out_dir),

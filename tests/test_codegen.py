@@ -1,4 +1,7 @@
 import dataclasses
+import hashlib
+import itertools
+import json
 import re
 
 import pytest
@@ -27,6 +30,7 @@ from procforge.marking import compile_marking
 from procforge.registry import (
     AttributeDecl,
     FungibleRegistrySpec,
+    InvariantViolation,
     NonFungibleRegistrySpec,
     parse_registry,
 )
@@ -47,6 +51,41 @@ def test_contract_name():
     assert contract_name("grain title") == "GrainTitle"
     assert contract_name("3tokens!") == "C3tokens"
     assert contract_name("") == "Contract"
+
+
+# a text that ends a string literal, then its line, then escapes what follows
+NASTY = 'a", true); selfdestruct(msg.sender); //\n\t\x7f\\'
+
+
+def _held(literal: str) -> str:
+    """The text an emitted Solidity string literal holds; the literal may
+    use only the escapes codegen emits."""
+    assert re.fullmatch(r'"(?:[^"\\\x00-\x1f\x7f]|\\[\\"]|\\x[0-9a-f]{2})*"', literal), literal
+    return re.sub(r"\\(x..|.)", lambda m: chr(int(m[1][1:], 16)) if len(m[1]) == 3 else m[1],
+                  literal[1:-1])
+
+
+def test_string_literal_holds_its_text():
+    assert _held(render_expr(Lit(NASTY, "string"))) == NASTY
+
+
+@pytest.mark.parametrize("field", ["name", "symbol"])
+def test_token_name_and_symbol_are_string_literals(field):
+    text = gen_fungible(dataclasses.replace(lrk_spec(), **{field: NASTY})).rendered_text
+    literal = text.split(f"string public {field} = ", 1)[1].split(";\n", 1)[0]
+    assert _held(literal) == NASTY
+
+
+def test_task_name_is_a_string_literal_in_task_events(ico_model):
+    node = ico_model.node("t_invest")
+    model = dataclasses.replace(ico_model, nodes=tuple(
+        dataclasses.replace(n, name=NASTY) if n is node else n for n in ico_model.nodes))
+    automaton = compile_marking(model)
+    events = re.findall(r"emit taskExecuted\((.*), (?:true|false)\);",
+                        gen_process(model, automaton).rendered_text)
+    named = [e for e in events if "selfdestruct" in e]
+    assert len(named) == len(automaton.external["t_invest"]) + 1
+    assert all(_held(e) == NASTY for e in named)
 
 
 def test_render_expr():
@@ -114,6 +153,37 @@ def test_nonfungible_distributed_emits_record_contract():
     assert "function set_report(string memory value) public onlyRegistry" in text
 
 
+REGISTRY_FLAGS = ("isOwnershipTransferEnabled", "isRecordCreationRestrictedToBPMN",
+                  "isOwnershipTransferEnabledToBPMN", "isRegistryFunctionAccessControlEnabled",
+                  "isRegistryRecordAccessControlEnabled", "isAccessControlBySmartContractEnabled")
+PINNED_ATTRIBUTES = [
+    {"name": "weight", "type": "uint256", "updatable": True, "historyTracked": True},
+    {"name": "note", "type": "string", "historyTracked": True},
+    {"name": "ok", "type": "bool", "updatable": True},
+    {"name": "who", "type": "address"},
+]
+
+
+def test_registry_text_is_pinned_for_every_accepted_flag_combination():
+    # no golden covers a distributed registry: this pins the emitted text of
+    # both storage layouts under each flag combination parse_registry accepts
+    digest = hashlib.sha256()
+    accepted = 0
+    for registry_type in ("single", "distributed"):
+        for bits in itertools.product((False, True), repeat=len(REGISTRY_FLAGS)):
+            doc = {"name": "Deed Book", "registryType": registry_type,
+                   "attributes": PINNED_ATTRIBUTES, **dict(zip(REGISTRY_FLAGS, bits))}
+            try:
+                spec = parse_registry(json.dumps(doc))
+            except InvariantViolation:
+                continue
+            accepted += 1
+            digest.update(gen_nonfungible(spec).rendered_text.encode("utf-8"))
+    assert accepted == 2 * 42
+    assert digest.hexdigest() == ("170ff5eea98a01e4632f0ae8b2a4cfe7"
+                                 "e1ef2161b5ee309b384cf73ca564c2d4")
+
+
 def test_transfer_disabled_registry_reverts():
     import dataclasses
     spec = dataclasses.replace(title_spec(), is_ownership_transfer_enabled=False,
@@ -172,7 +242,9 @@ def test_access_control_flags_guard_record_writes(registry_type, owner):
 def test_process_unit_structure(grain_model, grain_automaton):
     unit = gen_process(grain_model, grain_automaton)
     assert unit.file_name == "ProcessFactory.sol"
-    assert unit.contracts[-2:] == ("ProcessFactory", "ProcessMonitor")
+    # the interface contracts come first, each under its own name
+    assert unit.contracts == ("LorikeetCoin", "GrainTitleRegistry",
+                              "ProcessFactory", "ProcessMonitor")
     text = unit.rendered_text
     # interface declarations for both bound contracts
     assert "contract LorikeetCoin {" in text

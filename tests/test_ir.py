@@ -395,6 +395,35 @@ def test_invocation_bindings_type_check(old, new, message):
     assert errors_of(parse_bpmn(text.replace(old, new))) == [message]
 
 
+# each name that reaches the Solidity source as it is: an injected one
+# would put its own declarations into the emitted contract
+INJECTED = "x; function f() public { selfdestruct(msg.sender); } uint256 y"
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ('<bcext:variable name="price" type="uint256" initial="300"/>',
+     f'<bcext:variable name="price" type="uint256" initial="300"/>'
+     f'<bcext:variable name="{INJECTED}" type="uint256"/>',
+     f"variable name '{INJECTED}' is not an identifier"),
+    ('<bcext:input name="requester" type="address"/>',
+     '<bcext:input name="requester" type="address"/><bcext:input name="a-b" type="bool"/>',
+     "task input 'a-b' is not an identifier"),
+    ("</bcext:smartContractInterface>",
+     '</bcext:smartContractInterface><bcext:smartContractInterface id="itf_x" name="X Y"/>',
+     "interface name 'X Y' is not an identifier"),
+    ('<bcext:function name="balanceOf">',
+     '<bcext:function name="f()"/><bcext:function name="balanceOf">',
+     "function name 'f()' is not an identifier"),
+    ('<bcext:output name="balance" type="uint256"/>',
+     '<bcext:output name="balance" type="uint256"/><bcext:output name="ok;" type="bool"/>',
+     "output parameter 'ok;' on balanceOf is not an identifier"),
+], ids=["variable", "task-input", "interface", "function", "parameter"])
+def test_emitted_names_must_be_identifiers(old, new, message):
+    text = (FIXTURES / "task_outsourcing.bpmn").read_text()
+    assert old in text
+    assert errors_of(parse_bpmn(text.replace(old, new, 1))) == [message]
+
+
 NINES_80 = "9" * 80  # 266 bits
 
 

@@ -301,6 +301,15 @@ def test_duplicate_attribute_name():
         parse_registry(nonfungible(attributes=bad))
 
 
+@pytest.mark.parametrize("name", ["", "weight; address public pwned", "2x", "a b", 7])
+def test_attribute_names_must_be_identifiers(name):
+    # attribute names are emitted as they are, as fields and parameters
+    bad = [{"name": "x", "type": "uint256"}, {"name": name, "type": "bool"}]
+    with pytest.raises(InvariantViolation) as exc:
+        parse_registry(nonfungible(attributes=bad))
+    assert str(exc.value) == "attributes[1].name: must be an identifier"
+
+
 def test_transfer_to_bpmn_requires_transfer_enabled():
     with pytest.raises(InvariantViolation):
         parse_registry(nonfungible(isOwnershipTransferEnabled=False,
