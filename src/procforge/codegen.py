@@ -41,9 +41,10 @@ class SourceUnit:
 
 
 def contract_name(display_name: str) -> str:
-    """'Lorikeet Coin' -> 'LorikeetCoin' (inner capitals preserved)."""
-    words = [w for w in "".join(c if c.isalnum() else " " for c in display_name).split()]
-    name = "".join(w[0].upper() + w[1:] for w in words if w)
+    """'Lorikeet Coin' -> 'LorikeetCoin' (inner capitals preserved); words
+    are runs of ASCII letters and digits."""
+    words = "".join(c if c.isascii() and c.isalnum() else " " for c in display_name).split()
+    name = "".join(w[0].upper() + w[1:] for w in words)
     if not name:
         return "Contract"
     if name[0].isdigit():

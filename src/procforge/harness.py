@@ -10,6 +10,12 @@ and each classifier walks a prefix trie, so the state set after a distinct
 prefix is computed once. The experiment report records the seed, class
 totals, and the agreement percentage between the two classifiers.
 replay_data instead invokes the events of a data trace on an interpreter.
+
+The mutant stream is fixed for a seed: mutants draws every operator,
+position and name from the rng's random() and getrandbits() alone, so it
+does not depend on how a Python version implements random.choices,
+randrange, choice or sample. test_mutant_stream_is_pinned in
+tests/test_harness.py pins the stream.
 """
 
 from __future__ import annotations
@@ -17,8 +23,11 @@ from __future__ import annotations
 import json
 import random
 import time
+from bisect import bisect
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
+from math import isfinite
 from typing import Collection, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
 from .ir import NodeKind, ProcessModel, TASK_KINDS, is_address, load_json
@@ -338,32 +347,80 @@ def oracle_classify(model: ProcessModel, names: Names,
 OPERATORS = ("add", "remove", "swap")
 
 
-def mutate(trace: Names, rng: random.Random, weights: Tuple[float, float, float],
-           alphabet: Sequence[str], bases: Collection[Names]) -> Names:
-    """Apply exactly one operator; resample until the result is not in
-    bases. Raises MutationExhausted after 100 tries."""
-    for _ in range(100):
-        op = rng.choices(OPERATORS, weights=weights)[0]
-        names = list(trace)
-        if op == "add":
-            if not alphabet:
-                continue  # resample the operator
-            pos = rng.randrange(len(names) + 1)
-            names.insert(pos, rng.choice(alphabet))
-        elif op == "remove":
-            if not names:
-                continue
-            del names[rng.randrange(len(names))]
+def mutants(trace: Names, rng: random.Random, count: int, weights: Sequence[float],
+            alphabet: Sequence[str], bases: Collection[Names]) -> List[Names]:
+    """count mutants of trace. Each applies exactly one operator, drawn
+    with the given weights, and is resampled until it is not in bases;
+    MutationExhausted is raised when one takes more than 100 tries.
+
+    Every draw is a fixed function of rng.random() and rng.getrandbits(),
+    so the stream is the one random.choices, randrange, choice and
+    sample(range(n), 2) give in CPython 3.11, without depending on how a
+    later version implements them."""
+    cum = list(accumulate(weights))
+    if len(cum) != len(OPERATORS):
+        raise ValueError("The number of weights does not match the population")
+    total = cum[-1] + 0.0
+    if total <= 0.0:
+        raise ValueError("Total of weights must be greater than zero")
+    if not isfinite(total):
+        raise ValueError("Total of weights must be finite")
+    hi = len(OPERATORS) - 1
+    uniform, getrandbits = rng.random, rng.getrandbits
+
+    def below(m: int) -> int:
+        """Uniform in range(m) by rejection, as random.Random._randbelow."""
+        bits = m.bit_length()
+        r = getrandbits(bits)
+        while r >= m:
+            r = getrandbits(bits)
+        return r
+
+    n, k = len(trace), len(alphabet)
+    out: List[Names] = []
+    for _ in range(count):
+        for _ in range(100):
+            op = OPERATORS[bisect(cum, uniform() * total, 0, hi)]
+            if op == "add":
+                if not k:
+                    continue  # resample the operator
+                pos = below(n + 1)
+                mutant = trace[:pos] + (alphabet[below(k)],) + trace[pos:]
+            elif op == "remove":
+                if not n:
+                    continue
+                pos = below(n)
+                mutant = trace[:pos] + trace[pos + 1:]
+            else:
+                if n < 2:
+                    continue
+                # as sample(range(n), 2): up to 21 items it draws the second
+                # from a pool whose first pick holds the last item; above
+                # that it redraws until the second differs from the first
+                i = below(n)
+                if n <= 21:
+                    j = below(n - 1)
+                    if j == i:
+                        j = n - 1
+                else:
+                    j = below(n)
+                    while j == i:
+                        j = below(n)
+                i, j = min(i, j), max(i, j)
+                mutant = trace[:i] + (trace[j],) + trace[i + 1:j] + (trace[i],) + trace[j + 1:]
+            if mutant not in bases:
+                out.append(mutant)
+                break
         else:
-            if len(names) < 2:
-                continue
-            i, j = rng.sample(range(len(names)), 2)
-            names[i], names[j] = names[j], names[i]
-        mutant = tuple(names)
-        if mutant not in bases:
-            return mutant
-    raise MutationExhausted(
-        "no mutant distinct from the base traces after 100 attempts")
+            raise MutationExhausted(
+                "no mutant distinct from the base traces after 100 attempts")
+    return out
+
+
+def mutate(trace: Names, rng: random.Random, weights: Sequence[float],
+           alphabet: Sequence[str], bases: Collection[Names]) -> Names:
+    """One mutant of trace, drawn as mutants draws it."""
+    return mutants(trace, rng, 1, weights, alphabet, bases)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -433,8 +490,8 @@ def run_experiment(model: ProcessModel, a: MarkingAutomaton,
     rng = random.Random(cfg.seed)
     traces: List[Names] = list(bases)
     for base in bases:
-        for _ in range(cfg.mutants_per_base):
-            traces.append(mutate(base, rng, (1.0, 1.0, 1.0), alphabet, base_set))
+        traces += mutants(base, rng, cfg.mutants_per_base, (1.0, 1.0, 1.0),
+                          alphabet, base_set)
 
     replay_root = _Prefix(eager_closure_nondet(a, a.initial_marking))
     oracle = _TokenGame(model)

@@ -35,9 +35,30 @@ def is_address(text: str) -> bool:
 # a name emitted into the Solidity source as it is
 IDENTIFIER_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
+# Solidity 0.5's keywords, reserved words and unsized type names, and the
+# globals the emitted code calls, which a declaration of the name would shadow
+SOLIDITY_KEYWORDS = frozenset("""
+    abstract address after alias anonymous apply as assembly auto bool break
+    byte bytes calldata case catch constant constructor continue contract
+    copyof days default define delete do else emit enum ether event external
+    false final finney fixed for function hex hours if immutable implements
+    import in indexed inline int interface internal is let library macro
+    mapping match memory minutes modifier msg mutable new null of override
+    partial payable pragma private promise public pure reference relocatable
+    require return returns revert sealed seconds sizeof static storage string
+    struct supports switch szabo this throw true try type typedef typeof
+    ufixed uint unchecked using var view weeks wei while years
+""".split())
+
+# the sized type names: intN, uintN, bytesN, fixedMxN and ufixedMxN
+SIZED_TYPE_RE = re.compile(r"u?int[0-9]+|bytes[0-9]+|u?fixed[0-9]+x[0-9]+")
+
 
 def is_identifier(text: str) -> bool:
-    return isinstance(text, str) and IDENTIFIER_RE.fullmatch(text) is not None
+    """True iff text can be emitted as a Solidity name: ASCII, and not a
+    keyword or a type name."""
+    return (isinstance(text, str) and IDENTIFIER_RE.fullmatch(text) is not None
+            and text not in SOLIDITY_KEYWORDS and SIZED_TYPE_RE.fullmatch(text) is None)
 
 
 def addr_key(address: str) -> str:
@@ -529,8 +550,9 @@ def literal_matches(type_name: str, value: object) -> bool:
 
 def sanitize_identifier(name: str) -> str:
     """Display name -> solidity-safe identifier, first word capitalised and
-    the rest lowercased ('Create Grain Title' -> 'Create_grain_title')."""
-    words = [w for w in "".join(c if c.isalnum() else " " for c in name).split() if w]
+    the rest lowercased ('Create Grain Title' -> 'Create_grain_title').
+    Words are runs of ASCII letters and digits."""
+    words = "".join(c if c.isascii() and c.isalnum() else " " for c in name).split()
     if not words:
         return "_"
     parts = [words[0][0].upper() + words[0][1:]] + [w.lower() for w in words[1:]]

@@ -88,6 +88,23 @@ def test_task_name_is_a_string_literal_in_task_events(ico_model):
     assert all(_held(e) == NASTY for e in named)
 
 
+def test_non_ascii_token_name_becomes_an_ascii_contract_name():
+    unit = gen_fungible(dataclasses.replace(lrk_spec(), name="Café Coin"))
+    assert (unit.file_name, unit.contracts) == ("CafCoin.sol", ("CafCoin",))
+    assert contract_name("x² ٣") == "X"
+
+
+def test_non_ascii_task_name_becomes_an_ascii_function_name(ico_model):
+    node = ico_model.node("t_invest")
+    model = dataclasses.replace(ico_model, nodes=tuple(
+        dataclasses.replace(n, name="Café investment") if n is node else n
+        for n in ico_model.nodes))
+    assert validate_model(model).ok
+    text = gen_process(model, compile_marking(model)).rendered_text
+    assert "function Caf_investment(" in text
+    assert "é" not in text.replace('"Café investment"', "")
+
+
 def test_render_expr():
     e = BinOp("==", Var("escrowBalance"), Var("price"))
     assert render_expr(e) == "(_escrowBalance == _price)"

@@ -245,6 +245,68 @@ def test_mutation_deterministic_for_seed(grain_automaton):
     assert a == b
 
 
+def reference_mutate(trace, rng, weights, alphabet, bases):
+    """mutate written with random.choices, randrange, choice and sample:
+    the draws that mutants reproduces from random() and getrandbits()."""
+    for _ in range(100):
+        op = rng.choices(harness.OPERATORS, weights=weights)[0]
+        names = list(trace)
+        if op == "add":
+            if not alphabet:
+                continue
+            pos = rng.randrange(len(names) + 1)
+            names.insert(pos, rng.choice(alphabet))
+        elif op == "remove":
+            if not names:
+                continue
+            del names[rng.randrange(len(names))]
+        else:
+            if len(names) < 2:
+                continue
+            i, j = rng.sample(range(len(names)), 2)
+            names[i], names[j] = names[j], names[i]
+        mutant = tuple(names)
+        if mutant not in bases:
+            return mutant
+    raise MutationExhausted
+
+
+def draw_or_exhaust(draw):
+    try:
+        return draw()
+    except MutationExhausted:
+        return MutationExhausted
+
+
+@pytest.mark.parametrize("weights", [(1, 1, 1), (0, 0, 1), (0, 1, 0), (1, 2, 3)])
+@pytest.mark.parametrize("alphabet", [("a", "b", "c"), ()], ids=["alphabet", "no-alphabet"])
+def test_mutants_draw_as_the_reference(weights, alphabet):
+    # lengths above 21 take sample's set path, which no fixture reaches
+    for length in range(41):
+        for seed in range(3):
+            src = random.Random(length * 3 + seed)
+            trace = tuple(src.choice("abc") for _ in range(length))
+            bases = {trace} | {tuple(src.choice("abc") for _ in range(length + d))
+                               for d in (-1, 1) for _ in range(2) if length + d >= 0}
+            count = 12
+            ref_rng, rng = random.Random(seed), random.Random(seed)
+            expected = draw_or_exhaust(lambda: [
+                reference_mutate(trace, ref_rng, weights, alphabet, bases)
+                for _ in range(count)])
+            got = draw_or_exhaust(lambda: harness.mutants(
+                trace, rng, count, weights, alphabet, bases))
+            assert got == expected, (length, seed)
+            assert rng.getstate() == ref_rng.getstate(), (length, seed)
+
+
+@pytest.mark.parametrize("weights", [(0, 0, 0), (1, 1), (1, float("inf"), 1)])
+def test_mutants_reject_weights_random_choices_rejects(weights):
+    with pytest.raises(ValueError):
+        harness.mutants(AB, random.Random(0), 1, weights, ["a"], [AB])
+    with pytest.raises(ValueError):
+        random.Random(0).choices(harness.OPERATORS, weights=weights)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(seed=-1)

@@ -30,6 +30,7 @@ from procforge.ir import (
     Var,
     compile_expr,
     is_address,
+    is_identifier,
     literal_matches,
     sanitize_identifier,
     validate_model,
@@ -174,6 +175,20 @@ def test_sanitize_identifier():
     assert sanitize_identifier("truck is weighed") == "Truck_is_weighed"
     assert sanitize_identifier("3rd attempt") == "_3rd_attempt"
     assert sanitize_identifier("???") == "_"
+
+
+@pytest.mark.parametrize("name, ident", [
+    ("Café investment", "Caf_investment"), ("x² paid", "X_paid"), ("٣", "_")])
+def test_sanitize_identifier_keeps_ascii_letters_and_digits(name, ident):
+    assert sanitize_identifier(name) == ident
+
+
+def test_names_that_differ_outside_ascii_collide():
+    m = linear_model(nodes=linear_model().nodes + (
+        Node("t8", NodeKind.USER_TASK, name="Café"),
+        Node("t9", NodeKind.USER_TASK, name="Caf_")))
+    assert any("'Caf_' collides with 'Café' after identifier sanitization" in e
+               for e in errors_of(m))
 
 
 # --- model validation -------------------------------------------------------
@@ -417,11 +432,37 @@ INJECTED = "x; function f() public { selfdestruct(msg.sender); } uint256 y"
     ('<bcext:output name="balance" type="uint256"/>',
      '<bcext:output name="balance" type="uint256"/><bcext:output name="ok;" type="bool"/>',
      "output parameter 'ok;' on balanceOf is not an identifier"),
-], ids=["variable", "task-input", "interface", "function", "parameter"])
+    # solc rejects a declaration named by a keyword or a type name
+    ('<bcext:variable name="price" type="uint256" initial="300"/>',
+     '<bcext:variable name="price" type="uint256" initial="300"/>'
+     '<bcext:variable name="mapping" type="uint256"/>',
+     "variable name 'mapping' is not an identifier"),
+    ('<bcext:input name="requester" type="address"/>',
+     '<bcext:input name="requester" type="address"/><bcext:input name="return" type="bool"/>',
+     "task input 'return' is not an identifier"),
+    ("</bcext:smartContractInterface>",
+     '</bcext:smartContractInterface><bcext:smartContractInterface id="itf_x" name="contract"/>',
+     "interface name 'contract' is not an identifier"),
+    ('<bcext:function name="balanceOf">',
+     '<bcext:function name="emit"/><bcext:function name="balanceOf">',
+     "function name 'emit' is not an identifier"),
+    ('<bcext:output name="balance" type="uint256"/>',
+     '<bcext:output name="balance" type="uint256"/><bcext:output name="uint8" type="bool"/>',
+     "output parameter 'uint8' on balanceOf is not an identifier"),
+], ids=["variable", "task-input", "interface", "function", "parameter",
+        "variable-keyword", "task-input-keyword", "interface-keyword", "function-keyword",
+        "parameter-keyword"])
 def test_emitted_names_must_be_identifiers(old, new, message):
     text = (FIXTURES / "task_outsourcing.bpmn").read_text()
     assert old in text
     assert errors_of(parse_bpmn(text.replace(old, new, 1))) == [message]
+
+
+@pytest.mark.parametrize("name", ["abstract", "case", "this", "true", "var", "while",
+                                  "address", "bytes32", "fixed128x18", "msg", "require"])
+def test_is_identifier_rejects_keywords_and_type_names(name):
+    assert not is_identifier(name)
+    assert is_identifier(name + "_") and is_identifier(name.capitalize())
 
 
 NINES_80 = "9" * 80  # 266 bits

@@ -301,7 +301,8 @@ def test_duplicate_attribute_name():
         parse_registry(nonfungible(attributes=bad))
 
 
-@pytest.mark.parametrize("name", ["", "weight; address public pwned", "2x", "a b", 7])
+@pytest.mark.parametrize("name", ["", "weight; address public pwned", "2x", "a b", 7,
+                                  "return", "mapping", "uint256"])
 def test_attribute_names_must_be_identifiers(name):
     # attribute names are emitted as they are, as fields and parameters
     bad = [{"name": "x", "type": "uint256"}, {"name": name, "type": "bool"}]
