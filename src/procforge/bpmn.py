@@ -11,6 +11,13 @@ elements live inside the process (directly or under extensionElements):
 
 User task inputs are declared as bcext:input[name,type] under the task.
 Script task bodies are the text of the standard BPMN script element.
+
+The reader reports syntax only. It raises BpmnParseError when it cannot
+build a ProcessModel: malformed XML, an unknown element, a missing
+required attribute, or a literal, condition or script that does not
+parse. Every other defect, such as a duplicate id, a reference to an
+unknown node, task or interface, or a malformed contractAddress, is
+built into the model as written and reported by ir.validate_model.
 """
 
 from __future__ import annotations
@@ -55,18 +62,6 @@ class XmlSyntaxError(BpmnParseError):
 
 
 class UnknownElement(BpmnParseError):
-    pass
-
-
-class DanglingReference(BpmnParseError):
-    pass
-
-
-class DuplicateId(BpmnParseError):
-    pass
-
-
-class MalformedAddress(BpmnParseError):
     pass
 
 
@@ -342,23 +337,19 @@ def _parse_function(elem) -> SmartContractFunctionDecl:
 
 
 def _parse_interface(elem) -> SmartContractInterfaceDecl:
-    address = elem.get("contractAddress")
-    if address is not None and not is_address(address):
-        raise MalformedAddress(f"contractAddress '{address}' is not 0x + 40 hex digits")
     functions = [_parse_function(child) for _, child in
                  _bcext_children(elem, ("function",), "bcext:smartContractInterface")]
     return SmartContractInterfaceDecl(
         id=_require(elem, "id", "bcext:smartContractInterface"),
         name=_require(elem, "name", "bcext:smartContractInterface"),
-        contract_address=address,
+        contract_address=elem.get("contractAddress"),
         functions=tuple(functions),
     )
 
 
 def _parse_binding_source(text: str) -> Expr:
     """bindIn source: variable name, 'processAddress', or a literal."""
-    if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", text) and text not in ("true", "false") \
-            and not is_address(text):
+    if IDENTIFIER_RE.fullmatch(text) and text not in ("true", "false") and not is_address(text):
         return Var(text)
     value = _parse_literal(text)
     return Lit(value, _literal_type(value))
@@ -452,19 +443,12 @@ def parse_bpmn(xml_text: str) -> ProcessModel:
     variables: List[ProcessVariableDecl] = []
     interfaces: List[SmartContractInterfaceDecl] = []
     invocations: List[InvocationBinding] = []
-    seen_ids = set()
-
-    def claim_id(elem_id: str):
-        if elem_id in seen_ids:
-            raise DuplicateId(f"duplicate id '{elem_id}'")
-        seen_ids.add(elem_id)
 
     for elem in _iter_process_children(process):
         ens, elocal = _split_tag(elem.tag)
         if ens == BPMN_NS:
             if elocal in _NODE_KINDS:
                 node_id = _require(elem, "id", elocal)
-                claim_id(node_id)
                 kind = _NODE_KINDS[elocal]
                 script: Tuple[Assign, ...] = ()
                 if kind == NodeKind.SCRIPT_TASK:
@@ -481,7 +465,6 @@ def parse_bpmn(xml_text: str) -> ProcessModel:
                 ))
             elif elocal == "sequenceFlow":
                 flow_id = _require(elem, "id", "sequenceFlow")
-                claim_id(flow_id)
                 condition = None
                 for sub in elem:
                     sns, slocal = _split_tag(sub.tag)
@@ -502,25 +485,13 @@ def parse_bpmn(xml_text: str) -> ProcessModel:
             if elocal == "variables":
                 variables.extend(_parse_variables(elem))
             elif elocal == "smartContractInterface":
-                itf = _parse_interface(elem)
-                claim_id(itf.id)
-                interfaces.append(itf)
+                interfaces.append(_parse_interface(elem))
             elif elocal == "invocation":
                 invocations.append(_parse_invocation(elem))
             else:
                 raise UnknownElement(f"unknown bcext element '{elocal}'")
         else:
             raise UnknownElement(f"foreign element '{elem.tag}' inside process")
-
-    node_ids = {n.id for n in nodes}
-    interface_ids = {i.id for i in interfaces}
-    for inv in invocations:
-        if inv.source_task not in node_ids:
-            raise DanglingReference(f"invocation references unknown task "
-                                    f"'{inv.source_task}'")
-        if inv.target_interface not in interface_ids:
-            raise DanglingReference(f"invocation references unknown interface "
-                                    f"'{inv.target_interface}'")
 
     return ProcessModel(
         id=_require(process, "id", "process"),

@@ -17,14 +17,12 @@ from .ir import (
     BinOp,
     Expr,
     Lit,
-    Node,
-    NodeKind,
     PROCESS_ADDRESS,
     ProcessModel,
     SmartContractInterfaceDecl,
     UnaryOp,
     Var,
-    sanitize_identifier,
+    function_name,
 )
 from .marking import MarkingAutomaton
 from .registry import AttributeDecl, FungibleRegistrySpec, NonFungibleRegistrySpec
@@ -414,13 +412,6 @@ def _hex(mask: int) -> str:
     return f"{mask:#x}"
 
 
-def _auto_fn_name(node: Node) -> str:
-    """Function name of an auto-transition: a script task is named after
-    its display name, a gateway or end event after its id."""
-    return sanitize_identifier(
-        node.display_name if node.kind == NodeKind.SCRIPT_TASK else node.id)
-
-
 def render_expr(e: Expr) -> str:
     if isinstance(e, Lit):
         return _sol_literal(e.value, e.type)
@@ -544,7 +535,7 @@ def gen_process(model: ProcessModel, automaton: MarkingAutomaton) -> SourceUnit:
         body = [f"            _{ti.name} = {ti.name};" for ti in node.task_inputs]
         body += ["            " + line for line in _invocation_lines(model, task_id)]
         b.append("")
-        b.append(f"    function {sanitize_identifier(node.display_name)}"
+        b.append(f"    function {function_name(node)}"
                  f"({_params_text(node.task_inputs, 'memory')}) public {{")
         b.append("        uint preconditionsp = marking;")
         for i, alt in enumerate(alts):
@@ -563,7 +554,7 @@ def gen_process(model: ProcessModel, automaton: MarkingAutomaton) -> SourceUnit:
     for t in automaton.autos:
         node = model.node(t.node_id)
         b.append("")
-        b.append(f"    function {_auto_fn_name(node)}(uint preconditionsp) internal returns (uint) {{")
+        b.append(f"    function {function_name(node)}(uint preconditionsp) internal returns (uint) {{")
         body = [f"            _{st.target} = {render_expr(st.value)};" for st in node.script]
         body += ["            " + line for line in _invocation_lines(model, t.node_id)]
         for i, pre in enumerate(t.pre_alternatives):
@@ -594,7 +585,7 @@ def gen_process(model: ProcessModel, automaton: MarkingAutomaton) -> SourceUnit:
     b.append("        while (previous != preconditionsp) {")
     b.append("            previous = preconditionsp;")
     for t in automaton.autos:
-        fn_name = _auto_fn_name(model.node(t.node_id))
+        fn_name = function_name(model.node(t.node_id))
         b.append(f"            preconditionsp = {fn_name}(preconditionsp);")
     b.append("        }")
     b.append("        return preconditionsp;")

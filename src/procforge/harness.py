@@ -111,7 +111,6 @@ def step(a: MarkingAutomaton, states: FrozenSet[int], task_id: str) -> FrozenSet
 
 def enumerate_conforming(a: MarkingAutomaton, max_len: int,
                          strict: bool = True,
-                         state_budget: int = DEFAULT_STATE_BUDGET,
                          limit: Optional[int] = None) -> List[Names]:
     """The first `limit` (default: all) task-name sequences of length
     <= max_len that the automaton accepts, in lexicographic order of the
@@ -120,10 +119,11 @@ def enumerate_conforming(a: MarkingAutomaton, max_len: int,
 
     A pre-order DFS that tries tasks in sorted display-name order yields
     the sequences already sorted, so it stops once it has `limit` of them.
-    The state budget counts only the markings produced on the way there;
-    BudgetExceeded is raised when they exceed it."""
+    The state budget, DEFAULT_STATE_BUDGET, counts only the markings
+    produced on the way there; BudgetExceeded is raised when they exceed
+    it."""
     found: List[Names] = []
-    budget = [state_budget]
+    budget = [DEFAULT_STATE_BUDGET]
     by_name = sorted((name, tid) for tid, name in a.external_names.items())
 
     def walk(states: FrozenSet[int], prefix: Names) -> bool:
@@ -138,7 +138,8 @@ def enumerate_conforming(a: MarkingAutomaton, max_len: int,
             nxt = step(a, states, task_id)
             budget[0] -= len(nxt)
             if budget[0] < 0:
-                raise BudgetExceeded(f"marking graph larger than {state_budget} states")
+                raise BudgetExceeded(
+                    f"marking graph larger than {DEFAULT_STATE_BUDGET} states")
             if nxt and walk(nxt, prefix + (name,)):
                 return True
         return False

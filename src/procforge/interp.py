@@ -21,9 +21,8 @@ from .ir import (
     Node,
     PROCESS_ADDRESS,
     ProcessModel,
-    Var,
+    ZERO_VALUES,
     addr_key,
-    default_value,
     literal_matches,
 )
 from .marking import (
@@ -429,8 +428,9 @@ class InstanceState:
         self.iface_registries = iface_registries
         self.process_address = process_address
         self.env: Dict[str, object] = {
-            v.name: (v.initial if v.initial is not None else default_value(v.type))
+            v.name: (v.initial if v.initial is not None else ZERO_VALUES[v.type])
             for v in model.variables}
+        self._zeros = {name: ZERO_VALUES[t] for name, t in model.declared_types().items()}
         self.event_log: List[LogEntry] = []
         self.marking = automaton.initial_marking
         # close over any auto-transitions enabled straight from the start
@@ -457,16 +457,15 @@ class InstanceState:
             raise UnknownRegistryAddress(f"no simulated registry at {address}")
         return reg
 
-    def _bind_value(self, binding_source, env):
-        if isinstance(binding_source, Var):
-            if binding_source.name == PROCESS_ADDRESS:
-                return self.process_address
-            if binding_source.name not in env:
-                raise RegistryError(f"unbound binding source: {binding_source.name}")
-            return env[binding_source.name]
-        if isinstance(binding_source, Lit):
-            return binding_source.value
-        raise RegistryError(f"unsupported binding source {binding_source!r}")
+    def _bind_value(self, source, env):
+        """The value of a binding source: a literal, processAddress, or a
+        variable or task input, which reads as its type's zero until it is
+        set, as in the contract's storage."""
+        if isinstance(source, Lit):
+            return source.value
+        if source.name == PROCESS_ADDRESS:
+            return self.process_address
+        return env.get(source.name, self._zeros[source.name])
 
     def _run_task_invocations(self, task_id: str, env: Dict[str, object],
                               caller: Optional[str] = None):
@@ -537,8 +536,7 @@ class InstanceState:
 
 def new_instance(model: ProcessModel, automaton: MarkingAutomaton,
                  address_bindings: Optional[Mapping[str, str]] = None,
-                 registries: Optional[Mapping[str, Registry]] = None,
-                 instance_seq: int = 0) -> InstanceState:
+                 registries: Optional[Mapping[str, Registry]] = None) -> InstanceState:
     """Create a process instance.
 
     address_bindings must cover every interface without a hard-coded
@@ -560,7 +558,7 @@ def new_instance(model: ProcessModel, automaton: MarkingAutomaton,
                 f"no simulated registry at {address} for interface '{itf.id}'")
         iface_registries[itf.id] = registries[addr_key(address)]
 
-    process_address = pseudo_address(f"process:{model.id}:{instance_seq}")
+    process_address = pseudo_address(f"process:{model.id}:0")
     for reg in registries.values():
         if isinstance(reg, NonFungibleStore):
             reg.bind_process(process_address)

@@ -4,6 +4,9 @@ language used by conditions and scripts.
 
 Everything here is immutable after construction. Validation is a pure
 function producing a diagnostic report; it never raises for model defects.
+It is the one owner of every model defect: the BPMN reader raises only
+when a document cannot be read into a ProcessModel at all, and leaves
+clashing ids, dangling references and malformed values to validate_model.
 """
 
 from __future__ import annotations
@@ -23,6 +26,9 @@ INT256_MAX = 2**255 - 1
 VALUE_TYPES = ("uint256", "int256", "bool", "address", "string")
 
 ZERO_ADDRESS = "0x" + "0" * 40
+
+# the value of each type's storage slot before anything is written to it
+ZERO_VALUES = {"uint256": 0, "int256": 0, "bool": False, "string": "", "address": ZERO_ADDRESS}
 
 ADDRESS_RE = re.compile(r"0x[0-9a-fA-F]{40}")
 
@@ -143,10 +149,6 @@ class ArithmeticUnderflow(EvalError):
     pass
 
 
-class UnboundVariable(EvalError):
-    pass
-
-
 class ExprTypeError(Exception):
     """Raised by compile_expr; surfaces as a validation diagnostic."""
 
@@ -229,8 +231,10 @@ def compile_expr(e: Expr, types: Mapping[str, str]) -> Tuple[str, Evaluator]:
     integer width; arithmetic on them alone is folded here. A literal
     above 2**256 - 1 is a type error, and so is a folded constant that
     fails, or that meets an int256 operand, or is negated, outside int256.
-    Strings support equality only. Arithmetic is checked, not wrapping. Raises
-    ExprTypeError for an ill-typed e.
+    Strings support equality only. Arithmetic is checked, not wrapping. A
+    declared name the environment lacks, such as a task input not given
+    yet, reads as its type's zero value, as the emitted contract's storage
+    does. Raises ExprTypeError for an ill-typed e.
     """
     if isinstance(e, Lit):
         value = e.value
@@ -243,12 +247,8 @@ def compile_expr(e: Expr, types: Mapping[str, str]) -> Tuple[str, Evaluator]:
             raise ExprTypeError(f"undeclared variable '{name}'")
         if types[name] not in VALUE_TYPES:  # an 'int_const' variable would be folded
             raise ExprTypeError(f"variable '{name}' has unknown type '{types[name]}'")
-
-        def var(env):
-            if name not in env:
-                raise UnboundVariable(name)
-            return env[name]
-        return types[name], var
+        zero = ZERO_VALUES[types[name]]
+        return types[name], lambda env: env.get(name, zero)
     if isinstance(e, UnaryOp):
         t, operand = compile_expr(e.operand, types)
         if e.op == "!":
@@ -528,10 +528,6 @@ class ValidationReport:
         return not self.errors
 
 
-def default_value(type_name: str):
-    return {"uint256": 0, "int256": 0, "bool": False, "string": "", "address": ZERO_ADDRESS}[type_name]
-
-
 def literal_matches(type_name: str, value: object) -> bool:
     if type_name in ("uint256", "int256"):
         if not isinstance(value, int) or isinstance(value, bool):
@@ -560,6 +556,12 @@ def sanitize_identifier(name: str) -> str:
     if ident[0].isdigit():
         ident = "_" + ident
     return ident
+
+
+def function_name(node: Node) -> str:
+    """The name of the ProcessMonitor function a node emits: a task is
+    named by its display name, a gateway or end event by its id."""
+    return sanitize_identifier(node.display_name if node.kind in TASK_KINDS else node.id)
 
 
 def _reachable(seeds, successors) -> set:
@@ -612,11 +614,15 @@ def validate_model(model: ProcessModel) -> ValidationReport:  # noqa: C901
             err(v.name, f"initial value {v.initial!r} does not match type {v.type}")
 
     iface_ids = set()
+    iface_names = {"ProcessFactory", "ProcessMonitor"}  # the emitted contracts
     for itf in model.interfaces:
-        if itf.id in iface_ids:
+        if itf.id in iface_ids or itf.id in node_ids or itf.id in flow_ids:
             err(itf.id, "duplicate interface id")
         iface_ids.add(itf.id)
         identifier(itf.id, "interface name", itf.name)
+        if itf.name in iface_names:
+            err(itf.id, f"contract name '{itf.name}' is already taken")
+        iface_names.add(itf.name)
         if itf.contract_address is not None and not is_address(itf.contract_address):
             err(itf.id, f"malformed contract address '{itf.contract_address}'")
         fn_names = set()
@@ -755,14 +761,20 @@ def validate_model(model: ProcessModel) -> ValidationReport:  # noqa: C901
             except ExprTypeError as e:
                 err(n.id, f"script type error: {e}")
 
-    # unique sanitized function names for tasks (codegen + trace lookup)
-    seen_idents = {}
-    for n in model.tasks():
-        ident = sanitize_identifier(n.display_name)
-        if ident in seen_idents:
-            err(n.id, f"task name '{n.display_name}' collides with "
-                      f"'{seen_idents[ident]}' after identifier sanitization")
-        seen_idents[ident] = n.display_name
+    # one ProcessMonitor function per node but the start event; a task's
+    # display name is also how a trace names it
+    def named(n):
+        return f"'{n.display_name}'" if n.kind in TASK_KINDS else f"{n.kind.value} '{n.id}'"
+
+    owners = {}
+    for n in model.nodes:
+        if n.kind == NodeKind.START_EVENT:
+            continue
+        fn = function_name(n)
+        if fn in owners:
+            err(n.id, f"{'task name ' if n.kind in TASK_KINDS else ''}{named(n)} collides "
+                      f"with {named(owners[fn])} after identifier sanitization")
+        owners[fn] = n
 
     # invocation bindings
     for b in model.invocations:

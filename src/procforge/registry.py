@@ -10,9 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-from .ir import ADDRESS_RE, UINT256_MAX, addr_key, is_address, is_identifier, load_json
-
-ATTRIBUTE_TYPES = ("uint256", "int256", "bool", "address", "string")
+from .ir import (ADDRESS_RE, UINT256_MAX, VALUE_TYPES, addr_key, is_address, is_identifier,
+                 load_json)
 
 SYMBOL_MAX_LEN = 11
 DECIMALS_MAX = 18
@@ -235,7 +234,7 @@ def _nonfungible(obj: dict) -> NonFungibleRegistrySpec:
             raise InvariantViolation(path, f"duplicate attribute '{aname}'")
         seen.add(aname)
         atype = _field(entry, "type")
-        if atype not in ATTRIBUTE_TYPES:
+        if atype not in VALUE_TYPES:
             raise UnknownAttributeType(f"{path}.type: '{atype}'")
         attrs.append(AttributeDecl(
             name=aname, type=atype,

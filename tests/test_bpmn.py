@@ -6,9 +6,6 @@ from procforge import bpmn
 from procforge.bpmn import (
     MAX_EXPR_DEPTH,
     ConditionParseError,
-    DanglingReference,
-    DuplicateId,
-    MalformedAddress,
     UnknownElement,
     XmlSyntaxError,
     parse_bpmn,
@@ -16,7 +13,7 @@ from procforge.bpmn import (
     parse_script,
 )
 from procforge.codegen import render_expr
-from procforge.ir import Assign, BinOp, Lit, NodeKind, UnaryOp, Var, compile_expr
+from procforge.ir import Assign, BinOp, Lit, NodeKind, UnaryOp, Var, compile_expr, validate_model
 
 from conftest import load_model
 
@@ -222,30 +219,40 @@ def test_unknown_bpmn_element():
         parse_bpmn(DOC.format(body=MINIMAL + '<callActivity id="c"/>'))
 
 
+# Model defects are the validator's: the reader builds the model as
+# written, and validate_model reports the defect at its ref.
+
+
+def errors_of(body):
+    return [(d.ref, d.message) for d in validate_model(parse_bpmn(DOC.format(body=body))).errors]
+
+
 def test_duplicate_id():
-    with pytest.raises(DuplicateId):
-        parse_bpmn(DOC.format(body=MINIMAL + '<userTask id="t"/>'))
+    assert ("t", "duplicate node id") in errors_of(MINIMAL + '<userTask id="t"/>')
+    flow = '<sequenceFlow id="f2" sourceRef="t" targetRef="end"/>'
+    assert ("f2", "duplicate flow id") in errors_of(MINIMAL + flow)
+    for itf_id in ("t", "f1"):
+        itf = f'<bcext:smartContractInterface id="{itf_id}" name="X"/>'
+        assert (itf_id, "duplicate interface id") in errors_of(MINIMAL + itf)
 
 
 def test_malformed_interface_address():
     body = MINIMAL + ('<bcext:smartContractInterface id="i" name="X" '
                       'contractAddress="0x123"/>')
-    with pytest.raises(MalformedAddress):
-        parse_bpmn(DOC.format(body=body))
+    assert parse_bpmn(DOC.format(body=body)).interfaces[0].contract_address == "0x123"
+    assert ("i", "malformed contract address '0x123'") in errors_of(body)
 
 
 def test_dangling_invocation_task():
     body = MINIMAL + (
         '<bcext:smartContractInterface id="i" name="X"/>'
         '<bcext:invocation sourceTask="ghost" targetInterface="i" fnName="f"/>')
-    with pytest.raises(DanglingReference):
-        parse_bpmn(DOC.format(body=body))
+    assert ("ghost", "invocation source is not a task") in errors_of(body)
 
 
 def test_dangling_invocation_interface():
     body = MINIMAL + '<bcext:invocation sourceTask="t" targetInterface="ghost" fnName="f"/>'
-    with pytest.raises(DanglingReference):
-        parse_bpmn(DOC.format(body=body))
+    assert ("t", "invocation targets unknown interface 'ghost'") in errors_of(body)
 
 
 def test_dangling_flow_is_left_to_validator():

@@ -532,6 +532,46 @@ def test_malformed_input_is_one_error_line(tmp_path, capsys, model, spec, trace,
     assert err.startswith("error: ") and err.count("\n") == 1 and reason in err
 
 
+# Model defects that the BPMN reader builds into the model as written: each
+# is a validate diagnostic at its ref, and every command exits 1 with the
+# report
+
+
+ITF_LRK2 = '<bcext:smartContractInterface id="itf_lrk2" name="LorikeetCoin"/>'
+MODEL_DEFECTS = {  # name: (old, new, ref of the diagnostic)
+    "duplicate-node-id": ('<userTask id="t_claim" name="Tokens claimed"/>',
+                          '<userTask id="t_claim" name="Tokens claimed"/>'
+                          '<userTask id="t_claim" name="Tokens claimed again"/>', "t_claim"),
+    "duplicate-flow-id": ('id="f7"', 'id="f6"', "f6"),
+    "interface-id-is-a-node-id": ("itf_lrk", "g_cap", "g_cap"),
+    "malformed-address": ('name="LorikeetCoin">', 'name="LorikeetCoin" contractAddress="0x123">',
+                          "itf_lrk"),
+    "unknown-task": ('sourceTask="t_claim"', 'sourceTask="ghost"', "ghost"),
+    "unknown-interface": ('targetInterface="itf_lrk"', 'targetInterface="ghost"', "t_claim"),
+    "function-name-collision": ('name="Allocate tokens"', 'name="G cap"', "g_cap"),
+    "duplicate-interface-name": ("</bcext:smartContractInterface>",
+                                 "</bcext:smartContractInterface>" + ITF_LRK2, "itf_lrk2"),
+}
+DEFECT_MODELS = {name: ICO_TEXT.replace(old, new) for name, (old, new, _) in MODEL_DEFECTS.items()}
+
+
+@pytest.mark.parametrize("defect", list(MODEL_DEFECTS))
+def test_model_defects_are_validate_diagnostics(tmp_path, capsys, defect):
+    model, trace = tmp_path / "m.bpmn", tmp_path / "t.jsonl"
+    model.write_text(DEFECT_MODELS[defect])
+    trace.write_text('{"task": "Investment received"}\n')
+    ref = MODEL_DEFECTS[defect][2]
+    code, out, err = run(capsys, "validate", str(model), "--json")
+    assert code == 1 and err == ""
+    assert {"severity": "error", "ref": ref} in [
+        {"severity": d["severity"], "ref": d["ref"]} for d in json.loads(out)["diagnostics"]]
+    for command, *extra in (["validate"], ["compile", "-o", str(tmp_path / "out")],
+                            ["simulate", "--trace", str(trace)], ["conformance"]):
+        code, out, err = run(capsys, command, str(model), "--registry", LRK, *extra)
+        assert code == 1 and f"error: [{ref}] " in out + err, command
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # Fuzzing the CLI boundary: whatever the input files hold, main returns
 # one of the documented exit codes and no exception escapes
@@ -640,6 +680,12 @@ lrk = (FIXTURES / "lrk.json").read_bytes()
 @example(command="compile", inputs=(ico, [LONE_SURROGATE_SPEC.encode()], b""), flags=[])
 @example(command="simulate", flags=[], inputs=(
     ico, [lrk], b'{"task": "Investment received", "args": {"amount": "\\ud800"}}'))
+@example(command="compile", inputs=(DEFECT_MODELS["malformed-address"].encode(), [lrk], b""),
+         flags=[])
+@example(command="simulate", flags=["--json"], inputs=(
+    DEFECT_MODELS["unknown-interface"].encode(), [lrk], b'{"task": "Tokens claimed", "args": {}}'))
+@example(command="conformance", flags=[], inputs=(
+    DEFECT_MODELS["duplicate-flow-id"].encode(), [lrk], b""))
 def test_cli_exits_with_a_documented_code_on_any_input(capsys, command, inputs, flags):
     model, specs, trace = inputs
     with tempfile.TemporaryDirectory() as tmp:

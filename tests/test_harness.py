@@ -109,16 +109,20 @@ def test_enumerate_grain_has_swap_and_refund_paths(grain_automaton):
     assert finals == {"Asset Swap", "Refund"}
 
 
-def test_enumerate_budget():
+def test_enumerate_budget(monkeypatch):
     _, a = and_split_bc()
+    monkeypatch.setattr(harness, "DEFAULT_STATE_BUDGET", 1)
     with pytest.raises(BudgetExceeded):
-        enumerate_conforming(a, 3, state_budget=1)
+        enumerate_conforming(a, 3)
     # the full walk produces 5 markings: A; then B, C; then C after B, B after C
-    assert len(enumerate_conforming(a, 3, state_budget=5)) == 2
+    monkeypatch.setattr(harness, "DEFAULT_STATE_BUDGET", 5)
+    assert len(enumerate_conforming(a, 3)) == 2
+    monkeypatch.setattr(harness, "DEFAULT_STATE_BUDGET", 4)
     with pytest.raises(BudgetExceeded):
-        enumerate_conforming(a, 3, state_budget=4)
+        enumerate_conforming(a, 3)
     # the first trace alone needs only the 3 markings on its own path
-    assert enumerate_conforming(a, 3, state_budget=3, limit=1)[0] == ("A", "B", "C")
+    monkeypatch.setattr(harness, "DEFAULT_STATE_BUDGET", 3)
+    assert enumerate_conforming(a, 3, limit=1)[0] == ("A", "B", "C")
 
 
 @pytest.mark.parametrize("strict", [True, False])
@@ -131,9 +135,10 @@ def test_enumerate_limit_is_prefix_of_full_list(strict):
                                         limit=k) == full[:k], (seed, k)
 
 
-def test_enumerate_parallel_chain6_first_two_within_small_budget():
+def test_enumerate_parallel_chain6_first_two_within_small_budget(monkeypatch):
     a = compile_marking(parallel_chain(6))
-    first, second = enumerate_conforming(a, 12, state_budget=100, limit=2)
+    monkeypatch.setattr(harness, "DEFAULT_STATE_BUDGET", 100)
+    first, second = enumerate_conforming(a, 12, limit=2)
     a_s = tuple(f"A{i}" for i in range(6))
     assert first == a_s + ("B0", "B1", "B2", "B3", "B4", "B5")
     assert second == a_s + ("B0", "B1", "B2", "B3", "B5", "B4")
@@ -481,6 +486,10 @@ def oracle_states_needed(model, trace):
 def test_oracle_budget_is_per_trace(grain_model, grain_automaton, monkeypatch, capsys):
     first, second = enumerate_conforming(grain_automaton, 8, limit=2)
     need = oracle_states_needed(grain_model, first)
+    # enumerate_conforming spends from the same budget; hand the experiment
+    # its bases, so that only the oracle spends
+    monkeypatch.setattr(harness, "enumerate_conforming",
+                        lambda a, max_len, strict, limit: [first, second][:limit])
     one = ExperimentConfig(base_traces=1, mutants_per_base=0)
     monkeypatch.setattr(harness, "DEFAULT_STATE_BUDGET", need)
     assert oracle_classify(grain_model, first).ok

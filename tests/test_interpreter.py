@@ -339,12 +339,9 @@ def test_unknown_registry_address(grain_model, grain_automaton):
         new_instance(grain_model, grain_automaton, registries={})
 
 
-def test_instance_addresses_unique_per_sequence(grain_model, grain_automaton):
-    i0 = new_instance(grain_model, grain_automaton, registries=grain_registries(),
-                      instance_seq=0)
-    i1 = new_instance(grain_model, grain_automaton, registries=grain_registries(),
-                      instance_seq=1)
-    assert i0.process_address != i1.process_address
+def test_instance_address_is_derived_from_the_process_id(grain_model, grain_automaton):
+    inst = new_instance(grain_model, grain_automaton, registries=grain_registries())
+    assert inst.process_address == pseudo_address("process:grain_title:0")
 
 
 def _ledger_state(inst, address):

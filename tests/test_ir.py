@@ -1,3 +1,4 @@
+import json
 import re
 
 import pytest
@@ -26,8 +27,8 @@ from procforge.ir import (
     TaskInput,
     UINT256_MAX,
     UnaryOp,
-    UnboundVariable,
     Var,
+    ZERO_ADDRESS,
     compile_expr,
     is_address,
     is_identifier,
@@ -102,9 +103,58 @@ def test_signed_division_truncates_toward_zero():
     assert compile_expr(e, U)[1]({"i": 7, "j": -2}) == -3
 
 
-def test_unbound_variable():
-    with pytest.raises(UnboundVariable):
-        compile_expr(Var("x"), U)[1]({})
+PAY_AND_COUNT = """<?xml version="1.0" encoding="UTF-8"?>
+<definitions xmlns="http://www.omg.org/spec/BPMN/20100524/MODEL"
+             xmlns:bcext="urn:procforge:bcext:1" id="d">
+  <process id="p">
+    <bcext:variables><bcext:variable name="x" type="uint256"/></bcext:variables>
+    <bcext:smartContractInterface id="itf_lrk" name="LorikeetCoin">
+      <bcext:function name="transfer">
+        <bcext:input name="to" type="address"/>
+        <bcext:input name="amount" type="uint256"/>
+      </bcext:function>
+    </bcext:smartContractInterface>
+    <bcext:invocation sourceTask="count" targetInterface="itf_lrk" fnName="transfer">
+      <bcext:bindIn param="to" source="payee"/>
+      <bcext:bindIn param="amount" source="amount"/>
+    </bcext:invocation>
+    <startEvent id="start"/>
+    <parallelGateway id="split"/>
+    <userTask id="pay" name="Pay">
+      <extensionElements>
+        <bcext:input name="amount" type="uint256"/>
+        <bcext:input name="payee" type="address"/>
+      </extensionElements>
+    </userTask>
+    <scriptTask id="count" name="Count"><script>x = amount + 1</script></scriptTask>
+    <parallelGateway id="join"/>
+    <endEvent id="end"/>
+    <sequenceFlow id="f1" sourceRef="start" targetRef="split"/>
+    <sequenceFlow id="f2" sourceRef="split" targetRef="pay"/>
+    <sequenceFlow id="f3" sourceRef="split" targetRef="count"/>
+    <sequenceFlow id="f4" sourceRef="pay" targetRef="join"/>
+    <sequenceFlow id="f5" sourceRef="count" targetRef="join"/>
+    <sequenceFlow id="f6" sourceRef="join" targetRef="end"/>
+  </process>
+</definitions>
+"""
+
+
+def test_unset_task_input_reads_as_zero(tmp_path, capsys):
+    assert [compile_expr(Var(name), U)[1]({}) for name in ("x", "i", "b", "a", "s")] \
+        == [0, 0, False, ZERO_ADDRESS, ""]
+    # Count runs before Pay gives amount and payee, and reads the zeros that
+    # the emitted constructor stores in _amount and _payee: x = 0 + 1, and
+    # its bound call is transfer(address(0), 0)
+    from procforge.cli import main
+    (tmp_path / "m.bpmn").write_text(PAY_AND_COUNT)
+    (tmp_path / "t.jsonl").write_text(
+        json.dumps({"task": "Pay", "args": {"amount": 5, "payee": "0x" + "1" * 40}}))
+    assert main(["simulate", str(tmp_path / "m.bpmn"), "--trace", str(tmp_path / "t.jsonl"),
+                 "--registry", str(FIXTURES / "lrk.json"), "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["classification"] == "Conforming"
+    assert out["variables"] == {"x": 1, "amount": 5, "payee": "0x" + "1" * 40}
 
 
 def test_address_comparison_case_insensitive():
@@ -332,6 +382,37 @@ def test_sanitized_name_collision():
              SequenceFlow("f3", "t2", "end"))
     m = ProcessModel(id="m", nodes=nodes, flows=flows)
     assert any("identifier sanitization" in e for e in errors_of(m))
+
+
+# a gateway or an end event emits a function named by its id
+@pytest.mark.parametrize("old, new, message", [
+    ('name="Allocate tokens"', 'name="G cap"',
+     "exclusiveGateway 'g_cap' collides with 'G cap' after identifier sanitization"),
+    ('name="Allocate tokens"', 'name="End closed"',
+     "endEvent 'end_closed' collides with 'End closed' after identifier sanitization"),
+], ids=["gateway", "end-event"])
+def test_function_names_of_gateways_and_end_events_collide(old, new, message):
+    text = (FIXTURES / "ico.bpmn").read_text()
+    assert old in text
+    assert errors_of(parse_bpmn(text.replace(old, new))) == [message]
+
+
+ITF_LRK2 = '<bcext:smartContractInterface id="itf_lrk2" name="{}"/>'
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("</bcext:smartContractInterface>",
+     "</bcext:smartContractInterface>" + ITF_LRK2.format("LorikeetCoin"),
+     "contract name 'LorikeetCoin' is already taken"),
+    ('name="LorikeetCoin"', 'name="ProcessFactory"',
+     "contract name 'ProcessFactory' is already taken"),
+    ('name="LorikeetCoin"', 'name="ProcessMonitor"',
+     "contract name 'ProcessMonitor' is already taken"),
+], ids=["two-interfaces", "ProcessFactory", "ProcessMonitor"])
+def test_interface_contract_names_are_unique(old, new, message):
+    text = (FIXTURES / "ico.bpmn").read_text()
+    assert old in text
+    assert errors_of(parse_bpmn(text.replace(old, new, 1))) == [message]
 
 
 def test_degenerate_gateway_is_warning_only():
