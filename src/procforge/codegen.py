@@ -10,10 +10,10 @@ no timestamps.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Mapping, NamedTuple, Optional, Tuple
 
 from .ir import (
+    EQ_OPS,
     BinOp,
     Expr,
     Lit,
@@ -22,6 +22,7 @@ from .ir import (
     SmartContractInterfaceDecl,
     UnaryOp,
     Var,
+    ascii_words,
     function_name,
 )
 from .marking import MarkingAutomaton
@@ -30,8 +31,7 @@ from .registry import AttributeDecl, FungibleRegistrySpec, NonFungibleRegistrySp
 PRAGMA = "^0.5.8"
 
 
-@dataclass(frozen=True)
-class SourceUnit:
+class SourceUnit(NamedTuple):
     file_name: str
     pragma_version: str
     contracts: Tuple[str, ...]
@@ -41,7 +41,7 @@ class SourceUnit:
 def contract_name(display_name: str) -> str:
     """'Lorikeet Coin' -> 'LorikeetCoin' (inner capitals preserved); words
     are runs of ASCII letters and digits."""
-    words = "".join(c if c.isascii() and c.isalnum() else " " for c in display_name).split()
+    words = ascii_words(display_name)
     name = "".join(w[0].upper() + w[1:] for w in words)
     if not name:
         return "Contract"
@@ -412,7 +412,16 @@ def _hex(mask: int) -> str:
     return f"{mask:#x}"
 
 
-def render_expr(e: Expr) -> str:
+def _is_string(e: Expr, types: Mapping[str, str]) -> bool:
+    # no operator yields a string, so only a literal or a variable is one
+    return (e.type == "string" if isinstance(e, Lit)
+            else isinstance(e, Var) and types.get(e.name) == "string")
+
+
+def render_expr(e: Expr, types: Mapping[str, str]) -> str:
+    """The Solidity text of e, under the model's declared types. Solidity
+    0.5 has no == on strings, so a string (in)equality compares the
+    keccak256 hashes of the two operands."""
     if isinstance(e, Lit):
         return _sol_literal(e.value, e.type)
     if isinstance(e, Var):
@@ -420,9 +429,14 @@ def render_expr(e: Expr) -> str:
             return "address(this)"
         return "_" + e.name
     if isinstance(e, UnaryOp):
-        return f"{e.op}{render_expr(e.operand)}"
+        return f"{e.op}{render_expr(e.operand, types)}"
     if isinstance(e, BinOp):
-        return f"({render_expr(e.left)} {e.op} {render_expr(e.right)})"
+        left, right = render_expr(e.left, types), render_expr(e.right, types)
+        # validate_model gives both operands of == one type
+        if e.op in EQ_OPS and _is_string(e.left, types):
+            left = f"keccak256(abi.encodePacked({left}))"
+            right = f"keccak256(abi.encodePacked({right}))"
+        return f"({left} {e.op} {right})"
     raise ValueError(f"cannot render {e!r}")
 
 
@@ -441,12 +455,13 @@ def _interface_contract(itf: SmartContractInterfaceDecl) -> str:
     return "\n".join(b) + "\n"
 
 
-def _invocation_lines(model: ProcessModel, task_id: str) -> List[str]:
+def _invocation_lines(model: ProcessModel, task_id: str,
+                      types: Mapping[str, str]) -> List[str]:
     lines: List[str] = []
     for itf, fn_name, sources, targets in model.calls_of(task_id):
         instance = "instanceOf" + itf.name
         lines.append(f"{itf.name} {instance} = {itf.name}(addressOf{itf.name});")
-        call = f"{instance}.{fn_name}({', '.join(render_expr(s) for s in sources)})"
+        call = f"{instance}.{fn_name}({', '.join(render_expr(s, types) for s in sources)})"
         slots = ["" if t is None else "_" + t for t in targets]
         if not any(slots):
             lines.append(f"{call};")
@@ -467,6 +482,7 @@ def _storage_vars(model: ProcessModel):
 def gen_process(model: ProcessModel, automaton: MarkingAutomaton) -> SourceUnit:
     """Emit ProcessFactory.sol: interface contracts, the factory, and the
     ProcessMonitor implementing the marking automaton."""
+    types = model.declared_types()
     unbound = [itf for itf in model.interfaces if itf.contract_address is None]
     ctor_params = [f"address _addressOf{itf.name}" for itf in unbound]
     ctor_args = [f"_addressOf{itf.name}" for itf in unbound]
@@ -533,7 +549,7 @@ def gen_process(model: ProcessModel, automaton: MarkingAutomaton) -> SourceUnit:
         node = model.node(task_id)
         task_name = _sol_literal(node.display_name, "string")
         body = [f"            _{ti.name} = {ti.name};" for ti in node.task_inputs]
-        body += ["            " + line for line in _invocation_lines(model, task_id)]
+        body += ["            " + line for line in _invocation_lines(model, task_id, types)]
         b.append("")
         b.append(f"    function {function_name(node)}"
                  f"({_params_text(node.task_inputs, 'memory')}) public {{")
@@ -551,12 +567,13 @@ def gen_process(model: ProcessModel, automaton: MarkingAutomaton) -> SourceUnit:
         b.append("    }")
 
     # auto transitions: internal functions, Listing-style
-    for t in automaton.autos:
-        node = model.node(t.node_id)
+    auto_fns = [function_name(model.node(t.node_id)) for t in automaton.autos]
+    for t, fn_name in zip(automaton.autos, auto_fns):
         b.append("")
-        b.append(f"    function {function_name(node)}(uint preconditionsp) internal returns (uint) {{")
-        body = [f"            _{st.target} = {render_expr(st.value)};" for st in node.script]
-        body += ["            " + line for line in _invocation_lines(model, t.node_id)]
+        b.append(f"    function {fn_name}(uint preconditionsp) internal returns (uint) {{")
+        body = [f"            _{st.target} = {render_expr(st.value, types)};"
+                for st in model.node(t.node_id).script]
+        body += ["            " + line for line in _invocation_lines(model, t.node_id, types)]
         for i, pre in enumerate(t.pre_alternatives):
             kw = "} else if" if i else "if"
             b.append(f"        {kw} ( (preconditionsp & {_hex(pre)} == {_hex(pre)}) ) {{")
@@ -564,7 +581,7 @@ def gen_process(model: ProcessModel, automaton: MarkingAutomaton) -> SourceUnit:
             # guarded branches, then the unguarded tail compile_marking puts last
             for br in t.branches:
                 if br.guard is not None:
-                    b.append(f"            if ({render_expr(br.guard)}) {{")
+                    b.append(f"            if ({render_expr(br.guard, types)}) {{")
                     b.append(f"                return preconditionsp & uint(~{_hex(pre)})"
                              f"  | {_hex(br.post)};")
                     b.append("            }")
@@ -584,8 +601,7 @@ def gen_process(model: ProcessModel, automaton: MarkingAutomaton) -> SourceUnit:
     b.append("        uint previous = ~preconditionsp;")
     b.append("        while (previous != preconditionsp) {")
     b.append("            previous = preconditionsp;")
-    for t in automaton.autos:
-        fn_name = function_name(model.node(t.node_id))
+    for fn_name in auto_fns:
         b.append(f"            preconditionsp = {fn_name}(preconditionsp);")
     b.append("        }")
     b.append("        return preconditionsp;")

@@ -28,7 +28,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
 from math import isfinite
-from typing import Collection, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
+from typing import (Collection, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set,
+                    Tuple, Union)
 
 from .ir import NodeKind, ProcessModel, TASK_KINDS, is_address, load_json
 from .marking import MarkingAutomaton, eager_closure_nondet
@@ -56,8 +57,7 @@ class TraceSyntaxError(HarnessError):
 # Traces
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     """One event of a data trace."""
 
     task: str
@@ -103,9 +103,9 @@ def step(a: MarkingAutomaton, states: FrozenSet[int], task_id: str) -> FrozenSet
     choices. Empty when the task is enabled in none of the states."""
     out: Set[int] = set()
     for m in states:
-        for alt in a.external[task_id]:
-            if m & alt.pre == alt.pre:
-                out |= eager_closure_nondet(a, (m & ~alt.pre) | alt.post)
+        for pre, post in a.external[task_id]:
+            if m & pre == pre:
+                out |= eager_closure_nondet(a, (m & ~pre) | post)
     return frozenset(out)
 
 
@@ -160,8 +160,7 @@ class Conforming:
         return "Conforming"
 
 
-@dataclass(frozen=True)
-class NonConforming:
+class NonConforming(NamedTuple):
     first_bad_index: Optional[int] = None  # None <=> trace ran out (EndNotReached)
 
     ok = False
@@ -444,16 +443,14 @@ class ExperimentConfig:
             raise ValueError("mutants per base must be nonnegative")
 
 
-@dataclass(frozen=True)
-class Disagreement:
+class Disagreement(NamedTuple):
     trace_index: int
     replayer: str
     oracle: str
     trace: Names
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     seed: int
     conforming: int
     non_conforming: int

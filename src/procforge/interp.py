@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple, Union
 
 from .ir import (
     EvalError,
@@ -381,24 +381,21 @@ def pseudo_address(tag: str) -> str:
     return "0x" + hashlib.sha256(tag.encode("utf-8")).hexdigest()[:40]
 
 
-@dataclass
-class Accepted:
+class Accepted(NamedTuple):
     fired_alternative: int = 0
     fired_autos: Tuple[str, ...] = ()
 
     ok = True
 
 
-@dataclass
-class Rejected:
+class Rejected(NamedTuple):
     reason: str
     detail: str = ""
 
     ok = False
 
 
-@dataclass
-class LogEntry:
+class LogEntry(NamedTuple):
     task: str
     args: Optional[dict]
     caller: Optional[str]

@@ -2,11 +2,18 @@
 contract interfaces, invocation bindings, and the small typed expression
 language used by conditions and scripts.
 
-Everything here is immutable after construction. Validation is a pure
-function producing a diagnostic report; it never raises for model defects.
-It is the one owner of every model defect: the BPMN reader raises only
-when a document cannot be read into a ProcessModel at all, and leaves
-clashing ids, dangling references and malformed values to validate_model.
+Everything here is immutable after construction. The records are
+typing.NamedTuples, which import without generating code: they compare
+and hash as the tuples of their fields, so a record equals any tuple of
+the same items, and a changed copy is record._replace(field=value).
+ProcessModel alone is a frozen dataclass, as it caches its index on
+first lookup.
+
+Validation is a pure function producing a diagnostic report; it never
+raises for model defects. It is the one owner of every model defect: the
+BPMN reader raises only when a document cannot be read into a
+ProcessModel at all, and leaves clashing ids, dangling references and
+malformed values to validate_model.
 """
 
 from __future__ import annotations
@@ -92,25 +99,21 @@ def load_json(text: str):
 # Expression language
 
 
-@dataclass(frozen=True)
-class Lit:
+class Lit(NamedTuple):
     value: Union[int, bool, str]
     type: str  # uint256/int256/bool/address/string or "int_const"
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(NamedTuple):
     name: str
 
 
-@dataclass(frozen=True)
-class UnaryOp:
+class UnaryOp(NamedTuple):
     op: str  # "!" or "-"
     operand: "Expr"
 
 
-@dataclass(frozen=True)
-class BinOp:
+class BinOp(NamedTuple):
     op: str  # + - * / == != < <= > >= && ||
     left: "Expr"
     right: "Expr"
@@ -119,8 +122,7 @@ class BinOp:
 Expr = Union[Lit, Var, UnaryOp, BinOp]
 
 
-@dataclass(frozen=True)
-class Assign:
+class Assign(NamedTuple):
     """One script statement: target := value."""
 
     target: str
@@ -317,14 +319,12 @@ EXTERNAL_TASK_KINDS = (NodeKind.DEFAULT_TASK, NodeKind.USER_TASK)
 GATEWAY_KINDS = (NodeKind.XOR_GATEWAY, NodeKind.AND_GATEWAY)
 
 
-@dataclass(frozen=True)
-class TaskInput:
+class TaskInput(NamedTuple):
     name: str
     type: str
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
     id: str
     kind: NodeKind
     name: str = ""
@@ -336,8 +336,7 @@ class Node:
         return self.name or self.id
 
 
-@dataclass(frozen=True)
-class SequenceFlow:
+class SequenceFlow(NamedTuple):
     id: str
     source: str
     target: str
@@ -345,28 +344,24 @@ class SequenceFlow:
     is_default: bool = False
 
 
-@dataclass(frozen=True)
-class ProcessVariableDecl:
+class ProcessVariableDecl(NamedTuple):
     name: str
     type: str
     initial: Optional[object] = None
 
 
-@dataclass(frozen=True)
-class FunctionParameter:
+class FunctionParameter(NamedTuple):
     name: str
     type: str
 
 
-@dataclass(frozen=True)
-class SmartContractFunctionDecl:
+class SmartContractFunctionDecl(NamedTuple):
     name: str
     inputs: tuple = ()  # tuple[FunctionParameter, ...]
     outputs: tuple = ()
 
 
-@dataclass(frozen=True)
-class SmartContractInterfaceDecl:
+class SmartContractInterfaceDecl(NamedTuple):
     id: str
     name: str
     contract_address: Optional[str] = None
@@ -379,8 +374,7 @@ class SmartContractInterfaceDecl:
         return None
 
 
-@dataclass(frozen=True)
-class ParameterBinding:
+class ParameterBinding(NamedTuple):
     """Binds one function parameter (input) or return value (output).
 
     source is an Expr for inputs: a Var, a Lit, or the reserved Var
@@ -395,8 +389,7 @@ class ParameterBinding:
 PROCESS_ADDRESS = "processAddress"
 
 
-@dataclass(frozen=True)
-class InvocationBinding:
+class InvocationBinding(NamedTuple):
     source_task: str
     target_interface: str
     fn_name: str
@@ -501,8 +494,7 @@ class ProcessModel:
 # Validation
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     severity: str  # "error" | "warning"
     ref: str  # node/flow/element id the problem is attached to
     message: str
@@ -511,8 +503,7 @@ class Diagnostic:
         return f"{self.severity}: [{self.ref}] {self.message}"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     diagnostics: tuple = ()
 
     @property
@@ -544,11 +535,15 @@ def literal_matches(type_name: str, value: object) -> bool:
     return False
 
 
+# the words of a display name: its runs of ASCII letters and digits
+ascii_words = re.compile(r"[A-Za-z0-9]+").findall
+
+
 def sanitize_identifier(name: str) -> str:
     """Display name -> solidity-safe identifier, first word capitalised and
     the rest lowercased ('Create Grain Title' -> 'Create_grain_title').
     Words are runs of ASCII letters and digits."""
-    words = "".join(c if c.isascii() and c.isalnum() else " " for c in name).split()
+    words = ascii_words(name)
     if not words:
         return "_"
     parts = [words[0][0].upper() + words[0][1:]] + [w.lower() for w in words[1:]]

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
+from typing import (Callable, Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Set,
+                    Tuple)
 
 from .ir import (
     EXTERNAL_TASK_KINDS,
@@ -67,8 +68,7 @@ class Branch:
     test: Optional[Evaluator] = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
-class ExternalAlternative:
+class ExternalAlternative(NamedTuple):
     pre: int
     post: int
 
@@ -226,12 +226,12 @@ def fire_external(a: MarkingAutomaton, marking: int, env: Mapping[str, object],
     alts = a.external.get(task_id)
     if alts is None:
         raise NotEnabled(f"'{task_id}' is not an external task")
-    for i, alt in enumerate(alts):
-        if marking & alt.pre == alt.pre:
+    for i, (pre, post) in enumerate(alts):
+        if marking & pre == pre:
             new_env = dict(env)
             if args:
                 new_env.update(args)
-            return (marking & ~alt.pre) | alt.post, new_env, i
+            return (marking & ~pre) | post, new_env, i
     raise NotEnabled(f"task '{task_id}' not enabled at marking {marking:#x}")
 
 

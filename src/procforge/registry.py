@@ -7,8 +7,7 @@ addresses are 0x + 40 hex digits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from .ir import (ADDRESS_RE, UINT256_MAX, VALUE_TYPES, addr_key, is_address, is_identifier,
                  load_json)
@@ -43,8 +42,7 @@ class UnknownAttributeType(RegistrySpecError):
     pass
 
 
-@dataclass(frozen=True)
-class FungibleRegistrySpec:
+class FungibleRegistrySpec(NamedTuple):
     name: str
     symbol: str
     decimals: int
@@ -56,16 +54,14 @@ class FungibleRegistrySpec:
     initially_distributed_accounts: Tuple[Tuple[str, int], ...] = ()
 
 
-@dataclass(frozen=True)
-class AttributeDecl:
+class AttributeDecl(NamedTuple):
     name: str
     type: str
     updatable: bool = False
     history_tracked: bool = False
 
 
-@dataclass(frozen=True)
-class NonFungibleRegistrySpec:
+class NonFungibleRegistrySpec(NamedTuple):
     name: str
     registry_type: str  # "single" | "distributed"
     attributes: Tuple[AttributeDecl, ...]

@@ -106,7 +106,7 @@ def test_deepest_expression_runs_well_inside_the_recursion_limit():
             e = parse_condition(text)
             t, run = compile_expr(e, {"x": "uint256", "b": "bool"})
             assert t == "bool" and run({"x": 1, "b": True}) in (True, False)
-            assert render_expr(e).count("_") >= 1
+            assert render_expr(e, {"x": "uint256", "b": "bool"}).count("_") >= 1
     finally:
         sys.setrecursionlimit(limit)
 

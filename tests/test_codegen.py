@@ -5,6 +5,7 @@ import json
 import re
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from procforge.codegen import (
     contract_name,
@@ -13,6 +14,7 @@ from procforge.codegen import (
     gen_process,
     render_expr,
 )
+from procforge.bpmn import parse_bpmn
 from procforge.interp import FungibleLedger, NonFungibleStore
 from procforge.ir import (
     VALUE_TYPES,
@@ -24,6 +26,7 @@ from procforge.ir import (
     ProcessVariableDecl,
     SequenceFlow,
     Var,
+    sanitize_identifier,
     validate_model,
 )
 from procforge.marking import compile_marking
@@ -46,6 +49,35 @@ def title_spec():
     return parse_registry((FIXTURES / "grain_title.json").read_text())
 
 
+def _words_by_character(text):
+    # the word split of sanitize_identifier and contract_name before they
+    # used a regex, kept as the reference
+    return "".join(c if c.isascii() and c.isalnum() else " " for c in text).split()
+
+
+def _reference_sanitize_identifier(name):
+    words = _words_by_character(name)
+    if not words:
+        return "_"
+    ident = "_".join([words[0][0].upper() + words[0][1:]] + [w.lower() for w in words[1:]])
+    return "_" + ident if ident[0].isdigit() else ident
+
+
+def _reference_contract_name(display_name):
+    name = "".join(w[0].upper() + w[1:] for w in _words_by_character(display_name))
+    if not name:
+        return "Contract"
+    return "C" + name if name[0].isdigit() else name
+
+
+@given(st.text())
+@example("Create Grain Title")
+@example("3tokens! x² ٣ ǅ\u00a0K\u2160")
+def test_word_split_matches_the_character_loop(text):
+    assert sanitize_identifier(text) == _reference_sanitize_identifier(text)
+    assert contract_name(text) == _reference_contract_name(text)
+
+
 def test_contract_name():
     assert contract_name("Lorikeet Coin") == "LorikeetCoin"
     assert contract_name("grain title") == "GrainTitle"
@@ -66,12 +98,12 @@ def _held(literal: str) -> str:
 
 
 def test_string_literal_holds_its_text():
-    assert _held(render_expr(Lit(NASTY, "string"))) == NASTY
+    assert _held(render_expr(Lit(NASTY, "string"), {})) == NASTY
 
 
 @pytest.mark.parametrize("field", ["name", "symbol"])
 def test_token_name_and_symbol_are_string_literals(field):
-    text = gen_fungible(dataclasses.replace(lrk_spec(), **{field: NASTY})).rendered_text
+    text = gen_fungible(lrk_spec()._replace(**{field: NASTY})).rendered_text
     literal = text.split(f"string public {field} = ", 1)[1].split(";\n", 1)[0]
     assert _held(literal) == NASTY
 
@@ -79,7 +111,7 @@ def test_token_name_and_symbol_are_string_literals(field):
 def test_task_name_is_a_string_literal_in_task_events(ico_model):
     node = ico_model.node("t_invest")
     model = dataclasses.replace(ico_model, nodes=tuple(
-        dataclasses.replace(n, name=NASTY) if n is node else n for n in ico_model.nodes))
+        n._replace(name=NASTY) if n is node else n for n in ico_model.nodes))
     automaton = compile_marking(model)
     events = re.findall(r"emit taskExecuted\((.*), (?:true|false)\);",
                         gen_process(model, automaton).rendered_text)
@@ -89,7 +121,7 @@ def test_task_name_is_a_string_literal_in_task_events(ico_model):
 
 
 def test_non_ascii_token_name_becomes_an_ascii_contract_name():
-    unit = gen_fungible(dataclasses.replace(lrk_spec(), name="Café Coin"))
+    unit = gen_fungible(lrk_spec()._replace(name="Café Coin"))
     assert (unit.file_name, unit.contracts) == ("CafCoin.sol", ("CafCoin",))
     assert contract_name("x² ٣") == "X"
 
@@ -97,7 +129,7 @@ def test_non_ascii_token_name_becomes_an_ascii_contract_name():
 def test_non_ascii_task_name_becomes_an_ascii_function_name(ico_model):
     node = ico_model.node("t_invest")
     model = dataclasses.replace(ico_model, nodes=tuple(
-        dataclasses.replace(n, name="Café investment") if n is node else n
+        n._replace(name="Café investment") if n is node else n
         for n in ico_model.nodes))
     assert validate_model(model).ok
     text = gen_process(model, compile_marking(model)).rendered_text
@@ -107,10 +139,35 @@ def test_non_ascii_task_name_becomes_an_ascii_function_name(ico_model):
 
 def test_render_expr():
     e = BinOp("==", Var("escrowBalance"), Var("price"))
-    assert render_expr(e) == "(_escrowBalance == _price)"
-    assert render_expr(Var("processAddress")) == "address(this)"
-    assert render_expr(Lit("hi", "string")) == '"hi"'
-    assert render_expr(Lit(True, "bool")) == "true"
+    assert render_expr(e, {}) == "(_escrowBalance == _price)"
+    assert render_expr(Var("processAddress"), {}) == "address(this)"
+    assert render_expr(Lit("hi", "string"), {}) == '"hi"'
+    assert render_expr(Lit(True, "bool"), {}) == "true"
+
+
+def test_string_equality_compares_keccak256_hashes():
+    # solc 0.5 has no == on string: both operands are hashed
+    types = {"s": "string", "t": "string", "n": "uint256"}
+    assert render_expr(BinOp("==", Var("s"), Lit("x", "string")), types) == \
+        '(keccak256(abi.encodePacked(_s)) == keccak256(abi.encodePacked("x")))'
+    assert render_expr(BinOp("!=", Var("s"), Var("t")), types) == \
+        "(keccak256(abi.encodePacked(_s)) != keccak256(abi.encodePacked(_t)))"
+    assert render_expr(BinOp("==", Var("n"), Lit(1, "int_const")), types) == "(_n == 1)"
+
+
+def test_string_guard_is_emitted_as_a_hash_comparison():
+    text = (FIXTURES / "ico.bpmn").read_text().replace(
+        '<bcext:variable name="tokens" type="uint256"/>',
+        '<bcext:variable name="tokens" type="uint256"/>'
+        '<bcext:variable name="phase" type="string" initial="open"/>').replace(
+        "amountRaised >= cap", "amountRaised >= cap &amp;&amp; phase != &quot;open&quot;")
+    model = parse_bpmn(text)
+    assert validate_model(model).ok
+    guards = [line.strip() for line in
+              gen_process(model, compile_marking(model)).rendered_text.splitlines()
+              if "_phase" in line and line.strip().startswith("if")]
+    assert guards == ["if (((_amountRaised >= _cap) && (keccak256(abi.encodePacked(_phase))"
+                      ' != keccak256(abi.encodePacked("open"))))) {']
 
 
 def test_fungible_unit_shape():
@@ -129,8 +186,7 @@ def test_fungible_unit_shape():
 
 
 def test_fungible_mint_burn_emitted_when_enabled():
-    import dataclasses
-    spec = dataclasses.replace(lrk_spec(), is_mintable=True,
+    spec = lrk_spec()._replace(is_mintable=True,
                                minter_addresses=("0x" + "A" * 40,),
                                is_burnable=True,
                                burner_addresses=("0x" + "B" * 40,))
@@ -157,9 +213,8 @@ def test_nonfungible_single_shape():
 
 
 def test_nonfungible_distributed_emits_record_contract():
-    import dataclasses
-    spec = dataclasses.replace(parse_registry(
-        (FIXTURES / "certificate.json").read_text()), registry_type="distributed")
+    spec = parse_registry(
+        (FIXTURES / "certificate.json").read_text())._replace(registry_type="distributed")
     unit = gen_nonfungible(spec)
     assert unit.contracts == ("CertificateOfOriginRecord", "CertificateOfOriginRegistry")
     text = unit.rendered_text
@@ -202,9 +257,8 @@ def test_registry_text_is_pinned_for_every_accepted_flag_combination():
 
 
 def test_transfer_disabled_registry_reverts():
-    import dataclasses
-    spec = dataclasses.replace(title_spec(), is_ownership_transfer_enabled=False,
-                               is_ownership_transfer_enabled_to_bpmn=False)
+    spec = title_spec()._replace(is_ownership_transfer_enabled=False,
+                                 is_ownership_transfer_enabled_to_bpmn=False)
     text = gen_nonfungible(spec).rendered_text
     assert 'revert("ownership transfer is disabled");' in text
     assert "function record_ownership_transfer" not in text
@@ -219,9 +273,9 @@ def test_access_control_flags_guard_record_writes(registry_type, owner):
     # bound (transfer to the process); the simulator does not model these
     # guards (ROADMAP item 2(e)), so this pins the contract side
     spec = parse_registry((FIXTURES / "certificate.json").read_text())
-    spec = dataclasses.replace(
-        spec, registry_type=registry_type,
-        attributes=tuple(dataclasses.replace(a, updatable=True) for a in spec.attributes),
+    spec = spec._replace(
+        registry_type=registry_type,
+        attributes=tuple(a._replace(updatable=True) for a in spec.attributes),
         is_record_creation_restricted_to_bpmn=False,
         is_registry_function_access_control_enabled=True,
         is_registry_record_access_control_enabled=True,
@@ -346,7 +400,6 @@ def test_generation_is_deterministic(grain_model, grain_automaton):
 
 def test_bound_calls_render_in_parameter_and_return_order():
     from modelgen import record_calls_bpmn
-    from procforge.bpmn import parse_bpmn
     model = parse_bpmn(record_calls_bpmn())
     text = gen_process(model, compile_marking(model)).rendered_text
     assert "instanceOfTitles.record_create(_id, _kg, _grade);" in text
@@ -383,7 +436,7 @@ def test_simulated_functions_are_emitted_with_the_same_parameters(kind):
     if kind == "token":
         registry, unit = FungibleLedger(TOKEN), gen_fungible(TOKEN)
     else:
-        spec = dataclasses.replace(RECORDS, registry_type=kind)
+        spec = RECORDS._replace(registry_type=kind)
         registry, unit = NonFungibleStore(spec), gen_nonfungible(spec)
     text = unit.rendered_text
     # the registry is the unit's last contract; a distributed one's records

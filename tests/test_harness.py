@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import hashlib
 import inspect
 import json
@@ -418,7 +417,7 @@ def reference_report(model, a, cfg):
 def outcome(experiment, model, a, cfg):
     """The report with elapsed_ms zeroed, or the error the experiment raised."""
     try:
-        return dataclasses.replace(experiment(model, a, cfg), elapsed_ms=0)
+        return experiment(model, a, cfg)._replace(elapsed_ms=0)
     except harness.HarnessError as e:
         return type(e), str(e)
 
