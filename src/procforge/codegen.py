@@ -429,7 +429,9 @@ def render_expr(e: Expr, types: Mapping[str, str]) -> str:
             return "address(this)"
         return "_" + e.name
     if isinstance(e, UnaryOp):
-        return f"{e.op}{render_expr(e.operand, types)}"
+        # -(-d) written as --_d would be Solidity's pre-decrement
+        operand = render_expr(e.operand, types)
+        return f"{e.op}({operand})" if isinstance(e.operand, UnaryOp) else e.op + operand
     if isinstance(e, BinOp):
         left, right = render_expr(e.left, types), render_expr(e.right, types)
         # validate_model gives both operands of == one type

@@ -6,8 +6,8 @@ Everything here is immutable after construction. The records are
 typing.NamedTuples, which import without generating code: they compare
 and hash as the tuples of their fields, so a record equals any tuple of
 the same items, and a changed copy is record._replace(field=value).
-ProcessModel alone is a frozen dataclass, as it caches its index on
-first lookup.
+ProcessModel alone is a frozen dataclass, as it caches its index and its
+gateway folds on first lookup.
 
 Validation is a pure function producing a diagnostic report; it never
 raises for model defects. It is the one owner of every model defect: the
@@ -449,6 +449,38 @@ class ProcessModel:
     def interface(self, interface_id: str) -> Optional[SmartContractInterfaceDecl]:
         return self._index.interface.get(interface_id)
 
+    @cached_property
+    def gateway_folds(self) -> Dict[str, Tuple[Optional[Node], Optional[Node]]]:
+        """The condition-free gateways folded into a task's masks, which
+        emit no function of their own: task id -> (the join in front of it,
+        the AND split behind it), None for no fold. The first task in
+        document order claims a gateway, and the gateway in front of it is
+        tried before the one behind. A task without exactly one incoming
+        and one outgoing flow folds nothing."""
+        claimed = set()
+        folds: Dict[str, Tuple[Optional[Node], Optional[Node]]] = {}
+        for n in self.nodes:
+            if n.kind not in TASK_KINDS:
+                continue
+            inc, out = self.incoming(n.id), self.outgoing(n.id)
+            if len(inc) != 1 or len(out) != 1:
+                continue
+            front, behind = self.node(inc[0].source), self.node(out[0].target)
+            if front is None or front.kind not in GATEWAY_KINDS or front.id in claimed \
+                    or not self.incoming(front.id) or len(self.outgoing(front.id)) != 1 \
+                    or self.outgoing(front.id)[0].condition is not None:
+                front = None
+            else:
+                claimed.add(front.id)
+            if behind is None or behind.kind != NodeKind.AND_GATEWAY or behind.id in claimed \
+                    or len(self.incoming(behind.id)) != 1 or not self.outgoing(behind.id):
+                behind = None
+            else:
+                claimed.add(behind.id)
+            if front is not None or behind is not None:
+                folds[n.id] = (front, behind)
+        return folds
+
     def external_tasks(self):
         return tuple(n for n in self.nodes if n.kind in EXTERNAL_TASK_KINDS)
 
@@ -756,14 +788,15 @@ def validate_model(model: ProcessModel) -> ValidationReport:  # noqa: C901
             except ExprTypeError as e:
                 err(n.id, f"script type error: {e}")
 
-    # one ProcessMonitor function per node but the start event; a task's
-    # display name is also how a trace names it
+    # one ProcessMonitor function per node but the start event and the
+    # folded gateways; a task's display name is also how a trace names it
     def named(n):
         return f"'{n.display_name}'" if n.kind in TASK_KINDS else f"{n.kind.value} '{n.id}'"
 
+    folded = {g.id for pair in model.gateway_folds.values() for g in pair if g is not None}
     owners = {}
     for n in model.nodes:
-        if n.kind == NodeKind.START_EVENT:
+        if n.kind == NodeKind.START_EVENT or n.id in folded:
             continue
         fn = function_name(n)
         if fn in owners:

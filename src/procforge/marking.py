@@ -4,14 +4,15 @@ automaton.
 Each sequence flow owns one bit (document order). A process instance's
 state is a single word: the set of currently enabled flows. User and
 default tasks are externally invoked transitions; script tasks, gateways
-and end events fire automatically ("eager closure") after every external
-firing.
+and end events fire automatically after every external firing, in sweeps
+over the auto-transitions as the emitted runAutoTransitions does.
 
-Condition-free gateways directly adjacent to a task are folded into that
-task's masks, mirroring the merged masks in the generated contracts:
-an AND-join in front of a task widens its precondition mask, an AND-split
-behind it widens its update mask, and an XOR-join in front of it becomes
-one (preMask, update) alternative per incoming flow.
+Condition-free gateways directly adjacent to a task (those that
+ProcessModel.gateway_folds picks) are folded into that task's masks, as in
+the generated contracts: an AND-join in front of a task widens its
+precondition mask, an AND-split behind it widens its update mask, and an
+XOR-join in front of it becomes one (preMask, update) alternative per
+incoming flow.
 """
 
 from __future__ import annotations
@@ -45,10 +46,6 @@ class NoBranchTaken(MarkingError):
 
 
 class NonTerminatingClosure(MarkingError):
-    pass
-
-
-class InternalInvariantError(MarkingError):
     pass
 
 
@@ -124,36 +121,9 @@ def compile_marking(model: ProcessModel) -> MarkingAutomaton:
     def bits(flows) -> Tuple[int, ...]:
         return tuple(1 << bit_of[f.id] for f in flows)
 
-    # Decide the folds first. The first task in document order claims a
-    # gateway, and the gateway in front of it is tried before the one behind.
-    folded: Set[str] = set()
-    pre_of: Dict[str, Tuple[int, ...]] = {}  # task id -> pres of the join in front
-    post_of: Dict[str, int] = {}  # task id -> post of the AND split behind
-    for n in model.nodes:
-        if n.kind not in TASK_KINDS:
-            continue
-        inc, out = model.incoming(n.id), model.outgoing(n.id)
-        if len(inc) != 1 or len(out) != 1:
-            raise InternalInvariantError(f"task {n.id} without single in/out flow")
-
-        pred = model.node(inc[0].source)
-        if pred is not None and pred.kind in (NodeKind.AND_GATEWAY, NodeKind.XOR_GATEWAY) \
-                and pred.id not in folded:
-            g_in, g_out = model.incoming(pred.id), model.outgoing(pred.id)
-            if len(g_out) == 1 and g_out[0].condition is None and g_in:
-                pre_of[n.id] = (mask(g_in),) if pred.kind == NodeKind.AND_GATEWAY \
-                    else bits(g_in)
-                folded.add(pred.id)
-
-        succ = model.node(out[0].target)
-        if succ is not None and succ.kind == NodeKind.AND_GATEWAY \
-                and succ.id not in folded:
-            g_in, g_out = model.incoming(succ.id), model.outgoing(succ.id)
-            if len(g_in) == 1 and g_out:
-                post_of[n.id] = mask(g_out)
-                folded.add(succ.id)
-
-    # Then build each transition once, skipping the folded gateways.
+    folds = model.gateway_folds
+    folded = {g.id for pair in folds.values() for g in pair if g is not None}
+    # build each transition once, skipping the folded gateways
     external: Dict[str, Tuple[ExternalAlternative, ...]] = {}
     autos: List[AutoTransition] = []
     end_mask = 0
@@ -162,8 +132,12 @@ def compile_marking(model: ProcessModel) -> MarkingAutomaton:
             continue
         inc, out = model.incoming(n.id), model.outgoing(n.id)
         if n.kind in TASK_KINDS:
-            pres = pre_of.get(n.id, (mask(inc),))
-            post = post_of.get(n.id, mask(out))
+            front, behind = folds.get(n.id, (None, None))
+            g_in = inc if front is None else model.incoming(front.id)
+            # a folded XOR join gives one alternative per incoming flow
+            pres = bits(g_in) if front is not None and front.kind == NodeKind.XOR_GATEWAY \
+                else (mask(g_in),)
+            post = mask(out if behind is None else model.outgoing(behind.id))
             if n.kind in EXTERNAL_TASK_KINDS:
                 external[n.id] = tuple(ExternalAlternative(p, post) for p in pres)
             else:
@@ -245,24 +219,26 @@ class ClosureResult:
 def eager_closure_data(a: MarkingAutomaton, marking: int, env: Mapping[str, object],
                        on_fire: Optional[Callable[[str, dict], None]] = None
                        ) -> ClosureResult:
-    """Fire all enabled auto-transitions to fixpoint, evaluating XOR guards
-    against the environment (Data mode).
-
-    on_fire is called after each fired transition's statements have updated
-    the environment; the interpreter uses it to run registry invocations
-    bound to script tasks. Raises NoBranchTaken and NonTerminatingClosure.
-    """
+    """Fire the auto-transitions as the emitted runAutoTransitions does,
+    evaluating XOR guards against the environment (Data mode). A sweep
+    fires each transition of a.autos in turn that is enabled in the marking
+    reached so far, through its first enabled pre-alternative; sweeps
+    repeat until one ends on the marking it began with, whatever the
+    variables. An automatic loop thus parks its token, or exceeds the cap
+    of 4 firings per flow. on_fire runs after each firing's statements: the
+    interpreter runs the registry calls bound to script tasks with it.
+    Raises NoBranchTaken and NonTerminatingClosure."""
     env = dict(env)
     fired: List[str] = []
     budget = 4 * max(a.flow_count, 1)
-    while True:
-        progressed = False
+    previous = ~marking
+    while previous != marking:
+        previous = marking
         for t in a.autos:
             pre = next((p for p in t.pre_alternatives if marking & p == p), None)
             if pre is None:
                 continue
-            branch = _pick_branch(t, env)
-            marking = (marking & ~pre) | branch.post
+            marking = (marking & ~pre) | _pick_branch(t, env).post
             for target, value in t.statements:
                 env[target] = value(env)
             if on_fire is not None:
@@ -272,10 +248,7 @@ def eager_closure_data(a: MarkingAutomaton, marking: int, env: Mapping[str, obje
             if budget < 0:
                 raise NonTerminatingClosure(
                     f"auto-transition closure exceeded {4 * a.flow_count} firings")
-            progressed = True
-            break  # rescan from the top for a deterministic firing order
-        if not progressed:
-            return ClosureResult(marking, env, fired)
+    return ClosureResult(marking, env, fired)
 
 
 def _pick_branch(t: AutoTransition, env) -> Branch:

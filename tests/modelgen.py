@@ -112,12 +112,10 @@ def parallel_chain(n: int) -> ProcessModel:
     return ProcessModel(id=f"chain{n}", nodes=tuple(nodes), flows=tuple(flows))
 
 
-def counting_loop_bpmn(after_task: bool) -> str:
-    """A valid model whose closure never settles: an XOR join, the script
-    x = x + 1 and an XOR split that loops back while x < 1000, far more
-    firings than the closure allows. With after_task the loop follows the
-    task "Go", which pays 5 LRK to 0x1111...; otherwise it follows the
-    start event. Either way the default exit leads to "Done"."""
+def _loop_bpmn(after_task: bool, variables: str, loop: str) -> str:
+    """A process whose loop, given as the nodes and flows after the XOR
+    join g_join, follows the start event, or the task "Go" that pays 5 LRK
+    to 0x1111... when after_task."""
     go = ('<userTask id="t_go" name="Go"/>'
           '<sequenceFlow id="f0" sourceRef="t_go" targetRef="g_join"/>') if after_task else ""
     pay = """
@@ -137,14 +135,27 @@ def counting_loop_bpmn(after_task: bool) -> str:
              xmlns:bcext="urn:procforge:bcext:1" id="defs_loop">
   <process id="loop">
     <extensionElements>
-      <bcext:variables>
-        <bcext:variable name="x" type="uint256"/>
+      <bcext:variables>{variables}
       </bcext:variables>{pay}
     </extensionElements>
     <startEvent id="start"/>
     {go}
     <sequenceFlow id="f1" sourceRef="start" targetRef="{"t_go" if after_task else "g_join"}"/>
-    <exclusiveGateway id="g_join"/>
+    <exclusiveGateway id="g_join"/>{loop}
+  </process>
+</definitions>
+"""
+
+
+def counting_loop_bpmn(after_task: bool) -> str:
+    """A valid model whose automatic loop parks its token: an XOR join,
+    the script x = x + 1 and an XOR split that loops back while x < 1000,
+    else leads to "Done". The first sweep leaves x = 1 and the token on
+    the loop-back flow f4; the second ends there too, with x = 2, so the
+    closure stops and "Done" is never enabled, as on chain. With
+    after_task the loop follows the task "Go" (see _loop_bpmn)."""
+    return _loop_bpmn(after_task, """
+        <bcext:variable name="x" type="uint256"/>""", """
     <scriptTask id="s_inc" name="Count"><script>x = x + 1</script></scriptTask>
     <exclusiveGateway id="g_split"/>
     <userTask id="t_done" name="Done"/>
@@ -155,10 +166,38 @@ def counting_loop_bpmn(after_task: bool) -> str:
       <conditionExpression>x &lt; 1000</conditionExpression>
     </sequenceFlow>
     <sequenceFlow id="f5" sourceRef="g_split" targetRef="t_done" default="true"/>
-    <sequenceFlow id="f6" sourceRef="t_done" targetRef="end"/>
-  </process>
-</definitions>
-"""
+    <sequenceFlow id="f6" sourceRef="t_done" targetRef="end"/>""")
+
+
+def toggle_loop_bpmn(after_task: bool) -> str:
+    """A valid model whose automatic loop never parks: an XOR join, the
+    script x = 1 - x; y = y + 1 and an XOR split that leads to "Done" when
+    y > 1000, back to the join through the script "Even" when x == 0 and
+    through "Odd" otherwise. Successive sweeps end on the two loop-back
+    flows in turn, so the closure exceeds its cap of 4 firings per flow;
+    the emitted contract runs 1,001 sweeps to "Done". With after_task the
+    loop follows the task "Go" (see _loop_bpmn)."""
+    return _loop_bpmn(after_task, """
+        <bcext:variable name="x" type="int256"/>
+        <bcext:variable name="y" type="uint256"/>""", """
+    <scriptTask id="s_step" name="Step"><script>x = 1 - x; y = y + 1</script></scriptTask>
+    <exclusiveGateway id="g_split"/>
+    <scriptTask id="s_even" name="Even"/>
+    <scriptTask id="s_odd" name="Odd"/>
+    <userTask id="t_done" name="Done"/>
+    <endEvent id="end"/>
+    <sequenceFlow id="f2" sourceRef="g_join" targetRef="s_step"/>
+    <sequenceFlow id="f3" sourceRef="s_step" targetRef="g_split"/>
+    <sequenceFlow id="f4" sourceRef="g_split" targetRef="t_done">
+      <conditionExpression>y &gt; 1000</conditionExpression>
+    </sequenceFlow>
+    <sequenceFlow id="f5" sourceRef="g_split" targetRef="s_even">
+      <conditionExpression>x == 0</conditionExpression>
+    </sequenceFlow>
+    <sequenceFlow id="f6" sourceRef="g_split" targetRef="s_odd" default="true"/>
+    <sequenceFlow id="f7" sourceRef="s_even" targetRef="g_join"/>
+    <sequenceFlow id="f8" sourceRef="s_odd" targetRef="g_join"/>
+    <sequenceFlow id="f9" sourceRef="t_done" targetRef="end"/>""")
 
 
 def record_calls_bpmn() -> str:

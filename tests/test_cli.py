@@ -291,31 +291,60 @@ def test_simulate_checks_trace_arguments(tmp_path, capsys, args, reason):
     assert "0x" + "2" * 40 + ": 200000" in out
 
 
-def _loop_model(tmp_path, after_task):
-    from modelgen import counting_loop_bpmn
+def _loop_model(tmp_path, bpmn):
     model = tmp_path / "loop.bpmn"
-    model.write_text(counting_loop_bpmn(after_task))
+    model.write_text(bpmn)
     return str(model)
 
 
 def test_simulate_nonterminating_closure_after_task_exits_2(tmp_path, capsys):
-    model = _loop_model(tmp_path, after_task=True)
+    from modelgen import toggle_loop_bpmn
+    model = _loop_model(tmp_path, toggle_loop_bpmn(after_task=True))
     trace = tmp_path / "go.jsonl"
     trace.write_text(json.dumps({"task": "Go", "args": {}, "caller": "0x" + "6" * 40}) + "\n")
     code, out, _ = run(capsys, "simulate", model, "--registry", LRK, "--trace", str(trace))
     assert code == 2
     assert "Go: Rejected (NonTerminatingClosure)" in out
+    # the transfer bound to "Go" is rolled back with the closure
     assert "0x6666666666666666666666666666666666666666: 600000" in out
+    assert "0x" + "1" * 40 not in out
 
 
 def test_simulate_nonterminating_initial_closure_exits_1(tmp_path, capsys):
-    model = _loop_model(tmp_path, after_task=False)
+    from modelgen import toggle_loop_bpmn
+    model = _loop_model(tmp_path, toggle_loop_bpmn(after_task=False))
     trace = tmp_path / "done.jsonl"
     trace.write_text(json.dumps({"task": "Done", "args": {}}) + "\n")
     code, out, err = run(capsys, "simulate", model, "--trace", str(trace))
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "closure exceeded" in err
+    assert "closure exceeded 36 firings" in err
+
+
+def test_simulate_parked_initial_closure_leaves_done_not_enabled(tmp_path, capsys):
+    from modelgen import counting_loop_bpmn
+    model = _loop_model(tmp_path, counting_loop_bpmn(after_task=False))
+    trace = tmp_path / "done.jsonl"
+    trace.write_text(json.dumps({"task": "Done", "args": {}}) + "\n")
+    code, out, _ = run(capsys, "simulate", model, "--trace", str(trace))
+    # the second sweep ends where it began: the token stays on the loop-back flow
+    assert code == 2
+    assert "Done: Rejected (NotEnabled)" in out
+    assert "final marking: 0x8\n" in out and "  x = 2\n" in out
+
+
+def test_simulate_parked_closure_after_task_accepts_it(tmp_path, capsys):
+    from modelgen import counting_loop_bpmn
+    model = _loop_model(tmp_path, counting_loop_bpmn(after_task=True))
+    trace = tmp_path / "go.jsonl"
+    trace.write_text(json.dumps({"task": "Go", "args": {}, "caller": "0x" + "6" * 40}) + "\n")
+    code, out, _ = run(capsys, "simulate", model, "--registry", LRK, "--trace", str(trace),
+                       "--prefix")
+    assert code == 0
+    assert "Go: Accepted" in out
+    assert "final marking: 0x10\n" in out and "  x = 2\n" in out
+    assert "0x1111111111111111111111111111111111111111: 5\n" in out
+    assert "0x6666666666666666666666666666666666666666: 599995\n" in out
 
 
 OUTSOURCING = str(FIXTURES / "task_outsourcing.bpmn")

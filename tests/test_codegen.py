@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import random
 import re
 
 import pytest
@@ -25,7 +26,9 @@ from procforge.ir import (
     ProcessModel,
     ProcessVariableDecl,
     SequenceFlow,
+    UnaryOp,
     Var,
+    function_name,
     sanitize_identifier,
     validate_model,
 )
@@ -39,6 +42,7 @@ from procforge.registry import (
 )
 
 from conftest import FIXTURES, load_model
+from modelgen import random_model
 
 
 def lrk_spec():
@@ -143,6 +147,28 @@ def test_render_expr():
     assert render_expr(Var("processAddress"), {}) == "address(this)"
     assert render_expr(Lit("hi", "string"), {}) == '"hi"'
     assert render_expr(Lit(True, "bool"), {}) == "true"
+
+
+def test_nested_unary_operand_is_parenthesized():
+    # -(-d) must not be emitted as --_d, Solidity's pre-decrement of _d
+    from procforge.bpmn import parse_script
+    from procforge.interp import new_instance
+    nodes = [Node("start", NodeKind.START_EVENT),
+             Node("s", NodeKind.SCRIPT_TASK, name="Negate", script=parse_script("e = -(-d)")),
+             Node("t", NodeKind.USER_TASK, name="T"), Node("end", NodeKind.END_EVENT)]
+    flows = [SequenceFlow("f1", "start", "s"), SequenceFlow("f2", "s", "t"),
+             SequenceFlow("f3", "t", "end")]
+    model = ProcessModel(id="m", nodes=tuple(nodes), flows=tuple(flows),
+                         variables=(ProcessVariableDecl("d", "int256", 5),
+                                    ProcessVariableDecl("e", "int256")))
+    assert validate_model(model).ok
+    a = compile_marking(model)
+    assert "            _e = -(-_d);\n" in gen_process(model, a).rendered_text
+    assert new_instance(model, a).env == {"d": 5, "e": 5}
+    # a single unary operator stays bare
+    assert render_expr(UnaryOp("-", Var("d")), {}) == "-_d"
+    assert render_expr(UnaryOp("!", Var("flag")), {}) == "!_flag"
+    assert render_expr(UnaryOp("!", UnaryOp("!", Var("flag"))), {}) == "!(!_flag)"
 
 
 def test_string_equality_compares_keccak256_hashes():
@@ -379,6 +405,26 @@ def test_xor_split_without_default_returns_the_marking_unchanged():
         "    }",
         "",
     ]
+
+
+def _sweep_calls(text):
+    """The functions runAutoTransitions calls, in the order of its sweep."""
+    body = text.split("function runAutoTransitions(")[1].split("\n        }\n")[0]
+    return re.findall(r"preconditionsp = (\w+)\(preconditionsp\);", body)
+
+
+FIXTURE_MODELS = ["grain_title", "grain_title_unbound", "ico", "quality_tracing",
+                  "task_outsourcing"]
+
+
+@pytest.mark.parametrize("model", [load_model(name) for name in FIXTURE_MODELS]
+                         + [random_model(random.Random(seed)) for seed in range(20)],
+                         ids=FIXTURE_MODELS + [f"random-{seed}" for seed in range(20)])
+def test_contract_sweeps_the_autos_in_the_interpreters_order(model):
+    # eager_closure_data sweeps automaton.autos; the emitted loop calls the same list
+    a = compile_marking(model)
+    calls = _sweep_calls(gen_process(model, a).rendered_text)
+    assert calls and calls == [function_name(model.node(t.node_id)) for t in a.autos]
 
 
 def test_output_bindings_assign_storage(grain_model, grain_automaton):

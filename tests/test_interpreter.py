@@ -350,9 +350,9 @@ def _ledger_state(inst, address):
 
 
 def test_nonterminating_closure_rolls_back_invoke():
-    from modelgen import counting_loop_bpmn
+    from modelgen import toggle_loop_bpmn
     from procforge.bpmn import parse_bpmn
-    model = parse_bpmn(counting_loop_bpmn(after_task=True))
+    model = parse_bpmn(toggle_loop_bpmn(after_task=True))
     inst = new_instance(model, compile_marking(model), {"itf_lrk": A3},
                         {A3: ledger(initially_distributed_accounts=((A2, 100),))})
     before = _ledger_state(inst, A3)
@@ -388,9 +388,9 @@ def test_types_resolved_once_at_compile(monkeypatch, ico_model):
 
 
 def test_rollback_keeps_registry_objects():
-    from modelgen import counting_loop_bpmn
+    from modelgen import toggle_loop_bpmn
     from procforge.bpmn import parse_bpmn
-    model = parse_bpmn(counting_loop_bpmn(after_task=True))
+    model = parse_bpmn(toggle_loop_bpmn(after_task=True))
     lg = ledger(initially_distributed_accounts=((A2, 100),))
     inst = new_instance(model, compile_marking(model), {"itf_lrk": A3}, {A3: lg})
     # "Go" pays 5 before the closure fails; the rollback undoes it in place

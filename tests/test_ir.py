@@ -397,6 +397,34 @@ def test_function_names_of_gateways_and_end_events_collide(old, new, message):
     assert errors_of(parse_bpmn(text.replace(old, new))) == [message]
 
 
+def test_a_folded_gateway_emits_no_function_to_collide_with():
+    from procforge.codegen import gen_process
+    from procforge.marking import compile_marking
+    text = (FIXTURES / "ico.bpmn").read_text()
+    # "Tokens claimed" does not claim g_loop, "Investment received" does
+    model = parse_bpmn(text.replace('name="Tokens claimed"', 'name="g loop"'))
+    assert errors_of(model) == []
+    a = compile_marking(model)
+    assert "g_loop" in a.folded
+    assert gen_process(model, a).rendered_text.count("function G_loop(") == 1
+    # g_cap splits with conditions, so it is not folded and emits G_cap
+    assert errors_of(parse_bpmn(text.replace('name="Allocate tokens"', 'name="g cap"'))) == [
+        "exclusiveGateway 'g_cap' collides with 'g cap' after identifier sanitization"]
+
+
+def test_a_task_of_two_outgoing_flows_folds_nothing():
+    # validate reports the degree and still checks the names
+    nodes = (Node("start", NodeKind.START_EVENT), Node("j", NodeKind.XOR_GATEWAY),
+             Node("t", NodeKind.USER_TASK, name="J"), Node("end", NodeKind.END_EVENT))
+    flows = (SequenceFlow("f1", "start", "j"), SequenceFlow("f2", "j", "t"),
+             SequenceFlow("f3", "t", "end"), SequenceFlow("f4", "t", "end"))
+    m = ProcessModel(id="m", nodes=nodes, flows=flows)
+    assert m.gateway_folds == {}
+    assert errors_of(m) == [
+        "tasks must have exactly one incoming and one outgoing flow; use gateways for branching",
+        "task name 'J' collides with exclusiveGateway 'j' after identifier sanitization"]
+
+
 ITF_LRK2 = '<bcext:smartContractInterface id="itf_lrk2" name="{}"/>'
 
 

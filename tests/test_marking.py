@@ -161,6 +161,12 @@ def _gateway_cycle():
 
 
 def test_nonterminating_closure_detected():
+    # successive sweeps of the toggle loop end on its two loop-back flows in turn
+    from modelgen import toggle_loop_bpmn
+    from procforge.bpmn import parse_bpmn
+    a = compile_marking(parse_bpmn(toggle_loop_bpmn(after_task=False)))
+    with pytest.raises(NonTerminatingClosure, match="exceeded 36 firings"):
+        eager_closure_data(a, a.initial_marking, {"x": 0, "y": 0})
     # make the cycle closed: g2 always routes back to g1
     m = _gateway_cycle()
     flows = [f for f in m.flows if f.id != "f4"]
@@ -168,9 +174,42 @@ def test_nonterminating_closure_detected():
     m2 = ProcessModel(id="cycle", nodes=tuple(nodes), flows=tuple(flows))
     a = compile_marking(m2)
     with pytest.raises(NonTerminatingClosure):
-        eager_closure_data(a, a.initial_marking, {})
-    with pytest.raises(NonTerminatingClosure):
         eager_closure_nondet(a, a.initial_marking)
+
+
+def test_closure_parks_a_loop_whose_sweep_ends_where_it_began():
+    from modelgen import counting_loop_bpmn
+    from procforge.bpmn import parse_bpmn
+    a = compile_marking(parse_bpmn(counting_loop_bpmn(after_task=False)))
+    result = eager_closure_data(a, a.initial_marking, {"x": 0})
+    # the second sweep ends on the loop-back flow f4, as the first did
+    assert result.marking == 1 << a.bit_of["f4"] == 0x8
+    assert result.env == {"x": 2}
+    assert result.fired == ["s_inc", "g_split"] * 2
+
+
+def test_closure_sweeps_the_autos_in_order():
+    # "Set b" precedes the AND split in document order, so the first sweep
+    # passes it before the split enables it: "Set a" fires first, "Set b"
+    # in the second sweep, and x ends as the contract leaves it
+    nodes = [Node("start", NodeKind.START_EVENT),
+             Node("sb", NodeKind.SCRIPT_TASK, name="Set b",
+                  script=(Assign("x", Lit(2, "int_const")),)),
+             Node("split", NodeKind.AND_GATEWAY),
+             Node("sa", NodeKind.SCRIPT_TASK, name="Set a",
+                  script=(Assign("x", Lit(1, "int_const")),)),
+             Node("join", NodeKind.AND_GATEWAY),
+             Node("t", NodeKind.USER_TASK, name="T"),
+             Node("end", NodeKind.END_EVENT)]
+    flows = [SequenceFlow("f1", "start", "split"), SequenceFlow("f2", "split", "sa"),
+             SequenceFlow("f3", "split", "sb"), SequenceFlow("f4", "sa", "join"),
+             SequenceFlow("f5", "sb", "join"), SequenceFlow("f6", "join", "t"),
+             SequenceFlow("f7", "t", "end")]
+    _, a = _compiled(nodes, flows, [ProcessVariableDecl("x", "uint256", 0)])
+    result = eager_closure_data(a, a.initial_marking, {"x": 0})
+    assert result.fired == ["split", "sa", "sb"]
+    assert result.env == {"x": 2}
+    assert result.marking == a.external["t"][0].pre
 
 
 def test_nondet_closure_explores_all_branches():

@@ -8,7 +8,7 @@ import json
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import FIXTURES, load_model
-from modelgen import counting_loop_bpmn
+from modelgen import counting_loop_bpmn, toggle_loop_bpmn
 from procforge.bpmn import parse_bpmn
 from procforge.interp import FungibleLedger, NonFungibleStore, new_instance
 from procforge.marking import compile_marking
@@ -23,6 +23,7 @@ MODELS = {
     "grain_title": load_model("grain_title"),
     "task_outsourcing": load_model("task_outsourcing"),
     "loop": parse_bpmn(counting_loop_bpmn(after_task=True)),
+    "toggle": parse_bpmn(toggle_loop_bpmn(after_task=True)),
 }
 AUTOMATA = {name: compile_marking(m) for name, m in MODELS.items()}
 
@@ -36,7 +37,7 @@ def _events(trace):
 # conforming runs whose prefixes take the random steps deep into each model
 PREFIXES = {"grain_title": _events("grain_swap.jsonl"),
             "task_outsourcing": _events("outsourcing_correct.jsonl"),
-            "loop": []}
+            "loop": [], "toggle": []}
 
 # the two prices often, so that payments reach the later tasks; -1 is a BadArgument
 amounts = st.one_of(st.sampled_from([300, 500]), st.integers(-1, 1200),
@@ -53,7 +54,7 @@ def small_ledger(balances):
 
 def make_instance(name, balances):
     model, automaton = MODELS[name], AUTOMATA[name]
-    if name == "loop":
+    if name in ("loop", "toggle"):
         return new_instance(model, automaton, {"itf_lrk": LOOP_LRK},
                             {LOOP_LRK: small_ledger(balances)})
     registries = {LRK: small_ledger(balances)}
