@@ -10,6 +10,7 @@ non-interactive and deterministic given their inputs and the seed
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -323,6 +324,7 @@ def cmd_conformance(args) -> int:
     return EX_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="procforge",
@@ -368,6 +370,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Run one procforge command on argv (default sys.argv[1:]) and return
+    its exit code. May be called repeatedly in one process: the parser is
+    built on the first call only, and parsing leaves it unchanged."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

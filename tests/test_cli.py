@@ -1,18 +1,23 @@
 import json
+import os
 import pathlib
 import random
 import re
+import subprocess
+import sys
 import tempfile
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+import procforge
 from procforge import cli
 from procforge.cli import main
 
 from conftest import FIXTURES
 
 GRAIN = str(FIXTURES / "grain_title.bpmn")
+ICO = str(FIXTURES / "ico.bpmn")
 LRK = str(FIXTURES / "lrk.json")
 TITLE = str(FIXTURES / "grain_title.json")
 SWAP = str(FIXTURES / "grain_swap.jsonl")
@@ -58,6 +63,51 @@ def test_usage_error_exits_64(capsys):
     assert run(capsys, "frobnicate")[0] == 64
     assert run(capsys)[0] == 64
     assert run(capsys, "simulate", GRAIN)[0] == 64  # --trace is required
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys):
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    assert parser.parse_args(["validate", GRAIN, "--registry", LRK,
+                              "--registry", TITLE]).registry == [LRK, TITLE]
+    # append copies its default before appending, so the default stays empty
+    assert parser.parse_args(["validate", GRAIN]).registry == []
+    assert parser.parse_args(["simulate", GRAIN, "--trace", SWAP, "--prefix"]).prefix
+    assert not parser.parse_args(["simulate", GRAIN, "--trace", SWAP]).prefix
+
+    _, with_flags, _ = run(capsys, "validate", GRAIN, "--registry", LRK,
+                           "--registry", TITLE, "--json")
+    assert json.loads(with_flags)["ok"] is True
+    assert run(capsys, "validate", GRAIN) == (0, "ok\n", "")
+
+
+def test_usage_and_help_are_formatted_at_call_time(capsys, monkeypatch):
+    cli.build_parser()  # cached before COLUMNS changes
+    usages = {}
+    for columns in ("40", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        code, _, err = run(capsys, "simulate")
+        assert code == 64
+        usages[columns] = err[:err.index("procforge simulate: error")]
+    assert len(usages["200"].splitlines()) == 1
+    assert len(usages["40"].splitlines()) > 1
+    assert usages["40"].split() == usages["200"].split()
+
+    code, out, _ = run(capsys, "--help")
+    assert code == 0
+    for command in ("validate", "compile", "simulate", "conformance"):
+        assert command in out
+
+
+def test_one_shot_process_matches_in_process_main(capsys):
+    argv = ["validate", ICO, "--registry", LRK]
+    env = dict(os.environ,
+               PYTHONPATH=str(pathlib.Path(procforge.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-m", "procforge.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=60)
+    code, out, _ = run(capsys, *argv)
+    assert (proc.returncode, proc.stdout) == (code, out)
+    assert code == 0 and out.endswith("ok\n")
 
 
 def test_compile_writes_units(tmp_path, capsys):
