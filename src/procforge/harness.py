@@ -98,14 +98,15 @@ def parse_trace(text: str) -> Trace:
 
 
 def step(a: MarkingAutomaton, states: FrozenSet[int], task_id: str) -> FrozenSet[int]:
-    """Fire external task task_id from every marking in states, through
-    every enabled alternative, and close each result over all branch
-    choices. Empty when the task is enabled in none of the states."""
+    """Fire external task task_id from every marking in states through its
+    first enabled alternative, as fire_external does, and close each result
+    over all branch choices. Empty when the task is enabled in none."""
     out: Set[int] = set()
     for m in states:
         for pre, post in a.external[task_id]:
             if m & pre == pre:
                 out |= eager_closure_nondet(a, (m & ~pre) | post)
+                break
     return frozenset(out)
 
 

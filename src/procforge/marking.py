@@ -5,7 +5,8 @@ Each sequence flow owns one bit (document order). A process instance's
 state is a single word: the set of currently enabled flows. User and
 default tasks are externally invoked transitions; script tasks, gateways
 and end events fire automatically after every external firing, in sweeps
-over the auto-transitions as the emitted runAutoTransitions does.
+over the auto-transitions as the emitted runAutoTransitions does. Both
+closures follow that one rule, with data or along every branch choice.
 
 Condition-free gateways directly adjacent to a task (those that
 ProcessModel.gateway_folds picks) are folded into that task's masks, as in
@@ -261,34 +262,41 @@ def _pick_branch(t: AutoTransition, env) -> Branch:
 
 
 def eager_closure_nondet(a: MarkingAutomaton, marking: int) -> FrozenSet[int]:
-    """Explore every branch choice of the auto-transitions from a marking
-    and return the quiescent markings reached.
-
-    Guards and scripts are ignored: with unconstrained data every XOR
-    branch is satisfiable. Raises NonTerminatingClosure when no quiescent
-    marking is reachable.
-    """
-    quiescent: Set[int] = set()
-    seen = {marking}
-    stack = [marking]
-    while stack:
-        m = stack.pop()
-        moved = False
-        for t in a.autos:
+    """Run the sweeps of eager_closure_data from a marking along every
+    branch choice, ignoring guards and scripts, and return the markings
+    where a sweep ends on the marking it began with: the quiescent ones
+    and the parked loops. A sweep ending elsewhere starts a new one unless
+    its marking was seen before. Raises NonTerminatingClosure when no
+    sweep ends where it began."""
+    autos = a.autos
+    results: Set[int] = set()
+    paths = [(marking, marking, 0)]  # (where the sweep began, marking, next auto)
+    seen = set(paths)
+    while paths:
+        start, m, k = paths.pop()
+        for t in autos[k:]:
+            k += 1
             for pre in t.pre_alternatives:
-                if m & pre != pre:
-                    continue
-                moved = True
-                for b in t.branches:
-                    m2 = (m & ~pre) | b.post
-                    if m2 not in seen:
-                        seen.add(m2)
-                        stack.append(m2)
-        if not moved:
-            quiescent.add(m)
-    if not quiescent:
+                if m & pre == pre:
+                    break
+            else:
+                continue
+            if len(t.branches) > 1:
+                forks = [(start, (m & ~pre) | b.post, k) for b in t.branches]
+                break
+            m = (m & ~pre) | t.branches[0].post
+        else:
+            if m == start:
+                results.add(m)
+                continue
+            forks = [(m, m, 0)]
+        for fork in forks:
+            if fork not in seen:
+                seen.add(fork)
+                paths.append(fork)
+    if not results:
         raise NonTerminatingClosure("auto-transition cycle with no quiescent marking")
-    return frozenset(quiescent)
+    return frozenset(results)
 
 
 def dump_automaton(a: MarkingAutomaton) -> str:

@@ -9,8 +9,10 @@ import pytest
 
 from procforge import harness
 from procforge.cli import main
+from procforge.bpmn import parse_bpmn
 from procforge.harness import (
     BudgetExceeded,
+    Conforming,
     Disagreement,
     ExperimentConfig,
     MutationExhausted,
@@ -27,12 +29,16 @@ from procforge.harness import (
     replay_data,
     report_to_json,
     run_experiment,
+    step,
 )
-from procforge.ir import Node, NodeKind, ProcessModel, SequenceFlow
-from procforge.marking import compile_marking
+from procforge.interp import FungibleLedger, new_instance
+from procforge.ir import Node, NodeKind, ProcessModel, SequenceFlow, validate_model
+from procforge.marking import (compile_marking, eager_closure_data, eager_closure_nondet,
+                               fire_external)
+from procforge.registry import parse_registry
 
 from conftest import FIXTURES, load_model
-from modelgen import parallel_chain, random_model
+from modelgen import counting_loop_bpmn, parallel_chain, random_model, toggle_loop_bpmn
 
 
 def build(nodes, flows):
@@ -202,6 +208,107 @@ def test_classify_data_mode_uses_interpreter(grain_model, grain_automaton):
     instance = fresh()
     assert replay_data(instance, bad) == NonConforming(7)
     assert len(instance.event_log) == 8  # replay stops at the rejected event
+
+
+# --- the data-free state set and the interpreter ----------------------------
+
+
+LRK_AT = "0xD3E4EBe81b55EA73b559da31ADf2CAc3b254ea11"  # the fixtures' LRK contractAddress
+
+
+def lrk_ledger():
+    return FungibleLedger(parse_registry((FIXTURES / "lrk.json").read_text()))
+
+
+def replay_within_data_free_states(model, events, bindings=None, registries=None):
+    """Invoke events on a new instance of model and check, after
+    new_instance and after every accepted invoke, that the data-free state
+    set of the accepted prefix contains the interpreter's marking."""
+    a = compile_marking(model)
+    instance = new_instance(model, a, bindings, registries)
+    states = eager_closure_nondet(a, a.initial_marking)
+    assert instance.marking in states
+    for ev in events:
+        if instance.invoke(ev.task, ev.args, ev.caller).ok:
+            states = step(a, states, a.task_id_for(ev.task))
+            assert instance.marking in states, ev.task
+    return instance
+
+
+@pytest.mark.parametrize("trace, name", [
+    ("grain_swap.jsonl", "grain_title"), ("grain_refund.jsonl", "grain_title"),
+    ("outsourcing_correct.jsonl", "task_outsourcing"),
+    ("outsourcing_wrong.jsonl", "task_outsourcing")])
+def test_data_free_states_contain_the_interpreters_marking_on_fixture_traces(trace, name):
+    from test_interpreter import grain_registries
+    registries = grain_registries() if name == "grain_title" else {LRK_AT: lrk_ledger()}
+    instance = replay_within_data_free_states(
+        load_model(name), parse_trace((FIXTURES / trace).read_text()), registries=registries)
+    assert instance.event_log[0].outcome.ok
+
+
+def test_data_free_states_contain_a_parked_loop():
+    # the initial closure of the counting loop parks on its loop-back flow
+    # (0x8), and after "Go" it parks at 0x10; "Done" is rejected both times
+    payer = "0x" + "6" * 40
+    for after_task, events in ((False, [TraceEvent("Done")]),
+                               (True, [TraceEvent("Go", {}, payer), TraceEvent("Done")])):
+        instance = replay_within_data_free_states(
+            parse_bpmn(counting_loop_bpmn(after_task)), events,
+            {"itf_lrk": LRK_AT}, {LRK_AT: lrk_ledger()})
+        assert [e.outcome.ok for e in instance.event_log] == [e.task == "Go" for e in events]
+        assert instance.marking == (0x10 if after_task else 0x8)
+    # the toggle loop follows "Go", whose closure exceeds the cap
+    replay_within_data_free_states(parse_bpmn(toggle_loop_bpmn(True)), [],
+                                   {"itf_lrk": LRK_AT}, {LRK_AT: lrk_ledger()})
+
+
+def test_data_free_states_contain_the_interpreters_marking_on_random_models():
+    rng = random.Random(23)
+    for _ in range(40):
+        model = random_model(rng)
+        for names in enumerate_conforming(compile_marking(model), 8):
+            replay_within_data_free_states(model, [TraceEvent(n) for n in names])
+
+
+def test_step_fires_the_first_enabled_alternative_as_fire_external_does():
+    # after A and B both flows into the XOR join folded in front of T are
+    # marked; fire_external consumes the first (f4) and leaves f5 (0x10)
+    nodes = [Node("start", NodeKind.START_EVENT), Node("split", NodeKind.AND_GATEWAY),
+             Node("a", NodeKind.USER_TASK, name="A"), Node("b", NodeKind.USER_TASK, name="B"),
+             Node("join", NodeKind.XOR_GATEWAY), Node("t", NodeKind.USER_TASK, name="T"),
+             Node("end", NodeKind.END_EVENT)]
+    flows = [SequenceFlow("f1", "start", "split"), SequenceFlow("f2", "split", "a"),
+             SequenceFlow("f3", "split", "b"), SequenceFlow("f4", "a", "join"),
+             SequenceFlow("f5", "b", "join"), SequenceFlow("f6", "join", "t"),
+             SequenceFlow("f7", "t", "end")]
+    model, a = build(nodes, flows)
+    assert validate_model(model).ok and a.folded == {"join"}
+    states = step(a, step(a, eager_closure_nondet(a, a.initial_marking), "a"), "b")
+    assert states == {0x18}
+    marking, _, alt = fire_external(a, 0x18, {}, "t")
+    assert alt == 0
+    assert step(a, states, "t") == eager_closure_nondet(a, marking) == {0x10}
+
+
+def test_wide_automatic_split_closes_as_data_mode_does():
+    # 20 automatic branches: the sweep fires each script task once, where
+    # firing them in every order would visit 2^20 markings
+    n = 20
+    nodes = [Node("start", NodeKind.START_EVENT), Node("split", NodeKind.AND_GATEWAY)]
+    nodes += [Node(f"s{i}", NodeKind.SCRIPT_TASK, name=f"S{i}") for i in range(n)]
+    nodes += [Node("join", NodeKind.AND_GATEWAY), Node("t", NodeKind.USER_TASK, name="T"),
+              Node("end", NodeKind.END_EVENT)]
+    flows = [SequenceFlow("f_start", "start", "split")]
+    flows += [SequenceFlow(f"f_s{i}", "split", f"s{i}") for i in range(n)]
+    flows += [SequenceFlow(f"f_j{i}", f"s{i}", "join") for i in range(n)]
+    flows += [SequenceFlow("f_t", "join", "t"), SequenceFlow("f_end", "t", "end")]
+    model, a = build(nodes, flows)
+    assert validate_model(model).ok and a.folded == {"join"}
+    data = eager_closure_data(a, a.initial_marking, {})
+    assert eager_closure_nondet(a, a.initial_marking) == {data.marking}
+    assert data.marking == a.external["t"][0].pre
+    assert classify(a, ("T",)) == Conforming()
 
 
 # --- mutation ----------------------------------------------------------------

@@ -167,13 +167,27 @@ def test_nonterminating_closure_detected():
     a = compile_marking(parse_bpmn(toggle_loop_bpmn(after_task=False)))
     with pytest.raises(NonTerminatingClosure, match="exceeded 36 firings"):
         eager_closure_data(a, a.initial_marking, {"x": 0, "y": 0})
-    # make the cycle closed: g2 always routes back to g1
+    # make the cycle closed: g2 always routes back to g1. The second sweep
+    # ends on f3 (0x4), as the first did, so both closures park there
     m = _gateway_cycle()
     flows = [f for f in m.flows if f.id != "f4"]
     nodes = [n for n in m.nodes if n.id not in ("t", "end")]
     m2 = ProcessModel(id="cycle", nodes=tuple(nodes), flows=tuple(flows))
     a = compile_marking(m2)
-    with pytest.raises(NonTerminatingClosure):
+    parked = eager_closure_data(a, a.initial_marking, {}).marking
+    assert eager_closure_nondet(a, a.initial_marking) == {parked} == {0x4}
+    # a ring of four degenerate XOR gateways in document order a1, a3, a2,
+    # a4: successive sweeps end on a2 -> a3 (0x4) and a4 -> a1 (0x10) in turn
+    ring = ("a1", "a3", "a2", "a4")
+    ring_flows = [SequenceFlow("f0", "start", "a1")] + [
+        SequenceFlow(f"f{i}", f"a{i}", f"a{i % 4 + 1}") for i in range(1, 5)]
+    a = compile_marking(ProcessModel(
+        id="ring", flows=tuple(ring_flows),
+        nodes=(Node("start", NodeKind.START_EVENT),)
+        + tuple(Node(g, NodeKind.XOR_GATEWAY) for g in ring)))
+    with pytest.raises(NonTerminatingClosure, match="exceeded 20 firings"):
+        eager_closure_data(a, a.initial_marking, {})
+    with pytest.raises(NonTerminatingClosure, match="no quiescent marking"):
         eager_closure_nondet(a, a.initial_marking)
 
 
