@@ -1,7 +1,16 @@
 """BPMN 2.0 XML parsing, including the bcext blockchain extension vocabulary.
 
-The bcext namespace URI is fixed to urn:procforge:bcext:1. Extension
-elements live inside the process (directly or under extensionElements):
+Every element inside the process is matched by its full {namespace}local
+tag and read where it may appear. documentation, incoming, outgoing and
+laneSet are skipped as children of the process, a flow node or a
+sequenceFlow; any other element is an UnknownElement. The bcext namespace
+URI is fixed to urn:procforge:bcext:1.
+
+    process       flow nodes, sequenceFlow and the bcext declarations below,
+                  also as children of a top-level extensionElements
+    flow node     of any kind: bcext:input[name,type] under extensionElements,
+                  and the text of a script element as its script body
+    sequenceFlow  conditionExpression; default="true" or "false"
 
     bcext:variables / bcext:variable[name,type,initial]
     bcext:smartContractInterface[id,name,contractAddress?]
@@ -9,21 +18,21 @@ elements live inside the process (directly or under extensionElements):
     bcext:invocation[sourceTask,targetInterface,fnName]
         bcext:bindIn[param,source], bcext:bindOut[return,target]
 
-User task inputs are declared as bcext:input[name,type] under the task.
-Script task bodies are the text of the standard BPMN script element.
-
-The reader reports syntax only. It raises BpmnParseError when it cannot
-build a ProcessModel: malformed XML, an unknown element, a missing
-required attribute, or a literal, condition or script that does not
-parse. Every other defect, such as a duplicate id, a reference to an
-unknown node, task or interface, or a malformed contractAddress, is
-built into the model as written and reported by ir.validate_model.
+Of definitions, only its one process is read. The reader reports syntax
+only. It raises BpmnParseError when it cannot build a ProcessModel:
+malformed XML, an unknown element, a missing required attribute, or a
+literal, condition, script or default flag that does not parse. Every
+other defect, such as a duplicate id, a reference to an unknown node,
+task or interface, a malformed contractAddress, or task inputs or a
+script on a node of the wrong kind, is built into the model as written
+and reported by ir.validate_model.
 """
 
 from __future__ import annotations
 
 import re
 import xml.etree.ElementTree as ET
+from itertools import chain
 from typing import List, Tuple
 
 from .ir import (
@@ -261,25 +270,19 @@ def parse_script(text: str) -> Tuple[Assign, ...]:
 # ---------------------------------------------------------------------------
 # XML parsing
 
-_NODE_KINDS = {
-    "startEvent": NodeKind.START_EVENT,
-    "endEvent": NodeKind.END_EVENT,
-    "task": NodeKind.DEFAULT_TASK,
-    "userTask": NodeKind.USER_TASK,
-    "scriptTask": NodeKind.SCRIPT_TASK,
-    "exclusiveGateway": NodeKind.XOR_GATEWAY,
-    "parallelGateway": NodeKind.AND_GATEWAY,
-}
+_BPMN = "{" + BPMN_NS + "}"
+_BCEXT = "{" + BCEXT_NS + "}"
+_EXTENSION_ELEMENTS = _BPMN + "extensionElements"
 
-_IGNORED_BPMN = {"extensionElements", "documentation", "incoming", "outgoing",
-                 "conditionExpression", "script", "laneSet"}
+# a NodeKind's value is the local name of its BPMN element
+_NODE_KINDS = {_BPMN + kind.value: kind for kind in NodeKind}
+
+_SKIPPED = frozenset(_BPMN + local for local in
+                     ("documentation", "incoming", "outgoing", "laneSet"))
 
 
-def _split_tag(tag: str) -> Tuple[str, str]:
-    if tag.startswith("{"):
-        ns, local = tag[1:].split("}", 1)
-        return ns, local
-    return "", tag
+def _local(tag: str) -> str:
+    return tag.rpartition("}")[2]
 
 
 def _parse_literal(text: str):
@@ -316,13 +319,17 @@ def _require(elem, attr: str, what: str) -> str:
     return value
 
 
+def _unexpected(child, where: str) -> UnknownElement:
+    return UnknownElement(f"unexpected element '{_local(child.tag)}' inside {where}")
+
+
 def _bcext_children(elem, allowed: Tuple[str, ...], where: str):
     """(local name, child) for each child of elem; a child that is not a
     bcext element named in allowed is an UnknownElement."""
     for child in elem:
-        ns, local = _split_tag(child.tag)
-        if ns != BCEXT_NS or local not in allowed:
-            raise UnknownElement(f"unexpected element '{local}' inside {where}")
+        local = _local(child.tag)
+        if child.tag != _BCEXT + local or local not in allowed:
+            raise _unexpected(child, where)
         yield local, child
 
 
@@ -386,30 +393,49 @@ def _parse_variables(elem) -> List[ProcessVariableDecl]:
     return out
 
 
-def _parse_task_inputs(task_elem) -> Tuple[TaskInput, ...]:
-    inputs = []
-    for ext in task_elem:
-        ns, local = _split_tag(ext.tag)
-        if ns == BPMN_NS and local == "extensionElements":
-            for child in ext:
-                cns, clocal = _split_tag(child.tag)
-                if cns == BCEXT_NS and clocal == "input":
-                    inputs.append(TaskInput(_require(child, "name", "bcext:input"),
-                                            _require(child, "type", "bcext:input")))
-                elif cns == BCEXT_NS:
-                    raise UnknownElement(f"unexpected element '{clocal}' inside task")
-    return tuple(inputs)
+def _parse_node(elem, kind: NodeKind) -> Node:
+    """Inputs and script are read whatever the kind: validate_model owns the kind rules."""
+    node_id = _require(elem, "id", kind.value)
+    inputs: List[TaskInput] = []
+    script: Tuple[Assign, ...] = ()
+    for child in elem:
+        if child.tag == _EXTENSION_ELEMENTS:
+            inputs.extend(TaskInput(_require(i, "name", "bcext:input"),
+                                    _require(i, "type", "bcext:input"))
+                          for _, i in _bcext_children(child, ("input",), kind.value))
+        elif child.tag == _BPMN + "script":
+            script = parse_script(child.text or "")
+        elif child.tag not in _SKIPPED:
+            raise _unexpected(child, kind.value)
+    return Node(id=node_id, kind=kind, name=elem.get("name", ""),
+                task_inputs=tuple(inputs), script=script)
 
 
-def _iter_process_children(process):
-    """Process children plus bcext elements nested under extensionElements."""
-    for child in process:
-        ns, local = _split_tag(child.tag)
-        if ns == BPMN_NS and local == "extensionElements":
-            for sub in child:
-                yield sub
-        else:
-            yield child
+def _parse_flow(elem) -> SequenceFlow:
+    flow_id = _require(elem, "id", "sequenceFlow")
+    condition = None
+    for child in elem:
+        if child.tag == _BPMN + "conditionExpression":
+            condition = parse_condition(child.text or "")
+        elif child.tag not in _SKIPPED:
+            raise _unexpected(child, "sequenceFlow")
+    source = _require(elem, "sourceRef", "sequenceFlow")
+    target = _require(elem, "targetRef", "sequenceFlow")
+    default = elem.get("default", "false")
+    if default not in ("true", "false"):
+        raise BpmnParseError(f"sequenceFlow '{flow_id}' has default {default!r}; "
+                             "expected 'true' or 'false'")
+    return SequenceFlow(id=flow_id, source=source, target=target,
+                        condition=condition, is_default=default == "true")
+
+
+def _unknown_in_process(tag: str) -> UnknownElement:
+    local = _local(tag)
+    if tag == _BPMN + local:
+        return UnknownElement(f"unsupported BPMN element '{local}' in process")
+    if tag == _BCEXT + local:
+        return UnknownElement(f"unknown bcext element '{local}'")
+    return UnknownElement(f"foreign element '{tag}' inside process")
 
 
 def parse_bpmn(xml_text: str) -> ProcessModel:
@@ -424,19 +450,14 @@ def parse_bpmn(xml_text: str) -> ProcessModel:
         raise XmlSyntaxError(f"XML syntax error at line {e.position[0]}, "
                              f"column {e.position[1]}: {e.msg}") from e
 
-    ns, local = _split_tag(root.tag)
-    if ns != BPMN_NS or local != "definitions":
+    if root.tag != _BPMN + "definitions":
         raise BpmnParseError("root element is not a BPMN 2.0 definitions element")
-
-    process = None
-    for child in root:
-        cns, clocal = _split_tag(child.tag)
-        if cns == BPMN_NS and clocal == "process":
-            if process is not None:
-                raise BpmnParseError("multiple process elements; expected exactly one")
-            process = child
-    if process is None:
+    processes = [child for child in root if child.tag == _BPMN + "process"]
+    if len(processes) > 1:
+        raise BpmnParseError("multiple process elements; expected exactly one")
+    if not processes:
         raise BpmnParseError("no process element found")
+    process = processes[0]
 
     nodes: List[Node] = []
     flows: List[SequenceFlow] = []
@@ -444,54 +465,22 @@ def parse_bpmn(xml_text: str) -> ProcessModel:
     interfaces: List[SmartContractInterfaceDecl] = []
     invocations: List[InvocationBinding] = []
 
-    for elem in _iter_process_children(process):
-        ens, elocal = _split_tag(elem.tag)
-        if ens == BPMN_NS:
-            if elocal in _NODE_KINDS:
-                node_id = _require(elem, "id", elocal)
-                kind = _NODE_KINDS[elocal]
-                script: Tuple[Assign, ...] = ()
-                if kind == NodeKind.SCRIPT_TASK:
-                    for sub in elem:
-                        sns, slocal = _split_tag(sub.tag)
-                        if sns == BPMN_NS and slocal == "script":
-                            script = parse_script(sub.text or "")
-                nodes.append(Node(
-                    id=node_id,
-                    kind=kind,
-                    name=elem.get("name", ""),
-                    task_inputs=_parse_task_inputs(elem) if kind == NodeKind.USER_TASK else (),
-                    script=script,
-                ))
-            elif elocal == "sequenceFlow":
-                flow_id = _require(elem, "id", "sequenceFlow")
-                condition = None
-                for sub in elem:
-                    sns, slocal = _split_tag(sub.tag)
-                    if sns == BPMN_NS and slocal == "conditionExpression":
-                        condition = parse_condition(sub.text or "")
-                flows.append(SequenceFlow(
-                    id=flow_id,
-                    source=_require(elem, "sourceRef", "sequenceFlow"),
-                    target=_require(elem, "targetRef", "sequenceFlow"),
-                    condition=condition,
-                    is_default=elem.get("default", "false") == "true",
-                ))
-            elif elocal in _IGNORED_BPMN:
-                continue
-            else:
-                raise UnknownElement(f"unsupported BPMN element '{elocal}' in process")
-        elif ens == BCEXT_NS:
-            if elocal == "variables":
-                variables.extend(_parse_variables(elem))
-            elif elocal == "smartContractInterface":
-                interfaces.append(_parse_interface(elem))
-            elif elocal == "invocation":
-                invocations.append(_parse_invocation(elem))
-            else:
-                raise UnknownElement(f"unknown bcext element '{elocal}'")
-        else:
-            raise UnknownElement(f"foreign element '{elem.tag}' inside process")
+    # the children of a top-level extensionElements are read in its place
+    for elem in chain.from_iterable(
+            child if child.tag == _EXTENSION_ELEMENTS else (child,) for child in process):
+        tag = elem.tag
+        if tag in _NODE_KINDS:
+            nodes.append(_parse_node(elem, _NODE_KINDS[tag]))
+        elif tag == _BPMN + "sequenceFlow":
+            flows.append(_parse_flow(elem))
+        elif tag == _BCEXT + "variables":
+            variables.extend(_parse_variables(elem))
+        elif tag == _BCEXT + "smartContractInterface":
+            interfaces.append(_parse_interface(elem))
+        elif tag == _BCEXT + "invocation":
+            invocations.append(_parse_invocation(elem))
+        elif tag not in _SKIPPED:
+            raise _unknown_in_process(tag)
 
     return ProcessModel(
         id=_require(process, "id", "process"),

@@ -617,11 +617,11 @@ def validate_model(model: ProcessModel) -> ValidationReport:  # noqa: C901
         if not is_identifier(name):
             err(ref, f"{what} '{name}' is not an identifier")
 
-    node_ids = {}
+    node_ids = set()
     for n in model.nodes:
         if n.id in node_ids:
             err(n.id, "duplicate node id")
-        node_ids[n.id] = n
+        node_ids.add(n.id)
 
     flow_ids = set()
     for f in model.flows:
@@ -711,7 +711,7 @@ def validate_model(model: ProcessModel) -> ValidationReport:  # noqa: C901
 
     # conditions live on XOR-split outgoing flows only
     for f in model.flows:
-        src = node_ids.get(f.source)
+        src = model.node(f.source)
         is_xor_split = (src is not None and src.kind == NodeKind.XOR_GATEWAY
                         and len(model.outgoing(src.id)) > 1)
         if f.condition is not None and not is_xor_split:
@@ -806,7 +806,7 @@ def validate_model(model: ProcessModel) -> ValidationReport:  # noqa: C901
 
     # invocation bindings
     for b in model.invocations:
-        task = node_ids.get(b.source_task)
+        task = model.node(b.source_task)
         if task is None or task.kind not in TASK_KINDS:
             err(b.source_task, "invocation source is not a task")
             continue

@@ -219,6 +219,58 @@ def test_unknown_bpmn_element():
         parse_bpmn(DOC.format(body=MINIMAL + '<callActivity id="c"/>'))
 
 
+def one_node(tag, children):
+    """start -> n -> end, where n is a <tag> holding children."""
+    return ('<startEvent id="start"/>'
+            f'<{tag} id="n">{children}</{tag}>'
+            '<endEvent id="end"/>'
+            '<sequenceFlow id="f1" sourceRef="start" targetRef="n"/>'
+            '<sequenceFlow id="f2" sourceRef="n" targetRef="end"/>')
+
+
+NODE_TAGS = [kind.value for kind in NodeKind]
+
+
+# Every element is read where it may appear or rejected, never dropped.
+@pytest.mark.parametrize("body, message", [
+    *((one_node(tag, "<extensionElements><bcext:bogus/></extensionElements>"),
+       f"unexpected element 'bogus' inside {tag}") for tag in NODE_TAGS),
+    (one_node("userTask", "<multiInstanceLoopCharacteristics/>"),
+     "unexpected element 'multiInstanceLoopCharacteristics' inside userTask"),
+    (one_node("task", '<bcext:input name="q" type="bool"/>'),
+     "unexpected element 'input' inside task"),
+    ('<extensionElements><extensionElements/></extensionElements>' + MINIMAL,
+     "unsupported BPMN element 'extensionElements' in process"),
+    ("<script>x = 1</script>" + MINIMAL, "unsupported BPMN element 'script' in process"),
+    (MINIMAL.replace('targetRef="end"/>', 'targetRef="end"><bcext:bogus/></sequenceFlow>'),
+     "unexpected element 'bogus' inside sequenceFlow"),
+], ids=[*NODE_TAGS, "multi-instance", "bare-input", "nested-extensions", "process-script",
+        "flow-child"])
+def test_element_out_of_place_is_unknown(body, message):
+    with pytest.raises(UnknownElement) as exc:
+        parse_bpmn(DOC.format(body=body))
+    assert str(exc.value) == message
+
+
+def test_documentation_incoming_and_outgoing_are_skipped():
+    body = ('<startEvent id="start"><outgoing>f1</outgoing></startEvent>'
+            '<userTask id="t" name="Go"><documentation>Go on</documentation>'
+            '<incoming>f1</incoming><outgoing>f2</outgoing></userTask>'
+            '<endEvent id="end"><incoming>f2</incoming></endEvent>'
+            '<sequenceFlow id="f1" sourceRef="start" targetRef="t">'
+            '<documentation>first</documentation></sequenceFlow>'
+            '<sequenceFlow id="f2" sourceRef="t" targetRef="end"/>')
+    assert parse_bpmn(DOC.format(body=body)) == parse_bpmn(DOC.format(body=MINIMAL))
+
+
+@pytest.mark.parametrize("default", ["yes", "True", "1", ""])
+def test_flow_default_must_be_true_or_false(default):
+    body = MINIMAL.replace('<sequenceFlow id="f2"', f'<sequenceFlow id="f2" default="{default}"')
+    with pytest.raises(bpmn.BpmnParseError) as exc:
+        parse_bpmn(DOC.format(body=body))
+    assert "sequenceFlow 'f2'" in str(exc.value)
+
+
 # Model defects are the validator's: the reader builds the model as
 # written, and validate_model reports the defect at its ref.
 
@@ -234,6 +286,41 @@ def test_duplicate_id():
     for itf_id in ("t", "f1"):
         itf = f'<bcext:smartContractInterface id="{itf_id}" name="X"/>'
         assert (itf_id, "duplicate interface id") in errors_of(MINIMAL + itf)
+
+
+INPUT = '<extensionElements><bcext:input name="q" type="bool"/></extensionElements>'
+
+
+@pytest.mark.parametrize("tag, children, message", [
+    ("scriptTask", INPUT, "only user tasks may declare task inputs"),
+    ("task", INPUT, "only user tasks may declare task inputs"),
+    ("exclusiveGateway", INPUT, "only user tasks may declare task inputs"),
+    ("userTask", "<script>x = 1</script>", "only script tasks may carry a script"),
+], ids=["scriptTask", "task", "exclusiveGateway", "userTask"])
+def test_node_kind_rules_are_the_validators(tag, children, message):
+    assert ("n", message) in errors_of(one_node(tag, children))
+
+
+def test_duplicate_id_resolves_to_its_first_node():
+    # g is an XOR split and, later, a user task; every lookup of g finds the
+    # split, as ProcessModel.node does
+    body = ('<bcext:variables><bcext:variable name="b" type="bool"/></bcext:variables>'
+            '<startEvent id="start"/><exclusiveGateway id="g"/>'
+            '<userTask id="a"/><userTask id="c"/><exclusiveGateway id="j"/>'
+            '<endEvent id="end"/><userTask id="g" name="Dup"/>'
+            '<sequenceFlow id="f0" sourceRef="start" targetRef="g"/>'
+            '<sequenceFlow id="f1" sourceRef="g" targetRef="a">'
+            '<conditionExpression>b</conditionExpression></sequenceFlow>'
+            '<sequenceFlow id="f2" sourceRef="g" targetRef="c">'
+            '<conditionExpression>!b</conditionExpression></sequenceFlow>'
+            '<sequenceFlow id="f3" sourceRef="a" targetRef="j"/>'
+            '<sequenceFlow id="f4" sourceRef="c" targetRef="j"/>'
+            '<sequenceFlow id="f5" sourceRef="j" targetRef="end"/>'
+            '<bcext:invocation sourceTask="g" targetInterface="i" fnName="f"/>')
+    errors = errors_of(body)
+    assert ("g", "duplicate node id") in errors
+    assert ("g", "invocation source is not a task") in errors
+    assert not [e for e in errors if e[0] in ("f1", "f2")]
 
 
 def test_malformed_interface_address():
