@@ -9,8 +9,8 @@ URI is fixed to urn:procforge:bcext:1.
     process       flow nodes, sequenceFlow and the bcext declarations below,
                   also as children of a top-level extensionElements
     flow node     of any kind: bcext:input[name,type] under extensionElements,
-                  and the text of a script element as its script body
-    sequenceFlow  conditionExpression; default="true" or "false"
+                  and the text of at most one script element as its script body
+    sequenceFlow  at most one conditionExpression; default="true" or "false"
 
     bcext:variables / bcext:variable[name,type,initial]
     bcext:smartContractInterface[id,name,contractAddress?]
@@ -20,8 +20,9 @@ URI is fixed to urn:procforge:bcext:1.
 
 Of definitions, only its one process is read. The reader reports syntax
 only. It raises BpmnParseError when it cannot build a ProcessModel:
-malformed XML, an unknown element, a missing required attribute, or a
-literal, condition, script or default flag that does not parse. Every
+malformed XML, an unknown element, a missing required attribute, a second
+script or conditionExpression, or a literal, condition, script or default
+flag that does not parse. Every
 other defect, such as a duplicate id, a reference to an unknown node,
 task or interface, a malformed contractAddress, or task inputs or a
 script on a node of the wrong kind, is built into the model as written
@@ -33,7 +34,7 @@ from __future__ import annotations
 import re
 import xml.etree.ElementTree as ET
 from itertools import chain
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from .ir import (
     ADDRESS_RE,
@@ -397,18 +398,20 @@ def _parse_node(elem, kind: NodeKind) -> Node:
     """Inputs and script are read whatever the kind: validate_model owns the kind rules."""
     node_id = _require(elem, "id", kind.value)
     inputs: List[TaskInput] = []
-    script: Tuple[Assign, ...] = ()
+    script: Optional[Tuple[Assign, ...]] = None
     for child in elem:
         if child.tag == _EXTENSION_ELEMENTS:
             inputs.extend(TaskInput(_require(i, "name", "bcext:input"),
                                     _require(i, "type", "bcext:input"))
                           for _, i in _bcext_children(child, ("input",), kind.value))
         elif child.tag == _BPMN + "script":
+            if script is not None:
+                raise BpmnParseError(f"{kind.value} '{node_id}' has a second script")
             script = parse_script(child.text or "")
         elif child.tag not in _SKIPPED:
             raise _unexpected(child, kind.value)
     return Node(id=node_id, kind=kind, name=elem.get("name", ""),
-                task_inputs=tuple(inputs), script=script)
+                task_inputs=tuple(inputs), script=script or ())
 
 
 def _parse_flow(elem) -> SequenceFlow:
@@ -416,6 +419,8 @@ def _parse_flow(elem) -> SequenceFlow:
     condition = None
     for child in elem:
         if child.tag == _BPMN + "conditionExpression":
+            if condition is not None:
+                raise BpmnParseError(f"sequenceFlow '{flow_id}' has a second conditionExpression")
             condition = parse_condition(child.text or "")
         elif child.tag not in _SKIPPED:
             raise _unexpected(child, "sequenceFlow")

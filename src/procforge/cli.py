@@ -279,7 +279,7 @@ def _seed(args) -> int:
             return int(env)
         except ValueError:
             raise CliError(f"PROCFORGE_SEED is not an integer: {env!r}", EX_USAGE) from None
-    return 0
+    return harness.ExperimentConfig.seed
 
 
 def cmd_conformance(args) -> int:
@@ -359,10 +359,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("conformance", help="randomized trace experiment")
     common(sp)
+    defaults = harness.ExperimentConfig  # the one owner of the experiment defaults
     sp.add_argument("--seed", type=int, default=None,
-                    help="PRNG seed (default: $PROCFORGE_SEED or 0)")
-    sp.add_argument("--bases", type=int, default=2, help="number of base traces")
-    sp.add_argument("--mutants", type=int, default=250, help="mutants per base trace")
+                    help=f"PRNG seed (default: $PROCFORGE_SEED or {defaults.seed})")
+    sp.add_argument("--bases", type=int, default=defaults.base_traces, help="number of base traces")
+    sp.add_argument("--mutants", type=int, default=defaults.mutants_per_base,
+                    help="mutants per base trace")
     sp.add_argument("--report", metavar="out.json", help="write the JSON report here")
     sp.add_argument("--prefix", action="store_true", help="prefix conformance")
     sp.set_defaults(fn=cmd_conformance)

@@ -23,11 +23,8 @@ from __future__ import annotations
 import json
 import random
 import time
-from bisect import bisect
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate
-from math import isfinite
 from typing import (Collection, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set,
                     Tuple, Union)
 
@@ -348,25 +345,16 @@ def oracle_classify(model: ProcessModel, names: Names,
 OPERATORS = ("add", "remove", "swap")
 
 
-def mutants(trace: Names, rng: random.Random, count: int, weights: Sequence[float],
+def mutants(trace: Names, rng: random.Random, count: int,
             alphabet: Sequence[str], bases: Collection[Names]) -> List[Names]:
-    """count mutants of trace. Each applies exactly one operator, drawn
-    with the given weights, and is resampled until it is not in bases;
+    """count mutants of trace. Each applies exactly one operator, the
+    three being equally likely, and is resampled until it is not in bases;
     MutationExhausted is raised when one takes more than 100 tries.
 
     Every draw is a fixed function of rng.random() and rng.getrandbits(),
-    so the stream is the one random.choices, randrange, choice and
-    sample(range(n), 2) give in CPython 3.11, without depending on how a
-    later version implements them."""
-    cum = list(accumulate(weights))
-    if len(cum) != len(OPERATORS):
-        raise ValueError("The number of weights does not match the population")
-    total = cum[-1] + 0.0
-    if total <= 0.0:
-        raise ValueError("Total of weights must be greater than zero")
-    if not isfinite(total):
-        raise ValueError("Total of weights must be finite")
-    hi = len(OPERATORS) - 1
+    so the stream is the one random.choices(OPERATORS), randrange, choice
+    and sample(range(n), 2) give in CPython 3.11, without depending on how
+    a later version implements them."""
     uniform, getrandbits = rng.random, rng.getrandbits
 
     def below(m: int) -> int:
@@ -381,7 +369,7 @@ def mutants(trace: Names, rng: random.Random, count: int, weights: Sequence[floa
     out: List[Names] = []
     for _ in range(count):
         for _ in range(100):
-            op = OPERATORS[bisect(cum, uniform() * total, 0, hi)]
+            op = OPERATORS[int(uniform() * 3)]
             if op == "add":
                 if not k:
                     continue  # resample the operator
@@ -418,10 +406,11 @@ def mutants(trace: Names, rng: random.Random, count: int, weights: Sequence[floa
     return out
 
 
-def mutate(trace: Names, rng: random.Random, weights: Sequence[float],
+def mutate(trace: Names, rng: random.Random,
            alphabet: Sequence[str], bases: Collection[Names]) -> Names:
-    """One mutant of trace, drawn as mutants draws it."""
-    return mutants(trace, rng, 1, weights, alphabet, bases)[0]
+    """One mutant of trace, drawn as mutants draws it: one operator, the
+    three being equally likely."""
+    return mutants(trace, rng, 1, alphabet, bases)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -489,8 +478,7 @@ def run_experiment(model: ProcessModel, a: MarkingAutomaton,
     rng = random.Random(cfg.seed)
     traces: List[Names] = list(bases)
     for base in bases:
-        traces += mutants(base, rng, cfg.mutants_per_base, (1.0, 1.0, 1.0),
-                          alphabet, base_set)
+        traces += mutants(base, rng, cfg.mutants_per_base, alphabet, base_set)
 
     replay_root = _Prefix(eager_closure_nondet(a, a.initial_marking))
     oracle = _TokenGame(model)

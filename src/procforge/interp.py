@@ -12,7 +12,7 @@ touched and the registry objects keep their identity.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple, Union
 
 from .ir import (
@@ -237,17 +237,17 @@ class FungibleLedger(_Journaled):
     }
 
 
-@dataclass
+@dataclass(frozen=True)
 class RecordState:
     owner: str
     attrs: Dict[str, object]
-    history: List[Tuple[str, object]] = field(default_factory=list)
+    history: Tuple[Tuple[str, object], ...] = ()
 
 
 class NonFungibleStore(_Journaled):
     """ERC-721 style record registry keyed by address-typed record ids.
-    A record is copied before it changes, so the journal holds the old
-    record object."""
+    A record is a frozen value that a change replaces through _write, so
+    the journal holds every old record."""
 
     kind = "record"
 
@@ -286,13 +286,6 @@ class NonFungibleStore(_Journaled):
             raise UnknownRecord(f"no record {record_id}")
         return rec
 
-    def _writable(self, record_id: str) -> RecordState:
-        """A fresh copy of the record, put in its place through the journal."""
-        rec = self._get(record_id)
-        fresh = RecordState(rec.owner, dict(rec.attrs), list(rec.history))
-        self._write(self.records, addr_key(record_id), fresh)
-        return fresh
-
     def record_create(self, caller: str, record_id: str, owner: str,
                       attrs: Mapping[str, object]):
         if self.spec.is_record_creation_restricted_to_bpmn and not self._is_process(caller):
@@ -302,11 +295,10 @@ class NonFungibleStore(_Journaled):
         declared = {a.name for a in self.spec.attributes}
         if set(attrs) != declared:
             raise RegistryError(f"attributes {sorted(attrs)} != declared {sorted(declared)}")
-        rec = RecordState(owner=owner, attrs=dict(attrs))
-        for a in self.spec.attributes:
-            if a.history_tracked:
-                rec.history.append((a.name, attrs[a.name]))
-        self._write(self.records, addr_key(record_id), rec)
+        history = tuple((a.name, attrs[a.name]) for a in self.spec.attributes
+                        if a.history_tracked)
+        self._write(self.records, addr_key(record_id),
+                    RecordState(owner=owner, attrs=dict(attrs), history=history))
 
     def _create_as_caller(self, caller: str, record_id: str, *values) -> Tuple[()]:
         """record_create as the emitted registry runs it: the caller owns
@@ -334,10 +326,9 @@ class NonFungibleStore(_Journaled):
         if self.spec.is_registry_record_access_control_enabled \
                 and not self._is_process(caller) and addr_key(caller) != addr_key(rec.owner):
             raise Unauthorized(f"{caller} may not update record {record_id}")
-        rec = self._writable(record_id)
-        rec.attrs[attr] = value
-        if decl.history_tracked:
-            rec.history.append((attr, value))
+        history = rec.history + ((attr, value),) if decl.history_tracked else rec.history
+        self._write(self.records, addr_key(record_id),
+                    replace(rec, attrs={**rec.attrs, attr: value}, history=history))
 
     def record_ownership_transfer(self, caller: str, record_id: str, new_owner: str):
         if not self.spec.is_ownership_transfer_enabled:
@@ -348,7 +339,7 @@ class NonFungibleStore(_Journaled):
             authorized = True
         if not authorized:
             raise Unauthorized(f"{caller} may not transfer record {record_id}")
-        self._writable(record_id).owner = new_owner
+        self._write(self.records, addr_key(record_id), replace(rec, owner=new_owner))
 
 
 Registry = Union[FungibleLedger, NonFungibleStore]

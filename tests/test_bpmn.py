@@ -271,6 +271,23 @@ def test_flow_default_must_be_true_or_false(default):
     assert "sequenceFlow 'f2'" in str(exc.value)
 
 
+CONDITION = "<conditionExpression>true</conditionExpression>"
+
+
+# A node holds at most one script and a flow at most one condition.
+@pytest.mark.parametrize("body, message", [
+    (one_node("scriptTask", "<script>a = 1</script><script>b = 2</script>"),
+     "scriptTask 'n' has a second script"),
+    (one_node("userTask", "<script/><script/>"), "userTask 'n' has a second script"),
+    (MINIMAL.replace('targetRef="end"/>', f'targetRef="end">{CONDITION * 2}</sequenceFlow>'),
+     "sequenceFlow 'f2' has a second conditionExpression"),
+], ids=["script", "empty-scripts", "condition"])
+def test_second_script_or_condition_is_an_error(body, message):
+    with pytest.raises(bpmn.BpmnParseError) as exc:
+        parse_bpmn(DOC.format(body=body))
+    assert str(exc.value) == message
+
+
 # Model defects are the validator's: the reader builds the model as
 # written, and validate_model reports the defect at its ref.
 

@@ -594,11 +594,13 @@ LONE_SURROGATE_SPEC = (FIXTURES / "lrk.json").read_text().replace(
     (ICO_TEXT.encode(), None, ('{"task": "x", "args": ' + DEEP_JSON + "}\n").encode(),
      "t.jsonl: line 1: nested too deeply"),
     (ICO_TEXT.encode(), LONE_SURROGATE_SPEC.encode(), None, "a string holds a lone surrogate"),
+    (ICO_TEXT.replace("</script>", "</script><script>tokens = 0</script>", 1).encode(), None,
+     None, "scriptTask 's_alloc' has a second script"),
     (ICO_TEXT.encode(), pathlib.Path(LRK).read_bytes(), b'{"task": "\\udc00", "args": {}}\n',
      "t.jsonl: line 1: a string holds a lone surrogate"),
 ], ids=["model-not-utf8", "spec-not-utf8", "trace-not-utf8", "400-parentheses",
         "3000-term-sum", "5000-digit-literal", "5000-digit-initial", "deep-json-spec",
-        "deep-json-trace", "lone-surrogate-spec", "lone-surrogate-trace"])
+        "deep-json-trace", "lone-surrogate-spec", "second-script", "lone-surrogate-trace"])
 def test_malformed_input_is_one_error_line(tmp_path, capsys, model, spec, trace, reason):
     (tmp_path / "m.bpmn").write_bytes(model)
     (tmp_path / "t.jsonl").write_bytes(trace or b'{"task": "Investment received"}\n')

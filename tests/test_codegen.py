@@ -16,9 +16,16 @@ from procforge.codegen import (
     render_expr,
 )
 from procforge.bpmn import parse_bpmn
-from procforge.interp import FungibleLedger, NonFungibleStore
+from procforge.interp import (
+    AttributeNotUpdatable,
+    FeatureDisabled,
+    FungibleLedger,
+    NonFungibleStore,
+    TransferDisabled,
+)
 from procforge.ir import (
     VALUE_TYPES,
+    ZERO_VALUES,
     BinOp,
     Lit,
     Node,
@@ -477,17 +484,56 @@ RECORDS = NonFungibleRegistrySpec(
     is_ownership_transfer_enabled=True)
 
 
-@pytest.mark.parametrize("kind", ["token", "single", "distributed"])
-def test_simulated_functions_are_emitted_with_the_same_parameters(kind):
-    if kind == "token":
-        registry, unit = FungibleLedger(TOKEN), gen_fungible(TOKEN)
+def _accepted_registry_specs():
+    """The record-registry specs of the pinned registry text: both storage
+    layouts under each flag combination parse_registry accepts."""
+    for registry_type in ("single", "distributed"):
+        for bits in itertools.product((False, True), repeat=len(REGISTRY_FLAGS)):
+            doc = {"name": "Deed Book", "registryType": registry_type,
+                   "attributes": PINNED_ATTRIBUTES, **dict(zip(REGISTRY_FLAGS, bits))}
+            try:
+                yield parse_registry(json.dumps(doc))
+            except InvariantViolation:
+                pass
+
+
+ABI_SPECS = {
+    "token": TOKEN,
+    "fixed-token": TOKEN._replace(is_mintable=False, minter_addresses=(),
+                                  is_burnable=False, burner_addresses=()),
+    "single": RECORDS,
+    "distributed": RECORDS._replace(registry_type="distributed"),
+    **{f"deeds-{i}": spec for i, spec in enumerate(_accepted_registry_specs())},
+}
+
+
+def _disabled(spec, name: str) -> bool:
+    """Whether spec turns off the simulated function name."""
+    if isinstance(spec, FungibleRegistrySpec):
+        return {"mint": not spec.is_mintable, "burn": not spec.is_burnable}.get(name, False)
+    if name == "record_ownership_transfer":
+        return not spec.is_ownership_transfer_enabled
+    return any("record_update_" + a.name == name and not a.updatable for a in spec.attributes)
+
+
+@pytest.mark.parametrize("spec", list(ABI_SPECS.values()), ids=list(ABI_SPECS))
+def test_simulated_functions_are_emitted_with_the_same_parameters(spec):
+    # a function the spec enables is emitted with the simulated parameters;
+    # one it disables is not emitted, and the simulated call rejects
+    fungible = isinstance(spec, FungibleRegistrySpec)
+    if fungible:
+        registry, unit = FungibleLedger(spec), gen_fungible(spec)
     else:
-        spec = RECORDS._replace(registry_type=kind)
         registry, unit = NonFungibleStore(spec), gen_nonfungible(spec)
     text = unit.rendered_text
     # the registry is the unit's last contract; a distributed one's records
     # come before it
     emitted = _public_abi(text[text.index(f"contract {unit.contracts[-1]} "):])
-    assert len(registry.functions) == (11 if kind == "token" else 4 + len(VALUE_TYPES))
-    for name, (params, _call) in registry.functions.items():
-        assert emitted.get(name) == params, name
+    assert len(registry.functions) == (11 if fungible else 4 + len(spec.attributes))
+    for name, (params, call) in registry.functions.items():
+        if _disabled(spec, name):
+            assert name not in emitted, name
+            with pytest.raises((FeatureDisabled, AttributeNotUpdatable, TransferDisabled)):
+                call(registry, MINTER, *(ZERO_VALUES[t] for t in params))
+        else:
+            assert emitted.get(name) == params, name

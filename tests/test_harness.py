@@ -6,6 +6,7 @@ import random
 import types
 
 import pytest
+from hypothesis import given, strategies as st
 
 from procforge import harness
 from procforge.cli import main
@@ -318,15 +319,15 @@ AB = ("a", "b")
 
 
 def test_swap_on_two_events():
-    rng = random.Random(0)
-    out = mutate(AB, rng, (0, 0, 1), ["a", "b"], bases=[AB])
+    # no alphabet to add from, and both removals are bases: only a swap is left
+    out = mutate(AB, random.Random(0), [], bases=[AB, ("a",), ("b",)])
     assert out == ("b", "a")
 
 
 def test_remove_resamples_on_empty():
-    rng = random.Random(0)
+    # nothing to add and one event, so add and swap resample until remove
     single = ("a",)
-    out = mutate(single, rng, (0, 1, 0), ["a"], bases=[single])
+    out = mutate(single, random.Random(0), [], bases=[single])
     assert out == ()
 
 
@@ -334,7 +335,7 @@ def test_mutation_exhausted():
     single = ("a",)
     # only possible removal result is (), which equals a base
     with pytest.raises(MutationExhausted):
-        mutate(single, random.Random(0), (0, 1, 0), ["a"], bases=[single, ()])
+        mutate(single, random.Random(0), [], bases=[single, ()])
 
 
 def test_mutants_never_equal_bases(grain_automaton):
@@ -342,23 +343,25 @@ def test_mutants_never_equal_bases(grain_automaton):
     rng = random.Random(42)
     alphabet = sorted(grain_automaton.external_names.values())
     for _ in range(200):
-        m = mutate(bases[0], rng, (1, 1, 1), alphabet, bases)
+        m = mutate(bases[0], rng, alphabet, bases)
         assert m not in bases
 
 
 def test_mutation_deterministic_for_seed(grain_automaton):
     bases = enumerate_conforming(grain_automaton, 8)[:2]
     alphabet = sorted(grain_automaton.external_names.values())
-    a = [mutate(bases[0], random.Random(42), (1, 1, 1), alphabet, bases)
+    a = [mutate(bases[0], random.Random(42), alphabet, bases)
          for _ in range(1)]
-    b = [mutate(bases[0], random.Random(42), (1, 1, 1), alphabet, bases)
+    b = [mutate(bases[0], random.Random(42), alphabet, bases)
          for _ in range(1)]
     assert a == b
 
 
 def reference_mutate(trace, rng, weights, alphabet, bases):
     """mutate written with random.choices, randrange, choice and sample:
-    the draws that mutants reproduces from random() and getrandbits()."""
+    the draws that mutants reproduces from random() and getrandbits().
+    choices draws the operator by bisecting the cumulative weights when
+    they are given and by scaling random() when they are not."""
     for _ in range(100):
         op = rng.choices(harness.OPERATORS, weights=weights)[0]
         names = list(trace)
@@ -389,7 +392,7 @@ def draw_or_exhaust(draw):
         return MutationExhausted
 
 
-@pytest.mark.parametrize("weights", [(1, 1, 1), (0, 0, 1), (0, 1, 0), (1, 2, 3)])
+@pytest.mark.parametrize("weights", [(1, 1, 1), None])
 @pytest.mark.parametrize("alphabet", [("a", "b", "c"), ()], ids=["alphabet", "no-alphabet"])
 def test_mutants_draw_as_the_reference(weights, alphabet):
     # lengths above 21 take sample's set path, which no fixture reaches
@@ -405,17 +408,38 @@ def test_mutants_draw_as_the_reference(weights, alphabet):
                 reference_mutate(trace, ref_rng, weights, alphabet, bases)
                 for _ in range(count)])
             got = draw_or_exhaust(lambda: harness.mutants(
-                trace, rng, count, weights, alphabet, bases))
+                trace, rng, count, alphabet, bases))
             assert got == expected, (length, seed)
             assert rng.getstate() == ref_rng.getstate(), (length, seed)
 
 
-@pytest.mark.parametrize("weights", [(0, 0, 0), (1, 1), (1, float("inf"), 1)])
-def test_mutants_reject_weights_random_choices_rejects(weights):
-    with pytest.raises(ValueError):
-        harness.mutants(AB, random.Random(0), 1, weights, ["a"], [AB])
-    with pytest.raises(ValueError):
-        random.Random(0).choices(harness.OPERATORS, weights=weights)
+def _one_edit(base, mutant, alphabet):
+    """Whether mutant is base with one name of alphabet inserted, one
+    name removed, or two positions of different names swapped."""
+    n = len(base)
+    if len(mutant) == n + 1:
+        return any(mutant[:i] + mutant[i + 1:] == base and mutant[i] in alphabet
+                   for i in range(n + 1))
+    if len(mutant) == n - 1:
+        return any(base[:i] + base[i + 1:] == mutant for i in range(n))
+    diff = [i for i in range(n) if base[i] != mutant[i]]
+    return (len(diff) == 2 and mutant[diff[0]] == base[diff[1]]
+            and mutant[diff[1]] == base[diff[0]])
+
+
+@given(trace=st.lists(st.sampled_from("abcd"), max_size=30).map(tuple),
+       alphabet=st.lists(st.sampled_from("abcde"), max_size=3, unique=True),
+       seed=st.integers(0, 2**32 - 1))
+def test_every_mutant_is_its_base_with_one_edit(trace, alphabet, seed):
+    bases = {trace}
+    try:
+        out = harness.mutants(trace, random.Random(seed), 20, alphabet, bases)
+    except MutationExhausted:
+        assert trace == () and not alphabet  # no operator applies
+        return
+    assert len(out) == 20
+    for mutant in out:
+        assert mutant not in bases and _one_edit(trace, mutant, alphabet), mutant
 
 
 def test_config_validation():
@@ -467,7 +491,7 @@ def test_replayer_and_oracle_agree_on_random_models():
         bases = enumerate_conforming(a, len(a.external))
         for _ in range(20):
             base = bases[rng.randrange(len(bases))] if bases else ()
-            t = mutate(base, rng, (1, 1, 1), alphabet, bases=[]) \
+            t = mutate(base, rng, alphabet, bases=[]) \
                 if base or alphabet else ()
             assert classify(a, t).ok == oracle_classify(model, t).ok
 
@@ -484,7 +508,7 @@ def experiment_traces(a, cfg):
     traces = list(bases)
     for base in bases:
         for _ in range(cfg.mutants_per_base):
-            traces.append(mutate(base, rng, (1.0, 1.0, 1.0), alphabet, bases))
+            traces.append(mutate(base, rng, alphabet, bases))
     return traces
 
 

@@ -143,7 +143,7 @@ def test_history_tracking():
     s.record_create(A1, A3, owner=A1, attrs={"note": "a"})
     s.record_update(A1, A3, "note", "b")
     rec = s.records[A3]
-    assert rec.history == [("note", "a"), ("note", "b")]
+    assert rec.history == (("note", "a"), ("note", "b"))
 
 
 def test_transfer_disabled():
@@ -247,7 +247,7 @@ def test_store_rollback_restores_records():
     s.record_ownership_transfer(A1, A3, A2)
     s.record_create(A1, A2, owner=A1, attrs={"note": "c"})
     s.record_update(A1, A2, "note", "d")
-    assert (kept.owner, kept.attrs, kept.history) == (A1, {"note": "a"}, [("note", "a")])
+    assert (kept.owner, kept.attrs, kept.history) == (A1, {"note": "a"}, (("note", "a"),))
     s.rollback(mark)
     assert list(s.records) == [A3] and s.records[A3] is kept
 

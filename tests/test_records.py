@@ -81,7 +81,7 @@ DATACLASSES = {
     "harness.Conforming": "has no fields, and a NamedTuple without fields is falsy",
     "harness._Prefix": "a mutable trie node with a dict default",
     "harness.ExperimentConfig": "checks its fields in __post_init__",
-    "interp.RecordState": "a mutable record of a simulated registry",
+    "interp.RecordState": "frozen, but its attribute dict cannot hash as a NamedTuple sample must",
 }
 
 
