@@ -547,7 +547,7 @@ def gen_process(model: ProcessModel, automaton: MarkingAutomaton) -> SourceUnit:
     b.append("    }")
 
     # externally invoked tasks: public functions
-    for task_id, alts in automaton.external.items():
+    for task_id, t in automaton.external.items():
         node = model.node(task_id)
         task_name = _sol_literal(node.display_name, "string")
         body = [f"            _{ti.name} = {ti.name};" for ti in node.task_inputs]
@@ -556,12 +556,12 @@ def gen_process(model: ProcessModel, automaton: MarkingAutomaton) -> SourceUnit:
         b.append(f"    function {function_name(node)}"
                  f"({_params_text(node.task_inputs, 'memory')}) public {{")
         b.append("        uint preconditionsp = marking;")
-        for i, alt in enumerate(alts):
+        for i, pre in enumerate(t.pre_alternatives):
             kw = "} else if" if i else "if"
-            b.append(f"        {kw} ( (preconditionsp & {_hex(alt.pre)} == {_hex(alt.pre)}) ) {{")
+            b.append(f"        {kw} ( (preconditionsp & {_hex(pre)} == {_hex(pre)}) ) {{")
             b.extend(body)
             b.append(f"            marking = runAutoTransitions("
-                     f"preconditionsp & uint(~{_hex(alt.pre)})  | {_hex(alt.post)});")
+                     f"preconditionsp & uint(~{_hex(pre)})  | {_hex(t.branches[0].post)});")
             b.append(f"            emit taskExecuted({task_name}, true);")
         b.append("        } else {")
         b.append(f"            emit taskExecuted({task_name}, false);")

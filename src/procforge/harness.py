@@ -29,7 +29,7 @@ from typing import (Collection, Dict, FrozenSet, List, NamedTuple, Optional, Seq
                     Tuple, Union)
 
 from .ir import NodeKind, ProcessModel, TASK_KINDS, is_address, load_json
-from .marking import MarkingAutomaton, eager_closure_nondet
+from .marking import MarkingAutomaton, eager_closure_nondet, fire_external
 
 DEFAULT_STATE_BUDGET = 10**6
 
@@ -95,15 +95,14 @@ def parse_trace(text: str) -> Trace:
 
 
 def step(a: MarkingAutomaton, states: FrozenSet[int], task_id: str) -> FrozenSet[int]:
-    """Fire external task task_id from every marking in states through its
-    first enabled alternative, as fire_external does, and close each result
-    over all branch choices. Empty when the task is enabled in none."""
+    """Fire external task task_id with fire_external from every marking in
+    states, and close each result over all branch choices. Empty when the
+    task is enabled in none."""
     out: Set[int] = set()
     for m in states:
-        for pre, post in a.external[task_id]:
-            if m & pre == pre:
-                out |= eager_closure_nondet(a, (m & ~pre) | post)
-                break
+        fired = fire_external(a, m, task_id)
+        if fired is not None:
+            out |= eager_closure_nondet(a, fired[0])
     return frozenset(out)
 
 

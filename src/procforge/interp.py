@@ -28,6 +28,7 @@ from .ir import (
 from .marking import (
     MarkingAutomaton,
     MarkingError,
+    NotEnabled,
     eager_closure_data,
     fire_external,
 )
@@ -499,13 +500,16 @@ class InstanceState:
             raise UnknownTask(f"'{task_name}' is not an external task of the model")
         task = self.model.node(task_id)
 
-        # fire_external and the closure work on copies of the marking and
-        # env, so only the registries' writes need undoing on rejection
+        # the task and the closure fire on a copy of the env holding the
+        # args, and fire_external returns a new marking, so only the
+        # registries' writes need undoing on rejection
         marks = [(reg, reg.mark()) for reg in self.registries.values()]
         try:
-            merged = self._coerce_args(task, args or {})
-            marking, env, alt = fire_external(
-                self.automaton, self.marking, self.env, task_id, merged)
+            env = {**self.env, **self._coerce_args(task, args or {})}
+            fired = fire_external(self.automaton, self.marking, task_id)
+            if fired is None:
+                raise NotEnabled(f"task '{task_id}' not enabled at marking {self.marking:#x}")
+            marking, alt = fired
             self._run_task_invocations(task_id, env, caller)
             result = eager_closure_data(
                 self.automaton, marking, env, on_fire=self._run_task_invocations)
@@ -516,7 +520,7 @@ class InstanceState:
         else:
             self._commit()
             self.marking, self.env = result.marking, result.env
-            outcome = Accepted(alt, tuple(result.fired))
+            outcome = Accepted(alt, result.fired)
         self.event_log.append(LogEntry(task_name, dict(args) if args else None,
                                        caller, outcome))
         return outcome

@@ -12,8 +12,7 @@ Condition-free gateways directly adjacent to a task (those that
 ProcessModel.gateway_folds picks) are folded into that task's masks, as in
 the generated contracts: an AND-join in front of a task widens its
 precondition mask, an AND-split behind it widens its update mask, and an
-XOR-join in front of it becomes one (preMask, update) alternative per
-incoming flow.
+XOR-join in front of it becomes one pre-alternative per incoming flow.
 """
 
 from __future__ import annotations
@@ -52,12 +51,12 @@ class NonTerminatingClosure(MarkingError):
 
 @dataclass(frozen=True)
 class Branch:
-    """One outgoing alternative of an auto-transition.
+    """One outgoing alternative of a transition.
 
     guard is None for unconditional branches and for the default flow of
     an XOR split (is_default marks the latter), which is the last branch;
     test is guard compiled against the model's declared types. post is
-    the produced bits.
+    the produced bits. Only an XOR split has more than one branch.
     """
 
     post: int
@@ -66,15 +65,15 @@ class Branch:
     test: Optional[Evaluator] = field(default=None, compare=False)
 
 
-class ExternalAlternative(NamedTuple):
-    pre: int
-    post: int
-
-
 @dataclass(frozen=True)
-class AutoTransition:
+class Transition:
+    """One task, gateway or end event, as its emitted function tests it:
+    pre_alternatives are the preMasks in the order of the if / else if
+    chain, and the first one contained in the marking fires. A task has
+    one unguarded branch holding its update mask."""
+
     node_id: str
-    kind: NodeKind  # SCRIPT_TASK, XOR_GATEWAY, AND_GATEWAY or END_EVENT
+    kind: NodeKind  # any kind but START_EVENT
     pre_alternatives: Tuple[int, ...]
     branches: Tuple[Branch, ...]
     # the script's (target, compiled value) pairs, in order
@@ -86,8 +85,8 @@ class MarkingAutomaton:
     flow_count: int
     bit_of: Mapping[str, int]  # flow id -> bit index, dense document order
     initial_marking: int
-    external: Mapping[str, Tuple[ExternalAlternative, ...]]  # task id -> alternatives
-    autos: Tuple[AutoTransition, ...]
+    external: Mapping[str, Transition]  # task id -> its transition
+    autos: Tuple[Transition, ...]
     end_mask: int
     external_names: Mapping[str, str]  # task id -> display name
     folded: frozenset = frozenset()  # gateway ids folded into task masks
@@ -124,12 +123,13 @@ def compile_marking(model: ProcessModel) -> MarkingAutomaton:
 
     folds = model.gateway_folds
     folded = {g.id for pair in folds.values() for g in pair if g is not None}
-    # build each transition once, skipping the folded gateways
-    external: Dict[str, Tuple[ExternalAlternative, ...]] = {}
-    autos: List[AutoTransition] = []
+    # build each transition once, skipping the folded gateways, and file
+    # it by kind
+    external: Dict[str, Transition] = {}
+    autos: List[Transition] = []
     end_mask = 0
     for n in model.nodes:
-        if n.id in folded:
+        if n.id in folded or n.kind == NodeKind.START_EVENT:
             continue
         inc, out = model.incoming(n.id), model.outgoing(n.id)
         if n.kind in TASK_KINDS:
@@ -138,17 +138,11 @@ def compile_marking(model: ProcessModel) -> MarkingAutomaton:
             # a folded XOR join gives one alternative per incoming flow
             pres = bits(g_in) if front is not None and front.kind == NodeKind.XOR_GATEWAY \
                 else (mask(g_in),)
-            post = mask(out if behind is None else model.outgoing(behind.id))
-            if n.kind in EXTERNAL_TASK_KINDS:
-                external[n.id] = tuple(ExternalAlternative(p, post) for p in pres)
-            else:
-                autos.append(AutoTransition(
-                    n.id, n.kind, pres, (Branch(post=post),),
-                    statements=tuple((st.target, compile_expr(st.value, types)[1])
-                                     for st in n.script)))
+            branches = [Branch(post=mask(out if behind is None else model.outgoing(behind.id)))]
         elif n.kind == NodeKind.AND_GATEWAY:
-            autos.append(AutoTransition(n.id, n.kind, (mask(inc),), (Branch(post=mask(out)),)))
+            pres, branches = (mask(inc),), [Branch(post=mask(out))]
         elif n.kind == NodeKind.XOR_GATEWAY:
+            pres = bits(inc)
             if len(out) > 1:
                 # the default last: _pick_branch and codegen take it as the tail
                 branches = [Branch(post=1 << bit_of[f.id], guard=f.condition,
@@ -158,10 +152,16 @@ def compile_marking(model: ProcessModel) -> MarkingAutomaton:
                              for f in out if f.is_default]
             else:
                 branches = [Branch(post=mask(out))]
-            autos.append(AutoTransition(n.id, n.kind, bits(inc), tuple(branches)))
-        elif n.kind == NodeKind.END_EVENT:
-            autos.append(AutoTransition(n.id, n.kind, bits(inc), (Branch(post=0),)))
+        else:  # END_EVENT
+            pres, branches = bits(inc), [Branch(post=0)]
             end_mask |= mask(inc)
+        t = Transition(n.id, n.kind, pres, tuple(branches),
+                       statements=tuple((st.target, compile_expr(st.value, types)[1])
+                                        for st in n.script))
+        if n.kind in EXTERNAL_TASK_KINDS:
+            external[n.id] = t
+        else:
+            autos.append(t)
 
     return MarkingAutomaton(
         flow_count=len(model.flows),
@@ -184,37 +184,29 @@ def enabled_external(a: MarkingAutomaton, marking: int):
     """All (task id, alternative index) whose preMask is contained in the
     marking."""
     result = set()
-    for tid, alts in a.external.items():
-        for i, alt in enumerate(alts):
-            if marking & alt.pre == alt.pre:
+    for tid, t in a.external.items():
+        for i, pre in enumerate(t.pre_alternatives):
+            if marking & pre == pre:
                 result.add((tid, i))
     return result
 
 
-def fire_external(a: MarkingAutomaton, marking: int, env: Mapping[str, object],
-                  task_id: str, args: Optional[Mapping[str, object]] = None):
-    """Fire one externally invoked task. Returns (marking, env, alt index).
-
-    When several XOR-join alternatives are enabled the lowest index fires.
-    Raises NotEnabled (marking unchanged) otherwise.
-    """
-    alts = a.external.get(task_id)
-    if alts is None:
-        raise NotEnabled(f"'{task_id}' is not an external task")
-    for i, (pre, post) in enumerate(alts):
+def fire_external(a: MarkingAutomaton, marking: int, task_id: str) -> Optional[Tuple[int, int]]:
+    """Fire externally invoked task task_id through its first pre-alternative
+    contained in the marking, as the emitted if / else if does. Returns
+    (new marking, alternative index), or None when the task is not
+    enabled. The one place that picks a task's alternative."""
+    t = a.external[task_id]
+    for i, pre in enumerate(t.pre_alternatives):
         if marking & pre == pre:
-            new_env = dict(env)
-            if args:
-                new_env.update(args)
-            return (marking & ~pre) | post, new_env, i
-    raise NotEnabled(f"task '{task_id}' not enabled at marking {marking:#x}")
+            return (marking & ~pre) | t.branches[0].post, i
+    return None
 
 
-@dataclass
-class ClosureResult:
+class ClosureResult(NamedTuple):
     marking: int
     env: dict
-    fired: List[str] = field(default_factory=list)  # auto node ids in firing order
+    fired: Tuple[str, ...]  # auto node ids in firing order
 
 
 def eager_closure_data(a: MarkingAutomaton, marking: int, env: Mapping[str, object],
@@ -249,10 +241,10 @@ def eager_closure_data(a: MarkingAutomaton, marking: int, env: Mapping[str, obje
             if budget < 0:
                 raise NonTerminatingClosure(
                     f"auto-transition closure exceeded {4 * a.flow_count} firings")
-    return ClosureResult(marking, env, fired)
+    return ClosureResult(marking, env, tuple(fired))
 
 
-def _pick_branch(t: AutoTransition, env) -> Branch:
+def _pick_branch(t: Transition, env) -> Branch:
     """The first branch that is unguarded or whose guard holds:
     compile_marking puts an XOR split's default flow last."""
     for b in t.branches:
@@ -307,10 +299,10 @@ def dump_automaton(a: MarkingAutomaton) -> str:
     for fid, bit in sorted(a.bit_of.items(), key=lambda kv: kv[1]):
         lines.append(f"  bit {bit:>3}  {fid}")
     lines.append("external tasks:")
-    for tid, alts in a.external.items():
+    for tid, t in a.external.items():
         name = a.external_names.get(tid, tid)
-        for i, alt in enumerate(alts):
-            lines.append(f"  {name} [{i}]  pre={alt.pre:#x}  post={alt.post:#x}")
+        for i, pre in enumerate(t.pre_alternatives):
+            lines.append(f"  {name} [{i}]  pre={pre:#x}  post={t.branches[0].post:#x}")
     lines.append("auto transitions:")
     for t in a.autos:
         pres = ", ".join(f"{p:#x}" for p in t.pre_alternatives)

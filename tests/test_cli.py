@@ -613,6 +613,54 @@ def test_malformed_input_is_one_error_line(tmp_path, capsys, model, spec, trace,
     assert err.startswith("error: ") and err.count("\n") == 1 and reason in err
 
 
+LRK_TEXT = pathlib.Path(LRK).read_text()
+TITLE_TEXT = pathlib.Path(TITLE).read_text()
+A6 = "0x" + "66" * 20
+AB = "0x" + "ab" * 20
+
+
+@pytest.mark.parametrize("model, spec, line", [
+    (ICO_TEXT.replace("</definitions>", '<process id="other"/></definitions>'), None,
+     "m.bpmn: multiple process elements; expected exactly one"),
+    (ICO_TEXT.replace("<process ", "<collaboration ").replace("</process>", "</collaboration>"),
+     None, "m.bpmn: no process element found"),
+    (ICO_TEXT.replace("<endEvent ", "<bcext:timer/><endEvent "), None,
+     "m.bpmn: unknown bcext element 'timer'"),
+    (ICO_TEXT.replace("<endEvent ", '<x:note xmlns:x="urn:other"/><endEvent '), None,
+     "m.bpmn: foreign element '{urn:other}note' inside process"),
+    (ICO_TEXT, LRK_TEXT.replace('"minterAddresses": []', f'"minterAddresses": "{A6}"'),
+     "s.json: minterAddresses: must be a list of addresses"),
+    # addresses that differ only in case are one address
+    (ICO_TEXT, LRK_TEXT.replace('"isBurnable": false', '"isBurnable": true').replace(
+        '"burnerAddresses": []', f'"burnerAddresses": ["{AB}", "0x{AB[2:].upper()}"]'),
+     "s.json: burnerAddresses: duplicate address"),
+    (ICO_TEXT, LRK_TEXT.replace('"Lorikeet Coin"', '""'),
+     "s.json: name: must be a nonempty string"),
+    (ICO_TEXT, TITLE_TEXT.replace('"Grain Title"', '""'),
+     "s.json: name: must be a nonempty string"),
+    (ICO_TEXT, LRK_TEXT.replace('"isBurnable": false', '"isBurnable": true'),
+     "s.json: burnerAddresses: isBurnable requires burner addresses"),
+    (ICO_TEXT, LRK_TEXT.replace('"burnerAddresses": []', f'"burnerAddresses": ["{A6}"]'),
+     "s.json: burnerAddresses: burners given but isBurnable is false"),
+    (ICO_TEXT, TITLE_TEXT.replace('{"name": "weight", "type": "uint256", "updatable": false, '
+                                  '"historyTracked": true}', '"weight"'),
+     "s.json: attributes[0]: entries must be attribute objects"),
+], ids=["multiple-processes", "no-process", "unknown-bcext", "foreign-element",
+        "minters-not-a-list", "duplicate-burner", "empty-fungible-name",
+        "empty-nonfungible-name", "burnable-without-burners", "burners-not-burnable",
+        "attribute-not-an-object"])
+def test_reader_error_is_one_error_line(tmp_path, monkeypatch, capsys, model, spec, line):
+    (tmp_path / "m.bpmn").write_text(model)
+    argv = ["validate", "m.bpmn"]
+    if spec is not None:
+        assert spec not in (LRK_TEXT, TITLE_TEXT)
+        (tmp_path / "s.json").write_text(spec)
+        argv += ["--registry", "s.json"]
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", f"error: {line}\n")
+
+
 # Model defects that the BPMN reader builds into the model as written: each
 # is a validate diagnostic at its ref, and every command exits 1 with the
 # report

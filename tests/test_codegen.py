@@ -127,7 +127,7 @@ def test_task_name_is_a_string_literal_in_task_events(ico_model):
     events = re.findall(r"emit taskExecuted\((.*), (?:true|false)\);",
                         gen_process(model, automaton).rendered_text)
     named = [e for e in events if "selfdestruct" in e]
-    assert len(named) == len(automaton.external["t_invest"]) + 1
+    assert len(named) == len(automaton.external["t_invest"].pre_alternatives) + 1
     assert all(_held(e) == NASTY for e in named)
 
 
@@ -365,9 +365,10 @@ def test_process_unit_structure(grain_model, grain_automaton):
 
 def test_task_functions_update_masks(grain_model, grain_automaton):
     text = gen_process(grain_model, grain_automaton).rendered_text
-    (alt,) = grain_automaton.external["t_register"]
-    assert f"preconditionsp & {alt.pre:#x} == {alt.pre:#x}" in text
-    assert f"preconditionsp & uint(~{alt.pre:#x})  | {alt.post:#x}" in text
+    t = grain_automaton.external["t_register"]
+    (pre,), (branch,) = t.pre_alternatives, t.branches
+    assert f"preconditionsp & {pre:#x} == {pre:#x}" in text
+    assert f"preconditionsp & uint(~{pre:#x})  | {branch.post:#x}" in text
 
 
 def test_xor_alternatives_render_as_else_if(ico_model):

@@ -287,7 +287,7 @@ def test_step_fires_the_first_enabled_alternative_as_fire_external_does():
     assert validate_model(model).ok and a.folded == {"join"}
     states = step(a, step(a, eager_closure_nondet(a, a.initial_marking), "a"), "b")
     assert states == {0x18}
-    marking, _, alt = fire_external(a, 0x18, {}, "t")
+    marking, alt = fire_external(a, 0x18, "t")
     assert alt == 0
     assert step(a, states, "t") == eager_closure_nondet(a, marking) == {0x10}
 
@@ -308,7 +308,7 @@ def test_wide_automatic_split_closes_as_data_mode_does():
     assert validate_model(model).ok and a.folded == {"join"}
     data = eager_closure_data(a, a.initial_marking, {})
     assert eager_closure_nondet(a, a.initial_marking) == {data.marking}
-    assert data.marking == a.external["t"][0].pre
+    assert data.marking == a.external["t"].pre_alternatives[0]
     assert classify(a, ("T",)) == Conforming()
 
 

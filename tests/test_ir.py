@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -21,6 +22,7 @@ from procforge.ir import (
     Lit,
     Node,
     NodeKind,
+    ParameterBinding,
     ProcessModel,
     ProcessVariableDecl,
     SequenceFlow,
@@ -456,6 +458,151 @@ def test_degenerate_gateway_is_warning_only():
 def test_diagnostic_str():
     d = Diagnostic("error", "f1", "broken")
     assert str(d) == "error: [f1] broken"
+
+
+# each diagnostic that no other test triggers, from text edits of a fixture
+TO_VAR = '<bcext:variable name="price" type="uint256" initial="300"/>'
+TO_REQUESTER = '<bcext:input name="requester" type="address"/>'
+TO_ACCOUNT = '<bcext:input name="account" type="address"/>'
+TO_BALANCE = '<bcext:output name="balance" type="uint256"/>'
+TO_BIND_OUT = '<bcext:bindOut return="balance" target="escrowBalance"/>'
+TO_F4 = '<sequenceFlow id="f4" sourceRef="g_deposit" targetRef="t_work">'
+TO_F4_CONDITION = TO_F4 + """
+      <conditionExpression>escrowBalance == price</conditionExpression>
+    </sequenceFlow>"""
+TO_F5 = '<sequenceFlow id="f5" sourceRef="g_deposit" targetRef="s_refund" default="true"/>'
+TO_F7 = '<sequenceFlow id="f7" sourceRef="s_pay" targetRef="end_done"/>'
+TO_F8 = '<sequenceFlow id="f8" sourceRef="s_refund" targetRef="end_refunded"/>'
+NOT_REACHED = "node cannot reach any end event"
+DEGENERATE = "degenerate gateway with one incoming and one outgoing flow"
+
+
+@pytest.mark.parametrize("fixture, edits, expected", [
+    pytest.param("task_outsourcing",
+                 [(TO_VAR, TO_VAR + '<bcext:variable name="price" type="uint256"/>')],
+                 [("error", "price", "duplicate variable declaration")], id="variable-twice"),
+    pytest.param("task_outsourcing",
+                 [(TO_VAR, TO_VAR + '<bcext:variable name="n" type="uint8"/>')],
+                 [("error", "n", "unknown variable type 'uint8'")], id="variable-type"),
+    pytest.param("task_outsourcing", [('<bcext:function name="balanceOf">',
+                                       '<bcext:function name="transfer"/>'
+                                       '<bcext:function name="balanceOf">')],
+                 [("error", "itf_lrk", "duplicate function 'transfer'")], id="function-twice"),
+    pytest.param("task_outsourcing", [(TO_ACCOUNT, TO_ACCOUNT + TO_ACCOUNT)],
+                 [("error", "itf_lrk", "duplicate input parameter 'account' on balanceOf"),
+                  ("error", "s_check", "input bindings for balanceOf must cover "
+                                       "['account', 'account'] exactly, got ['account']")],
+                 id="input-parameter-twice"),
+    pytest.param("task_outsourcing", [(TO_BALANCE, TO_BALANCE + TO_BALANCE)],
+                 [("error", "itf_lrk", "duplicate output parameter 'balance' on balanceOf")],
+                 id="output-parameter-twice"),
+    pytest.param("ico", [('sourceRef="g_cap" targetRef="g_loop"',
+                          'sourceRef="g_cap" targetRef="start"')],
+                 [("error", "start", "start event has incoming flows"),
+                  ("warning", "g_loop", DEGENERATE)],
+                 id="start-incoming"),
+    pytest.param("ico", [('<sequenceFlow id="f1" sourceRef="start" targetRef="g_loop"/>', "")],
+                 [("error", "start", "start event has no outgoing flow"),
+                  ("warning", "g_loop", DEGENERATE)],
+                 id="start-no-outgoing"),
+    pytest.param("task_outsourcing",
+                 [(TO_F8, TO_F8 + '<sequenceFlow id="f9" sourceRef="end_refunded" '
+                                  'targetRef="end_done"/>')],
+                 [("error", "end_refunded", "end event has outgoing flows")], id="end-outgoing"),
+    pytest.param("task_outsourcing", [('<endEvent id="end_done" name="Task paid"/>',
+                                       '<endEvent id="end_done" name="Task paid"/>'
+                                       '<endEvent id="end_lost" name="Lost"/>')],
+                 [("error", "end_lost", "end event has no incoming flow")], id="end-no-incoming"),
+    pytest.param("task_outsourcing", [('targetRef="t_deposit"/>',
+                                       'targetRef="t_deposit" default="true"/>')],
+                 [("error", "f1", "default flag on a flow not leaving an XOR gateway")],
+                 id="default-off-xor"),
+    pytest.param("task_outsourcing", [(TO_F4_CONDITION, TO_F4[:-1] + ' default="true"/>')],
+                 [("error", "g_deposit", "more than one default flow")], id="two-defaults"),
+    pytest.param("task_outsourcing",
+                 [(TO_F5, TO_F5[:-2] + "><conditionExpression>true</conditionExpression>"
+                                       "</sequenceFlow>")],
+                 [("error", "f5", "default flow must not carry a condition")],
+                 id="default-with-condition"),
+    pytest.param("task_outsourcing", [(TO_F4_CONDITION, TO_F4[:-1] + "/>")],
+                 [("error", "f4", "XOR-split branch without condition and not default")],
+                 id="branch-without-condition"),
+    pytest.param("task_outsourcing", [("escrowBalance == price", "escrowBalance + price")],
+                 [("error", "f4", "condition must be bool, got uint256")],
+                 id="condition-not-bool"),
+    pytest.param("task_outsourcing", [(TO_REQUESTER, TO_REQUESTER + TO_REQUESTER)],
+                 [("error", "t_deposit", "duplicate task input 'requester'")],
+                 id="task-input-twice"),
+    pytest.param("task_outsourcing",
+                 [(TO_REQUESTER, TO_REQUESTER + '<bcext:input name="memo" type="bytes"/>')],
+                 [("error", "t_deposit", "unknown task input type 'bytes'")],
+                 id="task-input-type"),
+    pytest.param("ico", [("tokens = amount * rate", "tokens = amount > rate")],
+                 [("error", "s_alloc", "script assigns bool to uint256 variable 'tokens'")],
+                 id="script-type"),
+    pytest.param("task_outsourcing", [('fnName="balanceOf"', 'fnName="allowance"')],
+                 [("error", "s_check", "interface 'LorikeetCoin' has no function 'allowance'")],
+                 id="no-function"),
+    pytest.param("task_outsourcing",
+                 [('<bcext:bindIn param="account" source="processAddress"/>', "")],
+                 [("error", "s_check",
+                   "input bindings for balanceOf must cover ['account'] exactly, got []")],
+                 id="inputs-uncovered"),
+    pytest.param("task_outsourcing", [(TO_BIND_OUT, TO_BIND_OUT.replace("balance", "total"))],
+                 [("error", "s_check", "output binding for unknown return 'total'")],
+                 id="unknown-return"),
+    pytest.param("task_outsourcing",
+                 [(TO_BIND_OUT, TO_BIND_OUT + TO_BIND_OUT.replace("escrowBalance", "price"))],
+                 [("error", "s_check", "return 'balance' bound more than once")],
+                 id="return-twice"),
+    pytest.param("task_outsourcing",
+                 [(TO_BIND_OUT, TO_BIND_OUT.replace("escrowBalance", "total"))],
+                 [("error", "s_check", "output bound to undeclared variable 'total'")],
+                 id="output-undeclared"),
+    pytest.param("task_outsourcing", [('source="worker"', 'source="payee"')],
+                 [("error", "s_pay", "binding source 'payee' is not a variable or task input")],
+                 id="binding-source-undeclared"),
+    # t_work and s_pay loop through g_again, and end_done is gone
+    pytest.param("task_outsourcing",
+                 [('<endEvent id="end_done" name="Task paid"/>',
+                   '<exclusiveGateway id="g_again"/>'),
+                  (TO_F4, TO_F4.replace("t_work", "g_again")),
+                  (TO_F7, TO_F7.replace("end_done", "g_again")
+                   + '<sequenceFlow id="f9" sourceRef="g_again" targetRef="t_work"/>')],
+                 [("error", "t_work", NOT_REACHED), ("error", "s_pay", NOT_REACHED),
+                  ("error", "g_again", NOT_REACHED)],
+                 id="end-unreachable"),
+    pytest.param("task_outsourcing", [("escrowBalance == price", "escrowBalance == cost")],
+                 [("error", "f4", "condition type error: undeclared variable 'cost'")],
+                 id="expr-undeclared"),
+    pytest.param("task_outsourcing", [("escrowBalance == price", "escrowBalance == worker")],
+                 [("error", "f4", "condition type error: cannot compare uint256 with address")],
+                 id="expr-cannot-compare"),
+    pytest.param("task_outsourcing", [("escrowBalance == price", "escrowBalance || price")],
+                 [("error", "f4", "condition type error: '||' requires bool operands, "
+                                  "got uint256 and uint256")],
+                 id="expr-bool-operands"),
+])
+def test_validate_model_diagnostic(fixture, edits, expected):
+    text = (FIXTURES / f"{fixture}.bpmn").read_text()
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new, 1)
+    assert validate_model(parse_bpmn(text)).diagnostics == tuple(
+        Diagnostic(*d) for d in expected)
+
+
+def test_binding_source_must_be_a_variable_or_a_literal():
+    # the reader makes every bindIn source a Var or a Lit, so the model is
+    # edited directly
+    model = load_model("task_outsourcing")
+    pay = model.invocations[2]
+    amount = ParameterBinding("amount", BinOp("+", Var("price"), Lit(1, "int_const")))
+    model = dataclasses.replace(model, invocations=model.invocations[:2] + (
+        pay._replace(input_bindings=pay.input_bindings[:1] + (amount,)),) + model.invocations[3:])
+    assert validate_model(model).diagnostics == (Diagnostic(
+        "error", "s_pay",
+        "binding for 'amount' must be a variable, task input, processAddress, or literal"),)
 
 
 # --- model index --------------------------------------------------------------

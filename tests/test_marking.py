@@ -18,7 +18,6 @@ from procforge.marking import (
     MarkingAutomaton,
     NoBranchTaken,
     NonTerminatingClosure,
-    NotEnabled,
     compile_marking,
     dump_automaton,
     eager_closure_data,
@@ -53,8 +52,9 @@ def test_and_join_folds_into_script_task(grain_automaton):
 
 def test_and_split_folds_into_task(grain_automaton):
     a = grain_automaton
-    (alt,) = a.external["t_register"]
-    assert popcount(alt.post) == 2
+    t = a.external["t_register"]
+    assert len(t.pre_alternatives) == 1
+    assert popcount(t.branches[0].post) == 2
     assert "g_split" in a.folded
 
 
@@ -69,9 +69,9 @@ def test_xor_split_with_conditions_is_not_folded(grain_automaton):
 
 def test_xor_join_fold_yields_alternatives(ico_model):
     a = compile_marking(ico_model)
-    alts = a.external["t_invest"]
+    alts = a.external["t_invest"].pre_alternatives
     assert len(alts) == 2  # one per flow into the folded XOR join
-    assert {popcount(x.pre) for x in alts} == {1}
+    assert {popcount(pre) for pre in alts} == {1}
     assert "g_loop" in a.folded
 
 
@@ -98,12 +98,9 @@ def test_fire_external_not_enabled():
         [Node("start", NodeKind.START_EVENT), Node("t", NodeKind.USER_TASK, name="T"),
          Node("end", NodeKind.END_EVENT)],
         [SequenceFlow("f1", "start", "t"), SequenceFlow("f2", "t", "end")])
-    m, env, alt = fire_external(a, a.initial_marking, {}, "t")
+    m, alt = fire_external(a, a.initial_marking, "t")
     assert alt == 0
-    with pytest.raises(NotEnabled):
-        fire_external(a, m, env, "t")
-    with pytest.raises(NotEnabled):
-        fire_external(a, a.initial_marking, {}, "ghost")
+    assert fire_external(a, m, "t") is None
 
 
 def test_enabled_external_set(grain_automaton):
@@ -124,11 +121,11 @@ def test_closure_runs_scripts_and_guards():
                           condition=BinOp(">", Var("x"), Lit(3, "int_const"))),
              SequenceFlow("f5", "g", "e2", is_default=True)]
     _, a = _compiled(nodes, flows, [ProcessVariableDecl("x", "uint256", 0)])
-    m, env, _ = fire_external(a, a.initial_marking, {"x": 0}, "t")
-    result = eager_closure_data(a, m, env)
+    m, _ = fire_external(a, a.initial_marking, "t")
+    result = eager_closure_data(a, m, {"x": 0})
     assert result.marking == 0
     assert result.env["x"] == 5
-    assert result.fired == ["s", "g", "e1"]
+    assert result.fired == ("s", "g", "e1")
 
 
 def test_closure_no_branch_taken():
@@ -141,9 +138,9 @@ def test_closure_no_branch_taken():
              SequenceFlow("f4", "g", "e2", condition=Lit(False, "bool"))]
     m = ProcessModel(id="m", nodes=tuple(nodes), flows=tuple(flows))
     a = compile_marking(m)
-    marking, env, _ = fire_external(a, a.initial_marking, {}, "t")
+    marking, _ = fire_external(a, a.initial_marking, "t")
     with pytest.raises(NoBranchTaken):
-        eager_closure_data(a, marking, env)
+        eager_closure_data(a, marking, {})
 
 
 def _gateway_cycle():
@@ -199,7 +196,7 @@ def test_closure_parks_a_loop_whose_sweep_ends_where_it_began():
     # the second sweep ends on the loop-back flow f4, as the first did
     assert result.marking == 1 << a.bit_of["f4"] == 0x8
     assert result.env == {"x": 2}
-    assert result.fired == ["s_inc", "g_split"] * 2
+    assert result.fired == ("s_inc", "g_split") * 2
 
 
 def test_closure_sweeps_the_autos_in_order():
@@ -221,9 +218,9 @@ def test_closure_sweeps_the_autos_in_order():
              SequenceFlow("f7", "t", "end")]
     _, a = _compiled(nodes, flows, [ProcessVariableDecl("x", "uint256", 0)])
     result = eager_closure_data(a, a.initial_marking, {"x": 0})
-    assert result.fired == ["split", "sa", "sb"]
+    assert result.fired == ("split", "sa", "sb")
     assert result.env == {"x": 2}
-    assert result.marking == a.external["t"][0].pre
+    assert result.marking == a.external["t"].pre_alternatives[0]
 
 
 def test_nondet_closure_explores_all_branches():
@@ -246,9 +243,9 @@ def test_nondet_closure_explores_all_branches():
 
 def test_closure_is_deterministic(grain_automaton):
     a = grain_automaton
-    m, env, _ = fire_external(a, a.initial_marking, {}, "t_register")
-    r1 = eager_closure_data(a, m, dict(env))
-    r2 = eager_closure_data(a, m, dict(env))
+    m, _ = fire_external(a, a.initial_marking, "t_register")
+    r1 = eager_closure_data(a, m, {})
+    r2 = eager_closure_data(a, m, {})
     assert (r1.marking, r1.fired) == (r2.marking, r2.fired)
 
 

@@ -79,8 +79,8 @@ def observable(inst):
 
 def enabled_tasks(inst):
     a = inst.automaton
-    return sorted(a.external_names[tid] for tid, alts in a.external.items()
-                  if any(inst.marking & alt.pre == alt.pre for alt in alts))
+    return sorted(a.external_names[tid] for tid, t in a.external.items()
+                  if any(inst.marking & pre == pre for pre in t.pre_alternatives))
 
 
 def draw_args(data, task):
