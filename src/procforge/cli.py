@@ -225,9 +225,11 @@ def cmd_simulate(args) -> int:
 
 def _json_indented(obj, pad: str = "") -> str:
     """json.dumps(obj, indent=2, default=str), byte for byte. With an indent
-    json runs its pure-Python encoder; here each container whose values are
-    all scalars goes to the C encoder, whose item separator carries the
-    newline and the indentation."""
+    json runs its pure-Python encoder; here a dict of plain str keys that
+    json writes as they are to exact ints (a ledger's balances) is joined
+    directly, and each other container whose values are all scalars goes to
+    the C encoder, whose item separator carries the newline and the
+    indentation."""
     if isinstance(obj, dict):
         values, empty = obj.values(), "{}"
     elif isinstance(obj, (list, tuple)):
@@ -237,7 +239,10 @@ def _json_indented(obj, pad: str = "") -> str:
     if not obj:
         return empty
     inner = pad + "  "
-    if not any(issubclass(t, (dict, list, tuple)) for t in set(map(type, values))):
+    types = set(map(type, values))
+    if types == {int} and isinstance(obj, dict) and _verbatim_keys(obj):
+        body = (",\n" + inner).join(f'"{k}": {v}' for k, v in obj.items())
+    elif not any(issubclass(t, (dict, list, tuple)) for t in types):
         body = json.dumps(obj, default=str, separators=(",\n" + inner, ": "))[1:-1]
     elif isinstance(obj, dict):
         body = (",\n" + inner).join(f"{_json_key(k)}: {_json_indented(v, inner)}"
@@ -245,6 +250,15 @@ def _json_indented(obj, pad: str = "") -> str:
     else:
         body = (",\n" + inner).join(_json_indented(v, inner) for v in obj)
     return f"{empty[0]}\n{inner}{body}\n{pad}{empty[1]}"
+
+
+def _verbatim_keys(obj: dict) -> bool:
+    """True iff every key is a str that json writes as it is, between
+    quotes: printable ASCII without a quote or a backslash."""
+    if set(map(type, obj)) != {str}:
+        return False
+    text = "".join(obj)
+    return text.isascii() and text.isprintable() and '"' not in text and "\\" not in text
 
 
 def _json_key(key) -> str:

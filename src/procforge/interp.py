@@ -32,7 +32,7 @@ from .marking import (
     eager_closure_data,
     fire_external,
 )
-from .registry import FungibleRegistrySpec, NonFungibleRegistrySpec
+from .registry import FungibleRegistrySpec, InvariantViolation, NonFungibleRegistrySpec
 
 
 class RegistryError(Exception):
@@ -156,12 +156,20 @@ class FungibleLedger(_Journaled):
     def __init__(self, spec: FungibleRegistrySpec):
         super().__init__()
         self.spec = spec
-        self.balances: Dict[str, int] = {}
         self.allowances: Dict[Tuple[str, str], int] = {}
         self.total_supply = spec.total_supply
-        for addr, amount in spec.initially_distributed_accounts:
-            key = addr_key(addr)
-            self.balances[key] = self.balances.get(key, 0) + amount
+        dist = spec.initially_distributed_accounts
+        # addr_key written out; the emitted constructor sets one balance per
+        # entry, so two spellings of one address are refused, as
+        # parse_registry refuses them
+        self.balances: Dict[str, int] = {addr.lower(): amount for addr, amount in dist}
+        if len(self.balances) != len(dist):
+            seen = set()
+            for i, (addr, _) in enumerate(dist):
+                if addr_key(addr) in seen:
+                    raise InvariantViolation(f"initiallyDistributedAccounts[{i}]",
+                                             f"duplicate address {addr}")
+                seen.add(addr_key(addr))
 
     def balance_of(self, account: str) -> int:
         return self.balances.get(addr_key(account), 0)

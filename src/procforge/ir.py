@@ -819,7 +819,8 @@ def validate_model(model: ProcessModel) -> ValidationReport:  # noqa: C901
             err(b.source_task, f"interface '{itf.name}' has no function '{b.fn_name}'")
             continue
         bound = [pb.param for pb in b.input_bindings]
-        expected = [p.name for p in fn.inputs]
+        # a parameter declared twice is reported once, at the interface
+        expected = list(dict.fromkeys(p.name for p in fn.inputs))
         if sorted(bound) != sorted(expected):
             err(b.source_task,
                 f"input bindings for {b.fn_name} must cover {expected} exactly, got {bound}")

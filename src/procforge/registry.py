@@ -7,6 +7,7 @@ addresses are 0x + 40 hex digits.
 
 from __future__ import annotations
 
+import re
 from typing import NamedTuple, Tuple
 
 from .ir import (ADDRESS_RE, UINT256_MAX, VALUE_TYPES, addr_key, is_address, is_identifier,
@@ -138,30 +139,51 @@ def _distribution_entry(entry, path: str, seen: set) -> Tuple[str, int]:
     return addr, _amount(_field(entry, "amount"), path + ".amount")
 
 
-def _distribution(raw: list) -> Tuple[Tuple[str, int], ...]:
-    """Check the initial distribution in one pass. An entry that passes the
-    inline tests (the checks of _distribution_entry, with addr_key written
-    out) is taken as it is; any other goes to _distribution_entry, which
-    raises the error for it."""
-    dist = []
-    seen = set()
-    fullmatch = ADDRESS_RE.fullmatch
-    for i, entry in enumerate(raw):
-        if type(entry) is dict:
-            addr = entry.get("address")
-            amount = entry.get("amount")
-            if type(addr) is str and type(amount) is str and fullmatch(addr):
-                key = addr.lower()
-                try:
-                    n = int(amount, 10)
-                except ValueError:
-                    n = -1
-                if 0 <= n <= UINT256_MAX and key not in seen:
-                    seen.add(key)
-                    dist.append((addr, n))
-                    continue
-        dist.append(_distribution_entry(entry, f"initiallyDistributedAccounts[{i}]", seen))
-    return tuple(dist)
+# the addresses of a distribution joined by "\n", each one an address
+_ADDRESS_LINES_RE = re.compile(rf"{ADDRESS_RE.pattern}(?:\n{ADDRESS_RE.pattern})*")
+
+
+def _distribution_in_bulk(raw: list, total_supply: int):
+    """The initial distribution if every entry passes the checks of
+    _distribution_entry and the amounts sum to total_supply, else None.
+    Checks all entries at once: the addresses by one pattern over their
+    joined text, which splits back into as many lines as there are entries
+    only if no address holds a newline."""
+    if set(map(type, raw)) != {dict}:  # an empty list too: _distribution checks its sum
+        return None
+    addrs = [e.get("address") for e in raw]
+    amounts = [e.get("amount") for e in raw]
+    if set(map(type, addrs)) != {str} or set(map(type, amounts)) != {str}:
+        return None
+    text = "\n".join(addrs)
+    if text.count("\n") != len(raw) - 1 or not _ADDRESS_LINES_RE.fullmatch(text):
+        return None
+    del text
+    if len(set(map(str.lower, addrs))) != len(raw):  # addr_key written out
+        return None
+    try:
+        values = list(map(int, amounts))  # int(s) is int(s, 10) for a str
+    except ValueError:
+        return None
+    del amounts
+    if min(values) < 0 or max(values) > UINT256_MAX or sum(values) != total_supply:
+        return None
+    return tuple(zip(addrs, values))
+
+
+def _distribution(raw: list, total_supply: int) -> Tuple[Tuple[str, int], ...]:
+    """Check the initial distribution and its sum. Only when the check of
+    all entries at once fails does each entry go to _distribution_entry,
+    in order, so that the first bad entry raises its error."""
+    dist = _distribution_in_bulk(raw, total_supply)
+    if dist is None:
+        seen = set()
+        dist = tuple(_distribution_entry(entry, f"initiallyDistributedAccounts[{i}]", seen)
+                     for i, entry in enumerate(raw))
+        if sum(a for _, a in dist) != total_supply:
+            raise InvariantViolation("initiallyDistributedAccounts",
+                                     "distribution ≠ totalSupply")
+    return dist
 
 
 def _fungible(obj: dict) -> FungibleRegistrySpec:
@@ -193,10 +215,7 @@ def _fungible(obj: dict) -> FungibleRegistrySpec:
     raw_dist = _field(obj, "initiallyDistributedAccounts", required=False, default=[])
     if not isinstance(raw_dist, list):
         raise InvariantViolation("initiallyDistributedAccounts", "must be a list")
-    dist = _distribution(raw_dist)
-    if sum(a for _, a in dist) != total_supply:
-        raise InvariantViolation("initiallyDistributedAccounts",
-                                 "distribution ≠ totalSupply")
+    dist = _distribution(raw_dist, total_supply)
 
     return FungibleRegistrySpec(
         name=name, symbol=symbol, decimals=decimals, total_supply=total_supply,

@@ -1,3 +1,4 @@
+import enum
 import json
 import os
 import pathlib
@@ -166,10 +167,12 @@ def test_simulate_refund_restores_buyer(capsys):
     assert ledger["balances"]["0x" + "2" * 40] == 200000
 
 
-json_keys = st.one_of(st.text(), st.text(alphabet='"\\\n\t\x00\x7f\u00e9\u4e2d\U0001f600'),
+JSON_ESCAPES = '"\\\n\t\x00\x7f\u00e9\u4e2d\U0001f600'
+big_ints = st.integers(min_value=-2**300, max_value=2**300)
+json_keys = st.one_of(st.text(), st.text(alphabet=JSON_ESCAPES),
                      st.integers(), st.booleans(), st.none(), st.floats())
-json_scalars = st.one_of(st.integers(min_value=-2**300, max_value=2**300), st.booleans(),
-                         st.none(), st.text(), st.floats(), st.fractions())
+json_scalars = st.one_of(big_ints, st.booleans(), st.none(), st.text(), st.floats(),
+                         st.fractions())
 
 
 @settings(max_examples=300)
@@ -181,6 +184,26 @@ json_scalars = st.one_of(st.integers(min_value=-2**300, max_value=2**300), st.bo
     max_leaves=40))
 def test_indented_json_is_json_dumps_byte_for_byte(obj):
     assert cli._json_indented(obj) == json.dumps(obj, indent=2, default=str)
+
+
+class Level(enum.IntEnum):
+    # Enum's text, "Level.HIGH", where json writes the int 2
+    HIGH = 2
+    __str__ = enum.Enum.__str__
+    __format__ = enum.Enum.__format__
+
+
+@settings(max_examples=300)
+@given(st.dictionaries(st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=6),
+                       big_ints, max_size=8),
+       st.dictionaries(st.text(alphabet=JSON_ESCAPES, min_size=1, max_size=3), big_ints,
+                       max_size=2),
+       st.lists(st.sampled_from([True, False, Level.HIGH]), max_size=2))
+def test_indented_json_of_str_to_int_dicts_is_json_dumps_byte_for_byte(obj, escaped, others):
+    obj.update(escaped)
+    obj.update((f"other{i}", value) for i, value in enumerate(others))
+    for o in (obj, {"balances": obj}):
+        assert cli._json_indented(o) == json.dumps(o, indent=2, default=str)
 
 
 def test_indented_json_rejects_the_keys_json_rejects():

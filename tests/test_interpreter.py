@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from procforge import interp
@@ -22,7 +24,9 @@ from procforge.marking import compile_marking
 from procforge.registry import (
     AttributeDecl,
     FungibleRegistrySpec,
+    InvariantViolation,
     NonFungibleRegistrySpec,
+    parse_registry,
 )
 
 A1 = "0x" + "1" * 40
@@ -89,6 +93,21 @@ def test_address_keys_case_insensitive():
     lg = ledger()
     lg.transfer(A1.upper().replace("0X", "0x"), A2, 10)
     assert lg.balance_of(A2.upper().replace("0X", "0x")) == 10
+
+
+def test_two_spellings_of_one_address_are_refused_as_parse_registry_refuses_them():
+    # the emitted constructor would set the second balance over the first
+    lower, upper = "0x" + "a" * 40, "0x" + "A" * 40
+    dist = ((A1, 60), (lower, 30), (A2, 0), (upper, 10))
+    with pytest.raises(InvariantViolation) as ours:
+        ledger(initially_distributed_accounts=dist)
+    with pytest.raises(InvariantViolation) as parsed:
+        parse_registry(json.dumps({
+            "name": "Coin", "symbol": "C", "decimals": 0, "totalSupply": "100",
+            "initiallyDistributedAccounts": [{"address": a, "amount": str(n)}
+                                             for a, n in dist]}))
+    assert str(ours.value) == str(parsed.value) == \
+        f"initiallyDistributedAccounts[3]: duplicate address {upper}"
 
 
 # --- record store ------------------------------------------------------------
@@ -257,7 +276,6 @@ def test_store_rollback_restores_records():
 
 def grain_registries():
     from conftest import FIXTURES
-    from procforge.registry import parse_registry
     lrk = FungibleLedger(parse_registry((FIXTURES / "lrk.json").read_text()))
     title = NonFungibleStore(parse_registry((FIXTURES / "grain_title.json").read_text()))
     return {

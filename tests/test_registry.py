@@ -1,7 +1,8 @@
 import json
+import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from procforge import registry
 from procforge.ir import UINT256_MAX, addr_key
@@ -206,22 +207,41 @@ CORRUPTIONS = [
     lambda e, before: {**e, "amount": "\u0663" + e["amount"]},
     lambda e, before: {**e, "amount": ""},
     lambda e, before: {**e, "extra": True},
+    # a check of the joined addresses must still see these: an address that
+    # holds a second one after a newline (itself, so that the lowered lines
+    # hold as many distinct keys as there are entries), one that ends in a
+    # newline, an empty one; and an amount of more digits than int() converts
+    lambda e, before: {**e, "address": e["address"] + "\n" + e["address"]},
+    lambda e, before: {**e, "address": e["address"] + "\n"},
+    lambda e, before: {**e, "address": ""},
+    lambda e, before: {**e, "amount": "9" * (sys.get_int_max_str_digits() + 1)},
 ]
 
 
-@settings(max_examples=300)
-@given(amounts=st.lists(st.integers(min_value=0, max_value=10**12), min_size=1, max_size=12),
-       data=st.data())
-def test_distribution_check_matches_the_entry_by_entry_reference(amounts, data):
-    keys = data.draw(st.lists(st.integers(min_value=0, max_value=2**160 - 1),
-                              min_size=len(amounts), max_size=len(amounts), unique=True))
+@st.composite
+def corrupted_distributions(draw):
+    """A valid distribution with one or two entries corrupted, and the
+    total supply of the valid one."""
+    amounts = draw(st.lists(st.integers(min_value=0, max_value=10**12), min_size=1,
+                            max_size=12))
+    keys = draw(st.lists(st.integers(min_value=0, max_value=2**160 - 1),
+                         min_size=len(amounts), max_size=len(amounts), unique=True))
     raw = [{"address": "0x" + format(k, "040x" if k % 2 else "040X"), "amount": str(n)}
            for k, n in zip(keys, amounts)]
-    indices = data.draw(st.lists(st.integers(min_value=0, max_value=len(raw) - 1),
-                                 min_size=1, max_size=2, unique=True))
+    indices = draw(st.lists(st.integers(min_value=0, max_value=len(raw) - 1),
+                            min_size=1, max_size=2, unique=True))
     for i in sorted(indices):
-        raw[i] = data.draw(st.sampled_from(CORRUPTIONS))(raw[i], raw[:i])
-    total = sum(amounts)
+        raw[i] = draw(st.sampled_from(CORRUPTIONS))(raw[i], raw[:i])
+    return raw, sum(amounts)
+
+
+@settings(max_examples=300)
+@given(corrupted_distributions())
+@example(([], 0))
+@example(([], 1))
+@example(([{"address": ADDR1, "amount": "-5"}, {"address": ADDR2, "amount": "105"}], 100))
+def test_distribution_check_matches_the_entry_by_entry_reference(case):
+    raw, total = case
     doc = fungible(totalSupply=str(total), initiallyDistributedAccounts=raw)
     try:
         expected = reference_distribution(json.loads(doc)[DIST], total)
