@@ -6,9 +6,10 @@ three operators (add a name, remove a name, swap two names), and every
 trace is classified twice, from its names alone: by the automaton replayer
 and by an independent brute-force token-game oracle working on the raw
 model graph. Within an experiment each distinct trace is classified once,
-and each classifier walks a prefix trie, so the state set after a distinct
-prefix is computed once. The experiment report records the seed, class
-totals, and the agreement percentage between the two classifiers.
+and each classifier walks a graph of interned state sets: one node per
+distinct state set, whose edge for a task is computed once, however many
+prefixes reach it. The experiment report records the seed, class totals,
+and the agreement percentage between the two classifiers.
 replay_data instead invokes the events of a data trace on an interpreter.
 
 The mutant stream is fixed for a seed: mutants draws every operator,
@@ -175,35 +176,52 @@ class NonConforming(NamedTuple):
 Classification = Union[Conforming, NonConforming]
 
 
-@dataclass(slots=True)
-class _Prefix:
-    """A node of a classifier's prefix trie: the state set after one
-    distinct trace prefix (empty once the prefix is rejected) and the
-    nodes of its extensions by the next task name."""
+@dataclass(slots=True, eq=False)
+class _StateSet:
+    """A node of a classifier's graph of interned state sets: one distinct
+    state set (empty once a trace is rejected) and its edges. The edge for
+    a task name holds the node that firing the task from these states
+    reaches and the edge's cost: the markings the oracle's saturation
+    discovered on it (0 for the replayer). A classifier keeps its nodes in
+    one table by state set, so each (state set, task) edge is computed
+    once, whichever prefix reaches the state set first."""
 
     states: FrozenSet
-    left: int = 0  # the oracle's state budget left for the rest of the trace
-    children: Dict[str, "_Prefix"] = field(default_factory=dict)
+    edges: Dict[str, Tuple["_StateSet", int]] = field(default_factory=dict)
+
+
+Nodes = Dict[FrozenSet, _StateSet]  # a graph's table of its nodes by state set
+
+
+def _intern(nodes: Nodes, states: FrozenSet) -> _StateSet:
+    """The node of states in the table nodes, made on first use."""
+    node = nodes.get(states)
+    if node is None:
+        node = nodes[states] = _StateSet(states)
+    return node
 
 
 def classify(a: MarkingAutomaton, names: Names, strict: bool = True) -> Classification:
     """Replay task names against the automaton, searching all branch
     choices and ignoring scripts and guards. An unknown task name is
     non-conforming at its index."""
-    return _replay(a, names, strict, _Prefix(eager_closure_nondet(a, a.initial_marking)))
+    nodes: Nodes = {}
+    return _replay(a, names, strict, nodes,
+                   _intern(nodes, eager_closure_nondet(a, a.initial_marking)))
 
 
 def _replay(a: MarkingAutomaton, names: Names, strict: bool,
-            node: _Prefix) -> Classification:
-    """classify's loop. node is the root of a prefix trie that keeps each
-    step's state set for the next trace sharing the prefix."""
+            nodes: Nodes, node: _StateSet) -> Classification:
+    """classify's loop from node, the root of the graph whose table is
+    nodes. The graph keeps each (state set, task) step for every later
+    trace that reaches the state set."""
     for i, name in enumerate(names):
-        nxt = node.children.get(name)
-        if nxt is None:
+        edge = node.edges.get(name)
+        if edge is None:
             task_id = a.task_id_for(name)
-            nxt = node.children[name] = _Prefix(
-                frozenset() if task_id is None else step(a, node.states, task_id))
-        node = nxt
+            edge = node.edges[name] = (_intern(
+                nodes, frozenset() if task_id is None else step(a, node.states, task_id)), 0)
+        node = edge[0]
         if not node.states:
             return NonConforming(i)
     if strict and 0 not in node.states:
@@ -233,26 +251,36 @@ def replay_data(instance, trace: Trace, strict: bool = True) -> Classification:
 # enabledness is checked over the saturated reachable set.
 
 
-_AUTO_KINDS = (NodeKind.SCRIPT_TASK, NodeKind.XOR_GATEWAY,
-               NodeKind.AND_GATEWAY, NodeKind.END_EVENT)
-
 Marking = FrozenSet[str]
 
 
 class _TokenGame:
-    """The token game of one model, tabled once: each automatic node's
-    (kind, needed, produced, incoming ids, outgoing ids), each external
-    task's (incoming id, produced) by display name or id, and the
-    saturated initial state set as the root of a prefix trie. The root is
-    built on first use, so an experiment without traces spends no budget."""
+    """The token game of one model, tabled once: every automatic move as a
+    (needed, produced) pair of flow-id sets, each external task's
+    (incoming id, produced) by display name or id, and the saturated
+    initial state set as the root of a graph of interned state sets. The
+    root is built on first use, so an experiment without traces spends no
+    budget.
+
+    A script task or an AND gateway needs all its incoming flows and
+    produces all its outgoing ones. An end event is one move per incoming
+    flow, which it consumes. An XOR gateway is one move per (incoming,
+    outgoing) pair: it consumes any one incoming and produces any one
+    outgoing flow."""
 
     def __init__(self, model: ProcessModel):
-        self.autos = []
+        self.nodes: Nodes = {}
+        self.moves: List[Tuple[Marking, Marking]] = []
         for n in model.nodes:
-            if n.kind in _AUTO_KINDS:
-                inc = tuple(f.id for f in model.incoming(n.id))
-                out = tuple(f.id for f in model.outgoing(n.id))
-                self.autos.append((n.kind, frozenset(inc), frozenset(out), inc, out))
+            inc = [f.id for f in model.incoming(n.id)]
+            out = [f.id for f in model.outgoing(n.id)]
+            if n.kind in (NodeKind.SCRIPT_TASK, NodeKind.AND_GATEWAY):
+                if inc:
+                    self.moves.append((frozenset(inc), frozenset(out)))
+            elif n.kind == NodeKind.END_EVENT:
+                self.moves += ((frozenset({f}), frozenset()) for f in inc)
+            elif n.kind == NodeKind.XOR_GATEWAY:
+                self.moves += ((frozenset({f}), frozenset({g})) for f in inc for g in out)
         # a display name beats a task id
         self.by_name: Dict[str, Tuple[str, Marking]] = {}
         for n in model.nodes:
@@ -265,21 +293,8 @@ class _TokenGame:
         self.initial: Marking = frozenset(f.id for f in model.outgoing(start.id))
 
     def successors(self, m: Marking) -> List[Marking]:
-        out: List[Marking] = []
-        for kind, needed, produced, inc, outgoing in self.autos:
-            if kind in (NodeKind.SCRIPT_TASK, NodeKind.AND_GATEWAY):
-                if needed and needed <= m:
-                    out.append((m - needed) | produced)
-            elif kind == NodeKind.END_EVENT:
-                for f in inc:
-                    if f in m:
-                        out.append(m - {f})
-            else:  # XOR: consume any one incoming, produce any one outgoing
-                for f in inc:
-                    if f in m:
-                        rest = m - {f}
-                        out.extend(rest | {g} for g in outgoing)
-        return out
+        return [(m - needed) | produced for needed, produced in self.moves
+                if needed <= m]
 
     def saturate(self, seeds: Set[Marking], budget: List[int]) -> FrozenSet[Marking]:
         seen: Set[Marking] = set(seeds)
@@ -296,30 +311,45 @@ class _TokenGame:
         return frozenset(seen)
 
     @cached_property
-    def root(self) -> _Prefix:
+    def root(self) -> Tuple[_StateSet, int]:
+        """The node of the saturated initial state set and its cost: the
+        markings that saturation discovered."""
         budget = [DEFAULT_STATE_BUDGET]
-        return _Prefix(self.saturate({self.initial}, budget), budget[0])
+        states = self.saturate({self.initial}, budget)
+        return _intern(self.nodes, states), DEFAULT_STATE_BUDGET - budget[0]
 
-    def fire(self, node: _Prefix, name: str) -> _Prefix:
-        """The trie node after firing task `name` from node's states. The
-        budget carries along the path, so it is spent per trace."""
+    def fire(self, node: _StateSet, name: str, spent: int) -> Tuple[_StateSet, int]:
+        """The edge for task `name` from node: the interned node of the
+        saturated state set that firing it reaches, and the edge's cost,
+        the markings that saturation discovered. The cost depends only on
+        node's states and the task. spent is what the trace's path has
+        cost so far; saturation raises BudgetExceeded once spent and the
+        cost pass DEFAULT_STATE_BUDGET."""
         task = self.by_name.get(name)
         if task is None:
-            return _Prefix(frozenset())
+            return _intern(self.nodes, frozenset()), 0
         inc, produced = task
-        budget = [node.left]
+        left = DEFAULT_STATE_BUDGET - spent
+        budget = [left]
         fired = {(m - {inc}) | produced for m in node.states if inc in m}
-        return _Prefix(self.saturate(fired, budget), budget[0])
+        return _intern(self.nodes, self.saturate(fired, budget)), left - budget[0]
 
     def verdict(self, names: Names, strict: bool) -> Classification:
-        node = self.root
+        """The trace's class. The budget is per trace: the costs of the
+        root and of the edges along the trace's path are summed, and
+        BudgetExceeded is raised as soon as the sum passes
+        DEFAULT_STATE_BUDGET, whichever trace computed each edge."""
+        node, spent = self.root
         for i, name in enumerate(names):
-            nxt = node.children.get(name)
-            if nxt is None:
-                nxt = node.children[name] = self.fire(node, name)
-            if not nxt.states:
+            edge = node.edges.get(name)
+            if edge is None:
+                edge = node.edges[name] = self.fire(node, name, spent)
+            node, cost = edge
+            spent += cost
+            if spent > DEFAULT_STATE_BUDGET:
+                raise BudgetExceeded("oracle state budget exhausted")
+            if not node.states:
                 return NonConforming(i)
-            node = nxt
         if strict and frozenset() not in node.states:
             return NonConforming(None)
         return Conforming()
@@ -468,7 +498,7 @@ def run_experiment(model: ProcessModel, a: MarkingAutomaton,
     """Base traces + mutants, each classified by the replayer and by the
     independent oracle; correctness is the agreement percentage. A trace
     that repeats an earlier one takes its verdicts, and each classifier
-    shares one prefix trie across the experiment."""
+    shares one graph of interned state sets across the experiment."""
     t0 = time.perf_counter()
     bases = enumerate_conforming(a, len(a.external), strict=cfg.strict,
                                  limit=cfg.base_traces)
@@ -479,7 +509,8 @@ def run_experiment(model: ProcessModel, a: MarkingAutomaton,
     for base in bases:
         traces += mutants(base, rng, cfg.mutants_per_base, alphabet, base_set)
 
-    replay_root = _Prefix(eager_closure_nondet(a, a.initial_marking))
+    replay_nodes: Nodes = {}
+    replay_root = _intern(replay_nodes, eager_closure_nondet(a, a.initial_marking))
     oracle = _TokenGame(model)
     verdicts: Dict[Names, Tuple[Classification, Classification]] = {}
     conforming = non_conforming = agree = 0
@@ -487,7 +518,7 @@ def run_experiment(model: ProcessModel, a: MarkingAutomaton,
     for idx, names in enumerate(traces):
         pair = verdicts.get(names)
         if pair is None:
-            pair = verdicts[names] = (_replay(a, names, cfg.strict, replay_root),
+            pair = verdicts[names] = (_replay(a, names, cfg.strict, replay_nodes, replay_root),
                                       oracle.verdict(names, cfg.strict))
         mine, theirs = pair
         if mine.ok:

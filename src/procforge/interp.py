@@ -170,6 +170,9 @@ class FungibleLedger(_Journaled):
                     raise InvariantViolation(f"initiallyDistributedAccounts[{i}]",
                                              f"duplicate address {addr}")
                 seen.add(addr_key(addr))
+        if sum(self.balances.values()) != self.total_supply:
+            raise InvariantViolation("initiallyDistributedAccounts",
+                                     "distribution ≠ totalSupply")
 
     def balance_of(self, account: str) -> int:
         return self.balances.get(addr_key(account), 0)

@@ -599,27 +599,59 @@ def test_repeated_trace_gets_a_disagreement_at_every_index(grain_model, grain_au
     assert report.correctness_pct == 100.0 * (len(names) - len(expected)) / len(names)
 
 
-def oracle_states_needed(model, trace):
-    """The states the oracle counts against its budget on this trace."""
+def oracle_path(model, trace):
+    """The oracle's state set after each prefix of trace, from the empty
+    one on, each with the states counted against the budget up to it."""
     budget = [10**9]
     start = next(n for n in model.nodes if n.kind == NodeKind.START_EVENT)
     states = _saturate(model, {frozenset(f.id for f in model.outgoing(start.id))}, budget)
+    path = [(states, 10**9 - budget[0])]
     for name in trace:
         task = next(n for n in model.nodes if n.display_name == name)
         inc = model.incoming(task.id)[0].id
         produced = frozenset(f.id for f in model.outgoing(task.id))
         states = _saturate(model, {(m - {inc}) | produced for m in states if inc in m},
                            budget)
-    return 10**9 - budget[0]
+        path.append((states, 10**9 - budget[0]))
+    return path
+
+
+def oracle_states_needed(model, trace):
+    """The states the oracle counts against its budget on this trace."""
+    return oracle_path(model, trace)[-1][1]
+
+
+def hand_bases(monkeypatch, bases):
+    """Make run_experiment take bases as its base traces. enumerate_conforming
+    spends from the same budget as the oracle, so this leaves the oracle the
+    only one spending it."""
+    monkeypatch.setattr(harness, "enumerate_conforming",
+                        lambda a, max_len, strict, limit: bases[:limit])
+
+
+def split_with_relays():
+    """An AND split into A, behind an automatic relay, and B, followed by
+    one, joined in front of C. Until A fires, the oracle's state sets keep
+    the markings where A's relay has not fired, so B costs more before A
+    than after it; the state set after A and B is the same in either
+    order."""
+    nodes = [Node("start", NodeKind.START_EVENT), Node("split", NodeKind.AND_GATEWAY),
+             Node("ra", NodeKind.AND_GATEWAY), Node("a", NodeKind.USER_TASK, name="A"),
+             Node("b", NodeKind.USER_TASK, name="B"), Node("rb", NodeKind.AND_GATEWAY),
+             Node("join", NodeKind.AND_GATEWAY), Node("c", NodeKind.USER_TASK, name="C"),
+             Node("end", NodeKind.END_EVENT)]
+    flows = [SequenceFlow("f1", "start", "split"), SequenceFlow("f2", "split", "ra"),
+             SequenceFlow("f3", "ra", "a"), SequenceFlow("f4", "a", "join"),
+             SequenceFlow("f5", "split", "b"), SequenceFlow("f6", "b", "rb"),
+             SequenceFlow("f7", "rb", "join"), SequenceFlow("f8", "join", "c"),
+             SequenceFlow("f9", "c", "end")]
+    return build(nodes, flows)
 
 
 def test_oracle_budget_is_per_trace(grain_model, grain_automaton, monkeypatch, capsys):
     first, second = enumerate_conforming(grain_automaton, 8, limit=2)
     need = oracle_states_needed(grain_model, first)
-    # enumerate_conforming spends from the same budget; hand the experiment
-    # its bases, so that only the oracle spends
-    monkeypatch.setattr(harness, "enumerate_conforming",
-                        lambda a, max_len, strict, limit: [first, second][:limit])
+    hand_bases(monkeypatch, [first, second])
     one = ExperimentConfig(base_traces=1, mutants_per_base=0)
     monkeypatch.setattr(harness, "DEFAULT_STATE_BUDGET", need)
     assert oracle_classify(grain_model, first).ok
@@ -643,6 +675,104 @@ def test_oracle_budget_is_per_trace(grain_model, grain_automaton, monkeypatch, c
     monkeypatch.setattr(harness, "DEFAULT_STATE_BUDGET", most - 1)
     with pytest.raises(BudgetExceeded):
         run_experiment(grain_model, grain_automaton, two)
+
+    # A, B and B, A reach one oracle state set at different costs, and the
+    # second trace takes the edge for C from it that the first computed
+    model, a = split_with_relays()
+    cheap, dear = ("A", "B", "C"), ("B", "A", "C")
+    (ab, _), (ba, _) = oracle_path(model, cheap)[2], oracle_path(model, dear)[2]
+    assert ab == ba and ab
+    cheap_need, dear_need = oracle_states_needed(model, cheap), oracle_states_needed(model, dear)
+    assert cheap_need < dear_need
+    hand_bases(monkeypatch, [cheap, dear])
+    monkeypatch.setattr(harness, "DEFAULT_STATE_BUDGET", dear_need)
+    assert oracle_classify(model, dear).ok
+    assert run_experiment(model, a, two).conforming == 2
+    monkeypatch.setattr(harness, "DEFAULT_STATE_BUDGET", dear_need - 1)
+    assert oracle_classify(model, cheap).ok
+    with pytest.raises(BudgetExceeded, match="oracle state budget exhausted"):
+        oracle_classify(model, dear)
+    with pytest.raises(BudgetExceeded, match="oracle state budget exhausted"):
+        run_experiment(model, a, two)
+
+
+# --- one computation per (state set, task) edge ------------------------------
+
+
+def assert_shared_graph_gives_fresh_verdicts(model, a, traces, strict):
+    """Classify traces in turn through one graph per classifier, as
+    run_experiment does, and each again from a fresh root."""
+    nodes = {}
+    root = harness._intern(nodes, eager_closure_nondet(a, a.initial_marking))
+    game = harness._TokenGame(model)
+    for names in traces:
+        assert harness._replay(a, names, strict, nodes, root) \
+            == classify(a, names, strict), names
+        assert game.verdict(names, strict) == oracle_classify(model, names, strict), names
+
+
+@pytest.mark.parametrize("strict", [True, False])
+@pytest.mark.parametrize("name", ["grain_title", "ico", "quality_tracing", "task_outsourcing"])
+def test_shared_graph_gives_fresh_verdicts_on_fixtures(name, strict):
+    model = load_model(name)
+    a = compile_marking(model)
+    for seed in (0, 7):
+        traces = experiment_traces(a, ExperimentConfig(seed=seed, strict=strict))
+        assert_shared_graph_gives_fresh_verdicts(model, a, traces, strict)
+        assert_shared_graph_gives_fresh_verdicts(model, a, traces[::-1], strict)
+
+
+@given(seed=st.integers(0, 2**32 - 1), strict=st.booleans())
+def test_shared_graph_gives_fresh_verdicts_on_random_models(seed, strict):
+    rng = random.Random(seed)
+    model = random_model(rng, max_flows=16)
+    a = compile_marking(model)
+    bases = enumerate_conforming(a, len(a.external), strict=strict, limit=4)
+    # an unknown name as well, so that rejections at unknown tasks share nodes
+    alphabet = sorted(a.external_names.values()) + ["Bogus"]
+    traces = list(bases)
+    for base in bases:
+        traces += harness.mutants(base, rng, 30, alphabet, bases)
+    assert_shared_graph_gives_fresh_verdicts(model, a, traces, strict)
+
+
+def test_each_edge_is_computed_once_per_experiment(monkeypatch):
+    # the replayer steps, and the oracle saturates, once per distinct
+    # (state set, task) edge that the experiment's traces reach, where a
+    # prefix trie would do so once per distinct prefix
+    model = parallel_chain(5)
+    a = compile_marking(model)
+    cfg = ExperimentConfig(seed=0)
+    traces = experiment_traces(a, cfg)
+    replay_edges, oracle_edges, prefixes = set(), set(), set()
+    for names in traces:
+        states = eager_closure_nondet(a, a.initial_marking)
+        oracle = oracle_path(model, names)
+        for i, name in enumerate(names):
+            replay_edges.add((states, name))
+            oracle_edges.add((oracle[i][0], name))
+            prefixes.add(names[:i + 1])
+            states = step(a, states, a.task_id_for(name))
+            if not states:
+                break
+
+    calls = {"step": 0, "saturate": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    hand_bases(monkeypatch, traces[:cfg.base_traces])
+    monkeypatch.setattr(harness, "step", counted("step", step))
+    monkeypatch.setattr(harness._TokenGame, "saturate",
+                        counted("saturate", harness._TokenGame.saturate))
+    report = run_experiment(model, a, cfg)
+    assert report.correctness_pct == 100.0
+    assert calls["step"] == len(replay_edges)
+    assert calls["saturate"] == len(oracle_edges) + 1  # and once for the root
+    assert (len(replay_edges), len(oracle_edges), len(prefixes)) == (227, 227, 419)
 
 
 def _code_objects(obj):

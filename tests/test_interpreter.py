@@ -110,6 +110,21 @@ def test_two_spellings_of_one_address_are_refused_as_parse_registry_refuses_them
         f"initiallyDistributedAccounts[3]: duplicate address {upper}"
 
 
+def test_a_distribution_off_total_supply_is_refused_as_parse_registry_refuses_it():
+    # a hand-built spec of 7 out of 100 would give a ledger summing to 7
+    dist = ((A1, 7),)
+    with pytest.raises(InvariantViolation) as ours:
+        ledger(initially_distributed_accounts=dist)
+    with pytest.raises(InvariantViolation) as parsed:
+        parse_registry(json.dumps({
+            "name": "Coin", "symbol": "C", "decimals": 0, "totalSupply": "100",
+            "initiallyDistributedAccounts": [{"address": a, "amount": str(n)}
+                                             for a, n in dist]}))
+    assert str(ours.value) == str(parsed.value) == \
+        "initiallyDistributedAccounts: distribution ≠ totalSupply"
+    assert conserved(ledger(initially_distributed_accounts=((A1, 93), (A2, 7))))
+
+
 # --- record store ------------------------------------------------------------
 
 

@@ -78,7 +78,7 @@ DATACLASSES = {
     "marking.Branch": "its compiled guard is left out of equality",
     "marking.Transition": "its compiled statements are left out of equality",
     "harness.Conforming": "has no fields, and a NamedTuple without fields is falsy",
-    "harness._Prefix": "a mutable trie node with a dict default",
+    "harness._StateSet": "a mutable graph node with a dict default",
     "harness.ExperimentConfig": "checks its fields in __post_init__",
     "interp.RecordState": "frozen, but its attribute dict cannot hash as a NamedTuple sample must",
 }
