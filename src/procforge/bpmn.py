@@ -119,8 +119,17 @@ def _tokenize(text: str, newline_ends_statement: bool = False):
     return tokens
 
 
+# binary operators by precedence level, lowest first; unary '!' and '-'
+# bind tighter than any of them
+_LEVELS = {"||": 1, "&&": 2, "==": 3, "!=": 3, "<": 3, "<=": 3, ">": 3, ">=": 3,
+           "+": 4, "-": 4, "*": 5, "/": 5}
+_COMPARISON = 3  # the one level that does not chain: a < b < c stops at the second '<'
+_TOP = max(_LEVELS.values())
+
+
 class _ExprParser:
-    """Recursive descent over the tokens of one expression. Each parse
+    """Precedence climbing (Pratt, "Top down operator precedence", 1973)
+    over the tokens of one expression, by the table _LEVELS. Each parse
     method returns (expression, depth), where every operator and every
     pair of parentheses adds one level; an expression deeper than
     MAX_EXPR_DEPTH is a ConditionParseError, so the tree walkers
@@ -161,54 +170,33 @@ class _ExprParser:
         self.open -= 1
         return e, self._bounded(depth + 1, offset)
 
-    def parse_expr(self) -> Tuple[Expr, int]:
-        return self._or()
-
-    def _binary(self, sub, ops):
-        left, depth = sub()
+    def parse_expr(self, lowest: int = 1) -> Tuple[Expr, int]:
+        """An expression whose binary operators all have a level of at
+        least `lowest`. Operators of one level group to the left. After a
+        comparison only a lower level may follow, so comparisons do not
+        chain."""
+        left, depth = self._unary()
+        highest = _TOP
         while True:
-            kind, value, offset = self.peek()
-            if kind != "op" or value not in ops:
+            _, value, offset = self.tokens[self.i]
+            level = _LEVELS.get(value, 0)  # only an op token spells an operator
+            if not lowest <= level <= highest:
                 return left, depth
-            self.next()
-            right, rdepth = sub()
+            self.i += 1
+            right, rdepth = self.parse_expr(level + 1)
             left, depth = BinOp(value, left, right), self._bounded(1 + max(depth, rdepth), offset)
+            highest = level - 1 if level == _COMPARISON else level
 
-    def _or(self):
-        return self._binary(self._and, ("||",))
-
-    def _and(self):
-        return self._binary(self._cmp, ("&&",))
-
-    def _cmp(self):
-        left, depth = self._add()
-        kind, value, offset = self.peek()
-        if kind == "op" and value in ("==", "!=", "<", "<=", ">", ">="):
-            self.next()
-            right, rdepth = self._add()
-            return BinOp(value, left, right), self._bounded(1 + max(depth, rdepth), offset)
-        return left, depth
-
-    def _add(self):
-        return self._binary(self._mul, ("+", "-"))
-
-    def _mul(self):
-        return self._binary(self._unary, ("*", "/"))
-
-    def _unary(self):
-        kind, value, offset = self.peek()
-        if kind == "op" and value in ("!", "-"):
-            self.next()
-            operand, depth = self._nested(self._unary, offset)
-            return UnaryOp(value, operand), depth
-        return self._primary()
-
-    def _primary(self):
+    def _unary(self) -> Tuple[Expr, int]:
         kind, value, offset = self.next()
-        if kind == "op" and value == "(":
-            e, depth = self._nested(self.parse_expr, offset)
-            self.expect_op(")")
-            return e, depth
+        if kind == "op":
+            if value == "!" or value == "-":
+                operand, depth = self._nested(self._unary, offset)
+                return UnaryOp(value, operand), depth
+            if value == "(":
+                e, depth = self._nested(self.parse_expr, offset)
+                self.expect_op(")")
+                return e, depth
         return self._leaf(kind, value, offset), 0
 
     def _leaf(self, kind: str, value: str, offset: int) -> Expr:
@@ -274,6 +262,9 @@ def parse_script(text: str) -> Tuple[Assign, ...]:
 _BPMN = "{" + BPMN_NS + "}"
 _BCEXT = "{" + BCEXT_NS + "}"
 _EXTENSION_ELEMENTS = _BPMN + "extensionElements"
+_SEQUENCE_FLOW = _BPMN + "sequenceFlow"
+_SCRIPT = _BPMN + "script"
+_CONDITION = _BPMN + "conditionExpression"
 
 # a NodeKind's value is the local name of its BPMN element
 _NODE_KINDS = {_BPMN + kind.value: kind for kind in NodeKind}
@@ -404,21 +395,20 @@ def _parse_node(elem, kind: NodeKind) -> Node:
             inputs.extend(TaskInput(_require(i, "name", "bcext:input"),
                                     _require(i, "type", "bcext:input"))
                           for _, i in _bcext_children(child, ("input",), kind.value))
-        elif child.tag == _BPMN + "script":
+        elif child.tag == _SCRIPT:
             if script is not None:
                 raise BpmnParseError(f"{kind.value} '{node_id}' has a second script")
             script = parse_script(child.text or "")
         elif child.tag not in _SKIPPED:
             raise _unexpected(child, kind.value)
-    return Node(id=node_id, kind=kind, name=elem.get("name", ""),
-                task_inputs=tuple(inputs), script=script or ())
+    return Node(node_id, kind, elem.get("name", ""), tuple(inputs), script or ())
 
 
 def _parse_flow(elem) -> SequenceFlow:
     flow_id = _require(elem, "id", "sequenceFlow")
     condition = None
     for child in elem:
-        if child.tag == _BPMN + "conditionExpression":
+        if child.tag == _CONDITION:
             if condition is not None:
                 raise BpmnParseError(f"sequenceFlow '{flow_id}' has a second conditionExpression")
             condition = parse_condition(child.text or "")
@@ -430,8 +420,7 @@ def _parse_flow(elem) -> SequenceFlow:
     if default not in ("true", "false"):
         raise BpmnParseError(f"sequenceFlow '{flow_id}' has default {default!r}; "
                              "expected 'true' or 'false'")
-    return SequenceFlow(id=flow_id, source=source, target=target,
-                        condition=condition, is_default=default == "true")
+    return SequenceFlow(flow_id, source, target, condition, default == "true")
 
 
 def _unknown_in_process(tag: str) -> UnknownElement:
@@ -474,10 +463,10 @@ def parse_bpmn(xml_text: str) -> ProcessModel:
     for elem in chain.from_iterable(
             child if child.tag == _EXTENSION_ELEMENTS else (child,) for child in process):
         tag = elem.tag
-        if tag in _NODE_KINDS:
-            nodes.append(_parse_node(elem, _NODE_KINDS[tag]))
-        elif tag == _BPMN + "sequenceFlow":
+        if tag == _SEQUENCE_FLOW:
             flows.append(_parse_flow(elem))
+        elif tag in _NODE_KINDS:
+            nodes.append(_parse_node(elem, _NODE_KINDS[tag]))
         elif tag == _BCEXT + "variables":
             variables.extend(_parse_variables(elem))
         elif tag == _BCEXT + "smartContractInterface":

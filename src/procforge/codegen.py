@@ -23,7 +23,6 @@ from .ir import (
     UnaryOp,
     Var,
     ascii_words,
-    function_name,
 )
 from .marking import MarkingAutomaton
 from .registry import AttributeDecl, FungibleRegistrySpec, NonFungibleRegistrySpec
@@ -478,13 +477,13 @@ def _storage_vars(model: ProcessModel):
     """(name, type, initial value or None) of the declared process
     variables and of the task inputs not shadowing them."""
     initial = {v.name: v.initial for v in model.variables}
-    return [(name, t, initial.get(name)) for name, t in model.declared_types().items()]
+    return [(name, t, initial.get(name)) for name, t in model.declared_types.items()]
 
 
 def gen_process(model: ProcessModel, automaton: MarkingAutomaton) -> SourceUnit:
     """Emit ProcessFactory.sol: interface contracts, the factory, and the
     ProcessMonitor implementing the marking automaton."""
-    types = model.declared_types()
+    types = model.declared_types
     unbound = [itf for itf in model.interfaces if itf.contract_address is None]
     ctor_params = [f"address _addressOf{itf.name}" for itf in unbound]
     ctor_args = [f"_addressOf{itf.name}" for itf in unbound]
@@ -547,21 +546,24 @@ def gen_process(model: ProcessModel, automaton: MarkingAutomaton) -> SourceUnit:
     b.append("    }")
 
     # externally invoked tasks: public functions
+    names = model.function_names
     for task_id, t in automaton.external.items():
         node = model.node(task_id)
         task_name = _sol_literal(node.display_name, "string")
         body = [f"            _{ti.name} = {ti.name};" for ti in node.task_inputs]
         body += ["            " + line for line in _invocation_lines(model, task_id, types)]
+        post = _hex(t.branches[0].post)
         b.append("")
-        b.append(f"    function {function_name(node)}"
+        b.append(f"    function {names[task_id]}"
                  f"({_params_text(node.task_inputs, 'memory')}) public {{")
         b.append("        uint preconditionsp = marking;")
         for i, pre in enumerate(t.pre_alternatives):
             kw = "} else if" if i else "if"
-            b.append(f"        {kw} ( (preconditionsp & {_hex(pre)} == {_hex(pre)}) ) {{")
+            pre = _hex(pre)
+            b.append(f"        {kw} ( (preconditionsp & {pre} == {pre}) ) {{")
             b.extend(body)
             b.append(f"            marking = runAutoTransitions("
-                     f"preconditionsp & uint(~{_hex(pre)})  | {_hex(t.branches[0].post)});")
+                     f"preconditionsp & uint(~{pre})  | {post});")
             b.append(f"            emit taskExecuted({task_name}, true);")
         b.append("        } else {")
         b.append(f"            emit taskExecuted({task_name}, false);")
@@ -569,30 +571,32 @@ def gen_process(model: ProcessModel, automaton: MarkingAutomaton) -> SourceUnit:
         b.append("    }")
 
     # auto transitions: internal functions, Listing-style
-    auto_fns = [function_name(model.node(t.node_id)) for t in automaton.autos]
+    auto_fns = [names[t.node_id] for t in automaton.autos]
     for t, fn_name in zip(automaton.autos, auto_fns):
         b.append("")
         b.append(f"    function {fn_name}(uint preconditionsp) internal returns (uint) {{")
         body = [f"            _{st.target} = {render_expr(st.value, types)};"
                 for st in model.node(t.node_id).script]
         body += ["            " + line for line in _invocation_lines(model, t.node_id, types)]
+        # guarded branches, then the unguarded tail compile_marking puts
+        # last; each rendered once, for all pre-alternatives
+        branches = [(None if br.guard is None else render_expr(br.guard, types),
+                     br.post, _hex(br.post)) for br in t.branches]
         for i, pre in enumerate(t.pre_alternatives):
             kw = "} else if" if i else "if"
-            b.append(f"        {kw} ( (preconditionsp & {_hex(pre)} == {_hex(pre)}) ) {{")
+            pre = _hex(pre)
+            b.append(f"        {kw} ( (preconditionsp & {pre} == {pre}) ) {{")
             b.extend(body)
-            # guarded branches, then the unguarded tail compile_marking puts last
-            for br in t.branches:
-                if br.guard is not None:
-                    b.append(f"            if ({render_expr(br.guard, types)}) {{")
-                    b.append(f"                return preconditionsp & uint(~{_hex(pre)})"
-                             f"  | {_hex(br.post)};")
+            for guard, mask, post in branches:
+                if guard is not None:
+                    b.append(f"            if ({guard}) {{")
+                    b.append(f"                return preconditionsp & uint(~{pre})  | {post};")
                     b.append("            }")
-                elif br.post:
-                    b.append(f"            return preconditionsp & uint(~{_hex(pre)})"
-                             f"  | {_hex(br.post)};")
+                elif mask:
+                    b.append(f"            return preconditionsp & uint(~{pre})  | {post};")
                 else:
-                    b.append(f"            return preconditionsp & uint(~{_hex(pre)});")
-            if t.branches[-1].guard is not None:
+                    b.append(f"            return preconditionsp & uint(~{pre});")
+            if branches[-1][0] is not None:
                 b.append("            return preconditionsp;  // no branch satisfiable")
         b.append("        } else")
         b.append("            return preconditionsp;")

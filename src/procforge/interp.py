@@ -430,7 +430,7 @@ class InstanceState:
         self.env: Dict[str, object] = {
             v.name: (v.initial if v.initial is not None else ZERO_VALUES[v.type])
             for v in model.variables}
-        self._zeros = {name: ZERO_VALUES[t] for name, t in model.declared_types().items()}
+        self._zeros = {name: ZERO_VALUES[t] for name, t in model.declared_types.items()}
         self.event_log: List[LogEntry] = []
         self.marking = automaton.initial_marking
         # close over any auto-transitions enabled straight from the start

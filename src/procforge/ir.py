@@ -6,8 +6,11 @@ Everything here is immutable after construction. The records are
 typing.NamedTuples, which import without generating code: they compare
 and hash as the tuples of their fields, so a record equals any tuple of
 the same items, and a changed copy is record._replace(field=value).
-ProcessModel alone is a frozen dataclass, as it caches its index and its
-gateway folds on first lookup.
+ProcessModel alone is a frozen dataclass, as it caches what is derived
+from it on first lookup: its index, the typing of its expressions, the
+names of its functions, its gateway folds and its contract calls. Each is
+computed once per model and read by validate_model, compile_marking,
+codegen and the interpreter alike.
 
 Validation is a pure function producing a diagnostic report; it never
 raises for model defects. It is the one owner of every model defect: the
@@ -24,7 +27,8 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Dict, Mapping, NamedTuple, Optional, Tuple, Union
+from types import MappingProxyType
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple, Union
 
 UINT256_MAX = 2**256 - 1
 INT256_MIN = -(2**255)
@@ -403,7 +407,10 @@ class _ModelIndex(NamedTuple):
     node: Dict[str, Node]
     incoming: Dict[str, Tuple[SequenceFlow, ...]]
     outgoing: Dict[str, Tuple[SequenceFlow, ...]]
+    predecessors: Dict[str, List[str]]  # the sources of a node's incoming flows
+    successors: Dict[str, List[str]]  # the targets of its outgoing flows
     interface: Dict[str, SmartContractInterfaceDecl]
+    invocations: Dict[str, Tuple[InvocationBinding, ...]]  # by source task
 
 
 @dataclass(frozen=True)
@@ -426,16 +433,26 @@ class ProcessModel:
             nodes.setdefault(n.id, n)
         incoming: Dict[str, list] = {}
         outgoing: Dict[str, list] = {}
+        predecessors: Dict[str, list] = {}
+        successors: Dict[str, list] = {}
         for f in self.flows:
-            incoming.setdefault(f.target, []).append(f)
-            outgoing.setdefault(f.source, []).append(f)
+            source, target = f.source, f.target
+            incoming.setdefault(target, []).append(f)
+            outgoing.setdefault(source, []).append(f)
+            predecessors.setdefault(target, []).append(source)
+            successors.setdefault(source, []).append(target)
         interfaces: Dict[str, SmartContractInterfaceDecl] = {}
         for i in self.interfaces:
             interfaces.setdefault(i.id, i)
+        invocations: Dict[str, list] = {}
+        for b in self.invocations:
+            invocations.setdefault(b.source_task, []).append(b)
         return _ModelIndex(nodes,
                            {k: tuple(v) for k, v in incoming.items()},
                            {k: tuple(v) for k, v in outgoing.items()},
-                           interfaces)
+                           predecessors, successors,
+                           interfaces,
+                           {k: tuple(v) for k, v in invocations.items()})
 
     def node(self, node_id: str) -> Optional[Node]:
         return self._index.node.get(node_id)
@@ -450,6 +467,44 @@ class ProcessModel:
         return self._index.interface.get(interface_id)
 
     @cached_property
+    def _typing(self) -> Dict[int, Union[Tuple[str, Evaluator], ExprTypeError]]:
+        """compile_expr of every flow condition and every script statement's
+        value under declared_types, each run once: the id of the
+        expression -> (type, evaluator), or the ExprTypeError it raised.
+        The model holds every expression it types, so no id is reused while
+        the model lives, and one expression object shared by two places
+        types alike in both."""
+        types = self.declared_types
+        exprs = [f.condition for f in self.flows if f.condition is not None]
+        exprs += [st.value for n in self.nodes for st in n.script]
+        typing: Dict[int, Union[Tuple[str, Evaluator], ExprTypeError]] = {}
+        for e in exprs:
+            if id(e) not in typing:
+                try:
+                    typing[id(e)] = compile_expr(e, types)
+                except ExprTypeError as exc:
+                    typing[id(e)] = exc
+        return typing
+
+    def typed(self, e: Expr) -> Tuple[str, Evaluator]:
+        """(type, evaluator) of a condition or script value of this model, as
+        compile_expr gives it under declared_types; raises the
+        ExprTypeError of an ill-typed one. Typed once per model."""
+        typed = self._typing[id(e)]
+        if isinstance(typed, ExprTypeError):
+            raise typed.with_traceback(None)
+        return typed
+
+    @cached_property
+    def function_names(self) -> Dict[str, str]:
+        """Node id -> the name of the ProcessMonitor function it emits
+        (function_name), for the first node of each id. The start event and
+        the folded gateways emit none."""
+        folded = self.folded_gateways
+        return {node_id: function_name(n) for node_id, n in self._index.node.items()
+                if n.kind != NodeKind.START_EVENT and node_id not in folded}
+
+    @cached_property
     def gateway_folds(self) -> Dict[str, Tuple[Optional[Node], Optional[Node]]]:
         """The condition-free gateways folded into a task's masks, which
         emit no function of their own: task id -> (the join in front of it,
@@ -457,29 +512,37 @@ class ProcessModel:
         document order claims a gateway, and the gateway in front of it is
         tried before the one behind. A task without exactly one incoming
         and one outgoing flow folds nothing."""
+        index = self._index
+        node, preds, succs = index.node, index.predecessors, index.successors
         claimed = set()
         folds: Dict[str, Tuple[Optional[Node], Optional[Node]]] = {}
         for n in self.nodes:
             if n.kind not in TASK_KINDS:
                 continue
-            inc, out = self.incoming(n.id), self.outgoing(n.id)
+            inc, out = preds.get(n.id, ()), succs.get(n.id, ())
             if len(inc) != 1 or len(out) != 1:
                 continue
-            front, behind = self.node(inc[0].source), self.node(out[0].target)
+            front, behind = node.get(inc[0]), node.get(out[0])
             if front is None or front.kind not in GATEWAY_KINDS or front.id in claimed \
-                    or not self.incoming(front.id) or len(self.outgoing(front.id)) != 1 \
-                    or self.outgoing(front.id)[0].condition is not None:
+                    or front.id not in preds or len(succs[front.id]) != 1 \
+                    or index.outgoing[front.id][0].condition is not None:
                 front = None
             else:
                 claimed.add(front.id)
             if behind is None or behind.kind != NodeKind.AND_GATEWAY or behind.id in claimed \
-                    or len(self.incoming(behind.id)) != 1 or not self.outgoing(behind.id):
+                    or len(preds.get(behind.id, ())) != 1 or behind.id not in succs:
                 behind = None
             else:
                 claimed.add(behind.id)
             if front is not None or behind is not None:
                 folds[n.id] = (front, behind)
         return folds
+
+    @cached_property
+    def folded_gateways(self) -> frozenset:
+        """The ids of the gateways in gateway_folds."""
+        return frozenset(g.id for pair in self.gateway_folds.values() for g in pair
+                         if g is not None)
 
     def external_tasks(self):
         return tuple(n for n in self.nodes if n.kind in EXTERNAL_TASK_KINDS)
@@ -491,23 +554,33 @@ class ProcessModel:
         return tuple(n for n in self.nodes if n.kind in GATEWAY_KINDS)
 
     def invocations_of(self, task_id: str):
-        return tuple(b for b in self.invocations if b.source_task == task_id)
+        return self._index.invocations.get(task_id, ())
 
-    def calls_of(self, task_id: str):
+    @cached_property
+    def _calls(self) -> Dict[str, tuple]:
+        return {task_id: tuple(map(self._resolve_call, bound))
+                for task_id, bound in self._index.invocations.items()}
+
+    def calls_of(self, task_id: str) -> tuple:
         """Each contract call bound to a task of a validated model, in
         binding order, as (interface, fn name, input sources in parameter
         order, output targets in return order with None where a return is
-        unbound)."""
-        for inv in self.invocations_of(task_id):
-            itf = self.interface(inv.target_interface)
-            fn = itf.function(inv.fn_name)
-            sources = {b.param: b.source for b in inv.input_bindings}
-            targets = {b.param: b.target for b in inv.output_bindings}
-            yield (itf, inv.fn_name, tuple(sources[p.name] for p in fn.inputs),
-                   tuple(targets.get(p.name) for p in fn.outputs))
+        unbound). Resolved once per model, for every task, on the first
+        request."""
+        return self._calls.get(task_id, ())
 
-    def declared_types(self) -> dict:
-        """Variable declarations plus every task input, by name.
+    def _resolve_call(self, inv: InvocationBinding):
+        itf = self.interface(inv.target_interface)
+        fn = itf.function(inv.fn_name)
+        sources = {b.param: b.source for b in inv.input_bindings}
+        targets = {b.param: b.target for b in inv.output_bindings}
+        return (itf, inv.fn_name, tuple(sources[p.name] for p in fn.inputs),
+                tuple(targets.get(p.name) for p in fn.outputs))
+
+    @cached_property
+    def declared_types(self) -> Mapping[str, str]:
+        """Variable declarations plus every task input, by name, as a
+        read-only view.
 
         A task input may share the name of a declared variable of the same
         type; merging its value into the environment then acts as an
@@ -519,7 +592,7 @@ class ProcessModel:
         for n in self.nodes:
             for ti in n.task_inputs:
                 types.setdefault(ti.name, ti.type)
-        return types
+        return MappingProxyType(types)
 
 
 # ---------------------------------------------------------------------------
@@ -578,11 +651,11 @@ def sanitize_identifier(name: str) -> str:
     words = ascii_words(name)
     if not words:
         return "_"
-    parts = [words[0][0].upper() + words[0][1:]] + [w.lower() for w in words[1:]]
-    ident = "_".join(parts)
-    if ident[0].isdigit():
-        ident = "_" + ident
-    return ident
+    first = words[0]
+    ident = first[0].upper() + first[1:]
+    if len(words) > 1:
+        ident += "_" + "_".join(words[1:]).lower()
+    return "_" + ident if ident[0].isdigit() else ident
 
 
 def function_name(node: Node) -> str:
@@ -591,12 +664,12 @@ def function_name(node: Node) -> str:
     return sanitize_identifier(node.display_name if node.kind in TASK_KINDS else node.id)
 
 
-def _reachable(seeds, successors) -> set:
+def _reachable(seeds, successors: Mapping[str, List[str]]) -> set:
     """The seeds and every id reachable from them through successors."""
     seen = set(seeds)
     frontier = list(seen)
     while frontier:
-        for nxt in successors(frontier.pop()):
+        for nxt in successors.get(frontier.pop(), ()):
             if nxt not in seen:
                 seen.add(nxt)
                 frontier.append(nxt)
@@ -677,49 +750,55 @@ def validate_model(model: ProcessModel) -> ValidationReport:  # noqa: C901
         if f.target not in node_ids:
             err(f.id, f"dangling flow target '{f.target}'")
 
-    starts = [n for n in model.nodes if n.kind == NodeKind.START_EVENT]
-    ends = [n for n in model.nodes if n.kind == NodeKind.END_EVENT]
+    start_kind, end_kind = NodeKind.START_EVENT, NodeKind.END_EVENT
+    starts = [n for n in model.nodes if n.kind is start_kind]
+    ends = [n for n in model.nodes if n.kind is end_kind]
     if len(starts) != 1:
         err(model.id, f"expected exactly one start event, found {len(starts)}")
     if not ends:
         err(model.id, "no end event")
 
     # structural degree rules
+    index = model._index
+    incoming, outgoing = index.incoming, index.outgoing
     for n in model.nodes:
-        inc, out = model.incoming(n.id), model.outgoing(n.id)
-        if n.kind == NodeKind.START_EVENT:
+        kind = n.kind
+        inc, out = len(incoming.get(n.id, ())), len(outgoing.get(n.id, ()))
+        if kind is start_kind:
             if inc:
                 err(n.id, "start event has incoming flows")
             if not out:
                 err(n.id, "start event has no outgoing flow")
-        elif n.kind == NodeKind.END_EVENT:
+        elif kind is end_kind:
             if out:
                 err(n.id, "end event has outgoing flows")
             if not inc:
                 err(n.id, "end event has no incoming flow")
-        elif n.kind in TASK_KINDS:
-            if len(inc) != 1 or len(out) != 1:
+        elif kind in TASK_KINDS:
+            if inc != 1 or out != 1:
                 err(n.id, "tasks must have exactly one incoming and one outgoing flow; "
                           "use gateways for branching")
         else:  # gateways
             if not inc or not out:
                 err(n.id, "gateway must have incoming and outgoing flows")
-            elif len(inc) > 1 and len(out) > 1:
+            elif inc > 1 and out > 1:
                 err(n.id, "gateway may not join and split at the same time")
-            elif len(inc) == 1 and len(out) == 1:
+            elif inc == 1 and out == 1:
                 warn(n.id, "degenerate gateway with one incoming and one outgoing flow")
 
     # conditions live on XOR-split outgoing flows only
     for f in model.flows:
-        src = model.node(f.source)
+        if f.condition is None and not f.is_default:
+            continue
+        src = index.node.get(f.source)
         is_xor_split = (src is not None and src.kind == NodeKind.XOR_GATEWAY
-                        and len(model.outgoing(src.id)) > 1)
+                        and len(outgoing[src.id]) > 1)
         if f.condition is not None and not is_xor_split:
             err(f.id, "condition on a flow that is not an XOR-split branch")
         if f.is_default and (src is None or src.kind != NodeKind.XOR_GATEWAY):
             err(f.id, "default flag on a flow not leaving an XOR gateway")
 
-    types = model.declared_types()
+    types = model.declared_types
     for n in model.nodes:
         if n.kind == NodeKind.XOR_GATEWAY:
             out = model.outgoing(n.id)
@@ -735,7 +814,7 @@ def validate_model(model: ProcessModel) -> ValidationReport:  # noqa: C901
                         err(f.id, "XOR-split branch without condition and not default")
                     else:
                         try:
-                            t, _ = compile_expr(f.condition, types)
+                            t, _ = model.typed(f.condition)
                             if t != "bool":
                                 err(f.id, f"condition must be bool, got {t}")
                         except ExprTypeError as e:
@@ -746,24 +825,25 @@ def validate_model(model: ProcessModel) -> ValidationReport:  # noqa: C901
     declared = {v.name: v.type for v in model.variables}
     first_input: Dict[str, Tuple[str, str]] = {}  # name -> (type, task id)
     for n in model.nodes:
-        seen = set()
-        for ti in n.task_inputs:
-            if ti.name in seen:
-                err(n.id, f"duplicate task input '{ti.name}'")
-            seen.add(ti.name)
-            identifier(n.id, "task input", ti.name)
-            if ti.type not in VALUE_TYPES:
-                err(n.id, f"unknown task input type '{ti.type}'")
-            if ti.name in declared:
-                if declared[ti.name] != ti.type:
-                    err(n.id, f"task input '{ti.name}' shadows variable of different type")
-                continue
-            t0, task0 = first_input.setdefault(ti.name, (ti.type, n.id))
-            if t0 != ti.type and task0 != n.id:
-                err(n.id, f"task input '{ti.name}' is {ti.type} here "
-                          f"but {t0} in task '{task0}'")
-        if n.task_inputs and n.kind != NodeKind.USER_TASK:
-            err(n.id, "only user tasks may declare task inputs")
+        if n.task_inputs:
+            seen = set()
+            for ti in n.task_inputs:
+                if ti.name in seen:
+                    err(n.id, f"duplicate task input '{ti.name}'")
+                seen.add(ti.name)
+                identifier(n.id, "task input", ti.name)
+                if ti.type not in VALUE_TYPES:
+                    err(n.id, f"unknown task input type '{ti.type}'")
+                if ti.name in declared:
+                    if declared[ti.name] != ti.type:
+                        err(n.id, f"task input '{ti.name}' shadows variable of different type")
+                    continue
+                t0, task0 = first_input.setdefault(ti.name, (ti.type, n.id))
+                if t0 != ti.type and task0 != n.id:
+                    err(n.id, f"task input '{ti.name}' is {ti.type} here "
+                              f"but {t0} in task '{task0}'")
+            if n.kind != NodeKind.USER_TASK:
+                err(n.id, "only user tasks may declare task inputs")
         if n.script and n.kind != NodeKind.SCRIPT_TASK:
             err(n.id, "only script tasks may carry a script")
 
@@ -774,7 +854,7 @@ def validate_model(model: ProcessModel) -> ValidationReport:  # noqa: C901
                 err(n.id, f"script assigns undeclared variable '{st.target}'")
                 continue
             try:
-                t, value = compile_expr(st.value, types)
+                t, value = model.typed(st.value)
                 # a literal, or an int_const that compile_expr folded
                 constant = isinstance(st.value, Lit) or t == "int_const"
                 target_t = types[st.target]
@@ -789,19 +869,25 @@ def validate_model(model: ProcessModel) -> ValidationReport:  # noqa: C901
                 err(n.id, f"script type error: {e}")
 
     # one ProcessMonitor function per node but the start event and the
-    # folded gateways; a task's display name is also how a trace names it
+    # folded gateways; a task's display name is also how a trace names it.
+    # A function may not be named like a contract of the emitted file:
+    # solc rejects one named like its own contract, and one named like an
+    # interface shadows the interface's type.
     def named(n):
         return f"'{n.display_name}'" if n.kind in TASK_KINDS else f"{n.kind.value} '{n.id}'"
 
-    folded = {g.id for pair in model.gateway_folds.values() for g in pair if g is not None}
+    folded = model.folded_gateways
+    names = model.function_names
     owners = {}
     for n in model.nodes:
-        if n.kind == NodeKind.START_EVENT or n.id in folded:
+        if n.kind is start_kind or n.id in folded:
             continue
-        fn = function_name(n)
-        if fn in owners:
+        # a second node of one id, already an error, is named on its own
+        fn = names[n.id] if index.node[n.id] is n else function_name(n)
+        if fn in iface_names or fn in owners:
+            other = f"contract '{fn}'" if fn in iface_names else named(owners[fn])
             err(n.id, f"{'task name ' if n.kind in TASK_KINDS else ''}{named(n)} collides "
-                      f"with {named(owners[fn])} after identifier sanitization")
+                      f"with {other} after identifier sanitization")
         owners[fn] = n
 
     # invocation bindings
@@ -859,13 +945,12 @@ def validate_model(model: ProcessModel) -> ValidationReport:  # noqa: C901
 
     # reachability (over structurally sane graphs only)
     if not any(d.severity == "error" for d in diags):
-        reach = _reachable([starts[0].id], lambda n: (f.target for f in model.outgoing(n)))
+        reach = _reachable([starts[0].id], index.successors)
         for n in model.nodes:
             if n.id not in reach:
                 err(n.id, "node not reachable from the start event")
         # backward reachability to some end event
-        co_reach = _reachable([e.id for e in ends],
-                              lambda n: (f.source for f in model.incoming(n)))
+        co_reach = _reachable([e.id for e in ends], index.predecessors)
         for n in model.nodes:
             if n.id in reach and n.id not in co_reach:
                 err(n.id, "node cannot reach any end event")

@@ -29,7 +29,6 @@ from .ir import (
     NodeKind,
     ProcessModel,
     TASK_KINDS,
-    compile_expr,
 )
 
 
@@ -55,7 +54,7 @@ class Branch:
 
     guard is None for unconditional branches and for the default flow of
     an XOR split (is_default marks the latter), which is the last branch;
-    test is guard compiled against the model's declared types. post is
+    test is guard's evaluator under the model's declared types. post is
     the produced bits. Only an XOR split has more than one branch.
     """
 
@@ -107,9 +106,10 @@ class MarkingAutomaton:
 def compile_marking(model: ProcessModel) -> MarkingAutomaton:
     """Compile a model that validate_model accepted. Deterministic: bit
     assignment and transition order follow document order. Guards and
-    scripts are compiled here, so their types are resolved once."""
+    scripts take the evaluators of model.typed, so their types are
+    resolved once per model, by whichever of validate_model and this
+    function asks first."""
     bit_of = {f.id: i for i, f in enumerate(model.flows)}
-    types = model.declared_types()
     start = next(n for n in model.nodes if n.kind == NodeKind.START_EVENT)
 
     def mask(flows) -> int:
@@ -121,8 +121,7 @@ def compile_marking(model: ProcessModel) -> MarkingAutomaton:
     def bits(flows) -> Tuple[int, ...]:
         return tuple(1 << bit_of[f.id] for f in flows)
 
-    folds = model.gateway_folds
-    folded = {g.id for pair in folds.values() for g in pair if g is not None}
+    folds, folded = model.gateway_folds, model.folded_gateways
     # build each transition once, skipping the folded gateways, and file
     # it by kind
     external: Dict[str, Transition] = {}
@@ -146,7 +145,7 @@ def compile_marking(model: ProcessModel) -> MarkingAutomaton:
             if len(out) > 1:
                 # the default last: _pick_branch and codegen take it as the tail
                 branches = [Branch(post=1 << bit_of[f.id], guard=f.condition,
-                                   test=compile_expr(f.condition, types)[1])
+                                   test=model.typed(f.condition)[1])
                             for f in out if not f.is_default]
                 branches += [Branch(post=1 << bit_of[f.id], is_default=True)
                              for f in out if f.is_default]
@@ -156,7 +155,7 @@ def compile_marking(model: ProcessModel) -> MarkingAutomaton:
             pres, branches = bits(inc), [Branch(post=0)]
             end_mask |= mask(inc)
         t = Transition(n.id, n.kind, pres, tuple(branches),
-                       statements=tuple((st.target, compile_expr(st.value, types)[1])
+                       statements=tuple((st.target, model.typed(st.value)[1])
                                         for st in n.script))
         if n.kind in EXTERNAL_TASK_KINDS:
             external[n.id] = t
@@ -172,7 +171,7 @@ def compile_marking(model: ProcessModel) -> MarkingAutomaton:
         end_mask=end_mask,
         external_names={n.id: n.display_name for n in model.nodes
                         if n.kind in EXTERNAL_TASK_KINDS},
-        folded=frozenset(folded),
+        folded=folded,
     )
 
 

@@ -395,21 +395,39 @@ def test_nonterminating_closure_rolls_back_invoke():
     assert _ledger_state(inst, A3) == before
 
 
-def test_types_resolved_once_at_compile(monkeypatch, ico_model):
-    from procforge import marking
-    calls = []
-    real = marking.compile_expr
+def test_types_resolved_once_at_compile(monkeypatch):
+    # each guard and script statement is typed once per model, however many
+    # of validate_model, compile_marking, gen_process and the interpreter
+    # read it; each node's function name is sanitized once
+    from collections import Counter
 
-    def counting(e, types):
-        calls.append(e)
-        return real(e, types)
+    from conftest import load_model
+    from procforge import codegen, ir
+    from procforge.ir import TASK_KINDS, NodeKind, validate_model
 
-    monkeypatch.setattr(marking, "compile_expr", counting)
-    automaton = compile_marking(ico_model)
-    compiled = len(calls)
-    assert compiled > 0
+    compiled, sanitized = Counter(), []
+    real_compile, real_sanitize = ir.compile_expr, ir.sanitize_identifier
+
+    def counting_compile(e, types):
+        compiled[id(e)] += 1
+        return real_compile(e, types)
+
+    def counting_sanitize(name):
+        sanitized.append(name)
+        return real_sanitize(name)
+
+    monkeypatch.setattr(ir, "compile_expr", counting_compile)
+    monkeypatch.setattr(ir, "sanitize_identifier", counting_sanitize)
+    model = load_model("ico")  # a fresh model: nothing typed yet
+    guards = [f.condition for f in model.flows if f.condition is not None]
+    statements = [st.value for n in model.nodes for st in n.script]
+    assert guards and len(statements) == 2
+
+    assert validate_model(model).ok
+    automaton = compile_marking(model)
+    codegen.gen_process(model, automaton)
     process = pseudo_address("process:ico:0")
-    inst = new_instance(ico_model, automaton, {"itf_lrk": A3},
+    inst = new_instance(model, automaton, {"itf_lrk": A3},
                         {A3: ledger(total_supply=10**6,
                                     initially_distributed_accounts=((process, 10**6),))})
     for _ in range(3):
@@ -417,7 +435,11 @@ def test_types_resolved_once_at_compile(monkeypatch, ico_model):
         assert inst.invoke("Tokens claimed", {}).ok
     assert inst.env["amountRaised"] == 300
     assert inst.registry_at(A3).balance_of(A2) == 3 * 100 * 100
-    assert len(calls) == compiled
+    assert [compiled[id(e)] for e in guards + statements] == [1] * (len(guards) + 2)
+    # every node but the start event and the folded gateways emits a function
+    emitting = [n.display_name if n.kind in TASK_KINDS else n.id for n in model.nodes
+                if n.kind != NodeKind.START_EVENT and n.id not in automaton.folded]
+    assert automaton.folded and sorted(sanitized) == sorted(emitting)
 
 
 def test_rollback_keeps_registry_objects():

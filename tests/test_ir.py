@@ -399,6 +399,26 @@ def test_function_names_of_gateways_and_end_events_collide(old, new, message):
     assert errors_of(parse_bpmn(text.replace(old, new))) == [message]
 
 
+# a function named like a contract of ProcessFactory.sol: solc rejects one
+# named like its own contract, and one named like an interface shadows the
+# interface's type in the monitor
+@pytest.mark.parametrize("old, new, message", [
+    ('name="Task completed"', 'name="ProcessMonitor"',
+     "task name 'ProcessMonitor' collides with contract 'ProcessMonitor' "
+     "after identifier sanitization"),
+    ('name="Pay worker"', 'name="LorikeetCoin"',
+     "task name 'LorikeetCoin' collides with contract 'LorikeetCoin' "
+     "after identifier sanitization"),
+    ('name="Refund requester"', 'name="ProcessFactory"',
+     "task name 'ProcessFactory' collides with contract 'ProcessFactory' "
+     "after identifier sanitization"),
+], ids=["own-contract", "interface", "factory"])
+def test_a_function_named_like_a_contract_is_an_error(old, new, message):
+    text = (FIXTURES / "task_outsourcing.bpmn").read_text()
+    assert old in text
+    assert errors_of(parse_bpmn(text.replace(old, new))) == [message]
+
+
 def test_a_folded_gateway_emits_no_function_to_collide_with():
     from procforge.codegen import gen_process
     from procforge.marking import compile_marking
@@ -625,6 +645,18 @@ def test_model_index_matches_scan_on_fixtures(name):
     refs = [n.id for n in model.nodes] + [i.id for i in model.interfaces]
     for ref in refs:
         assert index_lookups(model, ref) == scan_lookups(model, ref), ref
+
+
+@pytest.mark.parametrize("name", ["grain_title", "ico", "quality_tracing", "task_outsourcing"])
+def test_calls_are_resolved_once_per_task(name):
+    model = load_model(name)
+    for n in model.nodes:
+        bound = tuple(b for b in model.invocations if b.source_task == n.id)
+        assert model.invocations_of(n.id) == bound
+        calls = model.calls_of(n.id)
+        assert len(calls) == len(bound)
+        assert model.calls_of(n.id) is calls
+    assert model.invocations_of("ghost") == ()
 
 
 def test_model_index_duplicate_id_returns_first():
