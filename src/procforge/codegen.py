@@ -459,10 +459,10 @@ def _interface_contract(itf: SmartContractInterfaceDecl) -> str:
 def _invocation_lines(model: ProcessModel, task_id: str,
                       types: Mapping[str, str]) -> List[str]:
     lines: List[str] = []
-    for itf, fn_name, sources, targets in model.calls_of(task_id):
+    for itf, fn, sources, targets in model.calls_of(task_id):
         instance = "instanceOf" + itf.name
         lines.append(f"{itf.name} {instance} = {itf.name}(addressOf{itf.name});")
-        call = f"{instance}.{fn_name}({', '.join(render_expr(s, types) for s in sources)})"
+        call = f"{instance}.{fn.name}({', '.join(render_expr(s, types) for s in sources)})"
         slots = ["" if t is None else "_" + t for t in targets]
         if not any(slots):
             lines.append(f"{call};")

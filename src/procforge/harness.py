@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import (Collection, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set,
@@ -372,6 +373,12 @@ def oracle_classify(model: ProcessModel, names: Names,
 
 
 OPERATORS = ("add", "remove", "swap")
+_UNDRAWN = object()  # a table entry of mutants whose edit is not yet drawn
+
+
+def _unless_base(mutant: Names, bases: Collection[Names]) -> Optional[Names]:
+    """mutant, or None when it is one of bases."""
+    return None if mutant in bases else mutant
 
 
 def mutants(trace: Names, rng: random.Random, count: int,
@@ -383,50 +390,83 @@ def mutants(trace: Names, rng: random.Random, count: int,
     Every draw is a fixed function of rng.random() and rng.getrandbits(),
     so the stream is the one random.choices(OPERATORS), randrange, choice
     and sample(range(n), 2) give in CPython 3.11, without depending on how
-    a later version implements them."""
+    a later version implements them. Each position and name is drawn by
+    rejection, as random.Random._randbelow draws it.
+
+    A trace of n names over an alphabet of k has at most (n+1)*k + n +
+    n*(n-1)/2 distinct edits, often fewer than count, so each operator
+    keeps a table by its edit: (position, name) for add, position for
+    remove and the ordered pair of positions for swap. Each distinct edit
+    is built and checked against bases once per call, so once per base of
+    an experiment; a later draw of it takes the same mutant, or resamples
+    at once when it gives a base. The draws, and so the stream and its
+    pinned digest, are those of building every mutant."""
     uniform, getrandbits = rng.random, rng.getrandbits
-
-    def below(m: int) -> int:
-        """Uniform in range(m) by rejection, as random.Random._randbelow."""
-        bits = m.bit_length()
-        r = getrandbits(bits)
-        while r >= m:
-            r = getrandbits(bits)
-        return r
-
     n, k = len(trace), len(alphabet)
+    # the bit widths of the rejection draws from range(n + 1), range(n),
+    # range(n - 1) and range(k)
+    w_gap, w_pos, w_other, w_name = ((n + 1).bit_length(), n.bit_length(),
+                                     (n - 1).bit_length(), k.bit_length())
+    # each table holds the edit's mutant, None once it proved a base, or
+    # _UNDRAWN; swap's is a dict, as a list of n*n would grow with the
+    # square of the trace
+    added = [_UNDRAWN] * ((n + 1) * k)  # by position * k + name
+    removed = [_UNDRAWN] * n  # by position
+    swapped: Dict[int, Optional[Names]] = {}  # by i * n + j, for i < j
     out: List[Names] = []
     for _ in range(count):
         for _ in range(100):
-            op = OPERATORS[int(uniform() * 3)]
-            if op == "add":
+            op = int(uniform() * 3)  # the index into OPERATORS
+            if op == 0:
                 if not k:
                     continue  # resample the operator
-                pos = below(n + 1)
-                mutant = trace[:pos] + (alphabet[below(k)],) + trace[pos:]
-            elif op == "remove":
+                pos = getrandbits(w_gap)
+                while pos > n:
+                    pos = getrandbits(w_gap)
+                name = getrandbits(w_name)
+                while name >= k:
+                    name = getrandbits(w_name)
+                mutant = added[pos * k + name]
+                if mutant is _UNDRAWN:
+                    mutant = added[pos * k + name] = _unless_base(
+                        trace[:pos] + (alphabet[name],) + trace[pos:], bases)
+            elif op == 1:
                 if not n:
                     continue
-                pos = below(n)
-                mutant = trace[:pos] + trace[pos + 1:]
+                pos = getrandbits(w_pos)
+                while pos >= n:
+                    pos = getrandbits(w_pos)
+                mutant = removed[pos]
+                if mutant is _UNDRAWN:
+                    mutant = removed[pos] = _unless_base(trace[:pos] + trace[pos + 1:], bases)
             else:
                 if n < 2:
                     continue
+                i = getrandbits(w_pos)
+                while i >= n:
+                    i = getrandbits(w_pos)
                 # as sample(range(n), 2): up to 21 items it draws the second
                 # from a pool whose first pick holds the last item; above
-                # that it redraws until the second differs from the first
-                i = below(n)
+                # that it redraws until the second is in range and differs
+                # from the first
                 if n <= 21:
-                    j = below(n - 1)
+                    j = getrandbits(w_other)
+                    while j >= n - 1:
+                        j = getrandbits(w_other)
                     if j == i:
                         j = n - 1
                 else:
-                    j = below(n)
-                    while j == i:
-                        j = below(n)
-                i, j = min(i, j), max(i, j)
-                mutant = trace[:i] + (trace[j],) + trace[i + 1:j] + (trace[i],) + trace[j + 1:]
-            if mutant not in bases:
+                    j = getrandbits(w_pos)
+                    while j >= n or j == i:
+                        j = getrandbits(w_pos)
+                if i > j:
+                    i, j = j, i
+                mutant = swapped.get(i * n + j, _UNDRAWN)
+                if mutant is _UNDRAWN:
+                    mutant = swapped[i * n + j] = _unless_base(
+                        trace[:i] + (trace[j],) + trace[i + 1:j] + (trace[i],) + trace[j + 1:],
+                        bases)
+            if mutant is not None:
                 out.append(mutant)
                 break
         else:
@@ -496,9 +536,11 @@ def report_to_json(report: Report) -> str:
 def run_experiment(model: ProcessModel, a: MarkingAutomaton,
                    cfg: ExperimentConfig) -> Report:
     """Base traces + mutants, each classified by the replayer and by the
-    independent oracle; correctness is the agreement percentage. A trace
-    that repeats an earlier one takes its verdicts, and each classifier
-    shares one graph of interned state sets across the experiment."""
+    independent oracle; correctness is the agreement percentage. Each
+    distinct trace is classified once, in the order of its first
+    occurrence, and counted as often as it occurs; each classifier shares
+    one graph of interned state sets across the experiment. A disagreement
+    is reported at every index of its trace."""
     t0 = time.perf_counter()
     bases = enumerate_conforming(a, len(a.external), strict=cfg.strict,
                                  limit=cfg.base_traces)
@@ -512,24 +554,21 @@ def run_experiment(model: ProcessModel, a: MarkingAutomaton,
     replay_nodes: Nodes = {}
     replay_root = _intern(replay_nodes, eager_closure_nondet(a, a.initial_marking))
     oracle = _TokenGame(model)
-    verdicts: Dict[Names, Tuple[Classification, Classification]] = {}
-    conforming = non_conforming = agree = 0
-    disagreements: List[Disagreement] = []
-    for idx, names in enumerate(traces):
-        pair = verdicts.get(names)
-        if pair is None:
-            pair = verdicts[names] = (_replay(a, names, cfg.strict, replay_nodes, replay_root),
-                                      oracle.verdict(names, cfg.strict))
-        mine, theirs = pair
+    conforming = agree = 0
+    labels: Dict[Names, Tuple[str, str]] = {}  # the verdicts of each disagreeing trace
+    for names, times in Counter(traces).items():
+        mine = _replay(a, names, cfg.strict, replay_nodes, replay_root)
+        theirs = oracle.verdict(names, cfg.strict)
         if mine.ok:
-            conforming += 1
-        else:
-            non_conforming += 1
+            conforming += times
         if mine.ok == theirs.ok:
-            agree += 1
+            agree += times
         else:
-            disagreements.append(Disagreement(idx, mine.label(), theirs.label(), names))
+            labels[names] = (mine.label(), theirs.label())
+    disagreements = [Disagreement(idx, *labels[names], names)
+                     for idx, names in enumerate(traces) if names in labels] if labels else []
     total = len(traces)
+    non_conforming = total - conforming
     pct = 100.0 * agree / total if total else 100.0
     elapsed_ms = int((time.perf_counter() - t0) * 1000)
     return Report(cfg.seed, conforming, non_conforming, pct,

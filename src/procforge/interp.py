@@ -470,18 +470,18 @@ class InstanceState:
     def _run_task_invocations(self, task_id: str, env: Dict[str, object],
                               caller: Optional[str] = None):
         """Execute all contract calls bound to a task, in binding order."""
-        for itf, fn_name, sources, targets in self.model.calls_of(task_id):
+        for itf, fn, sources, targets in self.model.calls_of(task_id):
             args = [self._bind_value(source, env) for source in sources]
-            outputs = _dispatch(self.iface_registries[itf.id], fn_name, args,
+            outputs = _dispatch(self.iface_registries[itf.id], fn.name, args,
                                 caller or self.process_address)
             if len(outputs) < len(targets):
-                raise RegistryError(f"{fn_name} returns {len(outputs)} value(s), "
+                raise RegistryError(f"{fn.name} returns {len(outputs)} value(s), "
                                     f"the interface declares {len(targets)}")
-            for p, target, value in zip(itf.function(fn_name).outputs, targets, outputs):
+            for p, target, value in zip(fn.outputs, targets, outputs):
                 if target is None:
                     continue
                 if not literal_matches(p.type, value):
-                    raise RegistryError(f"{fn_name} returns {value!r} as {p.type} '{p.name}'")
+                    raise RegistryError(f"{fn.name} returns {value!r} as {p.type} '{p.name}'")
                 env[target] = value
 
     def _coerce_args(self, task: Node, args: Mapping[str, object]) -> dict:

@@ -563,10 +563,10 @@ class ProcessModel:
 
     def calls_of(self, task_id: str) -> tuple:
         """Each contract call bound to a task of a validated model, in
-        binding order, as (interface, fn name, input sources in parameter
-        order, output targets in return order with None where a return is
-        unbound). Resolved once per model, for every task, on the first
-        request."""
+        binding order, as (interface, function declaration, input sources
+        in parameter order, output targets in return order with None where
+        a return is unbound). Resolved once per model, for every task, on
+        the first request."""
         return self._calls.get(task_id, ())
 
     def _resolve_call(self, inv: InvocationBinding):
@@ -574,7 +574,7 @@ class ProcessModel:
         fn = itf.function(inv.fn_name)
         sources = {b.param: b.source for b in inv.input_bindings}
         targets = {b.param: b.target for b in inv.output_bindings}
-        return (itf, inv.fn_name, tuple(sources[p.name] for p in fn.inputs),
+        return (itf, fn, tuple(sources[p.name] for p in fn.inputs),
                 tuple(targets.get(p.name) for p in fn.outputs))
 
     @cached_property
@@ -731,6 +731,8 @@ def validate_model(model: ProcessModel) -> ValidationReport:  # noqa: C901
                 err(itf.id, f"duplicate function '{fn.name}'")
             fn_names.add(fn.name)
             identifier(itf.id, "function name", fn.name)
+            if fn.name == itf.name:  # solc takes it for an old-style constructor
+                err(itf.id, f"function '{fn.name}' is named like its interface")
             for direction, params in (("input", fn.inputs), ("output", fn.outputs)):
                 pnames = set()
                 for p in params:

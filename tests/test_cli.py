@@ -54,6 +54,21 @@ def test_validate_broken_model_exits_1(tmp_path, capsys):
     assert "dangling" in out
 
 
+def test_validate_function_named_like_its_interface_exits_1(tmp_path, capsys):
+    bad = tmp_path / "bad.bpmn"
+    old = '<bcext:function name="balanceOf">'
+    text = (FIXTURES / "task_outsourcing.bpmn").read_text()
+    assert old in text
+    bad.write_text(text.replace(old, '<bcext:function name="LorikeetCoin">'
+                                     '<bcext:input name="x" type="uint256"/>'
+                                     '</bcext:function>' + old, 1))
+    code, out, _ = run(capsys, "validate", str(bad))
+    assert code == 1
+    assert "function 'LorikeetCoin' is named like its interface" in out
+    code, _, _ = run(capsys, "compile", str(bad), "-o", str(tmp_path / "out"))
+    assert code == 1 and not (tmp_path / "out").exists()
+
+
 def test_missing_input_exits_66(capsys):
     code, _, err = run(capsys, "validate", "no/such/file.bpmn")
     assert code == 66

@@ -413,6 +413,40 @@ def test_mutants_draw_as_the_reference(weights, alphabet):
             assert rng.getstate() == ref_rng.getstate(), (length, seed)
 
 
+def every_edit(trace, alphabet):
+    """Every mutant one operator makes of trace."""
+    n = len(trace)
+    return ({trace[:p] + (c,) + trace[p:] for p in range(n + 1) for c in alphabet}
+            | {trace[:p] + trace[p + 1:] for p in range(n)}
+            | {trace[:i] + (trace[j],) + trace[i + 1:j] + (trace[i],) + trace[j + 1:]
+               for i in range(n) for j in range(i + 1, n)})
+
+
+@pytest.mark.parametrize("alphabet", [("a",), ("a", "b"), ("a", "b", "c")])
+@pytest.mark.parametrize("length", range(7))
+def test_mutants_draw_as_the_reference_when_every_edit_repeats(length, alphabet):
+    # 200 draws from at most 7 * 3 + 6 + 15 edits: each edit is drawn again
+    # and again, so every table entry is read back, a base one included
+    for seed in range(4):
+        src = random.Random(length * 4 + seed)
+        trace = tuple(src.choice(alphabet) for _ in range(length))
+        edits = sorted(every_edit(trace, alphabet) - {trace})
+        # half the edits give a base, all but one do, or all do
+        for bases in ({trace} | set(src.sample(edits, len(edits) // 2)),
+                      {trace} | set(edits[1:]), {trace} | set(edits)):
+            ref_rng, rng = random.Random(seed), random.Random(seed)
+            expected = draw_or_exhaust(lambda: [
+                reference_mutate(trace, ref_rng, None, alphabet, bases)
+                for _ in range(200)])
+            got = draw_or_exhaust(lambda: harness.mutants(trace, rng, 200, alphabet, bases))
+            assert got == expected, (trace, sorted(bases))
+            assert rng.getstate() == ref_rng.getstate(), (trace, sorted(bases))
+            if bases >= every_edit(trace, alphabet):
+                assert got is MutationExhausted
+            elif got is not MutationExhausted:
+                assert len(got) == 200 and not bases & set(got)
+
+
 def _one_edit(base, mutant, alphabet):
     """Whether mutant is base with one name of alphabet inserted, one
     name removed, or two positions of different names swapped."""

@@ -508,6 +508,12 @@ DEGENERATE = "degenerate gateway with one incoming and one outgoing flow"
                                        '<bcext:function name="transfer"/>'
                                        '<bcext:function name="balanceOf">')],
                  [("error", "itf_lrk", "duplicate function 'transfer'")], id="function-twice"),
+    pytest.param("task_outsourcing", [('<bcext:function name="balanceOf">',
+                                       '<bcext:function name="LorikeetCoin">'
+                                       '<bcext:input name="x" type="uint256"/>'
+                                       '</bcext:function><bcext:function name="balanceOf">')],
+                 [("error", "itf_lrk", "function 'LorikeetCoin' is named like its interface")],
+                 id="function-named-like-interface"),
     pytest.param("task_outsourcing", [(TO_ACCOUNT, TO_ACCOUNT + TO_ACCOUNT)],
                  [("error", "itf_lrk", "duplicate input parameter 'account' on balanceOf")],
                  id="input-parameter-twice"),
@@ -657,6 +663,17 @@ def test_calls_are_resolved_once_per_task(name):
         assert len(calls) == len(bound)
         assert model.calls_of(n.id) is calls
     assert model.invocations_of("ghost") == ()
+
+
+@pytest.mark.parametrize("name", ["grain_title", "ico", "quality_tracing", "task_outsourcing"])
+def test_calls_carry_the_declared_function(name):
+    model = load_model(name)
+    for b in model.invocations:
+        calls = model.calls_of(b.source_task)
+        itf, fn, _, targets = calls[model.invocations_of(b.source_task).index(b)]
+        assert itf is model.interface(b.target_interface)
+        assert fn is itf.function(b.fn_name)
+        assert len(targets) == len(fn.outputs)
 
 
 def test_model_index_duplicate_id_returns_first():
