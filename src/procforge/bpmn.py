@@ -277,31 +277,19 @@ def _local(tag: str) -> str:
     return tag.rpartition("}")[2]
 
 
-def _parse_literal(text: str):
+def _parse_literal(text: str) -> Lit:
     """Attribute literal for variable initials and binding constants."""
-    if text == "true":
-        return True
-    if text == "false":
-        return False
+    if text == "true" or text == "false":
+        return Lit(text == "true", "bool")
     if is_address(text):
-        return text
+        return Lit(text, "address")
     if re.fullmatch(r"-?\d+", text):
         try:
-            return int(text)
+            return Lit(int(text), "int_const")
         except ValueError:  # more digits than int() converts
             raise BpmnParseError(f"integer literal of {len(text)} characters "
                                  "has too many digits") from None
-    return text
-
-
-def _literal_type(value) -> str:
-    if isinstance(value, bool):
-        return "bool"
-    if isinstance(value, int):
-        return "int_const"
-    if isinstance(value, str) and is_address(value):
-        return "address"
-    return "string"
+    return Lit(text, "string")
 
 
 def _require(elem, attr: str, what: str) -> str:
@@ -348,10 +336,9 @@ def _parse_interface(elem) -> SmartContractInterfaceDecl:
 
 def _parse_binding_source(text: str) -> Expr:
     """bindIn source: variable name, 'processAddress', or a literal."""
-    if IDENTIFIER_RE.fullmatch(text) and text not in ("true", "false") and not is_address(text):
+    if IDENTIFIER_RE.fullmatch(text) and text not in ("true", "false"):
         return Var(text)
-    value = _parse_literal(text)
-    return Lit(value, _literal_type(value))
+    return _parse_literal(text)
 
 
 def _parse_invocation(elem) -> InvocationBinding:
@@ -381,7 +368,7 @@ def _parse_variables(elem) -> List[ProcessVariableDecl]:
         out.append(ProcessVariableDecl(
             name=_require(child, "name", "bcext:variable"),
             type=_require(child, "type", "bcext:variable"),
-            initial=None if initial is None else _parse_literal(initial)))
+            initial=None if initial is None else _parse_literal(initial).value))
     return out
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from types import MappingProxyType
-from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple, Union
+from typing import Callable, Dict, Mapping, NamedTuple, Optional, Tuple, Union
 
 UINT256_MAX = 2**256 - 1
 INT256_MIN = -(2**255)
@@ -66,6 +66,15 @@ SOLIDITY_KEYWORDS = frozenset("""
     struct supports switch szabo this throw true try type typedef typeof
     ufixed uint unchecked using var view weeks wei while years
 """.split())
+
+# the names a task function of the emitted ProcessMonitor reads besides its
+# parameters, which a task input of the name would shadow: codegen.gen_process
+# emits "uint preconditionsp = marking;", "marking = runAutoTransitions(...)"
+# and "emit taskExecuted(...)" in each, and codegen._invocation_lines emits
+# "<name> instanceOf<name> = <name>(addressOf<name>);" for an interface
+TASK_FUNCTION_NAMES = frozenset(("marking", "preconditionsp", "runAutoTransitions",
+                                 "taskExecuted"))
+INTERFACE_NAME_PREFIXES = ("", "addressOf", "instanceOf")
 
 # the sized type names: intN, uintN, bytesN, fixedMxN and ufixedMxN
 SIZED_TYPE_RE = re.compile(r"u?int[0-9]+|bytes[0-9]+|u?fixed[0-9]+x[0-9]+")
@@ -407,8 +416,6 @@ class _ModelIndex(NamedTuple):
     node: Dict[str, Node]
     incoming: Dict[str, Tuple[SequenceFlow, ...]]
     outgoing: Dict[str, Tuple[SequenceFlow, ...]]
-    predecessors: Dict[str, List[str]]  # the sources of a node's incoming flows
-    successors: Dict[str, List[str]]  # the targets of its outgoing flows
     interface: Dict[str, SmartContractInterfaceDecl]
     invocations: Dict[str, Tuple[InvocationBinding, ...]]  # by source task
 
@@ -433,14 +440,9 @@ class ProcessModel:
             nodes.setdefault(n.id, n)
         incoming: Dict[str, list] = {}
         outgoing: Dict[str, list] = {}
-        predecessors: Dict[str, list] = {}
-        successors: Dict[str, list] = {}
         for f in self.flows:
-            source, target = f.source, f.target
-            incoming.setdefault(target, []).append(f)
-            outgoing.setdefault(source, []).append(f)
-            predecessors.setdefault(target, []).append(source)
-            successors.setdefault(source, []).append(target)
+            incoming.setdefault(f.target, []).append(f)
+            outgoing.setdefault(f.source, []).append(f)
         interfaces: Dict[str, SmartContractInterfaceDecl] = {}
         for i in self.interfaces:
             interfaces.setdefault(i.id, i)
@@ -450,7 +452,6 @@ class ProcessModel:
         return _ModelIndex(nodes,
                            {k: tuple(v) for k, v in incoming.items()},
                            {k: tuple(v) for k, v in outgoing.items()},
-                           predecessors, successors,
                            interfaces,
                            {k: tuple(v) for k, v in invocations.items()})
 
@@ -513,24 +514,24 @@ class ProcessModel:
         tried before the one behind. A task without exactly one incoming
         and one outgoing flow folds nothing."""
         index = self._index
-        node, preds, succs = index.node, index.predecessors, index.successors
+        node, incoming, outgoing = index.node, index.incoming, index.outgoing
         claimed = set()
         folds: Dict[str, Tuple[Optional[Node], Optional[Node]]] = {}
         for n in self.nodes:
             if n.kind not in TASK_KINDS:
                 continue
-            inc, out = preds.get(n.id, ()), succs.get(n.id, ())
+            inc, out = incoming.get(n.id, ()), outgoing.get(n.id, ())
             if len(inc) != 1 or len(out) != 1:
                 continue
-            front, behind = node.get(inc[0]), node.get(out[0])
+            front, behind = node.get(inc[0].source), node.get(out[0].target)
             if front is None or front.kind not in GATEWAY_KINDS or front.id in claimed \
-                    or front.id not in preds or len(succs[front.id]) != 1 \
-                    or index.outgoing[front.id][0].condition is not None:
+                    or front.id not in incoming or len(outgoing[front.id]) != 1 \
+                    or outgoing[front.id][0].condition is not None:
                 front = None
             else:
                 claimed.add(front.id)
             if behind is None or behind.kind != NodeKind.AND_GATEWAY or behind.id in claimed \
-                    or len(preds.get(behind.id, ())) != 1 or behind.id not in succs:
+                    or len(incoming.get(behind.id, ())) != 1 or behind.id not in outgoing:
                 behind = None
             else:
                 claimed.add(behind.id)
@@ -664,12 +665,15 @@ def function_name(node: Node) -> str:
     return sanitize_identifier(node.display_name if node.kind in TASK_KINDS else node.id)
 
 
-def _reachable(seeds, successors: Mapping[str, List[str]]) -> set:
-    """The seeds and every id reachable from them through successors."""
+def _reachable(seeds, flows: Mapping[str, Tuple[SequenceFlow, ...]], end: str) -> set:
+    """The seeds and every id reachable from them along flows, which maps
+    a node id to its outgoing flows (end "target") or to its incoming
+    flows (end "source")."""
     seen = set(seeds)
     frontier = list(seen)
     while frontier:
-        for nxt in successors.get(frontier.pop(), ()):
+        for f in flows.get(frontier.pop(), ()):
+            nxt = getattr(f, end)
             if nxt not in seen:
                 seen.add(nxt)
                 frontier.append(nxt)
@@ -715,6 +719,7 @@ def validate_model(model: ProcessModel) -> ValidationReport:  # noqa: C901
 
     iface_ids = set()
     iface_names = {"ProcessFactory", "ProcessMonitor"}  # the emitted contracts
+    reserved_inputs = set(TASK_FUNCTION_NAMES)
     for itf in model.interfaces:
         if itf.id in iface_ids or itf.id in node_ids or itf.id in flow_ids:
             err(itf.id, "duplicate interface id")
@@ -723,8 +728,13 @@ def validate_model(model: ProcessModel) -> ValidationReport:  # noqa: C901
         if itf.name in iface_names:
             err(itf.id, f"contract name '{itf.name}' is already taken")
         iface_names.add(itf.name)
+        reserved_inputs.update(prefix + itf.name for prefix in INTERFACE_NAME_PREFIXES)
         if itf.contract_address is not None and not is_address(itf.contract_address):
             err(itf.id, f"malformed contract address '{itf.contract_address}'")
+        elif itf.contract_address is None and "addressOf" + itf.name in seen_vars:
+            # the constructor's parameter _addressOf<name> shadows its slot
+            err("addressOf" + itf.name, f"variable 'addressOf{itf.name}' collides with "
+                                        f"the constructor parameter of interface '{itf.id}'")
         fn_names = set()
         for fn in itf.functions:
             if fn.name in fn_names:
@@ -742,6 +752,9 @@ def validate_model(model: ProcessModel) -> ValidationReport:  # noqa: C901
                     if not is_identifier(p.name):
                         err(itf.id, f"{direction} parameter '{p.name}' on {fn.name} "
                                     "is not an identifier")
+                    if p.type not in VALUE_TYPES:
+                        err(itf.id, f"unknown {direction} parameter type '{p.type}' "
+                                    f"on {fn.name}")
 
     if len(model.flows) > 256:
         err(model.id, f"marking exceeds 256 bits ({len(model.flows)} sequence flows)")
@@ -834,6 +847,9 @@ def validate_model(model: ProcessModel) -> ValidationReport:  # noqa: C901
                     err(n.id, f"duplicate task input '{ti.name}'")
                 seen.add(ti.name)
                 identifier(n.id, "task input", ti.name)
+                if ti.name in reserved_inputs:
+                    err(n.id, f"task input '{ti.name}' is a name the emitted task "
+                              "function already uses")
                 if ti.type not in VALUE_TYPES:
                     err(n.id, f"unknown task input type '{ti.type}'")
                 if ti.name in declared:
@@ -947,12 +963,12 @@ def validate_model(model: ProcessModel) -> ValidationReport:  # noqa: C901
 
     # reachability (over structurally sane graphs only)
     if not any(d.severity == "error" for d in diags):
-        reach = _reachable([starts[0].id], index.successors)
+        reach = _reachable([starts[0].id], outgoing, "target")
         for n in model.nodes:
             if n.id not in reach:
                 err(n.id, "node not reachable from the start event")
         # backward reachability to some end event
-        co_reach = _reachable([e.id for e in ends], index.predecessors)
+        co_reach = _reachable([e.id for e in ends], incoming, "source")
         for n in model.nodes:
             if n.id in reach and n.id not in co_reach:
                 err(n.id, "node cannot reach any end event")

@@ -7,7 +7,6 @@ addresses are 0x + 40 hex digits.
 
 from __future__ import annotations
 
-import re
 from typing import NamedTuple, Tuple
 
 from .ir import (ADDRESS_RE, UINT256_MAX, VALUE_TYPES, addr_key, is_address, is_identifier,
@@ -139,26 +138,19 @@ def _distribution_entry(entry, path: str, seen: set) -> Tuple[str, int]:
     return addr, _amount(_field(entry, "amount"), path + ".amount")
 
 
-# the addresses of a distribution joined by "\n", each one an address
-_ADDRESS_LINES_RE = re.compile(rf"{ADDRESS_RE.pattern}(?:\n{ADDRESS_RE.pattern})*")
-
-
 def _distribution_in_bulk(raw: list, total_supply: int):
     """The initial distribution if every entry passes the checks of
     _distribution_entry and the amounts sum to total_supply, else None.
-    Checks all entries at once: the addresses by one pattern over their
-    joined text, which splits back into as many lines as there are entries
-    only if no address holds a newline."""
+    Checks all entries at once, each kind of field by one pass over the
+    list."""
     if set(map(type, raw)) != {dict}:  # an empty list too: _distribution checks its sum
         return None
     addrs = [e.get("address") for e in raw]
     amounts = [e.get("amount") for e in raw]
     if set(map(type, addrs)) != {str} or set(map(type, amounts)) != {str}:
         return None
-    text = "\n".join(addrs)
-    if text.count("\n") != len(raw) - 1 or not _ADDRESS_LINES_RE.fullmatch(text):
+    if not all(map(ADDRESS_RE.fullmatch, addrs)):
         return None
-    del text
     if len(set(map(str.lower, addrs))) != len(raw):  # addr_key written out
         return None
     try:

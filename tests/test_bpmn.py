@@ -386,6 +386,53 @@ def test_variable_initial_literals():
     assert m.variables[2].initial == "hello"
 
 
+ADDR = "0x" + "aB" * 20
+
+# What a bindIn source and a variable initial read as: a name is a Var (an
+# initial keeps it as its text), anything else the one literal it spells.
+LITERAL_TEXTS = [
+    ("x", Var("x")),
+    ("processAddress", Var("processAddress")),
+    ("true", Lit(True, "bool")),
+    ("false", Lit(False, "bool")),
+    (ADDR, Lit(ADDR, "address")),
+    ("5", Lit(5, "int_const")),
+    ("-5", Lit(-5, "int_const")),
+    ("5abc", Lit("5abc", "string")),
+    ("0xff", Lit("0xff", "string")),
+    (ADDR + "0", Lit(ADDR + "0", "string")),
+    ("", Lit("", "string")),
+]
+
+
+def one_binding_and_initial(text):
+    body = ('<bcext:variables><bcext:variable name="v" type="string" initial="%s"/>'
+            '</bcext:variables>'
+            '<bcext:invocation sourceTask="t" targetInterface="i" fnName="f">'
+            '<bcext:bindIn param="p" source="%s"/></bcext:invocation>' % (text, text))
+    return parse_bpmn(DOC.format(body=body + MINIMAL))
+
+
+@pytest.mark.parametrize("text, expr", LITERAL_TEXTS,
+                         ids=[text[:16] or "empty" for text, _ in LITERAL_TEXTS])
+def test_binding_source_and_initial_read_as_one_expression(text, expr):
+    m = one_binding_and_initial(text)
+    assert m.invocations[0].input_bindings[0].source == expr
+    initial = m.variables[0].initial
+    expected = expr.value if isinstance(expr, Lit) else text
+    assert type(initial) is type(expected) and initial == expected
+
+
+@pytest.mark.parametrize("text", ["9" * 5000, "-" + "9" * 5000])
+def test_too_long_integer_literal_is_a_parse_error(text):
+    with pytest.raises(bpmn.BpmnParseError, match="too many digits"):
+        one_binding_and_initial(text)
+    body = ('<bcext:invocation sourceTask="t" targetInterface="i" fnName="f">'
+            '<bcext:bindIn param="p" source="%s"/></bcext:invocation>' % text)
+    with pytest.raises(bpmn.BpmnParseError, match="too many digits"):
+        parse_bpmn(DOC.format(body=body + MINIMAL))
+
+
 def test_missing_required_attribute():
     with pytest.raises(bpmn.BpmnParseError) as exc:
         parse_bpmn(DOC.format(body=MINIMAL + '<sequenceFlow id="fx" sourceRef="t"/>'))

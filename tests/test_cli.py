@@ -718,6 +718,14 @@ MODEL_DEFECTS = {  # name: (old, new, ref of the diagnostic)
     "function-name-collision": ('name="Allocate tokens"', 'name="G cap"', "g_cap"),
     "duplicate-interface-name": ("</bcext:smartContractInterface>",
                                  "</bcext:smartContractInterface>" + ITF_LRK2, "itf_lrk2"),
+    # a type is emitted as it is written, so this one adds a function pwn
+    "parameter-type": ('<bcext:output name="success" type="bool"/>',
+                       '<bcext:output name="success" type="bool); function pwn() external; '
+                       'function x(uint256"/>', "itf_lrk"),
+    # the emitted task function would read and assign its parameter marking
+    "reserved-task-input": ('<bcext:input name="investor" type="address"/>',
+                            '<bcext:input name="investor" type="address"/>'
+                            '<bcext:input name="marking" type="uint256"/>', "t_invest"),
 }
 DEFECT_MODELS = {name: ICO_TEXT.replace(old, new) for name, (old, new, _) in MODEL_DEFECTS.items()}
 
@@ -736,6 +744,16 @@ def test_model_defects_are_validate_diagnostics(tmp_path, capsys, defect):
                             ["simulate", "--trace", str(trace)], ["conformance"]):
         code, out, err = run(capsys, command, str(model), "--registry", LRK, *extra)
         assert code == 1 and f"error: [{ref}] " in out + err, command
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("defect", ["parameter-type", "reserved-task-input"])
+def test_validate_and_compile_report_one_error(tmp_path, capsys, defect):
+    model = tmp_path / "m.bpmn"
+    model.write_text(DEFECT_MODELS[defect])
+    for command, *extra in (["validate"], ["compile", "-o", str(tmp_path / "out")]):
+        code, out, err = run(capsys, command, str(model), *extra)
+        assert code == 1 and (out + err).count("error: ") == 1, command
     assert not (tmp_path / "out").exists()
 
 

@@ -19,6 +19,7 @@ from procforge.ir import (
     ExprTypeError,
     INT256_MAX,
     INT256_MIN,
+    INTERFACE_NAME_PREFIXES,
     Lit,
     Node,
     NodeKind,
@@ -26,6 +27,7 @@ from procforge.ir import (
     ProcessModel,
     ProcessVariableDecl,
     SequenceFlow,
+    TASK_FUNCTION_NAMES,
     TaskInput,
     UINT256_MAX,
     UnaryOp,
@@ -514,6 +516,21 @@ DEGENERATE = "degenerate gateway with one incoming and one outgoing flow"
                                        '</bcext:function><bcext:function name="balanceOf">')],
                  [("error", "itf_lrk", "function 'LorikeetCoin' is named like its interface")],
                  id="function-named-like-interface"),
+    pytest.param("ico", [('type="bool"/>', 'type="bool); function pwn() external; '
+                                           'function x(uint256"/>')],
+                 [("error", "itf_lrk", "unknown output parameter type 'bool); function pwn() "
+                                       "external; function x(uint256' on transfer")],
+                 id="parameter-type-injected"),
+    pytest.param("task_outsourcing",
+                 [(TO_ACCOUNT, '<bcext:input name="account" type="mapping"/>'),
+                  (TO_BALANCE, '<bcext:output name="balance" type="uint"/>')],
+                 [("error", "itf_lrk", "unknown input parameter type 'mapping' on balanceOf"),
+                  ("error", "itf_lrk", "unknown output parameter type 'uint' on balanceOf"),
+                  ("error", "s_check", "return 'balance' of balanceOf is uint, "
+                                       "bound to uint256 variable 'escrowBalance'"),
+                  ("error", "s_check", "'account' of balanceOf expects mapping, "
+                                       "bound to address 'processAddress'")],
+                 id="parameter-types"),
     pytest.param("task_outsourcing", [(TO_ACCOUNT, TO_ACCOUNT + TO_ACCOUNT)],
                  [("error", "itf_lrk", "duplicate input parameter 'account' on balanceOf")],
                  id="input-parameter-twice"),
@@ -614,6 +631,35 @@ def test_validate_model_diagnostic(fixture, edits, expected):
         text = text.replace(old, new, 1)
     assert validate_model(parse_bpmn(text)).diagnostics == tuple(
         Diagnostic(*d) for d in expected)
+
+
+ICO_INVESTOR = '<bcext:input name="investor" type="address"/>'
+
+
+@pytest.mark.parametrize("name", sorted(TASK_FUNCTION_NAMES) + [
+    prefix + "LorikeetCoin" for prefix in INTERFACE_NAME_PREFIXES])
+def test_a_task_input_may_not_shadow_a_name_of_the_task_function(name):
+    text = (FIXTURES / "ico.bpmn").read_text().replace(
+        ICO_INVESTOR, ICO_INVESTOR + f'<bcext:input name="{name}" type="uint256"/>', 1)
+    assert validate_model(parse_bpmn(text)).diagnostics == (Diagnostic(
+        "error", "t_invest", f"task input '{name}' is a name the emitted task function "
+                             "already uses"),)
+
+
+ADDRESS_VARIABLE = '<bcext:variable name="addressOfLorikeetCoin" type="address"/>'
+
+
+def test_a_variable_may_not_be_named_like_an_unbound_interfaces_address():
+    # ico's LorikeetCoin has no contractAddress, so the constructor takes one
+    text = (FIXTURES / "ico.bpmn").read_text().replace(
+        "<bcext:variables>", "<bcext:variables>" + ADDRESS_VARIABLE, 1)
+    assert validate_model(parse_bpmn(text)).diagnostics == (Diagnostic(
+        "error", "addressOfLorikeetCoin", "variable 'addressOfLorikeetCoin' collides with "
+                                          "the constructor parameter of interface 'itf_lrk'"),)
+    # task_outsourcing's is bound, and its constructor takes none
+    text = (FIXTURES / "task_outsourcing.bpmn").read_text().replace(
+        "<bcext:variables>", "<bcext:variables>" + ADDRESS_VARIABLE, 1)
+    assert validate_model(parse_bpmn(text)).diagnostics == ()
 
 
 def test_binding_source_must_be_a_variable_or_a_literal():
