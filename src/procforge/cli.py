@@ -138,31 +138,26 @@ def _build_instance(model: ProcessModel, automaton: MarkingAutomaton,
                     specs) -> interp.InstanceState:
     """Wire simulated registries to the model's interfaces.
 
+    Each interface takes the first unused registry of its kind: an
+    interface declaring a record_ function is a record registry's.
     Interfaces with a hard-coded contractAddress keep it; the rest are bound
     to deterministic pseudo-addresses (one per spec, in order)."""
+    unused = [(i, interp.FungibleLedger(spec) if isinstance(spec, FungibleRegistrySpec)
+               else interp.NonFungibleStore(spec))
+              for i, (_, spec) in enumerate(specs)]
     registries: Dict[str, interp.Registry] = {}
-    by_index = [(spec, interp.FungibleLedger(spec) if isinstance(spec, FungibleRegistrySpec)
-                 else interp.NonFungibleStore(spec))
-                for _, spec in specs]
-
-    # an interface declaring a record_ function is a record registry's
     bindings: Dict[str, str] = {}
-    taken = set()
     for itf in model.interfaces:
-        record_like = any(f.name.startswith("record_") for f in itf.functions)
-        for i, (spec, reg) in enumerate(by_index):
-            if i in taken:
-                continue
-            if record_like == isinstance(spec, FungibleRegistrySpec):
-                continue
-            address = itf.contract_address or interp.pseudo_address(f"registry:{i}")
-            registries[address] = reg
-            if itf.contract_address is None:
-                bindings[itf.id] = address
-            taken.add(i)
-            break
-        else:
+        kind = "record" if any(f.name.startswith("record_") for f in itf.functions) else "token"
+        pick = next((entry for entry in unused if entry[1].kind == kind), None)
+        if pick is None:
             raise CliError(f"no registry spec matches interface '{itf.name}'", EX_FAIL)
+        unused.remove(pick)
+        i, reg = pick
+        address = itf.contract_address or interp.pseudo_address(f"registry:{i}")
+        registries[address] = reg
+        if itf.contract_address is None:
+            bindings[itf.id] = address
     return interp.new_instance(model, automaton, bindings, registries)
 
 
@@ -188,8 +183,11 @@ def cmd_simulate(args) -> int:
         verdict = harness.replay_data(instance, trace, strict=not args.prefix)
         events_out = [(e.task, e.outcome) for e in instance.event_log]
     else:
-        verdict = harness.classify(automaton, tuple(ev.task for ev in trace),
-                                   strict=not args.prefix)
+        try:
+            verdict = harness.classify(automaton, tuple(ev.task for ev in trace),
+                                       strict=not args.prefix)
+        except MarkingError as e:
+            raise CliError(f"{args.model}: initial closure failed: {e}", EX_FAIL) from e
         events_out = [(ev.task, None) for ev in trace]
 
     if args.json:
@@ -227,9 +225,7 @@ def _json_indented(obj, pad: str = "") -> str:
     """json.dumps(obj, indent=2, default=str), byte for byte. With an indent
     json runs its pure-Python encoder; here a dict of plain str keys that
     json writes as they are to exact ints (a ledger's balances) is joined
-    directly, and each other container whose values are all scalars goes to
-    the C encoder, whose item separator carries the newline and the
-    indentation."""
+    directly."""
     if isinstance(obj, dict):
         values, empty = obj.values(), "{}"
     elif isinstance(obj, (list, tuple)):
@@ -239,11 +235,8 @@ def _json_indented(obj, pad: str = "") -> str:
     if not obj:
         return empty
     inner = pad + "  "
-    types = set(map(type, values))
-    if types == {int} and isinstance(obj, dict) and _verbatim_keys(obj):
+    if set(map(type, values)) == {int} and isinstance(obj, dict) and _verbatim_keys(obj):
         body = (",\n" + inner).join(f'"{k}": {v}' for k, v in obj.items())
-    elif not any(issubclass(t, (dict, list, tuple)) for t in types):
-        body = json.dumps(obj, default=str, separators=(",\n" + inner, ": "))[1:-1]
     elif isinstance(obj, dict):
         body = (",\n" + inner).join(f"{_json_key(k)}: {_json_indented(v, inner)}"
                                      for k, v in obj.items())
@@ -313,6 +306,8 @@ def cmd_conformance(args) -> int:
         result = harness.run_experiment(model, automaton, cfg)
     except harness.HarnessError as e:
         raise CliError(str(e), EX_FAIL) from e
+    except MarkingError as e:
+        raise CliError(f"{args.model}: initial closure failed: {e}", EX_FAIL) from e
 
     report_json = harness.report_to_json(result)
     if args.report:

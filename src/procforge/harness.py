@@ -31,7 +31,7 @@ from typing import (Collection, Dict, FrozenSet, List, NamedTuple, Optional, Seq
                     Tuple, Union)
 
 from .ir import NodeKind, ProcessModel, TASK_KINDS, is_address, load_json
-from .marking import MarkingAutomaton, eager_closure_nondet, fire_external
+from .marking import MarkingAutomaton, NonTerminatingClosure, eager_closure_nondet, fire_external
 
 DEFAULT_STATE_BUDGET = 10**6
 
@@ -98,13 +98,18 @@ def parse_trace(text: str) -> Trace:
 
 def step(a: MarkingAutomaton, states: FrozenSet[int], task_id: str) -> FrozenSet[int]:
     """Fire external task task_id with fire_external from every marking in
-    states, and close each result over all branch choices. Empty when the
-    task is enabled in none."""
+    states, and close each result over all branch choices. A firing whose
+    closure never settles is dropped: no sweep of the emitted
+    runAutoTransitions ends where it began, so the transaction reverts, as
+    the interpreter rejects it. Empty when no firing is left."""
     out: Set[int] = set()
     for m in states:
         fired = fire_external(a, m, task_id)
         if fired is not None:
-            out |= eager_closure_nondet(a, fired[0])
+            try:
+                out |= eager_closure_nondet(a, fired[0])
+            except NonTerminatingClosure:
+                pass
     return frozenset(out)
 
 

@@ -285,9 +285,6 @@ class NonFungibleStore(_Journaled):
             self.functions["record_update_" + a.name] = (("address", a.type),
                                                          _update_call(a.name))
 
-    def bind_process(self, address: str):
-        self.process_address = address
-
     def _is_process(self, caller: str) -> bool:
         return (self.process_address is not None
                 and addr_key(caller) == addr_key(self.process_address))
@@ -419,14 +416,35 @@ class InstanceState:
     time, mirroring transaction serialization)."""
 
     def __init__(self, model: ProcessModel, automaton: MarkingAutomaton,
-                 registries: Dict[str, Registry],  # by address key
-                 iface_registries: Dict[str, Registry],  # by interface id
-                 process_address: str):
+                 address_bindings: Optional[Mapping[str, str]] = None,
+                 registries: Optional[Mapping[str, Registry]] = None):
+        """Deploy a process instance.
+
+        address_bindings must cover every interface without a hard-coded
+        contractAddress (they mirror the generated constructor parameters);
+        registries maps addresses to simulated ledgers/stores. Every store
+        is bound to the instance's process address.
+        """
         self.model = model
         self.automaton = automaton
-        self.registries = registries
-        self.iface_registries = iface_registries
-        self.process_address = process_address
+        self.registries: Dict[str, Registry] = {
+            addr_key(a): r for a, r in (registries or {}).items()}
+        self.iface_registries: Dict[str, Registry] = {}  # by interface id
+        for itf in model.interfaces:
+            address = (itf.contract_address if itf.contract_address is not None
+                       else (address_bindings or {}).get(itf.id))
+            if address is None:
+                raise MissingAddressBinding(
+                    f"interface '{itf.id}' has no contractAddress and no binding")
+            if addr_key(address) not in self.registries:
+                raise UnknownRegistryAddress(
+                    f"no simulated registry at {address} for interface '{itf.id}'")
+            self.iface_registries[itf.id] = self.registries[addr_key(address)]
+        self.process_address = pseudo_address(f"process:{model.id}:0")
+        for reg in self.registries.values():
+            if isinstance(reg, NonFungibleStore):
+                reg.process_address = self.process_address
+
         self.env: Dict[str, object] = {
             v.name: (v.initial if v.initial is not None else ZERO_VALUES[v.type])
             for v in model.variables}
@@ -438,14 +456,6 @@ class InstanceState:
                                     on_fire=self._run_task_invocations)
         self.marking, self.env = result.marking, result.env
         self._commit()
-
-    @property
-    def status(self) -> str:
-        if self.marking == 0:
-            return "Completed"
-        if any(not e.outcome.ok for e in self.event_log):
-            return "Running-with-rejections"
-        return "Running"
 
     def _commit(self):
         for reg in self.registries.values():
@@ -537,33 +547,5 @@ class InstanceState:
         return outcome
 
 
-def new_instance(model: ProcessModel, automaton: MarkingAutomaton,
-                 address_bindings: Optional[Mapping[str, str]] = None,
-                 registries: Optional[Mapping[str, Registry]] = None) -> InstanceState:
-    """Create a process instance.
-
-    address_bindings must cover every interface without a hard-coded
-    contractAddress (they mirror the generated constructor parameters);
-    registries maps addresses to simulated ledgers/stores.
-    """
-    address_bindings = dict(address_bindings or {})
-    registries = {addr_key(a): r for a, r in (registries or {}).items()}
-
-    iface_registries: Dict[str, Registry] = {}
-    for itf in model.interfaces:
-        address = (itf.contract_address if itf.contract_address is not None
-                   else address_bindings.get(itf.id))
-        if address is None:
-            raise MissingAddressBinding(
-                f"interface '{itf.id}' has no contractAddress and no binding")
-        if addr_key(address) not in registries:
-            raise UnknownRegistryAddress(
-                f"no simulated registry at {address} for interface '{itf.id}'")
-        iface_registries[itf.id] = registries[addr_key(address)]
-
-    process_address = pseudo_address(f"process:{model.id}:0")
-    for reg in registries.values():
-        if isinstance(reg, NonFungibleStore):
-            reg.bind_process(process_address)
-    return InstanceState(model, automaton, registries, iface_registries,
-                         process_address)
+# the name cli calls, on which a tracer can wrap instance construction
+new_instance = InstanceState

@@ -838,6 +838,10 @@ def validate_model(model: ProcessModel) -> ValidationReport:  # noqa: C901
     # task inputs; one name has one type across all tasks, as it is one
     # storage variable of the emitted contract
     declared = {v.name: v.type for v in model.variables}
+    # the storage slot of a variable or task input <n> is _<n>, which a
+    # task function's parameter _<n> would hide
+    slots = {"_" + name for name in declared}
+    slots.update("_" + ti.name for n in model.nodes for ti in n.task_inputs)
     first_input: Dict[str, Tuple[str, str]] = {}  # name -> (type, task id)
     for n in model.nodes:
         if n.task_inputs:
@@ -850,6 +854,9 @@ def validate_model(model: ProcessModel) -> ValidationReport:  # noqa: C901
                 if ti.name in reserved_inputs:
                     err(n.id, f"task input '{ti.name}' is a name the emitted task "
                               "function already uses")
+                if ti.name in slots:
+                    err(n.id, f"task input '{ti.name}' hides the storage slot "
+                              f"of '{ti.name[1:]}'")
                 if ti.type not in VALUE_TYPES:
                     err(n.id, f"unknown task input type '{ti.type}'")
                 if ti.name in declared:

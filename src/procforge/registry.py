@@ -7,13 +7,34 @@ addresses are 0x + 40 hex digits.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Tuple
+from typing import Dict, NamedTuple, Tuple
 
 from .ir import (ADDRESS_RE, UINT256_MAX, VALUE_TYPES, addr_key, is_address, is_identifier,
                  load_json)
 
 SYMBOL_MAX_LEN = 11
 DECIMALS_MAX = 18
+
+
+# The names the emitted non-fungible registry declares besides the
+# attributes, which an attribute of the name would repeat or hide, refused
+# in both layouts (line numbers of codegen.py):
+# - owner, exists: members of the single layout's Record struct (229-231);
+# - registry, owner, onlyRegistry, setOwner, _owner: the distributed record
+#   contract's state variables, modifier, function and constructor
+#   parameter, and value, the parameter of its setters, which a setter
+#   set_value would assign in place of the attribute (188-220);
+# - record_id: the parameter of record_create and record_get_attrs, whose
+#   bodies read records, recordExists, recordContracts, Record, ownedCount,
+#   recordCount and Transfer under the attributes as parameters or named
+#   returns (306-327).
+# The constructor parameter _<name> and setter set_<name> of an attribute
+# <name>, and the event <Name>Changed of a historyTracked one (173-174),
+# must not repeat one another's or an attribute's name either.
+RESERVED_ATTRIBUTE_NAMES = frozenset((
+    "owner", "exists", "registry", "onlyRegistry", "setOwner", "_owner", "value",
+    "record_id", "records", "recordExists", "recordContracts", "Record", "ownedCount",
+    "recordCount", "Transfer"))
 
 
 class RegistrySpecError(Exception):
@@ -239,6 +260,9 @@ def _nonfungible(obj: dict) -> NonFungibleRegistrySpec:
             raise InvariantViolation(path + ".name", "must be an identifier")
         if aname in seen:
             raise InvariantViolation(path, f"duplicate attribute '{aname}'")
+        if aname in RESERVED_ATTRIBUTE_NAMES:
+            raise InvariantViolation(path + ".name",
+                                     f"'{aname}' is a name the emitted registry declares")
         seen.add(aname)
         atype = _field(entry, "type")
         if atype not in VALUE_TYPES:
@@ -247,6 +271,22 @@ def _nonfungible(obj: dict) -> NonFungibleRegistrySpec:
             name=aname, type=atype,
             updatable=_bool(entry, "updatable", path + "."),
             history_tracked=_bool(entry, "historyTracked", path + ".")))
+    # an attribute <name> also brings the record contract's constructor
+    # parameter _<name>, updatable, its setter set_<name> and,
+    # historyTracked, the event <Name>Changed
+    brought: Dict[str, int] = {}
+    for i, a in enumerate(attrs):
+        setter = ["set_" + a.name] if a.updatable else []
+        event = [a.name[0].upper() + a.name[1:] + "Changed"] if a.history_tracked else []
+        for other in ["_" + a.name, *setter, *event]:
+            if other in brought:
+                raise InvariantViolation(f"attributes[{i}].name",
+                                         f"brings {other}, as attributes[{brought[other]}] does")
+            brought[other] = i
+    for i, a in enumerate(attrs):
+        if a.name in brought:
+            raise InvariantViolation(f"attributes[{i}].name",
+                                     f"'{a.name}' is brought by attributes[{brought[a.name]}]")
 
     spec = NonFungibleRegistrySpec(
         name=name,

@@ -200,6 +200,24 @@ def toggle_loop_bpmn(after_task: bool) -> str:
     <sequenceFlow id="f9" sourceRef="t_done" targetRef="end"/>""")
 
 
+def spinning_loop_bpmn(after_task: bool) -> str:
+    """A valid model whose automatic loop never settles, whatever the
+    branch choices: from the XOR join g_join an AND split sends one token
+    to the end event and one through the degenerate AND gateway g_back
+    back to the join. g_back comes first in document order, so successive
+    sweeps end on f4 and f5 in turn and none ends where it began: the
+    emitted runAutoTransitions never returns. With after_task the loop
+    follows the task "Go" (see _loop_bpmn)."""
+    return _loop_bpmn(after_task, "", """
+    <parallelGateway id="g_back"/>
+    <parallelGateway id="g_split"/>
+    <endEvent id="end"/>
+    <sequenceFlow id="f2" sourceRef="g_join" targetRef="g_split"/>
+    <sequenceFlow id="f3" sourceRef="g_split" targetRef="end"/>
+    <sequenceFlow id="f4" sourceRef="g_split" targetRef="g_back"/>
+    <sequenceFlow id="f5" sourceRef="g_back" targetRef="g_join"/>""")
+
+
 def record_calls_bpmn() -> str:
     """A valid model whose user task "Register" creates a record in the
     registry at 0x7777... with its bindIns listed out of parameter order,

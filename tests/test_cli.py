@@ -409,6 +409,53 @@ def test_simulate_nonterminating_initial_closure_exits_1(tmp_path, capsys):
     assert "closure exceeded 36 firings" in err
 
 
+@pytest.mark.parametrize("prefix", [[], ["--prefix"]])
+@pytest.mark.parametrize("args", [None, {}])
+def test_simulate_rejects_a_task_whose_closure_never_settles(tmp_path, capsys, args, prefix):
+    # data mode rejects the event when its closure exceeds the cap; the
+    # data-free replayer drops the firing, as no sweep ends where it began
+    from modelgen import spinning_loop_bpmn
+    model = _loop_model(tmp_path, spinning_loop_bpmn(after_task=True))
+    trace = tmp_path / "go.jsonl"
+    event = {"task": "Go", "caller": "0x" + "6" * 40}
+    trace.write_text(json.dumps(event if args is None else dict(event, args=args)) + "\n")
+    code, out, err = run(capsys, "simulate", model, "--registry", LRK, "--trace", str(trace),
+                         *prefix)
+    assert code == 2 and err == ""
+    assert ("Go: ?" if args is None else "Go: Rejected (NonTerminatingClosure)") in out
+    assert "classification: NonConforming(0)" in out
+
+
+@pytest.mark.parametrize("prefix", [[], ["--prefix"]])
+@pytest.mark.parametrize("args", [None, {}])
+def test_simulate_initial_closure_that_never_settles_exits_1(tmp_path, capsys, args, prefix):
+    from modelgen import spinning_loop_bpmn
+    model = _loop_model(tmp_path, spinning_loop_bpmn(after_task=False))
+    trace = tmp_path / "go.jsonl"
+    trace.write_text(json.dumps({"task": "Go"} if args is None else
+                                {"task": "Go", "args": args}) + "\n")
+    code, out, err = run(capsys, "simulate", model, "--trace", str(trace), *prefix)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "initial closure failed" in err
+
+
+@pytest.mark.parametrize("prefix", [[], ["--prefix"]])
+def test_conformance_on_closures_that_never_settle(tmp_path, capsys, prefix):
+    from modelgen import spinning_loop_bpmn
+    model = _loop_model(tmp_path, spinning_loop_bpmn(after_task=True))
+    code, out, err = run(capsys, "conformance", model, "--json", *prefix)
+    assert code == 0 and err == ""
+    # the replayer rejects "Go" wherever it comes first, as the chain reverts it
+    report = json.loads(out)
+    assert {d["replayer"] for d in report["disagreements"]} <= {"NonConforming(0)"}
+    model = _loop_model(tmp_path, spinning_loop_bpmn(after_task=False))
+    code, out, err = run(capsys, "conformance", model, *prefix)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "initial closure failed" in err
+
+
 def test_simulate_parked_initial_closure_leaves_done_not_enabled(tmp_path, capsys):
     from modelgen import counting_loop_bpmn
     model = _loop_model(tmp_path, counting_loop_bpmn(after_task=False))
@@ -529,6 +576,27 @@ def test_record_interface_declaring_balance_of_matches_record_spec(tmp_path, cap
                        "--registry", TITLE, "--trace", SWAP)
     assert code == 0
     assert "classification: Conforming" in out
+
+
+def test_unbound_interfaces_take_the_first_unused_spec_of_their_kind(tmp_path, capsys):
+    from procforge.interp import pseudo_address
+    unbound = str(FIXTURES / "grain_title_unbound.bpmn")
+    argv = ["simulate", unbound, "--registry", TITLE, "--registry", LRK,
+            "--trace", SWAP, "--json"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    registries = json.loads(out)["registries"]
+    # the i-th spec sits at registry:<i>, whatever the interface order
+    assert list(registries) == [pseudo_address("registry:1"), pseudo_address("registry:0")]
+    assert registries[pseudo_address("registry:1")]["totalSupply"] == 1000000
+    assert list(registries[pseudo_address("registry:0")]) == ["0x" + "3" * 40]
+    # a spec that no interface takes is built but not deployed
+    code, out_extra, _ = run(capsys, *argv, "--registry", str(FIXTURES / "certificate.json"))
+    assert code == 0 and out_extra == out
+    assert pseudo_address("registry:2") not in out_extra
+    code, out, err = run(capsys, "simulate", unbound, "--registry", LRK, "--trace", SWAP)
+    assert code == 1 and out == ""
+    assert err == "error: no registry spec matches interface 'GrainTitleRegistry'\n"
 
 
 # task t2 is named "Foo" and the later task t1 is named "t2"
@@ -726,6 +794,11 @@ MODEL_DEFECTS = {  # name: (old, new, ref of the diagnostic)
     "reserved-task-input": ('<bcext:input name="investor" type="address"/>',
                             '<bcext:input name="investor" type="address"/>'
                             '<bcext:input name="marking" type="uint256"/>', "t_invest"),
+    # the emitted parameter _tokens would hide the slot that s_alloc writes
+    "task-input-hides-a-slot": ('<userTask id="t_claim" name="Tokens claimed"/>',
+                                '<userTask id="t_claim" name="Tokens claimed"><extensionElements>'
+                                '<bcext:input name="_tokens" type="uint256"/>'
+                                '</extensionElements></userTask>', "t_claim"),
 }
 DEFECT_MODELS = {name: ICO_TEXT.replace(old, new) for name, (old, new, _) in MODEL_DEFECTS.items()}
 
@@ -747,7 +820,8 @@ def test_model_defects_are_validate_diagnostics(tmp_path, capsys, defect):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("defect", ["parameter-type", "reserved-task-input"])
+@pytest.mark.parametrize("defect", ["parameter-type", "reserved-task-input",
+                                    "task-input-hides-a-slot"])
 def test_validate_and_compile_report_one_error(tmp_path, capsys, defect):
     model = tmp_path / "m.bpmn"
     model.write_text(DEFECT_MODELS[defect])

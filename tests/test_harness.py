@@ -34,12 +34,13 @@ from procforge.harness import (
 )
 from procforge.interp import FungibleLedger, new_instance
 from procforge.ir import Node, NodeKind, ProcessModel, SequenceFlow, validate_model
-from procforge.marking import (compile_marking, eager_closure_data, eager_closure_nondet,
-                               fire_external)
+from procforge.marking import (NonTerminatingClosure, compile_marking, eager_closure_data,
+                               eager_closure_nondet, fire_external)
 from procforge.registry import parse_registry
 
 from conftest import FIXTURES, load_model
-from modelgen import counting_loop_bpmn, parallel_chain, random_model, toggle_loop_bpmn
+from modelgen import (counting_loop_bpmn, parallel_chain, random_model, spinning_loop_bpmn,
+                      toggle_loop_bpmn)
 
 
 def build(nodes, flows):
@@ -262,6 +263,20 @@ def test_data_free_states_contain_a_parked_loop():
     # the toggle loop follows "Go", whose closure exceeds the cap
     replay_within_data_free_states(parse_bpmn(toggle_loop_bpmn(True)), [],
                                    {"itf_lrk": LRK_AT}, {LRK_AT: lrk_ledger()})
+
+
+def test_a_firing_whose_closure_never_settles_reaches_no_state():
+    # both modes reject "Go"; a start whose closure never settles raises
+    model = parse_bpmn(spinning_loop_bpmn(after_task=True))
+    a = compile_marking(model)
+    states = eager_closure_nondet(a, a.initial_marking)
+    assert step(a, states, a.task_id_for("Go")) == frozenset()
+    assert classify(a, ("Go",), strict=False) == NonConforming(0)
+    instance = new_instance(model, a, {"itf_lrk": LRK_AT}, {LRK_AT: lrk_ledger()})
+    assert instance.invoke("Go", {}, "0x" + "6" * 40).reason == "NonTerminatingClosure"
+    a = compile_marking(parse_bpmn(spinning_loop_bpmn(after_task=False)))
+    with pytest.raises(NonTerminatingClosure, match="no quiescent marking"):
+        classify(a, ())
 
 
 def test_data_free_states_contain_the_interpreters_marking_on_random_models():

@@ -499,6 +499,9 @@ NOT_REACHED = "node cannot reach any end event"
 DEGENERATE = "degenerate gateway with one incoming and one outgoing flow"
 
 
+ICO_INVESTOR = '<bcext:input name="investor" type="address"/>'
+
+
 @pytest.mark.parametrize("fixture, edits, expected", [
     pytest.param("task_outsourcing",
                  [(TO_VAR, TO_VAR + '<bcext:variable name="price" type="uint256"/>')],
@@ -578,6 +581,19 @@ DEGENERATE = "degenerate gateway with one incoming and one outgoing flow"
                  [(TO_REQUESTER, TO_REQUESTER + '<bcext:input name="memo" type="bytes"/>')],
                  [("error", "t_deposit", "unknown task input type 'bytes'")],
                  id="task-input-type"),
+    # the emitted Tokens_claimed(uint256 _tokens) would pay the caller's
+    # argument, not the slot _tokens that s_alloc wrote
+    pytest.param("ico", [('<userTask id="t_claim" name="Tokens claimed"/>',
+                          '<userTask id="t_claim" name="Tokens claimed"><extensionElements>'
+                          '<bcext:input name="_tokens" type="uint256"/>'
+                          '</extensionElements></userTask>')],
+                 [("error", "t_claim", "task input '_tokens' hides the storage slot of 'tokens'")],
+                 id="task-input-hides-a-slot"),
+    pytest.param("ico",
+                 [(ICO_INVESTOR, ICO_INVESTOR + '<bcext:input name="_amount" type="uint256"/>')],
+                 [("error", "t_invest",
+                   "task input '_amount' hides the storage slot of 'amount'")],
+                 id="task-input-hides-an-input-slot"),
     pytest.param("ico", [("tokens = amount * rate", "tokens = amount > rate")],
                  [("error", "s_alloc", "script assigns bool to uint256 variable 'tokens'")],
                  id="script-type"),
@@ -631,9 +647,6 @@ def test_validate_model_diagnostic(fixture, edits, expected):
         text = text.replace(old, new, 1)
     assert validate_model(parse_bpmn(text)).diagnostics == tuple(
         Diagnostic(*d) for d in expected)
-
-
-ICO_INVESTOR = '<bcext:input name="investor" type="address"/>'
 
 
 @pytest.mark.parametrize("name", sorted(TASK_FUNCTION_NAMES) + [

@@ -12,6 +12,7 @@ from procforge.registry import (
     MalformedAddress,
     MissingField,
     NonFungibleRegistrySpec,
+    RESERVED_ATTRIBUTE_NAMES,
     AttributeDecl,
     SpecSyntaxError,
     UnknownAttributeType,
@@ -329,6 +330,47 @@ def test_attribute_names_must_be_identifiers(name):
     with pytest.raises(InvariantViolation) as exc:
         parse_registry(nonfungible(attributes=bad))
     assert str(exc.value) == "attributes[1].name: must be an identifier"
+
+
+@pytest.mark.parametrize("registry_type", ["single", "distributed"])
+@pytest.mark.parametrize("name", sorted(RESERVED_ATTRIBUTE_NAMES))
+def test_attribute_names_may_not_repeat_a_name_of_the_emitted_registry(name, registry_type):
+    # e.g. an updatable "value" would emit set_value(uint256 value) { value = value; }
+    bad = [{"name": "x", "type": "uint256"},
+           {"name": name, "type": "uint256", "updatable": True}]
+    with pytest.raises(InvariantViolation) as exc:
+        parse_registry(nonfungible(registryType=registry_type, attributes=bad))
+    assert str(exc.value) == (f"attributes[1].name: '{name}' is a name the emitted "
+                              "registry declares")
+
+
+HISTORY, UPDATABLE = {"historyTracked": True}, {"updatable": True}
+
+
+@pytest.mark.parametrize("names, flags, message", [
+    # both would emit event WeightChanged
+    (["weight", "Weight"], HISTORY, "attributes[1].name: brings WeightChanged, "
+                                    "as attributes[0] does"),
+    (["WeightChanged", "weight"], HISTORY, "attributes[0].name: 'WeightChanged' is brought "
+                                           "by attributes[1]"),
+    (["weight", "WeightChanged"], {}, None),
+    # the record contract's constructor would assign its parameter _weight
+    (["_weight", "weight"], {}, "attributes[0].name: '_weight' is brought by attributes[1]"),
+    # a state variable and a function set_weight of the record contract
+    (["weight", "set_weight"], UPDATABLE, "attributes[1].name: 'set_weight' is brought "
+                                          "by attributes[0]"),
+    (["weight", "set_weight"], {}, None),
+])
+def test_attribute_names_may_not_repeat_a_name_another_attribute_brings(names, flags, message):
+    attrs = [{"name": n, "type": "uint256", **flags} for n in names]
+    for registry_type in ("single", "distributed"):
+        doc = nonfungible(registryType=registry_type, attributes=attrs)
+        if message is None:
+            assert [a.name for a in parse_registry(doc).attributes] == names
+            continue
+        with pytest.raises(InvariantViolation) as exc:
+            parse_registry(doc)
+        assert str(exc.value) == message
 
 
 def test_transfer_to_bpmn_requires_transfer_enabled():
