@@ -394,10 +394,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.print_usage(sys.stderr)
         return EX_USAGE
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
+    except BrokenPipeError:
+        # the reader of stdout has gone; the flush at shutdown would raise
+        # again, so it goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ from .ir import (
     SmartContractInterfaceDecl,
     UnaryOp,
     Var,
-    ascii_words,
+    contract_name,
 )
 from .marking import MarkingAutomaton
 from .registry import AttributeDecl, FungibleRegistrySpec, NonFungibleRegistrySpec
@@ -35,18 +35,6 @@ class SourceUnit(NamedTuple):
     pragma_version: str
     contracts: Tuple[str, ...]
     rendered_text: str
-
-
-def contract_name(display_name: str) -> str:
-    """'Lorikeet Coin' -> 'LorikeetCoin' (inner capitals preserved); words
-    are runs of ASCII letters and digits."""
-    words = ascii_words(display_name)
-    name = "".join(w[0].upper() + w[1:] for w in words)
-    if not name:
-        return "Contract"
-    if name[0].isdigit():
-        name = "C" + name
-    return name
 
 
 def _unit(file_name: str, texts: List[str]) -> SourceUnit:

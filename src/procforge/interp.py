@@ -51,23 +51,11 @@ class Unauthorized(RegistryError):
     pass
 
 
-class FeatureDisabled(RegistryError):
-    pass
-
-
-class TransferDisabled(RegistryError):
-    pass
-
-
 class DuplicateRecord(RegistryError):
     pass
 
 
 class UnknownRecord(RegistryError):
-    pass
-
-
-class AttributeNotUpdatable(RegistryError):
     pass
 
 
@@ -100,15 +88,6 @@ class BadArgument(InstanceError):
 
 
 _MISSING = object()  # journaled as the old value of a key that was absent
-
-
-def _writer(method, outputs=()):
-    """A function-table call that runs a registry write as the caller and
-    returns the emitted function's fixed outputs."""
-    def call(registry, caller, *args):
-        method(registry, caller, *args)
-        return outputs
-    return call
 
 
 def _update_call(attr: str):
@@ -173,6 +152,14 @@ class FungibleLedger(_Journaled):
         if sum(self.balances.values()) != self.total_supply:
             raise InvariantViolation("initiallyDistributedAccounts",
                                      "distribution ≠ totalSupply")
+        # The simulated ABI, as the emitted contract declares it: function
+        # name -> (parameter types, call(ledger, caller, *args) returning
+        # the function's outputs). mint and burn exist only when enabled.
+        self.functions = dict(self._functions)
+        if spec.is_mintable:
+            self.functions["mint"] = (("address", "uint256"), FungibleLedger.mint)
+        if spec.is_burnable:
+            self.functions["burn"] = (("address", "uint256"), FungibleLedger.burn)
 
     def balance_of(self, account: str) -> int:
         return self.balances.get(addr_key(account), 0)
@@ -189,56 +176,53 @@ class FungibleLedger(_Journaled):
         self._write(self.balances, addr_key(frm), self.balance_of(frm) - amount)
         self._write(self.balances, addr_key(to), self.balance_of(to) + amount)
 
-    def transfer(self, caller: str, to: str, amount: int):
+    def transfer(self, caller: str, to: str, amount: int) -> Tuple[bool]:
         self._move(caller, to, amount)
+        return (True,)
 
-    def approve(self, caller: str, spender: str, amount: int):
+    def approve(self, caller: str, spender: str, amount: int) -> Tuple[bool]:
         if amount < 0:
             raise RegistryError("negative amount")
         self._write(self.allowances, (addr_key(caller), addr_key(spender)), amount)
+        return (True,)
 
-    def transfer_from(self, caller: str, frm: str, to: str, amount: int):
+    def transfer_from(self, caller: str, frm: str, to: str, amount: int) -> Tuple[bool]:
         if self.allowance(frm, caller) < amount:
             raise InsufficientAllowance(
                 f"allowance {self.allowance(frm, caller)} < {amount}")
         self._move(frm, to, amount)
         key = (addr_key(frm), addr_key(caller))
         self._write(self.allowances, key, self.allowances.get(key, 0) - amount)
+        return (True,)
 
-    def mint(self, caller: str, to: str, amount: int):
-        if not self.spec.is_mintable:
-            raise FeatureDisabled("token is not mintable")
+    def mint(self, caller: str, to: str, amount: int) -> Tuple[bool]:
         if addr_key(caller) not in {addr_key(a) for a in self.spec.minter_addresses}:
             raise Unauthorized(f"{caller} is not a minter")
         if amount < 0:
             raise RegistryError("negative amount")
         self._write(self.balances, addr_key(to), self.balance_of(to) + amount)
         self._add_supply(amount)
+        return (True,)
 
-    def burn(self, caller: str, frm: str, amount: int):
-        if not self.spec.is_burnable:
-            raise FeatureDisabled("token is not burnable")
+    def burn(self, caller: str, frm: str, amount: int) -> Tuple[bool]:
         if addr_key(caller) not in {addr_key(a) for a in self.spec.burner_addresses}:
             raise Unauthorized(f"{caller} is not a burner")
         if self.balance_of(frm) < amount or amount < 0:
             raise InsufficientBalance(f"cannot burn {amount} from {frm}")
         self._write(self.balances, addr_key(frm), self.balance_of(frm) - amount)
         self._add_supply(-amount)
+        return (True,)
 
     def _add_supply(self, delta: int):
         # attributes are the entries of vars(self), so the journal restores
         # total_supply like any balance
         self._write(vars(self), "total_supply", self.total_supply + delta)
 
-    # The simulated ABI: function name -> (parameter types,
-    # call(ledger, caller, *args) returning the emitted function's outputs).
-    # mint and burn exist on every ledger and reject when disabled.
-    functions = {
-        "transfer": (("address", "uint256"), _writer(transfer, (True,))),
-        "approve": (("address", "uint256"), _writer(approve, (True,))),
-        "transferFrom": (("address", "address", "uint256"), _writer(transfer_from, (True,))),
-        "mint": (("address", "uint256"), _writer(mint, (True,))),
-        "burn": (("address", "uint256"), _writer(burn, (True,))),
+    # the functions of every ledger
+    _functions = {
+        "transfer": (("address", "uint256"), transfer),
+        "approve": (("address", "uint256"), approve),
+        "transferFrom": (("address", "address", "uint256"), transfer_from),
         "balanceOf": (("address",), lambda lg, caller, account: (lg.balance_of(account),)),
         "allowance": (("address", "address"),
                       lambda lg, caller, owner, spender: (lg.allowance(owner, spender),)),
@@ -268,22 +252,25 @@ class NonFungibleStore(_Journaled):
         self.spec = spec
         self.records: Dict[str, RecordState] = {}
         self.process_address: Optional[str] = None  # set when bound to an instance
-        # The simulated ABI, built from the spec: function name ->
-        # (parameter types, call(store, caller, *args) returning the emitted
-        # function's outputs). Every attribute has a record_update_<attr>,
-        # which rejects when the attribute is not updatable.
+        # The simulated ABI, as the emitted contract declares it: function
+        # name -> (parameter types, call(store, caller, *args) returning the
+        # function's outputs). record_ownership_transfer exists only when
+        # transfer is enabled, record_update_<attr> only for an updatable
+        # attribute.
         self.functions = {
             "record_create": (("address",) + tuple(a.type for a in spec.attributes),
-                              NonFungibleStore._create_as_caller),
+                              NonFungibleStore.record_create),
             "record_get_owner": (("address",),
                                  lambda st, caller, rid: (st.record_get_owner(rid),)),
             "record_get_attrs": (("address",), lambda st, caller, rid: st.record_get_attrs(rid)),
-            "record_ownership_transfer": (("address", "address"),
-                                          _writer(NonFungibleStore.record_ownership_transfer)),
         }
+        if spec.is_ownership_transfer_enabled:
+            self.functions["record_ownership_transfer"] = (
+                ("address", "address"), NonFungibleStore.record_ownership_transfer)
         for a in spec.attributes:
-            self.functions["record_update_" + a.name] = (("address", a.type),
-                                                         _update_call(a.name))
+            if a.updatable:
+                self.functions["record_update_" + a.name] = (("address", a.type),
+                                                             _update_call(a.name))
 
     def _is_process(self, caller: str) -> bool:
         return (self.process_address is not None
@@ -295,25 +282,21 @@ class NonFungibleStore(_Journaled):
             raise UnknownRecord(f"no record {record_id}")
         return rec
 
-    def record_create(self, caller: str, record_id: str, owner: str,
-                      attrs: Mapping[str, object]):
+    def record_create(self, caller: str, record_id: str, *values) -> Tuple[()]:
+        """The caller owns the new record; the values come in attribute
+        declaration order."""
         if self.spec.is_record_creation_restricted_to_bpmn and not self._is_process(caller):
             raise Unauthorized("record creation is restricted to the bound process")
         if addr_key(record_id) in self.records:
             raise DuplicateRecord(f"record {record_id} already exists")
-        declared = {a.name for a in self.spec.attributes}
-        if set(attrs) != declared:
-            raise RegistryError(f"attributes {sorted(attrs)} != declared {sorted(declared)}")
+        if len(values) != len(self.spec.attributes):
+            raise RegistryError(f"record_create takes {len(self.spec.attributes)} "
+                                f"attribute values, got {len(values)}")
+        attrs = {a.name: v for a, v in zip(self.spec.attributes, values)}
         history = tuple((a.name, attrs[a.name]) for a in self.spec.attributes
                         if a.history_tracked)
         self._write(self.records, addr_key(record_id),
-                    RecordState(owner=owner, attrs=dict(attrs), history=history))
-
-    def _create_as_caller(self, caller: str, record_id: str, *values) -> Tuple[()]:
-        """record_create as the emitted registry runs it: the caller owns
-        the record, and the values come in attribute declaration order."""
-        self.record_create(caller, record_id, owner=caller,
-                           attrs={a.name: v for a, v in zip(self.spec.attributes, values)})
+                    RecordState(owner=caller, attrs=attrs, history=history))
         return ()
 
     def record_get_owner(self, record_id: str) -> str:
@@ -327,8 +310,6 @@ class NonFungibleStore(_Journaled):
         decl = next((a for a in self.spec.attributes if a.name == attr), None)
         if decl is None:
             raise RegistryError(f"unknown attribute '{attr}'")
-        if not decl.updatable:
-            raise AttributeNotUpdatable(f"attribute '{attr}' is not updatable")
         rec = self._get(record_id)
         if self.spec.is_record_creation_restricted_to_bpmn and not self._is_process(caller):
             raise Unauthorized("record updates are restricted to the bound process")
@@ -339,9 +320,8 @@ class NonFungibleStore(_Journaled):
         self._write(self.records, addr_key(record_id),
                     replace(rec, attrs={**rec.attrs, attr: value}, history=history))
 
-    def record_ownership_transfer(self, caller: str, record_id: str, new_owner: str):
-        if not self.spec.is_ownership_transfer_enabled:
-            raise TransferDisabled("ownership transfer is disabled")
+    def record_ownership_transfer(self, caller: str, record_id: str,
+                                  new_owner: str) -> Tuple[()]:
         rec = self._get(record_id)
         authorized = addr_key(caller) == addr_key(rec.owner)
         if self.spec.is_ownership_transfer_enabled_to_bpmn and self._is_process(caller):
@@ -349,6 +329,7 @@ class NonFungibleStore(_Journaled):
         if not authorized:
             raise Unauthorized(f"{caller} may not transfer record {record_id}")
         self._write(self.records, addr_key(record_id), replace(rec, owner=new_owner))
+        return ()
 
 
 Registry = Union[FungibleLedger, NonFungibleStore]

@@ -55,16 +55,17 @@ IDENTIFIER_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 # Solidity 0.5's keywords, reserved words and unsized type names, and the
 # globals the emitted code calls, which a declaration of the name would shadow
 SOLIDITY_KEYWORDS = frozenset("""
-    abstract address after alias anonymous apply as assembly auto bool break
-    byte bytes calldata case catch constant constructor continue contract
-    copyof days default define delete do else emit enum ether event external
-    false final finney fixed for function hex hours if immutable implements
-    import in indexed inline int interface internal is let library macro
-    mapping match memory minutes modifier msg mutable new null of override
-    partial payable pragma private promise public pure reference relocatable
-    require return returns revert sealed seconds sizeof static storage string
-    struct supports switch szabo this throw true try type typedef typeof
-    ufixed uint unchecked using var view weeks wei while years
+    abi abstract address after alias anonymous apply as assembly auto bool
+    break byte bytes calldata case catch constant constructor continue
+    contract copyof days default define delete do else emit enum ether event
+    external false final finney fixed for function hex hours if immutable
+    implements import in indexed inline int interface internal is keccak256
+    let library macro mapping match memory minutes modifier msg mutable new
+    null of override partial payable pragma private promise public pure
+    reference relocatable require return returns revert sealed seconds
+    sizeof static storage string struct supports switch szabo this throw
+    true try type typedef typeof ufixed uint unchecked using var view weeks
+    wei while years
 """.split())
 
 # the names a task function of the emitted ProcessMonitor reads besides its
@@ -657,6 +658,18 @@ def sanitize_identifier(name: str) -> str:
     if len(words) > 1:
         ident += "_" + "_".join(words[1:]).lower()
     return "_" + ident if ident[0].isdigit() else ident
+
+
+def contract_name(display_name: str) -> str:
+    """'Lorikeet Coin' -> 'LorikeetCoin' (inner capitals preserved); words
+    are runs of ASCII letters and digits."""
+    words = ascii_words(display_name)
+    name = "".join(w[0].upper() + w[1:] for w in words)
+    if not name:
+        return "Contract"
+    if name[0].isdigit():
+        name = "C" + name
+    return name
 
 
 def function_name(node: Node) -> str:

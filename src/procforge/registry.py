@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from typing import Dict, NamedTuple, Tuple
 
-from .ir import (ADDRESS_RE, UINT256_MAX, VALUE_TYPES, addr_key, is_address, is_identifier,
-                 load_json)
+from .ir import (ADDRESS_RE, UINT256_MAX, VALUE_TYPES, addr_key, contract_name, is_address,
+                 is_identifier, load_json)
 
 SYMBOL_MAX_LEN = 11
 DECIMALS_MAX = 18
@@ -19,17 +19,19 @@ DECIMALS_MAX = 18
 # The names the emitted non-fungible registry declares besides the
 # attributes, which an attribute of the name would repeat or hide, refused
 # in both layouts (line numbers of codegen.py):
-# - owner, exists: members of the single layout's Record struct (229-231);
+# - owner, exists: members of the single layout's Record struct (217-219);
 # - registry, owner, onlyRegistry, setOwner, _owner: the distributed record
 #   contract's state variables, modifier, function and constructor
 #   parameter, and value, the parameter of its setters, which a setter
-#   set_value would assign in place of the attribute (188-220);
+#   set_value would assign in place of the attribute (176-208);
 # - record_id: the parameter of record_create and record_get_attrs, whose
 #   bodies read records, recordExists, recordContracts, Record, ownedCount,
 #   recordCount and Transfer under the attributes as parameters or named
-#   returns (306-327).
+#   returns (294-315).
+# The distributed layout's record contract <Name>Record, which record_create
+# names in "new <Name>Record(msg.sender, ...)" (170, 229), is refused too.
 # The constructor parameter _<name> and setter set_<name> of an attribute
-# <name>, and the event <Name>Changed of a historyTracked one (173-174),
+# <name>, and the event <Name>Changed of a historyTracked one (161-162),
 # must not repeat one another's or an attribute's name either.
 RESERVED_ATTRIBUTE_NAMES = frozenset((
     "owner", "exists", "registry", "onlyRegistry", "setOwner", "_owner", "value",
@@ -249,6 +251,7 @@ def _nonfungible(obj: dict) -> NonFungibleRegistrySpec:
     raw_attrs = _field(obj, "attributes")
     if not isinstance(raw_attrs, list) or not raw_attrs:
         raise InvariantViolation("attributes", "at least one attribute is required")
+    reserved = RESERVED_ATTRIBUTE_NAMES | {contract_name(name) + "Record"}
     attrs = []
     seen = set()
     for i, entry in enumerate(raw_attrs):
@@ -260,7 +263,7 @@ def _nonfungible(obj: dict) -> NonFungibleRegistrySpec:
             raise InvariantViolation(path + ".name", "must be an identifier")
         if aname in seen:
             raise InvariantViolation(path, f"duplicate attribute '{aname}'")
-        if aname in RESERVED_ATTRIBUTE_NAMES:
+        if aname in reserved:
             raise InvariantViolation(path + ".name",
                                      f"'{aname}' is a name the emitted registry declares")
         seen.add(aname)

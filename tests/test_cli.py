@@ -1,4 +1,5 @@
 import enum
+import hashlib
 import json
 import os
 import pathlib
@@ -14,6 +15,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 import procforge
 from procforge import cli
 from procforge.cli import main
+from procforge.interp import pseudo_address
 
 from conftest import FIXTURES
 
@@ -23,6 +25,8 @@ LRK = str(FIXTURES / "lrk.json")
 TITLE = str(FIXTURES / "grain_title.json")
 SWAP = str(FIXTURES / "grain_swap.jsonl")
 REFUND = str(FIXTURES / "grain_refund.jsonl")
+LRK_TEXT = pathlib.Path(LRK).read_text()
+TITLE_TEXT = pathlib.Path(TITLE).read_text()
 
 
 def run(capsys, *argv):
@@ -124,6 +128,28 @@ def test_one_shot_process_matches_in_process_main(capsys):
     code, out, _ = run(capsys, *argv)
     assert (proc.returncode, proc.stdout) == (code, out)
     assert code == 0 and out.endswith("ok\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", GRAIN],
+    ["simulate", GRAIN, "--registry", LRK, "--registry", TITLE, "--trace", SWAP],
+    ["conformance", GRAIN, "--registry", LRK, "--registry", TITLE],
+], ids=["validate", "simulate", "conformance"])
+def test_a_closed_stdout_exits_1_without_a_traceback(argv):
+    env = dict(os.environ,
+               PYTHONPATH=str(pathlib.Path(procforge.__file__).parent.parent))
+    # a pipe with no reader, as "procforge ... | head" leaves once head has
+    # its lines
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "procforge.cli", *argv], env=env,
+                              stdout=write_end, stderr=subprocess.PIPE, timeout=60)
+    finally:
+        os.close(write_end)
+    err = proc.stderr.decode()
+    assert proc.returncode == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
 
 
 def test_compile_writes_units(tmp_path, capsys):
@@ -562,6 +588,70 @@ def test_simulate_failed_call_in_initial_closure_exits_1(tmp_path, capsys):
     assert "initial closure failed" in err
 
 
+GRAIN_TEXT = pathlib.Path(GRAIN).read_text()
+MINT_FN = ('<bcext:function name="mint"><bcext:input name="to" type="address"/>'
+           '<bcext:input name="amount" type="uint256"/>'
+           '<bcext:output name="success" type="bool"/></bcext:function>')
+INTEREST_CALL = ('<bcext:invocation sourceTask="t_interest" targetInterface="itf_lrk"\n'
+                 '                        fnName="transfer">')
+UPDATE_WEIGHT_FN = ('<bcext:function name="record_update_weight">'
+                    '<bcext:input name="record_id" type="address"/>'
+                    '<bcext:input name="value" type="uint256"/></bcext:function>')
+UPDATE_WEIGHT_CALL = ('<bcext:invocation sourceTask="t_swap" targetInterface="itf_title" '
+                      'fnName="record_update_weight">'
+                      '<bcext:bindIn param="record_id" source="titleId"/>'
+                      '<bcext:bindIn param="value" source="grainWeight"/></bcext:invocation>')
+NO_TRANSFER_TITLE = TITLE_TEXT.replace('"isOwnershipTransferEnabled": true',
+                                       '"isOwnershipTransferEnabled": false').replace(
+    '"isOwnershipTransferEnabledToBPMN": true', '"isOwnershipTransferEnabledToBPMN": false')
+GRAIN_PROCESS = pseudo_address("process:grain_title:0")
+# the --json output of a trace rejected at the swap, whichever call is refused
+SWAP_REJECTED = "ae8b888070a72362e53fdc242a2ae0820752a6d9671f3e0f2d542c8bd9537ad3"
+
+
+@pytest.mark.parametrize("model_edits, title, failing, digest", [
+    # lrk.json is not mintable
+    ([('<bcext:function name="balanceOf">', MINT_FN + '<bcext:function name="balanceOf">'),
+      (INTEREST_CALL, INTEREST_CALL.replace('"transfer"', '"mint"'))],
+     TITLE_TEXT, "Interest to buy title expressed",
+     "0a6093385e62718defc5586a161c7f717f138cd2eda02e1390371e592f207fcf"),
+    # weight is not updatable; the call follows the swap's two others
+    ([('<bcext:function name="record_get_owner">',
+       UPDATE_WEIGHT_FN + '<bcext:function name="record_get_owner">'),
+      ('<bcext:invocation sourceTask="t_refund"',
+       UPDATE_WEIGHT_CALL + '<bcext:invocation sourceTask="t_refund"')],
+     TITLE_TEXT, "Asset Swap", SWAP_REJECTED),
+    # ownership transfer is disabled
+    ([], NO_TRANSFER_TITLE, "Asset Swap", SWAP_REJECTED),
+], ids=["mint-not-mintable", "update-not-updatable", "transfer-disabled"])
+def test_a_bound_call_to_a_function_the_spec_disables_is_rejected(
+        tmp_path, capsys, model_edits, title, failing, digest):
+    # as the emitted registry has no such function, the call reverts, and
+    # the whole invocation with it
+    text = GRAIN_TEXT
+    for old, new in model_edits:
+        assert old in text
+        text = text.replace(old, new)
+    model, spec = tmp_path / "m.bpmn", tmp_path / "title.json"
+    model.write_text(text)
+    spec.write_text(title)
+    argv = ["simulate", str(model), "--registry", LRK, "--registry", str(spec), "--trace", SWAP]
+    assert run(capsys, "validate", *argv[1:-2])[0] == 0
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and err == ""
+    assert f"  {failing}: Rejected (RegistryError)\n" in out
+    code, out, err = run(capsys, *argv, "--json")
+    assert code == 2 and err == ""
+    registries = json.loads(out)["registries"]
+    # the title is still the process's, and nobody was paid
+    assert registries["0xa9998dbe75d795556ea821e37cd2de1f373bfd91"]["0x" + "3" * 40]["owner"] \
+        == GRAIN_PROCESS
+    balances = registries["0xd3e4ebe81b55ea73b559da31adf2cac3b254ea11"]["balances"]
+    assert "0x" + "1" * 40 not in balances
+    assert balances.get(GRAIN_PROCESS, 0) == (0 if failing.startswith("Interest") else 500)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_record_interface_declaring_balance_of_matches_record_spec(tmp_path, capsys):
     # the emitted record registry has a balanceOf too
     old = '<bcext:function name="record_get_owner">'
@@ -579,7 +669,6 @@ def test_record_interface_declaring_balance_of_matches_record_spec(tmp_path, cap
 
 
 def test_unbound_interfaces_take_the_first_unused_spec_of_their_kind(tmp_path, capsys):
-    from procforge.interp import pseudo_address
     unbound = str(FIXTURES / "grain_title_unbound.bpmn")
     argv = ["simulate", unbound, "--registry", TITLE, "--registry", LRK,
             "--trace", SWAP, "--json"]
@@ -719,8 +808,6 @@ def test_malformed_input_is_one_error_line(tmp_path, capsys, model, spec, trace,
     assert err.startswith("error: ") and err.count("\n") == 1 and reason in err
 
 
-LRK_TEXT = pathlib.Path(LRK).read_text()
-TITLE_TEXT = pathlib.Path(TITLE).read_text()
 A6 = "0x" + "66" * 20
 AB = "0x" + "ab" * 20
 
@@ -799,6 +886,9 @@ MODEL_DEFECTS = {  # name: (old, new, ref of the diagnostic)
                                 '<userTask id="t_claim" name="Tokens claimed"><extensionElements>'
                                 '<bcext:input name="_tokens" type="uint256"/>'
                                 '</extensionElements></userTask>', "t_claim"),
+    # the interface type would shadow the global that a string comparison
+    # of the emitted ProcessMonitor calls, keccak256(abi.encodePacked(...))
+    "interface-named-keccak256": ('name="LorikeetCoin">', 'name="keccak256">', "itf_lrk"),
 }
 DEFECT_MODELS = {name: ICO_TEXT.replace(old, new) for name, (old, new, _) in MODEL_DEFECTS.items()}
 
@@ -821,7 +911,7 @@ def test_model_defects_are_validate_diagnostics(tmp_path, capsys, defect):
 
 
 @pytest.mark.parametrize("defect", ["parameter-type", "reserved-task-input",
-                                    "task-input-hides-a-slot"])
+                                    "task-input-hides-a-slot", "interface-named-keccak256"])
 def test_validate_and_compile_report_one_error(tmp_path, capsys, defect):
     model = tmp_path / "m.bpmn"
     model.write_text(DEFECT_MODELS[defect])

@@ -4,15 +4,12 @@ import pytest
 
 from procforge import interp
 from procforge.interp import (
-    AttributeNotUpdatable,
     DuplicateRecord,
-    FeatureDisabled,
     FungibleLedger,
     InsufficientAllowance,
     InsufficientBalance,
     MissingAddressBinding,
     NonFungibleStore,
-    TransferDisabled,
     Unauthorized,
     UnknownRecord,
     UnknownRegistryAddress,
@@ -77,8 +74,6 @@ def test_mint_requires_authorization():
     assert lg.total_supply == 150 and conserved(lg)
     with pytest.raises(Unauthorized):
         lg.mint(A1, A2, 1)
-    with pytest.raises(FeatureDisabled):
-        ledger().mint(MINTER, A2, 1)
 
 
 def test_burn():
@@ -140,7 +135,7 @@ def store(**kw):
 
 def test_record_lifecycle():
     s = store()
-    s.record_create(A1, A3, owner=A1, attrs={"weight": 10, "note": "n"})
+    s.record_create(A1, A3, 10, "n")
     assert s.record_get_owner(A3) == A1
     assert s.record_get_attrs(A3) == (10, "n")
     s.record_update(A1, A3, "note", "updated")
@@ -151,9 +146,9 @@ def test_record_lifecycle():
 
 def test_duplicate_and_unknown_records():
     s = store()
-    s.record_create(A1, A3, owner=A1, attrs={"weight": 1, "note": ""})
+    s.record_create(A1, A3, 1, "")
     with pytest.raises(DuplicateRecord):
-        s.record_create(A1, A3, owner=A1, attrs={"weight": 1, "note": ""})
+        s.record_create(A1, A3, 1, "")
     with pytest.raises(UnknownRecord):
         s.record_get_owner(A2)
 
@@ -161,30 +156,19 @@ def test_duplicate_and_unknown_records():
 def test_attrs_must_match_declaration():
     s = store()
     with pytest.raises(interp.RegistryError):
-        s.record_create(A1, A3, owner=A1, attrs={"weight": 1})
-
-
-def test_non_updatable_attribute():
-    s = store()
-    s.record_create(A1, A3, owner=A1, attrs={"weight": 1, "note": ""})
-    with pytest.raises(AttributeNotUpdatable):
-        s.record_update(A1, A3, "weight", 2)
+        s.record_create(A1, A3, 1)
+    with pytest.raises(interp.RegistryError):
+        s.record_create(A1, A3, 1, "", "extra")
+    assert not s.records
 
 
 def test_history_tracking():
     s = store(attributes=(AttributeDecl("note", "string", updatable=True,
                                         history_tracked=True),))
-    s.record_create(A1, A3, owner=A1, attrs={"note": "a"})
+    s.record_create(A1, A3, "a")
     s.record_update(A1, A3, "note", "b")
     rec = s.records[A3]
     assert rec.history == (("note", "a"), ("note", "b"))
-
-
-def test_transfer_disabled():
-    s = store(is_ownership_transfer_enabled=False)
-    s.record_create(A1, A3, owner=A1, attrs={"weight": 1, "note": ""})
-    with pytest.raises(TransferDisabled):
-        s.record_ownership_transfer(A1, A3, A2)
 
 
 def test_dispatch_calls_through_the_function_tables():
@@ -196,18 +180,19 @@ def test_dispatch_calls_through_the_function_tables():
     assert interp._dispatch(lg, "allowance", [A2, A3], A1) == (0,)
     assert [interp._dispatch(lg, fn, [], A1)[0]
             for fn in ("totalSupply", "name", "symbol", "decimals")] == [100, "Coin", "C", 0]
-    with pytest.raises(FeatureDisabled):
-        interp._dispatch(lg, "mint", [A1, 1], MINTER)
-    with pytest.raises(FeatureDisabled):
-        interp._dispatch(lg, "burn", [A1, 1], MINTER)
     assert interp._dispatch(s, "record_create", [A3, 7, "n"], A1) == ()
     assert interp._dispatch(s, "record_get_owner", [A3], A2) == (A1,)
     assert interp._dispatch(s, "record_update_note", [A3, "m"], A1) == ()
     assert interp._dispatch(s, "record_get_attrs", [A3], A2) == (7, "m")
-    with pytest.raises(AttributeNotUpdatable):
-        interp._dispatch(s, "record_update_weight", [A3, 8], A1)
     assert interp._dispatch(s, "record_ownership_transfer", [A3, A2], A1) == ()
     assert s.record_get_owner(A3) == A2
+
+
+# as the emitted registries, a ledger has mint and burn only when enabled,
+# and a record registry has record_ownership_transfer only when enabled and
+# record_update_<attr> only for an updatable attribute
+REGISTRIES = {"token": ledger, "record": store,
+              "fixed-record": lambda: store(is_ownership_transfer_enabled=False)}
 
 
 @pytest.mark.parametrize("registry, fn, args, message", [
@@ -219,9 +204,17 @@ def test_dispatch_calls_through_the_function_tables():
     ("token", "balanceOf", [5], "balanceOf takes (address), got (5,)"),
     ("record", "record_create", [A3, "n", 7],
      f"record_create takes (address, uint256, string), got ('{A3}', 'n', 7)"),
+    ("record", "record_create", [A3, 1],
+     f"record_create takes (address, uint256, string), got ('{A3}', 1)"),
+    ("token", "mint", [A1, 1], "token registry has no function 'mint'"),
+    ("token", "burn", [A1, 1], "token registry has no function 'burn'"),
+    ("record", "record_update_weight", [A3, 8], "record registry has no function "
+                                                "'record_update_weight'"),
+    ("fixed-record", "record_ownership_transfer", [A3, A2],
+     "record registry has no function 'record_ownership_transfer'"),
 ])
 def test_dispatch_rejects_calls_the_registry_cannot_take(registry, fn, args, message):
-    reg = ledger() if registry == "token" else store()
+    reg = REGISTRIES[registry]()
     with pytest.raises(interp.RegistryError) as exc:
         interp._dispatch(reg, fn, args, A1)
     assert type(exc.value) is interp.RegistryError and str(exc.value) == message
@@ -233,8 +226,8 @@ def test_bpmn_restriction_and_process_transfer():
     proc = pseudo_address("proc")
     s.process_address = proc
     with pytest.raises(Unauthorized):
-        s.record_create(A1, A3, owner=A1, attrs={"weight": 1, "note": ""})
-    s.record_create(proc, A3, owner=proc, attrs={"weight": 1, "note": ""})
+        s.record_create(A1, A3, 1, "")
+    s.record_create(proc, A3, 1, "")
     # the bound process may move records it does not own
     s.record_ownership_transfer(proc, A3, A2)
     assert s.record_get_owner(A3) == A2
@@ -244,7 +237,7 @@ def test_bpmn_restriction_and_process_transfer():
 
 def test_record_access_control():
     s = store(is_registry_record_access_control_enabled=True)
-    s.record_create(A1, A3, owner=A1, attrs={"weight": 1, "note": ""})
+    s.record_create(A1, A3, 1, "")
     with pytest.raises(Unauthorized):
         s.record_update(A2, A3, "note", "x")
     s.record_update(A1, A3, "note", "x")
@@ -274,12 +267,12 @@ def test_ledger_rollback_restores_writes_in_order():
 def test_store_rollback_restores_records():
     s = store(attributes=(AttributeDecl("note", "string", updatable=True,
                                         history_tracked=True),))
-    s.record_create(A1, A3, owner=A1, attrs={"note": "a"})
+    s.record_create(A1, A3, "a")
     kept = s.records[A3]
     mark = s.mark()
     s.record_update(A1, A3, "note", "b")
     s.record_ownership_transfer(A1, A3, A2)
-    s.record_create(A1, A2, owner=A1, attrs={"note": "c"})
+    s.record_create(A1, A2, "c")
     s.record_update(A1, A2, "note", "d")
     assert (kept.owner, kept.attrs, kept.history) == (A1, {"note": "a"}, (("note", "a"),))
     s.rollback(mark)

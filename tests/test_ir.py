@@ -821,7 +821,8 @@ def test_emitted_names_must_be_identifiers(old, new, message):
 
 
 @pytest.mark.parametrize("name", ["abstract", "case", "this", "true", "var", "while",
-                                  "address", "bytes32", "fixed128x18", "msg", "require"])
+                                  "address", "bytes32", "fixed128x18", "msg", "require",
+                                  "keccak256", "abi"])
 def test_is_identifier_rejects_keywords_and_type_names(name):
     assert not is_identifier(name)
     assert is_identifier(name + "_") and is_identifier(name.capitalize())

@@ -344,6 +344,20 @@ def test_attribute_names_may_not_repeat_a_name_of_the_emitted_registry(name, reg
                               "registry declares")
 
 
+@pytest.mark.parametrize("registry_type", ["single", "distributed"])
+def test_attribute_names_may_not_be_the_record_contract_name(registry_type):
+    # the distributed layout's record_create would read its parameter in
+    # "new DeedBookRecord(msg.sender, DeedBookRecord)"
+    bad = [{"name": "x", "type": "uint256"}, {"name": "DeedBookRecord", "type": "uint256"}]
+    with pytest.raises(InvariantViolation) as exc:
+        parse_registry(nonfungible(name="Deed Book", registryType=registry_type,
+                                   attributes=bad))
+    assert str(exc.value) == ("attributes[1].name: 'DeedBookRecord' is a name the emitted "
+                              "registry declares")
+    assert parse_registry(nonfungible(name="Deed Books", registryType=registry_type,
+                                      attributes=bad)).attributes[1].name == "DeedBookRecord"
+
+
 HISTORY, UPDATABLE = {"historyTracked": True}, {"updatable": True}
 
 
