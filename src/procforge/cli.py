@@ -403,7 +403,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except BrokenPipeError:
         # the reader of stdout has gone; the flush at shutdown would raise
         # again, so it goes to devnull
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
 
 

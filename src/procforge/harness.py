@@ -69,9 +69,12 @@ Names = Tuple[str, ...]  # a conformance trace: task names only
 
 
 def parse_trace(text: str) -> Trace:
-    """One JSON object per nonempty line: {"task": ..., "args": {...}?, "caller": ...?}."""
+    r"""One JSON object per nonempty line: {"task": ..., "args": {...}?, "caller": ...?}.
+    Lines end at "\n" only, as JSON Lines has it: a JSON string may hold
+    U+2028 and the other characters at which str.splitlines breaks, and
+    the "\r" of a CRLF line is JSON whitespace."""
     events: List[TraceEvent] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         try:

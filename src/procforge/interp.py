@@ -32,7 +32,7 @@ from .marking import (
     eager_closure_data,
     fire_external,
 )
-from .registry import FungibleRegistrySpec, InvariantViolation, NonFungibleRegistrySpec
+from .registry import FungibleRegistrySpec, NonFungibleRegistrySpec, initial_balances
 
 
 class RegistryError(Exception):
@@ -137,21 +137,7 @@ class FungibleLedger(_Journaled):
         self.spec = spec
         self.allowances: Dict[Tuple[str, str], int] = {}
         self.total_supply = spec.total_supply
-        dist = spec.initially_distributed_accounts
-        # addr_key written out; the emitted constructor sets one balance per
-        # entry, so two spellings of one address are refused, as
-        # parse_registry refuses them
-        self.balances: Dict[str, int] = {addr.lower(): amount for addr, amount in dist}
-        if len(self.balances) != len(dist):
-            seen = set()
-            for i, (addr, _) in enumerate(dist):
-                if addr_key(addr) in seen:
-                    raise InvariantViolation(f"initiallyDistributedAccounts[{i}]",
-                                             f"duplicate address {addr}")
-                seen.add(addr_key(addr))
-        if sum(self.balances.values()) != self.total_supply:
-            raise InvariantViolation("initiallyDistributedAccounts",
-                                     "distribution ≠ totalSupply")
+        self.balances: Dict[str, int] = initial_balances(spec)
         # The simulated ABI, as the emitted contract declares it: function
         # name -> (parameter types, call(ledger, caller, *args) returning
         # the function's outputs). mint and burn exist only when enabled.

@@ -7,9 +7,10 @@ addresses are 0x + 40 hex digits.
 
 from __future__ import annotations
 
-from typing import Dict, NamedTuple, Tuple
+from types import MappingProxyType
+from typing import Dict, NamedTuple, Optional, Tuple
 
-from .ir import (ADDRESS_RE, UINT256_MAX, VALUE_TYPES, addr_key, contract_name, is_address,
+from .ir import (UINT256_MAX, VALUE_TYPES, addr_key, contract_name, is_address,
                  is_identifier, load_json)
 
 SYMBOL_MAX_LEN = 11
@@ -161,29 +162,58 @@ def _distribution_entry(entry, path: str, seen: set) -> Tuple[str, int]:
     return addr, _amount(_field(entry, "amount"), path + ".amount")
 
 
-def _distribution_in_bulk(raw: list, total_supply: int):
+class _Distribution(tuple):
+    """A checked initial distribution: its (address, amount) pairs as the
+    spec writes them, and in balances the table {lowered address: amount}
+    that initial_balances copies, read-only. parse_registry builds the
+    table while it checks the addresses, so a ledger need not lower them
+    again. A copy or pickle is a plain tuple of the pairs."""
+
+    def __new__(cls, pairs, balances: Dict[str, int]):
+        self = super().__new__(cls, pairs)
+        self.balances = MappingProxyType(balances)
+        return self
+
+    def __reduce__(self):
+        return tuple, (tuple(self),)
+
+
+_HEX_DIGITS = b"0123456789abcdefABCDEF"
+
+
+def _distribution_in_bulk(raw: list, total_supply: int) -> Optional[_Distribution]:
     """The initial distribution if every entry passes the checks of
     _distribution_entry and the amounts sum to total_supply, else None.
     Checks all entries at once, each kind of field by one pass over the
-    list."""
+    list. The addresses are checked on their concatenation: every 42nd
+    character from the first is a 0 and from the second an x, and deleting
+    the hex digits leaves just those x's. Since each address is checked to
+    be 42 characters long, the concatenation splits back into the entries;
+    without that check an address of 41 characters followed by one of 43
+    could pass. Each address is lowered exactly once, into the table whose
+    size is the duplicate check."""
     if set(map(type, raw)) != {dict}:  # an empty list too: _distribution checks its sum
         return None
     addrs = [e.get("address") for e in raw]
     amounts = [e.get("amount") for e in raw]
-    if set(map(type, addrs)) != {str} or set(map(type, amounts)) != {str}:
-        return None
-    if not all(map(ADDRESS_RE.fullmatch, addrs)):
-        return None
-    if len(set(map(str.lower, addrs))) != len(raw):  # addr_key written out
-        return None
     try:
+        joined = "".join(addrs).encode("ascii")  # a non-str address raises
+        "".join(amounts)  # a non-str amount raises
         values = list(map(int, amounts))  # int(s) is int(s, 10) for a str
-    except ValueError:
+    except (TypeError, ValueError):  # UnicodeEncodeError is a ValueError
         return None
     del amounts
+    n = len(addrs)
+    if list(map(len, addrs)).count(42) != n or joined[::42] != b"0" * n \
+            or joined[1::42] != b"x" * n or joined.translate(None, _HEX_DIGITS) != b"x" * n:
+        return None
+    del joined
     if min(values) < 0 or max(values) > UINT256_MAX or sum(values) != total_supply:
         return None
-    return tuple(zip(addrs, values))
+    balances = dict(zip(map(str.lower, addrs), values))  # addr_key
+    if len(balances) != n:
+        return None
+    return _Distribution(zip(addrs, values), balances)
 
 
 def _distribution(raw: list, total_supply: int) -> Tuple[Tuple[str, int], ...]:
@@ -199,6 +229,29 @@ def _distribution(raw: list, total_supply: int) -> Tuple[Tuple[str, int], ...]:
             raise InvariantViolation("initiallyDistributedAccounts",
                                      "distribution ≠ totalSupply")
     return dist
+
+
+def initial_balances(spec: FungibleRegistrySpec) -> Dict[str, int]:
+    """A new table {lowered address: amount} of the spec's initial
+    distribution, in its order: a copy of the one parse_registry built, or
+    else the pairs lowered here. As parse_registry, and as the emitted
+    constructor, which sets one balance per entry, it refuses two spellings
+    of one address and a sum other than total_supply."""
+    dist = spec.initially_distributed_accounts
+    if isinstance(dist, _Distribution):
+        balances = dist.balances.copy()
+    else:
+        balances = {addr.lower(): amount for addr, amount in dist}  # addr_key written out
+        if len(balances) != len(dist):
+            seen = set()
+            for i, (addr, _) in enumerate(dist):
+                if addr_key(addr) in seen:
+                    raise InvariantViolation(f"initiallyDistributedAccounts[{i}]",
+                                             f"duplicate address {addr}")
+                seen.add(addr_key(addr))
+    if sum(balances.values()) != spec.total_supply:
+        raise InvariantViolation("initiallyDistributedAccounts", "distribution ≠ totalSupply")
+    return balances
 
 
 def _fungible(obj: dict) -> FungibleRegistrySpec:

@@ -152,6 +152,44 @@ def test_a_closed_stdout_exits_1_without_a_traceback(argv):
     assert "Traceback" not in err and "BrokenPipeError" not in err, err
 
 
+def test_a_closed_stdout_leaves_no_descriptor_open(monkeypatch, capsys):
+    if not os.path.isdir("/proc/self/fd"):
+        pytest.skip("no /proc/self/fd to count the open descriptors in")
+    argv = ["simulate", GRAIN, "--registry", LRK, "--registry", TITLE, "--trace", SWAP]
+    opened = []
+    for _ in range(4):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "w", encoding="utf-8") as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            assert main(argv) == 1
+            monkeypatch.undo()
+        opened.append(len(os.listdir("/proc/self/fd")))
+    # the first call may open what later calls reuse
+    assert opened[1:] == [opened[0]] * 3, opened
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("model, trace, code, expected", [
+    # a raw U+2028 inside a JSON string is no line break
+    (ICO, '{"task": "Regist\u2028ration"}\n', 2,
+     "  Regist\u2028ration: ?\nclassification: NonConforming(0)\n"),
+    # the "\r" of a CRLF line is JSON whitespace
+    (GRAIN, pathlib.Path(SWAP).read_text().replace("\n", "\r\n"), 0,
+     "classification: Conforming\n"),
+    # a line's number counts the "\n"s before it, and no other break
+    (ICO, '{"task": "Sale\u2029opened"}\r\n\x0c\n{"task": "x\x85y"}\nnot json\n', 1,
+     "error: {trace}: line 4: Expecting value: line 1 column 1 (char 0)\n"),
+], ids=["u2028-in-a-string", "crlf", "error-line-counts-newlines"])
+def test_trace_lines_end_at_newline_only(tmp_path, capsys, model, trace, code, expected):
+    path = tmp_path / "t.jsonl"
+    path.write_bytes(trace.encode())
+    got, out, err = run(capsys, "simulate", model, "--registry", LRK, "--registry", TITLE,
+                        "--trace", str(path))
+    assert got == code
+    assert expected.format(trace=path) in out + err
+
+
 def test_compile_writes_units(tmp_path, capsys):
     out_dir = tmp_path / "gen"
     code, out, _ = run(capsys, "compile", GRAIN, "--registry", LRK,

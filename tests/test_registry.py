@@ -1,10 +1,13 @@
+import copy
 import json
+import pickle
 import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from procforge import registry
+from procforge.interp import FungibleLedger
 from procforge.ir import UINT256_MAX, addr_key
 from procforge.registry import (
     FungibleRegistrySpec,
@@ -252,6 +255,82 @@ def test_distribution_check_matches_the_entry_by_entry_reference(case):
         assert (type(exc.value), str(exc.value)) == (type(e), str(e))
     else:
         assert parse_registry(doc).initially_distributed_accounts == expected
+
+
+# a 41-character address and a 43-character one, the last hex digit of the
+# first moved to the front of the second: their concatenation is that of
+# two valid addresses, and only the check of each length tells
+SPLIT_ADDRESSES = [{"address": ADDR1[:-1], "amount": "600000"},
+                   {"address": ADDR1[-1] + ADDR2, "amount": "400000"}]
+
+
+def test_a_41_and_a_43_character_address_are_not_two_addresses():
+    assert "".join(e["address"] for e in SPLIT_ADDRESSES) == ADDR1 + ADDR2
+    with pytest.raises(MalformedAddress) as reference:
+        reference_distribution(SPLIT_ADDRESSES, 1000000)
+    with pytest.raises(MalformedAddress) as exc:
+        parse_registry(fungible(initiallyDistributedAccounts=SPLIT_ADDRESSES))
+    assert str(exc.value) == str(reference.value) == \
+        f"{DIST}[0].address: '{ADDR1[:-1]}' is not 0x + 40 hex digits"
+
+
+@pytest.mark.parametrize("address", [
+    "1x" + "1" * 40, "00" + "1" * 40, "01x" + "1" * 39, "0xx" + "1" * 39,
+    "0x" + "1" * 39 + "x", "0x" + "1" * 39 + "\n", "0X" + "1" * 40, "0x" + "1" * 39 + "\u0661",
+], ids=["1x", "00", "x-third", "xx", "x-last", "newline-last", "0X", "arabic-indic-digit"])
+def test_a_42_character_address_is_checked_at_every_position(address):
+    # the second entry is checked on the concatenation of both addresses
+    with pytest.raises(MalformedAddress) as exc:
+        parse_registry(fungible(initiallyDistributedAccounts=[
+            GOOD_ENTRY, {"address": address, "amount": "400000"}]))
+    assert str(exc.value) == f"{DIST}[1].address: '{address}' is not 0x + 40 hex digits"
+
+
+NEWCOMER = "0x" + "9" * 40
+
+
+@pytest.mark.parametrize("spelling", ["040x", "040X"], ids=["lower-case", "mixed-case"])
+def test_a_ledger_from_a_parsed_spec_is_one_from_a_hand_made_spec(spelling):
+    pairs = tuple(("0x" + format(0xABC0 * k, spelling if k % 2 else "040x"), 10 * k)
+                  for k in range(1, 8))
+    parsed = parse_registry(fungible(
+        totalSupply=str(sum(n for _, n in pairs)), isMintable=False, minterAddresses=[],
+        initiallyDistributedAccounts=[{"address": a, "amount": str(n)} for a, n in pairs]))
+    hand = parsed._replace(initially_distributed_accounts=pairs)
+    assert type(hand.initially_distributed_accounts) is tuple
+    ledgers = FungibleLedger(parsed), FungibleLedger(hand)
+    before = list(ledgers[1].balances.items())
+    assert before == [(addr_key(a), n) for a, n in pairs]
+    assert [list(lg.balances.items()) for lg in ledgers] == [before, before]
+    for lg in ledgers:
+        mark = lg.mark()
+        lg.transfer(pairs[0][0], NEWCOMER, 3)
+        lg.transfer(pairs[1][0].upper().replace("0X", "0x"), pairs[0][0], 7)
+        assert lg.balance_of(NEWCOMER) == 3 and lg.balance_of(pairs[0][0]) == pairs[0][1] + 4
+        lg.rollback(mark)
+    assert [list(lg.balances.items()) for lg in ledgers] == [before, before]
+
+
+def test_two_ledgers_from_one_parsed_spec_share_no_state():
+    spec = parse_registry(fungible())
+    table = spec.initially_distributed_accounts.balances
+    first, second = FungibleLedger(spec), FungibleLedger(spec)
+    first.transfer(ADDR1, NEWCOMER, 5)
+    assert first.balances == {ADDR1: 599995, ADDR2: 400000, NEWCOMER: 5}
+    assert second.balances == dict(table) == {ADDR1: 600000, ADDR2: 400000}
+    assert spec == parse_registry(fungible())
+    with pytest.raises(TypeError):
+        table[ADDR1] = 0
+
+
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                   lambda spec: pickle.loads(pickle.dumps(spec))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_a_cloned_parsed_spec_makes_the_same_ledger(clone):
+    spec = parse_registry(fungible())
+    twin = clone(spec)
+    assert twin == spec
+    assert FungibleLedger(twin).balances == FungibleLedger(spec).balances
 
 
 @pytest.mark.parametrize("flag", ["updatable", "historyTracked"])
