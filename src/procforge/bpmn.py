@@ -3,7 +3,7 @@
 Every element inside the process is matched by its full {namespace}local
 tag and read where it may appear. documentation, incoming, outgoing and
 laneSet are skipped as children of the process, a flow node or a
-sequenceFlow; any other element is an UnknownElement. The bcext namespace
+sequenceFlow; any other element is a BpmnParseError. The bcext namespace
 URI is fixed to urn:procforge:bcext:1.
 
     process       flow nodes, sequenceFlow and the bcext declarations below,
@@ -64,14 +64,6 @@ BCEXT_NS = "urn:procforge:bcext:1"
 
 
 class BpmnParseError(Exception):
-    pass
-
-
-class XmlSyntaxError(BpmnParseError):
-    pass
-
-
-class UnknownElement(BpmnParseError):
     pass
 
 
@@ -299,13 +291,13 @@ def _require(elem, attr: str, what: str) -> str:
     return value
 
 
-def _unexpected(child, where: str) -> UnknownElement:
-    return UnknownElement(f"unexpected element '{_local(child.tag)}' inside {where}")
+def _unexpected(child, where: str) -> BpmnParseError:
+    return BpmnParseError(f"unexpected element '{_local(child.tag)}' inside {where}")
 
 
 def _bcext_children(elem, allowed: Tuple[str, ...], where: str):
     """(local name, child) for each child of elem; a child that is not a
-    bcext element named in allowed is an UnknownElement."""
+    bcext element named in allowed is a BpmnParseError."""
     for child in elem:
         local = _local(child.tag)
         if child.tag != _BCEXT + local or local not in allowed:
@@ -410,13 +402,13 @@ def _parse_flow(elem) -> SequenceFlow:
     return SequenceFlow(flow_id, source, target, condition, default == "true")
 
 
-def _unknown_in_process(tag: str) -> UnknownElement:
+def _unknown_in_process(tag: str) -> BpmnParseError:
     local = _local(tag)
     if tag == _BPMN + local:
-        return UnknownElement(f"unsupported BPMN element '{local}' in process")
+        return BpmnParseError(f"unsupported BPMN element '{local}' in process")
     if tag == _BCEXT + local:
-        return UnknownElement(f"unknown bcext element '{local}'")
-    return UnknownElement(f"foreign element '{tag}' inside process")
+        return BpmnParseError(f"unknown bcext element '{local}'")
+    return BpmnParseError(f"foreign element '{tag}' inside process")
 
 
 def parse_bpmn(xml_text: str) -> ProcessModel:
@@ -428,7 +420,7 @@ def parse_bpmn(xml_text: str) -> ProcessModel:
     try:
         root = ET.fromstring(xml_text)
     except ET.ParseError as e:
-        raise XmlSyntaxError(f"XML syntax error at line {e.position[0]}, "
+        raise BpmnParseError(f"XML syntax error at line {e.position[0]}, "
                              f"column {e.position[1]}: {e.msg}") from e
 
     if root.tag != _BPMN + "definitions":

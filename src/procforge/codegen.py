@@ -25,7 +25,7 @@ from .ir import (
     contract_name,
 )
 from .marking import MarkingAutomaton
-from .registry import AttributeDecl, FungibleRegistrySpec, NonFungibleRegistrySpec
+from .registry import FungibleRegistrySpec, NonFungibleRegistrySpec, changed_event
 
 PRAGMA = "^0.5.8"
 
@@ -158,10 +158,6 @@ def gen_fungible(spec: FungibleRegistrySpec) -> SourceUnit:
 # Non-fungible registry (ERC-721 style, address-typed record ids)
 
 
-def _changed_event(attr: AttributeDecl) -> str:
-    return attr.name[0].upper() + attr.name[1:] + "Changed"
-
-
 def gen_nonfungible(spec: NonFungibleRegistrySpec) -> SourceUnit:
     name = contract_name(spec.name) + "Registry"
     texts: List[str] = []
@@ -260,7 +256,7 @@ def _gen_nft_registry(spec: NonFungibleRegistrySpec, name: str,
     b.append("    event ApprovalForAll(address indexed owner, address indexed operator, bool approved);")
     for a in spec.attributes:
         if a.history_tracked:
-            b.append(f"    event {_changed_event(a)}(address indexed recordId, {a.type} value);")
+            b.append(f"    event {changed_event(a)}(address indexed recordId, {a.type} value);")
     b.append("")
     b.append(f"    constructor({', '.join('address _' + a for a in addresses)}) public {{")
     b.append("        deployer = msg.sender;")
@@ -300,7 +296,7 @@ def _gen_nft_registry(spec: NonFungibleRegistrySpec, name: str,
     b.append("        emit Transfer(address(0), msg.sender, record_id);")
     for a in spec.attributes:
         if a.history_tracked:
-            b.append(f"        emit {_changed_event(a)}(record_id, {a.name});")
+            b.append(f"        emit {changed_event(a)}(record_id, {a.name});")
     b.append("    }")
     b.append("")
     b.extend(lookup)
@@ -326,7 +322,7 @@ def _gen_nft_registry(spec: NonFungibleRegistrySpec, name: str,
                      '"not the record owner");')
         b.append("        " + write.format(a.name))
         if a.history_tracked:
-            b.append(f"        emit {_changed_event(a)}(record_id, value);")
+            b.append(f"        emit {changed_event(a)}(record_id, value);")
         b.append("    }")
 
     b.append("")

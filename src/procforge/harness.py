@@ -40,14 +40,6 @@ class HarnessError(Exception):
     pass
 
 
-class BudgetExceeded(HarnessError):
-    pass
-
-
-class MutationExhausted(HarnessError):
-    pass
-
-
 class TraceSyntaxError(HarnessError):
     pass
 
@@ -101,19 +93,21 @@ def parse_trace(text: str) -> Trace:
 
 def step(a: MarkingAutomaton, states: FrozenSet[int], task_id: str) -> FrozenSet[int]:
     """Fire external task task_id with fire_external from every marking in
-    states, and close each result over all branch choices. A firing whose
-    closure never settles is dropped: no sweep of the emitted
+    states, and close the results over all branch choices in one walk. A
+    firing whose closure never settles is dropped: no sweep of the emitted
     runAutoTransitions ends where it began, so the transaction reverts, as
     the interpreter rejects it. Empty when no firing is left."""
-    out: Set[int] = set()
+    fired = []
     for m in states:
-        fired = fire_external(a, m, task_id)
-        if fired is not None:
-            try:
-                out |= eager_closure_nondet(a, fired[0])
-            except NonTerminatingClosure:
-                pass
-    return frozenset(out)
+        f = fire_external(a, m, task_id)
+        if f is not None:
+            fired.append(f[0])
+    if not fired:  # a walk without seeds raises, and a raise per rejected edge is slow
+        return frozenset()
+    try:
+        return eager_closure_nondet(a, *fired)
+    except NonTerminatingClosure:
+        return frozenset()
 
 
 def enumerate_conforming(a: MarkingAutomaton, max_len: int,
@@ -127,7 +121,7 @@ def enumerate_conforming(a: MarkingAutomaton, max_len: int,
     A pre-order DFS that tries tasks in sorted display-name order yields
     the sequences already sorted, so it stops once it has `limit` of them.
     The state budget, DEFAULT_STATE_BUDGET, counts only the markings
-    produced on the way there; BudgetExceeded is raised when they exceed
+    produced on the way there; HarnessError is raised when they exceed
     it."""
     found: List[Names] = []
     budget = [DEFAULT_STATE_BUDGET]
@@ -145,7 +139,7 @@ def enumerate_conforming(a: MarkingAutomaton, max_len: int,
             nxt = step(a, states, task_id)
             budget[0] -= len(nxt)
             if budget[0] < 0:
-                raise BudgetExceeded(
+                raise HarnessError(
                     f"marking graph larger than {DEFAULT_STATE_BUDGET} states")
             if nxt and walk(nxt, prefix + (name,)):
                 return True
@@ -316,7 +310,7 @@ class _TokenGame:
                     frontier.append(m2)
                     budget[0] -= 1
                     if budget[0] < 0:
-                        raise BudgetExceeded("oracle state budget exhausted")
+                        raise HarnessError("oracle state budget exhausted")
         return frozenset(seen)
 
     @cached_property
@@ -332,7 +326,7 @@ class _TokenGame:
         saturated state set that firing it reaches, and the edge's cost,
         the markings that saturation discovered. The cost depends only on
         node's states and the task. spent is what the trace's path has
-        cost so far; saturation raises BudgetExceeded once spent and the
+        cost so far; saturation raises HarnessError once spent and the
         cost pass DEFAULT_STATE_BUDGET."""
         task = self.by_name.get(name)
         if task is None:
@@ -346,7 +340,7 @@ class _TokenGame:
     def verdict(self, names: Names, strict: bool) -> Classification:
         """The trace's class. The budget is per trace: the costs of the
         root and of the edges along the trace's path are summed, and
-        BudgetExceeded is raised as soon as the sum passes
+        HarnessError is raised as soon as the sum passes
         DEFAULT_STATE_BUDGET, whichever trace computed each edge."""
         node, spent = self.root
         for i, name in enumerate(names):
@@ -356,7 +350,7 @@ class _TokenGame:
             node, cost = edge
             spent += cost
             if spent > DEFAULT_STATE_BUDGET:
-                raise BudgetExceeded("oracle state budget exhausted")
+                raise HarnessError("oracle state budget exhausted")
             if not node.states:
                 return NonConforming(i)
         if strict and frozenset() not in node.states:
@@ -393,7 +387,7 @@ def mutants(trace: Names, rng: random.Random, count: int,
             alphabet: Sequence[str], bases: Collection[Names]) -> List[Names]:
     """count mutants of trace. Each applies exactly one operator, the
     three being equally likely, and is resampled until it is not in bases;
-    MutationExhausted is raised when one takes more than 100 tries.
+    HarnessError is raised when one takes more than 100 tries.
 
     Every draw is a fixed function of rng.random() and rng.getrandbits(),
     so the stream is the one random.choices(OPERATORS), randrange, choice
@@ -478,7 +472,7 @@ def mutants(trace: Names, rng: random.Random, count: int,
                 out.append(mutant)
                 break
         else:
-            raise MutationExhausted(
+            raise HarnessError(
                 "no mutant distinct from the base traces after 100 attempts")
     return out
 
@@ -552,6 +546,8 @@ def run_experiment(model: ProcessModel, a: MarkingAutomaton,
     t0 = time.perf_counter()
     bases = enumerate_conforming(a, len(a.external), strict=cfg.strict,
                                  limit=cfg.base_traces)
+    if not bases:
+        raise HarnessError("no conforming base trace")
     base_set = frozenset(bases)
     alphabet = sorted(a.external_names.values())
     rng = random.Random(cfg.seed)
@@ -577,7 +573,7 @@ def run_experiment(model: ProcessModel, a: MarkingAutomaton,
                      for idx, names in enumerate(traces) if names in labels] if labels else []
     total = len(traces)
     non_conforming = total - conforming
-    pct = 100.0 * agree / total if total else 100.0
+    pct = 100.0 * agree / total
     elapsed_ms = int((time.perf_counter() - t0) * 1000)
     return Report(cfg.seed, conforming, non_conforming, pct,
                   tuple(disagreements), elapsed_ms)

@@ -39,39 +39,11 @@ class RegistryError(Exception):
     pass
 
 
-class InsufficientBalance(RegistryError):
-    pass
-
-
-class InsufficientAllowance(RegistryError):
-    pass
-
-
 class Unauthorized(RegistryError):
     pass
 
 
-class DuplicateRecord(RegistryError):
-    pass
-
-
-class UnknownRecord(RegistryError):
-    pass
-
-
 class InstanceError(Exception):
-    pass
-
-
-class MissingAddressBinding(InstanceError):
-    pass
-
-
-class UnknownRegistryAddress(InstanceError):
-    pass
-
-
-class UnknownTask(InstanceError):
     pass
 
 
@@ -157,7 +129,7 @@ class FungibleLedger(_Journaled):
         if amount < 0:
             raise RegistryError("negative amount")
         if self.balance_of(frm) < amount:
-            raise InsufficientBalance(
+            raise RegistryError(
                 f"{frm} holds {self.balance_of(frm)}, needs {amount}")
         self._write(self.balances, addr_key(frm), self.balance_of(frm) - amount)
         self._write(self.balances, addr_key(to), self.balance_of(to) + amount)
@@ -174,7 +146,7 @@ class FungibleLedger(_Journaled):
 
     def transfer_from(self, caller: str, frm: str, to: str, amount: int) -> Tuple[bool]:
         if self.allowance(frm, caller) < amount:
-            raise InsufficientAllowance(
+            raise RegistryError(
                 f"allowance {self.allowance(frm, caller)} < {amount}")
         self._move(frm, to, amount)
         key = (addr_key(frm), addr_key(caller))
@@ -194,7 +166,7 @@ class FungibleLedger(_Journaled):
         if addr_key(caller) not in {addr_key(a) for a in self.spec.burner_addresses}:
             raise Unauthorized(f"{caller} is not a burner")
         if self.balance_of(frm) < amount or amount < 0:
-            raise InsufficientBalance(f"cannot burn {amount} from {frm}")
+            raise RegistryError(f"cannot burn {amount} from {frm}")
         self._write(self.balances, addr_key(frm), self.balance_of(frm) - amount)
         self._add_supply(-amount)
         return (True,)
@@ -265,7 +237,7 @@ class NonFungibleStore(_Journaled):
     def _get(self, record_id: str) -> RecordState:
         rec = self.records.get(addr_key(record_id))
         if rec is None:
-            raise UnknownRecord(f"no record {record_id}")
+            raise RegistryError(f"no record {record_id}")
         return rec
 
     def record_create(self, caller: str, record_id: str, *values) -> Tuple[()]:
@@ -274,7 +246,7 @@ class NonFungibleStore(_Journaled):
         if self.spec.is_record_creation_restricted_to_bpmn and not self._is_process(caller):
             raise Unauthorized("record creation is restricted to the bound process")
         if addr_key(record_id) in self.records:
-            raise DuplicateRecord(f"record {record_id} already exists")
+            raise RegistryError(f"record {record_id} already exists")
         if len(values) != len(self.spec.attributes):
             raise RegistryError(f"record_create takes {len(self.spec.attributes)} "
                                 f"attribute values, got {len(values)}")
@@ -401,10 +373,10 @@ class InstanceState:
             address = (itf.contract_address if itf.contract_address is not None
                        else (address_bindings or {}).get(itf.id))
             if address is None:
-                raise MissingAddressBinding(
+                raise InstanceError(
                     f"interface '{itf.id}' has no contractAddress and no binding")
             if addr_key(address) not in self.registries:
-                raise UnknownRegistryAddress(
+                raise InstanceError(
                     f"no simulated registry at {address} for interface '{itf.id}'")
             self.iface_registries[itf.id] = self.registries[addr_key(address)]
         self.process_address = pseudo_address(f"process:{model.id}:0")
@@ -431,7 +403,7 @@ class InstanceState:
     def registry_at(self, address: str) -> Registry:
         reg = self.registries.get(addr_key(address))
         if reg is None:
-            raise UnknownRegistryAddress(f"no simulated registry at {address}")
+            raise InstanceError(f"no simulated registry at {address}")
         return reg
 
     def _bind_value(self, source, env):
@@ -485,7 +457,7 @@ class InstanceState:
         """
         task_id = self.automaton.task_id_for(task_name)
         if task_id is None:
-            raise UnknownTask(f"'{task_name}' is not an external task of the model")
+            raise InstanceError(f"'{task_name}' is not an external task of the model")
         task = self.model.node(task_id)
 
         # the task and the closure fire on a copy of the env holding the

@@ -153,18 +153,6 @@ class EvalError(Exception):
     pass
 
 
-class DivisionByZero(EvalError):
-    pass
-
-
-class ArithmeticOverflow(EvalError):
-    pass
-
-
-class ArithmeticUnderflow(EvalError):
-    pass
-
-
 class ExprTypeError(Exception):
     """Raised by compile_expr; surfaces as a validation diagnostic."""
 
@@ -192,14 +180,14 @@ def _require_numeric(t: str, where: str) -> None:
 def _range_check(value: int, result_type: str) -> int:
     if result_type == "uint256":
         if value < 0:
-            raise ArithmeticUnderflow(f"unsigned result below zero: {value}")
+            raise EvalError(f"unsigned result below zero: {value}")
         if value > UINT256_MAX:
-            raise ArithmeticOverflow(f"uint256 overflow: {value}")
+            raise EvalError(f"uint256 overflow: {value}")
     elif result_type == "int256":
         if value < INT256_MIN:
-            raise ArithmeticUnderflow(f"int256 underflow: {value}")
+            raise EvalError(f"int256 underflow: {value}")
         if value > INT256_MAX:
-            raise ArithmeticOverflow(f"int256 overflow: {value}")
+            raise EvalError(f"int256 overflow: {value}")
     return value
 
 
@@ -219,7 +207,7 @@ def _arith(op: str, t: str, left: Evaluator, right: Evaluator) -> Evaluator:
         if op != "/":
             return _range_check(_ARITH[op](lv, rv), width)
         if rv == 0:
-            raise DivisionByZero(f"{lv} / 0")
+            raise EvalError(f"{lv} / 0")
         if width == "uint256":
             return lv // rv
         q = abs(lv) // abs(rv)  # solidity int division truncates toward zero

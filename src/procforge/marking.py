@@ -252,16 +252,22 @@ def _pick_branch(t: Transition, env) -> Branch:
     raise NoBranchTaken(f"all branch conditions false at '{t.node_id}' and no default flow")
 
 
-def eager_closure_nondet(a: MarkingAutomaton, marking: int) -> FrozenSet[int]:
-    """Run the sweeps of eager_closure_data from a marking along every
-    branch choice, ignoring guards and scripts, and return the markings
-    where a sweep ends on the marking it began with: the quiescent ones
-    and the parked loops. A sweep ending elsewhere starts a new one unless
-    its marking was seen before. Raises NonTerminatingClosure when no
-    sweep ends where it began."""
+def eager_closure_nondet(a: MarkingAutomaton, *markings: int) -> FrozenSet[int]:
+    """Run the sweeps of eager_closure_data from each of markings along
+    every branch choice, ignoring guards and scripts, and return the
+    markings where a sweep ends on the marking it began with: the quiescent
+    ones and the parked loops. A sweep ending elsewhere starts a new one
+    unless its marking was seen before, from any of markings. The result is
+    the union of each marking's own, so a marking none of whose sweeps ends
+    where it began adds nothing. Raises NonTerminatingClosure when no sweep
+    ends where it began."""
     autos = a.autos
     results: Set[int] = set()
-    paths = [(marking, marking, 0)]  # (where the sweep began, marking, next auto)
+    # (where the sweep began, marking, next auto); a loop, as a comprehension
+    # costs CPython 3.11 a frame per call, and most calls have one marking
+    paths = []
+    for m in markings:
+        paths.append((m, m, 0))
     seen = set(paths)
     while paths:
         start, m, k = paths.pop()

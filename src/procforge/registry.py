@@ -19,21 +19,23 @@ DECIMALS_MAX = 18
 
 # The names the emitted non-fungible registry declares besides the
 # attributes, which an attribute of the name would repeat or hide, refused
-# in both layouts (line numbers of codegen.py):
-# - owner, exists: members of the single layout's Record struct (217-219);
+# in both layouts (where codegen emits them):
+# - owner, exists: members of the single layout's Record struct
+#   (_gen_nft_registry's storage);
 # - registry, owner, onlyRegistry, setOwner, _owner: the distributed record
 #   contract's state variables, modifier, function and constructor
 #   parameter, and value, the parameter of its setters, which a setter
-#   set_value would assign in place of the attribute (176-208);
+#   set_value would assign in place of the attribute (_gen_record_contract);
 # - record_id: the parameter of record_create and record_get_attrs, whose
 #   bodies read records, recordExists, recordContracts, Record, ownedCount,
 #   recordCount and Transfer under the attributes as parameters or named
-#   returns (294-315).
+#   returns (_gen_nft_registry's record_create and record_get_attrs).
 # The distributed layout's record contract <Name>Record, which record_create
-# names in "new <Name>Record(msg.sender, ...)" (170, 229), is refused too.
+# names in "new <Name>Record(msg.sender, ...)" (gen_nonfungible and
+# _gen_nft_registry's storage), is refused too.
 # The constructor parameter _<name> and setter set_<name> of an attribute
-# <name>, and the event <Name>Changed of a historyTracked one (161-162),
-# must not repeat one another's or an attribute's name either.
+# <name>, and the event changed_event names for a historyTracked one, must
+# not repeat one another's or an attribute's name either.
 RESERVED_ATTRIBUTE_NAMES = frozenset((
     "owner", "exists", "registry", "onlyRegistry", "setOwner", "_owner", "value",
     "record_id", "records", "recordExists", "recordContracts", "Record", "ownedCount",
@@ -44,26 +46,10 @@ class RegistrySpecError(Exception):
     pass
 
 
-class SpecSyntaxError(RegistrySpecError):
-    pass
-
-
-class MissingField(RegistrySpecError):
-    pass
-
-
 class InvariantViolation(RegistrySpecError):
     def __init__(self, path: str, message: str):
         super().__init__(f"{path}: {message}")
         self.path = path
-
-
-class MalformedAddress(RegistrySpecError):
-    pass
-
-
-class UnknownAttributeType(RegistrySpecError):
-    pass
 
 
 class FungibleRegistrySpec(NamedTuple):
@@ -85,6 +71,12 @@ class AttributeDecl(NamedTuple):
     history_tracked: bool = False
 
 
+def changed_event(attr: AttributeDecl) -> str:
+    """<Name>Changed: the event the emitted registry emits on each write of
+    a historyTracked attribute."""
+    return attr.name[0].upper() + attr.name[1:] + "Changed"
+
+
 class NonFungibleRegistrySpec(NamedTuple):
     name: str
     registry_type: str  # "single" | "distributed"
@@ -101,16 +93,16 @@ def _load(doc: str) -> dict:
     try:
         obj = load_json(doc)
     except ValueError as e:
-        raise SpecSyntaxError(f"invalid JSON: {e}") from e
+        raise RegistrySpecError(f"invalid JSON: {e}") from e
     if not isinstance(obj, dict):
-        raise SpecSyntaxError("registry spec must be a JSON object")
+        raise RegistrySpecError("registry spec must be a JSON object")
     return obj
 
 
 def _field(obj: dict, name: str, required: bool = True, default=None):
     if name not in obj:
         if required:
-            raise MissingField(f"missing field '{name}'")
+            raise RegistrySpecError(f"missing field '{name}'")
         return default
     return obj[name]
 
@@ -129,7 +121,7 @@ def _amount(value, path: str) -> int:
 
 def _address(value, path: str) -> str:
     if not isinstance(value, str) or not is_address(value):
-        raise MalformedAddress(f"{path}: '{value}' is not 0x + 40 hex digits")
+        raise RegistrySpecError(f"{path}: '{value}' is not 0x + 40 hex digits")
     return value
 
 
@@ -322,18 +314,18 @@ def _nonfungible(obj: dict) -> NonFungibleRegistrySpec:
         seen.add(aname)
         atype = _field(entry, "type")
         if atype not in VALUE_TYPES:
-            raise UnknownAttributeType(f"{path}.type: '{atype}'")
+            raise RegistrySpecError(f"{path}.type: '{atype}'")
         attrs.append(AttributeDecl(
             name=aname, type=atype,
             updatable=_bool(entry, "updatable", path + "."),
             history_tracked=_bool(entry, "historyTracked", path + ".")))
     # an attribute <name> also brings the record contract's constructor
     # parameter _<name>, updatable, its setter set_<name> and,
-    # historyTracked, the event <Name>Changed
+    # historyTracked, its changed_event
     brought: Dict[str, int] = {}
     for i, a in enumerate(attrs):
         setter = ["set_" + a.name] if a.updatable else []
-        event = [a.name[0].upper() + a.name[1:] + "Changed"] if a.history_tracked else []
+        event = [changed_event(a)] if a.history_tracked else []
         for other in ["_" + a.name, *setter, *event]:
             if other in brought:
                 raise InvariantViolation(f"attributes[{i}].name",

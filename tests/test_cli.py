@@ -417,6 +417,8 @@ def test_conformance_json_deterministic(capsys):
 
 def test_conformance_bad_config_exits_64(capsys):
     assert run(capsys, "conformance", GRAIN, "--bases", "0")[0] == 64
+    assert run(capsys, "conformance", GRAIN, "--mutants", "-1") \
+        == (64, "", "error: mutants per base must be nonnegative\n")
 
 
 ICO = str(FIXTURES / "ico.bpmn")
@@ -509,15 +511,34 @@ def test_conformance_on_closures_that_never_settle(tmp_path, capsys, prefix):
     from modelgen import spinning_loop_bpmn
     model = _loop_model(tmp_path, spinning_loop_bpmn(after_task=True))
     code, out, err = run(capsys, "conformance", model, "--json", *prefix)
-    assert code == 0 and err == ""
-    # the replayer rejects "Go" wherever it comes first, as the chain reverts it
-    report = json.loads(out)
-    assert {d["replayer"] for d in report["disagreements"]} <= {"NonConforming(0)"}
+    if prefix:
+        assert code == 0 and err == ""
+        # the replayer rejects "Go" wherever it comes first, as the chain reverts it
+        report = json.loads(out)
+        assert {d["replayer"] for d in report["disagreements"]} <= {"NonConforming(0)"}
+    else:
+        # no trace ends with the zero marking, so there is no base to check
+        assert code == 1 and out == ""
+        assert err == "error: no conforming base trace\n"
     model = _loop_model(tmp_path, spinning_loop_bpmn(after_task=False))
     code, out, err = run(capsys, "conformance", model, *prefix)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "initial closure failed" in err
+
+
+def test_conformance_text_prints_the_disagreements_of_the_json_report(tmp_path, capsys):
+    # the replayer drops "Go", whose closure never settles; the oracle takes it
+    from modelgen import spinning_loop_bpmn
+    argv = ["conformance", _loop_model(tmp_path, spinning_loop_bpmn(after_task=True)),
+            "--prefix", "--bases", "1", "--mutants", "3"]
+    disagreements = json.loads(run(capsys, *argv, "--json")[1])["disagreements"]
+    assert [d["traceIndex"] for d in disagreements] == [1, 2, 3]
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert [line for line in out.splitlines() if line.startswith("  disagreement")] == [
+        f"  disagreement at trace {d['traceIndex']}: replayer={d['replayer']} "
+        f"oracle={d['oracle']}" for d in disagreements]
 
 
 def test_simulate_parked_initial_closure_leaves_done_not_enabled(tmp_path, capsys):
@@ -861,6 +882,9 @@ AB = "0x" + "ab" * 20
      "m.bpmn: foreign element '{urn:other}note' inside process"),
     (ICO_TEXT, LRK_TEXT.replace('"minterAddresses": []', f'"minterAddresses": "{A6}"'),
      "s.json: minterAddresses: must be a list of addresses"),
+    (ICO_TEXT, json.dumps({**json.loads(LRK_TEXT), "initiallyDistributedAccounts":
+                           {"address": A6, "amount": "1000000"}}),
+     "s.json: initiallyDistributedAccounts: must be a list"),
     # addresses that differ only in case are one address
     (ICO_TEXT, LRK_TEXT.replace('"isBurnable": false', '"isBurnable": true').replace(
         '"burnerAddresses": []', f'"burnerAddresses": ["{AB}", "0x{AB[2:].upper()}"]'),
@@ -877,7 +901,7 @@ AB = "0x" + "ab" * 20
                                   '"historyTracked": true}', '"weight"'),
      "s.json: attributes[0]: entries must be attribute objects"),
 ], ids=["multiple-processes", "no-process", "unknown-bcext", "foreign-element",
-        "minters-not-a-list", "duplicate-burner", "empty-fungible-name",
+        "minters-not-a-list", "distribution-not-a-list", "duplicate-burner", "empty-fungible-name",
         "empty-nonfungible-name", "burnable-without-burners", "burners-not-burnable",
         "attribute-not-an-object"])
 def test_reader_error_is_one_error_line(tmp_path, monkeypatch, capsys, model, spec, line):

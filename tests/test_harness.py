@@ -12,11 +12,10 @@ from procforge import harness
 from procforge.cli import main
 from procforge.bpmn import parse_bpmn
 from procforge.harness import (
-    BudgetExceeded,
     Conforming,
     Disagreement,
     ExperimentConfig,
-    MutationExhausted,
+    HarnessError,
     NonConforming,
     Report,
     TraceEvent,
@@ -119,13 +118,13 @@ def test_enumerate_grain_has_swap_and_refund_paths(grain_automaton):
 def test_enumerate_budget(monkeypatch):
     _, a = and_split_bc()
     monkeypatch.setattr(harness, "DEFAULT_STATE_BUDGET", 1)
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(HarnessError, match="^marking graph larger than 1 states$"):
         enumerate_conforming(a, 3)
     # the full walk produces 5 markings: A; then B, C; then C after B, B after C
     monkeypatch.setattr(harness, "DEFAULT_STATE_BUDGET", 5)
     assert len(enumerate_conforming(a, 3)) == 2
     monkeypatch.setattr(harness, "DEFAULT_STATE_BUDGET", 4)
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(HarnessError, match="^marking graph larger than 4 states$"):
         enumerate_conforming(a, 3)
     # the first trace alone needs only the 3 markings on its own path
     monkeypatch.setattr(harness, "DEFAULT_STATE_BUDGET", 3)
@@ -279,6 +278,44 @@ def test_a_firing_whose_closure_never_settles_reaches_no_state():
         classify(a, ())
 
 
+def reference_step(a, states, task_id):
+    """step with a closure walk per firing, one that never settles dropped."""
+    out = set()
+    for m in states:
+        fired = fire_external(a, m, task_id)
+        if fired is not None:
+            try:
+                out |= eager_closure_nondet(a, fired[0])
+            except NonTerminatingClosure:
+                pass
+    return frozenset(out)
+
+
+def test_one_closure_walk_reaches_the_union_of_a_walk_per_firing():
+    # a firing that never settles adds nothing to one that settles
+    a = compile_marking(parse_bpmn(spinning_loop_bpmn(after_task=True)))
+    (settled,) = eager_closure_nondet(a, a.initial_marking)
+    spinning, _ = fire_external(a, settled, a.task_id_for("Go"))
+    assert eager_closure_nondet(a, spinning, settled) == {settled}
+    # every edge of the first 200 state sets reached on each random model
+    rng = random.Random(29)
+    several = 0
+    for _ in range(40):
+        a = compile_marking(random_model(rng))
+        frontier = [eager_closure_nondet(a, a.initial_marking)]
+        seen = set(frontier)
+        while frontier and len(seen) < 200:
+            states = frontier.pop()
+            for task_id in a.external:
+                nxt = step(a, states, task_id)
+                assert nxt == reference_step(a, states, task_id)
+                several += sum(fire_external(a, m, task_id) is not None for m in states) > 1
+                if nxt not in seen:
+                    seen.add(nxt)
+                    frontier.append(nxt)
+    assert several  # some steps close more than one firing
+
+
 def test_data_free_states_contain_the_interpreters_marking_on_random_models():
     rng = random.Random(23)
     for _ in range(40):
@@ -346,10 +383,13 @@ def test_remove_resamples_on_empty():
     assert out == ()
 
 
+EXHAUSTED = "no mutant distinct from the base traces after 100 attempts"
+
+
 def test_mutation_exhausted():
     single = ("a",)
     # only possible removal result is (), which equals a base
-    with pytest.raises(MutationExhausted):
+    with pytest.raises(HarnessError, match=f"^{EXHAUSTED}$"):
         mutate(single, random.Random(0), [], bases=[single, ()])
 
 
@@ -397,14 +437,15 @@ def reference_mutate(trace, rng, weights, alphabet, bases):
         mutant = tuple(names)
         if mutant not in bases:
             return mutant
-    raise MutationExhausted
+    raise HarnessError(EXHAUSTED)
 
 
 def draw_or_exhaust(draw):
+    """The draws, or the message of the error that ended them."""
     try:
         return draw()
-    except MutationExhausted:
-        return MutationExhausted
+    except HarnessError as e:
+        return str(e)
 
 
 @pytest.mark.parametrize("weights", [(1, 1, 1), None])
@@ -457,8 +498,8 @@ def test_mutants_draw_as_the_reference_when_every_edit_repeats(length, alphabet)
             assert got == expected, (trace, sorted(bases))
             assert rng.getstate() == ref_rng.getstate(), (trace, sorted(bases))
             if bases >= every_edit(trace, alphabet):
-                assert got is MutationExhausted
-            elif got is not MutationExhausted:
+                assert got == EXHAUSTED
+            elif got != EXHAUSTED:
                 assert len(got) == 200 and not bases & set(got)
 
 
@@ -483,7 +524,8 @@ def test_every_mutant_is_its_base_with_one_edit(trace, alphabet, seed):
     bases = {trace}
     try:
         out = harness.mutants(trace, random.Random(seed), 20, alphabet, bases)
-    except MutationExhausted:
+    except HarnessError as e:
+        assert str(e) == EXHAUSTED
         assert trace == () and not alphabet  # no operator applies
         return
     assert len(out) == 20
@@ -580,6 +622,8 @@ def reference_report(model, a, cfg):
     conforming = non_conforming = agree = 0
     disagreements = []
     traces = experiment_traces(a, cfg)
+    if not traces:
+        raise HarnessError("no conforming base trace")
     for idx, trace in enumerate(traces):
         mine = classify(a, trace, strict=cfg.strict)
         theirs = oracle_classify(model, trace, strict=cfg.strict)
@@ -590,7 +634,7 @@ def reference_report(model, a, cfg):
         else:
             disagreements.append(Disagreement(idx, mine.label(), theirs.label(),
                                               trace))
-    pct = 100.0 * agree / len(traces) if traces else 100.0
+    pct = 100.0 * agree / len(traces)
     return Report(cfg.seed, conforming, non_conforming, pct, tuple(disagreements), 0)
 
 
@@ -624,7 +668,7 @@ def test_run_experiment_matches_per_trace_classification_on_random_models():
             mine = outcome(run_experiment, model, a, cfg)
             assert mine == outcome(reference_report, model, a, cfg), (i, strict)
             reports += isinstance(mine, Report)
-    assert reports >= 40  # the rest raise MutationExhausted on both sides
+    assert reports >= 40  # the rest run out of mutants on both sides
 
 
 def test_repeated_trace_gets_a_disagreement_at_every_index(grain_model, grain_automaton,
@@ -706,9 +750,9 @@ def test_oracle_budget_is_per_trace(grain_model, grain_automaton, monkeypatch, c
     assert oracle_classify(grain_model, first).ok
     assert run_experiment(grain_model, grain_automaton, one).conforming == 1
     monkeypatch.setattr(harness, "DEFAULT_STATE_BUDGET", need - 1)
-    with pytest.raises(BudgetExceeded, match="oracle state budget exhausted"):
+    with pytest.raises(HarnessError, match="^oracle state budget exhausted$"):
         oracle_classify(grain_model, first)
-    with pytest.raises(BudgetExceeded, match="oracle state budget exhausted"):
+    with pytest.raises(HarnessError, match="^oracle state budget exhausted$"):
         run_experiment(grain_model, grain_automaton, one)
     assert main(["conformance", str(FIXTURES / "grain_title.bpmn"),
                  "--bases", "1", "--mutants", "0"]) == 1
@@ -722,7 +766,7 @@ def test_oracle_budget_is_per_trace(grain_model, grain_automaton, monkeypatch, c
     monkeypatch.setattr(harness, "DEFAULT_STATE_BUDGET", most)
     assert run_experiment(grain_model, grain_automaton, two).conforming == 2
     monkeypatch.setattr(harness, "DEFAULT_STATE_BUDGET", most - 1)
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(HarnessError, match="^oracle state budget exhausted$"):
         run_experiment(grain_model, grain_automaton, two)
 
     # A, B and B, A reach one oracle state set at different costs, and the
@@ -739,9 +783,9 @@ def test_oracle_budget_is_per_trace(grain_model, grain_automaton, monkeypatch, c
     assert run_experiment(model, a, two).conforming == 2
     monkeypatch.setattr(harness, "DEFAULT_STATE_BUDGET", dear_need - 1)
     assert oracle_classify(model, cheap).ok
-    with pytest.raises(BudgetExceeded, match="oracle state budget exhausted"):
+    with pytest.raises(HarnessError, match="^oracle state budget exhausted$"):
         oracle_classify(model, dear)
-    with pytest.raises(BudgetExceeded, match="oracle state budget exhausted"):
+    with pytest.raises(HarnessError, match="^oracle state budget exhausted$"):
         run_experiment(model, a, two)
 
 

@@ -4,16 +4,9 @@ import pytest
 
 from procforge import interp
 from procforge.interp import (
-    DuplicateRecord,
     FungibleLedger,
-    InsufficientAllowance,
-    InsufficientBalance,
-    MissingAddressBinding,
     NonFungibleStore,
     Unauthorized,
-    UnknownRecord,
-    UnknownRegistryAddress,
-    UnknownTask,
     new_instance,
     pseudo_address,
 )
@@ -52,7 +45,7 @@ def test_transfer_and_conservation():
 
 def test_transfer_insufficient():
     lg = ledger()
-    with pytest.raises(InsufficientBalance):
+    with pytest.raises(interp.RegistryError, match=f"^{A2} holds 0, needs 1$"):
         lg.transfer(A2, A1, 1)
     assert conserved(lg)
 
@@ -63,7 +56,7 @@ def test_approve_transfer_from():
     assert lg.allowance(A1, A2) == 30
     lg.transfer_from(A2, A1, A3, 25)
     assert lg.balance_of(A3) == 25 and lg.allowance(A1, A2) == 5
-    with pytest.raises(InsufficientAllowance):
+    with pytest.raises(interp.RegistryError, match="^allowance 5 < 6$"):
         lg.transfer_from(A2, A1, A3, 6)
     assert conserved(lg)
 
@@ -80,7 +73,7 @@ def test_burn():
     lg = ledger(is_burnable=True, burner_addresses=(MINTER,))
     lg.burn(MINTER, A1, 30)
     assert lg.total_supply == 70 and conserved(lg)
-    with pytest.raises(InsufficientBalance):
+    with pytest.raises(interp.RegistryError, match=f"^cannot burn 1 from {A2}$"):
         lg.burn(MINTER, A2, 1)
 
 
@@ -120,6 +113,19 @@ def test_a_distribution_off_total_supply_is_refused_as_parse_registry_refuses_it
     assert conserved(ledger(initially_distributed_accounts=((A1, 93), (A2, 7))))
 
 
+@pytest.mark.parametrize("call", [
+    lambda lg: lg.transfer(A1, A2, -1),
+    lambda lg: lg.approve(A1, A2, -1),
+    lambda lg: lg.mint(MINTER, A2, -1),
+], ids=["transfer", "approve", "mint"])
+def test_a_negative_amount_is_refused_and_changes_no_balance(call):
+    lg = ledger(is_mintable=True, minter_addresses=(MINTER,))
+    before = (dict(lg.balances), dict(lg.allowances), lg.total_supply)
+    with pytest.raises(interp.RegistryError, match="^negative amount$"):
+        call(lg)
+    assert (dict(lg.balances), dict(lg.allowances), lg.total_supply) == before
+
+
 # --- record store ------------------------------------------------------------
 
 
@@ -147,9 +153,9 @@ def test_record_lifecycle():
 def test_duplicate_and_unknown_records():
     s = store()
     s.record_create(A1, A3, 1, "")
-    with pytest.raises(DuplicateRecord):
+    with pytest.raises(interp.RegistryError, match=f"^record {A3} already exists$"):
         s.record_create(A1, A3, 1, "")
-    with pytest.raises(UnknownRecord):
+    with pytest.raises(interp.RegistryError, match=f"^no record {A2}$"):
         s.record_get_owner(A2)
 
 
@@ -233,6 +239,26 @@ def test_bpmn_restriction_and_process_transfer():
     assert s.record_get_owner(A3) == A2
     with pytest.raises(Unauthorized):
         s.record_ownership_transfer(A1, A3, A1)
+
+
+def test_only_the_bound_process_updates_a_record_when_creation_is_restricted():
+    # grain_title.json restricts record creation to the process, and so
+    # every update: not even the record's owner may update it
+    from conftest import FIXTURES
+    doc = json.loads((FIXTURES / "grain_title.json").read_text())
+    doc["attributes"][0]["updatable"] = True
+    s = NonFungibleStore(parse_registry(json.dumps(doc)))
+    proc = pseudo_address("proc")
+    s.process_address = proc
+    s.record_create(proc, A3, 10, 2)
+    s.record_ownership_transfer(proc, A3, A1)
+    before = s.records[A3]
+    with pytest.raises(Unauthorized,
+                       match="^record updates are restricted to the bound process$"):
+        interp._dispatch(s, "record_update_weight", [A3, 11], A1)
+    assert s.records[A3] == before
+    assert interp._dispatch(s, "record_update_weight", [A3, 11], proc) == ()
+    assert s.record_get_attrs(A3) == (11, 2)
 
 
 def test_record_access_control():
@@ -348,7 +374,8 @@ def test_failed_registry_call_rolls_back_marking(grain_model, grain_automaton):
 
 def test_unknown_task_raises(grain_model, grain_automaton):
     inst = new_instance(grain_model, grain_automaton, registries=grain_registries())
-    with pytest.raises(UnknownTask):
+    with pytest.raises(interp.InstanceError,
+                       match="^'No such task' is not an external task of the model$"):
         inst.invoke("No such task")
 
 
@@ -356,13 +383,22 @@ def test_missing_address_binding():
     from conftest import load_model
     model = load_model("grain_title_unbound")
     automaton = compile_marking(model)
-    with pytest.raises(MissingAddressBinding):
+    with pytest.raises(interp.InstanceError,
+                       match="^interface 'itf_lrk' has no contractAddress and no binding$"):
         new_instance(model, automaton, registries=grain_registries())
 
 
 def test_unknown_registry_address(grain_model, grain_automaton):
-    with pytest.raises(UnknownRegistryAddress):
+    with pytest.raises(interp.InstanceError,
+                       match="^no simulated registry at 0xD3E4EBe81b55EA73b559da31ADf2CAc3b254ea11 "
+                             "for interface 'itf_lrk'$"):
         new_instance(grain_model, grain_automaton, registries={})
+
+
+def test_registry_at_an_unknown_address_raises(grain_model, grain_automaton):
+    inst = new_instance(grain_model, grain_automaton, registries=grain_registries())
+    with pytest.raises(interp.InstanceError, match=f"^no simulated registry at {A1}$"):
+        inst.registry_at(A1)
 
 
 def test_instance_address_is_derived_from_the_process_id(grain_model, grain_automaton):

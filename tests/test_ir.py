@@ -11,11 +11,9 @@ from procforge.bpmn import parse_bpmn
 
 from procforge.ir import (
     Assign,
-    ArithmeticOverflow,
-    ArithmeticUnderflow,
     BinOp,
     Diagnostic,
-    DivisionByZero,
+    EvalError,
     ExprTypeError,
     INT256_MAX,
     INT256_MIN,
@@ -82,22 +80,22 @@ def test_not_requires_bool():
 
 def test_eval_checked_underflow():
     e = BinOp("-", Var("x"), Var("y"))
-    with pytest.raises(ArithmeticUnderflow):
+    with pytest.raises(EvalError, match="^unsigned result below zero: -2$"):
         compile_expr(e, U)[1]({"x": 3, "y": 5})
 
 
 def test_eval_checked_overflow():
     e = BinOp("+", Var("x"), Lit(1, "int_const"))
-    with pytest.raises(ArithmeticOverflow):
+    with pytest.raises(EvalError, match=f"^uint256 overflow: {UINT256_MAX + 1}$"):
         compile_expr(e, U)[1]({"x": UINT256_MAX})
     e2 = BinOp("-", Var("i"), Lit(1, "int_const"))
-    with pytest.raises(ArithmeticUnderflow):
+    with pytest.raises(EvalError, match=f"^int256 underflow: {INT256_MIN - 1}$"):
         compile_expr(e2, U)[1]({"i": INT256_MIN})
 
 
 def test_eval_division():
     assert compile_expr(BinOp("/", Lit(7, "int_const"), Lit(2, "int_const")), U)[1]({}) == 3
-    with pytest.raises(DivisionByZero):
+    with pytest.raises(EvalError, match="^1 / 0$"):
         compile_expr(BinOp("/", Var("x"), Lit(0, "int_const")), U)[1]({"x": 1})
 
 
@@ -192,7 +190,7 @@ def test_signed_division_identity(a, b):
     if expected <= INT256_MAX:
         assert divide({"i": a, "j": b}) == expected
     else:
-        with pytest.raises(ArithmeticOverflow):
+        with pytest.raises(EvalError, match=f"^int256 overflow: {expected}$"):
             divide({"i": a, "j": b})
 
 
@@ -557,6 +555,12 @@ ICO_INVESTOR = '<bcext:input name="investor" type="address"/>'
                                        '<endEvent id="end_done" name="Task paid"/>'
                                        '<endEvent id="end_lost" name="Lost"/>')],
                  [("error", "end_lost", "end event has no incoming flow")], id="end-no-incoming"),
+    pytest.param("ico", [('sourceRef="g_cap" targetRef="g_loop" default="true"/>',
+                          'sourceRef="g_cap" targetRef="g" default="true"/>'
+                          '<exclusiveGateway id="g"/>')],
+                 [("warning", "g_loop", DEGENERATE),
+                  ("error", "g", "gateway must have incoming and outgoing flows")],
+                 id="gateway-no-outgoing"),
     pytest.param("task_outsourcing", [('targetRef="t_deposit"/>',
                                        'targetRef="t_deposit" default="true"/>')],
                  [("error", "f1", "default flag on a flow not leaving an XOR gateway")],

@@ -1,5 +1,6 @@
-"""The immutable records are NamedTuples, and each dataclass left in src/
-has a reason to stay one."""
+"""The immutable records are NamedTuples, each dataclass left in src/
+has a reason to stay one, and each exception class in src/ has a reason
+to be told apart from its base."""
 
 import dataclasses
 import importlib
@@ -84,6 +85,33 @@ DATACLASSES = {
 }
 
 
+# each exception class in src/, and why the program tells it apart from
+# its base: a failure nothing catches, prints or reads by its class is
+# raised as its base with its own message
+EXCEPTIONS = {
+    "bpmn.BpmnParseError": "the CLI catches it",
+    "bpmn.ConditionParseError": "carries offset and expected",
+    "cli.CliError": "carries the exit code",
+    "harness.HarnessError": "the CLI catches it",
+    "harness.TraceSyntaxError": "the CLI catches it to name the trace file",
+    "interp.RegistryError": "its name maps to the Rejected reason RegistryError",
+    "interp.Unauthorized": "criterion 07 names it",
+    "interp.InstanceError": "the base of MissingInput and BadArgument, raised for bad "
+                            "wiring and unknown tasks",
+    "interp.MissingInput": "its name is printed as a Rejected reason",
+    "interp.BadArgument": "its name is printed as a Rejected reason",
+    "ir.EvalError": "its name maps to the Rejected reason ScriptError, and _fold catches it",
+    "ir.ExprTypeError": "validation catches it as a diagnostic",
+    "marking.MarkingError": "the CLI catches it",
+    "marking.NotEnabled": "its name is printed as a Rejected reason",
+    "marking.NoBranchTaken": "its name is printed as a Rejected reason",
+    "marking.NonTerminatingClosure": "its name is printed as a Rejected reason, and step "
+                                     "catches it",
+    "registry.RegistrySpecError": "the CLI catches it",
+    "registry.InvariantViolation": "carries path",
+}
+
+
 # each record whose fields hold a dict, so that it cannot hash
 UNHASHABLE = {
     "ClosureResult": "its env is the dict of variables the closure wrote",
@@ -110,6 +138,12 @@ def test_dataclasses_left_in_src_are_listed_with_their_reason():
     left = {f"{m.__name__.removeprefix('procforge.')}.{cls.__name__}"
             for m in _modules() for cls in _classes(m) if dataclasses.is_dataclass(cls)}
     assert left == set(DATACLASSES)
+
+
+def test_exception_classes_in_src_are_listed_with_their_reason():
+    left = {f"{m.__name__.removeprefix('procforge.')}.{cls.__name__}"
+            for m in _modules() for cls in _classes(m) if issubclass(cls, BaseException)}
+    assert left == set(EXCEPTIONS)
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)

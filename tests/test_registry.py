@@ -12,13 +12,10 @@ from procforge.ir import UINT256_MAX, addr_key
 from procforge.registry import (
     FungibleRegistrySpec,
     InvariantViolation,
-    MalformedAddress,
-    MissingField,
     NonFungibleRegistrySpec,
     RESERVED_ATTRIBUTE_NAMES,
     AttributeDecl,
-    SpecSyntaxError,
-    UnknownAttributeType,
+    RegistrySpecError,
     parse_registry,
 )
 
@@ -56,14 +53,14 @@ def test_parse_fungible_roundtrip_fields():
 def test_fungible_missing_field():
     doc = dict(FUNGIBLE)
     del doc["symbol"]
-    with pytest.raises(MissingField):
+    with pytest.raises(RegistrySpecError, match="^missing field 'symbol'$"):
         parse_registry(json.dumps(doc))
 
 
 def test_fungible_invalid_json():
-    with pytest.raises(SpecSyntaxError):
+    with pytest.raises(RegistrySpecError, match="^invalid JSON: "):
         parse_registry("{nope")
-    with pytest.raises(SpecSyntaxError):
+    with pytest.raises(RegistrySpecError, match="^registry spec must be a JSON object$"):
         parse_registry("[1]")
 
 
@@ -114,7 +111,8 @@ def test_minters_iff_mintable():
 
 
 def test_malformed_minter_address():
-    with pytest.raises(MalformedAddress):
+    with pytest.raises(RegistrySpecError,
+                       match=r"^minterAddresses\[0\]: 'bogus' is not 0x \+ 40 hex digits$"):
         parse_registry(fungible(minterAddresses=["bogus"]))
 
 
@@ -125,16 +123,16 @@ DIST = "initiallyDistributedAccounts"
 @pytest.mark.parametrize("second, error, message", [
     ([ADDR2, "400000"], InvariantViolation,
      f"{DIST}[1]: entries must be {{address, amount}} objects"),
-    ({"amount": "400000"}, MissingField, "missing field 'address'"),
-    ({"address": "0x" + "g" * 40, "amount": "400000"}, MalformedAddress,
+    ({"amount": "400000"}, RegistrySpecError, "missing field 'address'"),
+    ({"address": "0x" + "g" * 40, "amount": "400000"}, RegistrySpecError,
      f"{DIST}[1].address: '0x{'g' * 40}' is not 0x + 40 hex digits"),
-    ({"address": 7, "amount": "400000"}, MalformedAddress,
+    ({"address": 7, "amount": "400000"}, RegistrySpecError,
      f"{DIST}[1].address: '7' is not 0x + 40 hex digits"),
-    ({"address": ADDR2[:-1], "amount": "400000"}, MalformedAddress,
+    ({"address": ADDR2[:-1], "amount": "400000"}, RegistrySpecError,
      f"{DIST}[1].address: '{ADDR2[:-1]}' is not 0x + 40 hex digits"),
     ({"address": ADDR1.upper().replace("0X", "0x"), "amount": "400000"}, InvariantViolation,
      f"{DIST}[1]: duplicate address {ADDR1}"),
-    ({"address": ADDR2}, MissingField, "missing field 'amount'"),
+    ({"address": ADDR2}, RegistrySpecError, "missing field 'amount'"),
     ({"address": ADDR2, "amount": 400000}, InvariantViolation,
      f"{DIST}[1].amount: amounts must be decimal strings"),
     ({"address": ADDR2, "amount": "0x10"}, InvariantViolation,
@@ -266,9 +264,9 @@ SPLIT_ADDRESSES = [{"address": ADDR1[:-1], "amount": "600000"},
 
 def test_a_41_and_a_43_character_address_are_not_two_addresses():
     assert "".join(e["address"] for e in SPLIT_ADDRESSES) == ADDR1 + ADDR2
-    with pytest.raises(MalformedAddress) as reference:
+    with pytest.raises(RegistrySpecError) as reference:
         reference_distribution(SPLIT_ADDRESSES, 1000000)
-    with pytest.raises(MalformedAddress) as exc:
+    with pytest.raises(RegistrySpecError) as exc:
         parse_registry(fungible(initiallyDistributedAccounts=SPLIT_ADDRESSES))
     assert str(exc.value) == str(reference.value) == \
         f"{DIST}[0].address: '{ADDR1[:-1]}' is not 0x + 40 hex digits"
@@ -280,7 +278,7 @@ def test_a_41_and_a_43_character_address_are_not_two_addresses():
 ], ids=["1x", "00", "x-third", "xx", "x-last", "newline-last", "0X", "arabic-indic-digit"])
 def test_a_42_character_address_is_checked_at_every_position(address):
     # the second entry is checked on the concatenation of both addresses
-    with pytest.raises(MalformedAddress) as exc:
+    with pytest.raises(RegistrySpecError) as exc:
         parse_registry(fungible(initiallyDistributedAccounts=[
             GOOD_ENTRY, {"address": address, "amount": "400000"}]))
     assert str(exc.value) == f"{DIST}[1].address: '{address}' is not 0x + 40 hex digits"
@@ -391,7 +389,7 @@ def test_at_least_one_attribute():
 
 def test_unknown_attribute_type():
     bad = [{"name": "x", "type": "float"}]
-    with pytest.raises(UnknownAttributeType):
+    with pytest.raises(RegistrySpecError, match=r"^attributes\[0\]\.type: 'float'$"):
         parse_registry(nonfungible(attributes=bad))
 
 
