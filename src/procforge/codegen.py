@@ -22,10 +22,14 @@ from .ir import (
     SmartContractInterfaceDecl,
     UnaryOp,
     Var,
+    address_of,
     contract_name,
+    instance_of,
+    slot,
 )
 from .marking import MarkingAutomaton
-from .registry import FungibleRegistrySpec, NonFungibleRegistrySpec, changed_event
+from .registry import (FungibleRegistrySpec, NonFungibleRegistrySpec, bound_addresses,
+                       changed_event, record_contract, registry_contract, setter, updater)
 
 PRAGMA = "^0.5.8"
 
@@ -159,13 +163,13 @@ def gen_fungible(spec: FungibleRegistrySpec) -> SourceUnit:
 
 
 def gen_nonfungible(spec: NonFungibleRegistrySpec) -> SourceUnit:
-    name = contract_name(spec.name) + "Registry"
+    name = registry_contract(spec.name)
     texts: List[str] = []
-    record_contract = None
+    record = None
     if spec.registry_type == "distributed":
-        record_contract = contract_name(spec.name) + "Record"
-        texts.append(_gen_record_contract(spec, record_contract))
-    texts.append(_gen_nft_registry(spec, name, record_contract))
+        record = record_contract(spec.name)
+        texts.append(_gen_record_contract(spec, record))
+    texts.append(_gen_nft_registry(spec, name, record))
     return _unit(name + ".sol", texts)
 
 
@@ -182,12 +186,12 @@ def _gen_record_contract(spec: NonFungibleRegistrySpec, name: str) -> str:
     b.append("    }")
     b.append("")
     ctor_params = ["address _owner"] + [
-        f"{_sol_type(a.type, 'memory')} _{a.name}" for a in spec.attributes]
+        f"{_sol_type(a.type, 'memory')} {slot(a.name)}" for a in spec.attributes]
     b.append(f"    constructor({', '.join(ctor_params)}) public {{")
     b.append("        registry = msg.sender;")
     b.append("        owner = _owner;")
     for a in spec.attributes:
-        b.append(f"        {a.name} = _{a.name};")
+        b.append(f"        {a.name} = {slot(a.name)};")
     b.append("    }")
     b.append("")
     b.append("    function setOwner(address new_owner) public onlyRegistry {")
@@ -196,7 +200,7 @@ def _gen_record_contract(spec: NonFungibleRegistrySpec, name: str) -> str:
     for a in spec.attributes:
         if a.updatable:
             b.append("")
-            b.append(f"    function set_{a.name}({_sol_type(a.type, 'memory')} value) "
+            b.append(f"    function {setter(a)}({_sol_type(a.type, 'memory')} value) "
                      "public onlyRegistry {")
             b.append(f"        {a.name} = value;")
             b.append("    }")
@@ -204,12 +208,12 @@ def _gen_record_contract(spec: NonFungibleRegistrySpec, name: str) -> str:
     return "\n".join(b) + "\n"
 
 
-def _gen_nft_registry(spec: NonFungibleRegistrySpec, name: str,
-                      record_contract: Optional[str]) -> str:
+def _gen_nft_registry(spec: NonFungibleRegistrySpec, name: str, record: Optional[str]) -> str:
     attr_args = ", ".join(a.name for a in spec.attributes)
     # The storage layout: a Record struct per record, or, distributed, one
-    # record_contract per record. read and write format an attribute name.
-    if record_contract is None:
+    # record contract per record. read formats an attribute's name, and
+    # write the attribute's name or, distributed, its setter's.
+    if record is None:
         storage = ["    struct Record {", "        bool exists;", "        address owner;",
                    *(f"        {a.type} {a.name};" for a in spec.attributes), "    }",
                    "    mapping(address => Record) private records;"]
@@ -219,10 +223,10 @@ def _gen_nft_registry(spec: NonFungibleRegistrySpec, name: str,
         read, write = "records[record_id].{}", "records[record_id].{} = value;"
         set_owner = "records[record_id].owner = to;"
     else:
-        storage = [f"    mapping(address => {record_contract}) private records;",
+        storage = [f"    mapping(address => {record}) private records;",
                    "    mapping(address => bool) private recordExists;",
                    "    address[] public recordContracts;"]
-        create = [f"        records[record_id] = new {record_contract}(msg.sender, {attr_args});",
+        create = [f"        records[record_id] = new {record}(msg.sender, {attr_args});",
                   "        recordExists[record_id] = true;",
                   "        recordContracts.push(address(records[record_id]));"]
         exists, owner_of = "recordExists[record_id]", "records[record_id].owner()"
@@ -231,14 +235,10 @@ def _gen_nft_registry(spec: NonFungibleRegistrySpec, name: str,
                   "        return address(records[record_id]);",
                   "    }",
                   ""]
-        read, write = "records[record_id].{}()", "records[record_id].set_{}(value);"
+        read, write = "records[record_id].{}()", "records[record_id].{}(value);"
         set_owner = "records[record_id].setOwner(to);"
-    # the addresses the registry is built with, in constructor order
-    bound_to_process = (spec.is_record_creation_restricted_to_bpmn
-                        or spec.is_ownership_transfer_enabled_to_bpmn)
-    addresses = [a for a, on in (("processAddress", bound_to_process),
-                                 ("accessController",
-                                  spec.is_access_control_by_smart_contract_enabled)) if on]
+    addresses = bound_addresses(spec)
+    bound_to_process = "processAddress" in addresses
 
     b = [f"contract {name} {{"]
     b.append("    address public deployer;")
@@ -258,10 +258,10 @@ def _gen_nft_registry(spec: NonFungibleRegistrySpec, name: str,
         if a.history_tracked:
             b.append(f"    event {changed_event(a)}(address indexed recordId, {a.type} value);")
     b.append("")
-    b.append(f"    constructor({', '.join('address _' + a for a in addresses)}) public {{")
+    b.append(f"    constructor({', '.join('address ' + slot(a) for a in addresses)}) public {{")
     b.append("        deployer = msg.sender;")
     for a in addresses:
-        b.append(f"        {a} = _{a};")
+        b.append(f"        {a} = {slot(a)};")
     b.append("    }")
     b.append("")
     if bound_to_process:
@@ -314,13 +314,13 @@ def _gen_nft_registry(spec: NonFungibleRegistrySpec, name: str,
         if not a.updatable:
             continue
         b.append("")
-        b.append(f"    function record_update_{a.name}(address record_id, "
+        b.append(f"    function {updater(a)}(address record_id, "
                  f"{_sol_type(a.type, 'memory')} value) public{write_mods} {{")
         b.append(f'        require({exists}, "unknown record");')
         if spec.is_registry_record_access_control_enabled:
             b.append(f'        require(msg.sender == {owner_of} || msg.sender == deployer, '
                      '"not the record owner");')
-        b.append("        " + write.format(a.name))
+        b.append("        " + write.format(a.name if record is None else setter(a)))
         if a.history_tracked:
             b.append(f"        emit {changed_event(a)}(record_id, value);")
         b.append("    }")
@@ -410,7 +410,7 @@ def render_expr(e: Expr, types: Mapping[str, str]) -> str:
     if isinstance(e, Var):
         if e.name == PROCESS_ADDRESS:
             return "address(this)"
-        return "_" + e.name
+        return slot(e.name)
     if isinstance(e, UnaryOp):
         # -(-d) written as --_d would be Solidity's pre-decrement
         operand = render_expr(e.operand, types)
@@ -444,10 +444,10 @@ def _invocation_lines(model: ProcessModel, task_id: str,
                       types: Mapping[str, str]) -> List[str]:
     lines: List[str] = []
     for itf, fn, sources, targets in model.calls_of(task_id):
-        instance = "instanceOf" + itf.name
-        lines.append(f"{itf.name} {instance} = {itf.name}(addressOf{itf.name});")
+        instance = instance_of(itf.name)
+        lines.append(f"{itf.name} {instance} = {itf.name}({address_of(itf.name)});")
         call = f"{instance}.{fn.name}({', '.join(render_expr(s, types) for s in sources)})"
-        slots = ["" if t is None else "_" + t for t in targets]
+        slots = ["" if t is None else slot(t) for t in targets]
         if not any(slots):
             lines.append(f"{call};")
         elif len(slots) == 1:
@@ -469,8 +469,8 @@ def gen_process(model: ProcessModel, automaton: MarkingAutomaton) -> SourceUnit:
     ProcessMonitor implementing the marking automaton."""
     types = model.declared_types
     unbound = [itf for itf in model.interfaces if itf.contract_address is None]
-    ctor_params = [f"address _addressOf{itf.name}" for itf in unbound]
-    ctor_args = [f"_addressOf{itf.name}" for itf in unbound]
+    ctor_args = [slot(address_of(itf.name)) for itf in unbound]
+    ctor_params = ["address " + a for a in ctor_args]
 
     texts: List[str] = []
     if model.interfaces:
@@ -501,15 +501,15 @@ def gen_process(model: ProcessModel, automaton: MarkingAutomaton) -> SourceUnit:
     b.append("contract ProcessMonitor {")
     b.append("    // ---------- PROCESS VARIABLES")
     for name, type_name, _ in storage:
-        b.append(f"    {type_name} _{name};")
+        b.append(f"    {type_name} {slot(name)};")
     b.append("    // ----------------------------")
     b.append("")
     b.append("    // -------- EXTERNAL SMART CONTRACT ADDRESSES")
     for itf in model.interfaces:
         if itf.contract_address is not None:
-            b.append(f"    address addressOf{itf.name} = {itf.contract_address};")
+            b.append(f"    address {address_of(itf.name)} = {itf.contract_address};")
         else:
-            b.append(f"    address addressOf{itf.name};")
+            b.append(f"    address {address_of(itf.name)};")
     b.append("    // ------------------------------------")
     b.append("")
     b.append("    uint public marking;")
@@ -523,9 +523,9 @@ def gen_process(model: ProcessModel, automaton: MarkingAutomaton) -> SourceUnit:
             {"uint256": "0", "int256": "0", "bool": "false",
              "address": "address(0)"}.get(type_name)
         if value is not None:
-            b.append(f"        _{name} = {value};")
+            b.append(f"        {slot(name)} = {value};")
     for itf in unbound:
-        b.append(f"        addressOf{itf.name} = _addressOf{itf.name};")
+        b.append(f"        {address_of(itf.name)} = {slot(address_of(itf.name))};")
     b.append(f"        marking = runAutoTransitions({_hex(automaton.initial_marking)});")
     b.append("    }")
 
@@ -534,7 +534,7 @@ def gen_process(model: ProcessModel, automaton: MarkingAutomaton) -> SourceUnit:
     for task_id, t in automaton.external.items():
         node = model.node(task_id)
         task_name = _sol_literal(node.display_name, "string")
-        body = [f"            _{ti.name} = {ti.name};" for ti in node.task_inputs]
+        body = [f"            {slot(ti.name)} = {ti.name};" for ti in node.task_inputs]
         body += ["            " + line for line in _invocation_lines(model, task_id, types)]
         post = _hex(t.branches[0].post)
         b.append("")
@@ -559,7 +559,7 @@ def gen_process(model: ProcessModel, automaton: MarkingAutomaton) -> SourceUnit:
     for t, fn_name in zip(automaton.autos, auto_fns):
         b.append("")
         b.append(f"    function {fn_name}(uint preconditionsp) internal returns (uint) {{")
-        body = [f"            _{st.target} = {render_expr(st.value, types)};"
+        body = [f"            {slot(st.target)} = {render_expr(st.value, types)};"
                 for st in model.node(t.node_id).script]
         body += ["            " + line for line in _invocation_lines(model, t.node_id, types)]
         # guarded branches, then the unguarded tail compile_marking puts

@@ -32,7 +32,8 @@ from .marking import (
     eager_closure_data,
     fire_external,
 )
-from .registry import FungibleRegistrySpec, NonFungibleRegistrySpec, initial_balances
+from .registry import (FungibleRegistrySpec, NonFungibleRegistrySpec, initial_balances,
+                       updater)
 
 
 class RegistryError(Exception):
@@ -227,8 +228,7 @@ class NonFungibleStore(_Journaled):
                 ("address", "address"), NonFungibleStore.record_ownership_transfer)
         for a in spec.attributes:
             if a.updatable:
-                self.functions["record_update_" + a.name] = (("address", a.type),
-                                                             _update_call(a.name))
+                self.functions[updater(a)] = (("address", a.type), _update_call(a.name))
 
     def _is_process(self, caller: str) -> bool:
         return (self.process_address is not None

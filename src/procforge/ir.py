@@ -26,7 +26,7 @@ import operator
 import re
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Callable, Dict, Mapping, NamedTuple, Optional, Tuple, Union
 
@@ -67,15 +67,6 @@ SOLIDITY_KEYWORDS = frozenset("""
     true try type typedef typeof ufixed uint unchecked using var view weeks
     wei while years
 """.split())
-
-# the names a task function of the emitted ProcessMonitor reads besides its
-# parameters, which a task input of the name would shadow: codegen.gen_process
-# emits "uint preconditionsp = marking;", "marking = runAutoTransitions(...)"
-# and "emit taskExecuted(...)" in each, and codegen._invocation_lines emits
-# "<name> instanceOf<name> = <name>(addressOf<name>);" for an interface
-TASK_FUNCTION_NAMES = frozenset(("marking", "preconditionsp", "runAutoTransitions",
-                                 "taskExecuted"))
-INTERFACE_NAME_PREFIXES = ("", "addressOf", "instanceOf")
 
 # the sized type names: intN, uintN, bytesN, fixedMxN and ufixedMxN
 SIZED_TYPE_RE = re.compile(r"u?int[0-9]+|bytes[0-9]+|u?fixed[0-9]+x[0-9]+")
@@ -666,6 +657,138 @@ def function_name(node: Node) -> str:
     return sanitize_identifier(node.display_name if node.kind in TASK_KINDS else node.id)
 
 
+def slot(name: str) -> str:
+    """_<name>: the ProcessMonitor storage slot of a variable or task input,
+    and the constructor parameter that sets a state variable <name>."""
+    return "_" + name
+
+
+def address_of(interface: str) -> str:
+    """addressOf<I>: the ProcessMonitor state variable of an interface's address."""
+    return "addressOf" + interface
+
+
+def instance_of(interface: str) -> str:
+    """instanceOf<I>: the local through which a function calls an interface."""
+    return "instanceOf" + interface
+
+
+# ---------------------------------------------------------------------------
+# Emitted declarations
+
+
+class Declared(NamedTuple):
+    """A name an emitted scope declares, with the model ref or attributes[i]
+    it comes from, "" for a fixed name. A derived name is made from another
+    name of its owner, as addressOf<I> from I."""
+
+    name: str
+    owner: str
+    label: str = ""
+    derived: bool = False
+
+
+class Scope(NamedTuple):
+    """The names one scope declares, at path in its file: () for the file,
+    then (contract,) and (contract, member). Struct members and event
+    parameters hide no outer name, as nothing reads them bare."""
+
+    path: Tuple[str, ...]
+    names: tuple
+    hides: bool = True
+
+
+@lru_cache(maxsize=None)  # called with the emitted code's few fixed lists only
+def emitted(*names: str) -> tuple:
+    """The emitted code's fixed names."""
+    return tuple(Declared(n, "", f"the emitted name '{n}'") for n in names)
+
+
+def clashes(scopes) -> list:
+    """(blamed, how, other) for each name a scope declares twice and each
+    declaration hiding a name of an enclosing scope, which comes first in
+    scopes. The blame falls on a name the model states rather than on a
+    fixed or derived one, else on the later one. A declaration meeting
+    itself, in a scope listed twice as the functions of two nodes of one
+    name are, is no clash."""
+    tables: Dict[Tuple[str, ...], Dict[str, Declared]] = {}
+    found = []
+    checked = set()  # a names tuple shared by sibling scopes clashes alike in each
+    for path, names, hides in scopes:
+        if (id(names), path[:-1]) in checked:
+            continue
+        checked.add((id(names), path[:-1]))
+        own = tables.setdefault(path, {})
+        outer = [tables.get(path[:i], {}) for i in range(len(path) - 1, -1, -1)] if hides else []
+        for d in names:
+            other = own.setdefault(d.name, d)
+            same = other is not d
+            if not same:
+                for table in outer:
+                    other = table.get(d.name)
+                    if other is not None:
+                        break
+                else:
+                    continue
+            if not d.owner or (d.derived and other.owner and not other.derived):
+                found.append((other, "collides with" if same else "is hidden by", d))
+            else:
+                found.append((d, "collides with" if same else "hides", other))
+    return found
+
+
+def process_scopes(model: ProcessModel) -> list:
+    """What codegen.gen_process declares in ProcessFactory.sol, scope by
+    scope: the contracts, each interface's functions and their parameters,
+    ProcessFactory's members, the monitor's, and the parameters and locals
+    of the monitor's constructor and of each node's function. Each node's
+    function is listed with the local instanceOf<I> of every interface,
+    which codegen declares where the task calls I, so that binding a call
+    to a task cannot make its inputs clash."""
+    monitor, factory, interfaces = "ProcessMonitor", "ProcessFactory", model.interfaces
+    local = emitted("preconditionsp") + tuple(Declared(instance_of(i.name), i.id, "the local "
+        f"'{instance_of(i.name)}' of interface '{i.name}'", True) for i in interfaces)
+    ctor = tuple(Declared(slot(address_of(i.name)), i.id, "the constructor parameter "
+                          f"'{slot(address_of(i.name))}' of interface '{i.name}'", True)
+                 for i in interfaces if i.contract_address is None)
+    scopes = [Scope((), emitted(factory, monitor) + tuple(
+        Declared(i.name, i.id, f"interface '{i.name}'") for i in interfaces))]
+    for i in interfaces:
+        scopes.append(Scope((i.name,), tuple(Declared(f.name, i.id, f"function '{f.name}'")
+                                             for f in i.functions)))
+        scopes += [Scope((i.name, f.name), tuple(
+            Declared(p.name, i.id, f"{way} parameter '{p.name}' on {f.name}")
+            for way, params in (("input", f.inputs), ("output", f.outputs)) for p in params))
+            for f in i.functions]
+    scopes += [Scope((factory,), emitted("createdInstances", "instanceCreated", "createInstance")),
+               Scope((factory, "instanceCreated"), emitted("instanceAddress"), False),
+               Scope((factory, "createInstance"), emitted("_participants", "instance") + ctor)]
+    members = [Declared(address_of(i.name), i.id, f"the address '{address_of(i.name)}' "
+                        f"of interface '{i.name}'", True) for i in interfaces]
+    owners = {v.name: (v.name, "variable") for v in model.variables}
+    for n in model.nodes:
+        for ti in n.task_inputs:
+            owners.setdefault(ti.name, (n.id, "task input"))
+    members += [Declared(slot(name), ref, f"the slot '{slot(name)}' of {what} '{name}'")
+                for name, (ref, what) in owners.items()]
+    functions = []
+    node = model._index.node
+    for node_id, name in model.function_names.items():
+        n = node[node_id]
+        what = f"task '{n.display_name}'" if n.kind in TASK_KINDS else f"{n.kind.value} '{n.id}'"
+        members.append(Declared(name, node_id, f"function '{name}' of {what}"))
+        inputs = n.task_inputs if n.kind in EXTERNAL_TASK_KINDS else ()
+        functions.append(Scope((monitor, name), tuple(
+            Declared(ti.name, node_id, f"task input '{ti.name}'") for ti in inputs) + local
+            if inputs else local))
+    return scopes + [Scope((monitor,), emitted("marking", "taskExecuted", "runAutoTransitions")
+                           + tuple(members)),
+                     Scope((monitor, "constructor"), ctor),
+                     Scope((monitor, "taskExecuted"), emitted("taskName", "success"), False),
+                     Scope((monitor, "runAutoTransitions"), emitted("preconditionsp", "previous")),
+                     *functions]
+
+
 def _reachable(seeds, flows: Mapping[str, Tuple[SequenceFlow, ...]], end: str) -> set:
     """The seeds and every id reachable from them along flows, which maps
     a node id to its outgoing flows (end "target") or to its incoming
@@ -719,37 +842,17 @@ def validate_model(model: ProcessModel) -> ValidationReport:  # noqa: C901
             err(v.name, f"initial value {v.initial!r} does not match type {v.type}")
 
     iface_ids = set()
-    iface_names = {"ProcessFactory", "ProcessMonitor"}  # the emitted contracts
-    reserved_inputs = set(TASK_FUNCTION_NAMES)
     for itf in model.interfaces:
         if itf.id in iface_ids or itf.id in node_ids or itf.id in flow_ids:
             err(itf.id, "duplicate interface id")
         iface_ids.add(itf.id)
         identifier(itf.id, "interface name", itf.name)
-        if itf.name in iface_names:
-            err(itf.id, f"contract name '{itf.name}' is already taken")
-        iface_names.add(itf.name)
-        reserved_inputs.update(prefix + itf.name for prefix in INTERFACE_NAME_PREFIXES)
         if itf.contract_address is not None and not is_address(itf.contract_address):
             err(itf.id, f"malformed contract address '{itf.contract_address}'")
-        elif itf.contract_address is None and "addressOf" + itf.name in seen_vars:
-            # the constructor's parameter _addressOf<name> shadows its slot
-            err("addressOf" + itf.name, f"variable 'addressOf{itf.name}' collides with "
-                                        f"the constructor parameter of interface '{itf.id}'")
-        fn_names = set()
         for fn in itf.functions:
-            if fn.name in fn_names:
-                err(itf.id, f"duplicate function '{fn.name}'")
-            fn_names.add(fn.name)
             identifier(itf.id, "function name", fn.name)
-            if fn.name == itf.name:  # solc takes it for an old-style constructor
-                err(itf.id, f"function '{fn.name}' is named like its interface")
             for direction, params in (("input", fn.inputs), ("output", fn.outputs)):
-                pnames = set()
                 for p in params:
-                    if p.name in pnames:
-                        err(itf.id, f"duplicate {direction} parameter '{p.name}' on {fn.name}")
-                    pnames.add(p.name)
                     if not is_identifier(p.name):
                         err(itf.id, f"{direction} parameter '{p.name}' on {fn.name} "
                                     "is not an identifier")
@@ -839,25 +942,11 @@ def validate_model(model: ProcessModel) -> ValidationReport:  # noqa: C901
     # task inputs; one name has one type across all tasks, as it is one
     # storage variable of the emitted contract
     declared = {v.name: v.type for v in model.variables}
-    # the storage slot of a variable or task input <n> is _<n>, which a
-    # task function's parameter _<n> would hide
-    slots = {"_" + name for name in declared}
-    slots.update("_" + ti.name for n in model.nodes for ti in n.task_inputs)
     first_input: Dict[str, Tuple[str, str]] = {}  # name -> (type, task id)
     for n in model.nodes:
         if n.task_inputs:
-            seen = set()
             for ti in n.task_inputs:
-                if ti.name in seen:
-                    err(n.id, f"duplicate task input '{ti.name}'")
-                seen.add(ti.name)
                 identifier(n.id, "task input", ti.name)
-                if ti.name in reserved_inputs:
-                    err(n.id, f"task input '{ti.name}' is a name the emitted task "
-                              "function already uses")
-                if ti.name in slots:
-                    err(n.id, f"task input '{ti.name}' hides the storage slot "
-                              f"of '{ti.name[1:]}'")
                 if ti.type not in VALUE_TYPES:
                     err(n.id, f"unknown task input type '{ti.type}'")
                 if ti.name in declared:
@@ -894,27 +983,15 @@ def validate_model(model: ProcessModel) -> ValidationReport:  # noqa: C901
             except ExprTypeError as e:
                 err(n.id, f"script type error: {e}")
 
-    # one ProcessMonitor function per node but the start event and the
-    # folded gateways; a task's display name is also how a trace names it.
-    # A function may not be named like a contract of the emitted file:
-    # solc rejects one named like its own contract, and one named like an
-    # interface shadows the interface's type.
-    def named(n):
-        return f"'{n.display_name}'" if n.kind in TASK_KINDS else f"{n.kind.value} '{n.id}'"
-
-    folded = model.folded_gateways
-    names = model.function_names
-    owners = {}
-    for n in model.nodes:
-        if n.kind is start_kind or n.id in folded:
-            continue
-        # a second node of one id, already an error, is named on its own
-        fn = names[n.id] if index.node[n.id] is n else function_name(n)
-        if fn in iface_names or fn in owners:
-            other = f"contract '{fn}'" if fn in iface_names else named(owners[fn])
-            err(n.id, f"{'task name ' if n.kind in TASK_KINDS else ''}{named(n)} collides "
-                      f"with {other} after identifier sanitization")
-        owners[fn] = n
+    # every name ProcessFactory.sol declares, once per scope and hiding no
+    # name of an enclosing scope; a clash met in several scopes is one error
+    reported = set()
+    for blamed, how, other in clashes(process_scopes(model)):
+        message = (f"duplicate {blamed.label}" if blamed.label == other.label
+                   else f"{blamed.label} {how} {other.label}")
+        if (blamed.owner, message) not in reported:
+            reported.add((blamed.owner, message))
+            err(blamed.owner, message)
 
     # invocation bindings
     for b in model.invocations:

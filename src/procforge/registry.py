@@ -10,36 +10,11 @@ from __future__ import annotations
 from types import MappingProxyType
 from typing import Dict, NamedTuple, Optional, Tuple
 
-from .ir import (UINT256_MAX, VALUE_TYPES, addr_key, contract_name, is_address,
-                 is_identifier, load_json)
+from .ir import (UINT256_MAX, VALUE_TYPES, Declared, Scope, addr_key, clashes,
+                 contract_name, emitted, is_address, is_identifier, load_json, slot)
 
 SYMBOL_MAX_LEN = 11
 DECIMALS_MAX = 18
-
-
-# The names the emitted non-fungible registry declares besides the
-# attributes, which an attribute of the name would repeat or hide, refused
-# in both layouts (where codegen emits them):
-# - owner, exists: members of the single layout's Record struct
-#   (_gen_nft_registry's storage);
-# - registry, owner, onlyRegistry, setOwner, _owner: the distributed record
-#   contract's state variables, modifier, function and constructor
-#   parameter, and value, the parameter of its setters, which a setter
-#   set_value would assign in place of the attribute (_gen_record_contract);
-# - record_id: the parameter of record_create and record_get_attrs, whose
-#   bodies read records, recordExists, recordContracts, Record, ownedCount,
-#   recordCount and Transfer under the attributes as parameters or named
-#   returns (_gen_nft_registry's record_create and record_get_attrs).
-# The distributed layout's record contract <Name>Record, which record_create
-# names in "new <Name>Record(msg.sender, ...)" (gen_nonfungible and
-# _gen_nft_registry's storage), is refused too.
-# The constructor parameter _<name> and setter set_<name> of an attribute
-# <name>, and the event changed_event names for a historyTracked one, must
-# not repeat one another's or an attribute's name either.
-RESERVED_ATTRIBUTE_NAMES = frozenset((
-    "owner", "exists", "registry", "onlyRegistry", "setOwner", "_owner", "value",
-    "record_id", "records", "recordExists", "recordContracts", "Record", "ownedCount",
-    "recordCount", "Transfer"))
 
 
 class RegistrySpecError(Exception):
@@ -77,6 +52,26 @@ def changed_event(attr: AttributeDecl) -> str:
     return attr.name[0].upper() + attr.name[1:] + "Changed"
 
 
+def setter(attr: AttributeDecl) -> str:
+    """set_<name>: the distributed record contract's setter of an updatable attribute."""
+    return "set_" + attr.name
+
+
+def updater(attr: AttributeDecl) -> str:
+    """record_update_<name>: the registry function writing an updatable attribute."""
+    return "record_update_" + attr.name
+
+
+def record_contract(name: str) -> str:
+    """<Name>Record: the distributed layout's contract of one record."""
+    return contract_name(name) + "Record"
+
+
+def registry_contract(name: str) -> str:
+    """<Name>Registry: the emitted record registry contract."""
+    return contract_name(name) + "Registry"
+
+
 class NonFungibleRegistrySpec(NamedTuple):
     name: str
     registry_type: str  # "single" | "distributed"
@@ -87,6 +82,69 @@ class NonFungibleRegistrySpec(NamedTuple):
     is_registry_function_access_control_enabled: bool = False
     is_registry_record_access_control_enabled: bool = False
     is_access_control_by_smart_contract_enabled: bool = False
+
+
+def bound_addresses(spec: NonFungibleRegistrySpec) -> list:
+    """The addresses the emitted registry is built with, in constructor
+    order: processAddress when a process creates or transfers its records,
+    accessController when a smart contract controls access."""
+    bound = spec.is_record_creation_restricted_to_bpmn or spec.is_ownership_transfer_enabled_to_bpmn
+    return [a for a, on in (("processAddress", bound), ("accessController",
+                            spec.is_access_control_by_smart_contract_enabled)) if on]
+
+
+# the registry's events, and its functions whose parameters are all fixed
+_EVENTS = {e: emitted(*params) for e, params in {
+    "Transfer": ("from", "to", "recordId"), "Approval": ("owner", "approved", "recordId"),
+    "ApprovalForAll": ("owner", "operator", "approved")}.items()}
+_FUNCTIONS = {f: emitted(*params) for f, params in {
+    "next_record_id": (), "recordContractOf": ("record_id",),
+    "record_get_owner": ("record_id", "record_owner"), "_transfer": ("from", "to", "record_id"),
+    "balanceOf": ("owner",), "ownerOf": ("record_id",), "transferFrom": ("from", "to", "record_id"),
+    "approve": ("approved", "record_id"), "getApproved": ("record_id",),
+    "setApprovalForAll": ("operator", "approved"), "isApprovedForAll": ("owner", "operator")}.items()}
+
+
+def registry_scopes(spec: NonFungibleRegistrySpec) -> list:
+    """What codegen.gen_nonfungible declares in a record registry's unit, in
+    either layout, scope by scope: the contracts, the record contract's
+    members and the parameters of its constructor and setters, the
+    registry's members, the Record struct, and the parameters of the
+    registry's events, constructor and functions. A spec's attributes are
+    thus checked for both layouts, so that either can be emitted."""
+    attrs = [(a, f"attributes[{i}]") for i, a in enumerate(spec.attributes)]
+    own = tuple(Declared(a.name, at) for a, at in attrs)
+    updatable = [(a, at) for a, at in attrs if a.updatable]
+    tracked = [(a, at) for a, at in attrs if a.history_tracked]
+    addresses = bound_addresses(spec)
+    functions = {**_FUNCTIONS, "record_create": emitted("record_id") + own,
+                 "record_get_attrs": emitted("record_id") + own}
+    if spec.is_ownership_transfer_enabled:
+        functions["record_ownership_transfer"] = emitted("record_id", "new_owner")
+    modifiers = [m for m, on in (("onlyProcess", "processAddress" in addresses), (
+        "onlyAuthorized", spec.is_registry_function_access_control_enabled)) if on]
+    record, registry = record_contract(spec.name), registry_contract(spec.name)
+    return [
+        Scope((), (Declared(record, "name", derived=True), Declared(registry, "name", derived=True))),
+        Scope((record,), emitted("registry", "owner") + own + emitted("onlyRegistry", "setOwner")
+              + tuple(Declared(setter(a), at, derived=True) for a, at in updatable)),
+        Scope((record, "constructor"), emitted("_owner") + tuple(
+            Declared(slot(a.name), at, derived=True) for a, at in attrs)),
+        Scope((record, "setOwner"), emitted("new_owner")),
+        *(Scope((record, setter(a)), emitted("value")) for a, _ in updatable),
+        Scope((registry,), emitted(
+            "deployer", *addresses, "Record", "records", "recordExists", "recordContracts",
+            "ownedCount", "recordApproval", "operatorApproval", "recordCount", *_EVENTS,
+            *modifiers, *functions)
+            + tuple(Declared(changed_event(a), at, derived=True) for a, at in tracked)
+            + tuple(Declared(updater(a), at, derived=True) for a, at in updatable)),
+        Scope((registry, "Record"), emitted("exists", "owner") + own, False),
+        *(Scope((registry, e), names, False) for e, names in _EVENTS.items()),
+        *(Scope((registry, changed_event(a)), emitted("recordId", "value"), False)
+          for a, _ in tracked),
+        Scope((registry, "constructor"), emitted(*map(slot, addresses))),
+        *(Scope((registry, updater(a)), emitted("record_id", "value")) for a, _ in updatable),
+        *(Scope((registry, f), names) for f, names in functions.items())]
 
 
 def _load(doc: str) -> dict:
@@ -296,9 +354,7 @@ def _nonfungible(obj: dict) -> NonFungibleRegistrySpec:
     raw_attrs = _field(obj, "attributes")
     if not isinstance(raw_attrs, list) or not raw_attrs:
         raise InvariantViolation("attributes", "at least one attribute is required")
-    reserved = RESERVED_ATTRIBUTE_NAMES | {contract_name(name) + "Record"}
     attrs = []
-    seen = set()
     for i, entry in enumerate(raw_attrs):
         path = f"attributes[{i}]"
         if not isinstance(entry, dict):
@@ -306,12 +362,6 @@ def _nonfungible(obj: dict) -> NonFungibleRegistrySpec:
         aname = _field(entry, "name")
         if not is_identifier(aname):
             raise InvariantViolation(path + ".name", "must be an identifier")
-        if aname in seen:
-            raise InvariantViolation(path, f"duplicate attribute '{aname}'")
-        if aname in reserved:
-            raise InvariantViolation(path + ".name",
-                                     f"'{aname}' is a name the emitted registry declares")
-        seen.add(aname)
         atype = _field(entry, "type")
         if atype not in VALUE_TYPES:
             raise RegistrySpecError(f"{path}.type: '{atype}'")
@@ -319,22 +369,6 @@ def _nonfungible(obj: dict) -> NonFungibleRegistrySpec:
             name=aname, type=atype,
             updatable=_bool(entry, "updatable", path + "."),
             history_tracked=_bool(entry, "historyTracked", path + ".")))
-    # an attribute <name> also brings the record contract's constructor
-    # parameter _<name>, updatable, its setter set_<name> and,
-    # historyTracked, its changed_event
-    brought: Dict[str, int] = {}
-    for i, a in enumerate(attrs):
-        setter = ["set_" + a.name] if a.updatable else []
-        event = [changed_event(a)] if a.history_tracked else []
-        for other in ["_" + a.name, *setter, *event]:
-            if other in brought:
-                raise InvariantViolation(f"attributes[{i}].name",
-                                         f"brings {other}, as attributes[{brought[other]}] does")
-            brought[other] = i
-    for i, a in enumerate(attrs):
-        if a.name in brought:
-            raise InvariantViolation(f"attributes[{i}].name",
-                                     f"'{a.name}' is brought by attributes[{brought[a.name]}]")
 
     spec = NonFungibleRegistrySpec(
         name=name,
@@ -350,6 +384,18 @@ def _nonfungible(obj: dict) -> NonFungibleRegistrySpec:
         is_access_control_by_smart_contract_enabled=_bool(
             obj, "isAccessControlBySmartContractEnabled"),
     )
+    # the first name the emitted unit would declare twice in one scope, or
+    # in a scope within another that declares it
+    for blamed, _, other in clashes(registry_scopes(spec)):
+        if not other.owner.startswith("attributes"):
+            message = f"'{blamed.name}' is a name the emitted registry declares"
+        elif blamed.derived:
+            message = f"brings {blamed.name}, as {other.owner} does"
+        elif other.derived:
+            message = f"'{blamed.name}' is brought by {other.owner}"
+        else:
+            raise InvariantViolation(blamed.owner, f"duplicate attribute '{blamed.name}'")
+        raise InvariantViolation(blamed.owner + ".name", message)
     if spec.is_ownership_transfer_enabled_to_bpmn and not spec.is_ownership_transfer_enabled:
         raise InvariantViolation("isOwnershipTransferEnabledToBPMN",
                                  "requires isOwnershipTransferEnabled")

@@ -68,7 +68,7 @@ def test_validate_function_named_like_its_interface_exits_1(tmp_path, capsys):
                                      '</bcext:function>' + old, 1))
     code, out, _ = run(capsys, "validate", str(bad))
     assert code == 1
-    assert "function 'LorikeetCoin' is named like its interface" in out
+    assert "function 'LorikeetCoin' hides interface 'LorikeetCoin'" in out
     code, _, _ = run(capsys, "compile", str(bad), "-o", str(tmp_path / "out"))
     assert code == 1 and not (tmp_path / "out").exists()
 

@@ -17,7 +17,6 @@ from procforge.ir import (
     ExprTypeError,
     INT256_MAX,
     INT256_MIN,
-    INTERFACE_NAME_PREFIXES,
     Lit,
     Node,
     NodeKind,
@@ -25,7 +24,6 @@ from procforge.ir import (
     ProcessModel,
     ProcessVariableDecl,
     SequenceFlow,
-    TASK_FUNCTION_NAMES,
     TaskInput,
     UINT256_MAX,
     UnaryOp,
@@ -35,6 +33,7 @@ from procforge.ir import (
     is_address,
     is_identifier,
     literal_matches,
+    process_scopes,
     sanitize_identifier,
     validate_model,
 )
@@ -239,8 +238,8 @@ def test_names_that_differ_outside_ascii_collide():
     m = linear_model(nodes=linear_model().nodes + (
         Node("t8", NodeKind.USER_TASK, name="Café"),
         Node("t9", NodeKind.USER_TASK, name="Caf_")))
-    assert any("'Caf_' collides with 'Café' after identifier sanitization" in e
-               for e in errors_of(m))
+    assert "function 'Caf' of task 'Caf_' collides with function 'Caf' of task 'Café'" \
+        in errors_of(m)
 
 
 # --- model validation -------------------------------------------------------
@@ -383,15 +382,17 @@ def test_sanitized_name_collision():
     flows = (SequenceFlow("f1", "start", "t1"), SequenceFlow("f2", "t1", "t2"),
              SequenceFlow("f3", "t2", "end"))
     m = ProcessModel(id="m", nodes=nodes, flows=flows)
-    assert any("identifier sanitization" in e for e in errors_of(m))
+    assert errors_of(m) == [
+        "function 'Do_it' of task 'Do It' collides with function 'Do_it' of task 'do it'"]
 
 
 # a gateway or an end event emits a function named by its id
 @pytest.mark.parametrize("old, new, message", [
     ('name="Allocate tokens"', 'name="G cap"',
-     "exclusiveGateway 'g_cap' collides with 'G cap' after identifier sanitization"),
+     "function 'G_cap' of exclusiveGateway 'g_cap' collides with function 'G_cap' of task 'G cap'"),
     ('name="Allocate tokens"', 'name="End closed"',
-     "endEvent 'end_closed' collides with 'End closed' after identifier sanitization"),
+     "function 'End_closed' of endEvent 'end_closed' collides with "
+     "function 'End_closed' of task 'End closed'"),
 ], ids=["gateway", "end-event"])
 def test_function_names_of_gateways_and_end_events_collide(old, new, message):
     text = (FIXTURES / "ico.bpmn").read_text()
@@ -404,14 +405,11 @@ def test_function_names_of_gateways_and_end_events_collide(old, new, message):
 # interface's type in the monitor
 @pytest.mark.parametrize("old, new, message", [
     ('name="Task completed"', 'name="ProcessMonitor"',
-     "task name 'ProcessMonitor' collides with contract 'ProcessMonitor' "
-     "after identifier sanitization"),
+     "function 'ProcessMonitor' of task 'ProcessMonitor' hides the emitted name 'ProcessMonitor'"),
     ('name="Pay worker"', 'name="LorikeetCoin"',
-     "task name 'LorikeetCoin' collides with contract 'LorikeetCoin' "
-     "after identifier sanitization"),
+     "function 'LorikeetCoin' of task 'LorikeetCoin' hides interface 'LorikeetCoin'"),
     ('name="Refund requester"', 'name="ProcessFactory"',
-     "task name 'ProcessFactory' collides with contract 'ProcessFactory' "
-     "after identifier sanitization"),
+     "function 'ProcessFactory' of task 'ProcessFactory' hides the emitted name 'ProcessFactory'"),
 ], ids=["own-contract", "interface", "factory"])
 def test_a_function_named_like_a_contract_is_an_error(old, new, message):
     text = (FIXTURES / "task_outsourcing.bpmn").read_text()
@@ -431,7 +429,7 @@ def test_a_folded_gateway_emits_no_function_to_collide_with():
     assert gen_process(model, a).rendered_text.count("function G_loop(") == 1
     # g_cap splits with conditions, so it is not folded and emits G_cap
     assert errors_of(parse_bpmn(text.replace('name="Allocate tokens"', 'name="g cap"'))) == [
-        "exclusiveGateway 'g_cap' collides with 'g cap' after identifier sanitization"]
+        "function 'G_cap' of exclusiveGateway 'g_cap' collides with function 'G_cap' of task 'g cap'"]
 
 
 def test_a_task_of_two_outgoing_flows_folds_nothing():
@@ -444,25 +442,30 @@ def test_a_task_of_two_outgoing_flows_folds_nothing():
     assert m.gateway_folds == {}
     assert errors_of(m) == [
         "tasks must have exactly one incoming and one outgoing flow; use gateways for branching",
-        "task name 'J' collides with exclusiveGateway 'j' after identifier sanitization"]
+        "function 'J' of task 'J' collides with function 'J' of exclusiveGateway 'j'"]
 
 
 ITF_LRK2 = '<bcext:smartContractInterface id="itf_lrk2" name="{}"/>'
 
 
-@pytest.mark.parametrize("old, new, message", [
+@pytest.mark.parametrize("old, new, messages", [
+    # the second interface also brings a second address, constructor
+    # parameter and local of the one name
     ("</bcext:smartContractInterface>",
      "</bcext:smartContractInterface>" + ITF_LRK2.format("LorikeetCoin"),
-     "contract name 'LorikeetCoin' is already taken"),
+     ["duplicate interface 'LorikeetCoin'",
+      "duplicate the constructor parameter '_addressOfLorikeetCoin' of interface 'LorikeetCoin'",
+      "duplicate the address 'addressOfLorikeetCoin' of interface 'LorikeetCoin'",
+      "duplicate the local 'instanceOfLorikeetCoin' of interface 'LorikeetCoin'"]),
     ('name="LorikeetCoin"', 'name="ProcessFactory"',
-     "contract name 'ProcessFactory' is already taken"),
+     ["interface 'ProcessFactory' collides with the emitted name 'ProcessFactory'"]),
     ('name="LorikeetCoin"', 'name="ProcessMonitor"',
-     "contract name 'ProcessMonitor' is already taken"),
+     ["interface 'ProcessMonitor' collides with the emitted name 'ProcessMonitor'"]),
 ], ids=["two-interfaces", "ProcessFactory", "ProcessMonitor"])
-def test_interface_contract_names_are_unique(old, new, message):
+def test_interface_contract_names_are_unique(old, new, messages):
     text = (FIXTURES / "ico.bpmn").read_text()
     assert old in text
-    assert errors_of(parse_bpmn(text.replace(old, new, 1))) == [message]
+    assert errors_of(parse_bpmn(text.replace(old, new, 1))) == messages
 
 
 def test_degenerate_gateway_is_warning_only():
@@ -515,8 +518,14 @@ ICO_INVESTOR = '<bcext:input name="investor" type="address"/>'
                                        '<bcext:function name="LorikeetCoin">'
                                        '<bcext:input name="x" type="uint256"/>'
                                        '</bcext:function><bcext:function name="balanceOf">')],
-                 [("error", "itf_lrk", "function 'LorikeetCoin' is named like its interface")],
+                 [("error", "itf_lrk", "function 'LorikeetCoin' hides interface 'LorikeetCoin'")],
                  id="function-named-like-interface"),
+    # solc refuses the emitted balanceOf(address account) returns (uint256 account)
+    pytest.param("task_outsourcing", [(TO_BALANCE, TO_BALANCE.replace("balance", "account")),
+                                      (TO_BIND_OUT, TO_BIND_OUT.replace("balance", "account"))],
+                 [("error", "itf_lrk", "output parameter 'account' on balanceOf collides with "
+                                       "input parameter 'account' on balanceOf")],
+                 id="input-and-output-of-one-name"),
     pytest.param("ico", [('type="bool"/>', 'type="bool); function pwn() external; '
                                            'function x(uint256"/>')],
                  [("error", "itf_lrk", "unknown output parameter type 'bool); function pwn() "
@@ -591,12 +600,13 @@ ICO_INVESTOR = '<bcext:input name="investor" type="address"/>'
                           '<userTask id="t_claim" name="Tokens claimed"><extensionElements>'
                           '<bcext:input name="_tokens" type="uint256"/>'
                           '</extensionElements></userTask>')],
-                 [("error", "t_claim", "task input '_tokens' hides the storage slot of 'tokens'")],
+                 [("error", "t_claim",
+                   "task input '_tokens' hides the slot '_tokens' of variable 'tokens'")],
                  id="task-input-hides-a-slot"),
     pytest.param("ico",
                  [(ICO_INVESTOR, ICO_INVESTOR + '<bcext:input name="_amount" type="uint256"/>')],
                  [("error", "t_invest",
-                   "task input '_amount' hides the storage slot of 'amount'")],
+                   "task input '_amount' hides the slot '_amount' of task input 'amount'")],
                  id="task-input-hides-an-input-slot"),
     pytest.param("ico", [("tokens = amount * rate", "tokens = amount > rate")],
                  [("error", "s_alloc", "script assigns bool to uint256 variable 'tokens'")],
@@ -653,14 +663,20 @@ def test_validate_model_diagnostic(fixture, edits, expected):
         Diagnostic(*d) for d in expected)
 
 
-@pytest.mark.parametrize("name", sorted(TASK_FUNCTION_NAMES) + [
-    prefix + "LorikeetCoin" for prefix in INTERFACE_NAME_PREFIXES])
+# every name that ProcessFactory.sol declares in the file, in the monitor
+# and in t_invest's function Investment_received, as the table gives them
+INVESTMENT_RECEIVED_SEES = sorted({
+    d.name for s in process_scopes(load_model("ico")) for d in s.names
+    if s.path in ((), ("ProcessMonitor",), ("ProcessMonitor", "Investment_received"))})
+
+
+@pytest.mark.parametrize("name", INVESTMENT_RECEIVED_SEES)
 def test_a_task_input_may_not_shadow_a_name_of_the_task_function(name):
     text = (FIXTURES / "ico.bpmn").read_text().replace(
         ICO_INVESTOR, ICO_INVESTOR + f'<bcext:input name="{name}" type="uint256"/>', 1)
-    assert validate_model(parse_bpmn(text)).diagnostics == (Diagnostic(
-        "error", "t_invest", f"task input '{name}' is a name the emitted task function "
-                             "already uses"),)
+    diagnostics = validate_model(parse_bpmn(text)).diagnostics
+    assert diagnostics and {(d.severity, d.ref) for d in diagnostics} == {("error", "t_invest")}
+    assert any(f"task input '{name}'" in d.message for d in diagnostics)
 
 
 ADDRESS_VARIABLE = '<bcext:variable name="addressOfLorikeetCoin" type="address"/>'
@@ -671,12 +687,25 @@ def test_a_variable_may_not_be_named_like_an_unbound_interfaces_address():
     text = (FIXTURES / "ico.bpmn").read_text().replace(
         "<bcext:variables>", "<bcext:variables>" + ADDRESS_VARIABLE, 1)
     assert validate_model(parse_bpmn(text)).diagnostics == (Diagnostic(
-        "error", "addressOfLorikeetCoin", "variable 'addressOfLorikeetCoin' collides with "
-                                          "the constructor parameter of interface 'itf_lrk'"),)
+        "error", "addressOfLorikeetCoin", "the slot '_addressOfLorikeetCoin' of variable "
+        "'addressOfLorikeetCoin' is hidden by the constructor parameter "
+        "'_addressOfLorikeetCoin' of interface 'LorikeetCoin'"),)
     # task_outsourcing's is bound, and its constructor takes none
     text = (FIXTURES / "task_outsourcing.bpmn").read_text().replace(
         "<bcext:variables>", "<bcext:variables>" + ADDRESS_VARIABLE, 1)
     assert validate_model(parse_bpmn(text)).diagnostics == ()
+
+
+# the monitor would declare uint public marking, a local preconditionsp, a
+# function or an event of the interface's name, and read it as the type in
+# "<name> instanceOf<name> = <name>(addressOf<name>);"
+@pytest.mark.parametrize("name", ["marking", "preconditionsp", "runAutoTransitions",
+                                  "taskExecuted"])
+def test_an_interface_may_not_take_a_name_the_monitor_declares(name):
+    text = (FIXTURES / "task_outsourcing.bpmn").read_text()
+    assert validate_model(parse_bpmn(text.replace('name="LorikeetCoin"', f'name="{name}"'))
+                          ).diagnostics == (Diagnostic(
+        "error", "itf_lrk", f"interface '{name}' is hidden by the emitted name '{name}'"),)
 
 
 def test_binding_source_must_be_a_variable_or_a_literal():

@@ -16,6 +16,7 @@ from procforge.interp import Accepted, LogEntry, Rejected
 from procforge.ir import (
     Assign,
     BinOp,
+    Declared,
     Diagnostic,
     FunctionParameter,
     InvocationBinding,
@@ -24,6 +25,7 @@ from procforge.ir import (
     NodeKind,
     ParameterBinding,
     ProcessVariableDecl,
+    Scope,
     SequenceFlow,
     SmartContractFunctionDecl,
     SmartContractInterfaceDecl,
@@ -58,6 +60,8 @@ RECORDS = [
                       (ParameterBinding("ok", target="paid"),)),
     Diagnostic("error", "t_pay", "tasks must have exactly one incoming and one outgoing flow"),
     ValidationReport((Diagnostic("warning", "g", "degenerate gateway"),)),
+    Declared("addressOfToken", "i_token", "the address 'addressOfToken'", True),
+    Scope(("ProcessMonitor",), (Declared("marking", "", "the emitted name 'marking'"),), True),
     FungibleRegistrySpec("Coin", "CN", 2, 100, initially_distributed_accounts=((ADDRESS, 100),)),
     AttributeDecl("weight", "uint256", updatable=True),
     NonFungibleRegistrySpec("Titles", "single", (AttributeDecl("weight", "uint256"),)),

@@ -13,10 +13,10 @@ from procforge.registry import (
     FungibleRegistrySpec,
     InvariantViolation,
     NonFungibleRegistrySpec,
-    RESERVED_ATTRIBUTE_NAMES,
     AttributeDecl,
     RegistrySpecError,
     parse_registry,
+    registry_scopes,
 )
 
 ADDR1 = "0x" + "1" * 40
@@ -409,8 +409,23 @@ def test_attribute_names_must_be_identifiers(name):
     assert str(exc.value) == "attributes[1].name: must be an identifier"
 
 
+def names_an_attribute_meets(doc):
+    """The fixed names the registry table gives the scopes declaring the
+    updatable attributes[1] of doc, the scopes within them, and the scopes
+    around them."""
+    scopes = registry_scopes(parse_registry(doc))
+    own = {s.path for s in scopes for d in s.names if d.owner == "attributes[1]" and not d.derived}
+    near = own | {p[:i] for p in own for i in range(len(p))} | {
+        s.path for s in scopes if s.hides and s.path[:-1] in own}
+    return sorted({d.name for s in scopes if s.path in near for d in s.names if not d.owner})
+
+
+REGISTRY_NAMES = names_an_attribute_meets(nonfungible(attributes=[
+    {"name": "x", "type": "uint256"}, {"name": "y", "type": "uint256", "updatable": True}]))
+
+
 @pytest.mark.parametrize("registry_type", ["single", "distributed"])
-@pytest.mark.parametrize("name", sorted(RESERVED_ATTRIBUTE_NAMES))
+@pytest.mark.parametrize("name", REGISTRY_NAMES)
 def test_attribute_names_may_not_repeat_a_name_of_the_emitted_registry(name, registry_type):
     # e.g. an updatable "value" would emit set_value(uint256 value) { value = value; }
     bad = [{"name": "x", "type": "uint256"},
