@@ -9,8 +9,7 @@ no timestamps.
 
 from __future__ import annotations
 
-import re
-from typing import List, Mapping, NamedTuple, Optional, Tuple
+from typing import List, Mapping, NamedTuple, Optional
 
 from .ir import (
     EQ_OPS,
@@ -36,18 +35,11 @@ PRAGMA = "^0.5.8"
 
 class SourceUnit(NamedTuple):
     file_name: str
-    pragma_version: str
-    contracts: Tuple[str, ...]
     rendered_text: str
 
 
 def _unit(file_name: str, texts: List[str]) -> SourceUnit:
-    body = f"pragma solidity {PRAGMA};\n\n" + "\n".join(texts)
-    # each declaration starts a line below the pragma; an emitted string
-    # literal holds no newline, so no other text does
-    return SourceUnit(file_name=file_name, pragma_version=PRAGMA,
-                      contracts=tuple(re.findall(r"\ncontract (\w+)", body)),
-                      rendered_text=body)
+    return SourceUnit(file_name, f"pragma solidity {PRAGMA};\n\n" + "\n".join(texts))
 
 
 def _sol_type(type_name: str, location: str) -> str:
@@ -445,7 +437,9 @@ def _invocation_lines(model: ProcessModel, task_id: str,
     lines: List[str] = []
     for itf, fn, sources, targets in model.calls_of(task_id):
         instance = instance_of(itf.name)
-        lines.append(f"{itf.name} {instance} = {itf.name}({address_of(itf.name)});")
+        declaration = f"{itf.name} {instance} = {itf.name}({address_of(itf.name)});"
+        if declaration not in lines:  # a body declares each local once, at its first call
+            lines.append(declaration)
         call = f"{instance}.{fn.name}({', '.join(render_expr(s, types) for s in sources)})"
         slots = ["" if t is None else slot(t) for t in targets]
         if not any(slots):

@@ -6,11 +6,11 @@ three operators (add a name, remove a name, swap two names), and every
 trace is classified twice, from its names alone: by the automaton replayer
 and by an independent brute-force token-game oracle working on the raw
 model graph. Within an experiment each distinct trace is classified once,
-and each classifier walks a graph of interned state sets: one node per
-distinct state set, whose edge for a task is computed once, however many
-prefixes reach it. The experiment report records the seed, class totals,
-and the agreement percentage between the two classifiers.
-replay_data instead invokes the events of a data trace on an interpreter.
+by one walk on either classifier's graph of interned state sets; the two
+differ only in root, edges and edge costs. A graph has one node per
+distinct state set, whose edge for a task is computed once. The report
+records the seed, class totals and the agreement percentage of the two
+classifiers. replay_data instead invokes the events of a data trace.
 
 The mutant stream is fixed for a seed: mutants draws every operator,
 position and name from the rng's random() and getrandbits() alone, so it
@@ -185,51 +185,26 @@ class _StateSet:
     state set (empty once a trace is rejected) and its edges. The edge for
     a task name holds the node that firing the task from these states
     reaches and the edge's cost: the markings the oracle's saturation
-    discovered on it (0 for the replayer). A classifier keeps its nodes in
-    one table by state set, so each (state set, task) edge is computed
-    once, whichever prefix reaches the state set first."""
+    discovered on it (0 for the replayer). As a graph's _Nodes hold one
+    node per state set, each (state set, task) edge is computed once."""
 
     states: FrozenSet
     edges: Dict[str, Tuple["_StateSet", int]] = field(default_factory=dict)
 
 
-Nodes = Dict[FrozenSet, _StateSet]  # a graph's table of its nodes by state set
+class _Nodes(dict):
+    """A graph's table of its nodes by state set, each made on first lookup."""
 
-
-def _intern(nodes: Nodes, states: FrozenSet) -> _StateSet:
-    """The node of states in the table nodes, made on first use."""
-    node = nodes.get(states)
-    if node is None:
-        node = nodes[states] = _StateSet(states)
-    return node
+    def __missing__(self, states: FrozenSet) -> _StateSet:
+        node = self[states] = _StateSet(states)
+        return node
 
 
 def classify(a: MarkingAutomaton, names: Names, strict: bool = True) -> Classification:
     """Replay task names against the automaton, searching all branch
     choices and ignoring scripts and guards. An unknown task name is
     non-conforming at its index."""
-    nodes: Nodes = {}
-    return _replay(a, names, strict, nodes,
-                   _intern(nodes, eager_closure_nondet(a, a.initial_marking)))
-
-
-def _replay(a: MarkingAutomaton, names: Names, strict: bool,
-            nodes: Nodes, node: _StateSet) -> Classification:
-    """classify's loop from node, the root of the graph whose table is
-    nodes. The graph keeps each (state set, task) step for every later
-    trace that reaches the state set."""
-    for i, name in enumerate(names):
-        edge = node.edges.get(name)
-        if edge is None:
-            task_id = a.task_id_for(name)
-            edge = node.edges[name] = (_intern(
-                nodes, frozenset() if task_id is None else step(a, node.states, task_id)), 0)
-        node = edge[0]
-        if not node.states:
-            return NonConforming(i)
-    if strict and 0 not in node.states:
-        return NonConforming(None)
-    return Conforming()
+    return _Replayer(a).verdict(names, strict)
 
 
 def replay_data(instance, trace: Trace, strict: bool = True) -> Classification:
@@ -261,9 +236,9 @@ class _TokenGame:
     """The token game of one model, tabled once: every automatic move as a
     (needed, produced) pair of flow-id sets, each external task's
     (incoming id, produced) by display name or id, and the saturated
-    initial state set as the root of a graph of interned state sets. The
-    root is built on first use, so an experiment without traces spends no
-    budget.
+    initial state set as the root of a graph of interned state sets, whose
+    end state is the empty marking. The root is built on first use, as
+    _saturate builds a _TokenGame and never reads it.
 
     A script task or an AND gateway needs all its incoming flows and
     produces all its outgoing ones. An end event is one move per incoming
@@ -271,8 +246,10 @@ class _TokenGame:
     outgoing) pair: it consumes any one incoming and produces any one
     outgoing flow."""
 
+    end: Marking = frozenset()
+
     def __init__(self, model: ProcessModel):
-        self.nodes: Nodes = {}
+        self.nodes = _Nodes()
         self.moves: List[Tuple[Marking, Marking]] = []
         for n in model.nodes:
             inc = [f.id for f in model.incoming(n.id)]
@@ -319,7 +296,7 @@ class _TokenGame:
         markings that saturation discovered."""
         budget = [DEFAULT_STATE_BUDGET]
         states = self.saturate({self.initial}, budget)
-        return _intern(self.nodes, states), DEFAULT_STATE_BUDGET - budget[0]
+        return self.nodes[states], DEFAULT_STATE_BUDGET - budget[0]
 
     def fire(self, node: _StateSet, name: str, spent: int) -> Tuple[_StateSet, int]:
         """The edge for task `name` from node: the interned node of the
@@ -330,18 +307,18 @@ class _TokenGame:
         cost pass DEFAULT_STATE_BUDGET."""
         task = self.by_name.get(name)
         if task is None:
-            return _intern(self.nodes, frozenset()), 0
+            return self.nodes[frozenset()], 0
         inc, produced = task
         left = DEFAULT_STATE_BUDGET - spent
         budget = [left]
         fired = {(m - {inc}) | produced for m in node.states if inc in m}
-        return _intern(self.nodes, self.saturate(fired, budget)), left - budget[0]
+        return self.nodes[self.saturate(fired, budget)], left - budget[0]
 
     def verdict(self, names: Names, strict: bool) -> Classification:
-        """The trace's class. The budget is per trace: the costs of the
-        root and of the edges along the trace's path are summed, and
-        HarnessError is raised as soon as the sum passes
-        DEFAULT_STATE_BUDGET, whichever trace computed each edge."""
+        """The trace's class on this graph, the oracle's or a _Replayer's.
+        The budget is per trace: the costs of the root and of the edges
+        along the trace's path are summed, and HarnessError is raised as
+        soon as the sum passes DEFAULT_STATE_BUDGET."""
         node, spent = self.root
         for i, name in enumerate(names):
             edge = node.edges.get(name)
@@ -353,9 +330,27 @@ class _TokenGame:
                 raise HarnessError("oracle state budget exhausted")
             if not node.states:
                 return NonConforming(i)
-        if strict and frozenset() not in node.states:
+        if strict and self.end not in node.states:
             return NonConforming(None)
         return Conforming()
+
+
+class _Replayer:
+    """The replayer's graph, walked as the oracle's: its root is the closure
+    of the initial marking and its edge for a task name one step, both at
+    cost 0, and its end state is the zero marking."""
+
+    end = 0
+
+    def __init__(self, a: MarkingAutomaton):
+        self.a, self.nodes = a, _Nodes()
+        self.root = self.nodes[eager_closure_nondet(a, a.initial_marking)], 0
+
+    def fire(self, node: _StateSet, name: str, spent: int) -> Tuple[_StateSet, int]:
+        task_id = self.a.task_id_for(name)
+        return self.nodes[frozenset() if task_id is None else step(self.a, node.states, task_id)], 0
+
+    verdict = _TokenGame.verdict
 
 
 def _saturate(model: ProcessModel, seeds: Set[Marking],
@@ -555,13 +550,11 @@ def run_experiment(model: ProcessModel, a: MarkingAutomaton,
     for base in bases:
         traces += mutants(base, rng, cfg.mutants_per_base, alphabet, base_set)
 
-    replay_nodes: Nodes = {}
-    replay_root = _intern(replay_nodes, eager_closure_nondet(a, a.initial_marking))
-    oracle = _TokenGame(model)
+    replayer, oracle = _Replayer(a), _TokenGame(model)
     conforming = agree = 0
     labels: Dict[Names, Tuple[str, str]] = {}  # the verdicts of each disagreeing trace
     for names, times in Counter(traces).items():
-        mine = _replay(a, names, cfg.strict, replay_nodes, replay_root)
+        mine = replayer.verdict(names, cfg.strict)
         theirs = oracle.verdict(names, cfg.strict)
         if mine.ok:
             conforming += times

@@ -400,12 +400,6 @@ class InstanceState:
         for reg in self.registries.values():
             reg.commit()
 
-    def registry_at(self, address: str) -> Registry:
-        reg = self.registries.get(addr_key(address))
-        if reg is None:
-            raise InstanceError(f"no simulated registry at {address}")
-        return reg
-
     def _bind_value(self, source, env):
         """The value of a binding source: a literal, processAddress, or a
         variable or task input, which reads as its type's zero until it is

@@ -534,9 +534,6 @@ class ProcessModel:
     def gateways(self):
         return tuple(n for n in self.nodes if n.kind in GATEWAY_KINDS)
 
-    def invocations_of(self, task_id: str):
-        return self._index.invocations.get(task_id, ())
-
     @cached_property
     def _calls(self) -> Dict[str, tuple]:
         return {task_id: tuple(map(self._resolve_call, bound))

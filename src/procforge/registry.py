@@ -147,6 +147,25 @@ def registry_scopes(spec: NonFungibleRegistrySpec) -> list:
         *(Scope((registry, f), names) for f, names in functions.items())]
 
 
+_TOKEN_EVENTS = {"Transfer": ("from", "to", "value"), "Approval": ("owner", "spender", "value")}
+_TOKEN_FUNCTIONS = {
+    "balanceOf": ("account",), "allowance": ("owner", "spender"), "transfer": ("to", "value"),
+    "approve": ("spender", "value"), "transferFrom": ("from", "to", "value"),
+    "mint": ("to", "value"), "burn": ("from", "value")}
+
+
+def token_scopes(display_name: str) -> list:
+    """What codegen.gen_fungible declares in the unit of a token, scope by
+    scope, as if it were both mintable and burnable."""
+    name = contract_name(display_name)
+    return [Scope((), (Declared(name, "name", f"the contract '{name}'", True),)),
+            Scope((name,), emitted("name", "symbol", "decimals", "totalSupply", "balances",
+                                   "allowances", "isMinter", "isBurner", *_TOKEN_EVENTS,
+                                   *_TOKEN_FUNCTIONS)),
+            *(Scope((name, e), emitted(*names), False) for e, names in _TOKEN_EVENTS.items()),
+            *(Scope((name, f), emitted(*names)) for f, names in _TOKEN_FUNCTIONS.items())]
+
+
 def _load(doc: str) -> dict:
     try:
         obj = load_json(doc)
@@ -308,6 +327,8 @@ def _fungible(obj: dict) -> FungibleRegistrySpec:
     name = _field(obj, "name")
     if not isinstance(name, str) or not name:
         raise InvariantViolation("name", "must be a nonempty string")
+    for blamed, how, other in clashes(token_scopes(name)):
+        raise InvariantViolation("name", f"{blamed.label} {how} {other.label}")
     symbol = _field(obj, "symbol")
     if not isinstance(symbol, str) or not 1 <= len(symbol) <= SYMBOL_MAX_LEN:
         raise InvariantViolation("symbol", f"must be 1-{SYMBOL_MAX_LEN} characters")

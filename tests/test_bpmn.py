@@ -177,7 +177,7 @@ def test_flow_document_order_preserved():
 
 def test_binding_sources():
     m = load_model("grain_title")
-    inv = m.invocations_of("t_interest")[0]
+    inv = next(b for b in m.invocations if b.source_task == "t_interest")
     by_param = {b.param: b.source for b in inv.input_bindings}
     assert by_param["to"] == Var("processAddress")
     assert by_param["amount"] == Var("deposit")

@@ -660,6 +660,11 @@ UPDATE_WEIGHT_CALL = ('<bcext:invocation sourceTask="t_swap" targetInterface="it
                       'fnName="record_update_weight">'
                       '<bcext:bindIn param="record_id" source="titleId"/>'
                       '<bcext:bindIn param="value" source="grainWeight"/></bcext:invocation>')
+# the swap's third call, the second to the title registry
+UPDATE_WEIGHT_EDITS = [('<bcext:function name="record_get_owner">',
+                        UPDATE_WEIGHT_FN + '<bcext:function name="record_get_owner">'),
+                       ('<bcext:invocation sourceTask="t_refund"',
+                        UPDATE_WEIGHT_CALL + '<bcext:invocation sourceTask="t_refund"')]
 NO_TRANSFER_TITLE = TITLE_TEXT.replace('"isOwnershipTransferEnabled": true',
                                        '"isOwnershipTransferEnabled": false').replace(
     '"isOwnershipTransferEnabledToBPMN": true', '"isOwnershipTransferEnabledToBPMN": false')
@@ -675,11 +680,7 @@ SWAP_REJECTED = "ae8b888070a72362e53fdc242a2ae0820752a6d9671f3e0f2d542c8bd9537ad
      TITLE_TEXT, "Interest to buy title expressed",
      "0a6093385e62718defc5586a161c7f717f138cd2eda02e1390371e592f207fcf"),
     # weight is not updatable; the call follows the swap's two others
-    ([('<bcext:function name="record_get_owner">',
-       UPDATE_WEIGHT_FN + '<bcext:function name="record_get_owner">'),
-      ('<bcext:invocation sourceTask="t_refund"',
-       UPDATE_WEIGHT_CALL + '<bcext:invocation sourceTask="t_refund"')],
-     TITLE_TEXT, "Asset Swap", SWAP_REJECTED),
+    (UPDATE_WEIGHT_EDITS, TITLE_TEXT, "Asset Swap", SWAP_REJECTED),
     # ownership transfer is disabled
     ([], NO_TRANSFER_TITLE, "Asset Swap", SWAP_REJECTED),
 ], ids=["mint-not-mintable", "update-not-updatable", "transfer-disabled"])

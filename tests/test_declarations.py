@@ -1,7 +1,8 @@
-"""The declaration tables of ir.process_scopes and registry.registry_scopes
-against what tests/solexec.py reads in the emitted text: every name the
-text declares is in the table's scope for it, and whatever validate_model
-and parse_registry accept emits no clash."""
+"""The declaration tables of ir.process_scopes, registry.registry_scopes
+and registry.token_scopes against what tests/solexec.py reads in the
+emitted text: every name the text declares is in the table's scope for
+it, and whatever validate_model and parse_registry accept emits no
+clash."""
 
 import dataclasses
 import itertools
@@ -9,22 +10,25 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import solexec
 from conftest import FIXTURES, GOLDEN, load_model
 from modelgen import (counting_loop_bpmn, random_model, record_calls_bpmn, spinning_loop_bpmn,
                       toggle_loop_bpmn)
-from test_codegen import PINNED_ATTRIBUTES, REGISTRY_FLAGS
+from test_cli import GRAIN_TEXT, UPDATE_WEIGHT_EDITS
+from test_codegen import ABI_SPECS, PINNED_ATTRIBUTES, REGISTRY_FLAGS
 
 from procforge.bpmn import parse_bpmn
 from procforge.codegen import gen_fungible, gen_nonfungible, gen_process
 from procforge.ir import (FunctionParameter, ProcessVariableDecl, SmartContractFunctionDecl,
                           TaskInput, clashes, is_identifier, process_scopes, validate_model)
 from procforge.marking import compile_marking
-from procforge.registry import InvariantViolation, parse_registry, registry_scopes
+from procforge.registry import (FungibleRegistrySpec, InvariantViolation, parse_registry,
+                                registry_scopes, token_scopes)
 
 GOLDEN_SPECS = {"grain_title": "grain_title.json", "quality_tracing": "certificate.json"}
+LRK_DOC = json.loads((FIXTURES / "lrk.json").read_text())
 
 
 def process_text(model):
@@ -58,8 +62,8 @@ def loop_models():
 
 def units_with_tables():
     """(label, emitted text, table) of every golden unit that has a table,
-    the 84 registry variants, and the process units of 40 random models
-    and of the loop models."""
+    the 84 registry variants, the tokens of lrk.json and of ABI_SPECS, and
+    the process units of 40 random models and of the loop models."""
     units = []
     for fixture_dir in sorted(GOLDEN.iterdir()):
         model = load_model(fixture_dir.name)
@@ -72,6 +76,10 @@ def units_with_tables():
                           registry_scopes(spec)))
     units += [(f"variant {i}", text, registry_scopes(spec))
               for i, (spec, text) in enumerate(REGISTRY_VARIANTS)]
+    tokens = [parse_registry(json.dumps(LRK_DOC))] + [
+        spec for spec in ABI_SPECS.values() if isinstance(spec, FungibleRegistrySpec)]
+    units += [(f"token {i}", gen_fungible(spec).rendered_text, token_scopes(spec.name))
+              for i, spec in enumerate(tokens)]
     rng = random.Random(7)
     models = [random_model(rng, max_flows=rng.choice((6, 10, 16))) for _ in range(40)]
     units += [(f"model {i}", process_text(m), process_scopes(m))
@@ -140,6 +148,30 @@ def test_the_reader_finds_the_clash_of_each_newly_refused_model():
         model = parse_bpmn(edited)
         assert not validate_model(model).ok, edit
         assert solexec.clashes(solexec.read_unit(process_text(model))), edit
+
+
+def test_a_task_calling_one_interface_twice_declares_its_local_once():
+    # the swap calls GrainTitleRegistry twice from its one pre-alternative,
+    # and the reader keeps one scope per function
+    text = GRAIN_TEXT
+    for old, new in UPDATE_WEIGHT_EDITS:
+        text = text.replace(old, new)
+    model = parse_bpmn(text)
+    assert validate_model(model).ok
+    assert len(compile_marking(model).external["t_swap"].pre_alternatives) == 1
+    scopes = solexec.read_unit(process_text(model))
+    assert solexec.clashes(scopes) == []
+    swap = next(s for s in scopes if s.path == ("ProcessMonitor", "Asset_swap"))
+    assert swap.declares.count("instanceOfGrainTitleRegistry") == 1
+
+
+@pytest.mark.parametrize("name", ["Transfer", "transfer", "Approval", "approval"])
+def test_a_token_named_like_its_event_is_refused_at_its_name(name):
+    spec = parse_registry(json.dumps(LRK_DOC))._replace(name=name)
+    assert solexec.clashes(solexec.read_unit(gen_fungible(spec).rendered_text))
+    with pytest.raises(InvariantViolation, match=f"^name: the contract '{name.title()}' is "
+                                                 f"hidden by the emitted name '{name.title()}'$"):
+        parse_registry(json.dumps({**LRK_DOC, "name": name}))
 
 
 # --- whatever is accepted emits no clash -----------------------------------
@@ -215,4 +247,18 @@ def test_a_registry_spec_that_parses_emits_no_clash(names, attribute_flags, regi
 
 def test_fungible_units_read_clean():
     spec = parse_registry((FIXTURES / "lrk.json").read_text())
+    assert_no_clash(gen_fungible(spec).rendered_text)
+
+
+@settings(deadline=None)
+@given(name=NAMES, mintable=st.booleans(), burnable=st.booleans())
+@example(name="Transfer", mintable=True, burnable=True)
+def test_a_token_that_parses_emits_no_clash(name, mintable, burnable):
+    doc = {**LRK_DOC, "name": name, "isMintable": mintable, "isBurnable": burnable,
+           "minterAddresses": ["0x" + "1" * 40] if mintable else [],
+           "burnerAddresses": ["0x" + "2" * 40] if burnable else []}
+    try:
+        spec = parse_registry(json.dumps(doc))
+    except InvariantViolation:
+        return
     assert_no_clash(gen_fungible(spec).rendered_text)

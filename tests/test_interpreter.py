@@ -10,6 +10,7 @@ from procforge.interp import (
     new_instance,
     pseudo_address,
 )
+from procforge.ir import addr_key
 from procforge.marking import compile_marking
 from procforge.registry import (
     AttributeDecl,
@@ -336,8 +337,8 @@ def test_grain_swap_end_state(grain_model, grain_automaton):
     for task, args, caller in SWAP_EVENTS:
         assert inst.invoke(task, args, caller).ok
     assert inst.marking == 0
-    title = inst.registry_at("0xA9998dBe75D795556eA821E37cD2DE1F373BFd91")
-    lrk = inst.registry_at("0xD3E4EBe81b55EA73b559da31ADf2CAc3b254ea11")
+    title = inst.registries[addr_key("0xA9998dBe75D795556eA821E37cD2DE1F373BFd91")]
+    lrk = inst.registries[addr_key("0xD3E4EBe81b55EA73b559da31ADf2CAc3b254ea11")]
     assert title.record_get_owner(inst.env["titleId"]) == BUYER
     assert lrk.balance_of("0x" + "1" * 40) == 500  # farmer got the price
     assert lrk.balance_of(BUYER) == 200000 - 500
@@ -358,14 +359,14 @@ def test_failed_registry_call_rolls_back_marking(grain_model, grain_automaton):
     for task, args, caller in SWAP_EVENTS[:6]:
         assert inst.invoke(task, args, caller).ok
     before_marking = inst.marking
-    lrk = inst.registry_at("0xD3E4EBe81b55EA73b559da31ADf2CAc3b254ea11")
+    lrk = inst.registries[addr_key("0xD3E4EBe81b55EA73b559da31ADf2CAc3b254ea11")]
     before_balance = lrk.balance_of(BUYER)
     # deposit larger than the buyer's balance: transfer fails inside the task
     outcome = inst.invoke("Interest to buy title expressed",
                           {"deposit": 10**9, "buyer": BUYER}, BUYER)
     assert not outcome.ok and outcome.reason == "RegistryError"
     assert inst.marking == before_marking
-    lrk = inst.registry_at("0xD3E4EBe81b55EA73b559da31ADf2CAc3b254ea11")
+    lrk = inst.registries[addr_key("0xD3E4EBe81b55EA73b559da31ADf2CAc3b254ea11")]
     assert lrk.balance_of(BUYER) == before_balance
     # the instance still accepts the correct continuation
     assert inst.invoke("Interest to buy title expressed",
@@ -395,19 +396,13 @@ def test_unknown_registry_address(grain_model, grain_automaton):
         new_instance(grain_model, grain_automaton, registries={})
 
 
-def test_registry_at_an_unknown_address_raises(grain_model, grain_automaton):
-    inst = new_instance(grain_model, grain_automaton, registries=grain_registries())
-    with pytest.raises(interp.InstanceError, match=f"^no simulated registry at {A1}$"):
-        inst.registry_at(A1)
-
-
 def test_instance_address_is_derived_from_the_process_id(grain_model, grain_automaton):
     inst = new_instance(grain_model, grain_automaton, registries=grain_registries())
     assert inst.process_address == pseudo_address("process:grain_title:0")
 
 
 def _ledger_state(inst, address):
-    lg = inst.registry_at(address)
+    lg = inst.registries[addr_key(address)]
     return inst.marking, dict(inst.env), dict(lg.balances), dict(lg.allowances), lg.total_supply
 
 
@@ -463,7 +458,7 @@ def test_types_resolved_once_at_compile(monkeypatch):
         assert inst.invoke("Investment received", {"amount": 100, "investor": A2}).ok
         assert inst.invoke("Tokens claimed", {}).ok
     assert inst.env["amountRaised"] == 300
-    assert inst.registry_at(A3).balance_of(A2) == 3 * 100 * 100
+    assert inst.registries[addr_key(A3)].balance_of(A2) == 3 * 100 * 100
     assert [compiled[id(e)] for e in guards + statements] == [1] * (len(guards) + 2)
     # every node but the start event and the folded gateways emits a function
     emitting = [n.display_name if n.kind in TASK_KINDS else n.id for n in model.nodes
@@ -479,7 +474,7 @@ def test_rollback_keeps_registry_objects():
     inst = new_instance(model, compile_marking(model), {"itf_lrk": A3}, {A3: lg})
     # "Go" pays 5 before the closure fails; the rollback undoes it in place
     assert inst.invoke("Go", {}, A2).reason == "NonTerminatingClosure"
-    assert inst.registry_at(A3) is lg
+    assert inst.registries[addr_key(A3)] is lg
     assert lg.balance_of(A2) == 100
 
 

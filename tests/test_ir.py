@@ -653,6 +653,22 @@ ICO_INVESTOR = '<bcext:input name="investor" type="address"/>'
                  [("error", "f4", "condition type error: '||' requires bool operands, "
                                   "got uint256 and uint256")],
                  id="expr-bool-operands"),
+    pytest.param("task_outsourcing",
+                 [(TO_VAR, TO_VAR + '<bcext:variable name="fee" type="uint256" initial="-1"/>')],
+                 [("error", "fee", "initial value -1 does not match type uint256")],
+                 id="initial-negative-uint"),
+    pytest.param("task_outsourcing",
+                 [(TO_VAR, TO_VAR + '<bcext:variable name="done" type="bool" initial="5"/>')],
+                 [("error", "done", "initial value 5 does not match type bool")],
+                 id="initial-number-bool"),
+    pytest.param("task_outsourcing",
+                 [(TO_VAR, TO_VAR + '<bcext:variable name="payer" type="address" '
+                                    'initial="0x12"/>')],
+                 [("error", "payer", "initial value '0x12' does not match type address")],
+                 id="initial-short-address"),
+    pytest.param("task_outsourcing",
+                 [(TO_VAR, TO_VAR + '<bcext:variable name="done" type="bool" initial="true"/>')],
+                 [], id="initial-bool"),
 ])
 def test_validate_model_diagnostic(fixture, edits, expected):
     text = (FIXTURES / f"{fixture}.bpmn").read_text()
@@ -750,11 +766,10 @@ def test_calls_are_resolved_once_per_task(name):
     model = load_model(name)
     for n in model.nodes:
         bound = tuple(b for b in model.invocations if b.source_task == n.id)
-        assert model.invocations_of(n.id) == bound
         calls = model.calls_of(n.id)
         assert len(calls) == len(bound)
         assert model.calls_of(n.id) is calls
-    assert model.invocations_of("ghost") == ()
+    assert model.calls_of("ghost") == ()
 
 
 @pytest.mark.parametrize("name", ["grain_title", "ico", "quality_tracing", "task_outsourcing"])
@@ -762,7 +777,8 @@ def test_calls_carry_the_declared_function(name):
     model = load_model(name)
     for b in model.invocations:
         calls = model.calls_of(b.source_task)
-        itf, fn, _, targets = calls[model.invocations_of(b.source_task).index(b)]
+        bound = [c for c in model.invocations if c.source_task == b.source_task]
+        itf, fn, _, targets = calls[bound.index(b)]
         assert itf is model.interface(b.target_interface)
         assert fn is itf.function(b.fn_name)
         assert len(targets) == len(fn.outputs)

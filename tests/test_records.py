@@ -69,7 +69,7 @@ RECORDS = [
     NonConforming(2),
     Disagreement(4, "Conforming", "NonConforming(1)", ("Pay", "Ship")),
     Report(7, 3, 1, 75.0, (), 12),
-    SourceUnit("Coin.sol", "^0.5.8", ("Coin",), "pragma solidity ^0.5.8;\n"),
+    SourceUnit("Coin.sol", "pragma solidity ^0.5.8;\n"),
     ClosureResult(0x4, {"x": 2}, ("s_alloc",)),
     Accepted(1, ("s_alloc",)),
     Rejected("NotEnabled", "task 'Pay' not enabled at marking 0x1"),
