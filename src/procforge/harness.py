@@ -370,19 +370,13 @@ def oracle_classify(model: ProcessModel, names: Names,
 
 
 OPERATORS = ("add", "remove", "swap")
-_UNDRAWN = object()  # a table entry of mutants whose edit is not yet drawn
-
-
-def _unless_base(mutant: Names, bases: Collection[Names]) -> Optional[Names]:
-    """mutant, or None when it is one of bases."""
-    return None if mutant in bases else mutant
 
 
 def mutants(trace: Names, rng: random.Random, count: int,
             alphabet: Sequence[str], bases: Collection[Names]) -> List[Names]:
     """count mutants of trace. Each applies exactly one operator, the
     three being equally likely, and is resampled until it is not in bases;
-    HarnessError is raised when one takes more than 100 tries.
+    HarnessError is raised once every edit of trace gives a base.
 
     Every draw is a fixed function of rng.random() and rng.getrandbits(),
     so the stream is the one random.choices(OPERATORS), randrange, choice
@@ -390,29 +384,25 @@ def mutants(trace: Names, rng: random.Random, count: int,
     a later version implements them. Each position and name is drawn by
     rejection, as random.Random._randbelow draws it.
 
-    A trace of n names over an alphabet of k has at most (n+1)*k + n +
-    n*(n-1)/2 distinct edits, often fewer than count, so each operator
-    keeps a table by its edit: (position, name) for add, position for
-    remove and the ordered pair of positions for swap. Each distinct edit
-    is built and checked against bases once per call, so once per base of
-    an experiment; a later draw of it takes the same mutant, or resamples
-    at once when it gives a base. The draws, and so the stream and its
-    pinned digest, are those of building every mutant."""
+    A trace of n names over an alphabet of k has exactly (n+1)*k + n +
+    n*(n-1)/2 edits, so at most that many distinct mutants, often fewer
+    than count. One table holds each drawn edit's mutant, or None once it
+    proved a base, by its number: pos*k + name for add, (n+1)*k + pos for
+    remove and (n+1)*k + n + i*n + j for the swap of i < j. Each edit is
+    built and checked against bases once per call, so once per base of an
+    experiment; the draws, and so the stream and its pinned digest, are
+    those of building every mutant."""
     uniform, getrandbits = rng.random, rng.getrandbits
     n, k = len(trace), len(alphabet)
-    # the bit widths of the rejection draws from range(n + 1), range(n),
-    # range(n - 1) and range(k)
+    # the bit widths of the draws from range(n + 1), range(n), range(n - 1), range(k)
     w_gap, w_pos, w_other, w_name = ((n + 1).bit_length(), n.bit_length(),
                                      (n - 1).bit_length(), k.bit_length())
-    # each table holds the edit's mutant, None once it proved a base, or
-    # _UNDRAWN; swap's is a dict, as a list of n*n would grow with the
-    # square of the trace
-    added = [_UNDRAWN] * ((n + 1) * k)  # by position * k + name
-    removed = [_UNDRAWN] * n  # by position
-    swapped: Dict[int, Optional[Names]] = {}  # by i * n + j, for i < j
+    removes, swaps = (n + 1) * k, (n + 1) * k + n  # where their edit numbers start
+    left = swaps + n * (n - 1) // 2  # the edits not yet shown to give a base
+    edits: Dict[int, Optional[Names]] = {}
     out: List[Names] = []
     for _ in range(count):
-        for _ in range(100):
+        while left:
             op = int(uniform() * 3)  # the index into OPERATORS
             if op == 0:
                 if not k:
@@ -423,19 +413,18 @@ def mutants(trace: Names, rng: random.Random, count: int,
                 name = getrandbits(w_name)
                 while name >= k:
                     name = getrandbits(w_name)
-                mutant = added[pos * k + name]
-                if mutant is _UNDRAWN:
-                    mutant = added[pos * k + name] = _unless_base(
-                        trace[:pos] + (alphabet[name],) + trace[pos:], bases)
+                key = pos * k + name
+                if key not in edits:
+                    mutant = trace[:pos] + (alphabet[name],) + trace[pos:]
             elif op == 1:
                 if not n:
                     continue
                 pos = getrandbits(w_pos)
                 while pos >= n:
                     pos = getrandbits(w_pos)
-                mutant = removed[pos]
-                if mutant is _UNDRAWN:
-                    mutant = removed[pos] = _unless_base(trace[:pos] + trace[pos + 1:], bases)
+                key = removes + pos
+                if key not in edits:
+                    mutant = trace[:pos] + trace[pos + 1:]
             else:
                 if n < 2:
                     continue
@@ -458,17 +447,21 @@ def mutants(trace: Names, rng: random.Random, count: int,
                         j = getrandbits(w_pos)
                 if i > j:
                     i, j = j, i
-                mutant = swapped.get(i * n + j, _UNDRAWN)
-                if mutant is _UNDRAWN:
-                    mutant = swapped[i * n + j] = _unless_base(
-                        trace[:i] + (trace[j],) + trace[i + 1:j] + (trace[i],) + trace[j + 1:],
-                        bases)
+                key = swaps + i * n + j
+                if key not in edits:
+                    mutant = trace[:i] + (trace[j],) + trace[i + 1:j] + (trace[i],) + trace[j + 1:]
+            if key in edits:  # else mutant was built above, at the edit's first draw
+                mutant = edits[key]
+            elif mutant in bases:
+                mutant = edits[key] = None
+                left -= 1
+            else:
+                edits[key] = mutant
             if mutant is not None:
                 out.append(mutant)
                 break
         else:
-            raise HarnessError(
-                "no mutant distinct from the base traces after 100 attempts")
+            raise HarnessError("no mutant distinct from the base traces")
     return out
 
 

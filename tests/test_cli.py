@@ -804,7 +804,63 @@ def test_conformance_without_external_tasks_exits_1(tmp_path, capsys):
     # no task name to add, nothing to remove or swap: no mutant exists
     code, out, err = run(capsys, "conformance", str(model))
     assert code == 1 and out == ""
-    assert err == "error: no mutant distinct from the base traces after 100 attempts\n"
+    assert err == "error: no mutant distinct from the base traces\n"
+
+
+def xor_bpmn(branches: int) -> str:
+    """start, an XOR split to the user tasks T00, T01, ..., an XOR join and
+    end; the flow to task i is guarded x == i, and the last one's is the
+    default."""
+    parts = []
+    for i in range(branches):
+        t = f"t{i:02d}"
+        parts.append(f'<userTask id="{t}" name="T{i:02d}"/>')
+        if i == branches - 1:
+            parts.append(f'<sequenceFlow id="in{i}" sourceRef="split" targetRef="{t}" '
+                         'default="true"/>')
+        else:
+            parts.append(f'<sequenceFlow id="in{i}" sourceRef="split" targetRef="{t}">'
+                         f'<conditionExpression>x == {i}</conditionExpression></sequenceFlow>')
+        parts.append(f'<sequenceFlow id="out{i}" sourceRef="{t}" targetRef="join"/>')
+    body = "\n    ".join(parts)
+    return f"""<?xml version="1.0" encoding="UTF-8"?>
+<definitions xmlns="http://www.omg.org/spec/BPMN/20100524/MODEL"
+             xmlns:bcext="urn:procforge:bcext:1" id="defs_xor">
+  <process id="xor">
+    <extensionElements>
+      <bcext:variables>
+        <bcext:variable name="x" type="uint256"/>
+      </bcext:variables>
+    </extensionElements>
+    <startEvent id="start"/>
+    <exclusiveGateway id="split"/>
+    <exclusiveGateway id="join"/>
+    <endEvent id="end"/>
+    <sequenceFlow id="f1" sourceRef="start" targetRef="split"/>
+    <sequenceFlow id="f2" sourceRef="join" targetRef="end"/>
+    {body}
+  </process>
+</definitions>
+"""
+
+
+@pytest.mark.parametrize("prefix, totals", [
+    # as prefixes the bases are () and T00, ..., T10: the one edit of ()
+    # that gives no base adds T11, one draw in 36, so each of the 250
+    # mutants of () is the conforming prefix T11
+    (["--prefix"], {"conforming": 12 + 250, "nonConforming": 2750}),
+    # the bases T00, ..., T11: no mutant of them conforms
+    ([], {"conforming": 12, "nonConforming": 3000}),
+], ids=["prefix", "strict"])
+def test_conformance_draws_until_every_edit_gives_a_base(tmp_path, capsys, prefix, totals):
+    model = tmp_path / "xor12.bpmn"
+    model.write_text(xor_bpmn(12))
+    code, out, _ = run(capsys, "conformance", str(model), *prefix,
+                       "--bases", "12", "--seed", "1", "--json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["totals"] == totals
+    assert report["correctnessPct"] == 100 and report["disagreements"] == []
 
 
 @pytest.mark.parametrize("command, target", [

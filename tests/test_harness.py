@@ -383,7 +383,7 @@ def test_remove_resamples_on_empty():
     assert out == ()
 
 
-EXHAUSTED = "no mutant distinct from the base traces after 100 attempts"
+EXHAUSTED = "no mutant distinct from the base traces"
 
 
 def test_mutation_exhausted():
@@ -412,31 +412,44 @@ def test_mutation_deterministic_for_seed(grain_automaton):
     assert a == b
 
 
-def reference_mutate(trace, rng, weights, alphabet, bases):
+def reference_mutate(trace, rng, weights, alphabet, bases, gave_base):
     """mutate written with random.choices, randrange, choice and sample:
     the draws that mutants reproduces from random() and getrandbits().
     choices draws the operator by bisecting the cumulative weights when
-    they are given and by scaling random() when they are not."""
-    for _ in range(100):
+    they are given and by scaling random() when they are not. gave_base
+    holds the edits that gave a base in the draws of one call of mutants,
+    keyed (pos, name) for add, (pos,) for remove and (i, j, None) for swap;
+    the draws end once it holds every edit of trace."""
+    n = len(trace)
+    every = ({(pos, name) for pos in range(n + 1) for name in alphabet}
+             | {(pos,) for pos in range(n)}
+             | {(i, j, None) for i in range(n) for j in range(i + 1, n)})
+    while gave_base != every:
         op = rng.choices(harness.OPERATORS, weights=weights)[0]
         names = list(trace)
         if op == "add":
             if not alphabet:
                 continue
             pos = rng.randrange(len(names) + 1)
-            names.insert(pos, rng.choice(alphabet))
+            name = rng.choice(alphabet)
+            names.insert(pos, name)
+            edit = (pos, name)
         elif op == "remove":
             if not names:
                 continue
-            del names[rng.randrange(len(names))]
+            pos = rng.randrange(len(names))
+            del names[pos]
+            edit = (pos,)
         else:
             if len(names) < 2:
                 continue
             i, j = rng.sample(range(len(names)), 2)
             names[i], names[j] = names[j], names[i]
+            edit = (min(i, j), max(i, j), None)
         mutant = tuple(names)
         if mutant not in bases:
             return mutant
+        gave_base.add(edit)
     raise HarnessError(EXHAUSTED)
 
 
@@ -459,9 +472,9 @@ def test_mutants_draw_as_the_reference(weights, alphabet):
             bases = {trace} | {tuple(src.choice("abc") for _ in range(length + d))
                                for d in (-1, 1) for _ in range(2) if length + d >= 0}
             count = 12
-            ref_rng, rng = random.Random(seed), random.Random(seed)
+            ref_rng, rng, gave_base = random.Random(seed), random.Random(seed), set()
             expected = draw_or_exhaust(lambda: [
-                reference_mutate(trace, ref_rng, weights, alphabet, bases)
+                reference_mutate(trace, ref_rng, weights, alphabet, bases, gave_base)
                 for _ in range(count)])
             got = draw_or_exhaust(lambda: harness.mutants(
                 trace, rng, count, alphabet, bases))
@@ -490,16 +503,17 @@ def test_mutants_draw_as_the_reference_when_every_edit_repeats(length, alphabet)
         # half the edits give a base, all but one do, or all do
         for bases in ({trace} | set(src.sample(edits, len(edits) // 2)),
                       {trace} | set(edits[1:]), {trace} | set(edits)):
-            ref_rng, rng = random.Random(seed), random.Random(seed)
+            ref_rng, rng, gave_base = random.Random(seed), random.Random(seed), set()
             expected = draw_or_exhaust(lambda: [
-                reference_mutate(trace, ref_rng, None, alphabet, bases)
+                reference_mutate(trace, ref_rng, None, alphabet, bases, gave_base)
                 for _ in range(200)])
             got = draw_or_exhaust(lambda: harness.mutants(trace, rng, 200, alphabet, bases))
             assert got == expected, (trace, sorted(bases))
             assert rng.getstate() == ref_rng.getstate(), (trace, sorted(bases))
+            # the draws end exactly when every edit gives a base
             if bases >= every_edit(trace, alphabet):
                 assert got == EXHAUSTED
-            elif got != EXHAUSTED:
+            else:
                 assert len(got) == 200 and not bases & set(got)
 
 

@@ -278,6 +278,12 @@ def test_duplicate_node_id():
 def test_dangling_flow():
     m = linear_model(flows=linear_model().flows + (SequenceFlow("f3", "t1", "ghost"),))
     assert any("dangling flow target" in e for e in errors_of(m))
+    # the flow also gives t1 a second incoming flow, so t1's degree error too
+    m = linear_model(flows=linear_model().flows + (SequenceFlow("f3", "ghost", "t1"),))
+    assert [str(d) for d in validate_model(m).errors] == [
+        "error: [f3] dangling flow source 'ghost'",
+        "error: [t1] tasks must have exactly one incoming and one outgoing flow; "
+        "use gateways for branching"]
 
 
 def test_start_end_cardinality():
