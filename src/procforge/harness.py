@@ -376,7 +376,8 @@ def mutants(trace: Names, rng: random.Random, count: int,
             alphabet: Sequence[str], bases: Collection[Names]) -> List[Names]:
     """count mutants of trace. Each applies exactly one operator, the
     three being equally likely, and is resampled until it is not in bases;
-    HarnessError is raised once every edit of trace gives a base.
+    HarnessError is raised once every edit of trace gives a base, and so
+    before any mutant is drawn.
 
     Every draw is a fixed function of rng.random() and rng.getrandbits(),
     so the stream is the one random.choices(OPERATORS), randrange, choice
@@ -530,7 +531,9 @@ def run_experiment(model: ProcessModel, a: MarkingAutomaton,
     distinct trace is classified once, in the order of its first
     occurrence, and counted as often as it occurs; each classifier shares
     one graph of interned state sets across the experiment. A disagreement
-    is reported at every index of its trace."""
+    is reported at every index of its trace. A base every edit of which
+    gives a base contributes no mutants; HarnessError is raised when
+    mutants are asked for and no base gives one."""
     t0 = time.perf_counter()
     bases = enumerate_conforming(a, len(a.external), strict=cfg.strict,
                                  limit=cfg.base_traces)
@@ -541,7 +544,12 @@ def run_experiment(model: ProcessModel, a: MarkingAutomaton,
     rng = random.Random(cfg.seed)
     traces: List[Names] = list(bases)
     for base in bases:
-        traces += mutants(base, rng, cfg.mutants_per_base, alphabet, base_set)
+        try:
+            traces += mutants(base, rng, cfg.mutants_per_base, alphabet, base_set)
+        except HarnessError:
+            pass  # every edit of this base gives a base: it has no mutant
+    if cfg.mutants_per_base and len(traces) == len(bases):
+        raise HarnessError("no mutant distinct from the base traces")
 
     replayer, oracle = _Replayer(a), _TokenGame(model)
     conforming = agree = 0

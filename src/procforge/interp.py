@@ -3,16 +3,15 @@
 One instance mirrors one deployed process contract: a marking word, a
 variable environment, an event log, and an own account identity used for
 escrow ("deposit to the process") and as Listing-style address(this).
-Registry calls bound to a task run atomically with the task: any failure
-rolls the whole invocation back. Each registry journals the old value of
-every key it writes, so a rollback undoes just the keys an invocation
-touched and the registry objects keep their identity.
+Registry calls bound to a task run atomically with the task, as in one
+transaction: the registries journal the old value of every key they write
+in the instance's one journal, so a rejection undoes just the keys the
+invocation touched, and the registry objects keep their identity.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
 from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple, Union
 
 from .ir import (
@@ -71,33 +70,28 @@ def _update_call(attr: str):
     return call
 
 
+def undo(journal: List[tuple], mark: int):
+    """Undo the writes journaled since mark, newest first, so dict contents
+    and insertion order end up exactly as they were."""
+    while len(journal) > mark:
+        table, key, old = journal.pop()
+        if old is _MISSING:
+            del table[key]
+        else:
+            table[key] = old
+
+
 class _Journaled:
     """Registry state that is written only through _write, which journals
-    the old value first. rollback(mark) undoes the writes made since mark
-    in reverse order, so dict contents and insertion order end up exactly
-    as they were; commit() forgets the journal."""
+    the old value first: in the registry's own journal, until an instance
+    binds the registry to the instance's."""
 
     def __init__(self):
-        self._journal: List[Tuple[dict, object, object]] = []
+        self.journal: List[Tuple[dict, object, object]] = []  # (table, key, old value)
 
     def _write(self, table: dict, key, value):
-        self._journal.append((table, key, table.get(key, _MISSING)))
+        self.journal.append((table, key, table.get(key, _MISSING)))
         table[key] = value
-
-    def mark(self) -> int:
-        return len(self._journal)
-
-    def rollback(self, mark: int):
-        journal = self._journal
-        while len(journal) > mark:
-            table, key, old = journal.pop()
-            if old is _MISSING:
-                del table[key]
-            else:
-                table[key] = old
-
-    def commit(self):
-        self._journal.clear()
 
 
 class FungibleLedger(_Journaled):
@@ -127,8 +121,6 @@ class FungibleLedger(_Journaled):
         return self.allowances.get((addr_key(owner), addr_key(spender)), 0)
 
     def _move(self, frm: str, to: str, amount: int):
-        if amount < 0:
-            raise RegistryError("negative amount")
         if self.balance_of(frm) < amount:
             raise RegistryError(
                 f"{frm} holds {self.balance_of(frm)}, needs {amount}")
@@ -140,8 +132,6 @@ class FungibleLedger(_Journaled):
         return (True,)
 
     def approve(self, caller: str, spender: str, amount: int) -> Tuple[bool]:
-        if amount < 0:
-            raise RegistryError("negative amount")
         self._write(self.allowances, (addr_key(caller), addr_key(spender)), amount)
         return (True,)
 
@@ -157,8 +147,6 @@ class FungibleLedger(_Journaled):
     def mint(self, caller: str, to: str, amount: int) -> Tuple[bool]:
         if addr_key(caller) not in {addr_key(a) for a in self.spec.minter_addresses}:
             raise Unauthorized(f"{caller} is not a minter")
-        if amount < 0:
-            raise RegistryError("negative amount")
         self._write(self.balances, addr_key(to), self.balance_of(to) + amount)
         self._add_supply(amount)
         return (True,)
@@ -166,7 +154,7 @@ class FungibleLedger(_Journaled):
     def burn(self, caller: str, frm: str, amount: int) -> Tuple[bool]:
         if addr_key(caller) not in {addr_key(a) for a in self.spec.burner_addresses}:
             raise Unauthorized(f"{caller} is not a burner")
-        if self.balance_of(frm) < amount or amount < 0:
+        if self.balance_of(frm) < amount:
             raise RegistryError(f"cannot burn {amount} from {frm}")
         self._write(self.balances, addr_key(frm), self.balance_of(frm) - amount)
         self._add_supply(-amount)
@@ -192,8 +180,7 @@ class FungibleLedger(_Journaled):
     }
 
 
-@dataclass(frozen=True)
-class RecordState:
+class RecordState(NamedTuple):
     owner: str
     attrs: Dict[str, object]
     history: Tuple[Tuple[str, object], ...] = ()
@@ -247,10 +234,7 @@ class NonFungibleStore(_Journaled):
             raise Unauthorized("record creation is restricted to the bound process")
         if addr_key(record_id) in self.records:
             raise RegistryError(f"record {record_id} already exists")
-        if len(values) != len(self.spec.attributes):
-            raise RegistryError(f"record_create takes {len(self.spec.attributes)} "
-                                f"attribute values, got {len(values)}")
-        attrs = {a.name: v for a, v in zip(self.spec.attributes, values)}
+        attrs = {a.name: v for a, v in zip(self.spec.attributes, values, strict=True)}
         history = tuple((a.name, attrs[a.name]) for a in self.spec.attributes
                         if a.history_tracked)
         self._write(self.records, addr_key(record_id),
@@ -276,7 +260,7 @@ class NonFungibleStore(_Journaled):
             raise Unauthorized(f"{caller} may not update record {record_id}")
         history = rec.history + ((attr, value),) if decl.history_tracked else rec.history
         self._write(self.records, addr_key(record_id),
-                    replace(rec, attrs={**rec.attrs, attr: value}, history=history))
+                    rec._replace(attrs={**rec.attrs, attr: value}, history=history))
 
     def record_ownership_transfer(self, caller: str, record_id: str,
                                   new_owner: str) -> Tuple[()]:
@@ -286,7 +270,7 @@ class NonFungibleStore(_Journaled):
             authorized = True
         if not authorized:
             raise Unauthorized(f"{caller} may not transfer record {record_id}")
-        self._write(self.records, addr_key(record_id), replace(rec, owner=new_owner))
+        self._write(self.records, addr_key(record_id), rec._replace(owner=new_owner))
         return ()
 
 
@@ -301,7 +285,8 @@ def _dispatch(registry: Registry, fn_name: str, args: List[object],
               caller: str) -> Tuple[object, ...]:
     """Execute one bound contract call and return its outputs as a tuple.
     A call the registry has no function for, or whose arguments do not
-    fit that function's parameters, is a RegistryError."""
+    fit that function's parameters, is a RegistryError, as the ABI decoder
+    reverts it; the registries' methods trust this check."""
     entry = registry.functions.get(fn_name)
     if entry is None:
         raise RegistryError(f"{registry.kind} registry has no function '{fn_name}'")
@@ -351,8 +336,9 @@ def _reason(e: Exception) -> str:
 
 
 class InstanceState:
-    """One running process instance (single-threaded, one invocation at a
-    time, mirroring transaction serialization)."""
+    """One running process instance, one invocation at a time, as the chain
+    serializes transactions. A registry serves one instance: it takes the
+    instance's journal and, if a record store, its process address."""
 
     def __init__(self, model: ProcessModel, automaton: MarkingAutomaton,
                  address_bindings: Optional[Mapping[str, str]] = None,
@@ -361,8 +347,7 @@ class InstanceState:
 
         address_bindings must cover every interface without a hard-coded
         contractAddress (they mirror the generated constructor parameters);
-        registries maps addresses to simulated ledgers/stores. Every store
-        is bound to the instance's process address.
+        registries maps addresses to simulated ledgers/stores.
         """
         self.model = model
         self.automaton = automaton
@@ -380,7 +365,9 @@ class InstanceState:
                     f"no simulated registry at {address} for interface '{itf.id}'")
             self.iface_registries[itf.id] = self.registries[addr_key(address)]
         self.process_address = pseudo_address(f"process:{model.id}:0")
+        self.journal: List[tuple] = []  # every registry's writes in the pending event
         for reg in self.registries.values():
+            reg.journal = self.journal
             if isinstance(reg, NonFungibleStore):
                 reg.process_address = self.process_address
 
@@ -394,11 +381,7 @@ class InstanceState:
         result = eager_closure_data(automaton, self.marking, self.env,
                                     on_fire=self._run_task_invocations)
         self.marking, self.env = result.marking, result.env
-        self._commit()
-
-    def _commit(self):
-        for reg in self.registries.values():
-            reg.commit()
+        self.journal.clear()
 
     def _bind_value(self, source, env):
         """The value of a binding source: a literal, processAddress, or a
@@ -457,7 +440,7 @@ class InstanceState:
         # the task and the closure fire on a copy of the env holding the
         # args, and fire_external returns a new marking, so only the
         # registries' writes need undoing on rejection
-        marks = [(reg, reg.mark()) for reg in self.registries.values()]
+        mark = len(self.journal)
         try:
             env = {**self.env, **self._coerce_args(task, args or {})}
             fired = fire_external(self.automaton, self.marking, task_id)
@@ -468,11 +451,10 @@ class InstanceState:
             result = eager_closure_data(
                 self.automaton, marking, env, on_fire=self._run_task_invocations)
         except (MissingInput, BadArgument, RegistryError, EvalError, MarkingError) as e:
-            for reg, mark in marks:
-                reg.rollback(mark)
+            undo(self.journal, mark)
             outcome: Union[Accepted, Rejected] = Rejected(_reason(e), str(e))
         else:
-            self._commit()
+            self.journal.clear()
             self.marking, self.env = result.marking, result.env
             outcome = Accepted(alt, result.fired)
         self.event_log.append(LogEntry(task_name, dict(args) if args else None,

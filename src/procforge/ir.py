@@ -710,11 +710,7 @@ def clashes(scopes) -> list:
     name are, is no clash."""
     tables: Dict[Tuple[str, ...], Dict[str, Declared]] = {}
     found = []
-    checked = set()  # a names tuple shared by sibling scopes clashes alike in each
     for path, names, hides in scopes:
-        if (id(names), path[:-1]) in checked:
-            continue
-        checked.add((id(names), path[:-1]))
         own = tables.setdefault(path, {})
         outer = [tables.get(path[:i], {}) for i in range(len(path) - 1, -1, -1)] if hides else []
         for d in names:

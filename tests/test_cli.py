@@ -844,19 +844,21 @@ def xor_bpmn(branches: int) -> str:
 """
 
 
-@pytest.mark.parametrize("prefix, totals", [
+@pytest.mark.parametrize("options, totals", [
     # as prefixes the bases are () and T00, ..., T10: the one edit of ()
     # that gives no base adds T11, one draw in 36, so each of the 250
     # mutants of () is the conforming prefix T11
-    (["--prefix"], {"conforming": 12 + 250, "nonConforming": 2750}),
+    (["--prefix", "--bases", "12"], {"conforming": 12 + 250, "nonConforming": 2750}),
+    # with T11 a base too, every edit of () gives a base: () has no
+    # mutant, and the other 12 bases give 250 each
+    (["--prefix", "--bases", "13"], {"conforming": 13, "nonConforming": 3000}),
     # the bases T00, ..., T11: no mutant of them conforms
-    ([], {"conforming": 12, "nonConforming": 3000}),
-], ids=["prefix", "strict"])
-def test_conformance_draws_until_every_edit_gives_a_base(tmp_path, capsys, prefix, totals):
+    (["--bases", "12"], {"conforming": 12, "nonConforming": 3000}),
+], ids=["prefix", "prefix-exhausts-a-base", "strict"])
+def test_conformance_draws_until_every_edit_gives_a_base(tmp_path, capsys, options, totals):
     model = tmp_path / "xor12.bpmn"
     model.write_text(xor_bpmn(12))
-    code, out, _ = run(capsys, "conformance", str(model), *prefix,
-                       "--bases", "12", "--seed", "1", "--json")
+    code, out, _ = run(capsys, "conformance", str(model), *options, "--seed", "1", "--json")
     assert code == 0
     report = json.loads(out)
     assert report["totals"] == totals

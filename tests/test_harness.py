@@ -608,12 +608,19 @@ def experiment_traces(a, cfg):
     """The traces run_experiment classifies, drawn as it draws them."""
     bases = enumerate_conforming(a, len(a.external), strict=cfg.strict,
                                  limit=cfg.base_traces)
+    if not bases:
+        raise HarnessError("no conforming base trace")
     alphabet = sorted(a.external_names.values())
     rng = random.Random(cfg.seed)
     traces = list(bases)
     for base in bases:
-        for _ in range(cfg.mutants_per_base):
-            traces.append(mutate(base, rng, alphabet, bases))
+        try:
+            for _ in range(cfg.mutants_per_base):
+                traces.append(mutate(base, rng, alphabet, bases))
+        except HarnessError:
+            pass  # every edit of base gives a base: it has no mutant
+    if cfg.mutants_per_base and len(traces) == len(bases):
+        raise HarnessError(EXHAUSTED)
     return traces
 
 
@@ -636,8 +643,6 @@ def reference_report(model, a, cfg):
     conforming = non_conforming = agree = 0
     disagreements = []
     traces = experiment_traces(a, cfg)
-    if not traces:
-        raise HarnessError("no conforming base trace")
     for idx, trace in enumerate(traces):
         mine = classify(a, trace, strict=cfg.strict)
         theirs = oracle_classify(model, trace, strict=cfg.strict)

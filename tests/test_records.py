@@ -12,7 +12,7 @@ import pytest
 import procforge
 from procforge.codegen import SourceUnit
 from procforge.harness import Disagreement, NonConforming, Report, TraceEvent
-from procforge.interp import Accepted, LogEntry, Rejected
+from procforge.interp import Accepted, LogEntry, RecordState, Rejected
 from procforge.ir import (
     Assign,
     BinOp,
@@ -74,6 +74,7 @@ RECORDS = [
     Accepted(1, ("s_alloc",)),
     Rejected("NotEnabled", "task 'Pay' not enabled at marking 0x1"),
     LogEntry("Pay", None, ADDRESS, Accepted()),
+    RecordState(ADDRESS, {"weight": 7}, (("weight", 7),)),
 ]
 
 # each dataclass left in src/, and why it is not a NamedTuple
@@ -85,7 +86,6 @@ DATACLASSES = {
     "harness.Conforming": "has no fields, and a NamedTuple without fields is falsy",
     "harness._StateSet": "a mutable graph node with a dict default",
     "harness.ExperimentConfig": "checks its fields in __post_init__",
-    "interp.RecordState": "frozen, but its attribute dict cannot hash as a NamedTuple sample must",
 }
 
 
@@ -119,6 +119,7 @@ EXCEPTIONS = {
 # each record whose fields hold a dict, so that it cannot hash
 UNHASHABLE = {
     "ClosureResult": "its env is the dict of variables the closure wrote",
+    "RecordState": "its attrs are the dict of attribute values",
 }
 
 

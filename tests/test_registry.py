@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from procforge import registry
-from procforge.interp import FungibleLedger
+from procforge.interp import FungibleLedger, undo
 from procforge.ir import UINT256_MAX, addr_key
 from procforge.registry import (
     FungibleRegistrySpec,
@@ -301,11 +301,11 @@ def test_a_ledger_from_a_parsed_spec_is_one_from_a_hand_made_spec(spelling):
     assert before == [(addr_key(a), n) for a, n in pairs]
     assert [list(lg.balances.items()) for lg in ledgers] == [before, before]
     for lg in ledgers:
-        mark = lg.mark()
+        mark = len(lg.journal)
         lg.transfer(pairs[0][0], NEWCOMER, 3)
         lg.transfer(pairs[1][0].upper().replace("0X", "0x"), pairs[0][0], 7)
         assert lg.balance_of(NEWCOMER) == 3 and lg.balance_of(pairs[0][0]) == pairs[0][1] + 4
-        lg.rollback(mark)
+        undo(lg.journal, mark)
     assert [list(lg.balances.items()) for lg in ledgers] == [before, before]
 
 

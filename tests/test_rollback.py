@@ -95,11 +95,15 @@ def draw_args(data, task):
 
 def invoke_checked(inst, task_name, args, caller):
     before = copy.deepcopy(observable(inst))
+    journal = list(inst.journal)
     outcome = inst.invoke(task_name, args, caller)
+    # every registry writes to the instance's one journal
+    assert all(reg.journal is inst.journal for reg in inst.registries.values())
     if outcome.ok:
-        assert all(reg.mark() == 0 for reg in inst.registries.values())
+        assert inst.journal == []
     else:
         assert observable(inst) == before, outcome
+        assert inst.journal == journal
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
