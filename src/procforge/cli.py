@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from . import bpmn, codegen, harness, interp
-from .ir import EvalError, ProcessModel, ValidationReport, validate_model
+from .ir import EvalError, ProcessModel, ValidationReport, addr_key, validate_model
 from .marking import MarkingAutomaton, MarkingError, compile_marking, dump_automaton
 from .registry import FungibleRegistrySpec, RegistrySpecError, parse_registry
 
@@ -139,7 +139,8 @@ def _build_instance(model: ProcessModel, automaton: MarkingAutomaton,
     """Wire simulated registries to the model's interfaces.
 
     Each interface takes the first unused registry of its kind: an
-    interface declaring a record_ function is a record registry's.
+    interface declaring a record_ function is a record registry's. An
+    interface naming a contractAddress already taken shares its registry.
     Interfaces with a hard-coded contractAddress keep it; the rest are bound
     to deterministic pseudo-addresses (one per spec, in order)."""
     unused = [(i, interp.FungibleLedger(spec) if isinstance(spec, FungibleRegistrySpec)
@@ -148,6 +149,8 @@ def _build_instance(model: ProcessModel, automaton: MarkingAutomaton,
     registries: Dict[str, interp.Registry] = {}
     bindings: Dict[str, str] = {}
     for itf in model.interfaces:
+        if itf.contract_address is not None and addr_key(itf.contract_address) in registries:
+            continue
         kind = "record" if any(f.name.startswith("record_") for f in itf.functions) else "token"
         pick = next((entry for entry in unused if entry[1].kind == kind), None)
         if pick is None:
@@ -155,7 +158,7 @@ def _build_instance(model: ProcessModel, automaton: MarkingAutomaton,
         unused.remove(pick)
         i, reg = pick
         address = itf.contract_address or interp.pseudo_address(f"registry:{i}")
-        registries[address] = reg
+        registries[addr_key(address)] = reg
         if itf.contract_address is None:
             bindings[itf.id] = address
     return interp.new_instance(model, automaton, bindings, registries)
@@ -222,47 +225,29 @@ def cmd_simulate(args) -> int:
 
 
 def _json_indented(obj, pad: str = "") -> str:
-    """json.dumps(obj, indent=2, default=str), byte for byte. With an indent
-    json runs its pure-Python encoder; here a dict of plain str keys that
-    json writes as they are to exact ints (a ledger's balances) is joined
-    directly."""
-    if isinstance(obj, dict):
-        values, empty = obj.values(), "{}"
-    elif isinstance(obj, (list, tuple)):
-        values, empty = obj, "[]"
-    else:
-        return json.dumps(obj, default=str)
-    if not obj:
-        return empty
+    """json.dumps(obj, indent=2, default=str), byte for byte, for a value
+    written at the indent pad. With an indent json runs its pure-Python
+    encoder; here a dict of plain str keys that json writes as they are to
+    exact ints (a ledger's balances) is joined directly. Other dicts of str
+    keys are walked; every other value is json's own text, its lines
+    indented by pad: json escapes a newline in a string, so its only raw
+    newlines are those it indents with."""
+    if not isinstance(obj, dict) or set(map(type, obj)) != {str}:
+        return json.dumps(obj, indent=2, default=str).replace("\n", "\n" + pad)
     inner = pad + "  "
-    if set(map(type, values)) == {int} and isinstance(obj, dict) and _verbatim_keys(obj):
+    if set(map(type, obj.values())) == {int} and _verbatim_keys(obj):
         body = (",\n" + inner).join(f'"{k}": {v}' for k, v in obj.items())
-    elif isinstance(obj, dict):
-        body = (",\n" + inner).join(f"{_json_key(k)}: {_json_indented(v, inner)}"
-                                     for k, v in obj.items())
     else:
-        body = (",\n" + inner).join(_json_indented(v, inner) for v in obj)
-    return f"{empty[0]}\n{inner}{body}\n{pad}{empty[1]}"
+        body = (",\n" + inner).join(f"{json.dumps(k)}: {_json_indented(v, inner)}"
+                                     for k, v in obj.items())
+    return f"{{\n{inner}{body}\n{pad}}}"
 
 
 def _verbatim_keys(obj: dict) -> bool:
-    """True iff every key is a str that json writes as it is, between
-    quotes: printable ASCII without a quote or a backslash."""
-    if set(map(type, obj)) != {str}:
-        return False
+    """True iff json writes every key of obj, all of them str, as it is,
+    between quotes: printable ASCII without a quote or a backslash."""
     text = "".join(obj)
     return text.isascii() and text.isprintable() and '"' not in text and "\\" not in text
-
-
-def _json_key(key) -> str:
-    """A dict key as json writes it: a string, or the JSON text of a float,
-    int, bool or None key, quoted."""
-    if not isinstance(key, str):
-        if not (isinstance(key, (int, float)) or key is None):
-            raise TypeError("keys must be str, int, float, bool or None, "
-                            f"not {key.__class__.__name__}")
-        key = json.dumps(key)
-    return json.dumps(key)
 
 
 def _registry_dump(instance: interp.InstanceState):

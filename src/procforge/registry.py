@@ -219,24 +219,25 @@ def _address_list(obj: dict, name: str) -> Tuple[str, ...]:
     return out
 
 
-def _distribution_entry(entry, path: str, seen: set) -> Tuple[str, int]:
+def _distribution_entry(entry, path: str, balances: Dict[str, int]) -> Tuple[str, int]:
     """Check one distribution entry, in the order that decides which error
-    is reported, and add its address key to seen."""
+    is reported, and enter its amount in balances under its address key."""
     if not isinstance(entry, dict):
         raise InvariantViolation(path, "entries must be {address, amount} objects")
     addr = _address(_field(entry, "address"), path + ".address")
-    if addr_key(addr) in seen:
+    if addr_key(addr) in balances:
         raise InvariantViolation(path, f"duplicate address {addr}")
-    seen.add(addr_key(addr))
-    return addr, _amount(_field(entry, "amount"), path + ".amount")
+    balances[addr_key(addr)] = amount = _amount(_field(entry, "amount"), path + ".amount")
+    return addr, amount
 
 
 class _Distribution(tuple):
     """A checked initial distribution: its (address, amount) pairs as the
     spec writes them, and in balances the table {lowered address: amount}
-    that initial_balances copies, read-only. parse_registry builds the
-    table while it checks the addresses, so a ledger need not lower them
-    again. A copy or pickle is a plain tuple of the pairs."""
+    that initial_balances copies, read-only. _distribution builds the
+    table while it checks the addresses, for a parsed spec and for a
+    hand-built one alike, so a ledger need not lower them again. A copy or
+    pickle is a plain tuple of the pairs."""
 
     def __new__(cls, pairs, balances: Dict[str, int]):
         self = super().__new__(cls, pairs)
@@ -285,16 +286,16 @@ def _distribution_in_bulk(raw: list, total_supply: int) -> Optional[_Distributio
     return _Distribution(zip(addrs, values), balances)
 
 
-def _distribution(raw: list, total_supply: int) -> Tuple[Tuple[str, int], ...]:
-    """Check the initial distribution and its sum. Only when the check of
-    all entries at once fails does each entry go to _distribution_entry,
-    in order, so that the first bad entry raises its error."""
+def _distribution(raw: list, total_supply: int) -> _Distribution:
+    """Check the initial distribution and its sum, and build its table. Only
+    when the check of all entries at once fails does each entry go to
+    _distribution_entry, in order, so that the first bad entry raises its error."""
     dist = _distribution_in_bulk(raw, total_supply)
     if dist is None:
-        seen = set()
-        dist = tuple(_distribution_entry(entry, f"initiallyDistributedAccounts[{i}]", seen)
-                     for i, entry in enumerate(raw))
-        if sum(a for _, a in dist) != total_supply:
+        balances: Dict[str, int] = {}
+        dist = _Distribution([_distribution_entry(e, f"initiallyDistributedAccounts[{i}]", balances)
+                              for i, e in enumerate(raw)], balances)
+        if sum(balances.values()) != total_supply:
             raise InvariantViolation("initiallyDistributedAccounts",
                                      "distribution ≠ totalSupply")
     return dist
@@ -302,25 +303,18 @@ def _distribution(raw: list, total_supply: int) -> Tuple[Tuple[str, int], ...]:
 
 def initial_balances(spec: FungibleRegistrySpec) -> Dict[str, int]:
     """A new table {lowered address: amount} of the spec's initial
-    distribution, in its order: a copy of the one parse_registry built, or
-    else the pairs lowered here. As parse_registry, and as the emitted
-    constructor, which sets one balance per entry, it refuses two spellings
-    of one address and a sum other than total_supply."""
+    distribution, in its order. A parsed spec's table is copied; the pairs
+    of a hand-built one go through _distribution first, as JSON entries, so
+    they are refused as parse_registry refuses them. As in the emitted
+    constructor, the amounts must sum to total_supply, which a parsed spec
+    given another total_supply by _replace may not."""
     dist = spec.initially_distributed_accounts
-    if isinstance(dist, _Distribution):
-        balances = dist.balances.copy()
-    else:
-        balances = {addr.lower(): amount for addr, amount in dist}  # addr_key written out
-        if len(balances) != len(dist):
-            seen = set()
-            for i, (addr, _) in enumerate(dist):
-                if addr_key(addr) in seen:
-                    raise InvariantViolation(f"initiallyDistributedAccounts[{i}]",
-                                             f"duplicate address {addr}")
-                seen.add(addr_key(addr))
-    if sum(balances.values()) != spec.total_supply:
+    if not isinstance(dist, _Distribution):
+        dist = _distribution([{"address": a, "amount": str(v)} for a, v in dist],
+                             spec.total_supply)
+    if sum(dist.balances.values()) != spec.total_supply:
         raise InvariantViolation("initiallyDistributedAccounts", "distribution ≠ totalSupply")
-    return balances
+    return dist.balances.copy()
 
 
 def _fungible(obj: dict) -> FungibleRegistrySpec:

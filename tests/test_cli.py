@@ -261,6 +261,10 @@ json_scalars = st.one_of(big_ints, st.booleans(), st.none(), st.text(), st.float
                             st.lists(inner, max_size=5).map(tuple),
                             st.dictionaries(json_keys, inner, max_size=5)),
     max_leaves=40))
+@example({"a": [{"b": "x\ny", "c": {}}, []], "c": {1: [2, {"d": None}]},
+          "e": {"f": {"0xab": 1, 'q"': 2}}})
+@example({"": {"": []}})
+@example([{"a": {"b": 1}}])
 def test_indented_json_is_json_dumps_byte_for_byte(obj):
     assert cli._json_indented(obj) == json.dumps(obj, indent=2, default=str)
 
@@ -624,6 +628,42 @@ def test_simulate_rejects_calls_the_registry_cannot_take(tmp_path, capsys, edits
     assert "Deposit payment: Rejected (RegistryError)" in out
     assert f"{REQUESTER}: 200000" in out
     assert "final marking: 0x1" in out
+
+
+LRK_ADDRESS = "0xD3E4EBe81b55EA73b559da31ADf2CAc3b254ea11"
+BALANCE_OF_FN = """        <bcext:function name="balanceOf">
+          <bcext:input name="account" type="address"/>
+          <bcext:output name="balance" type="uint256"/>
+        </bcext:function>
+"""
+
+
+@pytest.mark.parametrize("address", [LRK_ADDRESS, LRK_ADDRESS.lower()],
+                         ids=["same-spelling", "lower-case"])
+def test_interfaces_naming_one_contract_address_share_its_registry(tmp_path, capsys, address):
+    # balanceOf moves to a second interface of the same token, which the
+    # deposit check calls: on chain both call one contract
+    text = (FIXTURES / "task_outsourcing.bpmn").read_text()
+    view = ('<bcext:smartContractInterface id="itf_view" name="LorikeetView"\n'
+            f'          contractAddress="{address}">\n{BALANCE_OF_FN}'
+            '      </bcext:smartContractInterface>\n')
+    check = '<bcext:invocation sourceTask="s_check" targetInterface="itf_lrk"'
+    for old, new in [(BALANCE_OF_FN, ""), ("      </bcext:smartContractInterface>\n",
+                                           "      </bcext:smartContractInterface>\n" + view),
+                     (check, check.replace("itf_lrk", "itf_view"))]:
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    model = tmp_path / "m.bpmn"
+    model.write_text(text)
+    assert run(capsys, "validate", str(model)) == (0, "ok\n", "")
+    code, out, err = run(capsys, "simulate", str(model), "--registry", LRK, "--trace", CORRECT)
+    assert (code, err) == (0, "") and "classification: Conforming" in out
+    outputs = []
+    for m in (str(model), OUTSOURCING):
+        code, out, _ = run(capsys, "simulate", m, "--registry", LRK, "--trace", CORRECT, "--json")
+        assert code == 0
+        outputs.append({k: json.loads(out)[k] for k in ("registries", "variables", "events")})
+    assert outputs[0] == outputs[1]
 
 
 def test_simulate_failed_call_in_initial_closure_exits_1(tmp_path, capsys):

@@ -151,6 +151,17 @@ def test_distribution_errors(second, error, message):
         parse_registry(fungible(initiallyDistributedAccounts=[GOOD_ENTRY, second]))
     assert type(exc.value) is error
     assert str(exc.value) == message
+    try:
+        pair = second["address"], int(second["amount"], 10)
+    except (KeyError, TypeError, ValueError):
+        return  # no (address, amount) pair of a spec built by hand holds this entry
+    # built by hand, the spec is refused as the ledger is built, with the same error
+    hand = parse_registry(fungible())._replace(initially_distributed_accounts=(
+        (GOOD_ENTRY["address"], int(GOOD_ENTRY["amount"])), pair))
+    with pytest.raises(error) as exc:
+        FungibleLedger(hand)
+    assert type(exc.value) is error
+    assert str(exc.value) == message
 
 
 def reference_distribution(raw_dist, total_supply):
