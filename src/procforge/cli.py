@@ -5,6 +5,8 @@ Commands: validate, compile, simulate, conformance. Exit codes:
 trace, 64 usage error, 66 unreadable input. All commands are
 non-interactive and deterministic given their inputs and the seed
 (--seed, falling back to the PROCFORGE_SEED environment variable).
+Every --json output is exactly json.dumps(indent=2) of what it holds;
+simulate writes each ledger's balances from the ledger's own table.
 """
 
 from __future__ import annotations
@@ -226,40 +228,45 @@ def cmd_simulate(args) -> int:
 
 def _json_indented(obj, pad: str = "") -> str:
     """json.dumps(obj, indent=2, default=str), byte for byte, for a value
-    written at the indent pad. With an indent json runs its pure-Python
-    encoder; here a dict of plain str keys that json writes as they are to
-    exact ints (a ledger's balances) is joined directly. Other dicts of str
-    keys are walked; every other value is json's own text, its lines
-    indented by pad: json escapes a newline in a string, so its only raw
-    newlines are those it indents with."""
+    written at the indent pad, where a FungibleLedger stands for the object
+    {"totalSupply": ..., "balances": {account: balance, ...}} of its
+    accounts in ascending order (_ledger_json). Dicts of str keys are
+    walked; every other value is json's own text, its lines indented by
+    pad: json escapes a newline in a string, so its only raw newlines are
+    those it indents with."""
+    if isinstance(obj, interp.FungibleLedger):
+        return _ledger_json(obj, pad)
     if not isinstance(obj, dict) or set(map(type, obj)) != {str}:
         return json.dumps(obj, indent=2, default=str).replace("\n", "\n" + pad)
     inner = pad + "  "
-    if set(map(type, obj.values())) == {int} and _verbatim_keys(obj):
-        body = (",\n" + inner).join(f'"{k}": {v}' for k, v in obj.items())
-    else:
-        body = (",\n" + inner).join(f"{json.dumps(k)}: {_json_indented(v, inner)}"
-                                     for k, v in obj.items())
+    body = (",\n" + inner).join(f"{json.dumps(k)}: {_json_indented(v, inner)}"
+                                 for k, v in obj.items())
     return f"{{\n{inner}{body}\n{pad}}}"
 
 
-def _verbatim_keys(obj: dict) -> bool:
-    """True iff json writes every key of obj, all of them str, as it is,
-    between quotes: printable ASCII without a quote or a backslash."""
-    text = "".join(obj)
-    return text.isascii() and text.isprintable() and '"' not in text and "\\" not in text
+def _ledger_json(ledger: interp.FungibleLedger, pad: str) -> str:
+    """The ledger's totalSupply and balances as json.dumps(indent=2) writes
+    them at the indent pad, the balances in one sorted join of the ledger's
+    own table. It writes each key and value as it is, which json does too:
+    every key is the addr_key (0x and 40 hex digits, lowered) of an address
+    checked by _distribution, by _dispatch's ABI typing or, for a caller,
+    by parse_trace, or else the instance's pseudo_address, and every value
+    is an exact int."""
+    inner, row = pad + "  ", pad + "    "
+    balances = ledger.balances
+    table = f",\n{row}".join([f'"{k}": {balances[k]}' for k in sorted(balances)])
+    table = f"{{\n{row}{table}\n{inner}}}" if balances else "{}"
+    return (f'{{\n{inner}"totalSupply": {_json_indented(ledger.total_supply)},'
+            f'\n{inner}"balances": {table}\n{pad}}}')
 
 
 def _registry_dump(instance: interp.InstanceState):
-    out = {}
-    for address, reg in sorted(instance.registries.items()):
-        if isinstance(reg, interp.FungibleLedger):
-            out[address] = {"totalSupply": reg.total_supply,
-                            "balances": {a: reg.balances[a] for a in sorted(reg.balances)}}
-        else:
-            out[address] = {rid: {"owner": rec.owner, "attrs": rec.attrs}
-                            for rid, rec in sorted(reg.records.items())}
-    return out
+    """The registries by address, ascending: a ledger as itself, for
+    _json_indented to write, and a record store as its records."""
+    return {address: reg if isinstance(reg, interp.FungibleLedger) else
+            {rid: {"owner": rec.owner, "attrs": rec.attrs}
+             for rid, rec in sorted(reg.records.items())}
+            for address, reg in sorted(instance.registries.items())}
 
 
 def _seed(args) -> int:

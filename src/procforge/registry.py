@@ -7,6 +7,7 @@ addresses are 0x + 40 hex digits.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Dict, NamedTuple, Optional, Tuple
 
@@ -233,15 +234,17 @@ def _distribution_entry(entry, path: str, balances: Dict[str, int]) -> Tuple[str
 
 class _Distribution(tuple):
     """A checked initial distribution: its (address, amount) pairs as the
-    spec writes them, and in balances the table {lowered address: amount}
-    that initial_balances copies, read-only. _distribution builds the
-    table while it checks the addresses, for a parsed spec and for a
-    hand-built one alike, so a ledger need not lower them again. A copy or
-    pickle is a plain tuple of the pairs."""
+    spec writes them, in balances the table {lowered address: amount}
+    that initial_balances copies, read-only, and in total the total supply
+    the amounts were checked to sum to. _distribution builds the table
+    while it checks the addresses, for a parsed spec and for a hand-built
+    one alike, so a ledger need not lower them again. A copy or pickle is
+    a plain tuple of the pairs."""
 
-    def __new__(cls, pairs, balances: Dict[str, int]):
+    def __new__(cls, pairs, balances: Dict[str, int], total: int):
         self = super().__new__(cls, pairs)
         self.balances = MappingProxyType(balances)
+        self.total = total
         return self
 
     def __reduce__(self):
@@ -264,13 +267,13 @@ def _distribution_in_bulk(raw: list, total_supply: int) -> Optional[_Distributio
     size is the duplicate check."""
     if set(map(type, raw)) != {dict}:  # an empty list too: _distribution checks its sum
         return None
-    addrs = [e.get("address") for e in raw]
-    amounts = [e.get("amount") for e in raw]
     try:
+        addrs = list(map(itemgetter("address"), raw))
+        amounts = list(map(itemgetter("amount"), raw))
         joined = "".join(addrs).encode("ascii")  # a non-str address raises
         "".join(amounts)  # a non-str amount raises
         values = list(map(int, amounts))  # int(s) is int(s, 10) for a str
-    except (TypeError, ValueError):  # UnicodeEncodeError is a ValueError
+    except (KeyError, TypeError, ValueError):  # UnicodeEncodeError is a ValueError
         return None
     del amounts
     n = len(addrs)
@@ -283,7 +286,7 @@ def _distribution_in_bulk(raw: list, total_supply: int) -> Optional[_Distributio
     balances = dict(zip(map(str.lower, addrs), values))  # addr_key
     if len(balances) != n:
         return None
-    return _Distribution(zip(addrs, values), balances)
+    return _Distribution(zip(addrs, values), balances, total_supply)
 
 
 def _distribution(raw: list, total_supply: int) -> _Distribution:
@@ -294,7 +297,7 @@ def _distribution(raw: list, total_supply: int) -> _Distribution:
     if dist is None:
         balances: Dict[str, int] = {}
         dist = _Distribution([_distribution_entry(e, f"initiallyDistributedAccounts[{i}]", balances)
-                              for i, e in enumerate(raw)], balances)
+                              for i, e in enumerate(raw)], balances, total_supply)
         if sum(balances.values()) != total_supply:
             raise InvariantViolation("initiallyDistributedAccounts",
                                      "distribution ≠ totalSupply")
@@ -307,12 +310,13 @@ def initial_balances(spec: FungibleRegistrySpec) -> Dict[str, int]:
     of a hand-built one go through _distribution first, as JSON entries, so
     they are refused as parse_registry refuses them. As in the emitted
     constructor, the amounts must sum to total_supply, which a parsed spec
-    given another total_supply by _replace may not."""
+    given another total_supply by _replace may not: only then is the table
+    summed again."""
     dist = spec.initially_distributed_accounts
     if not isinstance(dist, _Distribution):
         dist = _distribution([{"address": a, "amount": str(v)} for a, v in dist],
                              spec.total_supply)
-    if sum(dist.balances.values()) != spec.total_supply:
+    if dist.total != spec.total_supply and sum(dist.balances.values()) != spec.total_supply:
         raise InvariantViolation("initiallyDistributedAccounts", "distribution ≠ totalSupply")
     return dist.balances.copy()
 

@@ -298,32 +298,97 @@ def test_indented_json_rejects_the_keys_json_rejects():
         assert str(ours.value) == str(exc.value)
 
 
-def test_simulate_json_on_a_large_ledger_is_json_dumps(tmp_path, capsys, monkeypatch):
+def test_simulate_json_on_a_large_ledger_is_json_dumps(tmp_path, capsys):
     rng = random.Random(3)
     spec = json.loads((FIXTURES / "lrk.json").read_text())
     accounts = spec["initiallyDistributedAccounts"]
     while len(accounts) < 1000:
-        accounts.append({"address": "0x%040x" % rng.getrandbits(160),
+        digits = "%040x" % rng.getrandbits(160)
+        accounts.append({"address": "0x" + (digits.upper() if rng.random() < 0.5 else digits),
                          "amount": str(rng.randint(1, 10**6))})
     spec["totalSupply"] = str(sum(int(a["amount"]) for a in accounts))
     ledger = tmp_path / "ledger.json"
     ledger.write_text(json.dumps(spec))
-    printed = []
-    real = cli._json_indented
-
-    def recording(obj, pad=""):
-        if not pad:
-            printed.append(obj)
-        return real(obj, pad)
-
-    monkeypatch.setattr(cli, "_json_indented", recording)
     code, out, _ = run(capsys, "simulate", GRAIN, "--registry", str(ledger),
                        "--registry", TITLE, "--trace", SWAP, "--json")
     assert code == 0
-    (obj,) = printed
-    assert len(next(r for r in obj["registries"].values() if "balances" in r)["balances"]) >= 1000
+    obj = json.loads(out)
     # line by line, so that a failure reports the first differing line
-    assert out.split("\n") == (json.dumps(obj, indent=2, default=str) + "\n").split("\n")
+    assert out.split("\n") == (json.dumps(obj, indent=2) + "\n").split("\n")
+    (lrk,) = (r for r in obj["registries"].values() if "balances" in r)
+    balances = lrk["balances"]
+    assert len(balances) >= 1000
+    assert list(balances) == sorted(balances)
+    # the swap: the buyer's deposit goes into escrow, and the model's price
+    # (500) from there to its farmer, an account the spec lacks
+    (interest,) = (e for e in map(json.loads, pathlib.Path(SWAP).read_text().splitlines())
+                   if "deposit" in e["args"])
+    buyer, deposit = interest["args"]["buyer"].lower(), interest["args"]["deposit"]
+    farmer, price = "0x" + "1" * 40, 500
+    expected = {a["address"].lower(): int(a["amount"]) for a in accounts}
+    expected[buyer] -= deposit
+    expected[GRAIN_PROCESS] = deposit - price
+    expected[farmer] = price
+    assert balances == expected
+    assert lrk["totalSupply"] == int(spec["totalSupply"])
+
+
+OUTSOURCING = str(FIXTURES / "task_outsourcing.bpmn")
+
+
+def simulate_ledger(capsys, tmp_path, trace_text, ledger_text=LRK_TEXT):
+    """Simulate the outsourcing model on one ledger in both modes, and
+    return the exit code, the --json text and the ledger in it. The text
+    must be json.dumps(indent=2) of what it holds, and text mode must give
+    the same exit code, totalSupply and (account, balance) rows."""
+    (tmp_path / "ledger.json").write_text(ledger_text)
+    (tmp_path / "trace.jsonl").write_text(trace_text)
+    argv = ["simulate", OUTSOURCING, "--registry", str(tmp_path / "ledger.json"),
+            "--trace", str(tmp_path / "trace.jsonl")]
+    code, out, _ = run(capsys, *argv, "--json")
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    (ledger,) = json.loads(out)["registries"].values()
+    text_code, text, _ = run(capsys, *argv)
+    assert text_code == code
+    header = text.index("  ledger ")
+    rows = [line.strip().split(": ") for line in text[header:].splitlines()[1:]]
+    assert [(a, int(b)) for a, b in rows] == list(ledger["balances"].items())
+    assert text[header:].splitlines()[0].endswith(f"totalSupply={ledger['totalSupply']}")
+    return code, out, ledger
+
+
+def test_simulate_writes_an_empty_ledger_as_json_does(tmp_path, capsys):
+    spec = json.loads(LRK_TEXT)
+    spec.update(totalSupply="0", initiallyDistributedAccounts=[])
+    trace = (FIXTURES / "outsourcing_correct.jsonl").read_text()
+    code, out, ledger = simulate_ledger(capsys, tmp_path, trace, json.dumps(spec))
+    assert code == 2  # the deposit is refused, and its transfer undone
+    assert ledger == {"totalSupply": 0, "balances": {}}
+    assert '"balances": {}\n' in out
+
+
+def test_simulate_lists_a_paid_account_in_sorted_order(tmp_path, capsys):
+    # the worker enters the ledger after the spec's accounts, when paid
+    worker = "0x" + "4" * 40
+    assert worker not in LRK_TEXT
+    trace = (FIXTURES / "outsourcing_correct.jsonl").read_text()
+    code, _, ledger = simulate_ledger(capsys, tmp_path, trace)
+    assert code == 0
+    assert list(ledger["balances"]) == sorted(ledger["balances"])
+    assert list(ledger["balances"])[2] == worker and ledger["balances"][worker] == 300
+
+
+def test_simulate_lists_a_mixed_case_account_lower_cased(tmp_path, capsys):
+    requester = "0xAbCdEf0123456789aBcDeF0123456789AbCdEf01"
+    # a deposit short of the price is refunded to the requester
+    trace = json.dumps({"task": "Deposit payment",
+                        "args": {"amount": 250, "requester": requester},
+                        "caller": "0x" + "5" * 40}) + "\n"
+    code, _, ledger = simulate_ledger(capsys, tmp_path, trace)
+    assert code == 0
+    assert ledger["balances"][requester.lower()] == 250
+    assert requester not in ledger["balances"]
+    assert list(ledger["balances"]) == sorted(ledger["balances"])
 
 
 def test_simulate_shuffled_trace_exits_2(tmp_path, capsys):
