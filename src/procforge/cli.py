@@ -250,8 +250,8 @@ def _ledger_json(ledger: interp.FungibleLedger, pad: str) -> str:
     own table. It writes each key and value as it is, which json does too:
     every key is the addr_key (0x and 40 hex digits, lowered) of an address
     checked by _distribution, by _dispatch's ABI typing or, for a caller,
-    by parse_trace, or else the instance's pseudo_address, and every value
-    is an exact int."""
+    by InstanceState.invoke, or else the instance's pseudo_address, and
+    every value is an exact int."""
     inner, row = pad + "  ", pad + "    "
     balances = ledger.balances
     table = f",\n{row}".join([f'"{k}": {balances[k]}' for k in sorted(balances)])

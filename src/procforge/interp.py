@@ -22,6 +22,7 @@ from .ir import (
     ProcessModel,
     ZERO_VALUES,
     addr_key,
+    is_address,
     literal_matches,
 )
 from .marking import (
@@ -430,11 +431,15 @@ class InstanceState:
         Conforming invocations update the marking, run bound registry calls
         and the eager closure atomically; non-conforming ones only grow the
         event log (the generated contracts likewise return the unchanged
-        marking instead of reverting).
+        marking instead of reverting). A caller of None is the process
+        itself; any other caller must be an address, so that every key a
+        registry writes for it is a checked one.
         """
         task_id = self.automaton.task_id_for(task_name)
         if task_id is None:
             raise InstanceError(f"'{task_name}' is not an external task of the model")
+        if caller is not None and not is_address(caller):
+            raise InstanceError(f"caller {caller!r} is not 0x + 40 hex digits")
         task = self.model.node(task_id)
 
         # the task and the closure fire on a copy of the env holding the

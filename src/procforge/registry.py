@@ -258,20 +258,23 @@ def _distribution_in_bulk(raw: list, total_supply: int) -> Optional[_Distributio
     """The initial distribution if every entry passes the checks of
     _distribution_entry and the amounts sum to total_supply, else None.
     Checks all entries at once, each kind of field by one pass over the
-    list. The addresses are checked on their concatenation: every 42nd
-    character from the first is a 0 and from the second an x, and deleting
-    the hex digits leaves just those x's. Since each address is checked to
-    be 42 characters long, the concatenation splits back into the entries;
-    without that check an address of 41 characters followed by one of 43
-    could pass. Each address is lowered exactly once, into the table whose
-    size is the duplicate check."""
-    if set(map(type, raw)) != {dict}:  # an empty list too: _distribution checks its sum
-        return None
+    list. A non-dict entry makes itemgetter raise. The addresses are checked
+    on their concatenation: every 42nd character from the first is a 0 and
+    from the second an x, and deleting the hex digits leaves just those
+    x's. Since each address is checked to be 42 characters long, the
+    concatenation splits back into the entries; without that check an
+    address of 41 characters followed by one of 43 could pass. An amount
+    int() parses is negative only if its text holds a -, so the joined
+    amounts show the sign of all; amounts that are not negative and sum to a
+    total within uint256 are each within it, so the total's range is their
+    upper bound (a spec built by hand has had no other check of its total).
+    The addresses are lowered, into the table whose size is the duplicate
+    check, only when one holds an upper-case letter."""
     try:
         addrs = list(map(itemgetter("address"), raw))
         amounts = list(map(itemgetter("amount"), raw))
         joined = "".join(addrs).encode("ascii")  # a non-str address raises
-        "".join(amounts)  # a non-str amount raises
+        signed = "-" in "".join(amounts)  # a non-str amount raises
         values = list(map(int, amounts))  # int(s) is int(s, 10) for a str
     except (KeyError, TypeError, ValueError):  # UnicodeEncodeError is a ValueError
         return None
@@ -280,10 +283,11 @@ def _distribution_in_bulk(raw: list, total_supply: int) -> Optional[_Distributio
     if list(map(len, addrs)).count(42) != n or joined[::42] != b"0" * n \
             or joined[1::42] != b"x" * n or joined.translate(None, _HEX_DIGITS) != b"x" * n:
         return None
+    lower = joined.islower()  # false for an empty list, which has nothing to lower
     del joined
-    if min(values) < 0 or max(values) > UINT256_MAX or sum(values) != total_supply:
+    if signed or sum(values) != total_supply or total_supply > UINT256_MAX:
         return None
-    balances = dict(zip(map(str.lower, addrs), values))  # addr_key
+    balances = dict(zip(addrs if lower else map(str.lower, addrs), values))  # addr_key
     if len(balances) != n:
         return None
     return _Distribution(zip(addrs, values), balances, total_supply)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -382,6 +383,24 @@ def test_unknown_task_raises(grain_model, grain_automaton):
     with pytest.raises(interp.InstanceError,
                        match="^'No such task' is not an external task of the model$"):
         inst.invoke("No such task")
+
+
+@pytest.mark.parametrize("caller", ['not "an" address', "", A1 + "\n", "0x" + "1" * 39 + "١"],
+                         ids=["words", "empty", "newline-after", "arabic-indic-digit"])
+def test_a_caller_that_is_not_an_address_is_refused_before_any_write(outsourcing_model, caller):
+    from conftest import FIXTURES
+    lg = FungibleLedger(parse_registry((FIXTURES / "lrk.json").read_text()))
+    inst = new_instance(outsourcing_model, compile_marking(outsourcing_model),
+                        registries={"0xD3E4EBe81b55EA73b559da31ADf2CAc3b254ea11": lg})
+    before = dict(lg.balances)
+    deposit = {"amount": 0, "requester": "0x" + "5" * 40}
+    with pytest.raises(interp.InstanceError,
+                       match=f"^caller {re.escape(repr(caller))} is not 0x \\+ 40 hex digits$"):
+        inst.invoke("Deposit payment", deposit, caller)
+    assert lg.balances == before and inst.event_log == [] and inst.journal == []
+    # the refused call left the instance as it was, and None is the process
+    assert inst.invoke("Deposit payment", deposit, None).ok
+    assert list(lg.balances) == list(before) + [inst.process_address]
 
 
 def test_missing_address_binding():

@@ -33,6 +33,7 @@ from procforge.ir import (
     is_address,
     is_identifier,
     literal_matches,
+    load_json,
     process_scopes,
     sanitize_identifier,
     validate_model,
@@ -40,6 +41,29 @@ from procforge.ir import (
 
 U = {"x": "uint256", "y": "uint256", "b": "bool", "a": "address", "s": "string",
      "i": "int256", "j": "int256"}
+
+
+@pytest.mark.parametrize("text", [
+    r'{"a\tb": "\u00e9\"", "\ud800": 1}',
+    r'{"a\tb": ["\\", "x\udc00y"], "c": "\u00e9"}',
+], ids=["key", "value"])
+def test_load_json_refuses_a_lone_surrogate_among_other_escapes(text):
+    with pytest.raises(ValueError, match="^a string holds a lone surrogate$"):
+        load_json(text)
+
+
+@pytest.mark.parametrize("text, value", [
+    (r'{"k": "\\ud800"}', {"k": "\\ud800"}),
+    (r'["\ud83d\ude00", "\u00e9"]', ["\U0001F600", "\xe9"]),
+], ids=["escaped-backslash", "surrogate-pair"])
+def test_load_json_accepts_escapes_that_decode_to_no_lone_surrogate(text, value):
+    assert load_json(text) == value
+
+
+def test_load_json_of_a_text_without_a_backslash_is_json_loads():
+    text = f'[{(FIXTURES / "lrk.json").read_text()}, {{"\U0001F600": [1, 2.5, null]}}]'
+    assert "\\" not in text
+    assert load_json(text) == json.loads(text)
 
 
 def test_check_basic_arithmetic():

@@ -164,6 +164,16 @@ def test_distribution_errors(second, error, message):
     assert str(exc.value) == message
 
 
+def test_an_amount_above_uint256_in_a_hand_built_spec_is_refused_though_the_sum_matches():
+    # the total is out of range too, so the amounts' sum cannot bound each amount
+    hand = parse_registry(fungible())._replace(
+        total_supply=UINT256_MAX + 1 + 600000,
+        initially_distributed_accounts=((ADDR1, 600000), (ADDR2, UINT256_MAX + 1)))
+    with pytest.raises(InvariantViolation) as exc:
+        FungibleLedger(hand)
+    assert str(exc.value) == f"{DIST}[1].amount: amount out of uint256 range"
+
+
 def reference_distribution(raw_dist, total_supply):
     """The distribution check as one entry at a time, through the helpers;
     the order of its tests decides which error is reported."""
@@ -253,6 +263,11 @@ def corrupted_distributions(draw):
 @example(([], 0))
 @example(([], 1))
 @example(([{"address": ADDR1, "amount": "-5"}, {"address": ADDR2, "amount": "105"}], 100))
+@example(([{"address": ADDR1, "amount": "60"}, {"address": "0x" + "ab" * 20, "amount": "40"}], 100))
+@example(([{"address": "0x" + "ab" * 20, "amount": "60"},
+           {"address": "0x" + "ab" * 19 + "aB", "amount": "40"}], 100))
+@example(([{"address": ADDR1, "amount": "-0"}, {"address": ADDR2, "amount": "100"}], 100))
+@example(([{"address": ADDR1, "amount": " -5"}, {"address": ADDR2, "amount": "105"}], 100))
 def test_distribution_check_matches_the_entry_by_entry_reference(case):
     raw, total = case
     doc = fungible(totalSupply=str(total), initiallyDistributedAccounts=raw)
