@@ -96,7 +96,9 @@ class _Journaled:
 
 
 class FungibleLedger(_Journaled):
-    """ERC-20 style token ledger. sum(balances) == totalSupply always."""
+    """ERC-20 style token ledger. sum(balances) == totalSupply always. Its
+    methods trust the caller they are given, as a contract trusts
+    msg.sender: InstanceState.invoke is where a caller is checked."""
 
     kind = "token"
 

@@ -89,12 +89,12 @@ def load_json(text: str):
     is a ValueError: malformed JSON, an integer of more digits than int()
     converts, nesting deeper than the decoder recurses, and a string
     holding a lone surrogate, which no UTF-8 output can carry. Only a \\u
-    escape decodes to a surrogate, so only a text holding a backslash is
-    checked for one: a scan for one character is far quicker than one for
-    the two of \\u, and few texts hold a backslash at all."""
+    escape decodes to a surrogate, so only a text holding one is checked
+    for it; the scan for a backslash goes first, as a scan for one
+    character is far quicker than one for the two of \\u."""
     try:
         value = json.loads(text)
-        if "\\" in text:
+        if "\\" in text and "\\u" in text:
             json.dumps(value, ensure_ascii=False).encode("utf-8")
     except RecursionError:
         raise ValueError("nested too deeply") from None
