@@ -250,13 +250,14 @@ def _ledger_json(ledger: interp.FungibleLedger, pad: str) -> str:
     own table. It writes each key and value as it is, which json does too:
     every key is the addr_key (0x and 40 hex digits, lowered) of an address
     checked by _distribution, by _dispatch's ABI typing or, for a caller,
-    by InstanceState.invoke, or else the instance's pseudo_address, and
-    every value is an exact int."""
+    by InstanceState.invoke, or else the instance's pseudo_address, and the
+    total and every balance are exact ints, as initial_balances checks them
+    and mint and burn move uint256 amounts."""
     inner, row = pad + "  ", pad + "    "
     balances = ledger.balances
     table = f",\n{row}".join([f'"{k}": {balances[k]}' for k in sorted(balances)])
     table = f"{{\n{row}{table}\n{inner}}}" if balances else "{}"
-    return (f'{{\n{inner}"totalSupply": {_json_indented(ledger.total_supply)},'
+    return (f'{{\n{inner}"totalSupply": {ledger.total_supply},'
             f'\n{inner}"balances": {table}\n{pad}}}')
 
 

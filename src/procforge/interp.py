@@ -32,8 +32,8 @@ from .marking import (
     eager_closure_data,
     fire_external,
 )
-from .registry import (FungibleRegistrySpec, NonFungibleRegistrySpec, initial_balances,
-                       updater)
+from .registry import (AttributeDecl, FungibleRegistrySpec, NonFungibleRegistrySpec,
+                       initial_balances, updater)
 
 
 class RegistryError(Exception):
@@ -61,14 +61,6 @@ class BadArgument(InstanceError):
 
 
 _MISSING = object()  # journaled as the old value of a key that was absent
-
-
-def _update_call(attr: str):
-    """The function-table call of record_update_<attr>."""
-    def call(store: NonFungibleStore, caller: str, record_id: str, value: object):
-        store.record_update(caller, record_id, attr, value)
-        return ()
-    return call
 
 
 def undo(journal: List[tuple], mark: int):
@@ -192,7 +184,10 @@ class RecordState(NamedTuple):
 class NonFungibleStore(_Journaled):
     """ERC-721 style record registry keyed by address-typed record ids.
     A record is a frozen value that a change replaces through _write, so
-    the journal holds every old record."""
+    the journal holds every old record. Its methods trust their arguments,
+    as FungibleLedger's do: _dispatch checks a call's arguments against the
+    function's parameters, and each record_update_<attr> entry of the
+    function table binds the declaration of its attribute."""
 
     kind = "record"
 
@@ -218,7 +213,8 @@ class NonFungibleStore(_Journaled):
                 ("address", "address"), NonFungibleStore.record_ownership_transfer)
         for a in spec.attributes:
             if a.updatable:
-                self.functions[updater(a)] = (("address", a.type), _update_call(a.name))
+                self.functions[updater(a)] = (("address", a.type), lambda st, caller, rid, v, a=a:
+                                              st.record_update(caller, rid, a, v))
 
     def _is_process(self, caller: str) -> bool:
         return (self.process_address is not None
@@ -251,19 +247,18 @@ class NonFungibleStore(_Journaled):
         rec = self._get(record_id)
         return tuple(rec.attrs[a.name] for a in self.spec.attributes)
 
-    def record_update(self, caller: str, record_id: str, attr: str, value: object):
-        decl = next((a for a in self.spec.attributes if a.name == attr), None)
-        if decl is None:
-            raise RegistryError(f"unknown attribute '{attr}'")
+    def record_update(self, caller: str, record_id: str, attr: AttributeDecl,
+                      value: object) -> Tuple[()]:
         rec = self._get(record_id)
         if self.spec.is_record_creation_restricted_to_bpmn and not self._is_process(caller):
             raise Unauthorized("record updates are restricted to the bound process")
         if self.spec.is_registry_record_access_control_enabled \
                 and not self._is_process(caller) and addr_key(caller) != addr_key(rec.owner):
             raise Unauthorized(f"{caller} may not update record {record_id}")
-        history = rec.history + ((attr, value),) if decl.history_tracked else rec.history
+        history = rec.history + ((attr.name, value),) if attr.history_tracked else rec.history
         self._write(self.records, addr_key(record_id),
-                    rec._replace(attrs={**rec.attrs, attr: value}, history=history))
+                    rec._replace(attrs={**rec.attrs, attr.name: value}, history=history))
+        return ()
 
     def record_ownership_transfer(self, caller: str, record_id: str,
                                   new_owner: str) -> Tuple[()]:

@@ -234,17 +234,15 @@ def _distribution_entry(entry, path: str, balances: Dict[str, int]) -> Tuple[str
 
 class _Distribution(tuple):
     """A checked initial distribution: its (address, amount) pairs as the
-    spec writes them, in balances the table {lowered address: amount}
-    that initial_balances copies, read-only, and in total the total supply
-    the amounts were checked to sum to. _distribution builds the table
+    spec writes them, and in balances the table {lowered address: amount}
+    that initial_balances copies, read-only. _distribution builds the table
     while it checks the addresses, for a parsed spec and for a hand-built
     one alike, so a ledger need not lower them again. A copy or pickle is
     a plain tuple of the pairs."""
 
-    def __new__(cls, pairs, balances: Dict[str, int], total: int):
+    def __new__(cls, pairs, balances: Dict[str, int]):
         self = super().__new__(cls, pairs)
         self.balances = MappingProxyType(balances)
-        self.total = total
         return self
 
     def __reduce__(self):
@@ -265,11 +263,10 @@ def _distribution_in_bulk(raw: list, total_supply: int) -> Optional[_Distributio
     concatenation splits back into the entries; without that check an
     address of 41 characters followed by one of 43 could pass. An amount
     int() parses is negative only if its text holds a -, so the joined
-    amounts show the sign of all; amounts that are not negative and sum to a
-    total within uint256 are each within it, so the total's range is their
-    upper bound (a spec built by hand has had no other check of its total).
-    The addresses are lowered, into the table whose size is the duplicate
-    check, only when one holds an upper-case letter."""
+    amounts show the sign of all; amounts that are not negative and sum to
+    total_supply, which every caller has checked to lie within uint256, are
+    each within it. The addresses are lowered, into the table whose size is
+    the duplicate check, only when one holds an upper-case letter."""
     try:
         addrs = list(map(itemgetter("address"), raw))
         amounts = list(map(itemgetter("amount"), raw))
@@ -285,12 +282,12 @@ def _distribution_in_bulk(raw: list, total_supply: int) -> Optional[_Distributio
         return None
     lower = joined.islower()  # false for an empty list, which has nothing to lower
     del joined
-    if signed or sum(values) != total_supply or total_supply > UINT256_MAX:
+    if signed or sum(values) != total_supply:
         return None
     balances = dict(zip(addrs if lower else map(str.lower, addrs), values))  # addr_key
     if len(balances) != n:
         return None
-    return _Distribution(zip(addrs, values), balances, total_supply)
+    return _Distribution(zip(addrs, values), balances)
 
 
 def _distribution(raw: list, total_supply: int) -> _Distribution:
@@ -301,7 +298,7 @@ def _distribution(raw: list, total_supply: int) -> _Distribution:
     if dist is None:
         balances: Dict[str, int] = {}
         dist = _Distribution([_distribution_entry(e, f"initiallyDistributedAccounts[{i}]", balances)
-                              for i, e in enumerate(raw)], balances, total_supply)
+                              for i, e in enumerate(raw)], balances)
         if sum(balances.values()) != total_supply:
             raise InvariantViolation("initiallyDistributedAccounts",
                                      "distribution ≠ totalSupply")
@@ -310,17 +307,20 @@ def _distribution(raw: list, total_supply: int) -> _Distribution:
 
 def initial_balances(spec: FungibleRegistrySpec) -> Dict[str, int]:
     """A new table {lowered address: amount} of the spec's initial
-    distribution, in its order. A parsed spec's table is copied; the pairs
-    of a hand-built one go through _distribution first, as JSON entries, so
-    they are refused as parse_registry refuses them. As in the emitted
-    constructor, the amounts must sum to total_supply, which a parsed spec
-    given another total_supply by _replace may not: only then is the table
-    summed again."""
+    distribution, in its order. First total_supply must be an exact int (no
+    bool) within uint256, as parse_registry checks it before the
+    distribution. A parsed spec's table is copied; the pairs of a hand-built
+    one go through _distribution first, as JSON entries, so they are refused
+    as parse_registry refuses them. As in the emitted constructor, the
+    amounts must sum to total_supply, which a spec changed by _replace may
+    not."""
+    total = spec.total_supply
+    if type(total) is not int or not 0 <= total <= UINT256_MAX:
+        raise InvariantViolation("totalSupply", "must be an int in uint256 range")
     dist = spec.initially_distributed_accounts
     if not isinstance(dist, _Distribution):
-        dist = _distribution([{"address": a, "amount": str(v)} for a, v in dist],
-                             spec.total_supply)
-    if dist.total != spec.total_supply and sum(dist.balances.values()) != spec.total_supply:
+        dist = _distribution([{"address": a, "amount": str(v)} for a, v in dist], total)
+    if sum(dist.balances.values()) != total:
         raise InvariantViolation("initiallyDistributedAccounts", "distribution ≠ totalSupply")
     return dist.balances.copy()
 

@@ -165,13 +165,49 @@ def test_distribution_errors(second, error, message):
 
 
 def test_an_amount_above_uint256_in_a_hand_built_spec_is_refused_though_the_sum_matches():
-    # the total is out of range too, so the amounts' sum cannot bound each amount
-    hand = parse_registry(fungible())._replace(
-        total_supply=UINT256_MAX + 1 + 600000,
-        initially_distributed_accounts=((ADDR1, 600000), (ADDR2, UINT256_MAX + 1)))
+    # the total is out of range too, and is refused first, as parse_registry
+    # refuses the spec's JSON
+    pairs = ((ADDR1, 600000), (ADDR2, UINT256_MAX + 1))
+    hand = parse_registry(fungible())._replace(total_supply=UINT256_MAX + 1 + 600000,
+                                               initially_distributed_accounts=pairs)
     with pytest.raises(InvariantViolation) as exc:
         FungibleLedger(hand)
-    assert str(exc.value) == f"{DIST}[1].amount: amount out of uint256 range"
+    assert str(exc.value) == "totalSupply: must be an int in uint256 range"
+    with pytest.raises(InvariantViolation) as exc:
+        parse_registry(fungible(totalSupply=str(hand.total_supply), initiallyDistributedAccounts=[
+            {"address": a, "amount": str(n)} for a, n in pairs]))
+    assert exc.value.path == "totalSupply"
+
+
+def test_a_negative_amount_in_a_hand_built_spec_is_refused_though_the_sum_matches():
+    # the total is in range, so only the sign check keeps the second amount,
+    # which the negative one offsets, from passing
+    hand = parse_registry(fungible())._replace(
+        total_supply=UINT256_MAX,
+        initially_distributed_accounts=((ADDR1, -1), (ADDR2, UINT256_MAX + 1)))
+    with pytest.raises(InvariantViolation) as exc:
+        FungibleLedger(hand)
+    assert str(exc.value) == f"{DIST}[0].amount: amount out of uint256 range"
+
+
+@pytest.mark.parametrize("total, pairs", [
+    (1000000.0, None), (True, ((ADDR1, 1),)), (type("Amount", (int,), {})(1000000), None),
+    ("1000000", None), (-1, None), (UINT256_MAX + 1, None),
+], ids=["float", "bool", "int-subclass", "str", "negative", "above-uint256"])
+def test_a_hand_built_total_supply_must_be_an_int_in_uint256_range(total, pairs):
+    hand = parse_registry(fungible())._replace(total_supply=total)
+    if pairs is not None:
+        hand = hand._replace(initially_distributed_accounts=pairs)
+    with pytest.raises(InvariantViolation) as exc:
+        FungibleLedger(hand)
+    assert str(exc.value) == "totalSupply: must be an int in uint256 range"
+
+
+def test_a_parsed_spec_given_another_total_by_replace_is_refused():
+    hand = parse_registry(fungible())._replace(total_supply=999999)
+    with pytest.raises(InvariantViolation) as exc:
+        FungibleLedger(hand)
+    assert str(exc.value) == f"{DIST}: distribution ≠ totalSupply"
 
 
 def reference_distribution(raw_dist, total_supply):
