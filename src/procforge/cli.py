@@ -246,16 +246,19 @@ def _json_indented(obj, pad: str = "") -> str:
 
 def _ledger_json(ledger: interp.FungibleLedger, pad: str) -> str:
     """The ledger's totalSupply and balances as json.dumps(indent=2) writes
-    them at the indent pad, the balances in one sorted join of the ledger's
-    own table. It writes each key and value as it is, which json does too:
-    every key is the addr_key (0x and 40 hex digits, lowered) of an address
-    checked by _distribution, by _dispatch's ABI typing or, for a caller,
-    by InstanceState.invoke, or else the instance's pseudo_address, and the
-    total and every balance are exact ints, as initial_balances checks them
-    and mint and burn move uint256 amounts."""
+    them at the indent pad, the balances as one sort of their lines, each
+    formatted from the ledger's own table. It writes each key and value as
+    it is, which json does too: every key is the addr_key (0x and 40 hex
+    digits, lowered) of an address checked by _distribution, by _dispatch's
+    ABI typing or, for a caller, by InstanceState.invoke, or else the
+    instance's pseudo_address, and the total and every balance are exact
+    ints within uint256, as initial_balances checks them, mint refuses to
+    pass 2**256 - 1 and burn to go below 0. The lines sort in the order of
+    their keys, since every character of a key sorts above the quote that
+    ends it."""
     inner, row = pad + "  ", pad + "    "
     balances = ledger.balances
-    table = f",\n{row}".join([f'"{k}": {balances[k]}' for k in sorted(balances)])
+    table = f",\n{row}".join(sorted([f'"{k}": {v}' for k, v in balances.items()]))
     table = f"{{\n{row}{table}\n{inner}}}" if balances else "{}"
     return (f'{{\n{inner}"totalSupply": {ledger.total_supply},'
             f'\n{inner}"balances": {table}\n{pad}}}')

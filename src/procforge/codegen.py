@@ -131,6 +131,7 @@ def gen_fungible(spec: FungibleRegistrySpec) -> SourceUnit:
         b.append("")
         b.append("    function mint(address to, uint256 value) public returns (bool) {")
         b.append('        require(isMinter[msg.sender], "not a minter");')
+        b.append('        require(totalSupply + value >= totalSupply, "totalSupply overflow");')
         b.append("        balances[to] += value;")
         b.append("        totalSupply += value;")
         b.append("        emit Transfer(address(0), to, value);")

@@ -20,6 +20,7 @@ from .ir import (
     Node,
     PROCESS_ADDRESS,
     ProcessModel,
+    UINT256_MAX,
     ZERO_VALUES,
     addr_key,
     is_address,
@@ -142,6 +143,8 @@ class FungibleLedger(_Journaled):
     def mint(self, caller: str, to: str, amount: int) -> Tuple[bool]:
         if addr_key(caller) not in {addr_key(a) for a in self.spec.minter_addresses}:
             raise Unauthorized(f"{caller} is not a minter")
+        if self.total_supply + amount > UINT256_MAX:  # every balance is at most the total
+            raise RegistryError(f"minting {amount} overflows totalSupply {self.total_supply}")
         self._write(self.balances, addr_key(to), self.balance_of(to) + amount)
         self._add_supply(amount)
         return (True,)

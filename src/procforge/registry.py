@@ -7,6 +7,7 @@ addresses are 0x + 40 hex digits.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from operator import itemgetter
 from types import MappingProxyType
 from typing import Dict, NamedTuple, Optional, Tuple
@@ -220,30 +221,61 @@ def _address_list(obj: dict, name: str) -> Tuple[str, ...]:
     return out
 
 
-def _distribution_entry(entry, path: str, balances: Dict[str, int]) -> Tuple[str, int]:
+def _distribution_entry(entry, path: str, addresses: list, amounts: list,
+                        balances: Dict[str, int]):
     """Check one distribution entry, in the order that decides which error
-    is reported, and enter its amount in balances under its address key."""
+    is reported, append its address and amount to the lists, and enter the
+    amount in balances under the address key."""
     if not isinstance(entry, dict):
         raise InvariantViolation(path, "entries must be {address, amount} objects")
     addr = _address(_field(entry, "address"), path + ".address")
     if addr_key(addr) in balances:
         raise InvariantViolation(path, f"duplicate address {addr}")
     balances[addr_key(addr)] = amount = _amount(_field(entry, "amount"), path + ".amount")
-    return addr, amount
+    addresses.append(addr)
+    amounts.append(amount)
 
 
-class _Distribution(tuple):
-    """A checked initial distribution: its (address, amount) pairs as the
-    spec writes them, and in balances the table {lowered address: amount}
-    that initial_balances copies, read-only. _distribution builds the table
-    while it checks the addresses, for a parsed spec and for a hand-built
-    one alike, so a ledger need not lower them again. A copy or pickle is
-    a plain tuple of the pairs."""
+class _Distribution(Sequence):
+    """A checked initial distribution, read as the sequence of its (address
+    as the spec writes it, amount) pairs. It holds the addresses and the
+    amounts as two lists, so the cyclic garbage collector tracks two
+    objects, not a tuple per account; and in balances, read-only, the table
+    {lowered address: amount} that initial_balances copies. Iterating zips
+    the lists, and an index or a slice builds only the pairs it asks for.
+    It equals, hashes and prints as the tuple of its pairs, and a copy or
+    pickle is that plain tuple, so a spec holding it compares, hashes and
+    is rebuilt by _replace as one holding the tuple. _distribution builds
+    it while it checks the addresses, for a parsed spec and for a
+    hand-built one alike, so a ledger need not lower them again."""
 
-    def __new__(cls, pairs, balances: Dict[str, int]):
-        self = super().__new__(cls, pairs)
+    __slots__ = ("addresses", "amounts", "balances")
+
+    def __init__(self, addresses: list, amounts: list, balances: Dict[str, int]):
+        self.addresses, self.amounts = addresses, amounts
         self.balances = MappingProxyType(balances)
-        return self
+
+    def __len__(self):
+        return len(self.addresses)
+
+    def __iter__(self):
+        return zip(self.addresses, self.amounts)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(zip(self.addresses[i], self.amounts[i]))
+        return self.addresses[i], self.amounts[i]
+
+    def __eq__(self, other):
+        if isinstance(other, (tuple, _Distribution)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __repr__(self):
+        return repr(tuple(self))
 
     def __reduce__(self):
         return tuple, (tuple(self),)
@@ -266,7 +298,13 @@ def _distribution_in_bulk(raw: list, total_supply: int) -> Optional[_Distributio
     amounts show the sign of all; amounts that are not negative and sum to
     total_supply, which every caller has checked to lie within uint256, are
     each within it. The addresses are lowered, into the table whose size is
-    the duplicate check, only when one holds an upper-case letter."""
+    the duplicate check, only when one holds an upper-case letter, which a
+    search per letter finds at the first one; on an all-lower-case list the
+    six searches (memchr) cost less than one islower() pass. Deleting only
+    the lower-case digits would test the case in the hex pass, but on a
+    mixed-case list that pass then keeps a fifth of the bytes, at
+    unpredictable places, and is several times slower. The distribution
+    keeps the lists of addresses and of amounts built here."""
     try:
         addrs = list(map(itemgetter("address"), raw))
         amounts = list(map(itemgetter("amount"), raw))
@@ -280,28 +318,33 @@ def _distribution_in_bulk(raw: list, total_supply: int) -> Optional[_Distributio
     if list(map(len, addrs)).count(42) != n or joined[::42] != b"0" * n \
             or joined[1::42] != b"x" * n or joined.translate(None, _HEX_DIGITS) != b"x" * n:
         return None
-    lower = joined.islower()  # false for an empty list, which has nothing to lower
+    lower = not any(map(joined.__contains__, b"ABCDEF"))
     del joined
     if signed or sum(values) != total_supply:
         return None
     balances = dict(zip(addrs if lower else map(str.lower, addrs), values))  # addr_key
     if len(balances) != n:
         return None
-    return _Distribution(zip(addrs, values), balances)
+    return _Distribution(addrs, values, balances)
 
 
 def _distribution(raw: list, total_supply: int) -> _Distribution:
     """Check the initial distribution and its sum, and build its table. Only
     when the check of all entries at once fails does each entry go to
-    _distribution_entry, in order, so that the first bad entry raises its error."""
+    _distribution_entry, in order, so that the first bad entry raises its
+    error; it fills the same two lists and table."""
     dist = _distribution_in_bulk(raw, total_supply)
     if dist is None:
+        addresses: list = []
+        amounts: list = []
         balances: Dict[str, int] = {}
-        dist = _Distribution([_distribution_entry(e, f"initiallyDistributedAccounts[{i}]", balances)
-                              for i, e in enumerate(raw)], balances)
-        if sum(balances.values()) != total_supply:
+        for i, e in enumerate(raw):
+            _distribution_entry(e, f"initiallyDistributedAccounts[{i}]",
+                                addresses, amounts, balances)
+        if sum(amounts) != total_supply:
             raise InvariantViolation("initiallyDistributedAccounts",
                                      "distribution ≠ totalSupply")
+        dist = _Distribution(addresses, amounts, balances)
     return dist
 
 

@@ -223,6 +223,10 @@ def test_fungible_mint_burn_emitted_when_enabled():
                                burner_addresses=("0x" + "B" * 40,))
     text = gen_fungible(spec).rendered_text
     assert "function mint(address to, uint256 value)" in text
+    # as the simulated ledger, the token refuses a mint past 2**256 - 1
+    # instead of wrapping (solc 0.5 does not check overflow)
+    assert '        require(totalSupply + value >= totalSupply, "totalSupply overflow");\n' \
+        '        balances[to] += value;\n' in text
     assert "function burn(address from, uint256 value)" in text
     assert "isMinter[0x" in text and "isBurner[0x" in text
 

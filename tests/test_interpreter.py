@@ -12,7 +12,7 @@ from procforge.interp import (
     pseudo_address,
     undo,
 )
-from procforge.ir import addr_key
+from procforge.ir import UINT256_MAX, addr_key
 from procforge.marking import compile_marking
 from procforge.registry import (
     AttributeDecl,
@@ -70,6 +70,84 @@ def test_mint_requires_authorization():
     assert lg.total_supply == 150 and conserved(lg)
     with pytest.raises(Unauthorized):
         lg.mint(A1, A2, 1)
+
+
+def test_mint_past_uint256_is_refused_before_any_write():
+    # the emitted token requires totalSupply + value >= totalSupply, and no
+    # balance exceeds the total, so neither wraps modulo 2**256
+    lg = ledger(is_mintable=True, minter_addresses=(MINTER,))
+    mark = len(lg.journal)
+    with pytest.raises(interp.RegistryError,
+                       match=f"^minting {UINT256_MAX - 99} overflows totalSupply 100$"):
+        lg.mint(MINTER, A2, UINT256_MAX - 99)
+    assert len(lg.journal) == mark and lg.total_supply == 100
+    assert lg.balances == {addr_key(A1): 100}
+    lg.mint(MINTER, A1, UINT256_MAX - 100)
+    assert lg.total_supply == lg.balance_of(A1) == UINT256_MAX and conserved(lg)
+    with pytest.raises(interp.RegistryError):
+        lg.mint(MINTER, A2, 1)
+    lg.mint(MINTER, A2, 0)
+    assert lg.total_supply == UINT256_MAX and conserved(lg)
+
+
+MINT_BPMN = """<?xml version="1.0" encoding="UTF-8"?>
+<definitions xmlns="http://www.omg.org/spec/BPMN/20100524/MODEL"
+             xmlns:bcext="urn:procforge:bcext:1" id="defs_mint">
+  <process id="mint">
+    <extensionElements>
+      <bcext:smartContractInterface id="itf_lrk" name="LorikeetCoin">
+        <bcext:function name="mint">
+          <bcext:input name="to" type="address"/>
+          <bcext:input name="value" type="uint256"/>
+          <bcext:output name="success" type="bool"/>
+        </bcext:function>
+      </bcext:smartContractInterface>
+      <bcext:invocation sourceTask="t_grant" targetInterface="itf_lrk" fnName="mint">
+        <bcext:bindIn param="to" source="holder"/>
+        <bcext:bindIn param="value" source="amount"/>
+      </bcext:invocation>
+      <bcext:invocation sourceTask="s_fee" targetInterface="itf_lrk" fnName="mint">
+        <bcext:bindIn param="to" source="0x1111111111111111111111111111111111111111"/>
+        <bcext:bindIn param="value" source="1"/>
+      </bcext:invocation>
+    </extensionElements>
+    <startEvent id="start"/>
+    <userTask id="t_grant" name="Grant">
+      <extensionElements>
+        <bcext:input name="holder" type="address"/>
+        <bcext:input name="amount" type="uint256"/>
+      </extensionElements>
+    </userTask>
+    <scriptTask id="s_fee" name="Fee"/>
+    <userTask id="t_done" name="Done"/>
+    <endEvent id="end"/>
+    <sequenceFlow id="f1" sourceRef="start" targetRef="t_grant"/>
+    <sequenceFlow id="f2" sourceRef="t_grant" targetRef="s_fee"/>
+    <sequenceFlow id="f3" sourceRef="s_fee" targetRef="t_done"/>
+    <sequenceFlow id="f4" sourceRef="t_done" targetRef="end"/>
+  </process>
+</definitions>
+"""
+
+
+def test_invoke_rolls_back_a_mint_whose_second_call_passes_uint256():
+    # "Grant", called by A2, mints amount to holder, then the script "Fee",
+    # called by the process, mints 1 to A1: when the fee would pass
+    # 2**256 - 1, the first mint is undone too
+    from procforge.bpmn import parse_bpmn
+    from procforge.ir import validate_model
+    model = parse_bpmn(MINT_BPMN)
+    assert validate_model(model).ok
+    lg = ledger(is_mintable=True, minter_addresses=(A2, pseudo_address("process:mint:0")))
+    inst = new_instance(model, compile_marking(model), {"itf_lrk": A3}, {A3: lg})
+    before = _ledger_state(inst, A3)
+    outcome = inst.invoke("Grant", {"holder": A2, "amount": UINT256_MAX - 100}, A2)
+    assert not outcome.ok and outcome.reason == "RegistryError"
+    assert outcome.detail == "minting 1 overflows totalSupply " + str(UINT256_MAX)
+    assert _ledger_state(inst, A3) == before
+    assert inst.invoke("Grant", {"holder": A2, "amount": UINT256_MAX - 101}, A2).ok
+    assert lg.total_supply == UINT256_MAX and conserved(lg)
+    assert (lg.balance_of(A1), lg.balance_of(A2)) == (101, UINT256_MAX - 101)
 
 
 def test_burn():

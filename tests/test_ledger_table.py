@@ -3,8 +3,11 @@ by: after any sequence of calls, accepted or rejected and undone, every
 key is a lowered address and every value an exact int, and the values sum
 to the total supply."""
 
+import json
+
 from hypothesis import given, settings, strategies as st
 
+from procforge import cli
 from procforge.interp import FungibleLedger, RegistryError, _dispatch, pseudo_address, undo
 from procforge.ir import ADDRESS_RE
 from procforge.registry import FungibleRegistrySpec
@@ -65,3 +68,24 @@ def test_balances_keep_lowered_address_keys_and_int_values(balances, steps):
         else:
             ledger.journal.clear()
         check_table(ledger)
+
+
+def test_the_written_table_is_json_dumps_of_the_sorted_table():
+    # keys out of order: two pseudo_address keys, two addresses that differ
+    # only in their last hex digit (one spelt in upper case), and an account
+    # the transfer adds after the ledger is built
+    dist = ((pseudo_address("b"), 5), ("0x" + "A" * 39 + "9", 7), (pseudo_address("a"), 11),
+            ("0x" + "a" * 39 + "1", 13))
+    ledger = FungibleLedger(FungibleRegistrySpec(
+        name="Coin", symbol="C", decimals=0, total_supply=36,
+        initially_distributed_accounts=dist))
+    ledger.transfer(dist[0][0], "0x" + "0" * 40, 2)
+    assert list(ledger.balances) != sorted(ledger.balances)
+    table = {"totalSupply": 36, "balances": dict(sorted(ledger.balances.items()))}
+    for pad in ("", "    "):
+        assert cli._ledger_json(ledger, pad) == \
+            json.dumps(table, indent=2).replace("\n", "\n" + pad)
+    empty = FungibleLedger(FungibleRegistrySpec(name="Coin", symbol="C", decimals=0,
+                                                total_supply=0))
+    assert cli._ledger_json(empty, "") == \
+        json.dumps({"totalSupply": 0, "balances": {}}, indent=2)

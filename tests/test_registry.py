@@ -304,6 +304,20 @@ def corrupted_distributions(draw):
            {"address": "0x" + "ab" * 19 + "aB", "amount": "40"}], 100))
 @example(([{"address": ADDR1, "amount": "-0"}, {"address": ADDR2, "amount": "100"}], 100))
 @example(([{"address": ADDR1, "amount": " -5"}, {"address": ADDR2, "amount": "105"}], 100))
+# the address check deletes every hex digit, and the case test searches
+# for each upper-case one: a g and a G, an 0X, an address all in upper
+# case, one spelt twice with only its F's in another case (([], 0) above
+# has no address)
+@example(([{"address": ADDR1, "amount": "60"},
+           {"address": "0x" + "aB" * 19 + "gG", "amount": "40"}], 100))
+@example(([{"address": ADDR1, "amount": "60"},
+           {"address": "0x" + "ab" * 19 + "gg", "amount": "40"}], 100))
+@example(([{"address": ADDR1, "amount": "60"},
+           {"address": "0X" + "ab" * 20, "amount": "40"}], 100))
+@example(([{"address": ADDR1, "amount": "60"},
+           {"address": "0x" + "FEDCBA9876" * 4, "amount": "40"}], 100))
+@example(([{"address": "0x" + "f" * 40, "amount": "60"},
+           {"address": "0x" + "F" * 40, "amount": "40"}], 100))
 def test_distribution_check_matches_the_entry_by_entry_reference(case):
     raw, total = case
     doc = fungible(totalSupply=str(total), initiallyDistributedAccounts=raw)
@@ -391,6 +405,65 @@ def test_a_cloned_parsed_spec_makes_the_same_ledger(clone):
     twin = clone(spec)
     assert twin == spec
     assert FungibleLedger(twin).balances == FungibleLedger(spec).balances
+
+
+THREE = ((ADDR1, 500000), ("0x" + "aB" * 20, 300000), (ADDR2, 200000))
+
+
+def three_accounts():
+    return parse_registry(fungible(initiallyDistributedAccounts=[
+        {"address": a, "amount": str(n)} for a, n in THREE]))
+
+
+def test_a_parsed_distribution_is_the_tuple_of_its_pairs():
+    spec = three_accounts()
+    dist = spec.initially_distributed_accounts
+    assert type(dist) is not tuple
+    assert dist == THREE and THREE == dist and not dist != THREE and not THREE != dist
+    assert dist != THREE[:2] and THREE[:2] != dist and dist != list(THREE)
+    assert dist == three_accounts().initially_distributed_accounts
+    assert hash(dist) == hash(THREE) and hash(spec) == hash(spec._replace(
+        initially_distributed_accounts=THREE))
+    assert repr(dist) == repr(THREE)
+    assert len(dist) == 3 and list(dist) == list(THREE)
+    assert [dist[i] for i in range(-3, 3)] == [THREE[i] for i in range(-3, 3)]
+    for i in (3, -4):
+        with pytest.raises(IndexError):
+            dist[i]
+    for cut in (slice(1, None), slice(None, -1), slice(None, None, -2), slice(5, 9)):
+        assert dist[cut] == THREE[cut] and type(dist[cut]) is tuple
+    assert (ADDR2, 200000) in dist and dist.index((ADDR2, 200000)) == 2
+
+
+@pytest.mark.parametrize("clone", [copy.copy, lambda d: pickle.loads(pickle.dumps(d))],
+                         ids=["copy", "pickle"])
+def test_a_copied_distribution_is_a_plain_tuple(clone):
+    twin = clone(three_accounts().initially_distributed_accounts)
+    assert type(twin) is tuple and twin == THREE
+
+
+def test_a_distribution_replaced_by_hand_goes_through_the_check(monkeypatch):
+    checked = []
+    real = registry._distribution
+
+    def counting(raw, total_supply):
+        checked.append([e["address"] for e in raw])
+        return real(raw, total_supply)
+
+    monkeypatch.setattr(registry, "_distribution", counting)
+    parsed = three_accounts()
+    assert checked == [[a for a, _ in THREE]]
+    assert FungibleLedger(parsed).balances == {addr_key(a): n for a, n in THREE}
+    assert len(checked) == 1  # a parsed spec's table is copied
+    hand = parsed._replace(initially_distributed_accounts=copy.copy(
+        parsed.initially_distributed_accounts))
+    assert hand == parsed
+    assert FungibleLedger(hand).balances == FungibleLedger(parsed).balances
+    assert checked == [[a for a, _ in THREE]] * 2
+    twice = THREE[:2] + ((THREE[1][0].lower(), 200000),)
+    with pytest.raises(InvariantViolation) as exc:
+        FungibleLedger(parsed._replace(initially_distributed_accounts=twice))
+    assert str(exc.value) == f"{DIST}[2]: duplicate address {twice[2][0]}"
 
 
 @pytest.mark.parametrize("flag", ["updatable", "historyTracked"])
