@@ -32,6 +32,7 @@ and reported by ir.validate_model.
 from __future__ import annotations
 
 import re
+import string
 import xml.etree.ElementTree as ET
 from itertools import chain
 from typing import List, Optional, Tuple
@@ -80,33 +81,46 @@ class ConditionParseError(BpmnParseError):
 
 MAX_EXPR_DEPTH = 32
 
-_TOKEN_RE = re.compile(rf"""
-    (?P<ws>\s+)
-  | (?P<address>{ADDRESS_RE.pattern}(?![0-9a-fA-F]))
-  | (?P<hexint>0x[0-9a-fA-F]+)
-  | (?P<int>\d+)
-  | (?P<ident>{IDENTIFIER_RE.pattern})
-  | (?P<string>"[^"\n]*")
-  | (?P<op>:=|==|!=|<=|>=|&&|\|\||[-+*/<>!()=;])
-""", re.VERBOSE)
+# the kinds of token, each with its pattern, tried in this order
+_TOKENS = (
+    ("ws", r"\s+"),
+    ("address", rf"{ADDRESS_RE.pattern}(?![0-9a-fA-F])"),
+    ("hexint", r"0x[0-9a-fA-F]+"),
+    ("int", r"\d+"),
+    ("ident", IDENTIFIER_RE.pattern),
+    ("string", r'"[^"\n]*"'),
+    ("op", r":=|==|!=|<=|>=|&&|\|\||[-+*/<>!()=;]"),
+)
+# one scan of a text into its tokens, any other character a token of its own
+_scan = re.compile("|".join(p for _, p in _TOKENS) + "|.", re.DOTALL).findall
+_TOKEN_RE = re.compile("|".join(f"(?P<{kind}>{p})" for kind, p in _TOKENS))
+# the kind of every token that begins with the character, where it alone tells
+_KIND = {**dict.fromkeys(string.ascii_letters + "_", "ident"), **dict.fromkeys("123456789", "int"),
+         **dict.fromkeys(" \t\n\r\f\v", "ws"), **dict.fromkeys("-+*/<>!()=;", "op")}
 
 
 def _tokenize(text: str, newline_ends_statement: bool = False):
     """(kind, value, offset) of each token, then eof. With
     newline_ends_statement, whitespace holding a newline is a ';' token:
     a string token never holds a newline, so a newline always lies
-    between two statements of a script."""
+    between two statements of a script. A token whose first character
+    does not tell its kind is matched alone against _TOKEN_RE, which finds
+    the alternative the scan took; none matches a character that is no
+    token."""
     tokens = []
     pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ConditionParseError(f"unexpected character {text[pos]!r}", pos)
-        if m.lastgroup != "ws":
-            tokens.append((m.lastgroup, m.group(), pos))
-        elif newline_ends_statement and "\n" in m.group():
-            tokens.append(("op", ";", text.index("\n", pos)))
-        pos = m.end()
+    for tok in _scan(text):
+        kind = _KIND.get(tok[0])
+        if kind is None:
+            m = _TOKEN_RE.match(tok)
+            if m is None:
+                raise ConditionParseError(f"unexpected character {tok!r}", pos)
+            kind = m.lastgroup
+        if kind != "ws":
+            tokens.append((kind, tok, pos))
+        elif newline_ends_statement and "\n" in tok:
+            tokens.append(("op", ";", pos + tok.index("\n")))
+        pos += len(tok)
     tokens.append(("eof", "", len(text)))
     return tokens
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import operator
 import re
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
@@ -679,8 +680,9 @@ def instance_of(interface: str) -> str:
 
 class Declared(NamedTuple):
     """A name an emitted scope declares, with the model ref or attributes[i]
-    it comes from, "" for a fixed name. A derived name is made from another
-    name of its owner, as addressOf<I> from I."""
+    it comes from, "" for a fixed name, and the label a clash words it by.
+    A derived name is made from another name of its owner, as addressOf<I>
+    from I."""
 
     name: str
     owner: str
@@ -691,16 +693,22 @@ class Declared(NamedTuple):
 class Scope(NamedTuple):
     """The names one scope declares, at path in its file: () for the file,
     then (contract,) and (contract, member). Struct members and event
-    parameters hide no outer name, as nothing reads them bare."""
+    parameters hide no outer name, as nothing reads them bare. declared
+    builds the Declared entry of each name, in order, and is called only
+    to word a clash; None when every name is a fixed one."""
 
     path: Tuple[str, ...]
-    names: tuple
+    names: Tuple[str, ...]
     hides: bool = True
+    declared: Optional[Callable[[], tuple]] = None
+
+    def entries(self) -> tuple:
+        return self.declared() if self.declared else emitted(*self.names)
 
 
 @lru_cache(maxsize=None)  # called with the emitted code's few fixed lists only
 def emitted(*names: str) -> tuple:
-    """The emitted code's fixed names."""
+    """The entries of the emitted code's fixed names."""
     return tuple(Declared(n, "", f"the emitted name '{n}'") for n in names)
 
 
@@ -709,19 +717,43 @@ def clashes(scopes) -> list:
     declaration hiding a name of an enclosing scope, which comes first in
     scopes. The blame falls on a name the model states rather than on a
     fixed or derived one, else on the later one. A declaration meeting
-    itself, in a scope listed twice as the functions of two nodes of one
-    name are, is no clash."""
-    tables: Dict[Tuple[str, ...], Dict[str, Declared]] = {}
+    itself, in two scopes of one path that share their entries, is no
+    clash. Each scope's names are checked against the names before them
+    as sets; only a scope where a name meets another has its entries
+    built and walked, and the entries it meets with them."""
+    names: Dict[Tuple[str, ...], set] = {}
+    listed: Dict[Tuple[str, ...], list] = {}
+    built: Dict[int, tuple] = {}
+
+    def entries(scope):
+        if id(scope) not in built:
+            built[id(scope)] = scope.entries()
+        return built[id(scope)]
+
+    def first(path, name):
+        """The first entry of name at path so far, None for none."""
+        for scope in listed.get(path, ()):
+            if name in scope.names:
+                return entries(scope)[scope.names.index(name)]
+        return None
+
     found = []
-    for path, names, hides in scopes:
-        own = tables.setdefault(path, {})
-        outer = [tables.get(path[:i], {}) for i in range(len(path) - 1, -1, -1)] if hides else []
-        for d in names:
-            other = own.setdefault(d.name, d)
+    for scope in scopes:
+        path, new = scope.path, scope.names
+        own = names.setdefault(path, set())
+        listed.setdefault(path, []).append(scope)
+        size = len(own)
+        own.update(new)
+        outer = [path[:i] for i in range(len(path) - 1, -1, -1)] if scope.hides else ()
+        if len(own) == size + len(new) and all(
+                p not in names or names[p].isdisjoint(new) for p in outer):
+            continue
+        for d in entries(scope):
+            other = first(path, d.name)
             same = other is not d
             if not same:
-                for table in outer:
-                    other = table.get(d.name)
+                for p in outer:
+                    other = first(p, d.name)
                     if other is not None:
                         break
                 else:
@@ -733,56 +765,90 @@ def clashes(scopes) -> list:
     return found
 
 
+def _function_of(n: Node) -> str:
+    return f"task '{n.display_name}'" if n.kind in TASK_KINDS else f"{n.kind.value} '{n.id}'"
+
+
 def process_scopes(model: ProcessModel) -> list:
     """What codegen.gen_process declares in ProcessFactory.sol, scope by
     scope: the contracts, each interface's functions and their parameters,
     ProcessFactory's members, the monitor's, and the parameters and locals
-    of the monitor's constructor and of each node's function. Each node's
-    function is listed with the local instanceOf<I> of every interface,
-    which codegen declares where the task calls I, so that binding a call
-    to a task cannot make its inputs clash."""
+    of the monitor's constructor and of each node's function. Every node's
+    function declares the local instanceOf<I> of every interface, which
+    codegen declares where the task calls I, so that binding a call to a
+    task cannot make its inputs clash. These locals are listed once, at
+    (ProcessMonitor, "*"), which no function can be named: that scope
+    stands for every function that declares nothing else. A function with
+    task inputs, or of a name another node's function has, has a scope of
+    its own, its task inputs and then the same locals."""
     monitor, factory, interfaces = "ProcessMonitor", "ProcessFactory", model.interfaces
-    local = emitted("preconditionsp") + tuple(Declared(instance_of(i.name), i.id, "the local "
-        f"'{instance_of(i.name)}' of interface '{i.name}'", True) for i in interfaces)
-    ctor = tuple(Declared(slot(address_of(i.name)), i.id, "the constructor parameter "
-                          f"'{slot(address_of(i.name))}' of interface '{i.name}'", True)
-                 for i in interfaces if i.contract_address is None)
-    scopes = [Scope((), emitted(factory, monitor) + tuple(
-        Declared(i.name, i.id, f"interface '{i.name}'") for i in interfaces))]
+    bound = [i for i in interfaces if i.contract_address is None]
+    ctor = tuple(slot(address_of(i.name)) for i in bound)
+    local = ("preconditionsp",) + tuple(instance_of(i.name) for i in interfaces)
+
+    def ctor_entries():
+        return tuple(Declared(n, i.id, f"the constructor parameter '{n}' of interface '{i.name}'",
+                              True) for n, i in zip(ctor, bound))
+
+    @lru_cache(maxsize=None)  # one set of entries, met by itself in each function's scope
+    def local_entries():
+        return emitted("preconditionsp") + tuple(
+            Declared(n, i.id, f"the local '{n}' of interface '{i.name}'", True)
+            for n, i in zip(local[1:], interfaces))
+
+    scopes = [Scope((), (factory, monitor) + tuple(i.name for i in interfaces), True,
+                    lambda: emitted(factory, monitor) + tuple(
+                        Declared(i.name, i.id, f"interface '{i.name}'") for i in interfaces))]
     for i in interfaces:
-        scopes.append(Scope((i.name,), tuple(Declared(f.name, i.id, f"function '{f.name}'")
-                                             for f in i.functions)))
-        scopes += [Scope((i.name, f.name), tuple(
-            Declared(p.name, i.id, f"{way} parameter '{p.name}' on {f.name}")
-            for way, params in (("input", f.inputs), ("output", f.outputs)) for p in params))
-            for f in i.functions]
-    scopes += [Scope((factory,), emitted("createdInstances", "instanceCreated", "createInstance")),
-               Scope((factory, "instanceCreated"), emitted("instanceAddress"), False),
-               Scope((factory, "createInstance"), emitted("_participants", "instance") + ctor)]
-    members = [Declared(address_of(i.name), i.id, f"the address '{address_of(i.name)}' "
-                        f"of interface '{i.name}'", True) for i in interfaces]
-    owners = {v.name: (v.name, "variable") for v in model.variables}
-    for n in model.nodes:
-        for ti in n.task_inputs:
-            owners.setdefault(ti.name, (n.id, "task input"))
-    members += [Declared(slot(name), ref, f"the slot '{slot(name)}' of {what} '{name}'")
-                for name, (ref, what) in owners.items()]
-    functions = []
-    node = model._index.node
-    for node_id, name in model.function_names.items():
+        scopes.append(Scope((i.name,), tuple(f.name for f in i.functions), True, lambda i=i: tuple(
+            Declared(f.name, i.id, f"function '{f.name}'") for f in i.functions)))
+        scopes += [Scope((i.name, f.name), tuple(p.name for p in f.inputs + f.outputs), True,
+                         lambda i=i, f=f: tuple(
+                             Declared(p.name, i.id, f"{way} parameter '{p.name}' on {f.name}")
+                             for way, params in (("input", f.inputs), ("output", f.outputs))
+                             for p in params))
+                   for f in i.functions]
+    scopes += [Scope((factory,), ("createdInstances", "instanceCreated", "createInstance")),
+               Scope((factory, "instanceCreated"), ("instanceAddress",), False),
+               Scope((factory, "createInstance"), ("_participants", "instance") + ctor, True,
+                     lambda: emitted("_participants", "instance") + ctor_entries())]
+    fixed = ("marking", "taskExecuted", "runAutoTransitions")
+    addresses = tuple(address_of(i.name) for i in interfaces)
+    fnames, node = model.function_names, model._index.node
+    functions = tuple(fnames.values())
+
+    def member_entries():
+        owners = {v.name: (v.name, "variable") for v in model.variables}
+        for n in model.nodes:
+            for ti in n.task_inputs:
+                owners.setdefault(ti.name, (n.id, "task input"))
+        return emitted(*fixed) + tuple(
+            Declared(a, i.id, f"the address '{a}' of interface '{i.name}'", True)
+            for a, i in zip(addresses, interfaces)) + tuple(
+            Declared(slot(name), ref, f"the slot '{slot(name)}' of {what} '{name}'")
+            for name, (ref, what) in owners.items()) + tuple(
+            Declared(name, node_id, f"function '{name}' of {_function_of(node[node_id])}")
+            for node_id, name in fnames.items())
+
+    shared = {name for name, k in Counter(functions).items() if k > 1}
+    scopes.append(Scope((monitor,), fixed + addresses + tuple(map(slot, model.declared_types))
+                        + functions, True, member_entries))
+    scopes += [Scope((monitor, "constructor"), ctor, True, ctor_entries),
+               Scope((monitor, "taskExecuted"), ("taskName", "success"), False),
+               Scope((monitor, "runAutoTransitions"), ("preconditionsp", "previous"))]
+    star = None
+    for node_id, name in fnames.items():
         n = node[node_id]
-        what = f"task '{n.display_name}'" if n.kind in TASK_KINDS else f"{n.kind.value} '{n.id}'"
-        members.append(Declared(name, node_id, f"function '{name}' of {what}"))
         inputs = n.task_inputs if n.kind in EXTERNAL_TASK_KINDS else ()
-        functions.append(Scope((monitor, name), tuple(
-            Declared(ti.name, node_id, f"task input '{ti.name}'") for ti in inputs) + local
-            if inputs else local))
-    return scopes + [Scope((monitor,), emitted("marking", "taskExecuted", "runAutoTransitions")
-                           + tuple(members)),
-                     Scope((monitor, "constructor"), ctor),
-                     Scope((monitor, "taskExecuted"), emitted("taskName", "success"), False),
-                     Scope((monitor, "runAutoTransitions"), emitted("preconditionsp", "previous")),
-                     *functions]
+        if inputs or name in shared:
+            scopes.append(Scope((monitor, name), tuple(ti.name for ti in inputs) + local, True,
+                                lambda node_id=node_id, inputs=inputs: tuple(
+                                    Declared(ti.name, node_id, f"task input '{ti.name}'")
+                                    for ti in inputs) + local_entries()))
+        elif star is None:
+            star = Scope((monitor, "*"), local, True, local_entries)
+            scopes.append(star)
+    return scopes
 
 
 def _reachable(seeds, flows: Mapping[str, Tuple[SequenceFlow, ...]], end: str) -> set:

@@ -8,7 +8,7 @@ addresses are 0x + 40 hex digits.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from types import MappingProxyType
 from typing import Dict, NamedTuple, Optional, Tuple
 
@@ -96,15 +96,14 @@ def bound_addresses(spec: NonFungibleRegistrySpec) -> list:
 
 
 # the registry's events, and its functions whose parameters are all fixed
-_EVENTS = {e: emitted(*params) for e, params in {
-    "Transfer": ("from", "to", "recordId"), "Approval": ("owner", "approved", "recordId"),
-    "ApprovalForAll": ("owner", "operator", "approved")}.items()}
-_FUNCTIONS = {f: emitted(*params) for f, params in {
+_EVENTS = {"Transfer": ("from", "to", "recordId"), "Approval": ("owner", "approved", "recordId"),
+           "ApprovalForAll": ("owner", "operator", "approved")}
+_FUNCTIONS = {
     "next_record_id": (), "recordContractOf": ("record_id",),
     "record_get_owner": ("record_id", "record_owner"), "_transfer": ("from", "to", "record_id"),
     "balanceOf": ("owner",), "ownerOf": ("record_id",), "transferFrom": ("from", "to", "record_id"),
     "approve": ("approved", "record_id"), "getApproved": ("record_id",),
-    "setApprovalForAll": ("operator", "approved"), "isApprovedForAll": ("owner", "operator")}.items()}
+    "setApprovalForAll": ("operator", "approved"), "isApprovedForAll": ("owner", "operator")}
 
 
 def registry_scopes(spec: NonFungibleRegistrySpec) -> list:
@@ -114,39 +113,54 @@ def registry_scopes(spec: NonFungibleRegistrySpec) -> list:
     registry's members, the Record struct, and the parameters of the
     registry's events, constructor and functions. A spec's attributes are
     thus checked for both layouts, so that either can be emitted."""
-    attrs = [(a, f"attributes[{i}]") for i, a in enumerate(spec.attributes)]
-    own = tuple(Declared(a.name, at) for a, at in attrs)
-    updatable = [(a, at) for a, at in attrs if a.updatable]
-    tracked = [(a, at) for a, at in attrs if a.history_tracked]
+    attrs = spec.attributes
+    every = range(len(attrs))
+    updatable = [i for i in every if attrs[i].updatable]
+    tracked = [i for i in every if attrs[i].history_tracked]
+
+    def named(make, indices, derived=True):
+        """The names make gives the attributes at indices, and the builder
+        of their entries, each owned by its attribute."""
+        return tuple(make(attrs[i]) for i in indices), lambda: tuple(
+            Declared(make(attrs[i]), f"attributes[{i}]", derived=derived) for i in indices)
+
+    own, own_entries = named(attrgetter("name"), every, False)
+    setters, setter_entries = named(setter, updatable)
+    slots, slot_entries = named(lambda a: slot(a.name), every)
+    events, event_entries = named(changed_event, tracked)
+    updaters, updater_entries = named(updater, updatable)
     addresses = bound_addresses(spec)
-    functions = {**_FUNCTIONS, "record_create": emitted("record_id") + own,
-                 "record_get_attrs": emitted("record_id") + own}
+    record, registry = record_contract(spec.name), registry_contract(spec.name)
+    functions = [Scope((registry, f), names) for f, names in _FUNCTIONS.items()] + [
+        Scope((registry, f), ("record_id",) + own, True,
+              lambda: emitted("record_id") + own_entries())
+        for f in ("record_create", "record_get_attrs")]
     if spec.is_ownership_transfer_enabled:
-        functions["record_ownership_transfer"] = emitted("record_id", "new_owner")
+        functions.append(Scope((registry, "record_ownership_transfer"), ("record_id", "new_owner")))
     modifiers = [m for m, on in (("onlyProcess", "processAddress" in addresses), (
         "onlyAuthorized", spec.is_registry_function_access_control_enabled)) if on]
-    record, registry = record_contract(spec.name), registry_contract(spec.name)
+    members = ("deployer", *addresses, "Record", "records", "recordExists", "recordContracts",
+               "ownedCount", "recordApproval", "operatorApproval", "recordCount", *_EVENTS,
+               *modifiers, *(f.path[1] for f in functions))
     return [
-        Scope((), (Declared(record, "name", derived=True), Declared(registry, "name", derived=True))),
-        Scope((record,), emitted("registry", "owner") + own + emitted("onlyRegistry", "setOwner")
-              + tuple(Declared(setter(a), at, derived=True) for a, at in updatable)),
-        Scope((record, "constructor"), emitted("_owner") + tuple(
-            Declared(slot(a.name), at, derived=True) for a, at in attrs)),
-        Scope((record, "setOwner"), emitted("new_owner")),
-        *(Scope((record, setter(a)), emitted("value")) for a, _ in updatable),
-        Scope((registry,), emitted(
-            "deployer", *addresses, "Record", "records", "recordExists", "recordContracts",
-            "ownedCount", "recordApproval", "operatorApproval", "recordCount", *_EVENTS,
-            *modifiers, *functions)
-            + tuple(Declared(changed_event(a), at, derived=True) for a, at in tracked)
-            + tuple(Declared(updater(a), at, derived=True) for a, at in updatable)),
-        Scope((registry, "Record"), emitted("exists", "owner") + own, False),
+        Scope((), (record, registry), True, lambda: (Declared(record, "name", derived=True),
+                                                     Declared(registry, "name", derived=True))),
+        Scope((record,), ("registry", "owner") + own + ("onlyRegistry", "setOwner") + setters,
+              True, lambda: emitted("registry", "owner") + own_entries()
+              + emitted("onlyRegistry", "setOwner") + setter_entries()),
+        Scope((record, "constructor"), ("_owner",) + slots, True,
+              lambda: emitted("_owner") + slot_entries()),
+        Scope((record, "setOwner"), ("new_owner",)),
+        *(Scope((record, s), ("value",)) for s in setters),
+        Scope((registry,), members + events + updaters, True,
+              lambda: emitted(*members) + event_entries() + updater_entries()),
+        Scope((registry, "Record"), ("exists", "owner") + own, False,
+              lambda: emitted("exists", "owner") + own_entries()),
         *(Scope((registry, e), names, False) for e, names in _EVENTS.items()),
-        *(Scope((registry, changed_event(a)), emitted("recordId", "value"), False)
-          for a, _ in tracked),
-        Scope((registry, "constructor"), emitted(*map(slot, addresses))),
-        *(Scope((registry, updater(a)), emitted("record_id", "value")) for a, _ in updatable),
-        *(Scope((registry, f), names) for f, names in functions.items())]
+        *(Scope((registry, e), ("recordId", "value"), False) for e in events),
+        Scope((registry, "constructor"), tuple(map(slot, addresses))),
+        *(Scope((registry, u), ("record_id", "value")) for u in updaters),
+        *functions]
 
 
 _TOKEN_EVENTS = {"Transfer": ("from", "to", "value"), "Approval": ("owner", "spender", "value")}
@@ -154,18 +168,19 @@ _TOKEN_FUNCTIONS = {
     "balanceOf": ("account",), "allowance": ("owner", "spender"), "transfer": ("to", "value"),
     "approve": ("spender", "value"), "transferFrom": ("from", "to", "value"),
     "mint": ("to", "value"), "burn": ("from", "value")}
+_TOKEN_MEMBERS = ("name", "symbol", "decimals", "totalSupply", "balances", "allowances",
+                  "isMinter", "isBurner", *_TOKEN_EVENTS, *_TOKEN_FUNCTIONS)
 
 
 def token_scopes(display_name: str) -> list:
     """What codegen.gen_fungible declares in the unit of a token, scope by
     scope, as if it were both mintable and burnable."""
     name = contract_name(display_name)
-    return [Scope((), (Declared(name, "name", f"the contract '{name}'", True),)),
-            Scope((name,), emitted("name", "symbol", "decimals", "totalSupply", "balances",
-                                   "allowances", "isMinter", "isBurner", *_TOKEN_EVENTS,
-                                   *_TOKEN_FUNCTIONS)),
-            *(Scope((name, e), emitted(*names), False) for e, names in _TOKEN_EVENTS.items()),
-            *(Scope((name, f), emitted(*names)) for f, names in _TOKEN_FUNCTIONS.items())]
+    return [Scope((), (name,), True,
+                  lambda: (Declared(name, "name", f"the contract '{name}'", True),)),
+            Scope((name,), _TOKEN_MEMBERS),
+            *(Scope((name, e), names, False) for e, names in _TOKEN_EVENTS.items()),
+            *(Scope((name, f), names) for f, names in _TOKEN_FUNCTIONS.items())]
 
 
 def _load(doc: str) -> dict:

@@ -2,6 +2,7 @@ import sys
 
 import pytest
 
+import expr_reference
 from procforge import bpmn
 from procforge.bpmn import (
     MAX_EXPR_DEPTH,
@@ -135,6 +136,26 @@ def test_parse_script_errors_carry_offsets_into_the_whole_body(text, offset):
 def test_parse_script_requires_assignment():
     with pytest.raises(ConditionParseError):
         parse_script("x + 1")
+
+
+def _tokens_or_error(tokenize, text, newline_ends_statement):
+    try:
+        return tokenize(text, newline_ends_statement)
+    except ConditionParseError as e:
+        return str(e), e.offset
+
+
+# characters that begin an operator but are no token alone, and whitespace
+# and digits outside ASCII, which the first character of a token does not
+# tell: the tokenizer must read them as the reference tokenizer does
+@pytest.mark.parametrize("text", [
+    "a : b", "a := b", "a & b", "a && b", "a | b", "a || b", "x :", '"open', "0",
+    "0x", "0xg", "0x1f", "x\u00a0+ 1", "x = \u0663", "a\u2028b", "a = 1\n\u00a0\nb = 2", "\u00e9",
+])
+@pytest.mark.parametrize("newline_ends_statement", [False, True])
+def test_tokenize_matches_the_reference_tokenizer(text, newline_ends_statement):
+    assert _tokens_or_error(bpmn._tokenize, text, newline_ends_statement) == \
+        _tokens_or_error(expr_reference.tokenize, text, newline_ends_statement)
 
 
 # --- full documents ----------------------------------------------------------

@@ -2,16 +2,27 @@
 and registry.token_scopes against what tests/solexec.py reads in the
 emitted text: every name the text declares is in the table's scope for
 it, and whatever validate_model and parse_registry accept emits no
-clash."""
+clash. A monitor function without task inputs has no scope of its own
+in the process table: its names are looked up at (ProcessMonitor, "*"),
+where the locals every function declares are listed once.
+
+The tables hold their names as strings and build their Declared entries
+only to word a clash. tests/name_reference.py keeps the tables and the
+walk from before, with one scope of entries per node's function; each
+table must declare what the reference's does, and validate_model and
+parse_registry must word, blame and order every clash as they do with
+the reference in place of their own."""
 
 import dataclasses
 import itertools
 import json
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import name_reference as ref
 import solexec
 from conftest import FIXTURES, GOLDEN, load_model
 from modelgen import (counting_loop_bpmn, random_model, record_calls_bpmn, spinning_loop_bpmn,
@@ -19,6 +30,7 @@ from modelgen import (counting_loop_bpmn, random_model, record_calls_bpmn, spinn
 from test_cli import GRAIN_TEXT, UPDATE_WEIGHT_EDITS
 from test_codegen import ABI_SPECS, PINNED_ATTRIBUTES, REGISTRY_FLAGS
 
+from procforge import ir, registry
 from procforge.bpmn import parse_bpmn
 from procforge.codegen import gen_fungible, gen_nonfungible, gen_process
 from procforge.ir import (FunctionParameter, ProcessVariableDecl, SmartContractFunctionDecl,
@@ -87,6 +99,69 @@ def units_with_tables():
     return units
 
 
+def reference_diagnostics(model):
+    """validate_model's diagnostics with the reference's table and walk in
+    place of ir's own."""
+    with mock.patch.multiple(ir, process_scopes=ref.process_scopes, clashes=ref.clashes):
+        return validate_model(model).diagnostics
+
+
+def parsed(doc):
+    """The spec parse_registry reads from doc, or its InvariantViolation's text."""
+    try:
+        return parse_registry(doc)
+    except InvariantViolation as e:
+        return str(e)
+
+
+def reference_parsed(doc):
+    """parsed(doc) with the reference's tables and walk in place of registry's own."""
+    with mock.patch.multiple(registry, token_scopes=ref.token_scopes,
+                             registry_scopes=ref.registry_scopes, clashes=ref.clashes):
+        return parsed(doc)
+
+
+def random_models(seed, count):
+    rng = random.Random(seed)
+    return [random_model(rng, max_flows=rng.choice((6, 10, 16))) for _ in range(count)]
+
+
+def test_each_table_declares_what_the_reference_table_declares():
+    # scope by scope, the same entries; the functions without a scope of
+    # their own declare what (ProcessMonitor, "*") does
+    star = ("ProcessMonitor", "*")
+    models = [load_model(d.name) for d in sorted(GOLDEN.iterdir())] + loop_models() \
+        + random_models(7, 40)
+    for model in models:
+        ours = [(s.path, s.hides, s.entries()) for s in process_scopes(model)]
+        theirs = [(s.path, s.hides, s.names) for s in ref.process_scopes(model)]
+        paths = {path for path, _, _ in ours}
+        locals_ = [entries for path, _, entries in ours if path == star]
+        assert [scope for scope in ours if scope[0] != star] == [
+            scope for scope in theirs if scope[0] in paths]
+        assert {(star, hides, entries) for (path, hides, entries) in theirs
+                if path not in paths} == {(star, True, entries) for entries in locals_}
+    specs = [spec for spec, _ in REGISTRY_VARIANTS] + [
+        parse_registry((FIXTURES / name).read_text()) for name in GOLDEN_SPECS.values()]
+    for spec in specs:
+        assert [(s.path, s.hides, s.entries()) for s in registry_scopes(spec)] == [
+            (s.path, s.hides, s.names) for s in ref.registry_scopes(spec)]
+    for name in ["Lorikeet Coin", "Transfer"] + reader_names():
+        assert [(s.path, s.hides, s.entries()) for s in token_scopes(name)] == [
+            (s.path, s.hides, s.names) for s in ref.token_scopes(name)]
+
+
+def test_each_scope_builds_one_entry_per_name_in_order():
+    for label, _, table in units_with_tables():
+        for scope in table:
+            assert tuple(d.name for d in scope.entries()) == scope.names, (label, scope.path)
+
+
+def test_validate_words_every_clash_as_the_reference_does_on_random_models():
+    for model in random_models(11, 200):
+        assert validate_model(model).diagnostics == reference_diagnostics(model)
+
+
 def test_the_reader_reads_each_scope_of_a_golden():
     scopes = {s.path: s for s in solexec.read_unit(
         (GOLDEN / "ico" / "ProcessFactory.sol").read_text())}
@@ -125,9 +200,12 @@ def test_every_emitted_declaration_is_in_the_table():
     for label, text, table in units_with_tables():
         names = {}
         for scope in table:
-            names.setdefault(scope.path, set()).update(d.name for d in scope.names)
+            names.setdefault(scope.path, set()).update(scope.names)
         for scope in solexec.read_unit(text):
-            assert set(scope.declares) <= names.get(scope.path, set()), (label, scope.path)
+            # a monitor function without a scope of its own declares the
+            # locals listed at (ProcessMonitor, "*")
+            declared = names.get(scope.path, names.get(scope.path[:-1] + ("*",), set()))
+            assert set(scope.declares) <= declared, (label, scope.path)
 
 
 def test_the_reader_finds_the_clash_of_each_newly_refused_model():
@@ -215,7 +293,9 @@ def test_a_model_that_validates_emits_no_clash(variables, inputs, interface, fun
         m, nodes=nodes, interfaces=(itf._replace(name=interface, functions=itf.functions + (fn,)),),
         variables=m.variables + tuple(ProcessVariableDecl(v, "uint256") for v in variables))
     text = process_text(model)
-    if validate_model(model).ok:
+    report = validate_model(model)
+    assert report.diagnostics == reference_diagnostics(model)
+    if report.ok:
         assert_no_clash(text)
     # the table reserves instanceOf<I> in every node's function, and solexec
     # reads no keyword as a name
@@ -236,13 +316,12 @@ def test_a_registry_spec_that_parses_emits_no_clash(names, attribute_flags, regi
                    "historyTracked": tracked}
                   for n, (updatable, tracked) in zip(names, attribute_flags)]
     for registry_type in ("single", "distributed"):
-        doc = {"name": spec_name, "registryType": registry_type, "attributes": attributes,
-               **dict(zip(REGISTRY_FLAGS, registry_flags))}
-        try:
-            spec = parse_registry(json.dumps(doc))
-        except InvariantViolation:
-            continue
-        assert_no_clash(gen_nonfungible(spec).rendered_text)
+        doc = json.dumps({"name": spec_name, "registryType": registry_type,
+                          "attributes": attributes, **dict(zip(REGISTRY_FLAGS, registry_flags))})
+        spec = parsed(doc)
+        assert spec == reference_parsed(doc)
+        if not isinstance(spec, str):
+            assert_no_clash(gen_nonfungible(spec).rendered_text)
 
 
 def test_fungible_units_read_clean():
@@ -257,8 +336,7 @@ def test_a_token_that_parses_emits_no_clash(name, mintable, burnable):
     doc = {**LRK_DOC, "name": name, "isMintable": mintable, "isBurnable": burnable,
            "minterAddresses": ["0x" + "1" * 40] if mintable else [],
            "burnerAddresses": ["0x" + "2" * 40] if burnable else []}
-    try:
-        spec = parse_registry(json.dumps(doc))
-    except InvariantViolation:
-        return
-    assert_no_clash(gen_fungible(spec).rendered_text)
+    spec = parsed(json.dumps(doc))
+    assert spec == reference_parsed(json.dumps(doc))
+    if not isinstance(spec, str):
+        assert_no_clash(gen_fungible(spec).rendered_text)

@@ -528,6 +528,24 @@ TO_F7 = '<sequenceFlow id="f7" sourceRef="s_pay" targetRef="end_done"/>'
 TO_F8 = '<sequenceFlow id="f8" sourceRef="s_refund" targetRef="end_refunded"/>'
 NOT_REACHED = "node cannot reach any end event"
 DEGENERATE = "degenerate gateway with one incoming and one outgoing flow"
+TO_WORK = '<userTask id="t_work" name="Task completed"/>'
+TO_DEPOSIT_INPUTS = """<extensionElements>
+        <bcext:input name="amount" type="uint256"/>
+        <bcext:input name="requester" type="address"/>
+      </extensionElements>"""
+# t_deposit's inputs declared as variables instead, so that its bindings still resolve
+TO_DEPOSIT_BARE = [(TO_DEPOSIT_INPUTS, ""), (TO_VAR, TO_VAR + '<bcext:variable name="amount" '
+                   'type="uint256"/><bcext:variable name="requester" type="address"/>')]
+SAME_FUNCTION = ("error", "t_work", "function 'Deposit_payment' of task 'deposit payment' "
+                 "collides with function 'Deposit_payment' of task 'Deposit payment'")
+
+
+def t_work_named_like_t_deposit(*inputs):
+    """t_work renamed 'deposit payment', so that its function is t_deposit's
+    Deposit_payment, with a uint256 task input of each name in inputs."""
+    body = "".join(f'<bcext:input name="{n}" type="uint256"/>' for n in inputs)
+    return (TO_WORK, '<userTask id="t_work" name="deposit payment">'
+                     f'<extensionElements>{body}</extensionElements></userTask>')
 
 
 ICO_INVESTOR = '<bcext:input name="investor" type="address"/>'
@@ -699,6 +717,27 @@ ICO_INVESTOR = '<bcext:input name="investor" type="address"/>'
     pytest.param("task_outsourcing",
                  [(TO_VAR, TO_VAR + '<bcext:variable name="done" type="bool" initial="true"/>')],
                  [], id="initial-bool"),
+    # two functions of one name share one scope, where each declares the
+    # locals preconditionsp and instanceOfLorikeetCoin: a local meets itself
+    # there, and an input meets the first declaration of its name
+    pytest.param("task_outsourcing",
+                 [t_work_named_like_t_deposit("preconditionsp", "amount")],
+                 [SAME_FUNCTION,
+                  ("error", "t_work", "task input 'preconditionsp' collides with the emitted "
+                                      "name 'preconditionsp'"),
+                  ("error", "t_work", "duplicate task input 'amount'")],
+                 id="one-function-name-both-with-inputs"),
+    # the function without inputs comes first, so t_work's inputs meet its
+    # locals in the order they are declared
+    pytest.param("task_outsourcing",
+                 TO_DEPOSIT_BARE + [t_work_named_like_t_deposit("preconditionsp", "marking")],
+                 [SAME_FUNCTION,
+                  ("error", "t_work", "task input 'preconditionsp' collides with the emitted "
+                                      "name 'preconditionsp'"),
+                  ("error", "t_work", "task input 'marking' hides the emitted name 'marking'")],
+                 id="one-function-name-one-with-inputs"),
+    pytest.param("task_outsourcing", TO_DEPOSIT_BARE + [t_work_named_like_t_deposit()],
+                 [SAME_FUNCTION], id="one-function-name-neither-with-inputs"),
 ])
 def test_validate_model_diagnostic(fixture, edits, expected):
     text = (FIXTURES / f"{fixture}.bpmn").read_text()
@@ -712,7 +751,7 @@ def test_validate_model_diagnostic(fixture, edits, expected):
 # every name that ProcessFactory.sol declares in the file, in the monitor
 # and in t_invest's function Investment_received, as the table gives them
 INVESTMENT_RECEIVED_SEES = sorted({
-    d.name for s in process_scopes(load_model("ico")) for d in s.names
+    name for s in process_scopes(load_model("ico")) for name in s.names
     if s.path in ((), ("ProcessMonitor",), ("ProcessMonitor", "Investment_received"))})
 
 

@@ -61,7 +61,7 @@ RECORDS = [
     Diagnostic("error", "t_pay", "tasks must have exactly one incoming and one outgoing flow"),
     ValidationReport((Diagnostic("warning", "g", "degenerate gateway"),)),
     Declared("addressOfToken", "i_token", "the address 'addressOfToken'", True),
-    Scope(("ProcessMonitor",), (Declared("marking", "", "the emitted name 'marking'"),), True),
+    Scope(("ProcessMonitor",), ("marking",), True),
     FungibleRegistrySpec("Coin", "CN", 2, 100, initially_distributed_accounts=((ADDRESS, 100),)),
     AttributeDecl("weight", "uint256", updatable=True),
     NonFungibleRegistrySpec("Titles", "single", (AttributeDecl("weight", "uint256"),)),

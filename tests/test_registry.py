@@ -549,10 +549,11 @@ def names_an_attribute_meets(doc):
     updatable attributes[1] of doc, the scopes within them, and the scopes
     around them."""
     scopes = registry_scopes(parse_registry(doc))
-    own = {s.path for s in scopes for d in s.names if d.owner == "attributes[1]" and not d.derived}
+    own = {s.path for s in scopes for d in s.entries()
+           if d.owner == "attributes[1]" and not d.derived}
     near = own | {p[:i] for p in own for i in range(len(p))} | {
         s.path for s in scopes if s.hides and s.path[:-1] in own}
-    return sorted({d.name for s in scopes if s.path in near for d in s.names if not d.owner})
+    return sorted({d.name for s in scopes if s.path in near for d in s.entries() if not d.owner})
 
 
 REGISTRY_NAMES = names_an_attribute_meets(nonfungible(attributes=[
