@@ -34,7 +34,6 @@ from __future__ import annotations
 import re
 import string
 import xml.etree.ElementTree as ET
-from itertools import chain
 from typing import List, Optional, Tuple
 
 from .ir import (
@@ -272,8 +271,9 @@ _SEQUENCE_FLOW = _BPMN + "sequenceFlow"
 _SCRIPT = _BPMN + "script"
 _CONDITION = _BPMN + "conditionExpression"
 
-# a NodeKind's value is the local name of its BPMN element
-_NODE_KINDS = {_BPMN + kind.value: kind for kind in NodeKind}
+# a NodeKind's value is the local name of its BPMN element, and the name
+# that the node's messages give it
+_NODE_KINDS = {_BPMN + kind.value: (kind, kind.value) for kind in NodeKind}
 
 _SKIPPED = frozenset(_BPMN + local for local in
                      ("documentation", "incoming", "outgoing", "laneSet"))
@@ -298,10 +298,14 @@ def _parse_literal(text: str) -> Lit:
     return Lit(text, "string")
 
 
+def _missing(what: str, attr: str) -> BpmnParseError:
+    return BpmnParseError(f"{what} missing required attribute '{attr}'")
+
+
 def _require(elem, attr: str, what: str) -> str:
     value = elem.get(attr)
     if value is None:
-        raise BpmnParseError(f"{what} missing required attribute '{attr}'")
+        raise _missing(what, attr)
     return value
 
 
@@ -378,42 +382,59 @@ def _parse_variables(elem) -> List[ProcessVariableDecl]:
     return out
 
 
-def _parse_node(elem, kind: NodeKind) -> Node:
-    """Inputs and script are read whatever the kind: validate_model owns the kind rules."""
-    node_id = _require(elem, "id", kind.value)
+def _parse_node(elem, kind: NodeKind, what: str) -> Node:
+    """Inputs and script are read whatever the kind: validate_model owns
+    the kind rules. what is the kind's value. Most nodes have no child, and
+    they skip the loop."""
+    node_id = elem.get("id")
+    if node_id is None:
+        raise _missing(what, "id")
+    if not len(elem):
+        return Node(node_id, kind, elem.get("name", ""))
     inputs: List[TaskInput] = []
     script: Optional[Tuple[Assign, ...]] = None
     for child in elem:
         if child.tag == _EXTENSION_ELEMENTS:
             inputs.extend(TaskInput(_require(i, "name", "bcext:input"),
                                     _require(i, "type", "bcext:input"))
-                          for _, i in _bcext_children(child, ("input",), kind.value))
+                          for _, i in _bcext_children(child, ("input",), what))
         elif child.tag == _SCRIPT:
             if script is not None:
-                raise BpmnParseError(f"{kind.value} '{node_id}' has a second script")
+                raise BpmnParseError(f"{what} '{node_id}' has a second script")
             script = parse_script(child.text or "")
         elif child.tag not in _SKIPPED:
-            raise _unexpected(child, kind.value)
+            raise _unexpected(child, what)
     return Node(node_id, kind, elem.get("name", ""), tuple(inputs), script or ())
 
 
 def _parse_flow(elem) -> SequenceFlow:
-    flow_id = _require(elem, "id", "sequenceFlow")
+    """The id is read first, then the children, then the references and
+    the default flag, so the first of these that fails names the error."""
+    get = elem.get
+    flow_id = get("id")
+    if flow_id is None:
+        raise _missing("sequenceFlow", "id")
     condition = None
-    for child in elem:
-        if child.tag == _CONDITION:
-            if condition is not None:
-                raise BpmnParseError(f"sequenceFlow '{flow_id}' has a second conditionExpression")
-            condition = parse_condition(child.text or "")
-        elif child.tag not in _SKIPPED:
-            raise _unexpected(child, "sequenceFlow")
-    source = _require(elem, "sourceRef", "sequenceFlow")
-    target = _require(elem, "targetRef", "sequenceFlow")
-    default = elem.get("default", "false")
-    if default not in ("true", "false"):
+    if len(elem):
+        for child in elem:
+            if child.tag == _CONDITION:
+                if condition is not None:
+                    raise BpmnParseError(
+                        f"sequenceFlow '{flow_id}' has a second conditionExpression")
+                condition = parse_condition(child.text or "")
+            elif child.tag not in _SKIPPED:
+                raise _unexpected(child, "sequenceFlow")
+    source, target, default = get("sourceRef"), get("targetRef"), get("default")
+    if source is None:
+        raise _missing("sequenceFlow", "sourceRef")
+    if target is None:
+        raise _missing("sequenceFlow", "targetRef")
+    if default is None or default == "false":
+        return SequenceFlow(flow_id, source, target, condition)
+    if default != "true":
         raise BpmnParseError(f"sequenceFlow '{flow_id}' has default {default!r}; "
                              "expected 'true' or 'false'")
-    return SequenceFlow(flow_id, source, target, condition, default == "true")
+    return SequenceFlow(flow_id, source, target, condition, True)
 
 
 def _unknown_in_process(tag: str) -> BpmnParseError:
@@ -453,13 +474,20 @@ def parse_bpmn(xml_text: str) -> ProcessModel:
     invocations: List[InvocationBinding] = []
 
     # the children of a top-level extensionElements are read in its place
-    for elem in chain.from_iterable(
-            child if child.tag == _EXTENSION_ELEMENTS else (child,) for child in process):
+    elements = []
+    for child in process:
+        if child.tag == _EXTENSION_ELEMENTS:
+            elements.extend(child)
+        else:
+            elements.append(child)
+    for elem in elements:
         tag = elem.tag
         if tag == _SEQUENCE_FLOW:
             flows.append(_parse_flow(elem))
-        elif tag in _NODE_KINDS:
-            nodes.append(_parse_node(elem, _NODE_KINDS[tag]))
+            continue
+        kind = _NODE_KINDS.get(tag)
+        if kind is not None:
+            nodes.append(_parse_node(elem, *kind))
         elif tag == _BCEXT + "variables":
             variables.extend(_parse_variables(elem))
         elif tag == _BCEXT + "smartContractInterface":

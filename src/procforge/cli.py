@@ -369,7 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help=f"PRNG seed (default: $PROCFORGE_SEED or {defaults.seed})")
     sp.add_argument("--bases", type=int, default=defaults.base_traces, help="number of base traces")
     sp.add_argument("--mutants", type=int, default=defaults.mutants_per_base,
-                    help="mutants per base trace")
+                    help=f"mutants per base trace; bases times mutants is at most "
+                         f"{harness.MAX_DRAWS}")
     sp.add_argument("--report", metavar="out.json", help="write the JSON report here")
     sp.add_argument("--prefix", action="store_true", help="prefix conformance")
     sp.set_defaults(fn=cmd_conformance)

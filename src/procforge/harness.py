@@ -477,6 +477,12 @@ def mutate(trace: Names, rng: random.Random,
 # Experiment
 
 
+# the most mutants one experiment may draw, over all its bases: mutants
+# makes one draw per requested mutant, and holds them all. 10^6 draws on
+# task_outsourcing take 0.8 s and 33 MiB on a 2-CPU x86-64 Linux machine
+MAX_DRAWS = 10**6
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     base_traces: int = 2
@@ -491,6 +497,8 @@ class ExperimentConfig:
             raise ValueError("at least one base trace is required")
         if self.mutants_per_base < 0:
             raise ValueError("mutants per base must be nonnegative")
+        if self.base_traces * self.mutants_per_base > MAX_DRAWS:
+            raise ValueError(f"bases times mutants per base must be at most {MAX_DRAWS}")
 
 
 class Disagreement(NamedTuple):

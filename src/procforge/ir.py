@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import operator
 import re
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -85,14 +86,19 @@ def addr_key(address: str) -> str:
     return address.lower()
 
 
+class NumberTooLong(ValueError):
+    """A JSON integer of more digits than int() converts: valid JSON that
+    the program does not read."""
+
+
 def load_json(text: str):
     """json.loads for text decoded from UTF-8. Every way the text can fail
-    is a ValueError: malformed JSON, an integer of more digits than int()
-    converts, nesting deeper than the decoder recurses, and a string
-    holding a lone surrogate, which no UTF-8 output can carry. Only a \\u
-    escape decodes to a surrogate, so only a text holding one is checked
-    for it; the scan for a backslash goes first, as a scan for one
-    character is far quicker than one for the two of \\u."""
+    is a ValueError: malformed JSON, nesting deeper than the decoder
+    recurses, a string holding a lone surrogate, which no UTF-8 output can
+    carry, and an integer of more digits than int() converts, which is a
+    NumberTooLong. Only a \\u escape decodes to a surrogate, so only a text
+    holding one is checked for it; the scan for a backslash goes first, as
+    a scan for one character is far quicker than one for the two of \\u."""
     try:
         value = json.loads(text)
         if "\\" in text and "\\u" in text:
@@ -101,6 +107,11 @@ def load_json(text: str):
         raise ValueError("nested too deeply") from None
     except UnicodeEncodeError:
         raise ValueError("a string holds a lone surrogate") from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError:  # int() refused the digits of a number
+        raise NumberTooLong(
+            f"a number has more than {sys.get_int_max_str_digits()} digits") from None
     return value
 
 

@@ -17,7 +17,7 @@ XOR-join in front of it becomes one pre-alternative per incoming flow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import (Callable, Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Set,
                     Tuple)
@@ -48,24 +48,23 @@ class NonTerminatingClosure(MarkingError):
     pass
 
 
-@dataclass(frozen=True)
-class Branch:
+class Branch(NamedTuple):
     """One outgoing alternative of a transition.
 
     guard is None for unconditional branches and for the default flow of
     an XOR split (is_default marks the latter), which is the last branch;
-    test is guard's evaluator under the model's declared types. post is
-    the produced bits. Only an XOR split has more than one branch.
+    test is guard's evaluator under the model's declared types, which
+    compares by identity: model.typed hands out one per expression. post
+    is the produced bits. Only an XOR split has more than one branch.
     """
 
     post: int
     guard: Optional[Expr] = None
     is_default: bool = False
-    test: Optional[Evaluator] = field(default=None, compare=False)
+    test: Optional[Evaluator] = None
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(NamedTuple):
     """One task, gateway or end event, as its emitted function tests it:
     pre_alternatives are the preMasks in the order of the if / else if
     chain, and the first one contained in the marking fires. A task has
@@ -75,8 +74,9 @@ class Transition:
     kind: NodeKind  # any kind but START_EVENT
     pre_alternatives: Tuple[int, ...]
     branches: Tuple[Branch, ...]
-    # the script's (target, compiled value) pairs, in order
-    statements: Tuple[Tuple[str, Evaluator], ...] = field(default=(), compare=False)
+    # the script's (target, compiled value) pairs, in order; each compiled
+    # value compares by identity, as Branch.test does
+    statements: Tuple[Tuple[str, Evaluator], ...] = ()
 
 
 @dataclass(frozen=True)

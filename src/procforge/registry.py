@@ -12,7 +12,7 @@ from operator import attrgetter, itemgetter
 from types import MappingProxyType
 from typing import Dict, NamedTuple, Optional, Tuple
 
-from .ir import (UINT256_MAX, VALUE_TYPES, Declared, Scope, addr_key, clashes,
+from .ir import (UINT256_MAX, VALUE_TYPES, Declared, NumberTooLong, Scope, addr_key, clashes,
                  contract_name, emitted, is_address, is_identifier, load_json, slot)
 
 SYMBOL_MAX_LEN = 11
@@ -186,6 +186,8 @@ def token_scopes(display_name: str) -> list:
 def _load(doc: str) -> dict:
     try:
         obj = load_json(doc)
+    except NumberTooLong as e:
+        raise RegistrySpecError(str(e)) from e
     except ValueError as e:
         raise RegistrySpecError(f"invalid JSON: {e}") from e
     if not isinstance(obj, dict):

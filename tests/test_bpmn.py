@@ -456,3 +456,89 @@ def test_missing_required_attribute():
     with pytest.raises(bpmn.BpmnParseError) as exc:
         parse_bpmn(DOC.format(body=MINIMAL + '<sequenceFlow id="fx" sourceRef="t"/>'))
     assert "targetRef" in str(exc.value)
+
+
+# children that neither decide the message nor fail on their own
+QUIET_CHILDREN = "<documentation>d</documentation><incoming>f0</incoming>"
+CONDITION = "<conditionExpression>x == 1</conditionExpression>"
+
+
+# (tag, attributes, message) of an element that lacks a required attribute
+MISSING = [
+    ("userTask", 'name="Pay"', "userTask missing required attribute 'id'"),
+    ("exclusiveGateway", "", "exclusiveGateway missing required attribute 'id'"),
+    ("sequenceFlow", 'sourceRef="t" targetRef="end"', "sequenceFlow missing required attribute 'id'"),
+    ("sequenceFlow", 'id="fx" targetRef="end"',
+     "sequenceFlow missing required attribute 'sourceRef'"),
+    ("sequenceFlow", 'id="fx" sourceRef="t"', "sequenceFlow missing required attribute 'targetRef'"),
+    ("sequenceFlow", 'id="fx"', "sequenceFlow missing required attribute 'sourceRef'"),
+    ("sequenceFlow", 'targetRef="end"', "sequenceFlow missing required attribute 'id'"),
+]
+# each such element without children, with children that are skipped and,
+# for a flow, with its one condition
+MISSING_CASES = [(f"<{tag} {attrs}{children}", message)
+                 for tag, attrs, message in MISSING
+                 for children in ["/>", f">{QUIET_CHILDREN}</{tag}>"]
+                 + ([f">{CONDITION}</{tag}>"] if tag == "sequenceFlow" else [])]
+
+
+@pytest.mark.parametrize("element, message", MISSING_CASES)
+def test_missing_required_attribute_message(element, message):
+    with pytest.raises(bpmn.BpmnParseError) as exc:
+        parse_bpmn(DOC.format(body=MINIMAL + element))
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("element, message", [
+    # the id is read before any child
+    ('<userTask name="Pay"><bogus/></userTask>', "userTask missing required attribute 'id'"),
+    ('<sequenceFlow sourceRef="t" targetRef="end"><bogus/></sequenceFlow>',
+     "sequenceFlow missing required attribute 'id'"),
+    ('<sequenceFlow sourceRef="t" targetRef="end">' + CONDITION * 2 + "</sequenceFlow>",
+     "sequenceFlow missing required attribute 'id'"),
+    # a flow's children are read before its references
+    ('<sequenceFlow id="fx" sourceRef="t">' + CONDITION * 2 + "</sequenceFlow>",
+     "sequenceFlow 'fx' has a second conditionExpression"),
+    ('<sequenceFlow id="fx"><bogus/></sequenceFlow>',
+     "unexpected element 'bogus' inside sequenceFlow"),
+    ('<sequenceFlow id="fx" targetRef="end"><conditionExpression>x ==</conditionExpression>'
+     "</sequenceFlow>", "unexpected token 'end of input' at offset 4 "
+                        "(expected literal, identifier, ()"),
+    # and its references before its default flag
+    ('<sequenceFlow id="fx" sourceRef="t" default="yes"/>',
+     "sequenceFlow missing required attribute 'targetRef'"),
+    ('<sequenceFlow id="fx" sourceRef="t" targetRef="end" default="yes"/>',
+     "sequenceFlow 'fx' has default 'yes'; expected 'true' or 'false'"),
+    ('<scriptTask name="S"><script>x = 1</script><script>x = 2</script></scriptTask>',
+     "scriptTask missing required attribute 'id'"),
+    ('<scriptTask id="s"><script>x = 1</script><bogus/><script>x = 2</script></scriptTask>',
+     "unexpected element 'bogus' inside scriptTask"),
+], ids=["node-id-beside-unknown-child", "flow-id-beside-unknown-child",
+        "flow-id-beside-second-condition", "second-condition-beside-target",
+        "unknown-child-beside-refs", "condition-error-beside-source", "target-beside-default",
+        "bad-default", "node-id-beside-second-script", "unknown-child-before-second-script"])
+def test_which_error_wins(element, message):
+    with pytest.raises(bpmn.BpmnParseError) as exc:
+        parse_bpmn(DOC.format(body=MINIMAL + element))
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("element", [
+    '<userTask id="t2"/>', '<userTask id="t2" name="Pay"/>',
+    '<userTask id="t2" name="Pay">' + QUIET_CHILDREN + "</userTask>",
+    '<sequenceFlow id="f3" sourceRef="t" targetRef="end"/>',
+    '<sequenceFlow id="f3" sourceRef="t" targetRef="end" default="false"/>',
+    '<sequenceFlow id="f3" sourceRef="t" targetRef="end" default="true"/>',
+    '<sequenceFlow id="f3" sourceRef="t" targetRef="end">' + QUIET_CHILDREN + CONDITION
+    + "</sequenceFlow>",
+])
+def test_childless_and_parented_elements_read_alike(element):
+    """An element reads the same, whether or not it has children to skip."""
+    m = parse_bpmn(DOC.format(body=MINIMAL + element))
+    if element.startswith("<userTask"):
+        assert m.nodes[-1] == bpmn.Node("t2", NodeKind.USER_TASK,
+                                        "Pay" if 'name="Pay"' in element else "")
+    else:
+        condition = parse_condition("x == 1") if CONDITION in element else None
+        assert m.flows[-1] == bpmn.SequenceFlow("f3", "t", "end", condition,
+                                                'default="true"' in element)

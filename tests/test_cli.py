@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 import procforge
 from procforge import cli
 from procforge.cli import main
+from procforge.harness import MAX_DRAWS, ExperimentConfig
 from procforge.interp import pseudo_address
 
 from conftest import FIXTURES
@@ -488,6 +489,19 @@ def test_conformance_bad_config_exits_64(capsys):
     assert run(capsys, "conformance", GRAIN, "--bases", "0")[0] == 64
     assert run(capsys, "conformance", GRAIN, "--mutants", "-1") \
         == (64, "", "error: mutants per base must be nonnegative\n")
+
+
+@pytest.mark.parametrize("bases, mutants", [("1", str(10**6 + 1)), ("2", str(5 * 10**5 + 1)),
+                                            ("2", "1" + "0" * 20), ("3", "333334")])
+def test_conformance_refuses_more_draws_than_its_bound(capsys, bases, mutants):
+    # refused before any draw: the call used to draw until memory ran out
+    assert run(capsys, "conformance", GRAIN, "--bases", bases, "--mutants", mutants) \
+        == (64, "", "error: bases times mutants per base must be at most 1000000\n")
+
+
+def test_conformance_takes_draws_up_to_its_bound():
+    assert ExperimentConfig(base_traces=2, mutants_per_base=MAX_DRAWS // 2)
+    assert ExperimentConfig(base_traces=MAX_DRAWS + 1, mutants_per_base=0)
 
 
 ICO = str(FIXTURES / "ico.bpmn")
@@ -1029,6 +1043,29 @@ def test_malformed_input_is_one_error_line(tmp_path, capsys, model, spec, trace,
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and reason in err
+
+
+LONG_NUMBER = "9" * (sys.get_int_max_str_digits() + 1)
+
+
+@pytest.mark.parametrize("spec, trace, line", [
+    (None, '{"task": "Investment received", "args": {"amount": %s}}\n' % LONG_NUMBER,
+     "t.jsonl: line 1: a number has more than %d digits"),
+    (LRK_TEXT.replace('"decimals": 2,', '"decimals": %s,' % LONG_NUMBER, 1), None,
+     "s.json: a number has more than %d digits"),
+], ids=["trace-line", "spec-field"])
+def test_over_long_json_number_is_the_tools_own_error(tmp_path, capsys, spec, trace, line):
+    """valid JSON that the program does not read: neither invalid JSON nor
+    Python's advice on its limit"""
+    (tmp_path / "m.bpmn").write_text(ICO_TEXT)
+    (tmp_path / "t.jsonl").write_text(trace or '{"task": "Investment received"}\n')
+    argv = ["simulate", str(tmp_path / "m.bpmn"), "--trace", str(tmp_path / "t.jsonl")]
+    if spec is not None:
+        assert LONG_NUMBER in spec
+        (tmp_path / "s.json").write_text(spec)
+        argv += ["--registry", str(tmp_path / "s.json")]
+    message = line % sys.get_int_max_str_digits()
+    assert run(capsys, *argv) == (1, "", f"error: {tmp_path}/{message}\n")
 
 
 A6 = "0x" + "66" * 20

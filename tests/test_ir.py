@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+import sys
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -19,6 +20,7 @@ from procforge.ir import (
     INT256_MIN,
     Lit,
     Node,
+    NumberTooLong,
     NodeKind,
     ParameterBinding,
     ProcessModel,
@@ -58,6 +60,14 @@ def test_load_json_refuses_a_lone_surrogate_among_other_escapes(text):
 ], ids=["escaped-backslash", "surrogate-pair"])
 def test_load_json_accepts_escapes_that_decode_to_no_lone_surrogate(text, value):
     assert load_json(text) == value
+
+
+@pytest.mark.parametrize("text", ["[%s]", '{"k": -%s}', "%s"])
+def test_load_json_words_a_number_it_does_not_read(text):
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(NumberTooLong, match=f"^a number has more than {limit} digits$"):
+        load_json(text % ("9" * (limit + 1)))
+    assert load_json(text % ("9" * limit)) is not None
 
 
 def test_load_json_of_a_text_without_a_backslash_is_json_loads():

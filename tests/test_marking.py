@@ -256,6 +256,20 @@ def test_compile_is_deterministic_on_random_models():
         assert compile_marking(model) == compile_marking(model)
 
 
+def test_compiled_guards_and_statements_compare_by_identity():
+    """A model hands out one evaluator per expression, so the automata of
+    two parses of one text agree on every mask but not on their guards and
+    scripts."""
+    a, b = (compile_marking(load_model("grain_title")) for _ in range(2))
+    assert a != b
+    assert [(t.node_id, t.pre_alternatives, [(x.post, x.guard, x.is_default) for x in t.branches])
+            for t in a.autos] == \
+        [(t.node_id, t.pre_alternatives, [(x.post, x.guard, x.is_default) for x in t.branches])
+         for t in b.autos]
+    guarded = [(s, t) for s, t in zip(a.autos, b.autos) if s.statements or s.branches[0].test]
+    assert guarded and all(s != t for s, t in guarded)
+
+
 def test_dump_automaton_lists_masks(grain_automaton):
     text = dump_automaton(grain_automaton)
     assert "flows: 18" in text

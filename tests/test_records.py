@@ -34,7 +34,7 @@ from procforge.ir import (
     ValidationReport,
     Var,
 )
-from procforge.marking import ClosureResult
+from procforge.marking import Branch, ClosureResult, Transition
 from procforge.registry import AttributeDecl, FungibleRegistrySpec, NonFungibleRegistrySpec
 
 ADDRESS = "0x" + "ab" * 20
@@ -70,6 +70,9 @@ RECORDS = [
     Disagreement(4, "Conforming", "NonConforming(1)", ("Pay", "Ship")),
     Report(7, 3, 1, 75.0, (), 12),
     SourceUnit("Coin.sol", "pragma solidity ^0.5.8;\n"),
+    Branch(0x2, Var("ok"), False, bool),
+    Transition("g", NodeKind.XOR_GATEWAY, (0x1,), (Branch(0x2), Branch(0x4, is_default=True)),
+               (("x", abs),)),
     ClosureResult(0x4, {"x": 2}, ("s_alloc",)),
     Accepted(1, ("s_alloc",)),
     Rejected("NotEnabled", "task 'Pay' not enabled at marking 0x1"),
@@ -81,8 +84,6 @@ RECORDS = [
 DATACLASSES = {
     "ir.ProcessModel": "caches its lookups in a cached_property",
     "marking.MarkingAutomaton": "caches its task-id table in a cached_property",
-    "marking.Branch": "its compiled guard is left out of equality",
-    "marking.Transition": "its compiled statements are left out of equality",
     "harness.Conforming": "has no fields, and a NamedTuple without fields is falsy",
     "harness._StateSet": "a mutable graph node with a dict default",
     "harness.ExperimentConfig": "checks its fields in __post_init__",
@@ -106,6 +107,7 @@ EXCEPTIONS = {
     "interp.BadArgument": "its name is printed as a Rejected reason",
     "ir.EvalError": "its name maps to the Rejected reason ScriptError, and _fold catches it",
     "ir.ExprTypeError": "validation catches it as a diagnostic",
+    "ir.NumberTooLong": "the registry reader tells it apart from JSON that does not decode",
     "marking.MarkingError": "the CLI catches it",
     "marking.NotEnabled": "its name is printed as a Rejected reason",
     "marking.NoBranchTaken": "its name is printed as a Rejected reason",
