@@ -367,7 +367,9 @@ def build_parser() -> argparse.ArgumentParser:
     defaults = harness.ExperimentConfig  # the one owner of the experiment defaults
     sp.add_argument("--seed", type=int, default=None,
                     help=f"PRNG seed (default: $PROCFORGE_SEED or {defaults.seed})")
-    sp.add_argument("--bases", type=int, default=defaults.base_traces, help="number of base traces")
+    sp.add_argument("--bases", type=int, default=defaults.base_traces,
+                    help=f"number of base traces; their search may produce at most "
+                         f"{harness.DEFAULT_STATE_BUDGET} markings")
     sp.add_argument("--mutants", type=int, default=defaults.mutants_per_base,
                     help=f"mutants per base trace; bases times mutants is at most "
                          f"{harness.MAX_DRAWS}")

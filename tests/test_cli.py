@@ -74,6 +74,38 @@ def test_validate_function_named_like_its_interface_exits_1(tmp_path, capsys):
     assert code == 1 and not (tmp_path / "out").exists()
 
 
+def test_validate_json_of_names_that_clash_with_emitted_ones_is_pinned(tmp_path, capsys):
+    # the name check meets names as sets of strings, and their order must
+    # not reach the diagnostics: tests/test_hash_seeds.py runs this under
+    # two hash seeds
+    text = (FIXTURES / "task_outsourcing.bpmn").read_text()
+    requester = '<bcext:input name="requester" type="address"/>'
+    for old, new in [('name="LorikeetCoin"', 'name="marking"'),
+                     (requester, requester + '<bcext:input name="preconditionsp" '
+                                             'type="uint256"/>')]:
+        assert text.count(old) == 1, old
+        text = text.replace(old, new)
+    clash = tmp_path / "clash.bpmn"
+    clash.write_text(text)
+    assert run(capsys, "validate", str(clash), "--json") == (1, """\
+{
+  "ok": false,
+  "diagnostics": [
+    {
+      "severity": "error",
+      "ref": "itf_lrk",
+      "message": "interface 'marking' is hidden by the emitted name 'marking'"
+    },
+    {
+      "severity": "error",
+      "ref": "t_deposit",
+      "message": "task input 'preconditionsp' collides with the emitted name 'preconditionsp'"
+    }
+  ]
+}
+""", "")
+
+
 def test_missing_input_exits_66(capsys):
     code, _, err = run(capsys, "validate", "no/such/file.bpmn")
     assert code == 66

@@ -216,6 +216,21 @@ def test_fungible_unit_shape():
     assert text.count("balances[0x") == 3
 
 
+def test_token_constructor_writes_addresses_as_the_spec_spells_them_in_spec_order():
+    # the ledger lowers a mixed-case address; the emitted constructor keeps
+    # the spec's spelling and order, as registry._Distribution holds both
+    doc = json.loads((FIXTURES / "lrk.json").read_text())
+    doc["totalSupply"] = "1000"
+    doc["initiallyDistributedAccounts"] = [
+        {"address": "0x" + "5" * 40, "amount": "300"},
+        {"address": "0xAbCdEf0123456789aBcDeF0123456789AbCdEf01", "amount": "700"}]
+    text = gen_fungible(parse_registry(json.dumps(doc))).rendered_text
+    ctor = text[text.index("constructor() public {"):]
+    ctor = ctor[:ctor.index("\n    }\n")]
+    assert re.findall(r"balances\[(0x[0-9A-Fa-f]{40})\] = ([0-9]+);", ctor) \
+        == [(e["address"], e["amount"]) for e in doc["initiallyDistributedAccounts"]]
+
+
 def test_fungible_mint_burn_emitted_when_enabled():
     spec = lrk_spec()._replace(is_mintable=True,
                                minter_addresses=("0x" + "A" * 40,),

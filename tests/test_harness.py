@@ -4,6 +4,7 @@ import inspect
 import json
 import random
 import types
+from collections import deque
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -156,6 +157,16 @@ def test_run_experiment_parallel_chain6():
     report = run_experiment(model, compile_marking(model), cfg)
     assert report.conforming + report.non_conforming == 12
     assert report.correctness_pct == 100.0
+
+
+def test_state_budget_bounds_an_experiment_of_many_bases(monkeypatch):
+    # MAX_DRAWS bounds only the mutants: on a wide AND split the bases are
+    # bounded by the markings enumerate_conforming may produce
+    monkeypatch.setattr(harness, "DEFAULT_STATE_BUDGET", 1000)
+    model = parallel_chain(5)
+    cfg = ExperimentConfig(base_traces=10**6, mutants_per_base=0)
+    with pytest.raises(HarnessError, match="^marking graph larger than 1000 states$"):
+        run_experiment(model, compile_marking(model), cfg)
 
 
 def test_classify_base_traces_conforming(grain_model, grain_automaton):
@@ -599,6 +610,63 @@ def test_replayer_and_oracle_agree_on_random_models():
             t = mutate(base, rng, alphabet, bases=[]) \
                 if base or alphabet else ()
             assert classify(a, t).ok == oracle_classify(model, t).ok
+
+
+def edge(graph, node, name):
+    """graph's node for task name from node, computed and kept as verdict does."""
+    if name not in node.edges:
+        node.edges[name] = graph.fire(node, name, 0)
+    return node.edges[name][0]
+
+
+def agreeing_pairs(model, a):
+    """The live pairs of the replayer's and the oracle's state sets: a
+    breadth-first walk from the pair of roots fires every display name from
+    each live pair, to the fixpoint. At each pair both sides must be alive
+    or neither, so every trace has the same first rejected index, and the
+    end state must be in both sets or in neither, so every trace has the
+    same strict verdict; the assertion names a shortest trace that differs."""
+    graphs = (harness._Replayer(a), harness._TokenGame(model))
+    alphabet = sorted(a.external_names.values())
+    root = tuple(graph.root[0] for graph in graphs)
+    trace_to = {root: ()}
+    queue = deque([root])
+    live = 0
+    while queue:
+        pair = queue.popleft()
+        alive = [bool(node.states) for node in pair]
+        ended = [graph.end in node.states for graph, node in zip(graphs, pair)]
+        assert alive[0] == alive[1] and ended[0] == ended[1], trace_to[pair]
+        if not alive[0]:
+            continue
+        live += 1
+        for name in alphabet:
+            nxt = tuple(edge(graph, node, name) for graph, node in zip(graphs, pair))
+            if nxt not in trace_to:
+                trace_to[nxt] = trace_to[pair] + (name,)
+                queue.append(nxt)
+    return live
+
+
+@pytest.mark.parametrize("make, pairs", [
+    *[pytest.param(lambda name=name: load_model(name), None, id=name)
+      for name in ("grain_title", "grain_title_unbound", "ico", "quality_tracing",
+                   "task_outsourcing")],
+    # one live pair per choice of A{i} pending, B{i} pending or done, for each i
+    *[pytest.param(lambda n=n: parallel_chain(n), 3 ** n, id=f"chain{n}") for n in range(2, 6)],
+    pytest.param(lambda: parse_bpmn(counting_loop_bpmn(True)), None, id="counting-loop"),
+    pytest.param(lambda: parse_bpmn(toggle_loop_bpmn(True)), None, id="toggle-loop"),
+    # CHANGES.md's FOUND on the oracle and ROADMAP item 3: the oracle
+    # accepts "Go", whose closure never settles
+    pytest.param(lambda: parse_bpmn(spinning_loop_bpmn(True)), None, id="spinning-loop",
+                 marks=pytest.mark.xfail(raises=AssertionError, strict=True,
+                                         reason="the oracle accepts a task whose closure "
+                                                "never settles")),
+])
+def test_replayer_and_oracle_agree_on_every_trace(make, pairs):
+    model = make()
+    live = agreeing_pairs(model, compile_marking(model))
+    assert pairs is None or live == pairs
 
 
 # --- one classification per distinct prefix ---------------------------------
